@@ -7,7 +7,6 @@ Subpackage map:
 * ``scalars``   -- tiny exact polynomial scalars for symbolic checks
 * ``group``     -- derivations and the recentering (structure-group) map
 * ``hierarchy`` -- the model hierarchy: right-hand-side expansion per index
-* ``specfun``   -- special functions needed by closed-form references
 * ``kernel``    -- Fourier-side constant-coefficient operator toolbox
 * ``constants`` -- renormalisation-constant quadratures and scalings
 * ``mc``        -- Monte-Carlo checks of the first model modes

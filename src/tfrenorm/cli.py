@@ -8,18 +8,19 @@ Conventions shared by every subcommand:
 * results go to stdout, or to ``--output PATH``;
 * exit codes: 0 success, 2 configuration error, 3 numerical failure,
   4 internal consistency / fixture mismatch;
-* the only environment variable honoured is ``WORKBENCH_THREADS``, the
-  worker count for counterterm sweeps (default 1: serial).
+* float options, and every element of a comma list, must be finite;
+* no environment variable changes the behaviour.
 
 Output is JSON unless a subcommand offers ``--format csv``; either way the
-content is deterministic for a fixed config and seed.
+content is deterministic for a fixed config and seed.  JSON output is
+strict: a non-finite result is a numerical failure, never ``NaN`` or
+``Infinity`` on stdout.
 """
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .constants import (
@@ -58,18 +59,6 @@ from .mc import (
 from .verify import verify_fixtures
 
 
-def thread_count():
-    """Worker count for sweeps, from WORKBENCH_THREADS (default 1)."""
-    raw = os.environ.get("WORKBENCH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"WORKBENCH_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"WORKBENCH_THREADS must be >= 1, got {n}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # option plumbing: one table drives the parser, the config file, and help
 # ---------------------------------------------------------------------------
@@ -84,8 +73,15 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _floats(text):
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_float(part) for part in text.split(","))
 
 
 def _ints(text):
@@ -126,8 +122,6 @@ class _Opt:
     def finalise(self, raw):
         if raw is None:
             return None
-        if not isinstance(raw, str):
-            return raw
         try:
             return self.convert(raw)
         except ValueError as exc:
@@ -178,7 +172,10 @@ def _emit(text, path):
 
 
 def _to_json(doc):
-    return json.dumps(doc, indent=1)
+    try:
+        return json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError:
+        raise NumericError("the result is not finite") from None
 
 
 # shared option groups -------------------------------------------------------
@@ -187,18 +184,18 @@ _OUTPUT = [_Opt("output", str, help="write to this path instead of stdout")]
 _FORMAT = [_Opt("format", _choice("json", "csv"), default="json",
                 help="output format (default json)")]
 _PARAMS = [
-    _Opt("alpha", float, required=True, help="regularity exponent in (1/2, 1)"),
+    _Opt("alpha", _float, required=True, help="regularity exponent in (1/2, 1)"),
     _Opt("d", int, default="1", help="spatial dimension (default 1)"),
-    _Opt("lam", float, default="0.4", help="ordering weight in (0, 1/2)"),
+    _Opt("lam", _float, default="0.4", help="ordering weight in (0, 1/2)"),
     _Opt("allow_rational_alpha", _bool, default="false",
          help="lift the guard against near-rational alpha"),
 ]
 _MOLLIFIER = [
-    _Opt("tau", float, required=True, help="mollification scale, > 0"),
-    _Opt("m0", float, default="1.0", help="operator coefficient (default 1)"),
+    _Opt("tau", _float, required=True, help="mollification scale, > 0"),
+    _Opt("m0", _float, default="1.0", help="operator coefficient (default 1)"),
     _Opt("mollifier", _choice("semigroup", "anisotropic"), default="semigroup",
          help="mollifier family (default semigroup)"),
-    _Opt("eta", float, default="2.0",
+    _Opt("eta", _float, default="2.0",
          help="anisotropic aspect exponent (default 2)"),
 ]
 
@@ -346,20 +343,15 @@ def run_constants(cfg):
 
 
 def run_counterterm(cfg):
-    cases = [(tau, m0) for tau in cfg["tau"] for m0 in cfg["m0"]]
-
-    def worker(case):
-        tau, m0 = case
-        cov = covariance_spec(cfg["alpha"], m0)
-        moll = mollifier_spec(cfg["mollifier"], tau, eta=cfg["eta"], m0=m0)
-        return counterterm_table(cov, moll, epsrel=cfg["epsrel"])
-
-    workers = thread_count()
-    if workers == 1 or len(cases) == 1:
-        tables = [worker(case) for case in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(worker, cases))
+    tables = [
+        counterterm_table(
+            covariance_spec(cfg["alpha"], m0),
+            mollifier_spec(cfg["mollifier"], tau, eta=cfg["eta"], m0=m0),
+            epsrel=cfg["epsrel"],
+        )
+        for tau in cfg["tau"]
+        for m0 in cfg["m0"]
+    ]
     if cfg["format"] == "csv":
         return sweep_csv(tables)
     return _to_json({"tables": [table_to_json(t) for t in tables]})
@@ -424,7 +416,7 @@ def run_simulate(cfg):
         return _to_json(doc)
     else:  # unreachable: the option converter restricts the choices
         raise ConfigError(f"unknown simulate task {task!r}")
-    return report.to_csv() if cfg["format"] == "csv" else report.to_json()
+    return report.to_csv() if cfg["format"] == "csv" else _to_json(report.to_dict())
 
 
 def run_fixtures_verify(cfg):
@@ -444,7 +436,7 @@ _SUBCOMMANDS = {
     "enumerate": (
         run_enumerate,
         _PARAMS + _FORMAT + _OUTPUT + [
-            _Opt("cutoff", float, required=True, help="homogeneity cutoff"),
+            _Opt("cutoff", _float, required=True, help="homogeneity cutoff"),
             _Opt("max_count", int, default="200000",
                  help="abort past this many indices (default 200000)"),
         ],
@@ -478,7 +470,7 @@ _SUBCOMMANDS = {
     "kappa": (
         run_kappa,
         _PARAMS + _OUTPUT + [
-            _Opt("cutoff", float,
+            _Opt("cutoff", _float,
                  help="homogeneity cutoff for the window (default 3 + alpha + 1/2)"),
         ],
         "admissible remainder exponent for the kernel truncation",
@@ -486,10 +478,10 @@ _SUBCOMMANDS = {
     "kernel-check": (
         run_kernel_check,
         _OUTPUT + [
-            _Opt("m0", float, default="1.0", help="operator coefficient"),
+            _Opt("m0", _float, default="1.0", help="operator coefficient"),
             _Opt("sizes", _ints, help="grid sizes, e.g. 512,4096"),
             _Opt("boxes", _floats, help="torus lengths, e.g. 0.0001,4.0"),
-            _Opt("scaling_time", float, default="3e-13",
+            _Opt("scaling_time", _float, default="3e-13",
                  help="kernel time for the rescaling identity"),
         ],
         "discrete kernel identities: semigroup, scaling, moments, inversion",
@@ -497,37 +489,37 @@ _SUBCOMMANDS = {
     "constants": (
         run_constants,
         _FORMAT + _OUTPUT + [
-            _Opt("alpha", float, required=True, help="exponent in [1/2, 1)"),
+            _Opt("alpha", _float, required=True, help="exponent in [1/2, 1)"),
             _Opt("mollifier", _choice("semigroup", "anisotropic"),
                  default="semigroup", help="mollifier family"),
-            _Opt("epsrel", float, default="1e-11", help="quadrature tolerance"),
+            _Opt("epsrel", _float, default="1e-11", help="quadrature tolerance"),
         ],
         "universal small-tau constants (C1, C2, C3) with error bars",
     ),
     "counterterm": (
         run_counterterm,
         _FORMAT + _OUTPUT + [
-            _Opt("alpha", float, required=True, help="exponent in (1/2, 1)"),
+            _Opt("alpha", _float, required=True, help="exponent in (1/2, 1)"),
             _Opt("tau", _floats, required=True,
                  help="mollification scales, comma-separated for a sweep"),
             _Opt("m0", _floats, default="1.0",
                  help="operator coefficients, comma-separated for a sweep"),
             _Opt("mollifier", _choice("semigroup", "anisotropic"),
                  default="semigroup", help="mollifier family"),
-            _Opt("eta", float, default="2.0", help="anisotropic aspect exponent"),
-            _Opt("epsrel", float, default="1e-9", help="quadrature tolerance"),
+            _Opt("eta", _float, default="2.0", help="anisotropic aspect exponent"),
+            _Opt("epsrel", _float, default="1e-9", help="quadrature tolerance"),
         ],
-        "finite-tau counterterm constants; sweeps run on WORKBENCH_THREADS workers",
+        "finite-tau counterterm constants; a sweep runs serially in (tau, m0) order",
     ),
     "h-eval": (
         run_h_eval,
         _MOLLIFIER + _OUTPUT + [
-            _Opt("alpha", float, required=True, help="exponent in (1/2, 1)"),
-            _Opt("a", float, required=True, help="quasilinear coefficient a(u)"),
-            _Opt("a_prime", float, required=True, help="derivative a'(u)"),
-            _Opt("b", float, required=True, help="noise coefficient b(u)"),
-            _Opt("b_prime", float, required=True, help="derivative b'(u)"),
-            _Opt("epsrel", float, default="1e-9", help="quadrature tolerance"),
+            _Opt("alpha", _float, required=True, help="exponent in (1/2, 1)"),
+            _Opt("a", _float, required=True, help="quasilinear coefficient a(u)"),
+            _Opt("a_prime", _float, required=True, help="derivative a'(u)"),
+            _Opt("b", _float, required=True, help="noise coefficient b(u)"),
+            _Opt("b_prime", _float, required=True, help="derivative b'(u)"),
+            _Opt("epsrel", _float, default="1e-9", help="quadrature tolerance"),
         ],
         "pointwise counterterm h from the constant table",
     ),
@@ -536,7 +528,7 @@ _SUBCOMMANDS = {
         _MOLLIFIER + _FORMAT + _OUTPUT + [
             _Opt("task", _choice("covariance", "moment", "bphz", "scaling"),
                  required=True, help="which estimator to run"),
-            _Opt("alpha", float, required=True, help="exponent in (1/2, 1)"),
+            _Opt("alpha", _float, required=True, help="exponent in (1/2, 1)"),
             _Opt("sizes", _ints, default="64,256",
                  help="grid sizes, time first (default 64,256)"),
             _Opt("boxes", _floats, default="1.0,1.0",

@@ -30,8 +30,8 @@ from scipy.special import gammaincc
 
 from .errors import ConfigError, ConsistencyError, NumericError
 from .indices import e, f, homogeneity, is_c_populated
+from .kernel import TWO_PI
 
-TWO_PI = 2.0 * math.pi
 _TAIL_CUT = 1e-18
 _LOG_TAIL = -math.log(_TAIL_CUT)
 
@@ -59,7 +59,7 @@ class CovarianceSpec:
     """Spectral density FC of the driving noise.
 
     evaluator maps (k0, k1) to FC(k) >= 0, even in both arguments;
-    d_evaluator is its analytic k1-derivative, needed by eval_c2.
+    d_evaluator is its analytic k1-derivative, needed for the c2 integral.
     """
 
     kind: str
@@ -163,7 +163,7 @@ def mollifier_spec(kind, tau, eta=2.0, m0=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(cov, moll, need_derivative=False):
+def _check_pair(cov, moll):
     if not 0.5 < cov.alpha < 1.0:
         raise ConfigError(f"alpha must lie in (1/2, 1), got {cov.alpha}")
     if cov.m0 <= 0 or moll.tau <= 0:
@@ -173,10 +173,10 @@ def _check_pair(cov, moll, need_derivative=False):
             f"semigroup mollifier was built for m0={moll.m0}, "
             f"covariance has m0={cov.m0}"
         )
-    if need_derivative and cov.d_evaluator is None:
+    if cov.d_evaluator is None:
         raise ConfigError(
-            "eval_c2 needs the analytic k1-derivative of the covariance; "
-            "custom covariances must supply d_evaluator"
+            "the c2 integral needs the analytic k1-derivative of the "
+            "covariance; custom covariances must supply d_evaluator"
         )
 
 
@@ -196,7 +196,6 @@ def _tail_bound(a_power, rate, r_max):
 
 def _quadrant_integral(which, cov, moll, epsrel=1e-9):
     """(value, error estimate) of the `which`-th constant's integral."""
-    _check_pair(cov, moll, need_derivative=(which == 2))
     m0 = cov.m0
     msq = m0 * m0
     inner_errs = [0.0]
@@ -223,7 +222,7 @@ def _quadrant_integral(which, cov, moll, epsrel=1e-9):
             ) * moll.dlog_dk1(k0, k1)
             return r * u**5 / q_val * moll.squared_symbol(k0, k1) * deriv
 
-    elif which == 3:
+    else:  # which == 3
         prefactor = -48.0 * m0 / TWO_PI**2
 
         def bracket(r, u, q_val, k0, k1):
@@ -233,9 +232,6 @@ def _quadrant_integral(which, cov, moll, epsrel=1e-9):
                 * cov.evaluator(k0, k1)
                 * moll.squared_symbol(k0, k1)
             )
-
-    else:
-        raise ConfigError(f"constant index must be 1, 2 or 3, got {which}")
 
     def inner(u):
         q_val = 1.0 - (1.0 - msq) * u**8
@@ -304,34 +300,12 @@ def _c2_imaginary_residue(cov, moll, points=12):
                     a0, a1 = s0 * k0, s1 * k1
                     q_val = (TWO_PI * a0) ** 2 + msq * (TWO_PI * a1) ** 8
                     deriv = moll.squared_symbol(a0, a1) * (
-                        (cov.d_evaluator(a0, a1) if cov.d_evaluator else 0.0)
+                        cov.d_evaluator(a0, a1)
                         + cov.evaluator(a0, a1) * moll.dlog_dk1(a0, a1)
                     )
                     vals.append(-TWO_PI * a0 * a1 / q_val * deriv)
     cell = (2.0 * k0_max / points) * (2.0 * k1_max / points) / 4.0
     return math.fsum(vals) * cell
-
-
-def eval_c1(cov, moll, epsrel=1e-9):
-    """First renormalisation constant c_{e1+f0+f1} at finite (m0, tau)."""
-    return _quadrant_integral(1, cov, moll, epsrel)[0]
-
-
-def eval_c2(cov, moll, epsrel=1e-9):
-    """Second constant c_{2f1}; asserts the imaginary part cancels."""
-    value, _err = _quadrant_integral(2, cov, moll, epsrel)
-    residue = _c2_imaginary_residue(cov, moll)
-    if abs(residue) > 1e-8 * abs(value):
-        raise ConsistencyError(
-            f"imaginary part of the c2 integrand failed to cancel: "
-            f"residue {residue:.3e} against value {value:.6e}"
-        )
-    return value
-
-
-def eval_c3(cov, moll, epsrel=1e-9):
-    """Third constant c_{2e1+2f0}; strictly negative for positive FF."""
-    return _quadrant_integral(3, cov, moll, epsrel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +331,9 @@ class CountertermTable:
 
 
 def counterterm_table(cov, moll, epsrel=1e-9):
-    """Evaluate all three constants into a CountertermTable."""
+    """Evaluate all three constants into a CountertermTable; asserts that
+    the imaginary part of the c2 integrand cancels."""
+    _check_pair(cov, moll)
     c1, e1 = _quadrant_integral(1, cov, moll, epsrel)
     c2, e2 = _quadrant_integral(2, cov, moll, epsrel)
     residue = _c2_imaginary_residue(cov, moll)
@@ -531,11 +507,14 @@ def fit_log_slope(xs, ys):
 
 def counterterm_h(a, a_prime, b, b_prime, table):
     """Pointwise counterterm c1 a' b b' + c2 (b')^2 + c3 (a')^2 b^2."""
-    return (
-        table.c1 * a_prime * b * b_prime
-        + table.c2 * b_prime**2
-        + table.c3 * a_prime**2 * b**2
-    )
+    try:
+        return (
+            table.c1 * a_prime * b * b_prime
+            + table.c2 * b_prime**2
+            + table.c3 * a_prime**2 * b**2
+        )
+    except OverflowError:
+        raise NumericError("the counterterm h overflows") from None
 
 
 @dataclass(frozen=True)

@@ -272,14 +272,23 @@ def _check_triangular(beta, terms, params):
 # ---------------------------------------------------------------------------
 
 
-def dependencies(beta, params, mode="raw"):
-    """Model components appearing on the right-hand side of beta, sorted."""
+def _by_homogeneity(indices, params):
+    return sorted(indices, key=lambda m: (homogeneity(m, params), m.sort_key()))
+
+
+def _components(terms, params):
+    """Model components of an expanded right-hand side, sorted."""
     deps = set()
-    for t in expand(beta, params, mode):
+    for t in terms:
         deps.update(t.factors)
         if t.decorated is not None:
             deps.add(t.decorated)
-    return sorted(deps, key=lambda m: (homogeneity(m, params), m.sort_key()))
+    return _by_homogeneity(deps, params)
+
+
+def dependencies(beta, params, mode="raw"):
+    """Model components appearing on the right-hand side of beta, sorted."""
+    return _components(expand(beta, params, mode), params)
 
 
 def c_dependencies(beta, params, mode="raw"):
@@ -307,7 +316,7 @@ def c_dependencies(beta, params, mode="raw"):
                     f"{format_multiindex(beta)} violates the recentering bound"
                 )
             deps.add(gamma)
-    return sorted(deps, key=lambda m: (homogeneity(m, params), m.sort_key()))
+    return _by_homogeneity(deps, params)
 
 
 @dataclass(frozen=True)
@@ -344,8 +353,9 @@ def build_dag(params, cutoff, mode="raw", max_count=200_000):
     Expansions may reference purely polynomial components (explicit
     centered monomials) and indices of homogeneity above the cutoff; both
     appear as edge targets only when they are themselves below the cutoff,
-    keeping the graph closed.  Every edge is checked to strictly decrease
-    the ordering length, which makes the graph acyclic by construction.
+    keeping the graph closed.  ``expand`` checks that every component
+    strictly decreases the ordering length, which makes the graph acyclic
+    by construction.
     """
     from .indices import enumerate_populated
 
@@ -358,16 +368,9 @@ def build_dag(params, cutoff, mode="raw", max_count=200_000):
             edges[beta] = []
             continue
         expansions[beta] = expand(beta, params, mode)
-        deps = [m for m in dependencies(beta, params, mode) if m in node_set]
-        len_b = order_length(beta, params)
-        for m in deps:
-            if not order_length(m, params) < len_b:
-                raise ConsistencyError(
-                    f"edge {format_multiindex(beta)} -> {format_multiindex(m)} "
-                    "does not decrease the ordering length; the graph would "
-                    "admit a cycle"
-                )
-        edges[beta] = deps
+        edges[beta] = [
+            m for m in _components(expansions[beta], params) if m in node_set
+        ]
     topo = sorted(
         nodes,
         key=lambda m: (order_length(m, params), homogeneity(m, params), m.sort_key()),

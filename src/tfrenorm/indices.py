@@ -18,6 +18,7 @@ e.g. ``2e1+2f0+g(0,1)``.  The zero multiindex prints as ``0``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -293,11 +294,6 @@ def order_length(beta, params):
     return beta.a_count() + beta.b_count() + params.lam * poly_weight(beta)
 
 
-def precedes(beta, gamma, params):
-    """Strict well-ordering used for triangularity: shorter comes first."""
-    return order_length(beta, params) < order_length(gamma, params)
-
-
 def is_purely_polynomial(beta):
     """A single decoration g(n) with multiplicity one."""
     return not beta.a and not beta.b and len(beta.p) == 1 and beta.p[0][1] == 1
@@ -327,13 +323,7 @@ def is_c_populated(beta, params):
     """
     if beta.p:
         raise ConfigError("counterterm indices carry no polynomial decoration")
-    if beta.a_weight() + beta.b_weight() != beta.b_count():
-        return False
-    if beta.b_count() == 0:
-        return False
-    if homogeneity(beta, params) >= 2 + params.alpha:
-        return False
-    return bracket(beta) % 2 == 0
+    return keeps_counterterm(beta, params, "reduced")
 
 
 def keeps_counterterm(gamma, params, mode="raw"):
@@ -374,8 +364,9 @@ def expectation_parity_filter(beta):
 # ---------------------------------------------------------------------------
 
 
-def iter_decorations(d, max_degree):
-    """Nonzero decoration vectors n with |n| <= max_degree, ascending."""
+def iter_decorations(d, max_degree, max_count=None):
+    """Nonzero decoration vectors n with |n| <= max_degree, ascending;
+    ResourceError as soon as more than ``max_count`` have been generated."""
     vecs = []
 
     def rec(prefix, budget, slots):
@@ -383,6 +374,11 @@ def iter_decorations(d, max_degree):
             v = tuple(prefix)
             if any(v):
                 vecs.append(v)
+                if max_count is not None and len(vecs) > max_count:
+                    raise ResourceError(
+                        f"more than max_count={max_count} decorations of "
+                        f"degree <= {max_degree:.6g}"
+                    )
             return
         step = SCALING_TIME_WEIGHT if len(prefix) == 0 else 1
         for value in range(int(budget // step) + 1):
@@ -411,12 +407,10 @@ def enumerate_populated(params, cutoff, max_count=200_000):
                 f"enumeration exceeded max_count={max_count} below cutoff={cutoff}"
             )
 
-    # purely polynomial branch
-    for n in iter_decorations(params.d, int(cutoff)):
-        if aniso_degree(n) < cutoff:
-            push(g(n))
-
-    decs = iter_decorations(params.d, int(cutoff))
+    # purely polynomial branch: each decoration below the cutoff is an index
+    decs = iter_decorations(params.d, math.ceil(cutoff) - 1, max_count)
+    for n in decs:
+        push(g(n))
 
     def velocity_parts(weight, max_part, acc, base):
         """Partitions of `weight` into slots k >= 1, emitted as indices."""

@@ -336,29 +336,14 @@ def scaling_defect(grid, t, m0=1.0, sigma=2):
     return float(np.linalg.norm(mapped - fine_win) / np.linalg.norm(fine_win))
 
 
-def moment_bound_ratio(grid, t, orders, theta, m0=1.0):
-    """Grid value of t^{(|n|-theta)/8} integral |d^n psi_t(z)| (t^{1/8}+|z|_s)^theta dz.
-
-    The kernel bound says this stays below a constant uniformly in t; the
-    checks assert it is t-independent to 10% over two decades.
-    """
-    if len(orders) != grid.d + 1:
-        raise ConfigError(f"need {grid.d + 1} derivative orders")
-    aniso_order = 4 * orders[0] + sum(orders[1:])
-    field = derivative(kernel_field(grid, t, m0), orders)
-    coords = [grid.coordinates(axis, centered=True) for axis in range(grid.d + 1)]
-    mesh = np.meshgrid(*coords, indexing="ij", sparse=True)
-    weight = (t**0.125 + aniso_norm(mesh)) ** theta
-    integral = float(np.sum(np.abs(field.values) * weight) * grid.cell)
-    return t ** ((aniso_order - theta) / 8.0) * integral
-
-
 def moment_bound_spreads(grid, times, m0=1.0, orders_list=None, thetas=(-1, 0, 1)):
     """max/min - 1 of the moment ratios over the time window, per (n, theta).
 
-    Same quantity as moment_bound_ratio, but sharing one transform per
-    (t, n) pair across the theta values, which is what makes the full
-    sweep cheap enough to run routinely.
+    The ratio is the grid value of
+    t^{(|n|-theta)/8} integral |d^n psi_t(z)| (t^{1/8}+|z|_s)^theta dz,
+    which the kernel bound keeps below a constant uniformly in t.  One
+    transform per (t, n) pair is shared across the theta values, which is
+    what makes the full sweep cheap enough to run routinely.
     """
     if orders_list is None:
         if grid.d != 1:

@@ -18,12 +18,11 @@ import csv
 import io
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
+from .constants import _quad, fit_log_slope
 from .errors import ConfigError, NumericError
 from .kernel import (
     SpectralField,
@@ -203,21 +202,21 @@ class McReport:
     def worst_z(self):
         return max(abs(z) for z in self.z_scores)
 
+    def to_dict(self):
+        return {
+            "estimator": self.estimator,
+            "samples": self.samples,
+            "points": [
+                list(p) if hasattr(p, "__len__") else p for p in self.points
+            ],
+            "estimates": list(self.estimates),
+            "standard_errors": list(self.standard_errors),
+            "oracles": list(self.oracles),
+            "z_scores": list(self.z_scores),
+        }
+
     def to_json(self):
-        return json.dumps(
-            {
-                "estimator": self.estimator,
-                "samples": self.samples,
-                "points": [
-                    list(p) if hasattr(p, "__len__") else p for p in self.points
-                ],
-                "estimates": list(self.estimates),
-                "standard_errors": list(self.standard_errors),
-                "oracles": list(self.oracles),
-                "z_scores": list(self.z_scores),
-            },
-            indent=1,
-        )
+        return json.dumps(self.to_dict(), indent=1)
 
     def to_csv(self):
         buf = io.StringIO()
@@ -420,15 +419,8 @@ def _quad_with_breaks(func, breaks, epsrel):
         edges.append(edges[-1] * 10.0)
     total = 0.0
     err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(edges, edges[1:]):
-            val, est = quad(func, a, b, epsabs=1e-300, epsrel=epsrel,
-                            limit=200)
-            total += val
-            err += est
-        val, est = quad(func, edges[-1], np.inf, epsabs=1e-300,
-                        epsrel=epsrel, limit=200)
+    for a, b in zip(edges, edges[1:] + [np.inf]):
+        val, est = _quad(func, a, b, epsabs=1e-300, epsrel=epsrel, limit=200)
         total += val
         err += est
     if err > max(1e-6 * abs(total), 1e-280):
@@ -507,12 +499,6 @@ def _separation_indices(grid, window):
     return js
 
 
-def _slope(xs, ys):
-    lx, ly = np.log(xs), np.log(ys)
-    lx = lx - lx.mean()
-    return float(np.sum(lx * (ly - ly.mean())) / np.sum(lx**2))
-
-
 def deterministic_scaling_slope(sampler, window=None):
     """Slope of the exact equal-time pairing sum for pi_f0, no sampling."""
     window = window or default_window(sampler)
@@ -523,7 +509,7 @@ def deterministic_scaling_slope(sampler, window=None):
     g_line = np.fft.ifft(p_density).real * (n / length)
     moments = np.array([2.0 * (g_line[0] - g_line[j]) for j in js])
     seps = np.array(js) * (length / n)
-    return _slope(seps, moments)
+    return fit_log_slope(seps, moments)
 
 
 def scaling_fit(component, sampler, window=None, n_samples=1024,
@@ -562,13 +548,13 @@ def scaling_fit(component, sampler, window=None, n_samples=1024,
     else:
         raise ConfigError(f"component must be f0 or f0f1, got {component!r}")
     mean = _pairwise_sum(list(rows)) / n_samples
-    exponent = _slope(seps, mean)
+    exponent = fit_log_slope(seps, mean)
     rng = np.random.Generator(
         np.random.Philox(key=_sample_key(sampler.seed, 0xB00))
     )
     slopes = np.empty(bootstrap)
     for b in range(bootstrap):
         pick = rng.integers(0, n_samples, n_samples)
-        slopes[b] = _slope(seps, rows[pick].mean(axis=0))
+        slopes[b] = fit_log_slope(seps, rows[pick].mean(axis=0))
     lo, hi = np.quantile(slopes, [0.025, 0.975])
     return exponent, float((hi - lo) / 2.0)

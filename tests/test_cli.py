@@ -1,7 +1,10 @@
 """Frontend behavior: documented invocations, config files, exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from tfrenorm.cli import main
 from tfrenorm.constants import C_constants_with_errors
 from tfrenorm.verify import FIXTURE_NAMES
 
-PACKAGED = Path(__file__).resolve().parents[1] / "src" / "tfrenorm" / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGED = ROOT / "src" / "tfrenorm" / "fixtures"
 
 
 def run(capsys, *argv):
@@ -101,18 +105,15 @@ def test_kernel_check_small_grid(capsys):
     assert all(row["spread"] < 0.2 for row in doc["moment_spread"])
 
 
-def test_counterterm_csv_header_and_threads(capsys, monkeypatch):
-    argv = [
-        "counterterm", "--alpha", "0.55", "--tau", "1e-3,1e-4,1e-5",
+def test_counterterm_csv_header_and_threads(capsys):
+    code, out, _ = run(
+        capsys, "counterterm", "--alpha", "0.55", "--tau", "1e-3,1e-4,1e-5",
         "--format", "csv",
-    ]
-    code, serial, _ = run(capsys, *argv)
+    )
     assert code == 0
-    assert serial.splitlines()[0] == "alpha,tau,m0,mollifier,c1,err1,c2,err2,c3,err3"
-    monkeypatch.setenv("WORKBENCH_THREADS", "3")
-    code, threaded, _ = run(capsys, *argv)
-    assert code == 0
-    assert threaded == serial
+    lines = out.strip().splitlines()
+    assert lines[0] == "alpha,tau,m0,mollifier,c1,err1,c2,err2,c3,err3"
+    assert [row.split(",")[1] for row in lines[1:]] == ["0.001", "0.0001", "1e-05"]
 
 
 def test_counterterm_json_rows_have_documented_keys(capsys):
@@ -121,12 +122,6 @@ def test_counterterm_json_rows_have_documented_keys(capsys):
     assert list(row) == [
         "alpha", "m0", "tau", "mollifier", "c1", "c2", "c3", "err1", "err2", "err3",
     ]
-
-
-def test_invalid_thread_count_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("WORKBENCH_THREADS", "zebra")
-    code, _, err = run(capsys, "counterterm", "--alpha", "0.55", "--tau", "1e-3")
-    assert code == 2
 
 
 def test_h_eval_matches_constant_combination(capsys):
@@ -186,6 +181,43 @@ def test_missing_required_option_is_config_error(capsys):
 def test_invalid_parameter_is_config_error(capsys):
     code, _, err = run(capsys, "enumerate", "--alpha", "2.0", "--cutoff", "2")
     assert code == 2
+
+
+H_EVAL = ["h-eval", "--alpha", "0.55", "--tau", "1e-4", "--a", "0.5",
+          "--b", "2.0", "--b-prime", "0.25"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["counterterm", "--alpha", "0.55", "--tau", "nan"], 2),
+    (["counterterm", "--alpha", "0.55", "--tau", "inf"], 2),
+    (["counterterm", "--alpha", "0.55", "--tau", "1e-3,-inf"], 2),
+    (["counterterm", "--alpha", "0.55", "--tau", "1e-3", "--m0", "nan"], 2),
+    (["enumerate", "--alpha", "0.55", "--cutoff", "nan"], 2),
+    (["enumerate", "--alpha", "0.55", "--cutoff", "inf"], 2),
+    (H_EVAL + ["--a-prime", "nan"], 2),
+    (H_EVAL + ["--a-prime", "1e300"], 3),
+])
+def test_non_finite_input_or_result_exits_cleanly(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == want, err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--alpha", "0.55", "--cutoff", "1e9"],
+    ["enumerate", "--alpha", "0.55", "--cutoff", "1e5"],
+])
+def test_huge_cutoff_is_a_prompt_resource_error(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "tfrenorm.cli", *argv], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "max_count" in proc.stderr
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

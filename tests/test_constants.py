@@ -20,7 +20,6 @@ from tfrenorm.constants import (
     counterterm_table,
     covariance_spec,
     eval_C_constants,
-    eval_c2,
     fit_log_slope,
     mollifier_spec,
     scaling_exponents,
@@ -30,7 +29,6 @@ from tfrenorm.constants import (
 )
 from tfrenorm.errors import ConfigError, ConsistencyError
 from tfrenorm.indices import ModelParams, e, f, g
-from tfrenorm.specfun import gamma
 
 C_INDICES = (C1_INDEX, C2_INDEX, C3_INDEX)
 
@@ -64,7 +62,7 @@ def test_semigroup_constants_keep_fixed_ratios():
 def test_anisotropic_combination_at_alpha_half():
     c1_val, c2_val, c3_val = eval_C_constants(0.5, "anisotropic")
     combo = c2_val / 4.0 + c3_val - c1_val / 2.0
-    want = -7.0 * gamma(9.0 / 8.0) / (8.0 * math.pi)
+    want = -7.0 * math.gamma(9.0 / 8.0) / (8.0 * math.pi)
     assert combo == pytest.approx(want, rel=1e-9)
     assert abs(c1_val) < 1e-10
 
@@ -251,7 +249,7 @@ def test_counterterm_h_quadratic_form():
 
 def test_tfe_leading_form_universal_path():
     lead = tfe_leading_form(2, 0.5)
-    want = -7.0 * gamma(9.0 / 8.0) / (8.0 * math.pi)
+    want = -7.0 * math.gamma(9.0 / 8.0) / (8.0 * math.pi)
     assert lead.coefficient == pytest.approx(want, rel=1e-9)
     assert lead.u_exponent == 0.0
     assert lead.density_exponent == -1.0
@@ -330,7 +328,7 @@ def test_eval_c2_needs_covariance_derivative():
 
     cov = covariance_spec(0.55, kind="custom", evaluator=fc)
     with pytest.raises(ConfigError):
-        eval_c2(cov, mollifier_spec("semigroup", 1e-3))
+        counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 
 
 def test_eval_c2_rejects_uneven_covariance():
@@ -350,7 +348,7 @@ def test_eval_c2_rejects_uneven_covariance():
 
     cov = covariance_spec(0.55, kind="custom", evaluator=fc, d_evaluator=dfc)
     with pytest.raises(ConsistencyError):
-        eval_c2(cov, mollifier_spec("semigroup", 1e-3))
+        counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 
 
 # ---------------------------------------------------------------------------

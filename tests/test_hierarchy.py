@@ -6,6 +6,7 @@ from math import factorial, prod
 
 import pytest
 
+from tfrenorm import hierarchy
 from tfrenorm.errors import ConfigError
 from tfrenorm.group import d0_power_row
 from tfrenorm.hierarchy import (
@@ -252,6 +253,26 @@ def test_dag_just_above_alpha_is_a_single_noise_node():
     assert list(dag.nodes) == [P("f0")]
     assert dag.edges[P("f0")] == []
     assert len(dag[P("f0")]) == 1
+
+
+def test_dag_expands_each_node_once(monkeypatch):
+    calls = []
+    original = hierarchy.expand
+
+    def counted(beta, params, mode="raw"):
+        calls.append(beta)
+        return original(beta, params, mode)
+
+    monkeypatch.setattr(hierarchy, "expand", counted)
+    dag = build_dag(PARAMS, 3.0)
+    expanded = [m for m in dag.nodes if not is_purely_polynomial(m)]
+    assert sorted(calls, key=lambda m: m.sort_key()) == sorted(
+        expanded, key=lambda m: m.sort_key()
+    )
+    monkeypatch.undo()
+    nodes = set(dag.nodes)
+    for beta in expanded:
+        assert dag.edges[beta] == [m for m in dependencies(beta, PARAMS) if m in nodes]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfrenorm.errors import ConfigError, ResourceError
 from tfrenorm.indices import (
@@ -104,6 +105,39 @@ def test_round_trip_random():
         for mult, unit in parts:
             m = m + mult * unit
         assert parse_multiindex(format_multiindex(m)) == m
+
+
+def _indices(arity=2):
+    """Hypothesis strategy for multiindices with decorations of one arity."""
+    slot = st.integers(0, 4)
+    count = st.integers(0, 3)
+    vector = st.tuples(*[st.integers(0, 3)] * arity).filter(any)
+    return st.builds(
+        Multiindex,
+        st.lists(st.tuples(slot, count), max_size=3).map(tuple),
+        st.lists(st.tuples(slot, count), max_size=3).map(tuple),
+        st.lists(st.tuples(vector, count), max_size=3).map(tuple),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_indices())
+def test_parse_format_round_trip_property(m):
+    assert parse_multiindex(format_multiindex(m), expected_arity=2) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_indices(), _indices())
+def test_minus_inverts_addition_property(x, y):
+    assert (x + y).minus(y) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_indices(), _indices())
+def test_homogeneity_additive_after_alpha_shift_property(x, y):
+    lhs = homogeneity(x + y, P055) - P055.alpha
+    rhs = (homogeneity(x, P055) - P055.alpha) + (homogeneity(y, P055) - P055.alpha)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
