@@ -437,6 +437,10 @@ def enumerate_populated(params, cutoff, max_count=200_000):
             need = s + p_num - 1 - b_weight
             if need >= 0:
                 velocity_parts(need, need if need else 1, {}, b_index + p_index)
+            elif start == len(decs) or (
+                p_weight - need * aniso_degree(decs[start]) >= room
+            ):
+                return  # the -need missing decorations cannot fit under the room
             for i in range(start, len(decs)):
                 w = aniso_degree(decs[i])
                 if p_weight + w >= room:

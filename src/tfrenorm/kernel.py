@@ -15,6 +15,14 @@ period, Fourier transforms follow the Riemann-sum normalisation
     f(x)    = (N / vol) * sum_k fhat(k) e^{+2 pi i k x},
 
 so that multiplier formulas look exactly like their continuum versions.
+
+Every field is real, and Fourier data is its half spectrum (rfftn over
+the axes (1, ..., d, 0)): time is the halved axis, with frequencies
+0..N0/2 and shape (N0//2 + 1, N1, ..., Nd).  The symbol of L is odd in k0,
+so on the time-Nyquist plane the inverse transform keeps exactly the
+conjugate-symmetric part that a real part of a full transform would.
+Nyquist rule: an odd power of 2 pi i k is zero on its axis's Nyquist row,
+where +N/2 and -N/2 are one mode (SpectralGrid.ik_power).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, NumericError
+from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,10 +92,35 @@ class SpectralGrid:
         n = self.sizes[axis]
         return np.fft.fftfreq(n, d=self.boxes[axis] / n)
 
+    @property
+    def spectrum_shape(self):
+        """Shape of the half spectrum: the time axis is the halved one."""
+        return (self.sizes[0] // 2 + 1,) + self.sizes[1:]
+
     def frequency_mesh(self):
-        """Per-axis frequency arrays, broadcastable to the grid shape."""
-        axes = [self.frequencies(i) for i in range(self.d + 1)]
+        """Per-axis frequencies of the half spectrum, broadcastable to its shape.
+
+        Time runs over 0, ..., N0/2 (rfftfreq), space over fftfreq.
+        """
+        n0 = self.sizes[0]
+        axes = [np.fft.rfftfreq(n0, d=self.boxes[0] / n0)]
+        axes += [self.frequencies(i) for i in range(1, self.d + 1)]
         return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+
+    def ik_power(self, axis, order):
+        """(2 pi i k)^order along one axis, broadcastable to the half spectrum.
+
+        An odd power is zero on the axis's Nyquist row (index N/2).
+        """
+        k = self.frequency_mesh()[axis]
+        if order % 2:
+            k.flat[self.sizes[axis] // 2] = 0.0
+        return (TWO_PI * 1j * k) ** int(order)
+
+    def _transform_args(self):
+        """rfftn/irfftn arguments: space axes first, time last (halved)."""
+        return {"s": self.sizes[1:] + self.sizes[:1],
+                "axes": tuple(range(1, self.d + 1)) + (0,)}
 
     def coordinates(self, axis, centered=False):
         """Lattice coordinates along one axis, optionally wrapped to 0."""
@@ -109,57 +142,59 @@ def make_grid(d=1, sizes=None, boxes=None, length=1.0):
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex lattice data tagged with the representation it lives in."""
+    """A real field on the grid, tagged with the representation it lives in.
+
+    Physical values are real float64 of the grid shape; Fourier values are
+    the complex half spectrum of shape grid.spectrum_shape.  Complex
+    physical input is a ConfigError.
+    """
 
     grid: SpectralGrid
     values: np.ndarray
     space: str  # "physical" | "fourier"
 
     def __post_init__(self):
-        if self.space not in ("physical", "fourier"):
+        if self.space == "physical":
+            if np.iscomplexobj(self.values):
+                raise ConfigError("physical field values must be real")
+            vals, shape = np.asarray(self.values, dtype=np.float64), self.grid.sizes
+        elif self.space == "fourier":
+            vals = np.asarray(self.values, dtype=np.complex128)
+            shape = self.grid.spectrum_shape
+        else:
             raise ConfigError(f"space must be physical or fourier: {self.space!r}")
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != tuple(self.grid.sizes):
+        if vals.shape != shape:
             raise ConfigError(
-                f"field shape {vals.shape} does not match grid {self.grid.sizes}"
+                f"{self.space} field shape {vals.shape} does not match {shape}"
             )
         object.__setattr__(self, "values", vals)
 
     def to_fourier(self):
         if self.space == "fourier":
             return self
-        vals = np.fft.fftn(self.values) * self.grid.cell
-        return SpectralField(self.grid, vals, "fourier")
+        vals = np.fft.rfftn(self.values, **self.grid._transform_args())
+        return SpectralField(self.grid, vals * self.grid.cell, "fourier")
 
     def to_physical(self):
         if self.space == "physical":
             return self
-        vals = np.fft.ifftn(self.values) / self.grid.cell
-        return SpectralField(self.grid, vals, "physical")
-
-
-def hermitian_defect(field):
-    """Deviation of the Fourier data from conjugate symmetry, relative.
-
-    Zero (to rounding) exactly when the physical-space data is real.
-    """
-    hat = field.to_fourier().values
-    flipped = hat
-    for axis in range(hat.ndim):
-        flipped = np.flip(np.roll(flipped, -1, axis=axis), axis=axis)
-    scale = np.max(np.abs(hat))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(hat - np.conj(flipped))) / scale)
+        vals = np.fft.irfftn(self.values, **self.grid._transform_args())
+        return SpectralField(self.grid, vals / self.grid.cell, "physical")
 
 
 def real_defect(field):
-    """Largest imaginary part of the physical-space data, relative."""
-    vals = field.to_physical().values
-    scale = np.max(np.abs(vals))
+    """Relative part of the Fourier data that no real field carries.
+
+    This is what a round trip through physical space drops: the part of
+    the self-conjugate planes that is not conjugate symmetric.  Zero (to
+    rounding) for the transform of any physical field.
+    """
+    hat = field.to_fourier()
+    scale = np.max(np.abs(hat.values))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(vals.imag)) / scale)
+    back = hat.to_physical().to_fourier().values
+    return float(np.max(np.abs(hat.values - back)) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +234,7 @@ def psi_hat(t, k, m0):
 def kernel_field(grid, t, m0=1.0):
     """The kernel psi_t sampled on the torus, as a physical-space field."""
     hat = psi_hat(t, grid.frequency_mesh(), m0)
-    field = SpectralField(grid, hat, "fourier").to_physical()
-    if real_defect(field) > 1e-12:
-        raise NumericError("kernel came out measurably complex")
-    return SpectralField(grid, field.values.real, "physical")
+    return SpectralField(grid, hat, "fourier").to_physical()
 
 
 def convolve(field, t, m0=1.0):
@@ -219,13 +251,10 @@ def derivative(field, orders):
         raise ConfigError(
             f"need {field.grid.d + 1} derivative orders, got {len(orders)}"
         )
-    hat = field.to_fourier()
-    vals = hat.values
+    vals = field.to_fourier().values
     for axis, order in enumerate(orders):
         if order:
-            vals = vals * (TWO_PI * 1j * field.grid.frequencies(axis).reshape(
-                [-1 if a == axis else 1 for a in range(field.grid.d + 1)]
-            )) ** int(order)
+            vals = vals * field.grid.ik_power(axis, order)
     out = SpectralField(field.grid, vals, "fourier")
     return out if field.space == "fourier" else out.to_physical()
 
@@ -245,12 +274,11 @@ def solve_L_div(components, m0=1.0):
         )
     if any(c.grid != grid for c in components):
         raise ConfigError("all components must share one grid")
-    mesh = grid.frequency_mesh()
     div_hat = sum(
-        TWO_PI * 1j * mesh[1 + i] * comp.to_fourier().values
+        grid.ik_power(1 + i, 1) * comp.to_fourier().values
         for i, comp in enumerate(components)
     )
-    sym = symbol_L(mesh, m0)
+    sym = symbol_L(grid.frequency_mesh(), m0)
     sym_safe = np.where(sym == 0, 1.0, sym)
     u_hat = div_hat / sym_safe
     u_hat[(0,) * (grid.d + 1)] = 0.0
@@ -326,8 +354,8 @@ def scaling_defect(grid, t, m0=1.0, sigma=2):
     w1 = n1 // (4 * sigma)
     if w0 < 2 or w1 < 2:
         raise ConfigError("grid too coarse for the scaling window")
-    coarse = kernel_field(grid, (sigma**8) * t, m0).values.real
-    fine = kernel_field(grid, t, m0).values.real
+    coarse = kernel_field(grid, (sigma**8) * t, m0).values
+    fine = kernel_field(grid, t, m0).values
     j0 = np.arange(-w0, w0 + 1)
     j1 = np.arange(-w1, w1 + 1)
     fine_win = fine[np.ix_(j0 % n0, j1 % n1)]
@@ -357,13 +385,8 @@ def moment_bound_spreads(grid, times, m0=1.0, orders_list=None, thetas=(-1, 0, 1
     for t in np.asarray(times, dtype=float):
         hat = psi_hat(t, freq, m0)
         for orders in orders_list:
-            if len(orders) != grid.d + 1:
-                raise ConfigError(f"need {grid.d + 1} derivative orders")
-            dhat = hat.astype(np.complex128)
-            for axis, order in enumerate(orders):
-                if order:
-                    dhat = dhat * (TWO_PI * 1j * freq[axis]) ** int(order)
-            magnitude = np.abs(np.fft.ifftn(dhat)) / grid.cell
+            dpsi = derivative(SpectralField(grid, hat, "fourier"), orders)
+            magnitude = np.abs(dpsi.to_physical().values)
             aniso_order = 4 * orders[0] + sum(orders[1:])
             for theta in thetas:
                 weight = (t**0.125 + base_norm) ** theta
@@ -378,30 +401,24 @@ def inversion_residual(grid, m0=1.0, seed=0, band_limit=None):
 
     residual -- relative discrete gap ||L u - div f|| / ||div f||, with L
                 applied by a fresh transform round-trip
-    realness -- largest imaginary part of u relative to its scale
+    realness -- real_defect of u: the part of its spectrum no real field has
     band_limit keeps wavenumbers |j| < N_i/band_limit per axis (None: all).
     """
     rng = np.random.default_rng(seed)
+    mesh = grid.frequency_mesh()
     comps = []
     for _ in range(grid.d):
-        vals = rng.standard_normal(grid.sizes)
-        field = SpectralField(grid, vals, "physical")
+        field = SpectralField(grid, rng.standard_normal(grid.sizes), "physical")
         if band_limit is not None:
             hat = field.to_fourier().values
-            for axis in range(grid.d + 1):
-                n = grid.sizes[axis]
-                j = np.abs(np.fft.fftfreq(n, d=1.0 / n)).reshape(
-                    [-1 if a == axis else 1 for a in range(grid.d + 1)]
-                )
-                hat = np.where(j < n / band_limit, hat, 0.0)
+            for k, box, n in zip(mesh, grid.boxes, grid.sizes):
+                hat = np.where(np.abs(np.rint(k * box)) < n / band_limit, hat, 0.0)
             field = SpectralField(grid, hat, "fourier").to_physical()
-            field = SpectralField(grid, field.values.real, "physical")
         comps.append(field)
     u_hat = solve_L_div([c.to_fourier() for c in comps], m0)
-    realness = real_defect(u_hat.to_physical())
-    mesh = grid.frequency_mesh()
+    realness = real_defect(u_hat)
     div_hat = sum(
-        TWO_PI * 1j * mesh[1 + i] * c.to_fourier().values
+        grid.ik_power(1 + i, 1) * c.to_fourier().values
         for i, c in enumerate(comps)
     )
     lu_hat = symbol_L(mesh, m0) * u_hat.values
@@ -450,23 +467,11 @@ def kernel_checks(grid=None, m0=1.0, times=None, scaling_time=3e-13):
 
 
 def dump_field(field, path):
-    """Write values as flat '<f8' binary with a {sizes, boxes, space} sidecar.
-
-    Physical fields are stored as their real values (the imaginary part
-    must be at rounding level); Fourier fields store interleaved
-    real/imaginary pairs.
-    """
+    """Write the physical values as flat '<f8' binary with a {sizes, boxes,
+    space} sidecar; a Fourier field is transformed first."""
     path = Path(path)
-    if field.space == "physical":
-        if real_defect(field) > 1e-10:
-            raise ConsistencyError(
-                "physical field has imaginary content; not representable "
-                "as a real dump"
-            )
-        flat = np.ascontiguousarray(field.values.real, dtype="<f8")
-    else:
-        flat = np.ascontiguousarray(field.values, dtype="<c16").view("<f8")
-    flat.tofile(path)
+    field = field.to_physical()
+    np.ascontiguousarray(field.values, dtype="<f8").tofile(path)
     sidecar = {
         "sizes": list(field.grid.sizes),
         "boxes": list(field.grid.boxes),
@@ -486,35 +491,9 @@ def load_field(path):
     boxes = tuple(float(b) for b in meta["boxes"])
     grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=boxes)
     raw = np.fromfile(path, dtype="<f8")
-    count = grid.point_count
-    if raw.size == count:
-        values = raw.astype(np.complex128)
-    elif raw.size == 2 * count:
-        values = raw.view("<c16").astype(np.complex128)
-    else:
+    if meta["space"] != "physical" or raw.size != grid.point_count:
         raise ConfigError(
-            f"dump holds {raw.size} reals, expected {count} or {2 * count}"
+            f"dump holds {raw.size} {meta['space']} reals, expected "
+            f"{grid.point_count} physical"
         )
-    return SpectralField(grid, values.reshape(sizes), meta["space"])
-
-
-def slice_csv(field, axis=1, fixed=None):
-    """CSV text of a 1-D slice along one axis, other indices held fixed."""
-    grid = field.grid
-    if not 0 <= axis <= grid.d:
-        raise ConfigError(f"axis must be in 0..{grid.d}, got {axis}")
-    fixed = dict(fixed or {})
-    index = [fixed.get(a, 0) for a in range(grid.d + 1)]
-    index[axis] = slice(None)
-    line = field.values[tuple(index)]
-    if field.space == "physical":
-        xs = grid.coordinates(axis)
-        header = "coordinate,value"
-        rows = (f"{x:.17g},{v.real:.17g}" for x, v in zip(xs, line))
-    else:
-        xs = grid.frequencies(axis)
-        header = "frequency,re,im"
-        rows = (
-            f"{x:.17g},{v.real:.17g},{v.imag:.17g}" for x, v in zip(xs, line)
-        )
-    return "\n".join([header, *rows]) + "\n"
+    return SpectralField(grid, raw.reshape(sizes), "physical")

@@ -101,7 +101,7 @@ class NoiseSampler:
             ff = self.spec.evaluator(k0, k_rad) * self.moll.squared_symbol(
                 k0, k_rad
             )
-        ff = np.asarray(np.broadcast_to(ff, self.grid.sizes), dtype=float).copy()
+        ff = np.broadcast_to(ff, self.grid.spectrum_shape).astype(float)
         ff[(0,) * (self.grid.d + 1)] = 0.0
         if not np.all(np.isfinite(ff)) or np.any(ff < 0):
             raise NumericError("spectral density is not finite and nonnegative")
@@ -110,30 +110,23 @@ class NoiseSampler:
         return ff
 
 
-def _hermitian_unit_noise(shape, rng):
-    """Complex array H with H(-k) = conj H(k) and E|H(k)|^2 = 1."""
-    draws = rng.standard_normal((2,) + tuple(shape))
-    w = (draws[0] + 1j * draws[1]) / math.sqrt(2.0)
-    flipped = w
-    for axis in range(len(shape)):
-        flipped = np.flip(np.roll(flipped, -1, axis=axis), axis=axis)
-    return (w + np.conj(flipped)) / math.sqrt(2.0)
-
-
 def sample_noise(sampler, index=0):
     """One noise sample: a list of d real mollified components.
 
-    Component c of sample i draws from a Philox stream keyed by
-    (seed, i, c), so any subset of samples can be generated in any order.
+    Component c of sample i draws physical white noise from a Philox
+    stream keyed by (seed, i, c), so any subset of samples can be generated
+    in any order, and shapes its half spectrum by sqrt(FF / cell), which
+    gives E|xi_hat(k)|^2 = vol FF(k) at every mode.
     """
-    scale = np.sqrt(sampler.grid.volume * sampler.density())
+    grid = sampler.grid
+    scale = np.sqrt(sampler.density() / grid.cell)
     comps = []
-    for comp in range(sampler.grid.d):
+    for comp in range(grid.d):
         key = _sample_key(sampler.seed, (index << 8) | comp)
         rng = np.random.Generator(np.random.Philox(key=key))
-        hat = _hermitian_unit_noise(sampler.grid.sizes, rng) * scale
-        phys = SpectralField(sampler.grid, hat, "fourier").to_physical()
-        comps.append(SpectralField(sampler.grid, phys.values.real, "physical"))
+        white = SpectralField(grid, rng.standard_normal(grid.sizes), "physical")
+        hat = white.to_fourier().values * scale
+        comps.append(SpectralField(grid, hat, "fourier").to_physical())
     return comps
 
 
@@ -155,9 +148,8 @@ def pi_f0(noise, x, m0=1.0):
     """Linear component v - v(x) with v = L^{-1} div(noise)."""
     grid = noise[0].grid
     x = _base_index(grid, x)
-    v = solve_L_div(noise, m0)
-    vals = v.values.real - v.values.real[x]
-    return SpectralField(grid, vals, "physical")
+    v = solve_L_div(noise, m0).values
+    return SpectralField(grid, v - v[x], "physical")
 
 
 def pi_f0f1(noise, x, c_f1=0.0, m0=1.0):
@@ -175,11 +167,10 @@ def pi_f0f1(noise, x, c_f1=0.0, m0=1.0):
         if c_f1:
             orders = [0] * (grid.d + 1)
             orders[1 + comp] = 1
-            vals = vals - c_f1 * derivative(base, orders).values.real
+            vals = vals - c_f1 * derivative(base, orders).values
         forcing.append(SpectralField(grid, vals, "physical"))
-    u = solve_L_div(forcing, m0)
-    vals = u.values.real - u.values.real[x]
-    return SpectralField(grid, vals, "physical")
+    u = solve_L_div(forcing, m0).values
+    return SpectralField(grid, u - u[x], "physical")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +255,9 @@ def _batch_report(estimator, points, per_sample, oracles, batches=16):
 
 
 def _density_transform(grid, density):
-    """(1/vol) sum_k density(k) e^{2 pi i k r} on the lattice, real part."""
-    return np.fft.ifftn(density).real * (grid.point_count / grid.volume)
+    """(1/vol) sum_k density(k) e^{2 pi i k r} on the lattice, for a density
+    given on the half spectrum."""
+    return SpectralField(grid, density, "fourier").to_physical().values
 
 
 def _default_lags(grid):
@@ -283,21 +275,20 @@ def _default_lags(grid):
 
 
 def covariance_check(sampler, lags=None, n_samples=256):
-    """E[xi(x) xi(x+r)] against the pairing sum, averaged over base points."""
+    """E[xi(x) xi(x+r)] against the pairing sum, averaged over base points.
+
+    Each sample's average over base points comes for all lags at once from
+    its periodogram |xi_hat|^2 / vol (Wiener-Khinchin).
+    """
     grid = sampler.grid
     lags = [tuple(int(i) for i in lag) for lag in (lags or _default_lags(grid))]
     oracle_field = _density_transform(grid, sampler.density())
     oracles = [oracle_field[lag] for lag in lags]
-    axes = tuple(range(grid.d + 1))
     rows = []
     for i in range(n_samples):
-        xi = sample_noise(sampler, i)[0].values.real
-        rows.append(
-            [
-                float(np.mean(xi * np.roll(xi, [-s for s in lag], axis=axes)))
-                for lag in lags
-            ]
-        )
+        xi_hat = sample_noise(sampler, i)[0].to_fourier().values
+        corr = _density_transform(grid, np.abs(xi_hat) ** 2 / grid.volume)
+        rows.append([float(corr[lag]) for lag in lags])
     return _batch_report("covariance", lags, rows, oracles)
 
 
@@ -328,7 +319,6 @@ def pi_f0_second_moment_check(sampler, x=None, separations=None,
         mult = sum(
             (TWO_PI * mesh[1 + i]) ** 2 for i in range(grid.d)
         ) / np.abs(sym) ** 2
-    mult = np.asarray(np.broadcast_to(mult, grid.sizes)).copy()
     mult[(0,) * (grid.d + 1)] = 0.0
     g_field = _density_transform(grid, sampler.density() * mult)
     zero = (0,) * (grid.d + 1)
@@ -337,7 +327,7 @@ def pi_f0_second_moment_check(sampler, x=None, separations=None,
     mean_sq = None
     for i in range(n_samples):
         noise = sample_noise(sampler, i)
-        comp = pi_f0(noise, x, sampler.spec.m0).values.real
+        comp = pi_f0(noise, x, sampler.spec.m0).values
         sq = comp**2
         mean_sq = sq if mean_sq is None else mean_sq + sq
         rows.append(
@@ -359,7 +349,7 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
 
     For f0 the integrand is the noise itself and the oracle vanishes; for
     f0+f1 (with c_f1 = 0) the oracle is the pairing sum
-    (1/vol) sum_k (1 - psi_t(k)) 2 pi i k1 FF(k) / symbol_L(k), which
+    (1/vol) sum_k (1 - psi_t(k)) 2 pi i k1 FF(k) / symbol_L(k) at r = 0, which
     vanishes whenever the density is even in the spatial frequency.
     """
     if component not in ("f0", "f0f1"):
@@ -373,26 +363,24 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
         mesh = grid.frequency_mesh()
         sym = symbol_L(mesh, sampler.spec.m0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mult = TWO_PI * 1j * mesh[1] / sym
-        mult = np.asarray(np.broadcast_to(mult, grid.sizes)).copy()
-        mult[(0,) * (grid.d + 1)] = 0.0
+            mult = grid.ik_power(1, 1) / sym
+        zero = (0,) * (grid.d + 1)
+        mult[zero] = 0.0
         ff = sampler.density()
         oracles = []
         for t in t_list:
             damp = 1.0 - psi_hat(t, mesh, sampler.spec.m0)
-            oracles.append(float(np.sum(damp * mult * ff).real / grid.volume))
+            oracles.append(float(_density_transform(grid, damp * mult * ff)[zero]))
     rows = []
     for i in range(n_samples):
         noise = sample_noise(sampler, i)
         if component == "f0":
             base = noise[0]
         else:
-            piece = pi_f0(noise, x, sampler.spec.m0).values.real
-            base = SpectralField(grid, piece * noise[0].values.real,
-                                 "physical")
+            piece = pi_f0(noise, x, sampler.spec.m0).values
+            base = SpectralField(grid, piece * noise[0].values, "physical")
         rows.append(
-            [float(convolve(base, t, sampler.spec.m0).values[x].real)
-             for t in t_list]
+            [float(convolve(base, t, sampler.spec.m0).values[x]) for t in t_list]
         )
     return _batch_report(f"bphz_{component}", t_list, rows, oracles)
 
@@ -437,12 +425,14 @@ def equal_time_density(sampler, k_values=None, rel_tol=1e-10):
     (2 pi k1)^2 FF(k0, k1) / |symbol_L|^2 dk0.  A lattice k0 sum is the
     wrong object here: resolving the frequency ridge k0 ~ k1^4 across a
     decade of k1 would take ~1e6 time modes, while the line integral is
-    cheap and is what the whole-space statements are about.
+    cheap and is what the whole-space statements are about.  k_values
+    defaults to the grid's half line 0, ..., N1/2 (rfftfreq).
     """
     if sampler.grid.d != 1:
         raise ConfigError("the equal-time marginal is wired for d = 1")
     if k_values is None:
-        k_values = sampler.grid.frequencies(1)
+        n = sampler.grid.sizes[1]
+        k_values = np.fft.rfftfreq(n, d=sampler.grid.boxes[1] / n)
     k_values = np.asarray(k_values, dtype=float)
     m0 = sampler.spec.m0
     if sampler.moll.kind == "semigroup":
@@ -506,7 +496,7 @@ def deterministic_scaling_slope(sampler, window=None):
     p_density = equal_time_density(sampler)
     length = sampler.grid.boxes[-1]
     n = sampler.grid.sizes[-1]
-    g_line = np.fft.ifft(p_density).real * (n / length)
+    g_line = np.fft.irfft(p_density, n) * (n / length)
     moments = np.array([2.0 * (g_line[0] - g_line[j]) for j in js])
     seps = np.array(js) * (length / n)
     return fit_log_slope(seps, moments)
@@ -531,19 +521,17 @@ def scaling_fit(component, sampler, window=None, n_samples=1024,
     rows = np.empty((n_samples, len(js)))
     if component == "f0":
         p_density = equal_time_density(sampler)
-        scale = np.sqrt(length * p_density)
-        cell = length / n
+        scale = np.sqrt(p_density * n / length)
         for i in range(n_samples):
             key = _sample_key(sampler.seed, (i << 8) | 0x5C)
             rng = np.random.Generator(np.random.Philox(key=key))
-            w_hat = _hermitian_unit_noise((n,), rng) * scale
-            w = np.fft.ifft(w_hat).real / cell
+            w = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * scale, n)
             rows[i] = [np.mean((np.roll(w, -j) - w) ** 2) for j in js]
     elif component == "f0f1":
         x = (0,) * (grid.d + 1)
         for i in range(n_samples):
             noise = sample_noise(sampler, i)
-            u = pi_f0f1(noise, x, m0=sampler.spec.m0).values.real
+            u = pi_f0f1(noise, x, m0=sampler.spec.m0).values
             rows[i] = [u[x[:-1] + ((x[-1] + j) % n,)] ** 2 for j in js]
     else:
         raise ConfigError(f"component must be f0 or f0f1, got {component!r}")

@@ -206,6 +206,8 @@ def test_non_finite_input_or_result_exits_cleanly(capsys, argv, want):
 @pytest.mark.parametrize("argv", [
     ["kappa", "--alpha", "0.55", "--cutoff", "1e9"],
     ["enumerate", "--alpha", "0.55", "--cutoff", "1e5"],
+    # few decorations, but a decoration search that must prune dead branches
+    ["enumerate", "--alpha", "0.55", "--cutoff", "40", "--max-count", "1000"],
 ])
 def test_huge_cutoff_is_a_prompt_resource_error(argv):
     env = dict(os.environ)

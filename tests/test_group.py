@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfrenorm.errors import ConfigError
 from tfrenorm.group import (
@@ -39,13 +40,13 @@ P = parse_multiindex
 
 
 def random_structure_map(params, rng, letters=((0, 0), (0, 1), (0, 2)), cutoff=2.2,
-                         density=0.5):
+                         density=0.5, value=lambda rng: rng.uniform(-1.0, 1.0)):
     """A random admissible map supported on the populated indices below cutoff."""
     pop = enumerate_populated(params, cutoff)
     pi = {}
     for n in letters:
         entries = {
-            m: rng.uniform(-1.0, 1.0)
+            m: value(rng)
             for m in pop
             if homogeneity(m, params) > aniso_degree(n) and rng.random() < density
         }
@@ -101,6 +102,28 @@ def test_derivations_commute():
         na0 = dn_apply(d0_apply(x), n1)
         keys = set(a0n.coeffs) | set(na0.coeffs)
         assert all(abs(a0n.get(k, 0.0) - na0.get(k, 0.0)) < 1e-14 for k in keys)
+
+
+def _series(pop):
+    """Hypothesis strategy for short series with exact rational coefficients."""
+    coeff = st.fractions(-3, 3, max_denominator=6).filter(bool)
+    return st.dictionaries(st.sampled_from(pop), coeff, min_size=1, max_size=4).map(
+        SeriesVector
+    )
+
+
+POP_30 = enumerate_populated(PARAMS, 3.0)
+POP_22 = enumerate_populated(PARAMS, 2.2)
+LETTERS = st.sampled_from([(0, 0), (0, 1), (0, 2), (1, 0), (0, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series(POP_30), LETTERS, LETTERS)
+def test_derivations_commute_property(x, n1, n2):
+    # (0, 0) is D0 itself, so D0 against D^(n) is covered too
+    ab = dn_apply(dn_apply(x, n1), n2)
+    ba = dn_apply(dn_apply(x, n2), n1)
+    assert dict(ab.items()) == dict(ba.items())
 
 
 def test_d0_is_a_derivation_of_the_product():
@@ -378,6 +401,21 @@ def test_gamma_exact_with_fractions():
     smap = StructureMap(PARAMS, pi)
     x = SeriesVector({P("f0"): Fraction(1, 3), P("g(0,1)"): Fraction(-2, 5)})
     y = SeriesVector({P("f0"): Fraction(7, 2)})
+    cut = 3.0
+    lhs = gamma_apply(series_mul(x, y), smap, cut)
+    rhs = series_mul(gamma_apply(x, smap, cut), gamma_apply(y, smap, cut)).truncate(
+        PARAMS, cut
+    )
+    assert dict(lhs.items()) == dict(rhs.items())  # exact rational equality
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), _series(POP_22), _series(POP_22))
+def test_gamma_is_multiplicative_property(seed, x, y):
+    smap = random_structure_map(
+        PARAMS, random.Random(seed),
+        value=lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+    )
     cut = 3.0
     lhs = gamma_apply(series_mul(x, y), smap, cut)
     rhs = series_mul(gamma_apply(x, smap, cut), gamma_apply(y, smap, cut)).truncate(

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from tfrenorm.errors import ConfigError, ConsistencyError
+from tfrenorm import mc
+from tfrenorm.constants import covariance_spec, mollifier_spec
+from tfrenorm.errors import ConfigError
 from tfrenorm.indices import ModelParams
 from tfrenorm.kernel import (
     SpectralField,
@@ -16,7 +18,6 @@ from tfrenorm.kernel import (
     derivative,
     dump_field,
     evenness_defect,
-    hermitian_defect,
     kernel_field,
     inversion_residual,
     load_field,
@@ -26,7 +27,6 @@ from tfrenorm.kernel import (
     real_defect,
     scaling_defect,
     semigroup_defect,
-    slice_csv,
     solve_L_div,
     symbol_L,
     symbol_LLstar,
@@ -78,27 +78,34 @@ def test_make_grid_defaults_tie_time_box_to_fourth_power():
 def test_field_round_trip_and_validation():
     grid = small_grid()
     rng = np.random.default_rng(3)
-    vals = rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+    vals = rng.standard_normal(grid.sizes)
     field = SpectralField(grid, vals, "physical")
-    back = field.to_fourier().to_physical()
-    assert back.space == "physical"
+    hat = field.to_fourier()
+    assert hat.values.shape == grid.spectrum_shape == (33, 128)
+    assert hat.values.dtype == np.complex128
+    back = hat.to_physical()
+    assert back.space == "physical" and back.values.dtype == np.float64
     assert np.max(np.abs(back.values - vals)) < 1e-12 * np.max(np.abs(vals))
     with pytest.raises(ConfigError):
         SpectralField(grid, vals[:-1], "physical")
+    with pytest.raises(ConfigError):
+        SpectralField(grid, vals, "fourier")  # full shape, not the half spectrum
     with pytest.raises(ConfigError):
         SpectralField(grid, vals, "spectral")
 
 
 def test_hermitian_defect_flags_complex_data():
+    # real_defect measures the Fourier data no real field carries
     grid = small_grid()
     rng = np.random.default_rng(4)
     real_field = SpectralField(grid, rng.standard_normal(grid.sizes), "physical")
-    assert hermitian_defect(real_field) < 1e-12
-    assert real_defect(real_field) == 0.0
-    tainted = SpectralField(
-        grid, real_field.values + 0.1j * rng.standard_normal(grid.sizes), "physical"
-    )
-    assert hermitian_defect(tainted) > 1e-3
+    assert real_defect(real_field) < 1e-14
+    hat = real_field.to_fourier().values.copy()
+    hat[0, 5] += 0.3j * np.abs(hat).max()  # breaks conjugate symmetry at k0 = 0
+    assert real_defect(SpectralField(grid, hat, "fourier")) > 0.1
+    interior = real_field.to_fourier().values.copy()
+    interior[3, 5] *= 1j  # interior modes have no symmetry to break
+    assert real_defect(SpectralField(grid, interior, "fourier")) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +164,10 @@ def test_convolve_identity_and_semigroup():
 def test_kernel_field_is_real_even_and_mass_one():
     grid = small_grid()
     psi = kernel_field(grid, 1e-11)
-    assert np.isrealobj(psi.values.real) and real_defect(psi) == 0.0
+    assert psi.values.dtype == np.float64 and real_defect(psi) < 1e-14
     assert evenness_defect(psi) < 1e-12
     # unit mass: the zero mode of the transform is exp(0) = 1
-    assert np.sum(psi.values.real) * grid.cell == pytest.approx(1.0, rel=1e-12)
+    assert np.sum(psi.values) * grid.cell == pytest.approx(1.0, rel=1e-12)
 
 
 def test_semigroup_defect_small_grid():
@@ -190,7 +197,7 @@ def test_moment_ratios_stay_uniform_over_two_decades():
 
 def test_solve_single_mode():
     grid = small_grid()
-    hat = np.zeros(grid.sizes, dtype=complex)
+    hat = np.zeros(grid.spectrum_shape, dtype=complex)
     hat[1, 2] = 1.0
     k = (grid.frequencies(0)[1], grid.frequencies(1)[2])
     u = solve_L_div([SpectralField(grid, hat, "fourier")], m0=1.5)
@@ -243,9 +250,23 @@ def test_derivative_single_mode():
     )
     d1 = derivative(field, (0, 1))
     want = -TWO_PI * k1 * np.sin(TWO_PI * k1 * x1)
-    assert np.max(np.abs(d1.values.real - want)) < 1e-9 * TWO_PI * k1
+    assert np.max(np.abs(d1.values - want)) < 1e-9 * TWO_PI * k1
     with pytest.raises(ConfigError):
         derivative(field, (0, 1, 0))
+
+
+def test_odd_derivative_of_a_nyquist_mode_is_zero():
+    # +N/2 and -N/2 are one mode, so an odd derivative of a real field has
+    # no real value there: the Nyquist rule maps it to zero
+    grid = small_grid()
+    nyquist = (-1.0) ** np.arange(grid.sizes[1])
+    field = SpectralField(grid, np.broadcast_to(nyquist, grid.sizes), "physical")
+    scale = np.max(np.abs(derivative(field, (0, 2)).values))
+    assert scale > 1.0
+    for orders in [(0, 1), (0, 3)]:
+        assert np.max(np.abs(derivative(field, orders).values)) == 0.0
+    hat = derivative(field.to_fourier(), (0, 1)).values
+    assert np.max(np.abs(hat)) == 0.0
 
 
 def test_aniso_norm_values():
@@ -259,8 +280,46 @@ def test_aniso_norm_values():
     assert np.allclose(arr, [2.0, 2.0])
 
 
+def test_white_noise_reflection_parity():
+    # flat spectrum, so every Nyquist mode carries weight (the short time
+    # box makes the time-and-space Nyquist corner count too): the noise
+    # enters through a divergence, reflection flips its sign, and both
+    # model components must come out even
+    grid = small_grid()
+    noise = [SpectralField(grid, np.random.default_rng(8).standard_normal(grid.sizes),
+                           "physical")]
+    x = (3, 11)
+
+    def reflect(arr):
+        return np.roll(np.flip(arr, axis=1), 1, axis=1)
+
+    refl = [SpectralField(grid, -reflect(c.values), "physical") for c in noise]
+    x_r = (x[0], (-x[1]) % grid.sizes[1])
+    for op in (mc.pi_f0, mc.pi_f0f1):
+        rhs = reflect(op(noise, x).values)
+        lhs = op(refl, x_r).values
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+
+def test_covariance_is_the_periodogram_transform():
+    # Wiener-Khinchin: all lags at once equal the per-lag average over
+    # base points of xi(x) xi(x + r)
+    grid = SpectralGrid(d=1, sizes=(16, 64), boxes=(1.0, 1.0))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
+                              moll=mollifier_spec("semigroup", 1e-12), seed=4)
+    lags = [(0, 0), (0, 1), (0, 7), (0, 32), (1, 0), (5, 0), (3, 9), (15, 63)]
+    rep = mc.covariance_check(sampler, lags=lags, n_samples=4)
+    rolled = np.zeros(len(lags))
+    for i in range(4):
+        xi = mc.sample_noise(sampler, i)[0].values
+        rolled += [np.mean(xi * np.roll(xi, [-s for s in lag], axis=(0, 1)))
+                   for lag in lags]
+    rolled /= 4
+    assert np.max(np.abs(np.array(rep.estimates) - rolled)) < 1e-12 * rolled[0]
+
+
 # ---------------------------------------------------------------------------
-# dumps and slices
+# dumps
 # ---------------------------------------------------------------------------
 
 
@@ -278,23 +337,13 @@ def test_dump_load_round_trip_physical(tmp_path):
     assert np.allclose(back.values, field.values)
 
 
-def test_dump_load_round_trip_fourier(tmp_path):
+def test_dump_rejects_complex_physical_data():
+    # complex physical data cannot even be built, so it never reaches a dump
     grid = small_grid()
-    rng = np.random.default_rng(10)
-    vals = rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
-    field = SpectralField(grid, vals, "fourier")
-    path = tmp_path / "hat.bin"
-    dump_field(field, path)
-    back = load_field(path)
-    assert back.space == "fourier"
-    assert np.allclose(back.values, vals)
-
-
-def test_dump_rejects_complex_physical_data(tmp_path):
-    grid = small_grid()
-    vals = np.full(grid.sizes, 1.0 + 0.5j)
-    with pytest.raises(ConsistencyError):
-        dump_field(SpectralField(grid, vals, "physical"), tmp_path / "bad.bin")
+    with pytest.raises(ConfigError):
+        SpectralField(grid, np.full(grid.sizes, 1.0 + 0.5j), "physical")
+    with pytest.raises(ConfigError):
+        SpectralField(grid, np.full(grid.sizes, 1.0 + 0j), "physical")
 
 
 def test_load_requires_sidecar_and_size_match(tmp_path):
@@ -305,25 +354,13 @@ def test_load_requires_sidecar_and_size_match(tmp_path):
     (tmp_path / "orphan.bin").write_bytes(path.read_bytes())
     with pytest.raises(ConfigError):
         load_field(tmp_path / "orphan.bin")
+    # only physical dumps exist
+    sidecar = tmp_path / "field.bin.json"
+    sidecar.write_text(sidecar.read_text().replace('"physical"', '"fourier"'))
+    with pytest.raises(ConfigError):
+        load_field(path)
+    dump_field(field, path)
     # truncate the payload
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ConfigError):
         load_field(path)
-
-
-def test_slice_csv_headers_and_length():
-    grid = small_grid()
-    rng = np.random.default_rng(12)
-    field = SpectralField(grid, rng.standard_normal(grid.sizes), "physical")
-    text = slice_csv(field, axis=1, fixed={0: 3})
-    lines = text.strip().split("\n")
-    assert lines[0] == "coordinate,value"
-    assert len(lines) == 1 + grid.sizes[1]
-    assert float(lines[1].split(",")[1]) == pytest.approx(
-        field.values[3, 0].real
-    )
-    hat = field.to_fourier()
-    text = slice_csv(hat, axis=0)
-    assert text.splitlines()[0] == "frequency,re,im"
-    with pytest.raises(ConfigError):
-        slice_csv(field, axis=2)
