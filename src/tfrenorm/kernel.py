@@ -399,8 +399,12 @@ def moment_bound_spreads(grid, times, m0=1.0, orders_list=None, thetas=(-1, 0, 1
 def inversion_residual(grid, m0=1.0, seed=0, band_limit=None):
     """(residual, realness) of solve_L_div on random real input.
 
-    residual -- relative discrete gap ||L u - div f|| / ||div f||, with L
-                applied by a fresh transform round-trip
+    residual -- relative gap ||symbol_L u_hat - div_hat|| / ||div_hat|| in
+                Fourier space, zero mode removed, where u_hat comes from
+                solve_L_div and div_hat is rebuilt by the same ik_power
+                rule; it shows that solve_L_div divides by symbol_L on
+                every nonzero mode, so it sits at rounding level, but it
+                checks neither the transforms nor the divergence itself
     realness -- real_defect of u: the part of its spectrum no real field has
     band_limit keeps wavenumbers |j| < N_i/band_limit per axis (None: all).
     """

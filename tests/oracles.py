@@ -8,11 +8,22 @@ package under test, using different algorithms than the library:
   filter with the literal predicates),
 * closed-form values of the rescaled counterterm constants obtained by
   integrating the defining quadrant integrals exactly (Wallis/Beta
-  identities), evaluated with math.gamma.
+  identities), evaluated with math.gamma,
+* the finite-tau constants by nested adaptive scipy quad with scalar
+  callbacks (the library uses a tensor-product Gauss rule on numpy
+  meshes); it reads only the evaluators and fields of the spec objects,
+* the finite-tau constants for the paper-default covariance to 30 digits
+  with mpmath: the r-integral in closed form (complete gamma functions),
+  the u-integral by tanh-sinh quadrature.
 """
 
 import math
+import warnings
 from itertools import combinations_with_replacement
+
+import mpmath
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import gammaincc
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +252,133 @@ CLOSED_FORMS = {
     ("anisotropic", 2): c2_aniso_limit,
     ("anisotropic", 3): c3_aniso_limit,
 }
+
+
+# ---------------------------------------------------------------------------
+# finite-tau constants by nested adaptive quadrature
+#
+# The same parabolic substitution as the library, 2 pi k0 = r^4 sqrt(1-u^8),
+# 2 pi k1 = r u, but integrated by scipy quad: an adaptive inner r-integral
+# up to the cutoff where the mollifier envelope drops below 1e-18, inside
+# an adaptive outer u-integral carrying the weight (1 - u^8)^(-1/2).
+# ---------------------------------------------------------------------------
+
+TWO_PI = 2.0 * math.pi
+_LOG_TAIL = -math.log(1e-18)
+
+
+def _quad(func, lo, hi, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(func, lo, hi, **kwargs)
+
+
+def _quad_tail_bound(a_power, rate, r_max):
+    """Upper bound for integral_{r_max}^inf r^a exp(-rate r^8) dr."""
+    s = (a_power + 1.0) / 8.0
+    return 0.125 * rate**-s * math.gamma(s) * float(gammaincc(s, rate * r_max**8))
+
+
+def quad_counterterm(which, cov, moll, epsrel=1e-9):
+    """(value, error estimate) of constant c_which by nested scipy quad.
+
+    The error estimate sums the outer quad error, twice the largest inner
+    quad error and the largest tail bound beyond the cutoff.
+    """
+    m0 = cov.m0
+    msq = m0 * m0
+    fc, dfc = cov.evaluator, cov.d_evaluator
+    sym, dlog = moll.squared_symbol, moll.dlog_dk1
+    if which == 1:
+        prefactor = 16.0 / TWO_PI**2
+
+        def bracket(r, u, q_val, k0, k1):
+            weight = u**4 * (4.0 * msq * u**8 / q_val - 2.0) / q_val
+            return weight * fc(k0, k1) * sym(k0, k1)
+
+    elif which == 2:
+        prefactor = 16.0 * m0 / TWO_PI**3
+
+        def bracket(r, u, q_val, k0, k1):
+            deriv = dfc(k0, k1) + fc(k0, k1) * dlog(k0, k1)
+            return r * u**5 / q_val * sym(k0, k1) * deriv
+
+    else:
+        prefactor = -48.0 * m0 / TWO_PI**2
+
+        def bracket(r, u, q_val, k0, k1):
+            return u**12 / q_val**2 * fc(k0, k1) * sym(k0, k1)
+
+    a_power = 8.0 if which == 2 else 0.0
+    worst = {"inner": 0.0, "tail": 0.0}
+
+    def inner(u):
+        q_val = 1.0 - (1.0 - msq) * u**8
+        root = math.sqrt(max(1.0 - u**8, 0.0))
+        if moll.kind == "semigroup":
+            rate = moll.tau * q_val
+        else:
+            rate = moll.tau * u**8 + moll.tau**moll.eta * (1.0 - u**8)
+        r_max = (_LOG_TAIL / rate) ** 0.125
+
+        def integrand(r):
+            return float(bracket(r, u, q_val, r**4 * root / TWO_PI, r * u / TWO_PI))
+
+        val, err = _quad(integrand, 0.0, r_max, epsabs=1e-14, epsrel=epsrel, limit=200)
+        worst["inner"] = max(worst["inner"], abs(err))
+        tail = (abs(integrand(r_max)) * math.exp(rate * r_max**8) * r_max**-a_power
+                * _quad_tail_bound(a_power, rate, r_max))
+        worst["tail"] = max(worst["tail"], tail)
+        return val
+
+    value, outer_err = _quad(lambda u: inner(u) * (1.0 - u**8) ** -0.5, 0.0, 1.0,
+                             epsabs=1e-13, epsrel=epsrel, limit=300)
+    error = abs(prefactor) * (outer_err + 2.0 * worst["inner"] + worst["tail"])
+    return prefactor * value, error
+
+
+def mp_counterterm(alpha, m0, kind, tau, eta=None, dps=30):
+    """(c1, c2, c3) for the paper-default covariance Q^(-eps/8), exact in r.
+
+    Under the same substitution the covariance is r^(-eps) q^(-eps/8) and
+    the squared mollifier exp(-rate(u) r^8), so every r-integral over
+    (0, inf) is a gamma function:
+        integral r^a exp(-rate r^8) dr = Gamma((a + 1)/8) / (8 rate^((a + 1)/8)).
+    What is left is one u-integral per constant with the endpoint weight
+    (1 - u^8)^(-1/2), which tanh-sinh quadrature takes as it stands.
+    """
+    with mpmath.workdps(dps):
+        eps = 2 * mpmath.mpf(alpha) - 1
+        m0, tau = mpmath.mpf(m0), mpmath.mpf(tau)
+        msq = m0 * m0
+        if kind == "semigroup":
+            grad = tau * msq  # dlog_dk1 = -16 pi grad (2 pi k1)^7
+        else:
+            eta = mpmath.mpf(eta)
+            grad = tau
+        g0, g8 = mpmath.gamma((1 - eps) / 8), mpmath.gamma((9 - eps) / 8)
+
+        def inner(u):
+            q = 1 - (1 - msq) * u**8
+            if kind == "semigroup":
+                rate = tau * q
+            else:
+                rate = tau * u**8 + tau**eta * (1 - u**8)
+            r0 = g0 / (8 * rate ** ((1 - eps) / 8))
+            r8 = g8 / (8 * rate ** ((9 - eps) / 8))
+            base = q ** (-1 - eps / 8)
+            return (
+                u**4 * (4 * msq * u**8 / q - 2) * base * r0,
+                -u**12 * base * mpmath.pi * (2 * eps * msq * r0 / q + 16 * grad * r8),
+                u**12 * base / q * r0,
+            )
+
+        # the anisotropic envelope turns over near u^8 = tau^(eta - 1)
+        points = [0, 1] if kind == "semigroup" else [0, tau ** ((eta - 1) / 8), 1]
+        two_pi = 2 * mpmath.pi
+        prefactors = (16 / two_pi**2, 16 * m0 / two_pi**3, -48 * m0 / two_pi**2)
+        return tuple(
+            float(pre * mpmath.quad(lambda u: inner(u)[i] / mpmath.sqrt(1 - u**8),
+                                    points))
+            for i, pre in enumerate(prefactors)
+        )

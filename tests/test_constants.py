@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 from importlib import resources
@@ -9,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from oracles import CLOSED_FORMS
+from oracles import CLOSED_FORMS, mp_counterterm, quad_counterterm
 from tfrenorm.constants import (
     C1_INDEX,
     C2_INDEX,
@@ -27,7 +28,7 @@ from tfrenorm.constants import (
     table_to_json,
     tfe_leading_form,
 )
-from tfrenorm.errors import ConfigError, ConsistencyError
+from tfrenorm.errors import ConfigError, ConsistencyError, NumericError
 from tfrenorm.indices import ModelParams, e, f, g
 
 C_INDICES = (C1_INDEX, C2_INDEX, C3_INDEX)
@@ -106,6 +107,73 @@ def test_finite_tau_semigroup_matches_rescaled_limit():
     for idx, limit, got in zip(C_INDICES, limits, (table.c1, table.c2, table.c3)):
         tau_exp, m0_exp = scaling_exponents(idx, params, "semigroup")
         assert got == pytest.approx(limit * m0**m0_exp * tau**tau_exp, rel=1e-8)
+
+
+def _values_and_errors(table):
+    return zip((table.c1, table.c2, table.c3), (table.err1, table.err2, table.err3))
+
+
+# the corners of the benchmark ranges: (alpha, tau, m0, eta)
+CORNERS = list(itertools.product((0.52, 0.98), (1e-8, 1e-2), (0.5, 2.0), (2.0, 3.0)))
+
+
+@pytest.mark.parametrize(
+    "kind, alpha, tau, m0, eta",
+    [("semigroup", *c) for c in CORNERS if c[3] == 2.0]
+    + [("anisotropic", *c) for c in CORNERS],
+)
+def test_tensor_rule_matches_nested_quad(kind, alpha, tau, m0, eta):
+    """The tensor rule and the nested adaptive quad agree within the sum of
+    their error estimates at every corner of the benchmark ranges."""
+    cov = covariance_spec(alpha, m0)
+    moll = mollifier_spec(kind, tau, eta=eta, m0=m0)
+    table = counterterm_table(cov, moll)
+    for which, (value, error) in zip((1, 2, 3), _values_and_errors(table)):
+        ref, ref_err = quad_counterterm(which, cov, moll)
+        assert abs(value - ref) <= error + ref_err
+
+
+@pytest.mark.parametrize("alpha, m0, kind, tau, eta", [
+    (0.55, 1.3, "semigroup", 1e-3, 2.0),
+    (0.52, 2.0, "anisotropic", 1e-8, 3.0),  # needs the 256-node rule
+])
+def test_tensor_rule_within_its_error_of_mpmath(alpha, m0, kind, tau, eta):
+    table = counterterm_table(
+        covariance_spec(alpha, m0), mollifier_spec(kind, tau, eta=eta, m0=m0)
+    )
+    exact = mp_counterterm(alpha, m0, kind, tau, eta)
+    for (value, error), want in zip(_values_and_errors(table), exact):
+        assert abs(value - want) <= error
+        assert error <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("alpha, m0, tau", [
+    (0.75, 10.0, 1e-8), (0.5001, 10.0, 1e-2), (0.98, 0.1, 1e-3), (0.999, 2.0, 10.0),
+])
+def test_semigroup_error_estimate_covers_closed_form(alpha, m0, tau):
+    """The stated error bounds the gap to the exact scaling law, also where
+    the n and 2n rules agree to the last bits and only rounding is left."""
+    params = ModelParams(alpha=alpha, allow_rational_alpha=True)
+    table = counterterm_table(
+        covariance_spec(alpha, m0), mollifier_spec("semigroup", tau, m0=m0)
+    )
+    pairs = _values_and_errors(table)
+    for which, idx, (value, error) in zip((1, 2, 3), C_INDICES, pairs):
+        tau_exp, m0_exp = scaling_exponents(idx, params, "semigroup")
+        want = CLOSED_FORMS[("semigroup", which)](alpha) * tau**tau_exp * m0**m0_exp
+        assert abs(value - want) <= error + 4e-15 * abs(want)
+
+
+def test_error_estimate_follows_epsrel():
+    """A looser epsrel stops the doubling earlier; each answer covers the other."""
+    cov = covariance_spec(0.52, 0.5)
+    moll = mollifier_spec("anisotropic", 1e-8, eta=2.0, m0=0.5)
+    loose = counterterm_table(cov, moll, epsrel=1e-6)
+    tight = counterterm_table(cov, moll, epsrel=1e-12)
+    for (lv, le), (tv, te) in zip(_values_and_errors(loose), _values_and_errors(tight)):
+        assert abs(lv - tv) <= le + te
+    worst = [max(e / abs(v) for v, e in _values_and_errors(t)) for t in (loose, tight)]
+    assert worst[1] < 1e-11 < 1e-10 < worst[0]
 
 
 def test_tau_slopes_semigroup():
@@ -331,11 +399,31 @@ def test_eval_c2_needs_covariance_derivative():
         counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 
 
+@pytest.mark.parametrize("evaluator", [
+    lambda k0, k1: math.exp(-abs(k0)),  # scalar math on a mesh
+    lambda k0, k1: 1.0,  # one number for the whole mesh
+    lambda k0, k1: np.ones(3),  # the wrong shape
+])
+def test_covariance_evaluators_must_map_arrays(evaluator):
+    cov = covariance_spec(0.55, kind="custom", evaluator=evaluator,
+                          d_evaluator=lambda k0, k1: np.zeros_like(k0))
+    with pytest.raises(ConfigError):
+        counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
+
+
+def test_non_finite_covariance_is_a_numeric_error():
+    cov = covariance_spec(0.55, kind="custom",
+                          evaluator=lambda k0, k1: np.full_like(k0, np.nan),
+                          d_evaluator=lambda k0, k1: np.zeros_like(k0))
+    with pytest.raises(NumericError):
+        counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
+
+
 def test_eval_c2_rejects_uneven_covariance():
     """A covariance that is not even in the time frequency is caught."""
 
     def skew(k0):
-        return 1.0 + 0.2 * math.tanh(2 * math.pi * k0)
+        return 1.0 + 0.2 * np.tanh(2 * math.pi * k0)
 
     def fc(k0, k1):
         q = (2 * math.pi * k0) ** 2 + (2 * math.pi * k1) ** 8
