@@ -11,6 +11,10 @@ Conventions shared by every subcommand:
 * float options, and every element of a comma list, must be finite;
 * no environment variable changes the behaviour.
 
+The numeric layers (constants, kernel, mc, verify) pull in numpy and scipy,
+so each runner imports the ones it uses: the index-algebra subcommands start
+without them.
+
 Output is JSON unless a subcommand offers ``--format csv``; either way the
 content is deterministic for a fixed config and seed.  JSON output is
 strict: a non-finite result is a numerical failure, never ``NaN`` or
@@ -23,15 +27,6 @@ import math
 import sys
 from pathlib import Path
 
-from .constants import (
-    C_constants_with_errors,
-    counterterm_h,
-    counterterm_table,
-    covariance_spec,
-    mollifier_spec,
-    sweep_csv,
-    table_to_json,
-)
 from .errors import ConfigError, ConsistencyError, NumericError
 from .group import gamma_entry, structure_map_from_json
 from .hierarchy import dependencies, c_dependencies, expand, expansion_to_json, render_expansion
@@ -47,16 +42,6 @@ from .indices import (
     order_length,
     parse_multiindex,
 )
-from .kernel import checks_grid, kernel_checks, make_grid
-from .mc import (
-    NoiseSampler,
-    bphz_triviality_check,
-    covariance_check,
-    deterministic_scaling_slope,
-    pi_f0_second_moment_check,
-    scaling_fit,
-)
-from .verify import verify_fixtures
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +192,6 @@ def _model_params(cfg):
     )
 
 
-def _specs(cfg):
-    cov = covariance_spec(cfg["alpha"], cfg["m0"])
-    moll = mollifier_spec(cfg["mollifier"], cfg["tau"], eta=cfg["eta"], m0=cfg["m0"])
-    return cov, moll
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
@@ -307,6 +286,8 @@ def run_kappa(cfg):
 
 
 def run_kernel_check(cfg):
+    from .kernel import checks_grid, kernel_checks, make_grid
+
     if (cfg["sizes"] is None) != (cfg["boxes"] is None):
         raise ConfigError("give both sizes and boxes, or neither")
     if cfg["sizes"] is None:
@@ -325,7 +306,9 @@ def run_kernel_check(cfg):
 
 
 def run_constants(cfg):
-    pairs = C_constants_with_errors(cfg["alpha"], cfg["mollifier"], epsrel=cfg["epsrel"])
+    from .constants import C_constants_with_errors
+
+    pairs = C_constants_with_errors(cfg["alpha"], cfg["mollifier"])
     (c1, e1), (c2, e2), (c3, e3) = pairs
     if cfg["format"] == "csv":
         header = "alpha,mollifier,C1,err1,C2,err2,C3,err3"
@@ -343,6 +326,10 @@ def run_constants(cfg):
 
 
 def run_counterterm(cfg):
+    from .constants import (
+        counterterm_table, covariance_spec, mollifier_spec, sweep_csv, table_to_json,
+    )
+
     tables = [
         counterterm_table(
             covariance_spec(cfg["alpha"], m0),
@@ -358,7 +345,12 @@ def run_counterterm(cfg):
 
 
 def run_h_eval(cfg):
-    cov, moll = _specs(cfg)
+    from .constants import (
+        counterterm_h, counterterm_table, covariance_spec, mollifier_spec, table_to_json,
+    )
+
+    cov = covariance_spec(cfg["alpha"], cfg["m0"])
+    moll = mollifier_spec(cfg["mollifier"], cfg["tau"], eta=cfg["eta"], m0=cfg["m0"])
     table = counterterm_table(cov, moll, epsrel=cfg["epsrel"])
     value = counterterm_h(cfg["a"], cfg["a_prime"], cfg["b"], cfg["b_prime"], table)
     return _to_json(
@@ -374,6 +366,17 @@ def run_h_eval(cfg):
 
 
 def run_simulate(cfg):
+    from .constants import covariance_spec, mollifier_spec
+    from .kernel import make_grid
+    from .mc import (
+        NoiseSampler,
+        bphz_triviality_check,
+        covariance_check,
+        deterministic_scaling_slope,
+        pi_f0_second_moment_check,
+        scaling_fit,
+    )
+
     sizes, boxes = cfg["sizes"], cfg["boxes"]
     if len(sizes) != len(boxes):
         raise ConfigError(f"sizes {sizes} and boxes {boxes} differ in length")
@@ -420,6 +423,8 @@ def run_simulate(cfg):
 
 
 def run_fixtures_verify(cfg):
+    from .verify import verify_fixtures
+
     counts = verify_fixtures(fixtures_dir=cfg["fixtures_dir"])
     return _to_json({"status": "ok", "replayed": counts})
 
@@ -492,9 +497,8 @@ _SUBCOMMANDS = {
             _Opt("alpha", _float, required=True, help="exponent in [1/2, 1)"),
             _Opt("mollifier", _choice("semigroup", "anisotropic"),
                  default="semigroup", help="mollifier family"),
-            _Opt("epsrel", _float, default="1e-11", help="quadrature tolerance"),
         ],
-        "universal small-tau constants (C1, C2, C3) with error bars",
+        "universal small-tau constants (C1, C2, C3) in closed form, with rounding bounds",
     ),
     "counterterm": (
         run_counterterm,

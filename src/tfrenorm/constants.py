@@ -6,7 +6,8 @@ integral of kernel factors against FF = FC * |Fphi_tau|^2, where FC is the
 noise covariance and phi_tau the mollifier.  This module evaluates
 
 * the three integrals at finite (m0, tau) for both mollifier families,
-* their universal m0- and tau-free limit constants C1, C2, C3,
+* their universal m0- and tau-free limit constants C1, C2, C3, in closed
+  form (Gamma and Beta functions, see C_constants_with_errors),
 * the scaling exponents in tau and m0,
 * the pointwise counterterm functional h and its leading thin-film form.
 
@@ -23,21 +24,26 @@ All three integrals come from one tensor-product Gauss rule on numpy
 meshes, so covariance evaluators take arrays.  In u, u = 1 - s^2 cancels
 the endpoint singularity and Gauss-Legendre in s follows; in r, r =
 r_max(u) t and Gauss-Jacobi with weight t^(-eps) absorbs the singularity
-at the origin; both rules by Golub-Welsch.  The n x n rule is compared
-with the 2n x 2n rule, from n = 32, doubling up to 256 while a value
-moves by more than epsrel of itself.  The error estimate is that move
-plus the tail bound plus a rounding floor of 50 ulp of the integral of
-|f|: epsrel is the accuracy asked for, the error what was reached, and a
-table whose error exceeds 1e-3 of a value is refused.
+at the origin; both rules by Golub-Welsch with the divide-and-conquer
+eigensolver (LAPACK stevd), whose rules integrate smooth test functions
+to 21 ulp for n = 64 to 256.  The MRRR solver (stemr) missed by up to 490
+ulp, shared by the n and 2n rules, so their comparison cannot see it.
+The n x n rule is compared with the 2n x 2n rule, from n = 32,
+doubling up to 256 while a value moves by more than epsrel of itself.
+The error estimate is that move plus the tail bound plus a rounding floor
+of 50 ulp of the integral of |f|: on 4000 seeded semigroup tables (alpha
+0.5001-0.999, m0 0.1-10, tau 1e-12-10) the gap to the exact scaling law
+needed at most 29 ulp of it beyond move and tail.  epsrel is the accuracy
+asked for, the error what was reached, and a table whose error exceeds
+1e-3 of a value is refused.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 from scipy.special import gammaincc
 
 from .errors import ConfigError, ConsistencyError, NumericError
@@ -51,14 +57,6 @@ _LOG_TAIL = -math.log(_TAIL_CUT)
 C1_INDEX = e(1) + f(0) + f(1)
 C2_INDEX = 2 * f(1)
 C3_INDEX = 2 * e(1) + 2 * f(0)
-
-
-def _quad(func, lo, hi, epsabs, epsrel, limit):
-    """quad with the convergence warning silenced; the returned abserr is
-    propagated into this module's own error estimates instead."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(func, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -229,39 +227,50 @@ def _brackets(cov, moll, r, u, root, q_val):
 def _gauss_jacobi(n, eps):
     """n-node Gauss rule on (0, 1) for the weight t^-eps by Golub-Welsch:
     eigenvalues and squared first eigenvector components of the Jacobi
-    matrix of P_k^(0, -eps)(2t - 1).  eps = 0 gives Gauss-Legendre."""
+    matrix of P_k^(0, -eps)(2t - 1), by divide and conquer (LAPACK stevd).
+    eps = 0 gives Gauss-Legendre."""
     b = -eps
     k = np.arange(1, n)
     s = 2.0 * k + b
     diag = np.concatenate([[b / (b + 2.0)], b * b / (s * (s + 2.0))])
     off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    nodes, vectors = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    nodes, vectors, info = dstevd(diag, off, compute_v=1)
+    if info != 0:
+        raise NumericError(f"the {n}-node Gauss-Jacobi eigensolver failed (info {info})")
     return 0.5 * (nodes + 1.0), vectors[0] ** 2 / (1.0 - eps)
 
 
-_LEGENDRE = {}  # n -> the n-node Gauss-Legendre rule on (0, 1)
+@lru_cache(maxsize=None)
+def _legendre(n):
+    """The n-node Gauss-Legendre rule on (0, 1); read-only, as callers share it."""
+    rule = _gauss_jacobi(n, 0.0)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 _ROWS = 32  # u rows per mesh evaluation: bounds the memory of the larger rules
 
 
 def _tensor_rule(cov, moll, n):
     """(integrals, error floors) of the three brackets by the n x n rule."""
     eps = 2.0 * cov.alpha - 1.0
-    if n not in _LEGENDRE:
-        _LEGENDRE[n] = _gauss_jacobi(n, 0.0)
-    s, ws = _LEGENDRE[n]
+    s, ws = _legendre(n)
     t, wt = _gauss_jacobi(n, eps)
     u = 1.0 - s * s
     # 1 - u^8 = s^2 g(u), so (1 - u^8)^(-1/2) du = 2 ds / sqrt(g(u))
     g_root = np.sqrt((1.0 + u) * (1.0 + u * u) * (1.0 + u**4))
     wu = 2.0 * ws / g_root
-    q_val = 1.0 - (1.0 - cov.m0 * cov.m0) * u**8
+    root = s * g_root
+    # q = m0^2 u^8 + (1 - u^8) as a sum of positive terms: 1 - (1 - m0^2) u^8
+    # would lose a factor 1/m0^2 of accuracy to cancellation near u = 1
+    q_val = (cov.m0 * u**4) ** 2 + root**2
     # decay rate c in the envelope |Fphi_tau|^2 <= exp(-c r^8) along u
     if moll.kind == "semigroup":
         rate = moll.tau * q_val
     else:
-        rate = moll.tau * u**8 + moll.tau**moll.eta * (1.0 - u**8)
+        rate = moll.tau * u**8 + moll.tau**moll.eta * root**2
     r_max = (_LOG_TAIL / rate) ** 0.125
-    root = s * g_root
     wt = wt * t**eps  # the mesh values carry the t^-eps the weights already hold
     inner = np.empty((2, 3, n))  # the r-integrals of f and of |f| per u row
     for row in range(0, n, _ROWS):
@@ -270,7 +279,7 @@ def _tensor_rule(cov, moll, n):
         inner[0, :, col[0]] = mesh @ wt
         inner[1, :, col[0]] = np.abs(mesh) @ wt
     integrals, absolute = inner @ (wu * r_max)
-    # rounding floor of the sums as QUADPACK takes it, 50 ulp of the integral of |f|
+    # rounding floor, 50 ulp of the integral of |f| (see the module docstring)
     rounding = 50.0 * np.finfo(float).eps * absolute
     # beyond r_max each integrand is bounded by its r_max magnitude times
     # the envelope, with r^8 growth from the mollifier gradient in c2
@@ -381,30 +390,28 @@ def sweep_csv(tables):
 # ---------------------------------------------------------------------------
 
 
-def _bracket_factor(which, u, eps_shift):
-    if which == 1:
-        return 4.0 * (4.0 * u**8 - 2.0) * u ** (4.0 + eps_shift)
-    if which == 2:
-        return 4.0 * (8.0 * u**8 - 5.0) * u ** (4.0 + eps_shift)
-    return -12.0 * u ** (12.0 + eps_shift)
-
-
-def C_constants_with_errors(alpha, mollifier_kind, epsrel=1e-11):
-    """Universal constants with error estimates, by rescaled quadrature.
+def C_constants_with_errors(alpha, mollifier_kind):
+    """((C1, err1), (C2, err2), (C3, err3)): universal constants in closed form.
 
     Stripping the exact powers m0^(-5/4), m0^(-1/4), m0^(-9/4) and
     tau^{(2 alpha - 2)/8} (semigroup), or the anisotropic leading powers,
     leaves integrals over the rescaled quadrant with weight exp(-r^8)
-    (semigroup) or exp(-(r u)^8) (anisotropic).  In the anisotropic case
-    the substitution s = r u decouples the axes exactly, so each constant
-    is a product of two 1-D integrals:
+    (semigroup) or exp(-(r u)^8) (anisotropic); there s = r u decouples
+    the axes.  So C_i = (4 / (2 pi)^2) J U_i with eps = 2 alpha - 1,
+    J = integral_0^inf s^(-eps) exp(-s^8) ds = Gamma((1 - eps)/8) / 8, and
+    U_i the integral over (0, 1) of the bracket 16 u^12 - 8 u^4,
+    32 u^12 - 20 u^4 or -12 u^12 times u^(sigma - 1) (1 - u^8)^(-1/2), with
+    sigma = 1 (semigroup) or eps (anisotropic).  By DLMF 5.12.1 each
+    monomial gives integral_0^1 u^a (1 - u^8)^(-1/2) du = B((a + 1)/8, 1/2)/8,
+    and B(x + 1, 1/2) = B(x, 1/2) x / (x + 1/2) folds a bracket into one term:
 
-        C_i = (4 / (2 pi)^2) * J(eps) * U_i,
-        J(eps) = integral_0^inf s^(-eps) exp(-s^8) ds,
+        (C1, C2, C3) = P (8 sigma, 4 (3 sigma - 8), -12 (4 + sigma)) / (8 + sigma),
+        P = Gamma((1 - eps)/8) Gamma((4 + sigma)/8) sqrt(pi) / (64 pi^2 Gamma(1 + sigma/8)).
 
-    with U_i a bracket-polynomial integral over u in (0, 1) carrying the
-    substitution weight (1 - u^8)^(-1/2), and u^(eps - 1) extra for the
-    anisotropic family.  eps = 2 alpha - 1.
+    No term cancels, and the anisotropic C1 is exactly zero at alpha = 1/2.
+    Each error is a rounding bound of 32 eps of the value: three math.gamma
+    values on (0, 9/8], each within 3 eps of a 30-digit mpmath value, about
+    ten roundings of half an eps, and a factor 2 to spare.
     """
     alpha = float(alpha)
     if not 0.5 <= alpha < 1.0:
@@ -413,34 +420,15 @@ def C_constants_with_errors(alpha, mollifier_kind, epsrel=1e-11):
         )
     if mollifier_kind not in ("semigroup", "anisotropic"):
         raise ConfigError(f"unknown mollifier kind {mollifier_kind!r}")
-    eps = 2.0 * alpha - 1.0
-    r_max = _LOG_TAIL**0.125
-    j_val, j_err = _quad(
-        lambda s: s**-eps * math.exp(-(s**8)),
-        0.0, r_max, epsabs=1e-15, epsrel=epsrel, limit=200,
-    )
-    j_tail = float(_tail_bound(-eps, 1.0, r_max))
-    eps_shift = (eps - 1.0) if mollifier_kind == "anisotropic" else 0.0
-    out = []
-    for which in (1, 2, 3):
-        u_val, u_err = _quad(
-            lambda u: _bracket_factor(which, u, eps_shift)
-            * (1.0 - u**8) ** -0.5,
-            0.0, 1.0, epsabs=1e-15, epsrel=epsrel, limit=300,
-        )
-        scale = 4.0 / TWO_PI**2
-        value = scale * (j_val + 0.0) * u_val
-        error = scale * (
-            abs(j_val) * u_err + abs(u_val) * j_err + abs(u_val) * j_tail
-        )
-        if not math.isfinite(value) or error > max(1e-4 * abs(value), 1e-10):
-            raise NumericError(
-                f"universal constant {which} quadrature did not converge "
-                f"(alpha={alpha}, {mollifier_kind}): value {value:.6e}, "
-                f"error {error:.2e}"
-            )
-        out.append((value, error))
-    return tuple(out)
+    sigma = 1.0 if mollifier_kind == "semigroup" else 2.0 * alpha - 1.0
+    # 2 - 2 alpha = 1 - eps is exact for alpha in [1/2, 1)
+    p_val = (
+        math.gamma((2.0 - 2.0 * alpha) / 8.0) * math.gamma((4.0 + sigma) / 8.0)
+        * math.sqrt(math.pi) / (64.0 * math.pi**2 * math.gamma(1.0 + sigma / 8.0))
+    ) / (8.0 + sigma)
+    values = (8.0 * sigma, 4.0 * (3.0 * sigma - 8.0), -12.0 * (4.0 + sigma))
+    rounding = 32.0 * np.finfo(float).eps
+    return tuple((v * p_val, rounding * abs(v * p_val)) for v in values)
 
 
 def eval_C_constants(alpha, mollifier_kind):

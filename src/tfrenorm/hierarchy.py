@@ -489,26 +489,3 @@ def expansion_to_json(params, entries, mode="raw"):
             for beta, terms in entries.items()
         ],
     }
-
-
-def expansion_from_json(doc):
-    """Parse a serialised expansion; returns (meta, {beta: [terms]})."""
-    meta = {
-        "alpha": doc["alpha"],
-        "d": doc["d"],
-        "lam": doc.get("lam", 0.4),
-        "mode": doc.get("mode", "raw"),
-    }
-    arity = 1 + meta["d"]
-    entries = {}
-    for ent in doc["entries"]:
-        beta = parse_multiindex(ent["beta"], expected_arity=arity)
-        entries[beta] = [term_from_json(t, arity=arity) for t in ent["terms"]]
-    return meta, entries
-
-
-def same_terms(got, want):
-    """Multiset equality of two term lists (exact coefficients)."""
-    from collections import Counter
-
-    return Counter(t.canon() for t in got) == Counter(t.canon() for t in want)

@@ -126,10 +126,3 @@ def vector_binom(n, m):
             return 0
         out *= comb(a, b)
     return out
-
-
-def displacement_power(n, m):
-    """The monomial z^{n-m} as a PolyScalar (requires m <= n)."""
-    if vector_binom(n, m) == 0:
-        raise ConfigError(f"{m} not componentwise below {n}")
-    return PolyScalar.monomial(tuple(a - b for a, b in zip(n, m)))

@@ -166,7 +166,7 @@ def verify_constants(doc):
     """Recompute every constant within summed quadrature error bars."""
     problems = []
     for row in doc["universal"]:
-        pairs = C_constants_with_errors(row["alpha"], row["mollifier"], epsrel=1e-9)
+        pairs = C_constants_with_errors(row["alpha"], row["mollifier"])
         for (got, got_err), key, err_key in zip(
             pairs, ("C1", "C2", "C3"), ("err1", "err2", "err3")
         ):

@@ -8,13 +8,18 @@ package under test, using different algorithms than the library:
   filter with the literal predicates),
 * closed-form values of the rescaled counterterm constants obtained by
   integrating the defining quadrant integrals exactly (Wallis/Beta
-  identities), evaluated with math.gamma,
+  identities), evaluated with math.gamma, and the same constants as
+  products of 1-D scipy quad integrals and of 40-digit mpmath Beta and
+  Gamma values (the library folds the Beta terms into one closed form),
 * the finite-tau constants by nested adaptive scipy quad with scalar
   callbacks (the library uses a tensor-product Gauss rule on numpy
   meshes); it reads only the evaluators and fields of the spec objects,
 * the finite-tau constants for the paper-default covariance to 30 digits
   with mpmath: the r-integral in closed form (complete gamma functions),
-  the u-integral by tanh-sinh quadrature.
+  the u-integral by tanh-sinh quadrature,
+* the equal-time line density by scipy quad on decade panels out to
+  infinity (the library uses Gauss-Legendre panels cut at the mollifier
+  envelope).
 """
 
 import math
@@ -254,6 +259,41 @@ CLOSED_FORMS = {
 }
 
 
+def mp_universal(alpha, kind, dps=40):
+    """(C1, C2, C3) as mpf: (4 / (2 pi)^2) J U_i with J = Gamma((1 - eps)/8)/8
+    and U_i summed term by term from the Beta integrals of the brackets
+    16 u^12 - 8 u^4, 32 u^12 - 20 u^4 and -12 u^12 times u^(sigma - 1)."""
+    with mpmath.workdps(dps):
+        eps = 2 * mpmath.mpf(alpha) - 1
+        sigma = 1 if kind == "semigroup" else eps
+        j_val = mpmath.gamma((1 - eps) / 8) / 8
+        low, high = (mpmath.beta((a + sigma) / 8, mpmath.mpf(1) / 2) / 8 for a in (4, 12))
+        brackets = (16 * high - 8 * low, 32 * high - 20 * low, -12 * high)
+        return tuple(j_val * u / mpmath.pi**2 for u in brackets)
+
+
+def quad_universal(alpha, kind, epsrel=1e-11):
+    """((C1, err1), (C2, err2), (C3, err3)) as products of the 1-D integrals
+    J and U_i by scipy quad, J truncated where exp(-s^8) drops below 1e-18
+    with the incomplete-gamma tail bound added to its error."""
+    eps = 2.0 * alpha - 1.0
+    s_max = _LOG_TAIL**0.125
+    j_val, j_err = _quad(lambda s: s**-eps * math.exp(-(s**8)), 0.0, s_max,
+                         epsabs=1e-15, epsrel=epsrel, limit=200)
+    j_err += _quad_tail_bound(-eps, 1.0, s_max)
+    shift = eps - 1.0 if kind == "anisotropic" else 0.0
+    brackets = (lambda u: 16.0 * u**8 - 8.0, lambda u: 32.0 * u**8 - 20.0,
+                lambda u: -12.0 * u**8)
+    out = []
+    for bracket in brackets:
+        u_val, u_err = _quad(lambda u: bracket(u) * u ** (4.0 + shift) * (1.0 - u**8) ** -0.5,
+                             0.0, 1.0, epsabs=1e-15, epsrel=epsrel, limit=300)
+        scale = 4.0 / TWO_PI**2
+        out.append((scale * j_val * u_val,
+                    scale * (abs(j_val) * u_err + abs(u_val) * j_err)))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # finite-tau constants by nested adaptive quadrature
 #
@@ -382,3 +422,24 @@ def mp_counterterm(alpha, m0, kind, tau, eta=None, dps=30):
                                     points))
             for i, pre in enumerate(prefactors)
         )
+
+
+def quad_line_density(evaluator, squared_symbol, m0, k1, k0_mollifier, epsrel=1e-10):
+    """(value, error) of 2 * integral_0^inf (2 pi k1)^2 FC FF / ((2 pi k0)^2
+    + (m0 (2 pi k1)^4)^2) dk0 by scipy quad on decade panels, from the
+    smaller of the dispersion ridge and k0_mollifier to 30 times the larger,
+    and then to infinity."""
+    ridge = m0 * (TWO_PI * k1) ** 4 / TWO_PI
+
+    def integrand(k0):
+        q = (TWO_PI * k0) ** 2 + (m0 * (TWO_PI * k1) ** 4) ** 2
+        return float((TWO_PI * k1) ** 2 * evaluator(k0, k1) * squared_symbol(k0, k1) / q)
+
+    edges = [0.0, min(ridge, k0_mollifier)]
+    while edges[-1] < 30.0 * max(ridge, k0_mollifier):
+        edges.append(10.0 * edges[-1])
+    value = error = 0.0
+    for lo, hi in zip(edges, edges[1:] + [math.inf]):
+        val, err = _quad(integrand, lo, hi, epsabs=1e-300, epsrel=epsrel, limit=200)
+        value, error = value + val, error + err
+    return 2.0 * value, 2.0 * error

@@ -185,6 +185,8 @@ def test_invalid_parameter_is_config_error(capsys):
 
 H_EVAL = ["h-eval", "--alpha", "0.55", "--tau", "1e-4", "--a", "0.5",
           "--b", "2.0", "--b-prime", "0.25"]
+SCALING = ["simulate", "--task", "scaling", "--alpha", "0.55", "--sizes", "8,64",
+           "--samples", "8", "--bootstrap", "4"]
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -196,6 +198,9 @@ H_EVAL = ["h-eval", "--alpha", "0.55", "--tau", "1e-4", "--a", "0.5",
     (["enumerate", "--alpha", "0.55", "--cutoff", "inf"], 2),
     (H_EVAL + ["--a-prime", "nan"], 2),
     (H_EVAL + ["--a-prime", "1e300"], 3),
+    # scales that underflow inside the equal-time line integral
+    (SCALING + ["--tau", "1e-200", "--mollifier", "anisotropic", "--eta", "4"], 3),
+    (SCALING + ["--tau", "1e-14", "--boxes", "1,1e300"], 3),
 ])
 def test_non_finite_input_or_result_exits_cleanly(capsys, argv, want):
     code, out, err = run(capsys, *argv)
@@ -220,6 +225,31 @@ def test_huge_cutoff_is_a_prompt_resource_error(argv):
     )
     assert proc.returncode == 3, proc.stderr
     assert "max_count" in proc.stderr
+
+
+def test_cli_import_loads_no_numeric_layer():
+    """The index-algebra subcommands start without numpy or scipy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    probe = ("import sys, tfrenorm.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_constants_takes_no_tolerance(capsys, tmp_path):
+    """The closed form has nothing to tune: epsrel is an unknown option."""
+    with pytest.raises(SystemExit) as stop:
+        main(["constants", "--alpha", "0.6", "--epsrel", "1e-9"])
+    assert stop.value.code == 2
+    cfg = tmp_path / "constants.cfg"
+    cfg.write_text("alpha=0.6\nepsrel=1e-9\n")
+    code, _, err = run(capsys, "constants", "--config", str(cfg))
+    assert code == 2 and "epsrel" in err
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

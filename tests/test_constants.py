@@ -7,10 +7,11 @@ import json
 import math
 from importlib import resources
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import CLOSED_FORMS, mp_counterterm, quad_counterterm
+from oracles import CLOSED_FORMS, mp_counterterm, mp_universal, quad_counterterm, quad_universal
 from tfrenorm.constants import (
     C1_INDEX,
     C2_INDEX,
@@ -68,13 +69,17 @@ def test_anisotropic_combination_at_alpha_half():
     assert abs(c1_val) < 1e-10
 
 
-def test_error_estimates_cover_refinement():
-    """Halving the tolerance moves each value by less than the stated error."""
-    for kind in ("semigroup", "anisotropic"):
-        coarse = C_constants_with_errors(0.75, kind, epsrel=1e-8)
-        fine = C_constants_with_errors(0.75, kind, epsrel=1e-11)
-        for (cv, ce), (fv, fe) in zip(coarse, fine):
-            assert abs(cv - fv) <= ce + fe + 1e-14
+@pytest.mark.parametrize("kind", ["semigroup", "anisotropic"])
+@pytest.mark.parametrize("alpha", [0.5, 0.5001, 0.55, 0.75, 0.95, 0.999])
+def test_closed_form_within_its_bound_of_mpmath_and_quad(kind, alpha):
+    """The stated rounding bound covers the gap to 40-digit Beta/Gamma values,
+    and the 1-D quad oracle agrees within the summed errors."""
+    exact = mp_universal(alpha, kind)
+    for (value, error), want, (ref, ref_err) in zip(
+        C_constants_with_errors(alpha, kind), exact, quad_universal(alpha, kind)
+    ):
+        assert abs(mpmath.mpf(value) - want) <= error
+        assert abs(value - ref) <= error + ref_err
 
 
 def test_universal_constants_match_stored_fixture():
@@ -162,6 +167,27 @@ def test_semigroup_error_estimate_covers_closed_form(alpha, m0, tau):
         tau_exp, m0_exp = scaling_exponents(idx, params, "semigroup")
         want = CLOSED_FORMS[("semigroup", which)](alpha) * tau**tau_exp * m0**m0_exp
         assert abs(value - want) <= error + 4e-15 * abs(want)
+
+
+def test_semigroup_tables_cover_the_exact_scaling_law():
+    """At 120 seeded points the stated error of every constant covers its gap
+    to C_i tau^((2 alpha - 2)/8) m0^(p_i), evaluated to 40 digits."""
+    rng = np.random.default_rng(20230927)
+    points = zip(rng.uniform(0.5001, 0.999, 120), 10.0 ** rng.uniform(-1.0, 1.0, 120),
+                 10.0 ** rng.uniform(-12.0, 1.0, 120))
+    for alpha, m0, tau in points:
+        params = ModelParams(alpha=alpha, allow_rational_alpha=True)
+        table = counterterm_table(
+            covariance_spec(alpha, m0), mollifier_spec("semigroup", tau, m0=m0)
+        )
+        for idx, big_c, (value, error) in zip(
+            C_INDICES, mp_universal(alpha, "semigroup"), _values_and_errors(table)
+        ):
+            m0_exp = scaling_exponents(idx, params, "semigroup")[1]
+            with mpmath.workdps(40):
+                tau_exp = (2 * mpmath.mpf(alpha) - 2) / 8
+                want = big_c * mpmath.mpf(tau) ** tau_exp * mpmath.mpf(m0) ** m0_exp
+                assert abs(mpmath.mpf(value) - want) <= error, (alpha, m0, tau)
 
 
 def test_error_estimate_follows_epsrel():

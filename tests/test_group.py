@@ -33,10 +33,15 @@ from tfrenorm.indices import (
     order_length,
     parse_multiindex,
 )
-from tfrenorm.scalars import PolyScalar, displacement_power, vector_binom
+from tfrenorm.scalars import PolyScalar, vector_binom
 
 PARAMS = ModelParams(alpha=0.55, d=1)
 P = parse_multiindex
+
+
+def displacement_power(n, m):
+    """The monomial z^(n-m) as a PolyScalar, for m <= n componentwise."""
+    return PolyScalar.monomial(tuple(a - b for a, b in zip(n, m)))
 
 
 def random_structure_map(params, rng, letters=((0, 0), (0, 1), (0, 2)), cutoff=2.2,

@@ -1,6 +1,7 @@
 """Right-hand-side expansion: golden displays, structure and serialisation."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -14,11 +15,9 @@ from tfrenorm.hierarchy import (
     c_dependencies,
     dependencies,
     expand,
-    expansion_from_json,
     expansion_to_json,
     render_expansion,
     render_term,
-    same_terms,
     term_from_json,
     term_to_json,
 )
@@ -38,6 +37,22 @@ from tfrenorm.indices import (
 
 PARAMS = ModelParams(alpha=0.55, d=1)
 P = parse_multiindex
+
+
+def expansion_from_json(doc):
+    """Parse a serialised expansion; returns (meta, {beta: [terms]})."""
+    meta = {key: doc[key] for key in ("alpha", "d", "lam", "mode")}
+    arity = 1 + meta["d"]
+    entries = {}
+    for ent in doc["entries"]:
+        beta = parse_multiindex(ent["beta"], expected_arity=arity)
+        entries[beta] = [term_from_json(t, arity=arity) for t in ent["terms"]]
+    return meta, entries
+
+
+def same_terms(got, want):
+    """Multiset equality of two term lists (exact coefficients)."""
+    return Counter(t.canon() for t in got) == Counter(t.canon() for t in want)
 
 
 def fixture_doc():
