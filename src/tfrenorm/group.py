@@ -159,14 +159,12 @@ def dn_entry(beta, gamma, n):
     return dn_apply(basis(gamma), n).get(beta, 0)
 
 
-def d0_power_row(beta, m, c_support=None):
+def d0_power_row(beta, m):
     """Row of (D0)^m at row index beta: dict gamma -> ((D0)^m)_beta^gamma.
 
     Computed by walking the m down-moves from beta: (D0)_beta^sigma is
     nonzero only for sigma = beta - e_{k+1} + e_k or sigma = beta - f_{l+1}
-    + f_l, with entry (k+1) (beta(k)+1) resp. (l+1) (beta(l)+1).  When
-    ``c_support`` is given the row is restricted to those columns, ready to
-    expand an iterated substitution into a finitely supported vector.
+    + f_l, with entry (k+1) (beta(k)+1) resp. (l+1) (beta(l)+1).
     """
     row = {beta: 1}
     for _ in range(m):
@@ -187,9 +185,6 @@ def d0_power_row(beta, m, c_support=None):
                 weight = (l + 1) * (dict(sigma.b)[l])
                 nxt[sigma] = nxt.get(sigma, 0) + val * weight
         row = nxt
-    if c_support is not None:
-        keep = set(c_support)
-        row = {idx: val for idx, val in row.items() if idx in keep}
     return row
 
 

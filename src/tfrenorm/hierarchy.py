@@ -13,9 +13,14 @@ and ``expand`` produces that sum.  Three families of terms occur:
 * noise   -- for each noise slot f_l inside beta, l plain factors
              multiplying the mollified noise,
 * counter -- minus one gradient factor Grad(Pi_..) times a column of the
-             renormalisation-constant vector; splitting off m plain
-             factors substitutes the m-fold slot-raising row (D0)^m into
-             the column.
+             renormalisation-constant vector; splitting off an undecorated
+             sigma and m plain factors substitutes the row (D0)^m of sigma
+             into the column.
+
+A counter term's power m is fixed by sigma through the counterterm
+identity: every move of D0 lowers a_weight + b_weight by one and keeps the
+slot counts, and a kept column has weight equal to its noise count, so
+only m = a_weight(sigma) + b_weight(sigma) - b_count(sigma) can give one.
 
 The underlying sums run over ordered splittings, so a grouped quasi or
 noise term carries the number of orderings of its plain-factor multiset,
@@ -89,17 +94,6 @@ class HierarchyTerm:
             cpart,
         )
 
-    def canon(self):
-        """Hashable normal form used for multiset comparison of term lists."""
-        return (
-            self.kind,
-            self.coeff,
-            tuple(sorted(self.factors, key=lambda m: m.sort_key())),
-            self.decorated,
-            self.noise,
-            tuple(sorted(self.c, key=lambda t: t[0].sort_key())) if self.c else None,
-        )
-
 
 def _make_term(kind, coeff, factors, decorated=None, noise=False, c=None):
     factors = tuple(sorted(factors, key=lambda m: m.sort_key()))
@@ -124,13 +118,6 @@ def _sub_indices(beta):
     for unit, count in units:
         out = [base + i * unit for base in out for i in range(count + 1)]
     return out
-
-
-def _factor_pool(beta):
-    """Populated sub-indices of beta, the admissible plain/derived factors."""
-    pool = [m for m in _sub_indices(beta) if m and is_populated(m)]
-    pool.sort(key=lambda m: m.sort_key())
-    return pool
 
 
 def _splits(rest, parts, pool, start=0):
@@ -191,53 +178,41 @@ def expand(beta, params, mode="raw"):
                 f"decoration {n} has arity {len(n)}, expected {params.arity}"
             )
 
-    pool = _factor_pool(beta)
-    terms = []
+    subs = _sub_indices(beta)
+    pool = [m for m in subs if m and is_populated(m)]
+    pool.sort(key=lambda m: m.sort_key())
 
-    # quasi family: e_k + (k plain) + (1 GradLap factor) = beta
-    for k, _count in beta.a:
-        rest0 = beta.minus(e(k))
-        for dec in pool:
-            r = rest0.minus(dec)
+    # heads (kind, removed part, plain count, columns): e_k + (k plain) +
+    # (1 GradLap factor), f_l + (l plain), and sigma + (m plain) + (1 Grad
+    # factor) with m fixed by sigma, each summing to beta
+    heads = [("quasi", e(k), k, None) for k, _ in beta.a]
+    heads += [("noise", f(l), l, None) for l, _ in beta.b]
+    for sigma in subs:
+        m = sigma.a_weight() + sigma.b_weight() - sigma.b_count()
+        if not sigma or sigma.p or m < 0:
+            continue
+        kept = [
+            (gamma, w)
+            for gamma, w in d0_power_row(sigma, m).items()
+            if keeps_counterterm(gamma, params, mode)
+        ]
+        if kept:
+            heads.append(("counter", sigma, m, kept))
+
+    terms = []
+    for kind, head, parts, c in heads:
+        rest0 = beta.minus(head)
+        for dec in [None] if kind == "noise" else pool:
+            r = rest0 if dec is None else rest0.minus(dec)
             if r is None:
                 continue
-            for plain in _splits(r, k, pool):
-                coeff = Fraction(_ordered_count(plain))
-                terms.append(_make_term("quasi", coeff, plain, decorated=dec))
-
-    # noise family: f_l + (l plain) = beta, times the mollified noise
-    for l, _count in beta.b:
-        rest0 = beta.minus(f(l))
-        for plain in _splits(rest0, l, pool):
-            coeff = Fraction(_ordered_count(plain))
-            terms.append(_make_term("noise", coeff, plain, noise=True))
-
-    # counter family: (m plain) + (1 Grad factor) + sigma = beta, with the
-    # (D0)^m row of sigma substituted into the constant vector
-    for sigma in _sub_indices(beta):
-        if not sigma or sigma.p:
-            continue
-        rest0 = beta.minus(sigma)
-        max_m = rest0.a_count() + rest0.b_count() + rest0.p_count() - 1
-        for m in range(max_m + 1):
-            row = d0_power_row(sigma, m)
-            kept = [
-                (gamma, w)
-                for gamma, w in row.items()
-                if keeps_counterterm(gamma, params, mode)
-            ]
-            if not kept:
-                continue
-            for dec in pool:
-                r = rest0.minus(dec)
-                if r is None:
-                    continue
-                for plain in _splits(r, m, pool):
+            for plain in _splits(r, parts, pool):
+                if kind == "counter":
                     mults = _multiplicities(plain)
-                    coeff = Fraction(-1, prod(factorial(c) for c in mults))
-                    terms.append(
-                        _make_term("counter", coeff, plain, decorated=dec, c=kept)
-                    )
+                    coeff = Fraction(-1, prod(factorial(n) for n in mults))
+                else:
+                    coeff = Fraction(_ordered_count(plain))
+                terms.append(_make_term(kind, coeff, plain, dec, kind == "noise", c))
 
     terms.sort(key=lambda t: t.sort_key())
     _check_triangular(beta, terms, params)
@@ -439,39 +414,6 @@ def term_to_json(term):
             {"gamma": format_multiindex(gamma), "weight": w} for gamma, w in term.c
         ]
     return doc
-
-
-def term_from_json(doc, arity=None):
-    kind = doc["kind"]
-    if kind not in KIND_RANK:
-        raise ConfigError(f"unknown term kind {kind!r}")
-    decorated = None
-    if doc.get("decorated") is not None:
-        decorated = parse_multiindex(doc["decorated"]["beta"], expected_arity=arity)
-    elif kind in ("quasi", "counter"):
-        raise ConfigError(f"{kind} terms need a decorated factor")
-    c = None
-    if doc.get("c") is not None:
-        c = [
-            (parse_multiindex(ent["gamma"], expected_arity=arity), int(ent["weight"]))
-            for ent in doc["c"]
-        ]
-    term = _make_term(
-        kind,
-        Fraction(doc["coeff"]),
-        [parse_multiindex(s, expected_arity=arity) for s in doc["factors"]],
-        decorated=decorated,
-        noise=bool(doc.get("noise", False)),
-        c=c,
-    )
-    if doc.get("decorated") is not None:
-        tag = doc["decorated"].get("dec")
-        if tag != term.derivative():
-            raise ConfigError(
-                f"derivative tag {tag!r} does not match kind {kind!r} "
-                f"(expected {term.derivative()!r})"
-            )
-    return term
 
 
 def expansion_to_json(params, entries, mode="raw"):

@@ -124,17 +124,6 @@ class Multiindex:
     def b_weight(self):
         return sum(l * c for l, c in self.b)
 
-    def atoms(self):
-        """All unit constituents with multiplicity, as a flat list."""
-        out = []
-        for k, c in self.a:
-            out.extend([e(k)] * c)
-        for l, c in self.b:
-            out.extend([f(l)] * c)
-        for n, c in self.p:
-            out.extend([g(n)] * c)
-        return out
-
     def sort_key(self):
         return (self.a, self.b, self.p)
 

@@ -24,12 +24,14 @@ from tfrenorm.group import (
 )
 from tfrenorm.indices import (
     ModelParams,
+    Multiindex,
     aniso_degree,
     e,
     enumerate_populated,
     f,
     g,
     homogeneity,
+    keeps_counterterm,
     order_length,
     parse_multiindex,
 )
@@ -188,8 +190,28 @@ def test_d0_power_row_matches_iterated_entries():
 def test_d0_power_row_support_restriction():
     full = d0_power_row(P("e1+f1"), 1)
     assert full == {P("e0+f1"): 1, P("e1+f0"): 1}
-    assert d0_power_row(P("e1+f1"), 1, c_support=[P("e1+f0")]) == {P("e1+f0"): 1}
-    assert d0_power_row(P("e1+f1"), 1, c_support=[]) == {}
+
+
+def _slots(min_size):
+    return st.dictionaries(
+        st.integers(0, 3), st.integers(1, 2), min_size=min_size, max_size=2
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slots(0), _slots(1), st.integers(0, 6))
+def test_only_the_derived_power_keeps_counterterm_columns(a, b, m):
+    # D0 lowers a_weight + b_weight by one and keeps the slot counts, so a
+    # column with weight = noise count sits only in the row of that power
+    sigma = Multiindex(tuple(a.items()), tuple(b.items()))
+    row = d0_power_row(sigma, m)
+    if any(
+        keeps_counterterm(gamma, PARAMS, mode)
+        for gamma in row
+        for mode in ("raw", "reduced")
+    ):
+        assert m == sigma.a_weight() + sigma.b_weight() - sigma.b_count()
+        assert all(gm.a_weight() + gm.b_weight() == gm.b_count() for gm in row)
 
 
 # ---------------------------------------------------------------------------

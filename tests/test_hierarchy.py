@@ -11,6 +11,8 @@ from tfrenorm import hierarchy
 from tfrenorm.errors import ConfigError
 from tfrenorm.group import d0_power_row
 from tfrenorm.hierarchy import (
+    KIND_RANK,
+    HierarchyTerm,
     build_dag,
     c_dependencies,
     dependencies,
@@ -18,7 +20,6 @@ from tfrenorm.hierarchy import (
     expansion_to_json,
     render_expansion,
     render_term,
-    term_from_json,
     term_to_json,
 )
 from tfrenorm.indices import (
@@ -39,6 +40,48 @@ PARAMS = ModelParams(alpha=0.55, d=1)
 P = parse_multiindex
 
 
+def term_from_json(doc, arity=None):
+    """Parse one serialised term, checking its kind and derivative tag."""
+    kind = doc["kind"]
+    if kind not in KIND_RANK:
+        raise ConfigError(f"unknown term kind {kind!r}")
+    decorated = None
+    if doc.get("decorated") is not None:
+        decorated = parse_multiindex(doc["decorated"]["beta"], expected_arity=arity)
+    elif kind in ("quasi", "counter"):
+        raise ConfigError(f"{kind} terms need a decorated factor")
+    c = None
+    if doc.get("c") is not None:
+        c = tuple(
+            (parse_multiindex(ent["gamma"], expected_arity=arity), int(ent["weight"]))
+            for ent in doc["c"]
+        )
+    factors = tuple(parse_multiindex(s, expected_arity=arity) for s in doc["factors"])
+    term = HierarchyTerm(
+        kind, Fraction(doc["coeff"]), factors, decorated, bool(doc.get("noise")), c
+    )
+    if doc.get("decorated") is not None:
+        tag = doc["decorated"].get("dec")
+        if tag != term.derivative():
+            raise ConfigError(
+                f"derivative tag {tag!r} does not match kind {kind!r} "
+                f"(expected {term.derivative()!r})"
+            )
+    return term
+
+
+def canon(t):
+    """Hashable normal form used for multiset comparison of term lists."""
+    return (
+        t.kind,
+        t.coeff,
+        tuple(sorted(t.factors, key=lambda m: m.sort_key())),
+        t.decorated,
+        t.noise,
+        tuple(sorted(t.c, key=lambda c: c[0].sort_key())) if t.c else None,
+    )
+
+
 def expansion_from_json(doc):
     """Parse a serialised expansion; returns (meta, {beta: [terms]})."""
     meta = {key: doc[key] for key in ("alpha", "d", "lam", "mode")}
@@ -52,7 +95,7 @@ def expansion_from_json(doc):
 
 def same_terms(got, want):
     """Multiset equality of two term lists (exact coefficients)."""
-    return Counter(t.canon() for t in got) == Counter(t.canon() for t in want)
+    return Counter(map(canon, got)) == Counter(map(canon, want))
 
 
 def fixture_doc():
@@ -174,7 +217,7 @@ def test_terms_are_unique_and_sorted():
         terms = expand(beta, PARAMS)
         keys = [t.sort_key() for t in terms]
         assert keys == sorted(keys)
-        assert len(set(t.canon() for t in terms)) == len(terms)
+        assert len(set(map(canon, terms))) == len(terms)
 
 
 def test_triangularity_of_dependencies():
@@ -228,6 +271,26 @@ def test_expand_preconditions():
 
 def test_expand_accepts_grammar_strings():
     assert same_terms(expand("f0+f1", PARAMS), expand(P("f0+f1"), PARAMS))
+
+
+def test_expand_asks_one_power_per_sigma(monkeypatch):
+    doc = fixture_doc()
+    params = ModelParams(alpha=doc["alpha"], d=doc["d"], lam=doc["lam"])
+    betas = [P(ent["beta"]) for ent in doc["entries"]]
+    deepest = max(betas, key=lambda m: order_length(m, params))
+    calls = []
+    original = hierarchy.d0_power_row
+
+    def recorded(sigma, m):
+        calls.append((sigma, m))
+        return original(sigma, m)
+
+    monkeypatch.setattr(hierarchy, "d0_power_row", recorded)
+    expand(deepest, params, mode=doc["mode"])
+    sigmas = [sigma for sigma, _m in calls]
+    assert calls and len(set(sigmas)) == len(sigmas)
+    for sigma, m in calls:
+        assert m == sigma.a_weight() + sigma.b_weight() - sigma.b_count()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +373,7 @@ def test_term_json_round_trip():
     for beta in all_expandable(PARAMS, 3.0):
         for t in expand(beta, PARAMS):
             back = term_from_json(term_to_json(t), arity=PARAMS.arity)
-            assert back.canon() == t.canon()
+            assert canon(back) == canon(t)
 
 
 def test_expansion_json_round_trip():
