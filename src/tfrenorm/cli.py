@@ -152,8 +152,11 @@ def _merge(args, opts):
 def _emit(text, path):
     if path in (None, "-"):
         print(text)
-    else:
+        return
+    try:
         Path(path).write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 
 
 def _to_json(doc):
@@ -334,7 +337,6 @@ def run_counterterm(cfg):
         counterterm_table(
             covariance_spec(cfg["alpha"], m0),
             mollifier_spec(cfg["mollifier"], tau, eta=cfg["eta"], m0=m0),
-            epsrel=cfg["epsrel"],
         )
         for tau in cfg["tau"]
         for m0 in cfg["m0"]
@@ -351,7 +353,7 @@ def run_h_eval(cfg):
 
     cov = covariance_spec(cfg["alpha"], cfg["m0"])
     moll = mollifier_spec(cfg["mollifier"], cfg["tau"], eta=cfg["eta"], m0=cfg["m0"])
-    table = counterterm_table(cov, moll, epsrel=cfg["epsrel"])
+    table = counterterm_table(cov, moll)
     value = counterterm_h(cfg["a"], cfg["a_prime"], cfg["b"], cfg["b_prime"], table)
     return _to_json(
         {
@@ -511,7 +513,6 @@ _SUBCOMMANDS = {
             _Opt("mollifier", _choice("semigroup", "anisotropic"),
                  default="semigroup", help="mollifier family"),
             _Opt("eta", _float, default="2.0", help="anisotropic aspect exponent"),
-            _Opt("epsrel", _float, default="1e-9", help="quadrature tolerance"),
         ],
         "finite-tau counterterm constants; a sweep runs serially in (tau, m0) order",
     ),
@@ -523,7 +524,6 @@ _SUBCOMMANDS = {
             _Opt("a_prime", _float, required=True, help="derivative a'(u)"),
             _Opt("b", _float, required=True, help="noise coefficient b(u)"),
             _Opt("b_prime", _float, required=True, help="derivative b'(u)"),
-            _Opt("epsrel", _float, default="1e-9", help="quadrature tolerance"),
         ],
         "pointwise counterterm h from the constant table",
     ),

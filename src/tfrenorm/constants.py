@@ -29,13 +29,12 @@ eigensolver (LAPACK stevd), whose rules integrate smooth test functions
 to 21 ulp for n = 64 to 256.  The MRRR solver (stemr) missed by up to 490
 ulp, shared by the n and 2n rules, so their comparison cannot see it.
 The n x n rule is compared with the 2n x 2n rule, from n = 32,
-doubling up to 256 while a value moves by more than epsrel of itself.
+doubling up to 256 while a value moves by more than 1e-9 of itself.
 The error estimate is that move plus the tail bound plus a rounding floor
 of 50 ulp of the integral of |f|: on 4000 seeded semigroup tables (alpha
 0.5001-0.999, m0 0.1-10, tau 1e-12-10) the gap to the exact scaling law
-needed at most 29 ulp of it beyond move and tail.  epsrel is the accuracy
-asked for, the error what was reached, and a table whose error exceeds
-1e-3 of a value is refused.
+needed at most 29 ulp of it beyond move and tail.  A table whose error
+exceeds 1e-3 of a value is refused.
 """
 
 import math
@@ -48,10 +47,12 @@ from scipy.special import gammaincc
 
 from .errors import ConfigError, ConsistencyError, NumericError
 from .indices import e, f, homogeneity, is_c_populated
-from .kernel import TWO_PI
+from .kernel import TWO_PI, symbol_LLstar
 
 _TAIL_CUT = 1e-18
 _LOG_TAIL = -math.log(_TAIL_CUT)
+# the doubling stops once no value moves by more than this share of itself
+_STOP_MOVE = 1e-9
 
 # constant vector columns carrying the three nonzero entries
 C1_INDEX = e(1) + f(0) + f(1)
@@ -74,62 +75,74 @@ class CovarianceSpec:
     shape: the quadrature and the noise sampler evaluate whole meshes.
     """
 
-    kind: str
     alpha: float
     m0: float
     evaluator: object
     d_evaluator: object = None
 
 
-def covariance_spec(alpha, m0=1.0, kind="paper_default", evaluator=None,
-                    d_evaluator=None):
-    """Build a CovarianceSpec; the default family is Q(k)^{-(2 alpha - 1)/8}
-    with Q = (2 pi k0)^2 + m0^2 (2 pi k1)^8."""
+def covariance_spec(alpha, m0=1.0):
+    """The paper's covariance FC = Q(k)^{-(2 alpha - 1)/8}, where
+    Q = (2 pi k0)^2 + m0^2 (2 pi k1)^8 is the symbol of LL*."""
     alpha = float(alpha)
     m0 = float(m0)
     if not 0.5 < alpha < 1.0:
         raise ConfigError(f"covariance exponent needs alpha in (1/2, 1), got {alpha}")
     if m0 <= 0:
         raise ConfigError(f"m0 must be positive, got {m0}")
-    if kind == "paper_default":
-        eps = 2.0 * alpha - 1.0
-        msq = m0 * m0
+    power = -(2.0 * alpha - 1.0) / 8.0
+    msq = m0 * m0
 
-        def evaluator(k0, k1):
-            q_val = (TWO_PI * k0) ** 2 + msq * (TWO_PI * k1) ** 8
-            return q_val ** (-eps / 8.0)
+    def evaluator(k0, k1):
+        return symbol_LLstar((k0, k1), m0) ** power
 
-        def d_evaluator(k0, k1):
-            q_val = (TWO_PI * k0) ** 2 + msq * (TWO_PI * k1) ** 8
-            grad = 16.0 * math.pi * msq * (TWO_PI * k1) ** 7
-            return q_val ** (-eps / 8.0) * (-(eps / 8.0) * grad / q_val)
+    def d_evaluator(k0, k1):
+        q_val = symbol_LLstar((k0, k1), m0)
+        grad = 16.0 * math.pi * msq * (TWO_PI * k1) ** 7
+        return q_val**power * (power * grad / q_val)
 
-        return CovarianceSpec(kind, alpha, m0, evaluator, d_evaluator)
-    if kind == "custom":
-        if evaluator is None:
-            raise ConfigError("custom covariance needs an evaluator")
-        return CovarianceSpec(kind, alpha, m0, evaluator, d_evaluator)
-    raise ConfigError(f"unknown covariance kind {kind!r}")
+    return CovarianceSpec(alpha, m0, evaluator, d_evaluator)
 
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Squared Fourier symbol |Fphi_tau|^2 of the mollifier.
+    """Squared Fourier symbol of the mollifier, given by two rates:
 
-    semigroup:   exp(-tau * ((2 pi k0)^2 + m0^2 (2 pi k1)^8)), the kernel
-                 semigroup at time tau/2 applied twice;
-    anisotropic: exp(-tau (2 pi k1)^8 - tau^eta (2 pi k0)^2) with eta > 1,
-                 mollifying space on scale tau^{1/8} but time much less.
+        |Fphi_tau|^2 = exp(-time_rate (2 pi k0)^2 - space_rate (2 pi k1)^8).
 
-    dlog_dk1 is the analytic k1-derivative of log squared_symbol.
+    semigroup:   (time_rate, space_rate) = (tau, tau m0^2), so that
+                 |Fphi_tau|^2 = exp(-tau Q) is the kernel semigroup at
+                 time tau/2 applied twice;
+    anisotropic: (tau^eta, tau) with eta > 1, mollifying space on scale
+                 tau^{1/8} but time much less.
+
+    kind, tau, eta and m0 record the family and the parameters the rates
+    came from.
     """
 
     kind: str
     tau: float
     eta: object
     m0: float
-    squared_symbol: object
-    dlog_dk1: object
+    time_rate: float
+    space_rate: float
+
+    def squared_symbol(self, k0, k1):
+        # np.exp keeps the symbol usable on whole frequency meshes
+        return np.exp(
+            -self.time_rate * (TWO_PI * k0) ** 2 - self.space_rate * (TWO_PI * k1) ** 8
+        )
+
+    def dlog_dk1(self, k0, k1):
+        """The analytic k1-derivative of log squared_symbol."""
+        return -16.0 * math.pi * self.space_rate * (TWO_PI * k1) ** 7
+
+    def ray_rate(self, u, root):
+        """The rate c(u) with squared_symbol = exp(-c(u) r^8) on the ray
+        2 pi k0 = r^4 root, 2 pi k1 = r u, where root = sqrt(1 - u^8)."""
+        # (u^4)^2 rounds like q(u) in _tensor_rule: at m0 = 1 the semigroup
+        # rate is tau q(u) to the last bit
+        return self.space_rate * (u**4) ** 2 + self.time_rate * root**2
 
 
 def mollifier_spec(kind, tau, eta=2.0, m0=1.0):
@@ -140,52 +153,28 @@ def mollifier_spec(kind, tau, eta=2.0, m0=1.0):
     if m0 <= 0:
         raise ConfigError(f"m0 must be positive, got {m0}")
     if kind == "semigroup":
-        msq = m0 * m0
-
-        def squared_symbol(k0, k1):
-            # np.exp keeps the symbol usable on whole frequency meshes
-            return np.exp(
-                -tau * ((TWO_PI * k0) ** 2 + msq * (TWO_PI * k1) ** 8)
-            )
-
-        def dlog_dk1(k0, k1):
-            return -16.0 * math.pi * tau * msq * (TWO_PI * k1) ** 7
-
-        return MollifierSpec(kind, tau, None, m0, squared_symbol, dlog_dk1)
+        return MollifierSpec(kind, tau, None, m0, tau, tau * m0 * m0)
     if kind == "anisotropic":
         eta = float(eta)
         if eta <= 1:
             raise ConfigError(f"anisotropic mollifier needs eta > 1, got {eta}")
-        tau_eta = tau**eta
-
-        def squared_symbol(k0, k1):
-            return np.exp(
-                -tau * (TWO_PI * k1) ** 8 - tau_eta * (TWO_PI * k0) ** 2
-            )
-
-        def dlog_dk1(k0, k1):
-            return -16.0 * math.pi * tau * (TWO_PI * k1) ** 7
-
-        return MollifierSpec(kind, tau, eta, m0, squared_symbol, dlog_dk1)
+        return MollifierSpec(kind, tau, eta, m0, tau**eta, tau)
     raise ConfigError(f"unknown mollifier kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# full integrals at finite (m0, tau)
-# ---------------------------------------------------------------------------
-
-
-def _check_pair(cov, moll):
+def check_semigroup_m0(cov, moll):
+    """A semigroup mollifier is exp(-tau Q) with the operator's own m0, so
+    it must have been built for the covariance's m0."""
     if moll.kind == "semigroup" and abs(moll.m0 - cov.m0) > 1e-12 * cov.m0:
         raise ConfigError(
             f"semigroup mollifier was built for m0={moll.m0}, "
             f"covariance has m0={cov.m0}"
         )
-    if cov.d_evaluator is None:
-        raise ConfigError(
-            "the c2 integral needs the analytic k1-derivative of the "
-            "covariance; custom covariances must supply d_evaluator"
-        )
+
+
+# ---------------------------------------------------------------------------
+# full integrals at finite (m0, tau)
+# ---------------------------------------------------------------------------
 
 
 def _tail_bound(a_power, rate, r_max):
@@ -265,11 +254,7 @@ def _tensor_rule(cov, moll, n):
     # q = m0^2 u^8 + (1 - u^8) as a sum of positive terms: 1 - (1 - m0^2) u^8
     # would lose a factor 1/m0^2 of accuracy to cancellation near u = 1
     q_val = (cov.m0 * u**4) ** 2 + root**2
-    # decay rate c in the envelope |Fphi_tau|^2 <= exp(-c r^8) along u
-    if moll.kind == "semigroup":
-        rate = moll.tau * q_val
-    else:
-        rate = moll.tau * u**8 + moll.tau**moll.eta * root**2
+    rate = moll.ray_rate(u, root)  # |Fphi_tau|^2 = exp(-rate r^8) along u
     r_max = (_LOG_TAIL / rate) ** 0.125
     wt = wt * t**eps  # the mesh values carry the t^-eps the weights already hold
     inner = np.empty((2, 3, n))  # the r-integrals of f and of |f| per u row
@@ -289,20 +274,20 @@ def _tensor_rule(cov, moll, n):
     return integrals, np.array(tails) + rounding
 
 
-def _c2_imaginary_residue(cov, moll, points=12):
+def _c2_imaginary_residue(cov, moll):
     """Midpoint-rule value of the odd (imaginary) part of the c2 integrand.
 
     The term -2*pi*i*k0 * (k1/Q) * d_k1 FF is odd in k0, so its integral
     over a symmetric grid cancels pairwise; a nonzero residue signals a
     parity defect in the covariance or mollifier implementation.
     """
-    k1_max = (_LOG_TAIL / moll.tau) ** 0.125 / TWO_PI
-    t0 = moll.tau if moll.kind == "semigroup" else moll.tau**moll.eta
-    k0_max = math.sqrt(_LOG_TAIL / t0) / TWO_PI
+    points = 12
+    k0_max = math.sqrt(_LOG_TAIL / moll.time_rate) / TWO_PI
+    k1_max = (_LOG_TAIL / moll.space_rate) ** 0.125 / TWO_PI
     mid = (np.arange(points) + 0.5) / points
     mirrored = np.concatenate([mid, -mid])  # the midpoints and their mirror images
     a0, a1 = np.meshgrid(mirrored * k0_max, mirrored * k1_max, indexing="ij")
-    q_val = (TWO_PI * a0) ** 2 + cov.m0**2 * (TWO_PI * a1) ** 8
+    q_val = symbol_LLstar((a0, a1), cov.m0)
     deriv = moll.squared_symbol(a0, a1) * (
         _on_mesh(cov.d_evaluator, a0, a1)
         + _on_mesh(cov.evaluator, a0, a1) * moll.dlog_dk1(a0, a1)
@@ -334,17 +319,22 @@ class CountertermTable:
     eta: object = None
 
 
-def counterterm_table(cov, moll, epsrel=1e-9):
+def counterterm_table(cov, moll):
     """Evaluate all three constants into a CountertermTable by the doubling
     tensor rule of the module docstring; asserts that the imaginary part of
     the c2 integrand cancels."""
-    _check_pair(cov, moll)
+    check_semigroup_m0(cov, moll)
+    if cov.d_evaluator is None:
+        raise ConfigError(
+            "the c2 integral needs the analytic k1-derivative of the "
+            "covariance; a CovarianceSpec must supply d_evaluator"
+        )
     with np.errstate(all="ignore"):
         coarse, _ = _tensor_rule(cov, moll, 32)
         for n in (64, 128, 256):
             fine, floors = _tensor_rule(cov, moll, n)
             move = np.abs(fine - coarse)
-            if np.all(move <= epsrel * np.abs(fine)):
+            if np.all(move <= _STOP_MOVE * np.abs(fine)):
                 break
             coarse = fine
     scale = np.array([16.0, 16.0 * cov.m0 / TWO_PI, -48.0 * cov.m0]) / TWO_PI**2
@@ -390,6 +380,14 @@ def sweep_csv(tables):
 # ---------------------------------------------------------------------------
 
 
+def _sigma(alpha, mollifier_kind):
+    """The power sigma of u in the universal integrals: 1 for the semigroup
+    family, 2 alpha - 1 for the anisotropic one."""
+    if mollifier_kind not in ("semigroup", "anisotropic"):
+        raise ConfigError(f"unknown mollifier kind {mollifier_kind!r}")
+    return 1.0 if mollifier_kind == "semigroup" else 2.0 * alpha - 1.0
+
+
 def C_constants_with_errors(alpha, mollifier_kind):
     """((C1, err1), (C2, err2), (C3, err3)): universal constants in closed form.
 
@@ -418,9 +416,7 @@ def C_constants_with_errors(alpha, mollifier_kind):
         raise ConfigError(
             f"universal constants need alpha in [1/2, 1), got {alpha}"
         )
-    if mollifier_kind not in ("semigroup", "anisotropic"):
-        raise ConfigError(f"unknown mollifier kind {mollifier_kind!r}")
-    sigma = 1.0 if mollifier_kind == "semigroup" else 2.0 * alpha - 1.0
+    sigma = _sigma(alpha, mollifier_kind)
     # 2 - 2 alpha = 1 - eps is exact for alpha in [1/2, 1)
     p_val = (
         math.gamma((2.0 - 2.0 * alpha) / 8.0) * math.gamma((4.0 + sigma) / 8.0)
@@ -441,34 +437,24 @@ def eval_C_constants(alpha, mollifier_kind):
 # scaling laws
 # ---------------------------------------------------------------------------
 
-_M0_EXPONENTS = {
-    "semigroup": {
-        C1_INDEX: lambda alpha: -1.25,
-        C2_INDEX: lambda alpha: -0.25,
-        C3_INDEX: lambda alpha: -2.25,
-    },
-    "anisotropic": {
-        C1_INDEX: lambda alpha: -(2.0 * alpha + 3.0) / 4.0,
-        C2_INDEX: lambda alpha: -(2.0 * alpha - 1.0) / 4.0,
-        C3_INDEX: lambda alpha: -(2.0 * alpha + 7.0) / 4.0,
-    },
-}
-
-
 def scaling_exponents(beta_c, params, mollifier_kind="semigroup"):
     """(tau exponent, m0 exponent or None) of the constant at beta_c.
 
     The tau exponent (|beta| - alpha - 2)/8 comes from the homogeneity
     bound and equals (2 alpha - 2)/8 for the three nonzero constants; the
-    m0 exponent is known only for those three (other constants vanish).
+    m0 exponent is known only for those three (other constants vanish):
+    -(sigma + 4)/4, -sigma/4 and -(sigma + 8)/4, with the sigma of
+    C_constants_with_errors.
     """
-    if mollifier_kind not in _M0_EXPONENTS:
-        raise ConfigError(f"unknown mollifier kind {mollifier_kind!r}")
+    sigma = _sigma(params.alpha, mollifier_kind)
     if not is_c_populated(beta_c, params):
         raise ConfigError("scaling exponents need a constant-carrying index")
     tau_exp = (homogeneity(beta_c, params) - params.alpha - 2.0) / 8.0
-    entry = _M0_EXPONENTS[mollifier_kind].get(beta_c)
-    m0_exp = entry(params.alpha) if entry is not None else None
+    m0_exp = {
+        C1_INDEX: -(sigma + 4.0) / 4.0,
+        C2_INDEX: -sigma / 4.0,
+        C3_INDEX: -(sigma + 8.0) / 4.0,
+    }.get(beta_c)
     return tau_exp, m0_exp
 
 

@@ -369,25 +369,35 @@ def _value_to_json(v):
 def _value_from_json(v):
     if isinstance(v, str):
         num, _, den = v.partition("/")
-        return Fraction(int(num), int(den or "1"))
-    return v
+        try:
+            return Fraction(int(num), int(den or "1"))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"structure-map value {v!r} is not a fraction") from None
+    if type(v) in (int, float):
+        return v
+    raise ConfigError(f"structure-map value {v!r} is not a number or a fraction string")
 
 
 def structure_map_from_json(doc, params=None):
+    """Inverse of structure_map_to_json; a malformed document is a ConfigError."""
     from .indices import ModelParams
 
-    if params is None:
-        params = ModelParams(
-            alpha=doc["alpha"], d=doc["d"], lam=doc.get("lam", 0.4),
-            allow_rational_alpha=True,
-        )
-    pi = {}
-    for fam in doc["families"]:
-        entries = {
-            parse_multiindex(ent["beta"], expected_arity=params.arity): _value_from_json(
-                ent["value"]
+    try:
+        if params is None:
+            params = ModelParams(
+                alpha=float(doc["alpha"]), d=doc["d"], lam=float(doc.get("lam", 0.4)),
+                allow_rational_alpha=True,
             )
-            for ent in fam["entries"]
+        pi = {
+            tuple(int(i) for i in fam["n"]): {
+                parse_multiindex(ent["beta"], expected_arity=params.arity):
+                    _value_from_json(ent["value"])
+                for ent in fam["entries"]
+            }
+            for fam in doc["families"]
         }
-        pi[tuple(fam["n"])] = entries
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"malformed structure map: {type(exc).__name__}: {exc}"
+        ) from None
     return StructureMap(params, pi)

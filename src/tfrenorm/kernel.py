@@ -202,26 +202,21 @@ def real_defect(field):
 # ---------------------------------------------------------------------------
 
 
-def _as_axes(k):
-    return [np.asarray(part, dtype=float) for part in k]
-
-
 def symbol_LLstar(k, m0):
-    """Symbol of -d_0^2 + m0^2 Delta^4 at frequency k = (k0, k1, ..., kd)."""
+    """Symbol of -d_0^2 + m0^2 Delta^4 at frequency k = (k0, k1, ..., kd),
+    whose entries are numbers or numpy arrays that broadcast together."""
     if m0 <= 0:
         raise ConfigError(f"m0 must be positive, got {m0}")
-    parts = _as_axes(k)
-    lap = sum((TWO_PI * ki) ** 2 for ki in parts[1:])
-    return (TWO_PI * parts[0]) ** 2 + m0**2 * lap**4
+    lap = sum([(TWO_PI * ki) ** 2 for ki in k[1:]])
+    return (TWO_PI * k[0]) ** 2 + m0**2 * lap**4
 
 
 def symbol_L(k, m0):
     """Symbol of d_0 + m0 Delta^2; |symbol_L|^2 = symbol_LLstar."""
     if m0 <= 0:
         raise ConfigError(f"m0 must be positive, got {m0}")
-    parts = _as_axes(k)
-    lap = sum((TWO_PI * ki) ** 2 for ki in parts[1:])
-    return TWO_PI * 1j * parts[0] + m0 * lap**2
+    lap = sum([(TWO_PI * ki) ** 2 for ki in k[1:]])
+    return TWO_PI * 1j * k[0] + m0 * lap**2
 
 
 def psi_hat(t, k, m0):
@@ -364,19 +359,19 @@ def scaling_defect(grid, t, m0=1.0, sigma=2):
     return float(np.linalg.norm(mapped - fine_win) / np.linalg.norm(fine_win))
 
 
-def moment_bound_spreads(grid, times, m0=1.0, orders_list=None, thetas=(-1, 0, 1)):
+def moment_bound_spreads(grid, times, m0=1.0):
     """max/min - 1 of the moment ratios over the time window, per (n, theta).
 
     The ratio is the grid value of
     t^{(|n|-theta)/8} integral |d^n psi_t(z)| (t^{1/8}+|z|_s)^theta dz,
-    which the kernel bound keeps below a constant uniformly in t.  One
-    transform per (t, n) pair is shared across the theta values, which is
-    what makes the full sweep cheap enough to run routinely.
+    which the kernel bound keeps below a constant uniformly in t, for the
+    spatial derivatives n = (0, 0), ..., (0, 3) (|n| = 4 n0 + n1 <= 3) and
+    theta in {-1, 0, 1}.  One transform per (t, n) pair is shared across
+    the theta values, which is what makes the full sweep cheap enough to
+    run routinely.
     """
-    if orders_list is None:
-        if grid.d != 1:
-            raise ConfigError("default derivative orders are wired for d = 1")
-        orders_list = [(0, n1) for n1 in range(4)]  # |n| = 4 n0 + n1 <= 3
+    if grid.d != 1:
+        raise ConfigError("the moment derivative orders are wired for d = 1")
     coords = [grid.coordinates(axis, centered=True) for axis in range(grid.d + 1)]
     mesh = np.meshgrid(*coords, indexing="ij", sparse=True)
     base_norm = aniso_norm(mesh)
@@ -384,11 +379,11 @@ def moment_bound_spreads(grid, times, m0=1.0, orders_list=None, thetas=(-1, 0, 1
     acc = {}
     for t in np.asarray(times, dtype=float):
         hat = psi_hat(t, freq, m0)
-        for orders in orders_list:
+        for orders in [(0, n1) for n1 in range(4)]:
             dpsi = derivative(SpectralField(grid, hat, "fourier"), orders)
             magnitude = np.abs(dpsi.to_physical().values)
             aniso_order = 4 * orders[0] + sum(orders[1:])
-            for theta in thetas:
+            for theta in (-1, 0, 1):
                 weight = (t**0.125 + base_norm) ** theta
                 integral = float(np.sum(magnitude * weight) * grid.cell)
                 ratio = t ** ((aniso_order - theta) / 8.0) * integral
@@ -396,8 +391,9 @@ def moment_bound_spreads(grid, times, m0=1.0, orders_list=None, thetas=(-1, 0, 1
     return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
 
 
-def inversion_residual(grid, m0=1.0, seed=0, band_limit=None):
-    """(residual, realness) of solve_L_div on random real input.
+def inversion_residual(grid, m0=1.0, seed=0):
+    """(residual, realness) of solve_L_div on random real input, band
+    limited to the wavenumbers |j| < N_i/4 on each axis.
 
     residual -- relative gap ||symbol_L u_hat - div_hat|| / ||div_hat|| in
                 Fourier space, zero mode removed, where u_hat comes from
@@ -406,19 +402,16 @@ def inversion_residual(grid, m0=1.0, seed=0, band_limit=None):
                 every nonzero mode, so it sits at rounding level, but it
                 checks neither the transforms nor the divergence itself
     realness -- real_defect of u: the part of its spectrum no real field has
-    band_limit keeps wavenumbers |j| < N_i/band_limit per axis (None: all).
     """
     rng = np.random.default_rng(seed)
     mesh = grid.frequency_mesh()
     comps = []
     for _ in range(grid.d):
         field = SpectralField(grid, rng.standard_normal(grid.sizes), "physical")
-        if band_limit is not None:
-            hat = field.to_fourier().values
-            for k, box, n in zip(mesh, grid.boxes, grid.sizes):
-                hat = np.where(np.abs(np.rint(k * box)) < n / band_limit, hat, 0.0)
-            field = SpectralField(grid, hat, "fourier").to_physical()
-        comps.append(field)
+        hat = field.to_fourier().values
+        for k, box, n in zip(mesh, grid.boxes, grid.sizes):
+            hat = np.where(np.abs(np.rint(k * box)) < n / 4, hat, 0.0)
+        comps.append(SpectralField(grid, hat, "fourier").to_physical())
     u_hat = solve_L_div([c.to_fourier() for c in comps], m0)
     realness = real_defect(u_hat)
     div_hat = sum(
@@ -458,7 +451,7 @@ def kernel_checks(grid=None, m0=1.0, times=None, scaling_time=3e-13):
         ),
         "scaling": scaling_defect(grid, scaling_time, m0),
     }
-    residual, realness = inversion_residual(grid, m0, band_limit=4)
+    residual, realness = inversion_residual(grid, m0)
     out["inversion_residual"] = residual
     out["inversion_realness"] = realness
     out["moment_spread"] = moment_bound_spreads(grid, times, m0)
@@ -475,13 +468,16 @@ def dump_field(field, path):
     space} sidecar; a Fourier field is transformed first."""
     path = Path(path)
     field = field.to_physical()
-    np.ascontiguousarray(field.values, dtype="<f8").tofile(path)
     sidecar = {
         "sizes": list(field.grid.sizes),
         "boxes": list(field.grid.boxes),
         "space": field.space,
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=1) + "\n")
+    try:
+        np.ascontiguousarray(field.values, dtype="<f8").tofile(path)
+        Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=1) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the field dump {str(path)!r}: {exc}") from None
 
 
 def load_field(path):

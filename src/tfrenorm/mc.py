@@ -22,17 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _LOG_TAIL, _TAIL_CUT, _legendre, fit_log_slope
+from .constants import _LOG_TAIL, _TAIL_CUT, _legendre, check_semigroup_m0, fit_log_slope
 from .errors import ConfigError, NumericError
 from .kernel import (
     SpectralField,
     TWO_PI,
     convolve,
-    derivative,
     dump_field,
     psi_hat,
     solve_L_div,
     symbol_L,
+    symbol_LLstar,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -79,12 +79,7 @@ class NoiseSampler:
     def __post_init__(self):
         if self.moll.tau <= 0:
             raise ConfigError("mollifier scale must be positive")
-        if self.moll.kind == "semigroup" and abs(
-            self.moll.m0 - self.spec.m0
-        ) > 1e-12 * self.spec.m0:
-            raise ConfigError(
-                "semigroup mollifier and covariance disagree about m0"
-            )
+        check_semigroup_m0(self.spec, self.moll)
 
     def density(self):
         """Target density FF = FC |Fphi_tau|^2 on the grid; zero mode dropped.
@@ -152,8 +147,8 @@ def pi_f0(noise, x, m0=1.0):
     return SpectralField(grid, v - v[x], "physical")
 
 
-def pi_f0f1(noise, x, c_f1=0.0, m0=1.0):
-    """Quadratic component: L^{-1} div(pi_f0 . noise - c_f1 grad pi_f0), centered.
+def pi_f0f1(noise, x, m0=1.0):
+    """Quadratic component: L^{-1} div(pi_f0 . noise), centered.
 
     The zero mode of the forcing is dropped by the inversion, which is the
     torus substitute for the whole-space decay normalisation.
@@ -161,14 +156,10 @@ def pi_f0f1(noise, x, c_f1=0.0, m0=1.0):
     grid = noise[0].grid
     x = _base_index(grid, x)
     base = pi_f0(noise, x, m0)
-    forcing = []
-    for comp in range(grid.d):
-        vals = base.values * noise[comp].values
-        if c_f1:
-            orders = [0] * (grid.d + 1)
-            orders[1 + comp] = 1
-            vals = vals - c_f1 * derivative(base, orders).values
-        forcing.append(SpectralField(grid, vals, "physical"))
+    forcing = [
+        SpectralField(grid, base.values * noise[comp].values, "physical")
+        for comp in range(grid.d)
+    ]
     u = solve_L_div(forcing, m0).values
     return SpectralField(grid, u - u[x], "physical")
 
@@ -278,22 +269,23 @@ def covariance_check(sampler, lags=None, n_samples=256):
     """E[xi(x) xi(x+r)] against the pairing sum, averaged over base points.
 
     Each sample's average over base points comes for all lags at once from
-    its periodogram |xi_hat|^2 / vol (Wiener-Khinchin).
+    its periodogram |xi_hat|^2 / vol (Wiener-Khinchin).  A lag is read
+    modulo the grid sizes, so every default lag exists on any grid.
     """
     grid = sampler.grid
     lags = [tuple(int(i) for i in lag) for lag in (lags or _default_lags(grid))]
+    cells = [tuple(i % n for i, n in zip(lag, grid.sizes)) for lag in lags]
     oracle_field = _density_transform(grid, sampler.density())
-    oracles = [oracle_field[lag] for lag in lags]
+    oracles = [oracle_field[cell] for cell in cells]
     rows = []
     for i in range(n_samples):
         xi_hat = sample_noise(sampler, i)[0].to_fourier().values
         corr = _density_transform(grid, np.abs(xi_hat) ** 2 / grid.volume)
-        rows.append([float(corr[lag]) for lag in lags])
+        rows.append([float(corr[cell]) for cell in cells])
     return _batch_report("covariance", lags, rows, oracles)
 
 
-def pi_f0_second_moment_check(sampler, x=None, separations=None,
-                              n_samples=256, dump_path=None):
+def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     """E|pi_f0(y)|^2 against the exact Gaussian pairing sum.
 
     The oracle is 2(G(0) - G(y-x)) with G the inverse transform of the
@@ -302,27 +294,26 @@ def pi_f0_second_moment_check(sampler, x=None, separations=None,
     """
     grid = sampler.grid
     x = _base_index(grid, x)
-    if separations is None:
-        n_sp = grid.sizes[-1]
-        separations = [
-            (0,) * grid.d + (j,)
-            for j in sorted({int(v) for v in np.geomspace(1, n_sp // 3, 14)})
-        ]
-        separations += [
-            (j,) + (0,) * grid.d
-            for j in sorted({int(v) for v in np.geomspace(1, max(2, grid.sizes[0] // 3), 4)})
-        ]
-    separations = [tuple(int(i) for i in sep) for sep in separations]
+    separations = [
+        (0,) * grid.d + (j,)
+        for j in sorted({int(v) for v in np.geomspace(1, grid.sizes[-1] // 3, 14)})
+    ]
+    separations += [
+        (j,) + (0,) * grid.d
+        for j in sorted({int(v) for v in np.geomspace(1, max(2, grid.sizes[0] // 3), 4)})
+    ]
     mesh = grid.frequency_mesh()
-    sym = symbol_L(mesh, sampler.spec.m0)
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = sum(
             (TWO_PI * mesh[1 + i]) ** 2 for i in range(grid.d)
-        ) / np.abs(sym) ** 2
+        ) / symbol_LLstar(mesh, sampler.spec.m0)
     mult[(0,) * (grid.d + 1)] = 0.0
     g_field = _density_transform(grid, sampler.density() * mult)
     zero = (0,) * (grid.d + 1)
-    oracles = [2.0 * (g_field[zero] - g_field[sep]) for sep in separations]
+    oracles = [
+        2.0 * (g_field[zero] - g_field[tuple(si % n for si, n in zip(sep, grid.sizes))])
+        for sep in separations
+    ]
     rows = []
     mean_sq = None
     for i in range(n_samples):
@@ -348,7 +339,7 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     """MC estimate of the smoothed expectation E[(psi_t * Pi^-)(x)] per t.
 
     For f0 the integrand is the noise itself and the oracle vanishes; for
-    f0+f1 (with c_f1 = 0) the oracle is the pairing sum
+    f0+f1 the oracle is the pairing sum
     (1/vol) sum_k (1 - psi_t(k)) 2 pi i k1 FF(k) / symbol_L(k) at r = 0, which
     vanishes whenever the density is even in the spatial frequency.
     """
@@ -397,7 +388,7 @@ def equal_time_density(sampler, k_values=None):
     """Marginal spatial density P(k1) of v at a fixed time, d = 1.
 
     P(k1) = integral over the real time-frequency line of
-    (2 pi k1)^2 FF(k0, k1) / |symbol_L|^2 dk0.  A lattice k0 sum is the
+    (2 pi k1)^2 FF(k0, k1) / symbol_LLstar dk0.  A lattice k0 sum is the
     wrong object here: resolving the frequency ridge k0 ~ k1^4 across a
     decade of k1 would take ~1e6 time modes, while the line integral is
     cheap and is what the whole-space statements are about.  k_values
@@ -421,10 +412,7 @@ def equal_time_density(sampler, k_values=None):
     k_values = np.asarray(k_values, dtype=float)
     m0 = sampler.spec.m0
     # the time-frequency envelope of the mollifier is exp(-(2 pi k0 scale)^2)
-    if sampler.moll.kind == "semigroup":
-        scale = math.sqrt(sampler.moll.tau)
-    else:
-        scale = sampler.moll.tau ** (sampler.moll.eta / 2.0)
+    scale = math.sqrt(sampler.moll.time_rate)
     if not scale > 0.0:
         raise NumericError("the mollifier's time-frequency scale underflows to zero")
     k0_moll = 1.0 / (TWO_PI * scale)
@@ -437,8 +425,7 @@ def equal_time_density(sampler, k_values=None):
 
     def integrand(k0, k1):
         ff = sampler.spec.evaluator(k0, k1) * sampler.moll.squared_symbol(k0, k1)
-        q = (TWO_PI * k0) ** 2 + (m0 * (TWO_PI * k1) ** 4) ** 2
-        return (TWO_PI * k1) ** 2 * ff / q
+        return (TWO_PI * k1) ** 2 * ff / symbol_LLstar((k0, k1), m0)
 
     out = np.zeros_like(k_values)
     for mag in np.unique(np.abs(k_values[k_values != 0.0])):

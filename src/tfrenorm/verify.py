@@ -182,7 +182,7 @@ def verify_constants(doc):
         moll = mollifier_spec(
             row["mollifier"], row["tau"], eta=row.get("eta", 2.0), m0=row["m0"]
         )
-        got_row = table_to_json(counterterm_table(cov, moll, epsrel=1e-7))
+        got_row = table_to_json(counterterm_table(cov, moll))
         label = (
             f"constants.tables[alpha={row['alpha']}, tau={row['tau']}, "
             f"{row['mollifier']}]"

@@ -187,6 +187,22 @@ H_EVAL = ["h-eval", "--alpha", "0.55", "--tau", "1e-4", "--a", "0.5",
           "--b", "2.0", "--b-prime", "0.25"]
 SCALING = ["simulate", "--task", "scaling", "--alpha", "0.55", "--sizes", "8,64",
            "--samples", "8", "--bootstrap", "4"]
+MOMENT = ["simulate", "--task", "moment", "--alpha", "0.55", "--tau", "1e-14",
+          "--sizes", "8,64", "--samples", "8"]
+# structure maps that are not valid documents; "{tmp}" is the test's directory
+BAD_MAPS = {
+    "empty.json": {},
+    "array.json": [],
+    "alpha.json": {"alpha": "x", "d": 1, "families": []},
+    "zero_den.json": {"alpha": 0.55, "d": 1, "families": [
+        {"n": [0, 0], "entries": [{"beta": "f0", "value": "1/0"}]}]},
+    "list_value.json": {"alpha": 0.55, "d": 1, "families": [
+        {"n": [0, 0], "entries": [{"beta": "f0", "value": [1]}]}]},
+}
+
+
+def gamma_entry_argv(map_name):
+    return ["gamma-entry", "--map", "{tmp}/" + map_name, "--beta", "f0+f1", "--gamma", "f0"]
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -201,11 +217,39 @@ SCALING = ["simulate", "--task", "scaling", "--alpha", "0.55", "--sizes", "8,64"
     # scales that underflow inside the equal-time line integral
     (SCALING + ["--tau", "1e-200", "--mollifier", "anisotropic", "--eta", "4"], 3),
     (SCALING + ["--tau", "1e-14", "--boxes", "1,1e300"], 3),
+    # unwritable output paths
+    (["kappa", "--alpha", "0.55", "--output", "{tmp}/missing/out.json"], 2),
+    (["constants", "--alpha", "0.55", "--output", "{tmp}/missing/out.json"], 2),
+    (MOMENT + ["--dump", "{tmp}/missing/field"], 2),
+    # the time separation 2 wraps to 0 on a 2-point axis: its pi_f0 is 0 in
+    # every sample, so the standard error is infinite
+    (["simulate", "--task", "moment", "--alpha", "0.55", "--tau", "1e-14",
+      "--sizes", "2,4", "--samples", "8"], 3),
+    # malformed structure maps
+    *[(gamma_entry_argv(name), 2) for name in BAD_MAPS],
 ])
-def test_non_finite_input_or_result_exits_cleanly(capsys, argv, want):
+def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
+    for name, doc in BAD_MAPS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == want, err
     assert out == ""
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def test_simulate_covariance_on_the_smallest_grid(capsys):
+    """Default lags beyond a 2-point time axis wrap around the torus."""
+    code, out, err = run(
+        capsys, "simulate", "--task", "covariance", "--alpha", "0.55",
+        "--tau", "1e-14", "--sizes", "2,4", "--samples", "8",
+    )
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert len(doc["estimates"]) == len(doc["points"]) == len(doc["oracles"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,14 +285,16 @@ def test_cli_import_loads_no_numeric_layer():
     assert proc.stdout.strip() == "[]"
 
 
-def test_constants_takes_no_tolerance(capsys, tmp_path):
-    """The closed form has nothing to tune: epsrel is an unknown option."""
+@pytest.mark.parametrize("command", ["constants", "counterterm", "h-eval"])
+def test_constants_takes_no_tolerance(capsys, tmp_path, command):
+    """No subcommand has a quadrature tolerance to tune: epsrel is an
+    unknown option, as a flag and as a config key."""
     with pytest.raises(SystemExit) as stop:
-        main(["constants", "--alpha", "0.6", "--epsrel", "1e-9"])
+        main([command, "--alpha", "0.6", "--epsrel", "1e-9"])
     assert stop.value.code == 2
-    cfg = tmp_path / "constants.cfg"
+    cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha=0.6\nepsrel=1e-9\n")
-    code, _, err = run(capsys, "constants", "--config", str(cfg))
+    code, _, err = run(capsys, command, "--config", str(cfg))
     assert code == 2 and "epsrel" in err
 
 

@@ -10,14 +10,17 @@ from importlib import resources
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import CLOSED_FORMS, mp_counterterm, mp_universal, quad_counterterm, quad_universal
 from tfrenorm.constants import (
+    _LOG_TAIL,
     C1_INDEX,
     C2_INDEX,
     C3_INDEX,
     C_constants_with_errors,
     CountertermTable,
+    CovarianceSpec,
     counterterm_h,
     counterterm_table,
     covariance_spec,
@@ -31,6 +34,7 @@ from tfrenorm.constants import (
 )
 from tfrenorm.errors import ConfigError, ConsistencyError, NumericError
 from tfrenorm.indices import ModelParams, e, f, g
+from tfrenorm.kernel import TWO_PI
 
 C_INDICES = (C1_INDEX, C2_INDEX, C3_INDEX)
 
@@ -190,18 +194,6 @@ def test_semigroup_tables_cover_the_exact_scaling_law():
                 assert abs(mpmath.mpf(value) - want) <= error, (alpha, m0, tau)
 
 
-def test_error_estimate_follows_epsrel():
-    """A looser epsrel stops the doubling earlier; each answer covers the other."""
-    cov = covariance_spec(0.52, 0.5)
-    moll = mollifier_spec("anisotropic", 1e-8, eta=2.0, m0=0.5)
-    loose = counterterm_table(cov, moll, epsrel=1e-6)
-    tight = counterterm_table(cov, moll, epsrel=1e-12)
-    for (lv, le), (tv, te) in zip(_values_and_errors(loose), _values_and_errors(tight)):
-        assert abs(lv - tv) <= le + te
-    worst = [max(e / abs(v) for v, e in _values_and_errors(t)) for t in (loose, tight)]
-    assert worst[1] < 1e-11 < 1e-10 < worst[0]
-
-
 def test_tau_slopes_semigroup():
     alpha = 0.75
     params = ModelParams(alpha=alpha, allow_rational_alpha=True)
@@ -248,6 +240,55 @@ def test_anisotropic_remainder_exponent_is_stable():
         fitted.append(rel / tau**g_exp)
     assert max(fitted) / min(fitted) < 1.01
     assert abs(fitted[-1] * 1e-4**g_exp) < 2e-3  # remainder itself is tiny
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.7, 0.9])
+@pytest.mark.parametrize("first, second", [
+    ((3.0, 1e-4, 1.0), (2.0, 1e-8, 1.0)),  # (eta, tau, m0), x = 1e-8
+    ((2.0, 4e-4, 0.5), (2.0, 1e-4, 1.0)),  # x = 1e-4
+])
+def test_anisotropic_tables_collapse_on_x(alpha, first, second):
+    """delta_i = c_i / (C_i tau^((2 alpha - 2)/8) m0^(p_i)) - 1 depends only on
+    alpha and x = m0^2 time_rate / space_rate = m0^2 tau^(eta - 1).
+
+    Writing 2 pi k1 = tau^(-1/8) b and 2 pi k0 = m0 tau^(-1/2) a turns the
+    mollifier into exp(-x a^2 - b^8) and Q into m0^2 (a^2 + b^8) / tau, so
+    the rest of each integrand gives exact powers of tau and m0.  Two
+    tables with equal x agree within their summed relative errors.
+    """
+    params = ModelParams(alpha=alpha, allow_rational_alpha=True)
+    deltas = []
+    for eta, tau, m0 in (first, second):
+        table = counterterm_table(
+            covariance_spec(alpha, m0), mollifier_spec("anisotropic", tau, eta=eta, m0=m0)
+        )
+        row = []
+        for idx, big_c, (value, error) in zip(
+            C_INDICES, eval_C_constants(alpha, "anisotropic"), _values_and_errors(table)
+        ):
+            tau_exp, m0_exp = scaling_exponents(idx, params, "anisotropic")
+            scale = big_c * tau**tau_exp * m0**m0_exp
+            row.append((value / scale - 1.0, error / abs(scale)))
+        deltas.append(row)
+    for (delta_a, err_a), (delta_b, err_b) in zip(*deltas):
+        assert abs(delta_a - delta_b) <= err_a + err_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["semigroup", "anisotropic"]),
+    st.floats(1e-10, 1.0), st.floats(1.5, 3.5), st.floats(0.1, 10.0),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+)
+def test_symbol_on_the_substituted_ray_is_the_envelope(kind, tau, eta, m0, u, depth):
+    """On the ray 2 pi k0 = r^4 sqrt(1 - u^8), 2 pi k1 = r u the squared symbol
+    is exp(-rate(u) r^8), with rate(u) the envelope the tensor rule cuts at."""
+    moll = mollifier_spec(kind, tau, eta=eta, m0=m0)
+    root = math.sqrt(1.0 - u**8)
+    rate = moll.ray_rate(u, root)
+    r = (depth * _LOG_TAIL / rate) ** 0.125  # exp(-rate r^8) down to the tail cut
+    got = moll.squared_symbol(r**4 * root / TWO_PI, r * u / TWO_PI)
+    assert got == pytest.approx(math.exp(-rate * r**8), rel=1e-12)
 
 
 def test_m0_slopes_semigroup():
@@ -393,10 +434,6 @@ def test_spec_validation_errors():
     with pytest.raises(ConfigError):
         covariance_spec(0.7, m0=-1.0)
     with pytest.raises(ConfigError):
-        covariance_spec(0.7, kind="custom")  # no evaluator
-    with pytest.raises(ConfigError):
-        covariance_spec(0.7, kind="white")
-    with pytest.raises(ConfigError):
         mollifier_spec("semigroup", 0.0)
     with pytest.raises(ConfigError):
         mollifier_spec("anisotropic", 1e-3, eta=1.0)
@@ -420,7 +457,7 @@ def test_eval_c2_needs_covariance_derivative():
         q = (2 * math.pi * k0) ** 2 + (2 * math.pi * k1) ** 8
         return q**-0.0125
 
-    cov = covariance_spec(0.55, kind="custom", evaluator=fc)
+    cov = CovarianceSpec(0.55, 1.0, fc)
     with pytest.raises(ConfigError):
         counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 
@@ -429,18 +466,17 @@ def test_eval_c2_needs_covariance_derivative():
     lambda k0, k1: math.exp(-abs(k0)),  # scalar math on a mesh
     lambda k0, k1: 1.0,  # one number for the whole mesh
     lambda k0, k1: np.ones(3),  # the wrong shape
+    None,  # no evaluator at all
 ])
 def test_covariance_evaluators_must_map_arrays(evaluator):
-    cov = covariance_spec(0.55, kind="custom", evaluator=evaluator,
-                          d_evaluator=lambda k0, k1: np.zeros_like(k0))
+    cov = CovarianceSpec(0.55, 1.0, evaluator, lambda k0, k1: np.zeros_like(k0))
     with pytest.raises(ConfigError):
         counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 
 
 def test_non_finite_covariance_is_a_numeric_error():
-    cov = covariance_spec(0.55, kind="custom",
-                          evaluator=lambda k0, k1: np.full_like(k0, np.nan),
-                          d_evaluator=lambda k0, k1: np.zeros_like(k0))
+    cov = CovarianceSpec(0.55, 1.0, lambda k0, k1: np.full_like(k0, np.nan),
+                         lambda k0, k1: np.zeros_like(k0))
     with pytest.raises(NumericError):
         counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 
@@ -460,7 +496,7 @@ def test_eval_c2_rejects_uneven_covariance():
         dq = 16 * math.pi * (2 * math.pi * k1) ** 7
         return -0.0125 * q**-1.0125 * dq * skew(k0)
 
-    cov = covariance_spec(0.55, kind="custom", evaluator=fc, d_evaluator=dfc)
+    cov = CovarianceSpec(0.55, 1.0, fc, dfc)
     with pytest.raises(ConsistencyError):
         counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 

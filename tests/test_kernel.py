@@ -219,7 +219,7 @@ def test_solve_zero_field_and_gauge():
 
 
 def test_solve_residual_and_realness():
-    residual, realness = inversion_residual(small_grid(), seed=5, band_limit=4)
+    residual, realness = inversion_residual(small_grid(), seed=5)
     assert residual < 1e-10
     assert realness < 1e-10
 
