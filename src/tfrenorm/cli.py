@@ -7,7 +7,9 @@ Conventions shared by every subcommand:
   ``-``; unknown keys are rejected);
 * results go to stdout, or to ``--output PATH``;
 * exit codes: 0 success, 2 configuration error, 3 numerical failure,
-  4 internal consistency / fixture mismatch;
+  4 internal consistency / fixture mismatch, 141 stdout closed by its
+  reader before the output was written (128 + SIGPIPE, the status a shell
+  reports for a program that a closed pipe ends);
 * float options, and every element of a comma list, must be finite;
 * no environment variable changes the behaviour.
 
@@ -24,6 +26,7 @@ strict: a non-finite result is a numerical failure, never ``NaN`` or
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -151,7 +154,7 @@ def _merge(args, opts):
 
 def _emit(text, path):
     if path in (None, "-"):
-        print(text)
+        print(text, flush=True)  # a closed pipe fails here, inside main
         return
     try:
         Path(path).write_text(text if text.endswith("\n") else text + "\n")
@@ -567,6 +570,9 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="tfrenorm",
         description="workbench for renormalising the stochastic thin-film equation",
+        epilog="exit status: 0 success, 2 configuration error, 3 numerical failure, "
+               "4 internal consistency or fixture mismatch, 141 stdout closed by "
+               "its reader before the output was written",
     )
     subs = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
     for name, (runner, opts, description) in _SUBCOMMANDS.items():
@@ -601,6 +607,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush at
+        # exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from .indices import (
     homogeneity,
     is_populated,
     parse_multiindex,
+    poly_weight,
 )
 
 
@@ -305,7 +306,9 @@ def gamma_apply(series, smap, cutoff):
     purely polynomial supports qualify).
     """
     params = smap.params
+    alpha = params.alpha
     letters = smap.letters()
+    gaps = [homogeneity(m, params) - aniso_degree(n) for n, m, _v in letters]
     out = SeriesVector()
     if not len(series):
         return out
@@ -313,16 +316,19 @@ def gamma_apply(series, smap, cutoff):
 
     def contribute(dser, shift, value, fact):
         inv = Fraction(1, fact)
+        # |m + shift| = |m| + |shift| - alpha, summed on the integer
+        # gradings so that it rounds exactly like homogeneity(m + shift)
+        shift_bracket, shift_poly = bracket(shift), poly_weight(shift)
         for m, v in dser.items():
-            target = m + shift
-            if homogeneity(target, params) < cutoff:
-                out.add_term(target, scale_value(value * v, inv))
+            hom = alpha * (1 + bracket(m) + shift_bracket) + (poly_weight(m) + shift_poly)
+            if hom < cutoff:
+                out.add_term(m + shift, scale_value(value * v, inv))
 
     def rec(i, dser, shift, value, fact, gap_sum, word):
         contribute(dser, shift, value, fact)
         for idx in range(i, len(letters)):
             n, m, v = letters[idx]
-            gap = homogeneity(m, params) - aniso_degree(n)
+            gap = gaps[idx]
             if min_hom0 + gap_sum + gap >= cutoff:
                 continue
             nser = dn_apply(dser, n)

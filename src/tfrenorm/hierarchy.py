@@ -120,17 +120,25 @@ def _sub_indices(beta):
     return out
 
 
-def _splits(rest, parts, pool, start=0):
-    """Multisets (nondecreasing tuples) of `parts` pool entries summing to rest."""
+def _splits(rest, parts, pool, rank, start=0):
+    """Multisets (nondecreasing tuples) of `parts` pool entries summing to rest.
+
+    ``rank`` maps each pool entry to its position; a last part must be rest
+    itself, so it is looked up instead of searched for.
+    """
     if parts == 0:
         if not rest:
             yield ()
+        return
+    if parts == 1:
+        if rank.get(rest, -1) >= start:
+            yield (rest,)
         return
     for i in range(start, len(pool)):
         r = rest.minus(pool[i])
         if r is None:
             continue
-        for tail in _splits(r, parts - 1, pool, i):
+        for tail in _splits(r, parts - 1, pool, rank, i):
             yield (pool[i],) + tail
 
 
@@ -151,12 +159,15 @@ def _ordered_count(factors):
 # ---------------------------------------------------------------------------
 
 
-def expand(beta, params, mode="raw"):
+def expand(beta, params, mode="raw", *, rows=None):
     """Grouped right-hand-side terms of the beta component, sorted.
 
     ``mode`` selects the constant columns kept in counter terms: "raw"
     keeps every admissible column, "reduced" additionally drops the
     odd-bracket columns (whose constants vanish by expectation parity).
+    ``rows`` is a dict sigma -> kept counter row that the expansions of
+    one build, with the same params and mode, share; without it each call
+    computes its rows afresh.
     """
     if mode not in ("raw", "reduced"):
         raise ConfigError(f"unknown counterterm mode {mode!r}")
@@ -181,6 +192,9 @@ def expand(beta, params, mode="raw"):
     subs = _sub_indices(beta)
     pool = [m for m in subs if m and is_populated(m)]
     pool.sort(key=lambda m: m.sort_key())
+    rank = {m: i for i, m in enumerate(pool)}
+    if rows is None:
+        rows = {}
 
     # heads (kind, removed part, plain count, columns): e_k + (k plain) +
     # (1 GradLap factor), f_l + (l plain), and sigma + (m plain) + (1 Grad
@@ -191,11 +205,13 @@ def expand(beta, params, mode="raw"):
         m = sigma.a_weight() + sigma.b_weight() - sigma.b_count()
         if not sigma or sigma.p or m < 0:
             continue
-        kept = [
-            (gamma, w)
-            for gamma, w in d0_power_row(sigma, m).items()
-            if keeps_counterterm(gamma, params, mode)
-        ]
+        kept = rows.get(sigma)
+        if kept is None:
+            kept = rows[sigma] = [
+                (gamma, w)
+                for gamma, w in d0_power_row(sigma, m).items()
+                if keeps_counterterm(gamma, params, mode)
+            ]
         if kept:
             heads.append(("counter", sigma, m, kept))
 
@@ -206,7 +222,7 @@ def expand(beta, params, mode="raw"):
             r = rest0 if dec is None else rest0.minus(dec)
             if r is None:
                 continue
-            for plain in _splits(r, parts, pool):
+            for plain in _splits(r, parts, pool, rank):
                 if kind == "counter":
                     mults = _multiplicities(plain)
                     coeff = Fraction(-1, prod(factorial(n) for n in mults))
@@ -338,11 +354,12 @@ def build_dag(params, cutoff, mode="raw", max_count=200_000):
     node_set = set(nodes)
     expansions = {}
     edges = {}
+    rows = {}
     for beta in nodes:
         if is_purely_polynomial(beta):
             edges[beta] = []
             continue
-        expansions[beta] = expand(beta, params, mode)
+        expansions[beta] = expand(beta, params, mode, rows=rows)
         edges[beta] = [
             m for m in _components(expansions[beta], params) if m in node_set
         ]

@@ -14,13 +14,26 @@ d space directions counting 1, effective dimension D = 4 + d.
 Grammar for parsing/printing: terms joined by ``+``, each term an optional
 positive multiplicity followed by ``e<k>``, ``f<l>`` or ``g(<n0>,<n1>,...)``,
 e.g. ``2e1+2f0+g(0,1)``.  The zero multiindex prints as ``0``.
+
+Validation happens once, at the boundary.  The constructor
+``Multiindex(a, b, p)`` canonicalises and checks its arguments in
+``__post_init__``; ``parse_multiindex`` builds through it, and ``e``, ``f``
+and ``g`` check their one argument.  Every other index comes from ``+``,
+``minus`` and ``k *`` on indices that passed those checks, and these keep
+the canonical form by construction: a sum merges two sorted tuples of
+positive counts, a difference keeps the order of the larger index and
+drops the counts that reach zero, a positive multiple keeps keys and
+order.  So they skip the checks, except that ``+`` still rejects mixed
+decoration arities and ``k *`` a k that is not a nonnegative int, and
+they carry the hash and the six gradings (a/b/p counts, a/b weights,
+polynomial weight) over by the same arithmetic instead of recounting.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, ResourceError
 
@@ -48,61 +61,161 @@ def _canon(items):
     return tuple(sorted(acc.items()))
 
 
-@dataclass(frozen=True)
+def _check_slot(key, family):
+    if not isinstance(key, int) or key < 0:
+        raise ConfigError(f"bad {family} slot {key!r}")
+
+
+def _check_decoration(n):
+    if not isinstance(n, tuple) or not n or any(v < 0 for v in n):
+        raise ConfigError(f"bad decoration vector {n!r}")
+    if not any(n):
+        raise ConfigError("zero decoration vector is not allowed")
+
+
+def _check_arities(p, q=()):
+    arities = {len(n) for n, _ in p} | {len(n) for n, _ in q}
+    if len(arities) > 1:
+        raise ConfigError(f"mixed decoration arities {sorted(arities)}")
+
+
+def _merge(x, y):
+    """Sum of two canonical (key, count) tuples, canonical."""
+    if not y:
+        return x
+    if not x:
+        return y
+    acc = dict(x)
+    for key, count in y:
+        acc[key] = acc.get(key, 0) + count
+    return tuple(sorted(acc.items()))
+
+
+def _take(x, y):
+    """x - y for canonical (key, count) tuples in x's order, or None if a
+    count of y exceeds x's."""
+    if not y:
+        return x
+    acc = dict(x)
+    for key, count in y:
+        left = acc.get(key, 0) - count
+        if left < 0:
+            return None
+        acc[key] = left
+    return tuple(item for item in acc.items() if item[1])
+
+
+_set = object.__setattr__
+
+
+def _fill(m, a, b, p, a_count, b_count, p_count, a_weight, b_weight, poly_weight):
+    """Store canonical parts, their hash and their six gradings in m."""
+    _set(m, "a", a)
+    _set(m, "b", b)
+    _set(m, "p", p)
+    _set(m, "_hash", hash((a, b, p)))
+    _set(m, "_a_count", a_count)
+    _set(m, "_b_count", b_count)
+    _set(m, "_p_count", p_count)
+    _set(m, "_a_weight", a_weight)
+    _set(m, "_b_weight", b_weight)
+    _set(m, "_poly_weight", poly_weight)
+    return m
+
+
+def _trusted(*parts_and_gradings):
+    """Multiindex from parts already in canonical form and their gradings,
+    without ``_canon`` or the checks of ``__post_init__``."""
+    return _fill(object.__new__(Multiindex), *parts_and_gradings)
+
+
+_CACHED = dict(default=0, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Multiindex:
     """Immutable multiindex over the three families.
 
     ``a``, ``b``, ``p`` are sorted tuples of (key, count) pairs; keys in
     ``a``/``b`` are nonnegative integers, keys in ``p`` are nonzero integer
-    tuples of equal arity.
+    tuples of equal arity.  The hash and the gradings are computed once,
+    when the index is made.
     """
 
     a: tuple = ()
     b: tuple = ()
     p: tuple = ()
+    _hash: int = field(**_CACHED)
+    _a_count: int = field(**_CACHED)
+    _b_count: int = field(**_CACHED)
+    _p_count: int = field(**_CACHED)
+    _a_weight: int = field(**_CACHED)
+    _b_weight: int = field(**_CACHED)
+    _poly_weight: int = field(**_CACHED)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _canon(self.a))
-        object.__setattr__(self, "b", _canon(self.b))
-        object.__setattr__(self, "p", _canon(self.p))
-        for k, _ in self.a:
-            if not isinstance(k, int) or k < 0:
-                raise ConfigError(f"bad velocity slot {k!r}")
-        for l, _ in self.b:
-            if not isinstance(l, int) or l < 0:
-                raise ConfigError(f"bad noise slot {l!r}")
-        arities = set()
-        for n, _ in self.p:
-            if not isinstance(n, tuple) or not n or any(v < 0 for v in n):
-                raise ConfigError(f"bad decoration vector {n!r}")
-            if not any(n):
-                raise ConfigError("zero decoration vector is not allowed")
-            arities.add(len(n))
-        if len(arities) > 1:
-            raise ConfigError(f"mixed decoration arities {sorted(arities)}")
+        a, b, p = _canon(self.a), _canon(self.b), _canon(self.p)
+        for k, _ in a:
+            _check_slot(k, "velocity")
+        for l, _ in b:
+            _check_slot(l, "noise")
+        for n, _ in p:
+            _check_decoration(n)
+        _check_arities(p)
+        _fill(
+            self, a, b, p,
+            sum(c for _, c in a), sum(c for _, c in b), sum(c for _, c in p),
+            sum(k * c for k, c in a), sum(l * c for l, c in b),
+            sum(aniso_degree(n) * c for n, c in p),
+        )
+
+    def __hash__(self):
+        return self._hash
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        return Multiindex(self.a + other.a, self.b + other.b, self.p + other.p)
+        if self.p and other.p:
+            _check_arities(self.p[:1], other.p[:1])
+        return _trusted(
+            _merge(self.a, other.a), _merge(self.b, other.b), _merge(self.p, other.p),
+            self._a_count + other._a_count, self._b_count + other._b_count,
+            self._p_count + other._p_count, self._a_weight + other._a_weight,
+            self._b_weight + other._b_weight, self._poly_weight + other._poly_weight,
+        )
 
     def __rmul__(self, m):
         if not isinstance(m, int) or m < 0:
             raise ConfigError("multiindex multiplier must be a nonnegative int")
-        scale = lambda items: tuple((k, m * c) for k, c in items)
-        return Multiindex(scale(self.a), scale(self.b), scale(self.p))
+        if m == 0:
+            return ZERO
+        if m == 1:
+            return self
+        return _trusted(
+            *[tuple([(k, m * c) for k, c in items]) for items in (self.a, self.b, self.p)],
+            m * self._a_count, m * self._b_count, m * self._p_count,
+            m * self._a_weight, m * self._b_weight, m * self._poly_weight,
+        )
 
     def minus(self, other):
         """Componentwise difference, or None if not >= other."""
-        parts = []
-        for mine, theirs in ((self.a, other.a), (self.b, other.b), (self.p, other.p)):
-            acc = dict(mine)
-            for key, count in theirs:
-                acc[key] = acc.get(key, 0) - count
-                if acc[key] < 0:
-                    return None
-            parts.append(tuple(acc.items()))
-        return Multiindex(*parts)
+        if (
+            other._a_count > self._a_count
+            or other._b_count > self._b_count
+            or other._p_count > self._p_count
+        ):
+            return None
+        a = _take(self.a, other.a)
+        b = None if a is None else _take(self.b, other.b)
+        p = None if b is None else _take(self.p, other.p)
+        if p is None:
+            return None
+        return _trusted(
+            a, b, p,
+            self._a_count - other._a_count, self._b_count - other._b_count,
+            self._p_count - other._p_count, self._a_weight - other._a_weight,
+            self._b_weight - other._b_weight, self._poly_weight - other._poly_weight,
+        )
 
     def __bool__(self):
         return bool(self.a or self.b or self.p)
@@ -110,19 +223,19 @@ class Multiindex:
     # -- views --------------------------------------------------------------
 
     def a_count(self):
-        return sum(c for _, c in self.a)
+        return self._a_count
 
     def b_count(self):
-        return sum(c for _, c in self.b)
+        return self._b_count
 
     def p_count(self):
-        return sum(c for _, c in self.p)
+        return self._p_count
 
     def a_weight(self):
-        return sum(k * c for k, c in self.a)
+        return self._a_weight
 
     def b_weight(self):
-        return sum(l * c for l, c in self.b)
+        return self._b_weight
 
     def sort_key(self):
         return (self.a, self.b, self.p)
@@ -133,17 +246,21 @@ class Multiindex:
 
 def e(k):
     """Unit multiindex on velocity slot k."""
-    return Multiindex(a=((k, 1),))
+    _check_slot(k, "velocity")
+    return _trusted(((k, 1),), (), (), 1, 0, 0, k, 0, 0)
 
 
 def f(l):
     """Unit multiindex on noise slot l."""
-    return Multiindex(b=((l, 1),))
+    _check_slot(l, "noise")
+    return _trusted((), ((l, 1),), (), 0, 1, 0, 0, l, 0)
 
 
 def g(n):
     """Unit multiindex on decoration n (a nonzero tuple of exponents)."""
-    return Multiindex(p=((tuple(n), 1),))
+    n = tuple(n)
+    _check_decoration(n)
+    return _trusted((), (), ((n, 1),), 0, 0, 1, 0, 0, aniso_degree(n))
 
 
 ZERO = Multiindex()
@@ -261,12 +378,12 @@ class ModelParams:
 
 def bracket(beta):
     """[beta] = sum_k k*beta(k) + sum_l l*beta(l) - sum_n beta(n)."""
-    return beta.a_weight() + beta.b_weight() - beta.p_count()
+    return beta._a_weight + beta._b_weight - beta._p_count
 
 
 def poly_weight(beta):
     """|beta|_p = sum_n |n| beta(n) with anisotropic |n|."""
-    return sum(aniso_degree(n) * c for n, c in beta.p)
+    return beta._poly_weight
 
 
 def homogeneity(beta, params):
@@ -280,7 +397,7 @@ def homogeneity(beta, params):
 
 def order_length(beta, params):
     """Ordering length: total slot count plus lam-weighted decoration degree."""
-    return beta.a_count() + beta.b_count() + params.lam * poly_weight(beta)
+    return beta._a_count + beta._b_count + params.lam * beta._poly_weight
 
 
 def is_purely_polynomial(beta):
@@ -295,11 +412,9 @@ def is_populated(beta):
     sum_l beta(l) + sum_n beta(n) must hold, and the index must either be
     purely polynomial or contain at least one noise slot.
     """
-    lhs = 1 + beta.a_weight() + beta.b_weight()
-    rhs = beta.b_count() + beta.p_count()
-    if lhs != rhs:
+    if 1 + beta._a_weight + beta._b_weight != beta._b_count + beta._p_count:
         return False
-    return is_purely_polynomial(beta) or beta.b_count() > 0
+    return is_purely_polynomial(beta) or beta._b_count > 0
 
 
 def is_c_populated(beta, params):
@@ -326,9 +441,9 @@ def keeps_counterterm(gamma, params, mode="raw"):
         raise ConfigError(f"unknown counterterm mode {mode!r}")
     if gamma.p:
         return False
-    if gamma.a_weight() + gamma.b_weight() != gamma.b_count():
+    if gamma._a_weight + gamma._b_weight != gamma._b_count:
         return False
-    if gamma.b_count() == 0:
+    if gamma._b_count == 0:
         return False
     if homogeneity(gamma, params) >= 2 + params.alpha:
         return False
@@ -398,8 +513,9 @@ def enumerate_populated(params, cutoff, max_count=200_000):
 
     # purely polynomial branch: each decoration below the cutoff is an index
     decs = iter_decorations(params.d, math.ceil(cutoff) - 1, max_count)
-    for n in decs:
-        push(g(n))
+    units = [g(n) for n in decs]
+    for unit in units:
+        push(unit)
 
     def velocity_parts(weight, max_part, acc, base):
         """Partitions of `weight` into slots k >= 1, emitted as indices."""
@@ -434,7 +550,7 @@ def enumerate_populated(params, cutoff, max_count=200_000):
                 w = aniso_degree(decs[i])
                 if p_weight + w >= room:
                     break
-                rec(i, p_index + g(decs[i]), p_weight + w, p_num + 1)
+                rec(i, p_index + units[i], p_weight + w, p_num + 1)
 
         rec(0, ZERO, 0.0, 0)
 

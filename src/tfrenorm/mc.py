@@ -227,8 +227,11 @@ def _batch_report(estimator, points, per_sample, oracles, batches=16):
     cut = (n // batches) * batches
     means = per_sample[:cut].reshape(batches, -1, per_sample.shape[1]).mean(axis=1)
     se = means.std(axis=0, ddof=1) / math.sqrt(batches)
-    se = np.where(se > 0, se, np.inf)
-    z = (estimates - np.asarray(oracles, dtype=float)) / se
+    # a point without spread has z = 0 when it hits its oracle exactly and
+    # an infinite z when it misses
+    miss = estimates - np.asarray(oracles, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(miss == 0, 0.0, miss / se)
     return McReport(
         estimator=estimator,
         samples=n,

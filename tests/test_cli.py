@@ -221,10 +221,6 @@ def gamma_entry_argv(map_name):
     (["kappa", "--alpha", "0.55", "--output", "{tmp}/missing/out.json"], 2),
     (["constants", "--alpha", "0.55", "--output", "{tmp}/missing/out.json"], 2),
     (MOMENT + ["--dump", "{tmp}/missing/field"], 2),
-    # the time separation 2 wraps to 0 on a 2-point axis: its pi_f0 is 0 in
-    # every sample, so the standard error is infinite
-    (["simulate", "--task", "moment", "--alpha", "0.55", "--tau", "1e-14",
-      "--sizes", "2,4", "--samples", "8"], 3),
     # malformed structure maps
     *[(gamma_entry_argv(name), 2) for name in BAD_MAPS],
 ])
@@ -250,6 +246,41 @@ def test_simulate_covariance_on_the_smallest_grid(capsys):
     assert code == 0, err
     doc = json.loads(out, parse_constant=_reject_constant)
     assert len(doc["estimates"]) == len(doc["points"]) == len(doc["oracles"])
+
+
+def test_simulate_moment_point_without_spread(capsys):
+    """The time separation 2 wraps to 0 on a 2-point axis: its pi_f0 is 0 in
+    every sample and so is its oracle, a zero standard error and z-score."""
+    code, out, err = run(
+        capsys, "simulate", "--task", "moment", "--alpha", "0.55",
+        "--tau", "1e-14", "--sizes", "2,4", "--samples", "8",
+    )
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_constant)
+    at = doc["points"].index([2, 0])
+    assert doc["estimates"][at] == doc["oracles"][at] == 0.0
+    assert doc["standard_errors"][at] == doc["z_scores"][at] == 0.0
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """A reader that closed stdout before the output was written ends the
+    run with the documented status 141 and no traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tfrenorm.cli", "kappa", "--alpha", "0.55"],
+            cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 141, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

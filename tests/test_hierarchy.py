@@ -337,9 +337,9 @@ def test_dag_expands_each_node_once(monkeypatch):
     calls = []
     original = hierarchy.expand
 
-    def counted(beta, params, mode="raw"):
+    def counted(beta, params, mode="raw", **kwargs):
         calls.append(beta)
-        return original(beta, params, mode)
+        return original(beta, params, mode, **kwargs)
 
     monkeypatch.setattr(hierarchy, "expand", counted)
     dag = build_dag(PARAMS, 3.0)
@@ -351,6 +351,25 @@ def test_dag_expands_each_node_once(monkeypatch):
     nodes = set(dag.nodes)
     for beta in expanded:
         assert dag.edges[beta] == [m for m in dependencies(beta, PARAMS) if m in nodes]
+
+
+def test_dag_asks_each_counter_row_once(monkeypatch):
+    """Nodes of one build share their sub-indices sigma; the build computes
+    the counter row of each sigma once, and the result is the same."""
+    calls = []
+    original = hierarchy.d0_power_row
+
+    def recorded(sigma, m):
+        calls.append(sigma)
+        return original(sigma, m)
+
+    monkeypatch.setattr(hierarchy, "d0_power_row", recorded)
+    dag = build_dag(PARAMS, 3.4)
+    assert calls and len(set(calls)) == len(calls)
+    fresh = len(calls)
+    for beta, terms in dag.items():
+        assert expand(beta, PARAMS) == terms
+    assert len(calls) - fresh > fresh
 
 
 # ---------------------------------------------------------------------------

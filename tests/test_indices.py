@@ -169,6 +169,81 @@ def test_scalar_multiple_validation():
     assert 0 * e(1) == ZERO
 
 
+def _recount(m):
+    """a/b/p counts, a/b weights and poly weight, summed from the parts."""
+    return (
+        sum(c for _, c in m.a), sum(c for _, c in m.b), sum(c for _, c in m.p),
+        sum(k * c for k, c in m.a), sum(l * c for l, c in m.b),
+        sum(aniso_degree(n) * c for n, c in m.p),
+    )
+
+
+def _assert_as_if_validated(m):
+    """m equals its parts rebuilt through the validating constructor, in
+    fields, hash, sort key and text, and its cached gradings recount."""
+    rebuilt = Multiindex(m.a, m.b, m.p)
+    assert (m.a, m.b, m.p) == (rebuilt.a, rebuilt.b, rebuilt.p)
+    assert m == rebuilt
+    assert hash(m) == hash(rebuilt) == hash((m.a, m.b, m.p))
+    assert m.sort_key() == rebuilt.sort_key()
+    assert str(m) == str(rebuilt)
+    cached = (m.a_count(), m.b_count(), m.p_count(), m.a_weight(), m.b_weight(),
+              poly_weight(m))
+    assert cached == _recount(m)
+
+
+def _geq(x, y):
+    return all(
+        dict(mine).get(key, 0) >= count
+        for mine, theirs in ((x.a, y.a), (x.b, y.b), (x.p, y.p))
+        for key, count in theirs
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indices(), _indices(), st.integers(0, 4))
+def test_trusted_arithmetic_matches_the_validating_constructor_property(x, y, k):
+    _assert_as_if_validated(x)
+    _assert_as_if_validated(x + y)
+    _assert_as_if_validated((x + y).minus(y))
+    _assert_as_if_validated(k * x)
+    diff = x.minus(y)
+    assert (diff is not None) == _geq(x, y)
+    if diff is not None:
+        _assert_as_if_validated(diff)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+def test_unit_builders_match_the_validating_constructor_property(k, n):
+    for unit, rebuilt in ((e(k), Multiindex(a=((k, 1),))), (f(k), Multiindex(b=((k, 1),))),
+                          (g(n), Multiindex(p=((n, 1),)))):
+        assert unit == rebuilt
+        _assert_as_if_validated(unit)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Multiindex(a=((1, -1),)),
+    lambda: Multiindex(p=(((0, 1), 2), ((0, 1), -3))),
+    lambda: Multiindex(p=(((0, 0), 1),)),
+    lambda: g((0, 0)),
+    lambda: parse_multiindex("g(0,0)"),
+    lambda: Multiindex(a=((1.0, 1),)),
+    lambda: Multiindex(b=(("0", 1),)),
+    lambda: e(1.5),
+    lambda: f(-1),
+    lambda: g((0, 1)) + g((0, 1, 0)),
+    lambda: (e(1) + g((1, 0))) + (f(0) + g((0, 0, 1))),
+    lambda: Multiindex(p=(((0, 1), 1), ((0, 1, 0), 1))),
+    lambda: 1.5 * e(1),
+], ids=["negative count", "negative sum", "zero decoration", "zero unit", "zero parsed",
+        "float slot", "str slot", "float unit", "negative unit", "mixed units",
+        "mixed sum", "mixed parts", "float multiple"])
+def test_public_boundary_still_validates(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # gradings
 # ---------------------------------------------------------------------------
