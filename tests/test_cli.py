@@ -221,6 +221,9 @@ def gamma_entry_argv(map_name):
     (["kappa", "--alpha", "0.55", "--output", "{tmp}/missing/out.json"], 2),
     (["constants", "--alpha", "0.55", "--output", "{tmp}/missing/out.json"], 2),
     (MOMENT + ["--dump", "{tmp}/missing/field"], 2),
+    # a non-finite scale on the smallest grid is rejected before sampling
+    (["simulate", "--task", "moment", "--alpha", "0.55", "--tau", "nan",
+      "--sizes", "2,4", "--samples", "8"], 2),
     # malformed structure maps
     *[(gamma_entry_argv(name), 2) for name in BAD_MAPS],
 ])
