@@ -4,7 +4,6 @@ fourth-order SPDE with multiplicative noise (stochastic thin-film type).
 Subpackage map:
 
 * ``indices``   -- multiindices, gradings, population predicates, enumeration
-* ``scalars``   -- tiny exact polynomial scalars for symbolic checks
 * ``group``     -- derivations and the recentering (structure-group) map
 * ``hierarchy`` -- the model hierarchy: right-hand-side expansion per index
 * ``kernel``    -- Fourier-side constant-coefficient operator toolbox

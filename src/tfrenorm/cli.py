@@ -382,6 +382,9 @@ def run_simulate(cfg):
         scaling_fit,
     )
 
+    task = cfg["task"]
+    if task == "scaling" and cfg["window"] is None:
+        raise ConfigError("--task scaling needs --window lo,hi (half a decade or more)")
     sizes, boxes = cfg["sizes"], cfg["boxes"]
     if len(sizes) != len(boxes):
         raise ConfigError(f"sizes {sizes} and boxes {boxes} differ in length")
@@ -389,7 +392,6 @@ def run_simulate(cfg):
     cov = covariance_spec(cfg["alpha"], cfg["m0"])
     moll = mollifier_spec(cfg["mollifier"], cfg["tau"], eta=cfg["eta"], m0=cfg["m0"])
     sampler = NoiseSampler(grid, cov, moll, cfg["seed"])
-    task = cfg["task"]
     x = cfg["x"]
     if task == "covariance":
         report = covariance_check(sampler, n_samples=cfg["samples"])
@@ -404,7 +406,7 @@ def run_simulate(cfg):
         )
     elif task == "scaling":
         exponent, ci = scaling_fit(
-            cfg["component"], sampler, window=cfg["window"],
+            cfg["component"], sampler, cfg["window"],
             n_samples=cfg["samples"], bootstrap=cfg["bootstrap"],
         )
         doc = {
@@ -415,9 +417,7 @@ def run_simulate(cfg):
             "ci": ci,
         }
         if cfg["component"] == "f0" and grid.d == 1:
-            doc["deterministic_slope"] = deterministic_scaling_slope(
-                sampler, window=cfg["window"]
-            )
+            doc["deterministic_slope"] = deterministic_scaling_slope(sampler, cfg["window"])
         if cfg["format"] == "csv":
             keys = list(doc)
             return ",".join(keys) + "\n" + ",".join(repr(doc[k]) for k in keys)
@@ -545,7 +545,8 @@ _SUBCOMMANDS = {
             _Opt("component", _choice("f0", "f0f1"), default="f0",
                  help="model component for bphz/scaling"),
             _Opt("window", _floats,
-                 help="fit window lo,hi in torus units (scaling only)"),
+                 help="fit window lo,hi in torus units, spanning half a decade or "
+                      "more (required for --task scaling)"),
             _Opt("bootstrap", int, default="200",
                  help="bootstrap resamples for the scaling ci"),
             _Opt("t_list", _floats, default="1e-6,1e-5,1e-4",

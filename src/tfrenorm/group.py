@@ -16,10 +16,19 @@ and the recentering map is the exponential
 with scalar families pi^(n) supported on populated indices of homogeneity
 strictly above |n| (the admissibility contract).  The n = 0 letter pairs
 pi^(0) with D0.  All the D's commute, so the word sum collapses onto
-multisets of letters with coefficient 1/prod(multiplicities!); that is how
-gamma_entry and gamma_apply iterate.
+multisets of letters with coefficient 1/prod(multiplicities!).
 
-Scalars are generic: float for numerics, Fraction/PolyScalar for exact runs.
+Both Gamma* recursions walk these multisets depth first over the letters
+(n, support) of ``StructureMap.letters()``, sorted by n and then by
+support, with a letter index that never decreases: only the last letter
+taken can repeat, and its repeat count gives the multiplicities.  Each
+step carries the series with its word so far applied.  D^(n) depends on
+n alone, not on the support, so the adjacent letters of one n share one
+D^(n) application per step.
+
+Scalars are generic: float for numerics, Fraction for exact runs; any ring
+that multiplies with Fraction and compares with 0 works (the tests use
+polynomial scalars).
 """
 
 from fractions import Fraction
@@ -40,13 +49,6 @@ from .indices import (
 )
 
 
-def scale_value(value, fraction):
-    """Multiply a generic scalar by an exact Fraction."""
-    if isinstance(value, float):
-        return value * float(fraction)
-    return value * fraction
-
-
 # ---------------------------------------------------------------------------
 # series vectors
 # ---------------------------------------------------------------------------
@@ -65,7 +67,7 @@ class SeriesVector:
     def add_term(self, m, v):
         cur = self.coeffs.get(m)
         new = v if cur is None else cur + v
-        if _is_zero(new):
+        if new == 0:
             self.coeffs.pop(m, None)
         else:
             self.coeffs[m] = new
@@ -98,12 +100,6 @@ class SeriesVector:
         return "SeriesVector({" + ", ".join(bits) + "})"
 
 
-def _is_zero(v):
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return v == 0
-
-
 def series_mul(x, y):
     """Cauchy product: (x*y)_beta = sum over splittings of beta."""
     out = SeriesVector()
@@ -128,10 +124,10 @@ def d0_apply(series):
     for gamma, v in series.items():
         for k, c in gamma.a:
             shifted = gamma.minus(e(k)) + e(k + 1)
-            out.add_term(shifted, scale_value(v, Fraction((k + 1) * c)))
+            out.add_term(shifted, v * Fraction((k + 1) * c))
         for l, c in gamma.b:
             shifted = gamma.minus(f(l)) + f(l + 1)
-            out.add_term(shifted, scale_value(v, Fraction((l + 1) * c)))
+            out.add_term(shifted, v * Fraction((l + 1) * c))
     return out
 
 
@@ -144,20 +140,8 @@ def dn_apply(series, n):
     for gamma, v in series.items():
         c = dict(gamma.p).get(tuple(n), 0)
         if c:
-            out.add_term(gamma.minus(gn), scale_value(v, Fraction(c)))
+            out.add_term(gamma.minus(gn), v * Fraction(c))
     return out
-
-
-def d0_entry(beta, gamma):
-    """Matrix entry (D0)_beta^gamma."""
-    return d0_apply(basis(gamma)).get(beta, 0)
-
-
-def dn_entry(beta, gamma, n):
-    """Matrix entry (D^(n))_beta^gamma, n != 0."""
-    if not any(n):
-        raise ConfigError("dn_entry needs a nonzero decoration; use d0_entry")
-    return dn_apply(basis(gamma), n).get(beta, 0)
 
 
 def d0_power_row(beta, m):
@@ -211,7 +195,7 @@ class StructureMap:
                 raise ConfigError(f"letter {n} has arity {len(n)}, expected {params.arity}")
             kept = {}
             for m, v in entries.items():
-                if _is_zero(v):
+                if v == 0:
                     continue
                 if not is_populated(m):
                     raise ConfigError(
@@ -235,14 +219,6 @@ class StructureMap:
                 out.append((n, m, self.pi[n][m]))
         return out
 
-    def min_gap(self):
-        """Smallest homogeneity increase |beta| - |n| over all letters."""
-        gaps = [
-            homogeneity(m, self.params) - aniso_degree(n)
-            for n, m, _v in self.letters()
-        ]
-        return min(gaps) if gaps else None
-
 
 def gamma_entry(beta, gamma, smap):
     """Matrix entry (Gamma*)_beta^gamma of the recentering map.
@@ -257,40 +233,30 @@ def gamma_entry(beta, gamma, smap):
     jmax = beta.a_weight() + beta.b_weight() - bracket(gamma)
     total = 1 if beta == gamma else 0
 
-    def word_value(rest, word):
-        series = basis(gamma)
-        for n, count, _idx in word:
-            for _ in range(count):
-                series = dn_apply(series, n)
-                if not len(series):
-                    return 0
-        return series.get(rest, 0)
-
-    def rec(i, remaining, j, value, fact, word):
+    def rec(i, remaining, j, value, fact, series, reps):
+        # series: basis(gamma) with the word so far applied; reps: how often
+        # its last letter, letters[i], occurs in it
         nonlocal total
         if j > 0:
-            wv = word_value(remaining, word)
-            if not _is_zero(wv):
-                contrib = scale_value(value * wv, Fraction(1, fact))
-                total = total + contrib
+            wv = series.get(remaining, 0)
+            if wv != 0:
+                total = total + value * wv * Fraction(1, fact)
         if j == jmax:
             return
+        last_n = None
         for idx in range(i, len(letters)):
             n, m, v = letters[idx]
             rest = remaining.minus(m)
             if rest is None:
                 continue
-            # multiplicity of this letter so far (last word entry if same idx)
-            if word and word[-1][2] == idx:
-                n0, c0, _ = word[-1]
-                nword = word[:-1] + ((n0, c0 + 1, idx),)
-                nfact = fact * (c0 + 1)
-            else:
-                nword = word + ((n, 1, idx),)
-                nfact = fact
-            rec(idx, rest, j + 1, value * v, nfact, nword)
+            if n != last_n:
+                last_n, nser = n, dn_apply(series, n)
+            if not len(nser):
+                continue
+            mult = reps + 1 if idx == i else 1
+            rec(idx, rest, j + 1, value * v, fact * mult, nser, mult)
 
-    rec(0, beta, 0, 1, 1, ())
+    rec(0, beta, 0, 1, 1, basis(gamma), 0)
     return total
 
 
@@ -322,24 +288,25 @@ def gamma_apply(series, smap, cutoff):
         for m, v in dser.items():
             hom = alpha * (1 + bracket(m) + shift_bracket) + (poly_weight(m) + shift_poly)
             if hom < cutoff:
-                out.add_term(m + shift, scale_value(value * v, inv))
+                out.add_term(m + shift, value * v * inv)
 
-    def rec(i, dser, shift, value, fact, gap_sum, word):
+    def rec(i, dser, shift, value, fact, gap_sum, reps):
+        # reps: how often the last letter taken, letters[i], occurs so far
         contribute(dser, shift, value, fact)
+        last_n = None
         for idx in range(i, len(letters)):
             n, m, v = letters[idx]
             gap = gaps[idx]
             if min_hom0 + gap_sum + gap >= cutoff:
                 continue
-            nser = dn_apply(dser, n)
+            if n != last_n:
+                last_n, nser = n, dn_apply(dser, n)
             if not len(nser):
                 continue
-            mult = word.get(idx, 0) + 1
-            nword = dict(word)
-            nword[idx] = mult
-            rec(idx, nser, shift + m, value * v, fact * mult, gap_sum + gap, nword)
+            mult = reps + 1 if idx == i else 1
+            rec(idx, nser, shift + m, value * v, fact * mult, gap_sum + gap, mult)
 
-    rec(0, series, ZERO, 1, 1, 0.0, {})
+    rec(0, series, ZERO, 1, 1, 0.0, 0)
     return out
 
 

@@ -22,15 +22,20 @@ identity: every move of D0 lowers a_weight + b_weight by one and keeps the
 slot counts, and a kept column has weight equal to its noise count, so
 only m = a_weight(sigma) + b_weight(sigma) - b_count(sigma) can give one.
 
-The underlying sums run over ordered splittings, so a grouped quasi or
-noise term carries the number of orderings of its plain-factor multiset,
-while a grouped counter term carries -1/prod(multiplicities!) -- the 1/m!
-of the iterated substitution cancels against the ordered count.
+Each head (e_k, f_l or sigma) leaves beta - head, split into populated
+sub-indices: the plain factors, and for quasi and counter terms the
+decorated factor too, as one multiset whose distinct parts are each marked
+once as the decorated factor.  The underlying sums run over ordered
+splittings, so a grouped quasi or noise term carries the number of
+orderings of its plain factors, parts!/prod(multiplicities!), and a grouped
+counter term -1/prod(multiplicities!) -- the 1/m! of the iterated
+substitution cancels against the ordered count.
 
 All coefficients are exact ``Fraction`` values and all derived column
 weights are integers; nothing in this module is floating point.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -142,16 +147,11 @@ def _splits(rest, parts, pool, rank, start=0):
             yield (pool[i],) + tail
 
 
-def _multiplicities(factors):
-    counts = {}
-    for m in factors:
-        counts[m] = counts.get(m, 0) + 1
-    return list(counts.values())
-
-
-def _ordered_count(factors):
-    mults = _multiplicities(factors)
-    return factorial(len(factors)) // prod(factorial(c) for c in mults)
+def _marked(split):
+    """(decorated, plain) for each distinct part of a nondecreasing split."""
+    for i, m in enumerate(split):
+        if i == 0 or m != split[i - 1]:
+            yield m, split[:i] + split[i + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +217,14 @@ def expand(beta, params, mode="raw", *, rows=None):
 
     terms = []
     for kind, head, parts, c in heads:
-        rest0 = beta.minus(head)
-        for dec in [None] if kind == "noise" else pool:
-            r = rest0 if dec is None else rest0.minus(dec)
-            if r is None:
-                continue
-            for plain in _splits(r, parts, pool, rank):
-                if kind == "counter":
-                    mults = _multiplicities(plain)
-                    coeff = Fraction(-1, prod(factorial(n) for n in mults))
-                else:
-                    coeff = Fraction(_ordered_count(plain))
-                terms.append(_make_term(kind, coeff, plain, dec, kind == "noise", c))
+        has_dec = kind != "noise"
+        for split in _splits(beta.minus(head), parts + has_dec, pool, rank):
+            for dec, plain in _marked(split) if has_dec else [(None, split)]:
+                coeff = Fraction(
+                    -1 if kind == "counter" else factorial(parts),
+                    prod(map(factorial, Counter(plain).values())),
+                )
+                terms.append(_make_term(kind, coeff, plain, dec, not has_dec, c))
 
     terms.sort(key=lambda t: t.sort_key())
     _check_triangular(beta, terms, params)

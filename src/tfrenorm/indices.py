@@ -578,50 +578,29 @@ def enumerate_populated(params, cutoff, max_count=200_000):
 
 
 # ---------------------------------------------------------------------------
-# homogeneity bookkeeping and the exponent window
+# the exponent window
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomogeneitySet:
-    """Sorted unique homogeneities of the populated indices below a cutoff."""
-
-    values: tuple
-    alpha: float
-    cutoff: float
-
-    @classmethod
-    def build(cls, params, cutoff, max_count=200_000):
-        pop = enumerate_populated(params, cutoff, max_count=max_count)
-        vals = sorted({round(homogeneity(m, params), 12) for m in pop})
-        return cls(tuple(vals), params.alpha, cutoff)
-
-    def min_above(self, threshold):
-        for v in self.values:
-            if v > threshold:
-                return v
-        return None
-
-
-def choose_kappa(params, cutoff=None, homs=None):
+def choose_kappa(params, cutoff=None):
     """Midpoint of the admissible window for the remainder exponent kappa.
 
     The window is (3 - 2*alpha, min(D/2, m - 2*alpha)) where m is the
-    smallest populated homogeneity strictly above 3.  The homogeneity set
-    must extend beyond 3 + alpha so that m is final; an empty window raises
-    ConfigError.
+    smallest homogeneity strictly above 3 among the populated indices
+    below the cutoff (rounded to 12 digits).  The cutoff, 3 + alpha + 1/2
+    by default, must lie above 3 + alpha so that m is final; a smaller
+    cutoff or an empty window raises ConfigError.
     """
     alpha = params.alpha
-    if homs is None:
-        if cutoff is None:
-            cutoff = 3 + alpha + 0.5
-        homs = HomogeneitySet.build(params, cutoff)
-    if homs.cutoff <= 3 + alpha:
+    if cutoff is None:
+        cutoff = 3 + alpha + 0.5
+    if cutoff <= 3 + alpha:
         raise ConfigError(
-            f"homogeneity cutoff {homs.cutoff} too small to determine the window "
+            f"homogeneity cutoff {cutoff} too small to determine the window "
             f"(need > {3 + alpha})"
         )
-    m = homs.min_above(3.0)
+    homs = (round(homogeneity(b, params), 12) for b in enumerate_populated(params, cutoff))
+    m = min((h for h in homs if h > 3.0), default=None)
     if m is None:
         raise ConfigError("no populated homogeneity above 3; enlarge the cutoff")
     lo = 3 - 2 * alpha

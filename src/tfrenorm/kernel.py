@@ -329,21 +329,20 @@ def evenness_defect(field):
     return worst / float(np.max(np.abs(vals)))
 
 
-def scaling_defect(grid, t, m0=1.0, sigma=2):
-    """Relative L2 gap in psi_{sigma^8 t}(sigma^4 x0, sigma x1) = sigma^-D psi_t(x).
+def scaling_defect(grid, t, m0=1.0):
+    """Relative L2 gap in psi_{sigma^8 t}(sigma^4 x0, sigma x1) = sigma^-D psi_t(x)
+    at sigma = 2.
 
-    sigma must be an integer so the rescaled points are again lattice
-    points.  The comparison runs over the window where the rescaled
-    coordinates stay within a quarter period of the torus: outside it the
-    left-hand side picks up the periodic images of the kernel (equivalently,
-    subsampling the coarse kernel in Fourier space periodises it with the
-    shrunken box), which the identity on the plane knows nothing about.
+    An integer sigma keeps the rescaled points on the lattice.  The
+    comparison runs over the window where the rescaled coordinates stay
+    within a quarter period of the torus: outside it the left-hand side
+    picks up the periodic images of the kernel (equivalently, subsampling
+    the coarse kernel in Fourier space periodises it with the shrunken
+    box), which the identity on the plane knows nothing about.
     """
-    sigma = int(sigma)
-    if sigma < 2:
-        raise ConfigError(f"scaling factor must be an integer >= 2, got {sigma}")
     if grid.d != 1:
         raise ConfigError("the scaling check is wired for d = 1")
+    sigma = 2
     n0, n1 = grid.sizes
     w0 = n0 // (4 * sigma**4)
     w1 = n1 // (4 * sigma)
@@ -427,17 +426,15 @@ def inversion_residual(grid, m0=1.0, seed=0):
     return residual, realness
 
 
-def kernel_checks(grid=None, m0=1.0, times=None, scaling_time=3e-13):
+def kernel_checks(grid=None, m0=1.0, scaling_time=3e-13):
     """Run every discrete kernel check; returns the measured defects.
 
     Keys: semigroup, evenness, realness, scaling, inversion_residual,
     inversion_realness, moment_spread (dict over (orders, theta) of
-    max/min - 1 across the time window).
+    max/min - 1 across the time window of five times from 1e-12 to 1e-10).
     """
     grid = grid or checks_grid()
-    times = np.asarray(
-        np.geomspace(1e-12, 1e-10, 5) if times is None else times, dtype=float
-    )
+    times = np.geomspace(1e-12, 1e-10, 5)
     base = float(times[0])
     out = {
         "semigroup": semigroup_defect(grid, 3.0 * base, 7.0 * base, m0),

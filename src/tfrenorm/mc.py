@@ -215,14 +215,14 @@ class McReport:
         return buf.getvalue()
 
 
-def _batch_report(estimator, points, per_sample, oracles, batches=16):
-    """Assemble a report from per-sample estimates (samples x points)."""
+def _batch_report(estimator, points, per_sample, oracles):
+    """Assemble a report from per-sample estimates (samples x points), with
+    batch-means errors over 16 batches (fewer below 32 samples)."""
     per_sample = np.asarray(per_sample, dtype=float)
     n = per_sample.shape[0]
     if n < 4:
         raise ConfigError("batch-means errors need at least 4 samples")
-    if n < 2 * batches:
-        batches = max(2, n // 2)
+    batches = min(16, n // 2)
     estimates = _pairwise_sum(list(per_sample)) / n
     cut = (n // batches) * batches
     means = per_sample[:cut].reshape(batches, -1, per_sample.shape[1]).mean(axis=1)
@@ -454,11 +454,6 @@ def equal_time_density(sampler, k_values=None):
     return out
 
 
-def default_window(sampler):
-    """The infrared-safe fit window [4 tau^(1/8), box/8]."""
-    return 4.0 * sampler.moll.tau**0.125, sampler.grid.boxes[-1] / 8.0
-
-
 def _separation_indices(grid, window):
     lo, hi = window
     if not 0 < lo < hi:
@@ -480,9 +475,8 @@ def _separation_indices(grid, window):
     return js
 
 
-def deterministic_scaling_slope(sampler, window=None):
+def deterministic_scaling_slope(sampler, window):
     """Slope of the exact equal-time pairing sum for pi_f0, no sampling."""
-    window = window or default_window(sampler)
     js = _separation_indices(sampler.grid, window)
     p_density = equal_time_density(sampler)
     length = sampler.grid.boxes[-1]
@@ -493,17 +487,16 @@ def deterministic_scaling_slope(sampler, window=None):
     return fit_log_slope(seps, moments)
 
 
-def scaling_fit(component, sampler, window=None, n_samples=1024,
-                bootstrap=200):
+def scaling_fit(component, sampler, window, n_samples=1024, bootstrap=200):
     """(exponent, ci): log-log slope of E|Pi(y)|^2 against |y - x|_s.
 
     'f0' samples the equal-time spatial marginal directly (the space-time
     torus cannot resolve the parabolic frequency ridge, see
     equal_time_density); 'f0f1' runs on the sampler's own space-time grid
     and is therefore comparable only with same-grid oracles.  The ci is
-    the half-width of a 95% bootstrap interval over samples.
+    the half-width of a 95% bootstrap interval over samples.  ``window``
+    (lo, hi) bounds the separations and must span half a decade.
     """
-    window = window or default_window(sampler)
     js = _separation_indices(sampler.grid, window)
     grid = sampler.grid
     length = grid.boxes[-1]

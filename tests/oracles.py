@@ -6,6 +6,11 @@ package under test, using different algorithms than the library:
 * a slow itertools-style enumerator for populated multiindices (the
   library uses a pruned DFS; here we sweep generous exponent boxes and
   filter with the literal predicates),
+* the right-hand side of one hierarchy index with every sub-index tried as
+  the decorated factor, every multiset of plain parts filtered by its sum
+  and counted by its distinct orderings, and counter columns found by
+  walking the D0 down-moves (the library marks the decorated factor inside
+  one split and derives the columns from the counterterm identity),
 * closed-form values of the rescaled counterterm constants obtained by
   integrating the defining quadrant integrals exactly (Wallis/Beta
   identities), evaluated with math.gamma, and the same constants as
@@ -24,7 +29,8 @@ package under test, using different algorithms than the library:
 
 import math
 import warnings
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import mpmath
 from scipy.integrate import IntegrationWarning, quad
@@ -176,6 +182,119 @@ def brute_force_populated(alpha, d, cutoff):
                 if homogeneity(alpha, a, b, p) < cutoff:
                     results.add((a, b, p))
     return results
+
+
+# ---------------------------------------------------------------------------
+# hierarchy oracle.  Here an index is a sorted tuple of (unit, count) pairs,
+# a unit being ("e", k), ("f", l) or ("g", n).
+# ---------------------------------------------------------------------------
+
+
+def _index(counts):
+    return tuple(sorted((unit, c) for unit, c in counts.items() if c))
+
+
+def _index_sum(parts):
+    acc = {}
+    for part in parts:
+        for unit, c in part:
+            acc[unit] = acc.get(unit, 0) + c
+    return _index(acc)
+
+
+def _index_minus(index, part):
+    acc = dict(index)
+    for unit, c in part:
+        acc[unit] -= c
+    return _index(acc)
+
+
+def _fits(part, index):
+    """Whether part <= index unit by unit."""
+    bound = dict(index)
+    return all(c <= bound.get(unit, 0) for unit, c in part)
+
+
+def _abp(index):
+    """The (a, b, p) triple of an index, for the predicates above."""
+    families = {"e": [], "f": [], "g": []}
+    for (family, key), c in index:
+        families[family].append((key, c))
+    return tuple(families["e"]), tuple(families["f"]), tuple(families["g"])
+
+
+def _d0_down(index):
+    """The indices one D0 move below: one slot e_k or f_l, k, l >= 1, lowered."""
+    out = set()
+    for (family, key), _c in index:
+        if family != "g" and key >= 1:
+            acc = dict(index)
+            acc[(family, key)] -= 1
+            acc[(family, key - 1)] = acc.get((family, key - 1), 0) + 1
+            out.add(_index(acc))
+    return out
+
+
+def _keeps_column(alpha, gamma, mode):
+    """Literal counterterm-column predicate: undecorated, weight equal to the
+    noise count, at least one noise slot, homogeneity below 2 + alpha, and
+    an even bracket in reduced mode."""
+    a, b, p = _abp(gamma)
+    weight = sum(k * c for k, c in a) + sum(l * c for l, c in b)
+    noise = sum(c for _, c in b)
+    if p or weight != noise or noise == 0:
+        return False
+    if homogeneity(alpha, a, b, p) >= 2 + alpha:
+        return False
+    return mode == "raw" or bracket(a, b, p) % 2 == 0
+
+
+def brute_force_expansion(alpha, beta, mode):
+    """Terms (kind, coeff, plain, decorated) of the right-hand side of beta.
+
+    Heads: e_k (quasi, k plain parts and a decorated factor), f_l (noise, l
+    plain parts) and every nonzero undecorated sigma <= beta (counter, m =
+    weight - noise count plain parts and a decorated factor), kept when one
+    of the m-fold D0 down-moves of sigma is a kept column.  Every populated
+    nonzero sub-index of beta is tried as the decorated factor, and every
+    multiset of plain parts that sums to the rest is a term.  Its
+    coefficient is the number of distinct orderings of the plain parts,
+    over -m! for a counter term.  Sorted by repr.
+    """
+    subs = [()]
+    for unit, count in beta:
+        subs = [s + ((unit, i),) for s in subs for i in range(count + 1)]
+    subs = [_index(dict(s)) for s in subs]
+    pool = [s for s in subs if s and is_populated_literal(*_abp(s))]
+    heads = []
+    for (family, key), _c in beta:
+        if family != "g":
+            heads.append(("quasi" if family == "e" else "noise", (((family, key), 1),), key))
+    for sigma in subs:
+        a, b, p = _abp(sigma)
+        m = sum(k * c for k, c in a) + sum(l * c for l, c in b) - sum(c for _, c in b)
+        if not sigma or p or m < 0:
+            continue
+        row = {sigma}
+        for _ in range(m):
+            row = set().union(*map(_d0_down, row))
+        if any(_keeps_column(alpha, gamma, mode) for gamma in row):
+            heads.append(("counter", sigma, m))
+    terms = []
+    for kind, head, parts in heads:
+        rest = _index_minus(beta, head)
+        for dec in [None] if kind == "noise" else pool:
+            if dec is not None and not _fits(dec, rest):
+                continue
+            left = rest if dec is None else _index_minus(rest, dec)
+            fitting = [q for q in pool if _fits(q, left)]
+            for plain in combinations_with_replacement(fitting, parts):
+                if _index_sum(plain) != left:
+                    continue
+                orderings = len(set(permutations(plain)))
+                coeff = Fraction(orderings, 1 if kind != "counter" else -math.factorial(parts))
+                terms.append((kind, coeff, tuple(sorted(plain)), dec))
+    return sorted(terms, key=repr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact polynomial scalars for symbolic structure-group computations.
+"""Exact polynomial scalars for the symbolic structure-group tests.
 
 A PolyScalar is a polynomial with Fraction coefficients in the components
 of a displacement vector (one time and d space offsets).  The structure
@@ -12,7 +12,7 @@ code can start accumulators at 0 or 1 regardless of the scalar type.
 from fractions import Fraction
 from math import comb
 
-from .errors import ConfigError
+from tfrenorm.errors import ConfigError
 
 
 def _norm_key(exponents):
@@ -43,9 +43,6 @@ class PolyScalar:
     @classmethod
     def monomial(cls, exponents, coeff=1):
         return cls({tuple(exponents): Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.terms
 
     def _coerce(self, other):
         if isinstance(other, PolyScalar):

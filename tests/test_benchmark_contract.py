@@ -1,24 +1,27 @@
-"""The traced benchmark run wraps named functions of each layer; every one
-of them must exist, so that removing or renaming a public function fails
-here rather than in the benchmark."""
+"""The benchmark uses the library by name: the traced run wraps named
+functions of each layer, and the workload jobs call the public API.  Every
+one of them must exist and behave, so that removing or renaming a public
+name fails here rather than in the benchmark."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-TARGETS = _targets()
+TARGETS = _load("tracer").TARGETS
+WORKLOADS = _load("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize(
@@ -59,3 +62,15 @@ def test_public_constructor_runs_the_patched_validation(monkeypatch):
     parse_multiindex("e1+2f0")
     assert len(calls) == 2
     assert str(m) == "e1+2f0"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_one_benchmark_job_of_each_kind_runs_and_checks(name):
+    """Each job checks its own output and raises when the check fails."""
+    workload = WORKLOADS[name]()
+    workload.setup()
+    jobs = {}
+    for kind, params in workload.cycle(random.Random(f"contract/{name}")):
+        jobs.setdefault(kind, params)
+    for kind, params in jobs.items():
+        workload.run(kind, params, None)

@@ -215,8 +215,9 @@ def gamma_entry_argv(map_name):
     (H_EVAL + ["--a-prime", "nan"], 2),
     (H_EVAL + ["--a-prime", "1e300"], 3),
     # scales that underflow inside the equal-time line integral
-    (SCALING + ["--tau", "1e-200", "--mollifier", "anisotropic", "--eta", "4"], 3),
-    (SCALING + ["--tau", "1e-14", "--boxes", "1,1e300"], 3),
+    (SCALING + ["--tau", "1e-200", "--mollifier", "anisotropic", "--eta", "4",
+                "--window", "0.02,0.4"], 3),
+    (SCALING + ["--tau", "1e-14", "--boxes", "1,1e300", "--window", "2e298,4e299"], 3),
     # unwritable output paths
     (["kappa", "--alpha", "0.55", "--output", "{tmp}/missing/out.json"], 2),
     (["constants", "--alpha", "0.55", "--output", "{tmp}/missing/out.json"], 2),
@@ -233,6 +234,13 @@ def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == want, err
+    assert out == ""
+
+
+def test_simulate_scaling_needs_a_window(capsys):
+    code, out, err = run(capsys, *SCALING, "--tau", "1e-14")
+    assert code == 2
+    assert "--window" in err
     assert out == ""
 
 

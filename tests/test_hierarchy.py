@@ -6,7 +6,9 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import brute_force_expansion
 from tfrenorm import hierarchy
 from tfrenorm.errors import ConfigError
 from tfrenorm.group import d0_power_row
@@ -175,6 +177,45 @@ def all_expandable(params, cutoff):
         for m in enumerate_populated(params, cutoff)
         if not is_purely_polynomial(m)
     ]
+
+
+def _oracle_index(m):
+    """A multiindex in the oracle's form: sorted (unit, count) pairs."""
+    return tuple(sorted(
+        [(("e", k), c) for k, c in m.a]
+        + [(("f", l), c) for l, c in m.b]
+        + [(("g", n), c) for n, c in m.p]
+    ))
+
+
+ORACLE_PARAMS = {1: ModelParams(alpha=0.55, d=1), 2: ModelParams(alpha=0.62, d=2)}
+ORACLE_CUTOFF = {1: 3.4, 2: 3.0}
+ORACLE_BETAS = [
+    (d, beta)
+    for d, params in ORACLE_PARAMS.items()
+    for beta in all_expandable(params, ORACLE_CUTOFF[d])
+]
+
+
+# the examples have splits with equal parts, one of them the decorated
+# factor, in quasi and counter terms
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_BETAS), st.sampled_from(["raw", "reduced"]))
+@example((1, P("e2+3f0")), "raw")
+@example((1, P("e2+2f0+g(0,1)")), "reduced")
+@example((2, P("e2+3f0")), "reduced")
+def test_expand_matches_the_brute_force_split(case, mode):
+    d, beta = case
+    params = ORACLE_PARAMS[d]
+    got = sorted(
+        (
+            (t.kind, t.coeff, tuple(sorted(map(_oracle_index, t.factors))),
+             None if t.decorated is None else _oracle_index(t.decorated))
+            for t in expand(beta, params, mode)
+        ),
+        key=repr,
+    )
+    assert got == brute_force_expansion(params.alpha, _oracle_index(beta), mode)
 
 
 def test_terms_conserve_the_index():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from tfrenorm.errors import ConfigError, ResourceError
 from tfrenorm.indices import (
-    HomogeneitySet,
     ModelParams,
     Multiindex,
     ZERO,
@@ -486,12 +485,6 @@ def test_iter_decorations_ordering():
 # ---------------------------------------------------------------------------
 
 
-def test_homogeneity_set_minimum_is_alpha():
-    hs = HomogeneitySet.build(P055, 2.5)
-    assert hs.values[0] == pytest.approx(0.55)
-    assert hs.min_above(3.0) is None
-
-
 def test_choose_kappa_worked_example():
     params = ModelParams(alpha=0.6, d=1, allow_rational_alpha=True)
     # smallest homogeneity above 3 at alpha = 0.6 is 3.2, window
@@ -501,9 +494,8 @@ def test_choose_kappa_worked_example():
 
 def test_choose_kappa_needs_a_wide_enough_cutoff():
     params = ModelParams(alpha=0.6, d=1, allow_rational_alpha=True)
-    homs = HomogeneitySet.build(params, 3.1)
     with pytest.raises(ConfigError):
-        choose_kappa(params, homs=homs)
+        choose_kappa(params, cutoff=3.1)
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,6 @@ def test_semigroup_defect_small_grid():
 def test_scaling_identity_on_checks_grid():
     defect = scaling_defect(checks_grid(), 3e-13)
     assert defect < 1e-5
-    with pytest.raises(ConfigError):
-        scaling_defect(small_grid(), 3e-13, sigma=1)
 
 
 def test_moment_ratios_stay_uniform_over_two_decades():
