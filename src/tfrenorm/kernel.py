@@ -6,7 +6,9 @@ the desk-scale stand-in for the whole-space theory: a torus whose time
 period is measured in units of length^4 so that the parabolic scaling
 (t, x) -> (s^4 t, s x) maps grid points to grid points, the heat-type
 kernel psi_t = exp(-t LL*) sampled on that torus, discrete convolution,
-and the inversion u = L^{-1} (div f) used by the simulation layer.
+and the inversion u = L^{-1} (div f) used by the simulation layer.  The
+multipliers of L^{-1} div are stated once, in div_symbols: solve_L_div
+applies them and the pairing-sum oracles of the MC layer read them.
 
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
@@ -37,9 +39,6 @@ import numpy as np
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
-
-#: grid sizes (N0, N1) used when none are given, d = 1
-DEFAULT_SIZES = (256, 1024)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +130,8 @@ class SpectralGrid:
         return xs
 
 
-def make_grid(d=1, sizes=None, boxes=None, length=1.0):
-    """Grid with the default anisotropy: time period = (space period)^4."""
-    if sizes is None:
-        sizes = DEFAULT_SIZES if d == 1 else (DEFAULT_SIZES[0],) + (64,) * d
-    if boxes is None:
-        boxes = (float(length) ** 4,) + (float(length),) * d
+def make_grid(d, sizes, boxes):
+    """SpectralGrid from any sequences of sizes and boxes."""
     return SpectralGrid(d=d, sizes=tuple(sizes), boxes=tuple(boxes))
 
 
@@ -254,10 +249,17 @@ def derivative(field, orders):
     return out if field.space == "fourier" else out.to_physical()
 
 
-def solve_L_div(components, m0=1.0):
-    """Solve L u = div f for the d spatial components f, zero-mean gauge.
+def div_symbols(grid, m0):
+    """The multipliers 2 pi i k_i / symbol_L(k, m0) of L^{-1} div, one per
+    spatial axis i; zero at k = 0 and on the axis's Nyquist row."""
+    sym = symbol_L(grid.frequency_mesh(), m0)
+    sym[(0,) * (grid.d + 1)] = 1.0  # where every 2 pi i k_i is zero
+    return [grid.ik_power(1 + i, 1) / sym for i in range(grid.d)]
 
-    uhat(k) = 2 pi i (k_space . fhat(k)) / symbol_L(k, m0), uhat(0) = 0.
+
+def solve_L_div(components, m0=1.0):
+    """Solve L u = div f for the d spatial components f, zero-mean gauge:
+    uhat = sum_i div_symbols_i fhat_i.
     """
     components = list(components)
     if not components:
@@ -269,25 +271,17 @@ def solve_L_div(components, m0=1.0):
         )
     if any(c.grid != grid for c in components):
         raise ConfigError("all components must share one grid")
-    div_hat = sum(
-        grid.ik_power(1 + i, 1) * comp.to_fourier().values
-        for i, comp in enumerate(components)
+    u_hat = sum(
+        mult * comp.to_fourier().values
+        for mult, comp in zip(div_symbols(grid, m0), components)
     )
-    sym = symbol_L(grid.frequency_mesh(), m0)
-    sym_safe = np.where(sym == 0, 1.0, sym)
-    u_hat = div_hat / sym_safe
-    u_hat[(0,) * (grid.d + 1)] = 0.0
     out = SpectralField(grid, u_hat, "fourier")
     return out if components[0].space == "fourier" else out.to_physical()
 
 
-def aniso_norm(x, params=None):
+def aniso_norm(x):
     """Parabolic distance |x0|^(1/4) + sum_i |x_i| from the origin."""
     parts = [np.asarray(part, dtype=float) for part in x]
-    if params is not None and len(parts) != params.d + 1:
-        raise ConfigError(
-            f"point has {len(parts)} coordinates, model has d={params.d}"
-        )
     total = np.abs(parts[0]) ** 0.25
     for part in parts[1:]:
         total = total + np.abs(part)
@@ -365,28 +359,27 @@ def moment_bound_spreads(grid, times, m0=1.0):
     t^{(|n|-theta)/8} integral |d^n psi_t(z)| (t^{1/8}+|z|_s)^theta dz,
     which the kernel bound keeps below a constant uniformly in t, for the
     spatial derivatives n = (0, 0), ..., (0, 3) (|n| = 4 n0 + n1 <= 3) and
-    theta in {-1, 0, 1}.  One transform per (t, n) pair is shared across
-    the theta values, which is what makes the full sweep cheap enough to
-    run routinely.
+    theta in {-1, 0, 1}.  Per t there is one kernel symbol and one weight
+    w = t^{1/8} + |z|_s, and per (t, n) one transform shared across the
+    theta values, which is what makes the full sweep cheap enough to run
+    routinely.  Each weighted integrand is formed and summed on its own,
+    so no two of them are held at once.
     """
     if grid.d != 1:
         raise ConfigError("the moment derivative orders are wired for d = 1")
     coords = [grid.coordinates(axis, centered=True) for axis in range(grid.d + 1)]
     mesh = np.meshgrid(*coords, indexing="ij", sparse=True)
-    base_norm = aniso_norm(mesh)
     freq = grid.frequency_mesh()
     acc = {}
     for t in np.asarray(times, dtype=float):
-        hat = psi_hat(t, freq, m0)
-        for orders in [(0, n1) for n1 in range(4)]:
-            dpsi = derivative(SpectralField(grid, hat, "fourier"), orders)
-            magnitude = np.abs(dpsi.to_physical().values)
-            aniso_order = 4 * orders[0] + sum(orders[1:])
-            for theta in (-1, 0, 1):
-                weight = (t**0.125 + base_norm) ** theta
-                integral = float(np.sum(magnitude * weight) * grid.cell)
-                ratio = t ** ((aniso_order - theta) / 8.0) * integral
-                acc.setdefault((tuple(orders), theta), []).append(ratio)
+        hat = SpectralField(grid, psi_hat(t, freq, m0), "fourier")
+        w = t**0.125 + aniso_norm(mesh)
+        for n1 in range(4):
+            magnitude = np.abs(derivative(hat, (0, n1)).to_physical().values)
+            sums = (np.sum(magnitude / w), np.sum(magnitude), np.sum(magnitude * w))
+            for theta, weighted_sum in zip((-1, 0, 1), sums):
+                ratio = t ** ((n1 - theta) / 8.0) * float(weighted_sum * grid.cell)
+                acc.setdefault(((0, n1), theta), []).append(ratio)
     return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
 
 
@@ -395,7 +388,7 @@ def inversion_residual(grid, m0=1.0, seed=0):
     limited to the wavenumbers |j| < N_i/4 on each axis.
 
     residual -- relative gap ||symbol_L u_hat - div_hat|| / ||div_hat|| in
-                Fourier space, zero mode removed, where u_hat comes from
+                Fourier space (div_hat has no zero mode), where u_hat comes from
                 solve_L_div and div_hat is rebuilt by the same ik_power
                 rule; it shows that solve_L_div divides by symbol_L on
                 every nonzero mode, so it sits at rounding level, but it
@@ -410,47 +403,30 @@ def inversion_residual(grid, m0=1.0, seed=0):
         hat = field.to_fourier().values
         for k, box, n in zip(mesh, grid.boxes, grid.sizes):
             hat = np.where(np.abs(np.rint(k * box)) < n / 4, hat, 0.0)
-        comps.append(SpectralField(grid, hat, "fourier").to_physical())
-    u_hat = solve_L_div([c.to_fourier() for c in comps], m0)
-    realness = real_defect(u_hat)
-    div_hat = sum(
-        grid.ik_power(1 + i, 1) * c.to_fourier().values
-        for i, c in enumerate(comps)
-    )
-    lu_hat = symbol_L(mesh, m0) * u_hat.values
-    div_hat_zeroed = div_hat.copy()
-    div_hat_zeroed[(0,) * (grid.d + 1)] = 0.0
-    residual = float(
-        np.linalg.norm(lu_hat - div_hat_zeroed) / np.linalg.norm(div_hat_zeroed)
-    )
-    return residual, realness
+        comps.append(SpectralField(grid, hat, "fourier"))
+    u_hat = solve_L_div(comps, m0)
+    div_hat = sum(grid.ik_power(1 + i, 1) * c.values for i, c in enumerate(comps))
+    gap = symbol_L(mesh, m0) * u_hat.values - div_hat
+    return float(np.linalg.norm(gap) / np.linalg.norm(div_hat)), real_defect(u_hat)
 
 
-def kernel_checks(grid=None, m0=1.0, scaling_time=3e-13):
+def kernel_checks(grid, m0=1.0, scaling_time=3e-13):
     """Run every discrete kernel check; returns the measured defects.
 
     Keys: semigroup, evenness, realness, scaling, inversion_residual,
     inversion_realness, moment_spread (dict over (orders, theta) of
     max/min - 1 across the time window of five times from 1e-12 to 1e-10).
     """
-    grid = grid or checks_grid()
     times = np.geomspace(1e-12, 1e-10, 5)
     base = float(times[0])
+    base_hat = SpectralField(grid, psi_hat(base, grid.frequency_mesh(), m0), "fourier")
     out = {
         "semigroup": semigroup_defect(grid, 3.0 * base, 7.0 * base, m0),
-        "evenness": evenness_defect(kernel_field(grid, base, m0)),
-        "realness": real_defect(
-            SpectralField(
-                grid,
-                psi_hat(base, grid.frequency_mesh(), m0),
-                "fourier",
-            )
-        ),
+        "evenness": evenness_defect(base_hat),
+        "realness": real_defect(base_hat),
         "scaling": scaling_defect(grid, scaling_time, m0),
     }
-    residual, realness = inversion_residual(grid, m0)
-    out["inversion_residual"] = residual
-    out["inversion_realness"] = realness
+    out["inversion_residual"], out["inversion_realness"] = inversion_residual(grid, m0)
     out["moment_spread"] = moment_bound_spreads(grid, times, m0)
     return out
 

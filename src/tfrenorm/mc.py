@@ -5,6 +5,9 @@ The ensemble is the Gaussian member of the admissible class, so every
 second moment reported here has an exact oracle given by a Fourier pairing
 sum over the very same lattice the samples live on -- grid distortion then
 cancels in the comparison and the z-scores measure only sampling noise.
+The moment oracle squares the kernel.div_symbols multipliers after the
+projection the inverse real transform applies to them: that projection, not
+the bare multiplier, is what reaches a real sample.
 
 Randomness is counter-based: sample i of a sampler with seed s draws from
 Philox keyed by hash(s, i), so estimates are bit-identical however the
@@ -27,11 +30,10 @@ from .errors import ConfigError, NumericError
 from .kernel import (
     SpectralField,
     TWO_PI,
-    convolve,
+    div_symbols,
     dump_field,
     psi_hat,
     solve_L_div,
-    symbol_L,
     symbol_LLstar,
 )
 
@@ -292,8 +294,12 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     """E|pi_f0(y)|^2 against the exact Gaussian pairing sum.
 
     The oracle is 2(G(0) - G(y-x)) with G the inverse transform of the
-    lattice density of v = L^{-1} div xi.  With dump_path set, the full
-    second-moment field is written in the binary field format.
+    lattice density of v = L^{-1} div xi: FF sum_i |P M_i|^2 over the
+    div_symbols M_i, P a physical round trip.  On the self-conjugate planes
+    the inverse real transform keeps the conjugate-symmetric part of
+    M_i xi_hat_i, which is xi_hat_i P M_i as xi_hat_i is symmetric there.
+    With dump_path set, the full second-moment field is written in the
+    binary field format.
     """
     grid = sampler.grid
     x = _base_index(grid, x)
@@ -305,13 +311,11 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
         (j,) + (0,) * grid.d
         for j in sorted({int(v) for v in np.geomspace(1, max(2, grid.sizes[0] // 3), 4)})
     ]
-    mesh = grid.frequency_mesh()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = sum(
-            (TWO_PI * mesh[1 + i]) ** 2 for i in range(grid.d)
-        ) / symbol_LLstar(mesh, sampler.spec.m0)
-    mult[(0,) * (grid.d + 1)] = 0.0
-    g_field = _density_transform(grid, sampler.density() * mult)
+    mult_sq = sum(
+        np.abs(SpectralField(grid, m, "fourier").to_physical().to_fourier().values) ** 2
+        for m in div_symbols(grid, sampler.spec.m0)
+    )
+    g_field = _density_transform(grid, sampler.density() * mult_sq)
     zero = (0,) * (grid.d + 1)
     oracles = [
         2.0 * (g_field[zero] - g_field[tuple(si % n for si, n in zip(sep, grid.sizes))])
@@ -351,20 +355,17 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     grid = sampler.grid
     x = _base_index(grid, x)
     t_list = [float(t) for t in t_list]
+    psis = [psi_hat(t, grid.frequency_mesh(), sampler.spec.m0) for t in t_list]
     if component == "f0":
         oracles = [0.0 for _ in t_list]
     else:
-        mesh = grid.frequency_mesh()
-        sym = symbol_L(mesh, sampler.spec.m0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = grid.ik_power(1, 1) / sym
+        mult = div_symbols(grid, sampler.spec.m0)[0]
         zero = (0,) * (grid.d + 1)
-        mult[zero] = 0.0
         ff = sampler.density()
-        oracles = []
-        for t in t_list:
-            damp = 1.0 - psi_hat(t, mesh, sampler.spec.m0)
-            oracles.append(float(_density_transform(grid, damp * mult * ff)[zero]))
+        oracles = [
+            float(_density_transform(grid, (1.0 - psi) * mult * ff)[zero])
+            for psi in psis
+        ]
     rows = []
     for i in range(n_samples):
         noise = sample_noise(sampler, i)
@@ -373,9 +374,11 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
         else:
             piece = pi_f0(noise, x, sampler.spec.m0).values
             base = SpectralField(grid, piece * noise[0].values, "physical")
-        rows.append(
-            [float(convolve(base, t, sampler.spec.m0).values[x]) for t in t_list]
-        )
+        base_hat = base.to_fourier().values
+        rows.append([
+            float(SpectralField(grid, base_hat * psi, "fourier").to_physical().values[x])
+            for psi in psis
+        ])
     return _batch_report(f"bphz_{component}", t_list, rows, oracles)
 
 

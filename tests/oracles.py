@@ -24,7 +24,12 @@ package under test, using different algorithms than the library:
   the u-integral by tanh-sinh quadrature,
 * the equal-time line density by scipy quad on decade panels out to
   infinity (the library uses Gauss-Legendre panels cut at the mollifier
-  envelope).
+  envelope),
+* the exact second moment of a linear function of white noise as the sum
+  of its squared responses to every unit vector (the library sums the
+  spectral density against the squared multiplier),
+* the kernel moment ratios with the weight (t^{1/8} + |z|_s)^theta raised
+  anew for every (t, n, theta) (the library forms one weight per t).
 """
 
 import math
@@ -33,6 +38,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import mpmath
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaincc
 
@@ -562,3 +568,51 @@ def quad_line_density(evaluator, squared_symbol, m0, k1, k0_mollifier, epsrel=1e
         val, err = _quad(integrand, lo, hi, epsabs=1e-300, epsrel=epsrel, limit=200)
         value, error = value + val, error + err
     return 2.0 * value, 2.0 * error
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo moment and kernel moment-ratio oracles
+# ---------------------------------------------------------------------------
+
+
+def unit_response_second_moment(response, shape):
+    """E|A w|^2 pointwise for white noise w ~ N(0, I) of the given shape and
+    a linear map A = response: the sum over unit vectors e_j of (A e_j)^2."""
+    total = 0.0
+    for j in range(math.prod(shape)):
+        unit = np.zeros(shape)
+        unit.flat[j] = 1.0
+        total = total + response(unit) ** 2
+    return total
+
+
+def moment_spreads_per_order(sizes, boxes, times, m0=1.0):
+    """max/min - 1 over the times of the d = 1 kernel moment ratios
+    t^{(n1-theta)/8} sum |d^n1 psi_t| (t^{1/8} + |z|_s)^theta cell, keyed
+    ((0, n1), theta) for n1 = 0..3 and theta in {-1, 0, 1}, with the weight
+    raised to theta anew for every (t, n1, theta)."""
+    (n0, n1), (box0, box1) = sizes, boxes
+    cell = float(np.prod(boxes)) / int(np.prod(sizes))
+    z0, z1 = ((np.arange(n) * (box / n) + box / 2.0) % box - box / 2.0
+              for n, box in zip(sizes, boxes))
+    z0, z1 = np.meshgrid(z0, z1, indexing="ij", sparse=True)
+    base_norm = np.abs(z0) ** 0.25 + np.abs(z1)
+    k0, k1 = np.meshgrid(np.fft.rfftfreq(n0, d=box0 / n0), np.fft.fftfreq(n1, d=box1 / n1),
+                         indexing="ij", sparse=True)
+    acc = {}
+    for t in np.asarray(times, dtype=float):
+        hat = np.exp(-t * ((TWO_PI * k0) ** 2 + m0**2 * ((TWO_PI * k1) ** 2) ** 4))
+        for order in range(4):
+            dhat = hat
+            if order:
+                k = k1.copy()
+                if order % 2:
+                    k.flat[n1 // 2] = 0.0  # odd powers vanish on the Nyquist row
+                dhat = dhat * (TWO_PI * 1j * k) ** order
+            magnitude = np.abs(np.fft.irfftn(dhat, s=(n1, n0), axes=(1, 0)) / cell)
+            for theta in (-1, 0, 1):
+                weight = (t**0.125 + base_norm) ** theta
+                integral = float(np.sum(magnitude * weight) * cell)
+                ratio = t ** ((order - theta) / 8.0) * integral
+                acc.setdefault(((0, order), theta), []).append(ratio)
+    return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}

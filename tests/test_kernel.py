@@ -1,14 +1,15 @@
 """Spectral grid, kernel symbols, convolution and inversion checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import moment_spreads_per_order, unit_response_second_moment
 from tfrenorm import mc
 from tfrenorm.constants import covariance_spec, mollifier_spec
 from tfrenorm.errors import ConfigError
-from tfrenorm.indices import ModelParams
 from tfrenorm.kernel import (
     SpectralField,
     SpectralGrid,
@@ -21,7 +22,6 @@ from tfrenorm.kernel import (
     kernel_field,
     inversion_residual,
     load_field,
-    make_grid,
     moment_bound_spreads,
     psi_hat,
     real_defect,
@@ -62,17 +62,6 @@ def test_frequencies_are_half_open_integer_range():
         j = np.sort(grid.frequencies(axis) * grid.boxes[axis])
         n = grid.sizes[axis]
         assert np.allclose(j, np.arange(-n // 2, n // 2))
-
-
-def test_make_grid_defaults_tie_time_box_to_fourth_power():
-    grid = make_grid()
-    assert grid.sizes == (256, 1024)
-    assert grid.boxes == (1.0, 1.0)
-    half = make_grid(length=0.5)
-    assert half.boxes == (0.5**4, 0.5)
-    flat = make_grid(d=2)
-    assert flat.sizes == (256, 64, 64)
-    assert flat.boxes == (1.0, 1.0, 1.0)
 
 
 def test_field_round_trip_and_validation():
@@ -188,6 +177,29 @@ def test_moment_ratios_stay_uniform_over_two_decades():
         assert spread < 0.1, f"moment ratio drifts at {key}: {spread:.3f}"
 
 
+def test_moment_spreads_match_the_per_order_weight_loop():
+    grid = checks_grid()
+    times = [1e-12, 1e-11]
+    got = moment_bound_spreads(grid, times)
+    want = moment_spreads_per_order(grid.sizes, grid.boxes, times)
+    assert got.keys() == want.keys()
+    assert max(abs(got[key] - want[key]) for key in want) <= 1e-15
+
+
+def test_moment_spreads_peak_memory():
+    # one physical-grid array of checks_grid() is 16 MiB; the sweep holds
+    # six at its peak, and holding the three theta weights at once would
+    # add two more
+    grid = checks_grid()
+    tracemalloc.start()
+    try:
+        moment_bound_spreads(grid, [1e-12, 1e-11])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * grid.point_count * 8
+
+
 # ---------------------------------------------------------------------------
 # the inversion u = L^{-1} div f
 # ---------------------------------------------------------------------------
@@ -268,12 +280,9 @@ def test_odd_derivative_of_a_nyquist_mode_is_zero():
 
 
 def test_aniso_norm_values():
-    params = ModelParams(alpha=0.55)
-    assert aniso_norm((0.0, 0.0), params) == 0.0
-    assert aniso_norm((16.0, 0.0), params) == pytest.approx(2.0)
-    assert aniso_norm((1.0, 3.0), params) == pytest.approx(4.0)
-    with pytest.raises(ConfigError):
-        aniso_norm((1.0, 1.0, 1.0), params)
+    assert aniso_norm((0.0, 0.0)) == 0.0
+    assert aniso_norm((16.0, 0.0)) == pytest.approx(2.0)
+    assert aniso_norm((1.0, 3.0)) == pytest.approx(4.0)
     arr = aniso_norm((np.array([16.0, 0.0]), np.array([0.0, 2.0])))
     assert np.allclose(arr, [2.0, 2.0])
 
@@ -314,6 +323,34 @@ def test_covariance_is_the_periodogram_transform():
                    for lag in lags]
     rolled /= 4
     assert np.max(np.abs(np.array(rep.estimates) - rolled)) < 1e-12 * rolled[0]
+
+
+@pytest.mark.parametrize("sizes, alpha, tau, m0", [
+    ((4, 8), 0.55, 1e-12, 1.0),
+    ((8, 32), 0.58, 1e-15, 0.6),
+])
+def test_moment_oracle_is_the_exact_second_moment(sizes, alpha, tau, m0):
+    # pi_f0 is linear in the white-noise draw, so its exact second moment
+    # is the sum of its squared responses to every unit draw.  The spatial
+    # Nyquist row carries mass, where the odd power of k in L^{-1} div
+    # vanishes, and the time-Nyquist plane is where the inverse real
+    # transform drops the antisymmetric part of the multiplier.
+    grid = SpectralGrid(d=1, sizes=sizes, boxes=(1.0, 1.0))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(alpha, m0),
+                              moll=mollifier_spec("semigroup", tau, m0=m0), seed=0)
+    assert np.min(sampler.density()[:, sizes[1] // 2]) > 0.0
+    x = (1, 3)
+    scale = np.sqrt(sampler.density() / grid.cell)
+
+    def response(white):  # sample_noise with the draw given
+        hat = SpectralField(grid, white, "physical").to_fourier().values * scale
+        return mc.pi_f0([SpectralField(grid, hat, "fourier").to_physical()], x, m0).values
+
+    exact = unit_response_second_moment(response, grid.sizes)
+    rep = mc.pi_f0_second_moment_check(sampler, x=x, n_samples=4)
+    want = np.array([exact[tuple((xi + si) % n for xi, si, n in zip(x, sep, sizes))]
+                     for sep in rep.points])
+    assert np.max(np.abs(np.array(rep.oracles) - want) / want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
