@@ -8,13 +8,14 @@ period is measured in units of length^4 so that the parabolic scaling
 kernel psi_t = exp(-t LL*) sampled on that torus, discrete convolution,
 and the inversion u = L^{-1} (div f) used by the simulation layer.  The
 multipliers of L^{-1} div are stated once, in div_symbols: solve_L_div
-applies them and the pairing-sum oracles of the MC layer read them.
+and the MC checks apply them, and the pairing-sum oracles read them.
+point_reader reads a field at a few cells straight from its half spectrum.
 
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
 
     fhat(k) = (vol / N) * sum_x f(x) e^{-2 pi i k x},
-    f(x)    = (N / vol) * sum_k fhat(k) e^{+2 pi i k x},
+    f(x)    = (1 / vol) * sum_k fhat(k) e^{+2 pi i k x},
 
 so that multiplier formulas look exactly like their continuum versions.
 
@@ -175,6 +176,36 @@ class SpectralField:
             return self
         vals = np.fft.irfftn(self.values, **self.grid._transform_args())
         return SpectralField(self.grid, vals / self.grid.cell, "physical")
+
+
+def point_reader(grid, cells):
+    """Reader of physical values at a few cells straight from a half spectrum.
+
+    read(hat)[p] equals SpectralField(grid, hat, "fourier").to_physical()
+    .values[cells[p]] to rounding, for any half spectrum hat: it is
+    Re(W @ hat) with W[p, k] = c(k0) e^{2 pi i k x_p} / vol and the c2r
+    weights c = 1 on the k0 = 0 and time-Nyquist planes, 2 elsewhere.  The
+    real part is the projection the inverse real transform applies on the
+    self-conjugate planes.  W is built once; a read costs one small matmul.
+    """
+    c2r = np.full(grid.spectrum_shape[:1] + (1,) * grid.d, 2.0 / grid.volume)
+    c2r[[0, -1]] = 1.0 / grid.volume
+    wavenumbers = [np.arange(grid.spectrum_shape[0])]
+    wavenumbers += [np.fft.fftfreq(n, 1.0 / n).astype(np.int64) for n in grid.sizes[1:]]
+    mesh = np.meshgrid(*wavenumbers, indexing="ij", sparse=True)
+    rows = []
+    for cell in cells:
+        row = c2r
+        for j, x, n in zip(mesh, cell, grid.sizes):
+            # integer turns (j x mod n) / n keep the phase exact on the lattice
+            row = row * np.exp(TWO_PI * 1j * ((j * (int(x) % n)) % n) / n)
+        rows.append(row.ravel())
+    weights = np.array(rows)
+
+    def read(hat):
+        return (weights @ np.ravel(hat)).real
+
+    return read
 
 
 def real_defect(field):

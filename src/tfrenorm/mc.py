@@ -9,6 +9,19 @@ The moment oracle squares the kernel.div_symbols multipliers after the
 projection the inverse real transform applies to them: that projection, not
 the bare multiplier, is what reaches a real sample.
 
+The checks keep each draw in Fourier space.  Component c of sample i is
+one forward transform of keyed white noise times sqrt(FF / cell), L^{-1}
+div is the div_symbols multipliers, and both multipliers are formed once
+per check.
+A draw goes back to physical space only where a pointwise product or a
+full field needs it: pi_f0 squared (and the dumped field) in the moment
+check, xi pi_f0 in the bphz f0+f1 check.  Values at a few cells are read
+from a half spectrum by kernel.point_reader, a small matmul.  Transforms
+per sample at d = 1, forward + inverse: covariance 1 + 0, moment 1 + 1,
+bphz f0 1 + 0, bphz f0+f1 2 + 2.  The oracles add a few per check: one
+inverse (covariance), one per t (bphz f0+f1), three for the moment check.
+sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
+
 Randomness is counter-based: sample i of a sampler with seed s draws from
 Philox keyed by hash(s, i), so estimates are bit-identical however the
 sample loop is scheduled or parallelised, and the only reduction over
@@ -32,6 +45,7 @@ from .kernel import (
     TWO_PI,
     div_symbols,
     dump_field,
+    point_reader,
     psi_hat,
     solve_L_div,
     symbol_LLstar,
@@ -107,24 +121,38 @@ class NoiseSampler:
         return ff
 
 
+def _noise_scale(sampler):
+    """The shaping multiplier sqrt(FF / cell) of every noise component."""
+    return np.sqrt(sampler.density() / sampler.grid.cell)
+
+
+def _noise_spectrum(sampler, scale, index, comp):
+    """Shaped half spectrum of component comp of sample index.
+
+    The draw is physical white noise from a Philox stream keyed by
+    (seed, index, comp), so any subset of samples can be generated in any
+    order.  One forward transform times scale, the _noise_scale the caller
+    forms once, gives E|xi_hat(k)|^2 = vol FF(k) at every mode.
+    """
+    key = _sample_key(sampler.seed, (index << 8) | comp)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    white = SpectralField(sampler.grid, rng.standard_normal(sampler.grid.sizes), "physical")
+    return white.to_fourier().values * scale
+
+
 def sample_noise(sampler, index=0):
     """One noise sample: a list of d real mollified components.
 
-    Component c of sample i draws physical white noise from a Philox
-    stream keyed by (seed, i, c), so any subset of samples can be generated
-    in any order, and shapes its half spectrum by sqrt(FF / cell), which
-    gives E|xi_hat(k)|^2 = vol FF(k) at every mode.
+    This is the physical view of the keyed draw the checks read in Fourier
+    space: component c is the inverse transform of _noise_spectrum(sampler,
+    scale, index, c), the same values bit for bit.
     """
     grid = sampler.grid
-    scale = np.sqrt(sampler.density() / grid.cell)
-    comps = []
-    for comp in range(grid.d):
-        key = _sample_key(sampler.seed, (index << 8) | comp)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        white = SpectralField(grid, rng.standard_normal(grid.sizes), "physical")
-        hat = white.to_fourier().values * scale
-        comps.append(SpectralField(grid, hat, "fourier").to_physical())
-    return comps
+    scale = _noise_scale(sampler)
+    return [
+        SpectralField(grid, _noise_spectrum(sampler, scale, index, comp), "fourier").to_physical()
+        for comp in range(grid.d)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +284,49 @@ def _density_transform(grid, density):
     return SpectralField(grid, density, "fourier").to_physical().values
 
 
+def _geometric_offsets(grid, divisor, n_spatial, n_temporal):
+    """Lattice offsets along the last spatial axis, then along time: per axis
+    the distinct integer parts of n geometric steps from 1 to
+    max(2, N // divisor), so every axis has a step however small the grid."""
+
+    def steps(n, count):
+        return sorted({int(v) for v in np.geomspace(1, max(2, n // divisor), count)})
+
+    return ([(0,) * grid.d + (j,) for j in steps(grid.sizes[-1], n_spatial)]
+            + [(j,) + (0,) * grid.d for j in steps(grid.sizes[0], n_temporal)])
+
+
 def _default_lags(grid):
-    n_sp = grid.sizes[-1]
-    n_t = grid.sizes[0]
-    spatial = [
-        (0,) * grid.d + (j,)
-        for j in sorted({int(v) for v in np.geomspace(1, max(2, n_sp // 4), 14)})
-    ]
-    temporal = [
-        (j,) + (0,) * grid.d
-        for j in sorted({int(v) for v in np.geomspace(1, max(2, n_t // 4), 6)})
-    ]
-    return spatial + temporal
+    return _geometric_offsets(grid, 4, 14, 6)
+
+
+def _centered_solution(grid, mults, hats, x):
+    """Physical values of L^{-1} div of the half spectra hats minus their
+    value at x: pi_f0 of a draw kept in Fourier space, one inverse transform."""
+    u_hat = sum(mult * hat for mult, hat in zip(mults, hats))
+    u = SpectralField(grid, u_hat, "fourier").to_physical().values
+    return u - u[x]
 
 
 def covariance_check(sampler, lags=None, n_samples=256):
     """E[xi(x) xi(x+r)] against the pairing sum, averaged over base points.
 
     Each sample's average over base points comes for all lags at once from
-    its periodogram |xi_hat|^2 / vol (Wiener-Khinchin).  A lag is read
-    modulo the grid sizes, so every default lag exists on any grid.
+    its periodogram |xi_hat|^2 / vol (Wiener-Khinchin), read at the lags by
+    kernel.point_reader.  A lag is read modulo the grid sizes, so every
+    default lag exists on any grid.
     """
     grid = sampler.grid
     lags = [tuple(int(i) for i in lag) for lag in (lags or _default_lags(grid))]
     cells = [tuple(i % n for i, n in zip(lag, grid.sizes)) for lag in lags]
     oracle_field = _density_transform(grid, sampler.density())
     oracles = [oracle_field[cell] for cell in cells]
+    read = point_reader(grid, cells)
+    scale = _noise_scale(sampler)
     rows = []
     for i in range(n_samples):
-        xi_hat = sample_noise(sampler, i)[0].to_fourier().values
-        corr = _density_transform(grid, np.abs(xi_hat) ** 2 / grid.volume)
-        rows.append([float(corr[cell]) for cell in cells])
+        xi_hat = _noise_spectrum(sampler, scale, i, 0)
+        rows.append(read(np.abs(xi_hat) ** 2 / grid.volume))
     return _batch_report("covariance", lags, rows, oracles)
 
 
@@ -303,17 +343,11 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     """
     grid = sampler.grid
     x = _base_index(grid, x)
-    separations = [
-        (0,) * grid.d + (j,)
-        for j in sorted({int(v) for v in np.geomspace(1, grid.sizes[-1] // 3, 14)})
-    ]
-    separations += [
-        (j,) + (0,) * grid.d
-        for j in sorted({int(v) for v in np.geomspace(1, max(2, grid.sizes[0] // 3), 4)})
-    ]
+    separations = _geometric_offsets(grid, 3, 14, 4)
+    mults = div_symbols(grid, sampler.spec.m0)
     mult_sq = sum(
         np.abs(SpectralField(grid, m, "fourier").to_physical().to_fourier().values) ** 2
-        for m in div_symbols(grid, sampler.spec.m0)
+        for m in mults
     )
     g_field = _density_transform(grid, sampler.density() * mult_sq)
     zero = (0,) * (grid.d + 1)
@@ -321,20 +355,16 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
         2.0 * (g_field[zero] - g_field[tuple(si % n for si, n in zip(sep, grid.sizes))])
         for sep in separations
     ]
+    cells = [tuple((xi + si) % n for xi, si, n in zip(x, sep, grid.sizes))
+             for sep in separations]
+    scale = _noise_scale(sampler)
     rows = []
     mean_sq = None
     for i in range(n_samples):
-        noise = sample_noise(sampler, i)
-        comp = pi_f0(noise, x, sampler.spec.m0).values
-        sq = comp**2
+        hats = [_noise_spectrum(sampler, scale, i, c) for c in range(grid.d)]
+        sq = _centered_solution(grid, mults, hats, x) ** 2
         mean_sq = sq if mean_sq is None else mean_sq + sq
-        rows.append(
-            [
-                float(sq[tuple((xi + si) % n for xi, si, n in
-                               zip(x, sep, grid.sizes))])
-                for sep in separations
-            ]
-        )
+        rows.append([sq[cell] for cell in cells])
     if dump_path is not None:
         dump_field(SpectralField(grid, mean_sq / n_samples, "physical"),
                    dump_path)
@@ -348,7 +378,10 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     For f0 the integrand is the noise itself and the oracle vanishes; for
     f0+f1 the oracle is the pairing sum
     (1/vol) sum_k (1 - psi_t(k)) 2 pi i k1 FF(k) / symbol_L(k) at r = 0, which
-    vanishes whenever the density is even in the spatial frequency.
+    vanishes whenever the density is even in the spatial frequency.  The
+    smoothed values at x are read from the half spectrum by
+    kernel.point_reader; only the product xi pi_f0 of f0+f1 is formed in
+    physical space.
     """
     if component not in ("f0", "f0f1"):
         raise ConfigError(f"component must be f0 or f0f1, got {component!r}")
@@ -356,29 +389,28 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     x = _base_index(grid, x)
     t_list = [float(t) for t in t_list]
     psis = [psi_hat(t, grid.frequency_mesh(), sampler.spec.m0) for t in t_list]
+    mults = div_symbols(grid, sampler.spec.m0)
     if component == "f0":
         oracles = [0.0 for _ in t_list]
     else:
-        mult = div_symbols(grid, sampler.spec.m0)[0]
         zero = (0,) * (grid.d + 1)
         ff = sampler.density()
         oracles = [
-            float(_density_transform(grid, (1.0 - psi) * mult * ff)[zero])
+            float(_density_transform(grid, (1.0 - psi) * mults[0] * ff)[zero])
             for psi in psis
         ]
+    read = point_reader(grid, [x])
+    scale = _noise_scale(sampler)
     rows = []
     for i in range(n_samples):
-        noise = sample_noise(sampler, i)
         if component == "f0":
-            base = noise[0]
+            base_hat = _noise_spectrum(sampler, scale, i, 0)
         else:
-            piece = pi_f0(noise, x, sampler.spec.m0).values
-            base = SpectralField(grid, piece * noise[0].values, "physical")
-        base_hat = base.to_fourier().values
-        rows.append([
-            float(SpectralField(grid, base_hat * psi, "fourier").to_physical().values[x])
-            for psi in psis
-        ])
+            hats = [_noise_spectrum(sampler, scale, i, c) for c in range(grid.d)]
+            piece = _centered_solution(grid, mults, hats, x)
+            noise = SpectralField(grid, hats[0], "fourier").to_physical().values
+            base_hat = SpectralField(grid, piece * noise, "physical").to_fourier().values
+        rows.append([float(read(base_hat * psi)[0]) for psi in psis])
     return _batch_report(f"bphz_{component}", t_list, rows, oracles)
 
 

@@ -29,7 +29,12 @@ package under test, using different algorithms than the library:
   of its squared responses to every unit vector (the library sums the
   spectral density against the squared multiplier),
 * the kernel moment ratios with the weight (t^{1/8} + |z|_s)^theta raised
-  anew for every (t, n, theta) (the library forms one weight per t).
+  anew for every (t, n, theta) (the library forms one weight per t),
+* the per-sample values of the MC checks with every draw taken to physical
+  space by the public sample_noise and pi_f0 and every value read from a
+  full inverse transform (the library keeps each draw in Fourier space and
+  reads a few cells straight from the half spectrum); the mc module comes
+  in as an argument.
 """
 
 import math
@@ -616,3 +621,48 @@ def moment_spreads_per_order(sizes, boxes, times, m0=1.0):
                 ratio = t ** ((order - theta) / 8.0) * integral
                 acc.setdefault(((0, order), theta), []).append(ratio)
     return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
+
+
+def physical_path_reports(mc, sampler, reports, x):
+    """The reports of the MC checks recomputed the direct way.
+
+    reports maps an estimator name (covariance, pi_f0_second_moment,
+    bphz_f0, bphz_f0f1) to the library's report; each is rebuilt at the
+    same points, sample count and oracles from per-sample values that
+    round-trip through physical space: mc.sample_noise for the noise,
+    mc.pi_f0 for the linear component, a full inverse transform per read.
+    x is the base point of the moment and bphz checks, in range.
+    """
+    grid = sampler.grid
+    m0 = sampler.spec.m0
+    field = type(mc.sample_noise(sampler, 0)[0])
+    mesh = grid.frequency_mesh()
+    lap = sum((TWO_PI * k) ** 2 for k in mesh[1:])
+
+    def physical(hat):
+        return field(grid, hat, "fourier").to_physical().values
+
+    def psi(t):
+        return np.exp(-t * ((TWO_PI * mesh[0]) ** 2 + m0**2 * lap**4))
+
+    out = {}
+    for name, rep in reports.items():
+        rows = []
+        for i in range(rep.samples):
+            noise = mc.sample_noise(sampler, i)
+            if name == "covariance":
+                corr = physical(np.abs(noise[0].to_fourier().values) ** 2 / grid.volume)
+                rows.append([corr[tuple(r % n for r, n in zip(lag, grid.sizes))]
+                             for lag in rep.points])
+            elif name == "pi_f0_second_moment":
+                sq = mc.pi_f0(noise, x, m0).values ** 2
+                rows.append([sq[tuple((a + r) % n for a, r, n in zip(x, sep, grid.sizes))]
+                             for sep in rep.points])
+            else:
+                base = noise[0].values
+                if name == "bphz_f0f1":
+                    base = mc.pi_f0(noise, x, m0).values * base
+                base_hat = field(grid, base, "physical").to_fourier().values
+                rows.append([physical(base_hat * psi(t))[x] for t in rep.points])
+        out[name] = mc._batch_report(rep.estimator, rep.points, rows, rep.oracles)
+    return out

@@ -273,6 +273,19 @@ def test_simulate_moment_point_without_spread(capsys):
     assert doc["standard_errors"][at] == doc["z_scores"][at] == 0.0
 
 
+def test_simulate_moment_on_a_two_point_space_axis(capsys):
+    """The separations take at least one step along every axis, however
+    short.  On a 2-point space axis L^{-1} div meets only the zero and the
+    Nyquist mode, where it vanishes, so pi_f0 and every moment are 0."""
+    code, out, err = run(
+        capsys, "simulate", "--task", "moment", "--sizes", "4,2", "--tau", "1e-12",
+        "--alpha", "0.6", "--samples", "4",
+    )
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert [0, 1] in doc["points"] and [1, 0] in doc["points"]
+    assert doc["estimates"] == doc["oracles"] == [0.0] * len(doc["points"])
+
 def test_closed_stdout_pipe_exits_quietly():
     """A reader that closed stdout before the output was written ends the
     run with the documented status 141 and no traceback."""

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import moment_spreads_per_order, unit_response_second_moment
 from tfrenorm import mc
@@ -23,6 +24,7 @@ from tfrenorm.kernel import (
     inversion_residual,
     load_field,
     moment_bound_spreads,
+    point_reader,
     psi_hat,
     real_defect,
     scaling_defect,
@@ -95,6 +97,35 @@ def test_hermitian_defect_flags_complex_data():
     interior = real_field.to_fourier().values.copy()
     interior[3, 5] *= 1j  # interior modes have no symmetry to break
     assert real_defect(SpectralField(grid, interior, "fourier")) < 1e-14
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(lambda d: st.tuples(
+        st.tuples(*[st.integers(1, 5).map(lambda h: 2 * h)] * (d + 1)),
+        st.tuples(*[st.floats(0.25, 4.0)] * (d + 1)),
+    )),
+    st.integers(0, 2**32 - 1),
+)
+def test_point_reader_matches_the_inverse_transform(shape, seed):
+    # a random half spectrum is not conjugate symmetric on the k0 = 0 and
+    # time-Nyquist planes: the reader must take the real part there exactly
+    # as irfftn does, at random cells and on every Nyquist row
+    sizes, boxes = shape
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=boxes)
+    rng = np.random.default_rng(seed)
+    hat = (rng.standard_normal(grid.spectrum_shape)
+           + 1j * rng.standard_normal(grid.spectrum_shape))
+    full = SpectralField(grid, hat, "fourier").to_physical()
+    assert np.max(np.abs(full.to_fourier().values - hat)) > 1e-3
+    cells = [tuple(int(rng.integers(n)) for n in sizes) for _ in range(5)]
+    cells += [tuple(n // 2 for n in sizes),
+              (sizes[0] // 2,) + tuple(int(rng.integers(n)) for n in sizes[1:]),
+              tuple(int(rng.integers(n)) for n in sizes[:-1]) + (sizes[-1] // 2,)]
+    want = np.array([full.values[cell] for cell in cells])
+    got = point_reader(grid, cells)(hat)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(full.values))
 
 
 # ---------------------------------------------------------------------------
