@@ -47,7 +47,7 @@ from scipy.special import gammaincc
 
 from .errors import ConfigError, ConsistencyError, NumericError
 from .indices import e, f, homogeneity, is_c_populated
-from .kernel import TWO_PI, symbol_LLstar
+from .kernel import TWO_PI, check_m0, symbol_LLstar
 
 _TAIL_CUT = 1e-18
 _LOG_TAIL = -math.log(_TAIL_CUT)
@@ -85,11 +85,9 @@ def covariance_spec(alpha, m0=1.0):
     """The paper's covariance FC = Q(k)^{-(2 alpha - 1)/8}, where
     Q = (2 pi k0)^2 + m0^2 (2 pi k1)^8 is the symbol of LL*."""
     alpha = float(alpha)
-    m0 = float(m0)
+    m0 = check_m0(m0)
     if not 0.5 < alpha < 1.0:
         raise ConfigError(f"covariance exponent needs alpha in (1/2, 1), got {alpha}")
-    if m0 <= 0:
-        raise ConfigError(f"m0 must be positive, got {m0}")
     power = -(2.0 * alpha - 1.0) / 8.0
     msq = m0 * m0
 
@@ -147,11 +145,9 @@ class MollifierSpec:
 
 def mollifier_spec(kind, tau, eta=2.0, m0=1.0):
     tau = float(tau)
-    m0 = float(m0)
+    m0 = check_m0(m0)
     if tau <= 0:
         raise ConfigError(f"mollifier scale tau must be positive, got {tau}")
-    if m0 <= 0:
-        raise ConfigError(f"m0 must be positive, got {m0}")
     if kind == "semigroup":
         return MollifierSpec(kind, tau, None, m0, tau, tau * m0 * m0)
     if kind == "anisotropic":

@@ -11,6 +11,16 @@ multipliers of L^{-1} div are stated once, in div_symbols: solve_L_div
 and the MC checks apply them, and the pairing-sum oracles read them.
 point_reader reads a field at a few cells straight from its half spectrum.
 
+The symbol of LL* is a time part plus a space part, (2 pi k0)^2 +
+m0^2 |2 pi k|^8, so psi_hat_t is their product exp(-t (2 pi k0)^2) *
+exp(-t m0^2 |2 pi k|^8) and on the torus psi_t(x0, x) = a_t(x0) b_t(x), with
+spatial derivatives acting on b_t alone; this holds in any d.  The moment
+and scaling checks evaluate psi_t from these factors (_kernel_factors): one
+transform over time, one over space per derivative order, and psi_t is
+never formed on the grid.  The semigroup, evenness, realness and inversion
+checks keep the full-grid transforms: they are the checks of convolve, of
+the transforms and of solve_L_div.
+
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
 
@@ -208,24 +218,38 @@ def point_reader(grid, cells):
     return read
 
 
-def real_defect(field):
+def real_defect(field, physical=None):
     """Relative part of the Fourier data that no real field carries.
 
     This is what a round trip through physical space drops: the part of
     the self-conjugate planes that is not conjugate symmetric.  Zero (to
-    rounding) for the transform of any physical field.
+    rounding) for the transform of any physical field.  physical, if
+    given, is the inverse transform of the field's Fourier data, made once
+    by a caller that needs it too.
     """
     hat = field.to_fourier()
     scale = np.max(np.abs(hat.values))
     if scale == 0.0:
         return 0.0
-    back = hat.to_physical().to_fourier().values
+    if physical is None:
+        physical = hat.to_physical()
+    back = physical.to_fourier().values
     return float(np.max(np.abs(hat.values - back)) / scale)
 
 
 # ---------------------------------------------------------------------------
 # symbols and the kernel
 # ---------------------------------------------------------------------------
+
+
+def check_m0(m0):
+    """m0 as a float; a ConfigError unless it is positive with a finite
+    square.  Checked once where m0 enters (the covariance and mollifier
+    specs, kernel_checks), not in the symbols that integrands call."""
+    m0 = float(m0)
+    if not (m0 > 0 and math.isfinite(m0 * m0)):
+        raise ConfigError(f"m0 must be positive with a finite square, got {m0}")
+    return m0
 
 
 def symbol_LLstar(k, m0):
@@ -256,6 +280,31 @@ def kernel_field(grid, t, m0=1.0):
     """The kernel psi_t sampled on the torus, as a physical-space field."""
     hat = psi_hat(t, grid.frequency_mesh(), m0)
     return SpectralField(grid, hat, "fourier").to_physical()
+
+
+def _kernel_factors(grid, t, m0, orders):
+    """(a, [b_n for n in orders]) with a * b_n the physical values of
+    derivative(psi_hat_t, (0, *n)), for spatial orders n = (n1, ..., nd).
+
+    psi_hat_t = psi_hat_t(k0, 0) psi_hat_t(0, k), so the time factor a is one
+    1-D inverse transform, of shape (N0, 1, ..., 1), and each space factor
+    b_n one transform over the space axes of psi_hat_t(0, k) prod_i
+    (2 pi i k_i)^{n_i}, of shape (1, N1, ..., Nd).
+    """
+    k0, *space = grid.frequency_mesh()
+    time_hat = psi_hat(t, (k0,) + (0.0,) * grid.d, m0)
+    a = np.fft.irfft(time_hat, n=grid.sizes[0], axis=0) * (grid.sizes[0] / grid.boxes[0])
+    space_hat = psi_hat(t, (0.0, *space), m0)
+    axes = tuple(range(1, grid.d + 1))
+    scale = math.prod(grid.sizes[1:]) / math.prod(grid.boxes[1:])
+    factors = []
+    for n in orders:
+        hat = space_hat
+        for axis, order in enumerate(n, start=1):
+            if order:
+                hat = hat * grid.ik_power(axis, order)
+        factors.append(np.fft.ifftn(hat, axes=axes).real * scale)
+    return a, factors
 
 
 def convolve(field, t, m0=1.0):
@@ -310,15 +359,6 @@ def solve_L_div(components, m0=1.0):
     return out if components[0].space == "fourier" else out.to_physical()
 
 
-def aniso_norm(x):
-    """Parabolic distance |x0|^(1/4) + sum_i |x_i| from the origin."""
-    parts = [np.asarray(part, dtype=float) for part in x]
-    total = np.abs(parts[0]) ** 0.25
-    for part in parts[1:]:
-        total = total + np.abs(part)
-    return total if total.ndim else float(total)
-
-
 # ---------------------------------------------------------------------------
 # discrete checks: semigroup, scaling, moment bounds, inversion
 # ---------------------------------------------------------------------------
@@ -363,7 +403,9 @@ def scaling_defect(grid, t, m0=1.0):
     within a quarter period of the torus: outside it the left-hand side
     picks up the periodic images of the kernel (equivalently, subsampling
     the coarse kernel in Fourier space periodises it with the shrunken
-    box), which the identity on the plane knows nothing about.
+    box), which the identity on the plane knows nothing about.  Both
+    kernels are read on their windows as a_t(x0) b_t(x1), from the time and
+    space factors of psi_t (_kernel_factors).
     """
     if grid.d != 1:
         raise ConfigError("the scaling check is wired for d = 1")
@@ -373,12 +415,12 @@ def scaling_defect(grid, t, m0=1.0):
     w1 = n1 // (4 * sigma)
     if w0 < 2 or w1 < 2:
         raise ConfigError("grid too coarse for the scaling window")
-    coarse = kernel_field(grid, (sigma**8) * t, m0).values
-    fine = kernel_field(grid, t, m0).values
-    j0 = np.arange(-w0, w0 + 1)
+    coarse_a, (coarse_b,) = _kernel_factors(grid, (sigma**8) * t, m0, [(0,)])
+    fine_a, (fine_b,) = _kernel_factors(grid, t, m0, [(0,)])
+    j0 = np.arange(-w0, w0 + 1)[:, None]
     j1 = np.arange(-w1, w1 + 1)
-    fine_win = fine[np.ix_(j0 % n0, j1 % n1)]
-    coarse_win = coarse[np.ix_((sigma**4 * j0) % n0, (sigma * j1) % n1)]
+    fine_win = fine_a[j0 % n0, 0] * fine_b[0, j1 % n1]
+    coarse_win = coarse_a[(sigma**4 * j0) % n0, 0] * coarse_b[0, (sigma * j1) % n1]
     mapped = float(sigma) ** (4 + grid.d) * coarse_win
     return float(np.linalg.norm(mapped - fine_win) / np.linalg.norm(fine_win))
 
@@ -390,26 +432,37 @@ def moment_bound_spreads(grid, times, m0=1.0):
     t^{(|n|-theta)/8} integral |d^n psi_t(z)| (t^{1/8}+|z|_s)^theta dz,
     which the kernel bound keeps below a constant uniformly in t, for the
     spatial derivatives n = (0, 0), ..., (0, 3) (|n| = 4 n0 + n1 <= 3) and
-    theta in {-1, 0, 1}.  Per t there is one kernel symbol and one weight
-    w = t^{1/8} + |z|_s, and per (t, n) one transform shared across the
-    theta values, which is what makes the full sweep cheap enough to run
-    routinely.  Each weighted integrand is formed and summed on its own,
-    so no two of them are held at once.
+    theta in {-1, 0, 1}.
+
+    The integrand is read from the factors of the kernel (_kernel_factors):
+    |d^n psi_t(z)| = |a_t(z0)| |b_t^(n)(z1)|, one 1-D transform per factor.
+    The weight w = c + u(z0) + v(z1), with c = t^{1/8}, u = |z0|^{1/4} and
+    v = |z1|, is additive, so theta = 0 is a product of two 1-D sums,
+    theta = 1 is three such products, and theta = -1 is one contraction
+    |a|^T (1/w) |b^(n)| over the four orders.  The one grid-sized array
+    is 1/w, refilled in place for each t.
     """
     if grid.d != 1:
         raise ConfigError("the moment derivative orders are wired for d = 1")
-    coords = [grid.coordinates(axis, centered=True) for axis in range(grid.d + 1)]
-    mesh = np.meshgrid(*coords, indexing="ij", sparse=True)
-    freq = grid.frequency_mesh()
+    u, v = (np.abs(grid.coordinates(axis, centered=True)) for axis in (0, 1))
+    u = u**0.25
+    inv_w = np.empty(grid.sizes)
     acc = {}
     for t in np.asarray(times, dtype=float):
-        hat = SpectralField(grid, psi_hat(t, freq, m0), "fourier")
-        w = t**0.125 + aniso_norm(mesh)
+        a, factors = _kernel_factors(grid, t, m0, [(n1,) for n1 in range(4)])
+        a, b = np.abs(a[:, 0]), np.abs(np.concatenate(factors))
+        c = t**0.125
+        np.add.outer(c + u, v, out=inv_w)
+        np.reciprocal(inv_w, out=inv_w)
+        a_sum, b_sums = a.sum(), b.sum(axis=1)
+        per_theta = (
+            b @ (a @ inv_w),
+            a_sum * b_sums,
+            (c * a_sum + a @ u) * b_sums + a_sum * (b @ v),
+        )
         for n1 in range(4):
-            magnitude = np.abs(derivative(hat, (0, n1)).to_physical().values)
-            sums = (np.sum(magnitude / w), np.sum(magnitude), np.sum(magnitude * w))
-            for theta, weighted_sum in zip((-1, 0, 1), sums):
-                ratio = t ** ((n1 - theta) / 8.0) * float(weighted_sum * grid.cell)
+            for theta, weighted in zip((-1, 0, 1), per_theta):
+                ratio = t ** ((n1 - theta) / 8.0) * float(weighted[n1] * grid.cell)
                 acc.setdefault(((0, n1), theta), []).append(ratio)
     return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
 
@@ -448,13 +501,17 @@ def kernel_checks(grid, m0=1.0, scaling_time=3e-13):
     inversion_realness, moment_spread (dict over (orders, theta) of
     max/min - 1 across the time window of five times from 1e-12 to 1e-10).
     """
+    m0 = check_m0(m0)
     times = np.geomspace(1e-12, 1e-10, 5)
     base = float(times[0])
     base_hat = SpectralField(grid, psi_hat(base, grid.frequency_mesh(), m0), "fourier")
+    base_field = base_hat.to_physical()
+    evenness, realness = evenness_defect(base_field), real_defect(base_hat, base_field)
+    del base_hat, base_field  # not held through the checks below
     out = {
         "semigroup": semigroup_defect(grid, 3.0 * base, 7.0 * base, m0),
-        "evenness": evenness_defect(base_hat),
-        "realness": real_defect(base_hat),
+        "evenness": evenness,
+        "realness": realness,
         "scaling": scaling_defect(grid, scaling_time, m0),
     }
     out["inversion_residual"], out["inversion_realness"] = inversion_residual(grid, m0)

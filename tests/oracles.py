@@ -28,8 +28,10 @@ package under test, using different algorithms than the library:
 * the exact second moment of a linear function of white noise as the sum
   of its squared responses to every unit vector (the library sums the
   spectral density against the squared multiplier),
-* the kernel moment ratios with the weight (t^{1/8} + |z|_s)^theta raised
-  anew for every (t, n, theta) (the library forms one weight per t),
+* the kernel moment ratios in np.longdouble: the time and space factors
+  of the kernel as direct trigonometric sums, and each weighted integral
+  summed over the whole plane (the library sums 1-D factors against the
+  additive weight in float64),
 * the per-sample values of the MC checks with every draw taken to physical
   space by the public sample_noise and pi_f0 and every value read from a
   full inverse transform (the library keeps each draw in Fourier space and
@@ -591,36 +593,58 @@ def unit_response_second_moment(response, shape):
     return total
 
 
-def moment_spreads_per_order(sizes, boxes, times, m0=1.0):
+def separable_moment_spreads(sizes, boxes, times, m0=1.0):
     """max/min - 1 over the times of the d = 1 kernel moment ratios
     t^{(n1-theta)/8} sum |d^n1 psi_t| (t^{1/8} + |z|_s)^theta cell, keyed
-    ((0, n1), theta) for n1 = 0..3 and theta in {-1, 0, 1}, with the weight
-    raised to theta anew for every (t, n1, theta)."""
-    (n0, n1), (box0, box1) = sizes, boxes
-    cell = float(np.prod(boxes)) / int(np.prod(sizes))
-    z0, z1 = ((np.arange(n) * (box / n) + box / 2.0) % box - box / 2.0
-              for n, box in zip(sizes, boxes))
-    z0, z1 = np.meshgrid(z0, z1, indexing="ij", sparse=True)
-    base_norm = np.abs(z0) ** 0.25 + np.abs(z1)
-    k0, k1 = np.meshgrid(np.fft.rfftfreq(n0, d=box0 / n0), np.fft.fftfreq(n1, d=box1 / n1),
-                         indexing="ij", sparse=True)
+    ((0, n1), theta) for n1 = 0..3 and theta in {-1, 0, 1}, in np.longdouble.
+
+    psi_t is the product a_t(z0) b_t(z1) of its time and space factors, each
+    a direct cosine or sine sum over the wavenumbers at which its symbol is
+    nonzero in long double (the others add exact zeros).  The phases are
+    integers j i mod N, read from one table of cos and sin(2 pi m / N) per
+    axis.  The weighted sums run over the whole plane, a block of time rows
+    at a time, with the weight raised to theta for every (t, theta).
+    """
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    m0, cell = ld(m0), ld(boxes[0]) * ld(boxes[1]) / (sizes[0] * sizes[1])
+    # wavenumbers in fftfreq order, which is also the centred lattice index
+    wavenumbers = [np.fft.fftfreq(n, 1.0 / n).astype(np.int64) for n in sizes]
+    freq0, freq1 = (two_pi * j.astype(ld) / ld(box) for j, box in zip(wavenumbers, boxes))
+    z0, z1 = (np.abs(j.astype(ld) * ld(box) / n)
+              for j, n, box in zip(wavenumbers, sizes, boxes))
+    tables = []  # (cos, sin) of 2 pi m / N per axis
+    for n in sizes:
+        phase = two_pi * np.arange(n, dtype=ld) / n
+        tables.append((np.cos(phase), np.sin(phase)))
+
+    def factor(axis, symbol, odd):
+        n, j = sizes[axis], wavenumbers[axis]
+        keep = symbol != 0
+        if odd:
+            keep &= j != -n // 2  # odd powers vanish on the Nyquist row
+        turns = np.outer(np.arange(n), j[keep]) % n
+        return (tables[axis][odd][turns] * symbol[keep]).sum(axis=1) / ld(boxes[axis])
+
     acc = {}
     for t in np.asarray(times, dtype=float):
-        hat = np.exp(-t * ((TWO_PI * k0) ** 2 + m0**2 * ((TWO_PI * k1) ** 2) ** 4))
-        for order in range(4):
-            dhat = hat
-            if order:
-                k = k1.copy()
-                if order % 2:
-                    k.flat[n1 // 2] = 0.0  # odd powers vanish on the Nyquist row
-                dhat = dhat * (TWO_PI * 1j * k) ** order
-            magnitude = np.abs(np.fft.irfftn(dhat, s=(n1, n0), axes=(1, 0)) / cell)
-            for theta in (-1, 0, 1):
-                weight = (t**0.125 + base_norm) ** theta
-                integral = float(np.sum(magnitude * weight) * cell)
-                ratio = t ** ((order - theta) / 8.0) * integral
+        t = ld(t)
+        a = np.abs(factor(0, np.exp(-t * freq0**2), 0))
+        space = np.exp(-t * m0**2 * freq1**8)
+        # Re (i w)^n e^{i phi} is +-w^n cos phi for even n and +-w^n sin phi for
+        # odd n, with one sign per n, which the modulus drops
+        b = [np.abs(factor(1, space * freq1**order, order % 2)) for order in range(4)]
+        for theta in (-1, 0, 1):
+            sums = [ld(0)] * 4
+            for rows in range(0, sizes[0], 64):
+                w = t**ld(0.125) + z0[rows:rows + 64, None] ** ld(0.25) + z1[None, :]
+                weighted = a[rows:rows + 64, None] * w**theta
+                for order in range(4):
+                    sums[order] += (weighted * b[order]).sum()
+            for order in range(4):
+                ratio = t ** (ld(order - theta) / 8) * sums[order] * cell
                 acc.setdefault(((0, order), theta), []).append(ratio)
-    return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
+    return {key: max(vals) / min(vals) - 1 for key, vals in acc.items()}
 
 
 def physical_path_reports(mc, sampler, reports, x):

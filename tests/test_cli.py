@@ -237,6 +237,18 @@ def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel-check", "--sizes", "128,512", "--boxes", "1e-4,4.0", "--m0", "1e160"],
+    ["counterterm", "--alpha", "0.6", "--m0", "1e300", "--tau", "1e-3"],
+    ["simulate", "--task", "covariance", "--alpha", "0.6", "--m0", "1e200",
+     "--sizes", "8,16", "--tau", "1e-12", "--samples", "4"],
+])
+def test_m0_whose_square_overflows_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert out == "" and "m0" in err
+
+
 def test_simulate_scaling_needs_a_window(capsys):
     code, out, err = run(capsys, *SCALING, "--tau", "1e-14")
     assert code == 2

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import moment_spreads_per_order, unit_response_second_moment
+from oracles import separable_moment_spreads, unit_response_second_moment
 from tfrenorm import mc
 from tfrenorm.constants import covariance_spec, mollifier_spec
 from tfrenorm.errors import ConfigError
 from tfrenorm.kernel import (
     SpectralField,
     SpectralGrid,
-    aniso_norm,
+    _kernel_factors,
+    check_m0,
     checks_grid,
     convolve,
     derivative,
@@ -22,6 +23,7 @@ from tfrenorm.kernel import (
     evenness_defect,
     kernel_field,
     inversion_residual,
+    kernel_checks,
     load_field,
     moment_bound_spreads,
     point_reader,
@@ -40,6 +42,11 @@ TWO_PI = 2.0 * math.pi
 def small_grid():
     """Cheap grid for identities that hold at any resolution."""
     return SpectralGrid(d=1, sizes=(64, 128), boxes=(1e-4, 1.0))
+
+
+def small_checks_grid():
+    """The smallest grid of the shape of checks_grid() that kernel_checks runs on."""
+    return SpectralGrid(d=1, sizes=(128, 512), boxes=(1e-4, 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +197,15 @@ def test_kernel_field_is_real_even_and_mass_one():
     assert np.sum(psi.values) * grid.cell == pytest.approx(1.0, rel=1e-12)
 
 
+def test_evenness_and_realness_read_one_inverse_transform():
+    # kernel_checks hands one physical view of psi_hat(1e-12) to both checks
+    grid = small_checks_grid()
+    hat = SpectralField(grid, psi_hat(1e-12, grid.frequency_mesh(), 1.0), "fourier")
+    checks = kernel_checks(grid)
+    assert checks["evenness"] == evenness_defect(hat)
+    assert checks["realness"] == real_defect(hat)
+
+
 def test_semigroup_defect_small_grid():
     assert semigroup_defect(small_grid(), 3e-12, 7e-12) < 1e-10
 
@@ -197,6 +213,19 @@ def test_semigroup_defect_small_grid():
 def test_scaling_identity_on_checks_grid():
     defect = scaling_defect(checks_grid(), 3e-13)
     assert defect < 1e-5
+
+
+@pytest.mark.parametrize("m0", [0.0, -1.0, math.nan, math.inf, 1.4e154, 1e300])
+def test_m0_needs_a_positive_finite_square(m0):
+    with pytest.raises(ConfigError):
+        check_m0(m0)
+    with pytest.raises(ConfigError):
+        kernel_checks(small_checks_grid(), m0=m0)
+
+
+def test_m0_just_below_the_square_overflow_is_accepted():
+    assert check_m0(1.3e154) == 1.3e154
+    assert check_m0(1e-200) == 1e-200
 
 
 def test_moment_ratios_stay_uniform_over_two_decades():
@@ -208,19 +237,32 @@ def test_moment_ratios_stay_uniform_over_two_decades():
         assert spread < 0.1, f"moment ratio drifts at {key}: {spread:.3f}"
 
 
-def test_moment_spreads_match_the_per_order_weight_loop():
+def test_moment_spreads_match_the_long_double_reference():
+    # a sweep through 2-D transforms is 1.1e-14 off: the rounding floor of
+    # the transform in the kernel's tails, weighted by |z|_s, enters the
+    # theta = 1 sums
     grid = checks_grid()
     times = [1e-12, 1e-11]
     got = moment_bound_spreads(grid, times)
-    want = moment_spreads_per_order(grid.sizes, grid.boxes, times)
+    want = separable_moment_spreads(grid.sizes, grid.boxes, times)
     assert got.keys() == want.keys()
-    assert max(abs(got[key] - want[key]) for key in want) <= 1e-15
+    assert max(abs(got[key] - float(want[key])) for key in want) <= 3e-15
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-10])
+def test_kernel_factors_multiply_to_the_derivative_field(t):
+    grid = checks_grid()
+    hat = SpectralField(grid, psi_hat(t, grid.frequency_mesh(), 1.0), "fourier")
+    a, factors = _kernel_factors(grid, t, 1.0, [(n1,) for n1 in range(4)])
+    for n1, b in enumerate(factors):
+        want = derivative(hat, (0, n1)).to_physical().values
+        assert a.shape == (grid.sizes[0], 1) and b.shape == (1, grid.sizes[1])
+        assert np.max(np.abs(a * b - want)) <= 2e-15 * np.max(np.abs(want))
 
 
 def test_moment_spreads_peak_memory():
     # one physical-grid array of checks_grid() is 16 MiB; the sweep holds
-    # six at its peak, and holding the three theta weights at once would
-    # add two more
+    # one, the reciprocal weight (a sweep through 2-D transforms held six)
     grid = checks_grid()
     tracemalloc.start()
     try:
@@ -228,7 +270,7 @@ def test_moment_spreads_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * grid.point_count * 8
+    assert peak <= 3 * grid.point_count * 8
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +352,6 @@ def test_odd_derivative_of_a_nyquist_mode_is_zero():
     assert np.max(np.abs(hat)) == 0.0
 
 
-def test_aniso_norm_values():
-    assert aniso_norm((0.0, 0.0)) == 0.0
-    assert aniso_norm((16.0, 0.0)) == pytest.approx(2.0)
-    assert aniso_norm((1.0, 3.0)) == pytest.approx(4.0)
-    arr = aniso_norm((np.array([16.0, 0.0]), np.array([0.0, 2.0])))
-    assert np.allclose(arr, [2.0, 2.0])
 
 
 def test_white_noise_reflection_parity():
