@@ -13,7 +13,7 @@ Conventions shared by every subcommand:
 * float options, and every element of a comma list, must be finite;
 * no environment variable changes the behaviour.
 
-The numeric layers (constants, kernel, mc, verify) pull in numpy and scipy,
+The numeric layers (constants, kernel, mc, verify) pull in numpy,
 so each runner imports the ones it uses: the index-algebra subcommands start
 without them.
 

@@ -14,27 +14,30 @@ noise covariance and phi_tau the mollifier.  This module evaluates
 The full integrals use the parabolic substitution 2*pi*k0 = r^4
 sqrt(1-u^8), 2*pi*k1 = r*u, which maps the positive-frequency quadrant to
 (0, inf) x (0, 1), turns the kernel denominator into r^8 * q(u) with
-q(u) = 1 - (1 - m0^2) u^8, and leaves the weight (1 - u^8)^(-1/2) in u
-and r^(-eps) in r, eps = 2 alpha - 1.  The integrand is even in both
-frequencies, so the quadrant result is multiplied by 4.  The r-integral
-is truncated at r_max(u), where the mollifier envelope drops below 1e-18,
-with an incomplete-gamma tail bound added to the error estimate.
+q(u) = 1 - (1 - m0^2) u^8, and leaves the weight (1 - u^8)^(-1/2) in u.
+The integrand is even in both frequencies, so the quadrant result is
+multiplied by 4.  FC and d_k1 FC are taken to be parabolically
+homogeneous, of degrees -eps and -eps - 1 under (k0, k1) -> (lambda^4 k0,
+lambda k1), eps = 2 alpha - 1, and the mollifier is exp(-rate(u) r^8)
+along u.  So each bracket is r^-eps (A(u) + B(u) r^8) exp(-rate(u) r^8),
+with B from the mollifier gradient in c2 only and A, B read from the
+evaluators at r = 1, and its r-integral is closed form: Gamma(s) / (8
+rate^s) with s = (1 - eps)/8, times s / rate for the r^8 part.  The
+evaluators are read again at r = 1/2, and a covariance that misses its
+scaling there by more than 1e-12 of its largest value is refused; the
+paper's missed by at most 6e-16 at 2000 seeded (alpha, m0) points.
 
-All three integrals come from one tensor-product Gauss rule on numpy
-meshes, so covariance evaluators take arrays.  In u, u = 1 - s^2 cancels
-the endpoint singularity and Gauss-Legendre in s follows; in r, r =
-r_max(u) t and Gauss-Jacobi with weight t^(-eps) absorbs the singularity
-at the origin; both rules by Golub-Welsch with the divide-and-conquer
-eigensolver (LAPACK stevd), whose rules integrate smooth test functions
-to 21 ulp for n = 64 to 256.  The MRRR solver (stemr) missed by up to 490
-ulp, shared by the n and 2n rules, so their comparison cannot see it.
-The n x n rule is compared with the 2n x 2n rule, from n = 32,
-doubling up to 256 while a value moves by more than 1e-9 of itself.
-The error estimate is that move plus the tail bound plus a rounding floor
-of 50 ulp of the integral of |f|: on 4000 seeded semigroup tables (alpha
-0.5001-0.999, m0 0.1-10, tau 1e-12-10) the gap to the exact scaling law
-needed at most 29 ulp of it beyond move and tail.  A table whose error
-exceeds 1e-3 of a value is refused.
+Only the u-integral needs a rule, on numpy arrays, so covariance
+evaluators take arrays: u = 1 - s^2 cancels the endpoint singularity and
+Gauss-Legendre in s follows, by Golub-Welsch with the symmetric
+eigensolver, whose rules (the bits of LAPACK stevd) integrate smooth test
+functions to 21 ulp for n = 64 to 256.  The n-node rule is compared with
+the 2n-node rule, from n = 32, doubling up to 256 while a value moves by
+more than 1e-9 of itself.  The error estimate is that move plus a
+rounding floor of 50 ulp of the integral of |f|: on 4000 seeded
+semigroup tables (alpha 0.5001-0.999, m0 0.1-10, tau 1e-12-10) the gap
+to the exact scaling law needed at most 17 ulp of it beyond the move.
+A table whose error exceeds 1e-3 of a value is refused.
 """
 
 import math
@@ -42,8 +45,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dstevd
-from scipy.special import gammaincc
 
 from .errors import ConfigError, ConsistencyError, NumericError
 from .indices import e, f, homogeneity, is_c_populated
@@ -138,7 +139,7 @@ class MollifierSpec:
     def ray_rate(self, u, root):
         """The rate c(u) with squared_symbol = exp(-c(u) r^8) on the ray
         2 pi k0 = r^4 root, 2 pi k1 = r u, where root = sqrt(1 - u^8)."""
-        # (u^4)^2 rounds like q(u) in _tensor_rule: at m0 = 1 the semigroup
+        # (u^4)^2 rounds like q(u) in _ray_rule: at m0 = 1 the semigroup
         # rate is tau q(u) to the last bit
         return self.space_rate * (u**4) ** 2 + self.time_rate * root**2
 
@@ -173,12 +174,6 @@ def check_semigroup_m0(cov, moll):
 # ---------------------------------------------------------------------------
 
 
-def _tail_bound(a_power, rate, r_max):
-    """Upper bound for integral_{r_max}^inf r^a exp(-rate r^8) dr."""
-    s = (a_power + 1.0) / 8.0
-    return 0.125 * rate**-s * math.gamma(s) * gammaincc(s, rate * r_max**8)
-
-
 def _on_mesh(cov_func, k0, k1):
     """A covariance evaluator's values on the frequency arrays (k0, k1)."""
     try:
@@ -194,80 +189,74 @@ def _on_mesh(cov_func, k0, k1):
     return values
 
 
-def _brackets(cov, moll, r, u, root, q_val):
-    """The three integrands at (r, u) in the substituted quadrant, stacked
-    along a new leading axis; r, u, root and q_val broadcast to r's shape."""
-    k0, k1 = r**4 * root / TWO_PI, r * u / TWO_PI
-    fc = _on_mesh(cov.evaluator, k0, k1)
-    dfc = _on_mesh(cov.d_evaluator, k0, k1)
-    sym = moll.squared_symbol(k0, k1)
-    msq = cov.m0 * cov.m0
-    return np.stack([
-        u**4 * (4.0 * msq * u**8 / q_val - 2.0) / q_val * fc * sym,
-        r * u**5 / q_val * sym * (dfc + fc * moll.dlog_dk1(k0, k1)),
-        u**12 / q_val**2 * fc * sym,
-    ])
-
-
-def _gauss_jacobi(n, eps):
-    """n-node Gauss rule on (0, 1) for the weight t^-eps by Golub-Welsch:
-    eigenvalues and squared first eigenvector components of the Jacobi
-    matrix of P_k^(0, -eps)(2t - 1), by divide and conquer (LAPACK stevd).
-    eps = 0 gives Gauss-Legendre."""
-    b = -eps
-    k = np.arange(1, n)
-    s = 2.0 * k + b
-    diag = np.concatenate([[b / (b + 2.0)], b * b / (s * (s + 2.0))])
-    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    nodes, vectors, info = dstevd(diag, off, compute_v=1)
-    if info != 0:
-        raise NumericError(f"the {n}-node Gauss-Jacobi eigensolver failed (info {info})")
-    return 0.5 * (nodes + 1.0), vectors[0] ** 2 / (1.0 - eps)
-
-
 @lru_cache(maxsize=None)
 def _legendre(n):
-    """The n-node Gauss-Legendre rule on (0, 1); read-only, as callers share it."""
-    rule = _gauss_jacobi(n, 0.0)
+    """The n-node Gauss-Legendre rule on (0, 1) by Golub-Welsch: eigenvalues
+    and squared first eigenvector components of the Jacobi matrix of the
+    Legendre polynomials; read-only, as callers share it."""
+    k = np.arange(1, n)
+    off = np.sqrt(k * k / (4.0 * k * k - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    rule = 0.5 * (nodes + 1.0), vectors[0] ** 2
     for array in rule:
         array.flags.writeable = False
     return rule
 
 
-_ROWS = 32  # u rows per mesh evaluation: bounds the memory of the larger rules
-
-
-def _tensor_rule(cov, moll, n):
-    """(integrals, error floors) of the three brackets by the n x n rule."""
-    eps = 2.0 * cov.alpha - 1.0
+def _ray_nodes(n):
+    """(u, sqrt(1 - u^8), weights) of the n-node rule for the u-integral
+    with weight (1 - u^8)^(-1/2): u = 1 - s^2, Gauss-Legendre in s."""
     s, ws = _legendre(n)
-    t, wt = _gauss_jacobi(n, eps)
     u = 1.0 - s * s
     # 1 - u^8 = s^2 g(u), so (1 - u^8)^(-1/2) du = 2 ds / sqrt(g(u))
     g_root = np.sqrt((1.0 + u) * (1.0 + u * u) * (1.0 + u**4))
-    wu = 2.0 * ws / g_root
-    root = s * g_root
+    return u, s * g_root, 2.0 * ws / g_root
+
+
+def _ray_values(cov, u, root, r):
+    """FC and d_k1 FC at 2 pi k0 = r^4 root, 2 pi k1 = r u."""
+    k0, k1 = r**4 * root / TWO_PI, r * u / TWO_PI
+    return _on_mesh(cov.evaluator, k0, k1), _on_mesh(cov.d_evaluator, k0, k1)
+
+
+def _ray_rule(cov, moll, n):
+    """(integrals, error floors) of the three brackets by the n-node u rule,
+    each r-integral in closed form (see the module docstring)."""
+    u, root, wu = _ray_nodes(n)
+    fc, dfc = _ray_values(cov, u, root, 1.0)
     # q = m0^2 u^8 + (1 - u^8) as a sum of positive terms: 1 - (1 - m0^2) u^8
     # would lose a factor 1/m0^2 of accuracy to cancellation near u = 1
     q_val = (cov.m0 * u**4) ** 2 + root**2
     rate = moll.ray_rate(u, root)  # |Fphi_tau|^2 = exp(-rate r^8) along u
-    r_max = (_LOG_TAIL / rate) ** 0.125
-    wt = wt * t**eps  # the mesh values carry the t^-eps the weights already hold
-    inner = np.empty((2, 3, n))  # the r-integrals of f and of |f| per u row
-    for row in range(0, n, _ROWS):
-        col = np.s_[row:row + _ROWS, None]
-        mesh = _brackets(cov, moll, r_max[col] * t, u[col], root[col], q_val[col])
-        inner[0, :, col[0]] = mesh @ wt
-        inner[1, :, col[0]] = np.abs(mesh) @ wt
-    integrals, absolute = inner @ (wu * r_max)
+    s = (2.0 - 2.0 * cov.alpha) / 8.0  # (1 - eps)/8, exact for alpha in [1/2, 1)
+    # integral_0^inf r^-eps exp(-rate r^8) dr; an extra r^8 multiplies it by s/rate
+    radial = math.gamma(s) / 8.0 * rate**-s
+    msq = cov.m0 * cov.m0
+    terms = np.stack([
+        u**4 * (4.0 * msq * u**8 / q_val - 2.0) / q_val * fc,
+        u**5 / q_val * dfc,
+        # the r^8 part of the c2 bracket, from the mollifier gradient
+        u**5 / q_val * fc * moll.dlog_dk1(root / TWO_PI, u / TWO_PI) * (s / rate),
+        u**12 / q_val**2 * fc,
+    ]) * radial
+    # rows 1 and 2 are the two parts of the c2 bracket
+    integrals = np.add.reduceat(terms @ wu, [0, 1, 3])
     # rounding floor, 50 ulp of the integral of |f| (see the module docstring)
-    rounding = 50.0 * np.finfo(float).eps * absolute
-    # beyond r_max each integrand is bounded by its r_max magnitude times
-    # the envelope, with r^8 growth from the mollifier gradient in c2
-    edge = np.abs(_brackets(cov, moll, r_max, u, root, q_val)) / _TAIL_CUT
-    tails = [(e * r_max**-a * _tail_bound(a, rate, r_max)) @ wu
-             for e, a in zip(edge, (0.0, 8.0, 0.0))]
-    return integrals, np.array(tails) + rounding
+    absolute = np.add.reduceat(np.abs(terms) @ wu, [0, 1, 3])
+    return integrals, 50.0 * np.finfo(float).eps * absolute
+
+
+def _check_homogeneous(cov, n):
+    """Refuse a covariance whose FC and d_k1 FC, read at r = 1/2 on the
+    n-node ray, miss the degrees -eps and -eps - 1 the r-integral assumes."""
+    eps = 2.0 * cov.alpha - 1.0
+    u, root, _ = _ray_nodes(n)
+    pairs = zip(_ray_values(cov, u, root, 1.0), _ray_values(cov, u, root, 0.5))
+    for name, degree, (one, half) in zip(("FC", "d_k1 FC"), (-eps, -eps - 1.0), pairs):
+        gap = np.max(np.abs(half * 2.0**degree - one))
+        if not gap <= 1e-12 * np.max(np.abs(one)):
+            raise ConfigError(f"the finite-tau tables need a parabolically homogeneous "
+                              f"covariance; {name} misses its degree {degree:g} by {gap:.2e}")
 
 
 def _c2_imaginary_residue(cov, moll):
@@ -317,18 +306,23 @@ class CountertermTable:
 
 def counterterm_table(cov, moll):
     """Evaluate all three constants into a CountertermTable by the doubling
-    tensor rule of the module docstring; asserts that the imaginary part of
-    the c2 integrand cancels."""
+    ray rule of the module docstring; asserts that the imaginary part of
+    the c2 integrand cancels and that the covariance is homogeneous."""
     check_semigroup_m0(cov, moll)
     if cov.d_evaluator is None:
         raise ConfigError(
             "the c2 integral needs the analytic k1-derivative of the "
             "covariance; a CovarianceSpec must supply d_evaluator"
         )
+    if not cov.alpha < 1.0:  # r^-eps is integrable at r = 0 only for eps < 1
+        raise ConfigError(f"finite-tau tables need alpha < 1, got {cov.alpha}")
+    if not all(0.0 < rate < math.inf for rate in (moll.time_rate, moll.space_rate)):
+        raise ConfigError(f"mollifier rates must be positive and finite, got {moll.time_rate} "
+                          f"and {moll.space_rate} (tau={moll.tau}, eta={moll.eta})")
     with np.errstate(all="ignore"):
-        coarse, _ = _tensor_rule(cov, moll, 32)
+        coarse, _ = _ray_rule(cov, moll, 32)
         for n in (64, 128, 256):
-            fine, floors = _tensor_rule(cov, moll, n)
+            fine, floors = _ray_rule(cov, moll, n)
             move = np.abs(fine - coarse)
             if np.all(move <= _STOP_MOVE * np.abs(fine)):
                 break
@@ -348,6 +342,7 @@ def counterterm_table(cov, moll):
             f"imaginary part of the c2 integrand failed to cancel: "
             f"residue {residue:.3e} against value {values[1]:.6e}"
         )
+    _check_homogeneous(cov, n)
     return CountertermTable(
         *values, *errors, cov.alpha, cov.m0, moll.tau, moll.kind, moll.eta
     )

@@ -502,6 +502,7 @@ def kernel_checks(grid, m0=1.0, scaling_time=3e-13):
     max/min - 1 across the time window of five times from 1e-12 to 1e-10).
     """
     m0 = check_m0(m0)
+    scaling = scaling_defect(grid, scaling_time, m0)  # refuses d != 1 before the grid checks
     times = np.geomspace(1e-12, 1e-10, 5)
     base = float(times[0])
     base_hat = SpectralField(grid, psi_hat(base, grid.frequency_mesh(), m0), "fourier")
@@ -512,7 +513,7 @@ def kernel_checks(grid, m0=1.0, scaling_time=3e-13):
         "semigroup": semigroup_defect(grid, 3.0 * base, 7.0 * base, m0),
         "evenness": evenness,
         "realness": realness,
-        "scaling": scaling_defect(grid, scaling_time, m0),
+        "scaling": scaling,
     }
     out["inversion_residual"], out["inversion_realness"] = inversion_residual(grid, m0)
     out["moment_spread"] = moment_bound_spreads(grid, times, m0)

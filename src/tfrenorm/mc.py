@@ -532,6 +532,8 @@ def scaling_fit(component, sampler, window, n_samples=1024, bootstrap=200):
     the half-width of a 95% bootstrap interval over samples.  ``window``
     (lo, hi) bounds the separations and must span half a decade.
     """
+    if bootstrap < 2:
+        raise ConfigError(f"a bootstrap interval needs 2 or more resamples, got {bootstrap}")
     js = _separation_indices(sampler.grid, window)
     grid = sampler.grid
     length = grid.boxes[-1]

@@ -227,6 +227,12 @@ def gamma_entry_argv(map_name):
       "--sizes", "2,4", "--samples", "8"], 2),
     # malformed structure maps
     *[(gamma_entry_argv(name), 2) for name in BAD_MAPS],
+    # tau^eta underflows to a zero time rate
+    (["counterterm", "--alpha", "0.6", "--tau", "1e-3", "--mollifier", "anisotropic",
+      "--eta", "1e6"], 2),
+    (H_EVAL + ["--a-prime", "1.0", "--mollifier", "anisotropic", "--eta", "1e6"], 2),
+    # a bootstrap interval needs two resamples
+    (SCALING + ["--tau", "1e-14", "--window", "0.02,0.4", "--bootstrap", "0"], 2),
 ])
 def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
     for name, doc in BAD_MAPS.items():
@@ -339,17 +345,20 @@ def test_huge_cutoff_is_a_prompt_resource_error(argv):
 
 
 def test_cli_import_loads_no_numeric_layer():
-    """The index-algebra subcommands start without numpy or scipy."""
+    """The index-algebra subcommands start without numpy or scipy, and the
+    numeric layers load no scipy either."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     probe = ("import sys, tfrenorm.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))); "
+             "import tfrenorm.constants, tfrenorm.kernel, tfrenorm.mc, tfrenorm.verify; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("command", ["constants", "counterterm", "h-eval"])

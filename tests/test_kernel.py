@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import separable_moment_spreads, unit_response_second_moment
-from tfrenorm import mc
+from tfrenorm import kernel, mc
 from tfrenorm.constants import covariance_spec, mollifier_spec
 from tfrenorm.errors import ConfigError
 from tfrenorm.kernel import (
@@ -213,6 +213,15 @@ def test_semigroup_defect_small_grid():
 def test_scaling_identity_on_checks_grid():
     defect = scaling_defect(checks_grid(), 3e-13)
     assert defect < 1e-5
+
+
+def test_kernel_checks_refuse_d2_before_the_full_grid_checks(monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a full-grid check ran before the d = 1 check")
+
+    monkeypatch.setattr(kernel, "semigroup_defect", not_reached)
+    with pytest.raises(ConfigError, match="d = 1"):
+        kernel_checks(SpectralGrid(d=2, sizes=(8, 8, 8), boxes=(1e-4, 1.0, 1.0)))
 
 
 @pytest.mark.parametrize("m0", [0.0, -1.0, math.nan, math.inf, 1.4e154, 1e300])

@@ -258,6 +258,9 @@ def test_scaling_fit_window_validation():
         mc.scaling_fit("f0", s, (0.05, 0.6), n_samples=8)  # beyond box/2
     with pytest.raises(ConfigError):
         mc.scaling_fit("box", s, (0.01, 0.12), n_samples=8)
+    for bootstrap in (0, 1):  # no interval from fewer than two resamples
+        with pytest.raises(ConfigError):
+            mc.scaling_fit("f0", s, (0.01, 0.12), n_samples=8, bootstrap=bootstrap)
 
 
 def test_base_point_validation():
