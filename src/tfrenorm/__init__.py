@@ -7,7 +7,7 @@ Subpackage map:
 * ``group``     -- derivations and the recentering (structure-group) map
 * ``hierarchy`` -- the model hierarchy: right-hand-side expansion per index
 * ``kernel``    -- Fourier-side constant-coefficient operator toolbox
-* ``constants`` -- renormalisation-constant quadratures and scalings
+* ``constants`` -- renormalisation constants in closed form, and their scalings
 * ``mc``        -- Monte-Carlo checks of the first model modes
 * ``cli``       -- command-line front end
 """

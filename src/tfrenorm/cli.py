@@ -312,7 +312,7 @@ def run_kernel_check(cfg):
 
 
 def run_constants(cfg):
-    from .constants import C_constants_with_errors
+    from .constants import C_constants_with_errors, tfe_leading_form
 
     pairs = C_constants_with_errors(cfg["alpha"], cfg["mollifier"])
     (c1, e1), (c2, e2), (c3, e3) = pairs
@@ -320,15 +320,22 @@ def run_constants(cfg):
         header = "alpha,mollifier,C1,err1,C2,err2,C3,err3"
         row = f"{cfg['alpha']!r},{cfg['mollifier']},{c1!r},{e1!r},{c2!r},{e2!r},{c3!r},{e3!r}"
         return header + "\n" + row
-    return _to_json(
-        {
-            "alpha": cfg["alpha"],
-            "mollifier": cfg["mollifier"],
-            "C1": c1, "err1": e1,
-            "C2": c2, "err2": e2,
-            "C3": c3, "err3": e3,
+    doc = {
+        "alpha": cfg["alpha"],
+        "mollifier": cfg["mollifier"],
+        "C1": c1, "err1": e1,
+        "C2": c2, "err2": e2,
+        "C3": c3, "err3": e3,
+    }
+    if cfg["mollifier"] == "anisotropic":
+        # the mobility power m enters neither the coefficient nor the exponent
+        lead = tfe_leading_form(1, cfg["alpha"])
+        doc["leading_form"] = {
+            "coefficient": lead.coefficient,
+            "density_exponent": lead.density_exponent,
+            "form": lead.form,
         }
-    )
+    return _to_json(doc)
 
 
 def run_counterterm(cfg):
@@ -503,7 +510,8 @@ _SUBCOMMANDS = {
             _Opt("mollifier", _choice("semigroup", "anisotropic"),
                  default="semigroup", help="mollifier family"),
         ],
-        "universal small-tau constants (C1, C2, C3) in closed form, with rounding bounds",
+        "universal small-tau constants (C1, C2, C3) in closed form, with rounding bounds;"
+        " the anisotropic family adds the leading thin-film form C2/4 + C3 - C1/2",
     ),
     "counterterm": (
         run_counterterm,

@@ -1,59 +1,57 @@
-"""Renormalisation constants: quadrature, limits, scaling laws, counterterm.
+"""Renormalisation constants: closed forms, scaling laws, counterterm.
 
 Three constants are nonzero below the criticality window: the columns at
 e1+f0+f1, 2f1 and 2e1+2f0 of the constant vector.  Each is a frequency
-integral of kernel factors against FF = FC * |Fphi_tau|^2, where FC is the
-noise covariance and phi_tau the mollifier.  This module evaluates
+integral of kernel factors against the paper's covariance FC = Q^(-eps/8),
+eps = 2 alpha - 1, Q = (2 pi k0)^2 + m0^2 (2 pi k1)^8, times the squared
+mollifier exp(-time_rate (2 pi k0)^2 - space_rate (2 pi k1)^8).  This
+module gives them at finite rates (counterterm_table), their m0- and
+tau-free limits C1, C2, C3, the scaling exponents in tau and m0, and the
+counterterm h with its leading thin-film form, all in closed form.
 
-* the three integrals at finite (m0, tau) for both mollifier families,
-* their universal m0- and tau-free limit constants C1, C2, C3, in closed
-  form (Gamma and Beta functions, see C_constants_with_errors),
-* the scaling exponents in tau and m0,
-* the pointwise counterterm functional h and its leading thin-film form.
+The m0 reduction.  Rescaling 2 pi m0^(1/4) k1 leaves m0^(-5/4), m0^(-1/4),
+m0^(-9/4) in front of c1, c2, c3 times the m0 = 1 table at tau' =
+space_rate / m0^2 and x = m0^2 time_rate / space_rate: x = 1 for the
+semigroup family and m0^2 tau^(eta - 1) for the anisotropic one.
 
-The full integrals use the parabolic substitution 2*pi*k0 = r^4
-sqrt(1-u^8), 2*pi*k1 = r*u, which maps the positive-frequency quadrant to
-(0, inf) x (0, 1), turns the kernel denominator into r^8 * q(u) with
-q(u) = 1 - (1 - m0^2) u^8, and leaves the weight (1 - u^8)^(-1/2) in u.
-The integrand is even in both frequencies, so the quadrant result is
-multiplied by 4.  FC and d_k1 FC are taken to be parabolically
-homogeneous, of degrees -eps and -eps - 1 under (k0, k1) -> (lambda^4 k0,
-lambda k1), eps = 2 alpha - 1, and the mollifier is exp(-rate(u) r^8)
-along u.  So each bracket is r^-eps (A(u) + B(u) r^8) exp(-rate(u) r^8),
-with B from the mollifier gradient in c2 only and A, B read from the
-evaluators at r = 1, and its r-integral is closed form: Gamma(s) / (8
-rate^s) with s = (1 - eps)/8, times s / rate for the r^8 part.  The
-evaluators are read again at r = 1/2, and a covariance that misses its
-scaling there by more than 1e-12 of its largest value is refused; the
-paper's missed by at most 6e-16 at 2000 seeded (alpha, m0) points.
+The Euler integral.  2 pi k0 = r^4 sqrt(1 - u^8), 2 pi k1 = r u maps the
+quadrant (four times, the integrands being even) to (0, inf) x (0, 1) with
+weight (1 - u^8)^(-1/2).  At m0 = 1, FC = r^(-eps) and the mollifier is
+exp(-rate r^8), rate = tau' (u^8 + x (1 - u^8)), so the r-integral is
+Gamma(s) / (8 rate^s), s = (1 - eps)/8, and the r^8 part that the
+mollifier gradient adds to c2 multiplies it by s / rate.  The brackets are
+4 u^12 - 2 u^4 (c1), -eps u^12 - 8 s tau' u^12 / rate (c2) and -3 u^12
+(c3), times 16 / (2 pi)^2, and under v = u^8 each monomial is Euler's
+integral (DLMF 15.6.1), at (a, p) = (4, s), (12, s), (12, s + 1):
 
-Only the u-integral needs a rule, on numpy arrays, so covariance
-evaluators take arrays: u = 1 - s^2 cancels the endpoint singularity and
-Gauss-Legendre in s follows, by Golub-Welsch with the symmetric
-eigensolver, whose rules (the bits of LAPACK stevd) integrate smooth test
-functions to 21 ulp for n = 64 to 256.  The n-node rule is compared with
-the 2n-node rule, from n = 32, doubling up to 256 while a value moves by
-more than 1e-9 of itself.  The error estimate is that move plus a
-rounding floor of 50 ulp of the integral of |f|: on 4000 seeded
-semigroup tables (alpha 0.5001-0.999, m0 0.1-10, tau 1e-12-10) the gap
-to the exact scaling law needed at most 17 ulp of it beyond the move.
-A table whose error exceeds 1e-3 of a value is refused.
+    int_0^1 u^a rate^-p (1 - u^8)^(-1/2) du
+        = B(1/2, (a + 1)/8) / 8 * 2F1(p, 1/2; (a + 1)/8 + 1/2; 1 - x) tau'^-p.
+
+The three branches.  hyp2f1_1mx takes x itself: forming 1 - x would lose
+every digit of an x below 1e-16, and the anisotropic family reaches 1e-26.
+
+* 1/2 <= x <= 3/2: the Gauss series in 1 - x, which is exact there;
+* x < 1/2: the connection formula DLMF 15.8.4, two Gauss series in x;
+  c - a - b is 5/8 - s or 13/8 - s (s - 1/2 or s + 1/2 after Pfaff),
+  never an integer for alpha in (1/4, 1), so no logarithmic case arises;
+* x > 3/2: Pfaff, DLMF 15.8.1, x^-b 2F1(c - a, b; c; 1 - 1/x), then one
+  of the two above.  At x = 1 every 2F1 is 1.
+
+The measured bound.  c1 cancels near alpha = 1/2, so err_i is 16 eps of
+the sum of |terms| of c_i, in which a power x^e with a rounded exponent
+counts 1 + |ln x| times.  Against 40-digit mpmath at 3000 seeded tables
+(both families, alpha 0.5-1, m0 0.1-10, tau 1e-12-10, eta 1.5-3) the gap
+was at most 5.4 eps of that sum, and 5.3 for the 2F1 alone, x 1e-40-1e40.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, NumericError
+from .errors import ConfigError, NumericError
 from .indices import e, f, homogeneity, is_c_populated
 from .kernel import TWO_PI, check_m0, symbol_LLstar
-
-_TAIL_CUT = 1e-18
-_LOG_TAIL = -math.log(_TAIL_CUT)
-# the doubling stops once no value moves by more than this share of itself
-_STOP_MOVE = 1e-9
 
 # constant vector columns carrying the three nonzero entries
 C1_INDEX = e(1) + f(0) + f(1)
@@ -70,16 +68,16 @@ C3_INDEX = 2 * e(1) + 2 * f(0)
 class CovarianceSpec:
     """Spectral density FC of the driving noise.
 
-    evaluator maps (k0, k1) to FC(k) >= 0, even in both arguments;
-    d_evaluator is its analytic k1-derivative, needed for the c2 integral.
-    Both take numpy arrays k0, k1 of one shape and return an array of that
-    shape: the quadrature and the noise sampler evaluate whole meshes.
+    evaluator maps (k0, k1) to FC(k) >= 0, even in both arguments.  It
+    takes numpy arrays k0, k1 of one shape and returns an array of that
+    shape, since the noise sampler evaluates whole meshes.  The finite-tau
+    tables are closed forms of the paper's FC alone, so counterterm_table
+    refuses an evaluator that differs from it.
     """
 
     alpha: float
     m0: float
     evaluator: object
-    d_evaluator: object = None
 
 
 def covariance_spec(alpha, m0=1.0):
@@ -90,17 +88,11 @@ def covariance_spec(alpha, m0=1.0):
     if not 0.5 < alpha < 1.0:
         raise ConfigError(f"covariance exponent needs alpha in (1/2, 1), got {alpha}")
     power = -(2.0 * alpha - 1.0) / 8.0
-    msq = m0 * m0
 
     def evaluator(k0, k1):
         return symbol_LLstar((k0, k1), m0) ** power
 
-    def d_evaluator(k0, k1):
-        q_val = symbol_LLstar((k0, k1), m0)
-        grad = 16.0 * math.pi * msq * (TWO_PI * k1) ** 7
-        return q_val**power * (power * grad / q_val)
-
-    return CovarianceSpec(alpha, m0, evaluator, d_evaluator)
+    return CovarianceSpec(alpha, m0, evaluator)
 
 
 @dataclass(frozen=True)
@@ -132,17 +124,6 @@ class MollifierSpec:
             -self.time_rate * (TWO_PI * k0) ** 2 - self.space_rate * (TWO_PI * k1) ** 8
         )
 
-    def dlog_dk1(self, k0, k1):
-        """The analytic k1-derivative of log squared_symbol."""
-        return -16.0 * math.pi * self.space_rate * (TWO_PI * k1) ** 7
-
-    def ray_rate(self, u, root):
-        """The rate c(u) with squared_symbol = exp(-c(u) r^8) on the ray
-        2 pi k0 = r^4 root, 2 pi k1 = r u, where root = sqrt(1 - u^8)."""
-        # (u^4)^2 rounds like q(u) in _ray_rule: at m0 = 1 the semigroup
-        # rate is tau q(u) to the last bit
-        return self.space_rate * (u**4) ** 2 + self.time_rate * root**2
-
 
 def mollifier_spec(kind, tau, eta=2.0, m0=1.0):
     tau = float(tau)
@@ -163,128 +144,77 @@ def check_semigroup_m0(cov, moll):
     """A semigroup mollifier is exp(-tau Q) with the operator's own m0, so
     it must have been built for the covariance's m0."""
     if moll.kind == "semigroup" and abs(moll.m0 - cov.m0) > 1e-12 * cov.m0:
+        raise ConfigError(f"semigroup mollifier was built for m0={moll.m0}, "
+                          f"covariance has m0={cov.m0}")
+
+
+# ---------------------------------------------------------------------------
+# the finite-tau tables in closed form
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+# each err_i is this many eps of the sum of |terms| of c_i (module docstring)
+_ROUNDING = 16.0
+# B(1/2, (a + 1)/8) / 8 for the bracket monomials u^4 and u^12
+_BETA4 = math.gamma(0.5) * math.gamma(5.0 / 8.0) / (8.0 * math.gamma(9.0 / 8.0))
+_BETA12 = math.gamma(0.5) * math.gamma(13.0 / 8.0) / (8.0 * math.gamma(17.0 / 8.0))
+# frequencies (k0, k1) at which an evaluator must give the paper's FC: Q
+# from 0.1 to 5e6, so that a shift of Q or a wrong degree shows; the time
+# and space parts of Q are kept at m0 = 1, and k0 = 0 at none of them
+_PROBE_K = (np.array([0.3, 0.01, 1.7, -0.05]), np.array([0.0, 0.45, -1.1, 0.02]))
+_PROBE_Q = list(zip(((TWO_PI * _PROBE_K[0]) ** 2).tolist(), ((TWO_PI * _PROBE_K[1]) ** 8).tolist()))
+
+
+def _gauss_series(a, b, c, z):
+    """(value, sum of |terms|) of the Gauss series of 2F1(a, b; c; z) for
+    |z| <= 1/2, summed until a term is below eps/4 of that sum."""
+    term = value = mag = 1.0
+    n = 0.0
+    while abs(term) > 0.25 * _EPS * mag:
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        value += term
+        mag += abs(term)
+        n += 1.0
+    return value, mag
+
+
+def hyp2f1_1mx(a, b, c, x):
+    """(2F1(a, b; c; 1 - x), its magnitude) for 0 < x < inf, by the branch
+    of the module docstring that x selects.  The magnitude sums |terms|;
+    a power x^(c - a - b) counts 1 + |ln x| times, because its exponent is
+    rounded and x^e moves by |ln x| per unit change of e."""
+    if x > 1.5:
+        value, mag = hyp2f1_1mx(c - a, b, c, 1.0 / x)
+        return x**-b * value, x**-b * mag
+    if x >= 0.5:
+        return _gauss_series(a, b, c, 1.0 - x)
+    gamma = math.gamma
+    near, near_mag = _gauss_series(a, b, a + b - c + 1.0, x)
+    far, far_mag = _gauss_series(c - a, c - b, c - a - b + 1.0, x)
+    k_near = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
+    k_far = gamma(c) * gamma(a + b - c) / (gamma(a) * gamma(b)) * x ** (c - a - b)
+    return (k_near * near + k_far * far,
+            abs(k_near) * near_mag + abs(k_far) * far_mag * (1.0 - math.log(x)))
+
+
+def _check_paper_covariance(cov):
+    """Refuse an evaluator that is not the paper's FC = Q^(-(2 alpha - 1)/8)
+    at cov's (alpha, m0), read at _PROBE_K.  The values are compared, not
+    the function, so a wrapped copy of the paper's evaluator passes."""
+    power, msq = -(2.0 * cov.alpha - 1.0) / 8.0, cov.m0 * cov.m0
+    want = [(q0 + msq * q1) ** power for q0, q1 in _PROBE_Q]
+    try:  # one value per frequency
+        got = np.asarray(cov.evaluator(*_PROBE_K), dtype=float).reshape(len(want)).tolist()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"covariance evaluators must map numpy arrays: {exc}") from None
+    if not all(map(math.isfinite, got)):
+        raise NumericError(f"covariance evaluator gave non-finite values {got}")
+    gap = max(abs(g / w - 1.0) for g, w in zip(got, want))
+    if not gap <= 1e-12:
         raise ConfigError(
-            f"semigroup mollifier was built for m0={moll.m0}, "
-            f"covariance has m0={cov.m0}"
+            f"the finite-tau tables need the paper's parabolically homogeneous covariance "
+            f"Q^(-(2 alpha - 1)/8); the evaluator is off it by {gap:.2e} relative"
         )
-
-
-# ---------------------------------------------------------------------------
-# full integrals at finite (m0, tau)
-# ---------------------------------------------------------------------------
-
-
-def _on_mesh(cov_func, k0, k1):
-    """A covariance evaluator's values on the frequency arrays (k0, k1)."""
-    try:
-        values = np.asarray(cov_func(k0, k1))
-    except TypeError as exc:
-        raise ConfigError(
-            f"covariance evaluators must take numpy arrays: {exc}"
-        ) from None
-    if values.shape != k0.shape:
-        raise ConfigError(
-            f"covariance evaluator gave shape {values.shape} on a {k0.shape} mesh"
-        )
-    return values
-
-
-@lru_cache(maxsize=None)
-def _legendre(n):
-    """The n-node Gauss-Legendre rule on (0, 1) by Golub-Welsch: eigenvalues
-    and squared first eigenvector components of the Jacobi matrix of the
-    Legendre polynomials; read-only, as callers share it."""
-    k = np.arange(1, n)
-    off = np.sqrt(k * k / (4.0 * k * k - 1.0))
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    rule = 0.5 * (nodes + 1.0), vectors[0] ** 2
-    for array in rule:
-        array.flags.writeable = False
-    return rule
-
-
-def _ray_nodes(n):
-    """(u, sqrt(1 - u^8), weights) of the n-node rule for the u-integral
-    with weight (1 - u^8)^(-1/2): u = 1 - s^2, Gauss-Legendre in s."""
-    s, ws = _legendre(n)
-    u = 1.0 - s * s
-    # 1 - u^8 = s^2 g(u), so (1 - u^8)^(-1/2) du = 2 ds / sqrt(g(u))
-    g_root = np.sqrt((1.0 + u) * (1.0 + u * u) * (1.0 + u**4))
-    return u, s * g_root, 2.0 * ws / g_root
-
-
-def _ray_values(cov, u, root, r):
-    """FC and d_k1 FC at 2 pi k0 = r^4 root, 2 pi k1 = r u."""
-    k0, k1 = r**4 * root / TWO_PI, r * u / TWO_PI
-    return _on_mesh(cov.evaluator, k0, k1), _on_mesh(cov.d_evaluator, k0, k1)
-
-
-def _ray_rule(cov, moll, n):
-    """(integrals, error floors) of the three brackets by the n-node u rule,
-    each r-integral in closed form (see the module docstring)."""
-    u, root, wu = _ray_nodes(n)
-    fc, dfc = _ray_values(cov, u, root, 1.0)
-    # q = m0^2 u^8 + (1 - u^8) as a sum of positive terms: 1 - (1 - m0^2) u^8
-    # would lose a factor 1/m0^2 of accuracy to cancellation near u = 1
-    q_val = (cov.m0 * u**4) ** 2 + root**2
-    rate = moll.ray_rate(u, root)  # |Fphi_tau|^2 = exp(-rate r^8) along u
-    s = (2.0 - 2.0 * cov.alpha) / 8.0  # (1 - eps)/8, exact for alpha in [1/2, 1)
-    # integral_0^inf r^-eps exp(-rate r^8) dr; an extra r^8 multiplies it by s/rate
-    radial = math.gamma(s) / 8.0 * rate**-s
-    msq = cov.m0 * cov.m0
-    terms = np.stack([
-        u**4 * (4.0 * msq * u**8 / q_val - 2.0) / q_val * fc,
-        u**5 / q_val * dfc,
-        # the r^8 part of the c2 bracket, from the mollifier gradient
-        u**5 / q_val * fc * moll.dlog_dk1(root / TWO_PI, u / TWO_PI) * (s / rate),
-        u**12 / q_val**2 * fc,
-    ]) * radial
-    # rows 1 and 2 are the two parts of the c2 bracket
-    integrals = np.add.reduceat(terms @ wu, [0, 1, 3])
-    # rounding floor, 50 ulp of the integral of |f| (see the module docstring)
-    absolute = np.add.reduceat(np.abs(terms) @ wu, [0, 1, 3])
-    return integrals, 50.0 * np.finfo(float).eps * absolute
-
-
-def _check_homogeneous(cov, n):
-    """Refuse a covariance whose FC and d_k1 FC, read at r = 1/2 on the
-    n-node ray, miss the degrees -eps and -eps - 1 the r-integral assumes."""
-    eps = 2.0 * cov.alpha - 1.0
-    u, root, _ = _ray_nodes(n)
-    pairs = zip(_ray_values(cov, u, root, 1.0), _ray_values(cov, u, root, 0.5))
-    for name, degree, (one, half) in zip(("FC", "d_k1 FC"), (-eps, -eps - 1.0), pairs):
-        gap = np.max(np.abs(half * 2.0**degree - one))
-        if not gap <= 1e-12 * np.max(np.abs(one)):
-            raise ConfigError(f"the finite-tau tables need a parabolically homogeneous "
-                              f"covariance; {name} misses its degree {degree:g} by {gap:.2e}")
-
-
-def _c2_imaginary_residue(cov, moll):
-    """Midpoint-rule value of the odd (imaginary) part of the c2 integrand.
-
-    The term -2*pi*i*k0 * (k1/Q) * d_k1 FF is odd in k0, so its integral
-    over a symmetric grid cancels pairwise; a nonzero residue signals a
-    parity defect in the covariance or mollifier implementation.
-    """
-    points = 12
-    k0_max = math.sqrt(_LOG_TAIL / moll.time_rate) / TWO_PI
-    k1_max = (_LOG_TAIL / moll.space_rate) ** 0.125 / TWO_PI
-    mid = (np.arange(points) + 0.5) / points
-    mirrored = np.concatenate([mid, -mid])  # the midpoints and their mirror images
-    a0, a1 = np.meshgrid(mirrored * k0_max, mirrored * k1_max, indexing="ij")
-    q_val = symbol_LLstar((a0, a1), cov.m0)
-    deriv = moll.squared_symbol(a0, a1) * (
-        _on_mesh(cov.d_evaluator, a0, a1)
-        + _on_mesh(cov.evaluator, a0, a1) * moll.dlog_dk1(a0, a1)
-    )
-    vals = -TWO_PI * a0 * a1 / q_val * deriv
-    cell = (2.0 * k0_max / points) * (2.0 * k1_max / points) / 4.0
-    return math.fsum(vals.ravel().tolist()) * cell
-
-
-# ---------------------------------------------------------------------------
-# the result table
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -304,48 +234,51 @@ class CountertermTable:
     eta: object = None
 
 
+def _closed_form(alpha, m0, time_rate, space_rate):
+    """([c1, c2, c3], [err1, err2, err3]) by the module docstring."""
+    tau_p = space_rate / (m0 * m0)
+    x = time_rate / tau_p
+    s = (2.0 - 2.0 * alpha) / 8.0  # exact for alpha in [1/2, 1)
+    f4 = hyp2f1_1mx(s, 0.5, 9.0 / 8.0, x)
+    f12 = hyp2f1_1mx(s, 0.5, 17.0 / 8.0, x)
+    g12 = hyp2f1_1mx(s + 1.0, 0.5, 17.0 / 8.0, x)
+    # (weight, Beta factor, 2F1) of each monomial of the three brackets
+    brackets = (
+        ((4.0, _BETA12, f12), (-2.0, _BETA4, f4)),
+        ((-(2.0 * alpha - 1.0), _BETA12, f12), (-8.0 * s, _BETA12, g12)),
+        ((-3.0, _BETA12, f12),),
+    )
+    # 16 / (2 pi)^2 times the radial factor Gamma(s) / 8 tau'^-s
+    radial = 2.0 * math.gamma(s) * tau_p**-s / (TWO_PI * TWO_PI)
+    values, errors = [], []
+    for power, terms in zip((-1.25, -0.25, -2.25), brackets):
+        scale = radial * m0**power
+        values.append(scale * sum(w * beta * hyp[0] for w, beta, hyp in terms))
+        errors.append(_ROUNDING * _EPS * abs(scale)
+                      * sum(abs(w) * beta * hyp[1] for w, beta, hyp in terms))
+    return values, errors
+
+
 def counterterm_table(cov, moll):
-    """Evaluate all three constants into a CountertermTable by the doubling
-    ray rule of the module docstring; asserts that the imaginary part of
-    the c2 integrand cancels and that the covariance is homogeneous."""
+    """The three constants of the paper's covariance under a mollifier,
+    with rounding bounds, in the closed form of the module docstring."""
     check_semigroup_m0(cov, moll)
-    if cov.d_evaluator is None:
-        raise ConfigError(
-            "the c2 integral needs the analytic k1-derivative of the "
-            "covariance; a CovarianceSpec must supply d_evaluator"
-        )
-    if not cov.alpha < 1.0:  # r^-eps is integrable at r = 0 only for eps < 1
-        raise ConfigError(f"finite-tau tables need alpha < 1, got {cov.alpha}")
+    # (1/4, 1) is the subcritical range at d = 1; s = (2 - 2 alpha)/8 > 0
+    # makes the r-integral converge at r = 0
+    if not 0.25 < cov.alpha < 1.0:
+        raise ConfigError(f"finite-tau tables need 1/4 < alpha < 1, got {cov.alpha}")
     if not all(0.0 < rate < math.inf for rate in (moll.time_rate, moll.space_rate)):
         raise ConfigError(f"mollifier rates must be positive and finite, got {moll.time_rate} "
                           f"and {moll.space_rate} (tau={moll.tau}, eta={moll.eta})")
-    with np.errstate(all="ignore"):
-        coarse, _ = _ray_rule(cov, moll, 32)
-        for n in (64, 128, 256):
-            fine, floors = _ray_rule(cov, moll, n)
-            move = np.abs(fine - coarse)
-            if np.all(move <= _STOP_MOVE * np.abs(fine)):
-                break
-            coarse = fine
-    scale = np.array([16.0, 16.0 * cov.m0 / TWO_PI, -48.0 * cov.m0]) / TWO_PI**2
-    values, errors = (scale * fine).tolist(), (np.abs(scale) * (move + floors)).tolist()
-    for which, value, error in zip((1, 2, 3), values, errors):
-        if not math.isfinite(value + error) or error > max(1e-3 * abs(value), 1e-9):
-            raise NumericError(
-                f"quadrature for constant {which} did not converge (alpha={cov.alpha}, "
-                f"m0={cov.m0}, tau={moll.tau}, {moll.kind}): value {value:.6e}, "
-                f"error estimate {error:.2e}"
-            )
-    residue = _c2_imaginary_residue(cov, moll)
-    if abs(residue) > 1e-8 * abs(values[1]):
-        raise ConsistencyError(
-            f"imaginary part of the c2 integrand failed to cancel: "
-            f"residue {residue:.3e} against value {values[1]:.6e}"
-        )
-    _check_homogeneous(cov, n)
-    return CountertermTable(
-        *values, *errors, cov.alpha, cov.m0, moll.tau, moll.kind, moll.eta
-    )
+    _check_paper_covariance(cov)
+    try:
+        values, errors = _closed_form(cov.alpha, cov.m0, moll.time_rate, moll.space_rate)
+    except (ArithmeticError, ValueError):  # a rate ratio or power out of float range
+        values = errors = [math.nan]
+    if not all(math.isfinite(v) for v in values + errors):
+        raise NumericError(f"the table leaves the float range (alpha={cov.alpha}, "
+                           f"m0={cov.m0}, tau={moll.tau}, {moll.kind}, eta={moll.eta})")
+    return CountertermTable(*values, *errors, cov.alpha, cov.m0, moll.tau, moll.kind, moll.eta)
 
 
 def table_to_json(table):
@@ -367,7 +300,7 @@ def sweep_csv(tables):
 
 
 # ---------------------------------------------------------------------------
-# universal limit constants
+# universal limit constants and scaling laws
 # ---------------------------------------------------------------------------
 
 
@@ -380,33 +313,25 @@ def _sigma(alpha, mollifier_kind):
 
 
 def C_constants_with_errors(alpha, mollifier_kind):
-    """((C1, err1), (C2, err2), (C3, err3)): universal constants in closed form.
+    """((C1, err1), (C2, err2), (C3, err3)): the tables at tau' = 1 in the
+    limit x = 1 (semigroup) or x -> 0 (anisotropic), m0- and tau-free.
 
-    Stripping the exact powers m0^(-5/4), m0^(-1/4), m0^(-9/4) and
-    tau^{(2 alpha - 2)/8} (semigroup), or the anisotropic leading powers,
-    leaves integrals over the rescaled quadrant with weight exp(-r^8)
-    (semigroup) or exp(-(r u)^8) (anisotropic); there s = r u decouples
-    the axes.  So C_i = (4 / (2 pi)^2) J U_i with eps = 2 alpha - 1,
-    J = integral_0^inf s^(-eps) exp(-s^8) ds = Gamma((1 - eps)/8) / 8, and
-    U_i the integral over (0, 1) of the bracket 16 u^12 - 8 u^4,
-    32 u^12 - 20 u^4 or -12 u^12 times u^(sigma - 1) (1 - u^8)^(-1/2), with
-    sigma = 1 (semigroup) or eps (anisotropic).  By DLMF 5.12.1 each
-    monomial gives integral_0^1 u^a (1 - u^8)^(-1/2) du = B((a + 1)/8, 1/2)/8,
-    and B(x + 1, 1/2) = B(x, 1/2) x / (x + 1/2) folds a bracket into one term:
+    There every 2F1 of the module docstring is 1 or its connection
+    coefficient, each bracket monomial is B((a + sigma)/8, 1/2)/8 with
+    sigma = 1 (semigroup) or eps (anisotropic), and B(y + 1, 1/2) =
+    B(y, 1/2) y / (y + 1/2) folds each bracket into one term:
 
         (C1, C2, C3) = P (8 sigma, 4 (3 sigma - 8), -12 (4 + sigma)) / (8 + sigma),
         P = Gamma((1 - eps)/8) Gamma((4 + sigma)/8) sqrt(pi) / (64 pi^2 Gamma(1 + sigma/8)).
 
     No term cancels, and the anisotropic C1 is exactly zero at alpha = 1/2.
-    Each error is a rounding bound of 32 eps of the value: three math.gamma
-    values on (0, 9/8], each within 3 eps of a 30-digit mpmath value, about
-    ten roundings of half an eps, and a factor 2 to spare.
+    Each error is 32 eps of the value: three math.gamma values on (0, 9/8],
+    each within 3 eps of 30-digit mpmath, about ten roundings of half an
+    eps, and a factor 2 to spare.
     """
     alpha = float(alpha)
     if not 0.5 <= alpha < 1.0:
-        raise ConfigError(
-            f"universal constants need alpha in [1/2, 1), got {alpha}"
-        )
+        raise ConfigError(f"universal constants need alpha in [1/2, 1), got {alpha}")
     sigma = _sigma(alpha, mollifier_kind)
     # 2 - 2 alpha = 1 - eps is exact for alpha in [1/2, 1)
     p_val = (
@@ -414,8 +339,7 @@ def C_constants_with_errors(alpha, mollifier_kind):
         * math.sqrt(math.pi) / (64.0 * math.pi**2 * math.gamma(1.0 + sigma / 8.0))
     ) / (8.0 + sigma)
     values = (8.0 * sigma, 4.0 * (3.0 * sigma - 8.0), -12.0 * (4.0 + sigma))
-    rounding = 32.0 * np.finfo(float).eps
-    return tuple((v * p_val, rounding * abs(v * p_val)) for v in values)
+    return tuple((v * p_val, 32.0 * _EPS * abs(v * p_val)) for v in values)
 
 
 def eval_C_constants(alpha, mollifier_kind):
@@ -423,10 +347,6 @@ def eval_C_constants(alpha, mollifier_kind):
     pairs = C_constants_with_errors(alpha, mollifier_kind)
     return tuple(value for value, _err in pairs)
 
-
-# ---------------------------------------------------------------------------
-# scaling laws
-# ---------------------------------------------------------------------------
 
 def scaling_exponents(beta_c, params, mollifier_kind="semigroup"):
     """(tau exponent, m0 exponent or None) of the constant at beta_c.
@@ -449,21 +369,6 @@ def scaling_exponents(beta_c, params, mollifier_kind="semigroup"):
     return tau_exp, m0_exp
 
 
-def fit_log_slope(xs, ys):
-    """Least-squares slope of log|y| against log x."""
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ConfigError("slope fit needs at least two points")
-    if any(x <= 0 for x in xs) or any(y == 0 for y in ys):
-        raise ConfigError("slope fit needs positive x and nonzero y")
-    lx = [math.log(x) for x in xs]
-    ly = [math.log(abs(y)) for y in ys]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-    den = sum((a - mx) ** 2 for a in lx)
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # the counterterm functional
 # ---------------------------------------------------------------------------
@@ -472,11 +377,8 @@ def fit_log_slope(xs, ys):
 def counterterm_h(a, a_prime, b, b_prime, table):
     """Pointwise counterterm c1 a' b b' + c2 (b')^2 + c3 (a')^2 b^2."""
     try:
-        return (
-            table.c1 * a_prime * b * b_prime
-            + table.c2 * b_prime**2
-            + table.c3 * a_prime**2 * b**2
-        )
+        return (table.c1 * a_prime * b * b_prime + table.c2 * b_prime**2
+                + table.c3 * a_prime**2 * b**2)
     except OverflowError:
         raise NumericError("the counterterm h overflows") from None
 
@@ -515,17 +417,11 @@ def tfe_leading_form(m, alpha, table=None):
     alpha = float(alpha)
     if table is not None:
         if table.mollifier != "anisotropic":
-            raise ConfigError(
-                "the leading form applies to the anisotropic mollifier family"
-            )
+            raise ConfigError("the leading form applies to the anisotropic mollifier family")
         if abs(table.alpha - alpha) > 1e-12:
-            raise ConfigError(
-                f"table was computed at alpha={table.alpha}, asked for {alpha}"
-            )
+            raise ConfigError(f"table was computed at alpha={table.alpha}, asked for {alpha}")
         if abs(table.m0 - 1.0) > 1e-12:
-            raise ConfigError(
-                "stripping the tau power needs a unit-m0 table; rescale first"
-            )
+            raise ConfigError("stripping the tau power needs a unit-m0 table; rescale first")
         combo = table.c2 / 4.0 + table.c3 - table.c1 / 2.0
         coefficient = combo * table.tau ** (-(2.0 * alpha - 2.0) / 8.0)
     else:

@@ -35,10 +35,11 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .constants import _LOG_TAIL, _TAIL_CUT, _legendre, check_semigroup_m0, fit_log_slope
+from .constants import check_semigroup_m0
 from .errors import ConfigError, NumericError
 from .kernel import (
     SpectralField,
@@ -420,6 +421,23 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
 
 
 _PANEL_NODES = 32  # Gauss-Legendre nodes per panel; the check rule has twice as many
+# the line integral ends where the mollifier envelope drops below _TAIL_CUT
+_TAIL_CUT = 1e-18
+_LOG_TAIL = -math.log(_TAIL_CUT)
+
+
+@lru_cache(maxsize=None)
+def _legendre(n):
+    """The n-node Gauss-Legendre rule on (0, 1) by Golub-Welsch: eigenvalues
+    and squared first eigenvector components of the Jacobi matrix of the
+    Legendre polynomials; read-only, as callers share it."""
+    k = np.arange(1, n)
+    off = np.sqrt(k * k / (4.0 * k * k - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    rule = 0.5 * (nodes + 1.0), vectors[0] ** 2
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def equal_time_density(sampler, k_values=None):
@@ -487,6 +505,21 @@ def equal_time_density(sampler, k_values=None):
             )
         out[np.abs(k_values) == mag] = 2.0 * total
     return out
+
+
+def fit_log_slope(xs, ys):
+    """Least-squares slope of log|y| against log x."""
+    if len(xs) != len(ys) or len(xs) < 2:
+        raise ConfigError("slope fit needs at least two points")
+    if any(x <= 0 for x in xs) or any(y == 0 for y in ys):
+        raise ConfigError("slope fit needs positive x and nonzero y")
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(abs(y)) for y in ys]
+    mx = sum(lx) / len(lx)
+    my = sum(ly) / len(ly)
+    num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
+    den = sum((a - mx) ** 2 for a in lx)
+    return num / den
 
 
 def _separation_indices(grid, window):

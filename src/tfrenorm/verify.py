@@ -42,7 +42,7 @@ FIXTURE_NAMES = (
     "constants.json",
 )
 
-# Replayed quadrature errors are added to the stored ones, plus this floor,
+# Replayed error bounds are added to the stored ones, plus this floor,
 # to form the comparison tolerance for each constant.
 _ABS_FLOOR = 1e-12
 
@@ -163,7 +163,7 @@ def verify_enumeration(doc):
 
 
 def verify_constants(doc):
-    """Recompute every constant within summed quadrature error bars."""
+    """Recompute every constant within the summed stored and stated errors."""
     problems = []
     for row in doc["universal"]:
         pairs = C_constants_with_errors(row["alpha"], row["mollifier"])

@@ -17,11 +17,17 @@ package under test, using different algorithms than the library:
   products of 1-D scipy quad integrals and of 40-digit mpmath Beta and
   Gamma values (the library folds the Beta terms into one closed form),
 * the finite-tau constants by nested adaptive scipy quad with scalar
-  callbacks (the library uses a tensor-product Gauss rule on numpy
-  meshes); it reads only the evaluators and fields of the spec objects,
+  callbacks (the library sums a Beta x 2F1 closed form); it reads only
+  the evaluators and fields of the spec objects,
 * the finite-tau constants for the paper-default covariance to 30 digits
   with mpmath: the r-integral in closed form (complete gamma functions),
   the u-integral by tanh-sinh quadrature,
+* the finite-tau constants by the Gauss-Legendre ray rule in u with the
+  r-integral in closed form, the quadrature the library used before its
+  closed form, with its homogeneity check and the parity residue of the c2
+  integrand (the library sums Beta x 2F1 terms),
+* the same Beta x 2F1 closed form to 40 digits with mpmath's hyp2f1 (the
+  library sums its 2F1 series in floats, branch by branch),
 * the equal-time line density by scipy quad on decade panels out to
   infinity (the library uses Gauss-Legendre panels cut at the mollifier
   envelope),
@@ -47,6 +53,7 @@ from itertools import combinations_with_replacement, permutations
 import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg.lapack import dstevd
 from scipy.special import gammaincc
 
 
@@ -439,6 +446,29 @@ TWO_PI = 2.0 * math.pi
 _LOG_TAIL = -math.log(1e-18)
 
 
+def paper_d_evaluator(alpha, m0):
+    """The analytic k1-derivative of the paper covariance Q^(-(2 alpha - 1)/8),
+    Q = (2 pi k0)^2 + m0^2 (2 pi k1)^8, on scalars or numpy arrays."""
+    power = -(2.0 * alpha - 1.0) / 8.0
+
+    def d_evaluator(k0, k1):
+        q_val = (TWO_PI * k0) ** 2 + m0 * m0 * (TWO_PI * k1) ** 8
+        return power * q_val ** (power - 1.0) * 16.0 * math.pi * m0 * m0 * (TWO_PI * k1) ** 7
+
+    return d_evaluator
+
+
+def dlog_dk1(moll, k1):
+    """The k1-derivative of the log of a mollifier's squared symbol."""
+    return -16.0 * math.pi * moll.space_rate * (TWO_PI * k1) ** 7
+
+
+def ray_rate(moll, u, root):
+    """The rate c(u) with squared symbol exp(-c(u) r^8) on the ray
+    2 pi k0 = r^4 root, 2 pi k1 = r u, where root = sqrt(1 - u^8)."""
+    return moll.space_rate * (u**4) ** 2 + moll.time_rate * root**2
+
+
 def _quad(func, lo, hi, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -459,8 +489,8 @@ def quad_counterterm(which, cov, moll, epsrel=1e-9):
     """
     m0 = cov.m0
     msq = m0 * m0
-    fc, dfc = cov.evaluator, cov.d_evaluator
-    sym, dlog = moll.squared_symbol, moll.dlog_dk1
+    fc, dfc = cov.evaluator, paper_d_evaluator(cov.alpha, m0)
+    sym = moll.squared_symbol
     if which == 1:
         prefactor = 16.0 / TWO_PI**2
 
@@ -472,7 +502,7 @@ def quad_counterterm(which, cov, moll, epsrel=1e-9):
         prefactor = 16.0 * m0 / TWO_PI**3
 
         def bracket(r, u, q_val, k0, k1):
-            deriv = dfc(k0, k1) + fc(k0, k1) * dlog(k0, k1)
+            deriv = dfc(k0, k1) + fc(k0, k1) * dlog_dk1(moll, k1)
             return r * u**5 / q_val * sym(k0, k1) * deriv
 
     else:
@@ -554,6 +584,146 @@ def mp_counterterm(alpha, m0, kind, tau, eta=None, dps=30):
                                     points))
             for i, pre in enumerate(prefactors)
         )
+
+
+def mp_closed_form_table(alpha, m0, time_rate, space_rate, dps=40):
+    """(c1, c2, c3) as mpf: the Beta x 2F1 closed form of the finite-tau
+    tables, evaluated from the exact float inputs with mpmath's own hyp2f1
+    at dps digits (the library sums its 2F1 in floats, by branch)."""
+    with mpmath.workdps(dps):
+        alpha, m0 = mpmath.mpf(alpha), mpmath.mpf(m0)
+        tau_p = mpmath.mpf(space_rate) / m0**2
+        x = mpmath.mpf(time_rate) / tau_p
+        s, eps, half = (2 - 2 * alpha) / 8, 2 * alpha - 1, mpmath.mpf(1) / 2
+
+        def monomial(a, p):
+            b = mpmath.mpf(a + 1) / 8
+            return mpmath.beta(half, b) / 8 * mpmath.hyp2f1(p, half, b + half, 1 - x)
+
+        radial = 16 / (2 * mpmath.pi) ** 2 * mpmath.gamma(s) / 8 * tau_p**-s
+        u12 = monomial(12, s)
+        brackets = (4 * u12 - 2 * monomial(4, s), -eps * u12 - 8 * s * monomial(12, s + 1),
+                    -3 * u12)
+        powers = (mpmath.mpf(-5) / 4, mpmath.mpf(-1) / 4, mpmath.mpf(-9) / 4)
+        return tuple(radial * m0**p * u for p, u in zip(powers, brackets))
+
+
+# ---------------------------------------------------------------------------
+# finite-tau constants by the Gauss-Legendre ray rule
+#
+# The same substitution again, with the r-integral in closed form, since FC
+# and d_k1 FC are parabolically homogeneous of degrees -eps and -eps - 1:
+# each bracket is r^-eps (A(u) + B(u) r^8) exp(-rate(u) r^8), whose
+# r-integral is Gamma(s) / (8 rate^s), s = (1 - eps)/8, times s / rate for
+# the r^8 part.  A and B are read from the evaluators at r = 1 on the nodes
+# of the u-rule: u = 1 - t^2, Gauss-Legendre in t (Golub-Welsch by LAPACK
+# stevd).  The value is the 256-node rule; its error is the move from the
+# 128-node rule plus 50 ulp of the integral of |f|.  (A doubling from 32
+# nodes that stopped at the first move below 1e-9 of the value stopped at
+# 64 nodes for x = 5e-19 and stated 2.4e-13 for a c2 that was 2.65e-13 off.)
+# The covariance is read again at r = 1/2 to check the homogeneity the
+# r-integral assumes.
+# ---------------------------------------------------------------------------
+
+
+def _ray_nodes(n):
+    """(u, sqrt(1 - u^8), weights) of the n-node rule for the u-integral
+    with weight (1 - u^8)^(-1/2): u = 1 - t^2, Gauss-Legendre in t."""
+    # Golub-Welsch: the Jacobi matrix of the Legendre polynomials by LAPACK stevd
+    k = np.arange(1, n)
+    nodes, vectors, _ = dstevd(np.zeros(n), np.sqrt(k * k / (4.0 * k * k - 1.0)), compute_v=1)
+    t, wt = 0.5 * (nodes + 1.0), vectors[0] ** 2
+    u = 1.0 - t * t
+    # 1 - u^8 = t^2 g(u), so (1 - u^8)^(-1/2) du = 2 dt / sqrt(g(u))
+    g_root = np.sqrt((1.0 + u) * (1.0 + u * u) * (1.0 + u**4))
+    return u, t * g_root, 2.0 * wt / g_root
+
+
+def _on_mesh(func, k0, k1):
+    values = np.asarray(func(k0, k1))
+    if values.shape != k0.shape:
+        raise ValueError(f"evaluator gave shape {values.shape} on a {k0.shape} mesh")
+    return values
+
+
+def _ray_values(cov, d_evaluator, u, root, r):
+    """FC and d_k1 FC at 2 pi k0 = r^4 root, 2 pi k1 = r u."""
+    k0, k1 = r**4 * root / TWO_PI, r * u / TWO_PI
+    return _on_mesh(cov.evaluator, k0, k1), _on_mesh(d_evaluator, k0, k1)
+
+
+def _ray_rule(cov, d_evaluator, moll, n):
+    """(integrals, error floors) of the three brackets by the n-node u rule."""
+    u, root, wu = _ray_nodes(n)
+    fc, dfc = _ray_values(cov, d_evaluator, u, root, 1.0)
+    # q = m0^2 u^8 + (1 - u^8) as a sum of positive terms
+    q_val = (cov.m0 * u**4) ** 2 + root**2
+    rate = ray_rate(moll, u, root)
+    s = (2.0 - 2.0 * cov.alpha) / 8.0
+    radial = math.gamma(s) / 8.0 * rate**-s
+    msq = cov.m0 * cov.m0
+    terms = np.stack([
+        u**4 * (4.0 * msq * u**8 / q_val - 2.0) / q_val * fc,
+        u**5 / q_val * dfc,
+        u**5 / q_val * fc * dlog_dk1(moll, u / TWO_PI) * (s / rate),
+        u**12 / q_val**2 * fc,
+    ]) * radial
+    # rows 1 and 2 are the two parts of the c2 bracket
+    integrals = np.add.reduceat(terms @ wu, [0, 1, 3])
+    absolute = np.add.reduceat(np.abs(terms) @ wu, [0, 1, 3])
+    return integrals, 50.0 * np.finfo(float).eps * absolute
+
+
+def check_homogeneous(cov, d_evaluator):
+    """Raise ValueError unless FC and d_k1 FC, read at r = 1/2 on the 64-node
+    ray, have the degrees -eps and -eps - 1 that the r-integral assumes."""
+    eps = 2.0 * cov.alpha - 1.0
+    u, root, _ = _ray_nodes(64)
+    pairs = zip(_ray_values(cov, d_evaluator, u, root, 1.0),
+                _ray_values(cov, d_evaluator, u, root, 0.5))
+    for name, degree, (one, half) in zip(("FC", "d_k1 FC"), (-eps, -eps - 1.0), pairs):
+        gap = np.max(np.abs(half * 2.0**degree - one))
+        if not gap <= 1e-12 * np.max(np.abs(one)):
+            raise ValueError(f"{name} misses its degree {degree:g} by {gap:.2e}")
+
+
+def ray_rule_counterterm(cov, moll, d_evaluator=None):
+    """((c1, c2, c3), (err1, err2, err3)) by the 256-node ray rule, for a
+    homogeneous covariance with k1-derivative d_evaluator (by default the
+    paper's)."""
+    if d_evaluator is None:
+        d_evaluator = paper_d_evaluator(cov.alpha, cov.m0)
+    check_homogeneous(cov, d_evaluator)
+    with np.errstate(all="ignore"):
+        coarse, _ = _ray_rule(cov, d_evaluator, moll, 128)
+        fine, floors = _ray_rule(cov, d_evaluator, moll, 256)
+    move = np.abs(fine - coarse)
+    scale = np.array([16.0, 16.0 * cov.m0 / TWO_PI, -48.0 * cov.m0]) / TWO_PI**2
+    return tuple(scale * fine), tuple(np.abs(scale) * (move + floors))
+
+
+def c2_imaginary_residue(cov, moll, d_evaluator=None):
+    """Midpoint-rule value of the odd (imaginary) part of the c2 integrand.
+
+    The term -2 pi i k0 (k1/Q) d_k1 FF is odd in k0, so its integral over
+    a symmetric grid cancels pairwise; a residue that does not vanish shows
+    a covariance or mollifier that is not even.
+    """
+    if d_evaluator is None:
+        d_evaluator = paper_d_evaluator(cov.alpha, cov.m0)
+    points = 12
+    k0_max = math.sqrt(_LOG_TAIL / moll.time_rate) / TWO_PI
+    k1_max = (_LOG_TAIL / moll.space_rate) ** 0.125 / TWO_PI
+    mid = (np.arange(points) + 0.5) / points
+    mirrored = np.concatenate([mid, -mid])
+    a0, a1 = np.meshgrid(mirrored * k0_max, mirrored * k1_max, indexing="ij")
+    q_val = (TWO_PI * a0) ** 2 + cov.m0**2 * (TWO_PI * a1) ** 8
+    deriv = moll.squared_symbol(a0, a1) * (
+        _on_mesh(d_evaluator, a0, a1) + _on_mesh(cov.evaluator, a0, a1) * dlog_dk1(moll, a1)
+    )
+    vals = -TWO_PI * a0 * a1 / q_val * deriv
+    cell = (2.0 * k0_max / points) * (2.0 * k1_max / points) / 4.0
+    return math.fsum(vals.ravel().tolist()) * cell
 
 
 def quad_line_density(evaluator, squared_symbol, m0, k1, k0_mollifier, epsrel=1e-10):

@@ -46,6 +46,19 @@ def test_constants_documented_invocation(capsys):
     assert set(doc) == {"alpha", "mollifier", "C1", "C2", "C3", "err1", "err2", "err3"}
 
 
+def test_constants_anisotropic_prints_the_leading_form(capsys):
+    doc = run_json(capsys, "constants", "--alpha", "0.55", "--mollifier", "anisotropic")
+    lead = doc["leading_form"]
+    assert lead["coefficient"] == pytest.approx(
+        doc["C2"] / 4 + doc["C3"] - doc["C1"] / 2, rel=1e-14
+    )
+    assert lead["density_exponent"] == pytest.approx(-(2 * 0.55 + 3) / 4, rel=1e-15)
+    code, out, _ = run(capsys, "constants", "--alpha", "0.55", "--mollifier", "anisotropic",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "alpha,mollifier,C1,err1,C2,err2,C3,err3"
+
+
 def test_enumerate_documented_invocation(capsys):
     doc = run_json(capsys, "enumerate", "--alpha", "0.55", "--d", "1", "--cutoff", "3")
     assert "e1+f0+f1+g(0,1)" in doc["indices"]

@@ -12,9 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import CLOSED_FORMS, mp_counterterm, mp_universal, quad_counterterm, quad_universal
-from tfrenorm.constants import (
+from oracles import (
     _LOG_TAIL,
+    CLOSED_FORMS,
+    c2_imaginary_residue,
+    mp_counterterm,
+    mp_universal,
+    quad_counterterm,
+    quad_universal,
+    ray_rate,
+)
+from tfrenorm.constants import (
     C1_INDEX,
     C2_INDEX,
     C3_INDEX,
@@ -25,16 +33,16 @@ from tfrenorm.constants import (
     counterterm_table,
     covariance_spec,
     eval_C_constants,
-    fit_log_slope,
     mollifier_spec,
     scaling_exponents,
     sweep_csv,
     table_to_json,
     tfe_leading_form,
 )
-from tfrenorm.errors import ConfigError, ConsistencyError, NumericError
+from tfrenorm.errors import ConfigError, NumericError
 from tfrenorm.indices import ModelParams, e, f, g
 from tfrenorm.kernel import TWO_PI
+from tfrenorm.mc import fit_log_slope
 
 C_INDICES = (C1_INDEX, C2_INDEX, C3_INDEX)
 
@@ -132,8 +140,8 @@ CORNERS = list(itertools.product((0.52, 0.98), (1e-8, 1e-2), (0.5, 2.0), (2.0, 3
     + [("anisotropic", *c) for c in CORNERS],
 )
 def test_tensor_rule_matches_nested_quad(kind, alpha, tau, m0, eta):
-    """The tensor rule and the nested adaptive quad agree within the sum of
-    their error estimates at every corner of the benchmark ranges."""
+    """The closed-form table and the nested adaptive quad agree within the
+    sum of their error estimates at every corner of the benchmark ranges."""
     cov = covariance_spec(alpha, m0)
     moll = mollifier_spec(kind, tau, eta=eta, m0=m0)
     table = counterterm_table(cov, moll)
@@ -144,9 +152,9 @@ def test_tensor_rule_matches_nested_quad(kind, alpha, tau, m0, eta):
 
 @pytest.mark.parametrize("alpha, m0, kind, tau, eta", [
     (0.55, 1.3, "semigroup", 1e-3, 2.0),
-    (0.52, 2.0, "anisotropic", 1e-8, 3.0),  # needs the 256-node rule
+    (0.52, 2.0, "anisotropic", 1e-8, 3.0),  # x = 4e-16, the connection branch
 ])
-def test_tensor_rule_within_its_error_of_mpmath(alpha, m0, kind, tau, eta):
+def test_closed_form_table_within_its_error_of_mpmath(alpha, m0, kind, tau, eta):
     table = counterterm_table(
         covariance_spec(alpha, m0), mollifier_spec(kind, tau, eta=eta, m0=m0)
     )
@@ -282,10 +290,10 @@ def test_anisotropic_tables_collapse_on_x(alpha, first, second):
 )
 def test_symbol_on_the_substituted_ray_is_the_envelope(kind, tau, eta, m0, u, depth):
     """On the ray 2 pi k0 = r^4 sqrt(1 - u^8), 2 pi k1 = r u the squared symbol
-    is exp(-rate(u) r^8), with rate(u) the envelope the tensor rule cuts at."""
+    is exp(-rate(u) r^8), with rate(u) the envelope of the ray-rule oracle."""
     moll = mollifier_spec(kind, tau, eta=eta, m0=m0)
     root = math.sqrt(1.0 - u**8)
-    rate = moll.ray_rate(u, root)
+    rate = ray_rate(moll, u, root)
     r = (depth * _LOG_TAIL / rate) ** 0.125  # exp(-rate r^8) down to the tail cut
     got = moll.squared_symbol(r**4 * root / TWO_PI, r * u / TWO_PI)
     assert got == pytest.approx(math.exp(-rate * r**8), rel=1e-12)
@@ -452,16 +460,6 @@ def test_semigroup_mollifier_m0_must_match_covariance():
         counterterm_table(cov, moll)
 
 
-def test_eval_c2_needs_covariance_derivative():
-    def fc(k0, k1):
-        q = (2 * math.pi * k0) ** 2 + (2 * math.pi * k1) ** 8
-        return q**-0.0125
-
-    cov = CovarianceSpec(0.55, 1.0, fc)
-    with pytest.raises(ConfigError):
-        counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
-
-
 @pytest.mark.parametrize("evaluator", [
     lambda k0, k1: math.exp(-abs(k0)),  # scalar math on a mesh
     lambda k0, k1: 1.0,  # one number for the whole mesh
@@ -469,20 +467,20 @@ def test_eval_c2_needs_covariance_derivative():
     None,  # no evaluator at all
 ])
 def test_covariance_evaluators_must_map_arrays(evaluator):
-    cov = CovarianceSpec(0.55, 1.0, evaluator, lambda k0, k1: np.zeros_like(k0))
+    cov = CovarianceSpec(0.55, 1.0, evaluator)
     with pytest.raises(ConfigError):
         counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 
 
 def test_non_finite_covariance_is_a_numeric_error():
-    cov = CovarianceSpec(0.55, 1.0, lambda k0, k1: np.full_like(k0, np.nan),
-                         lambda k0, k1: np.zeros_like(k0))
+    cov = CovarianceSpec(0.55, 1.0, lambda k0, k1: np.full_like(k0, np.nan))
     with pytest.raises(NumericError):
         counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
 
 
 def test_eval_c2_rejects_uneven_covariance():
-    """A covariance that is not even in the time frequency is caught."""
+    """A covariance that is not even in the time frequency is refused as not
+    the paper's; the ray-rule oracle's parity residue shows the defect."""
 
     def skew(k0):
         return 1.0 + 0.2 * np.tanh(2 * math.pi * k0)
@@ -496,9 +494,13 @@ def test_eval_c2_rejects_uneven_covariance():
         dq = 16 * math.pi * (2 * math.pi * k1) ** 7
         return -0.0125 * q**-1.0125 * dq * skew(k0)
 
-    cov = CovarianceSpec(0.55, 1.0, fc, dfc)
-    with pytest.raises(ConsistencyError):
-        counterterm_table(cov, mollifier_spec("semigroup", 1e-3))
+    cov = CovarianceSpec(0.55, 1.0, fc)
+    moll = mollifier_spec("semigroup", 1e-3)
+    with pytest.raises(ConfigError, match="paper"):
+        counterterm_table(cov, moll)
+    c2 = counterterm_table(covariance_spec(0.55), moll).c2
+    assert abs(c2_imaginary_residue(cov, moll, dfc)) > 1e-8 * abs(c2)
+    assert abs(c2_imaginary_residue(covariance_spec(0.55), moll)) <= 1e-8 * abs(c2)
 
 
 # ---------------------------------------------------------------------------
