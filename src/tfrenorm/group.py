@@ -136,9 +136,10 @@ def dn_apply(series, n):
     if not any(n):
         return d0_apply(series)
     out = SeriesVector()
+    n = tuple(n)
     gn = g(n)
     for gamma, v in series.items():
-        c = dict(gamma.p).get(tuple(n), 0)
+        c = gamma.p_at(n)
         if c:
             out.add_term(gamma.minus(gn), v * Fraction(c))
     return out
@@ -160,14 +161,14 @@ def d0_power_row(beta, m):
                     continue
                 k = k1 - 1
                 sigma = idx.minus(e(k1)) + e(k)
-                weight = (k + 1) * (dict(sigma.a)[k])
+                weight = (k + 1) * sigma.a_at(k)
                 nxt[sigma] = nxt.get(sigma, 0) + val * weight
             for l1, _c in idx.b:
                 if l1 == 0:
                     continue
                 l = l1 - 1
                 sigma = idx.minus(f(l1)) + f(l)
-                weight = (l + 1) * (dict(sigma.b)[l])
+                weight = (l + 1) * sigma.b_at(l)
                 nxt[sigma] = nxt.get(sigma, 0) + val * weight
         row = nxt
     return row

@@ -179,7 +179,7 @@ def expand(beta, params, mode="raw", *, rows=None):
         raise ConfigError(
             "purely polynomial components are explicit; nothing to expand"
         )
-    if dict(beta.a).get(0):
+    if beta.a_at(0):
         raise ConfigError(
             "the velocity-zero slot is absorbed into the linear operator"
         )

@@ -3,6 +3,9 @@
 Everything in this file is deliberately written without importing the
 package under test, using different algorithms than the library:
 
+* multiindex sum, difference and multiple on the (a, b, p) parts as
+  ``collections.Counter`` multisets of slot keys (the library adds,
+  subtracts and multiplies one packed int),
 * a slow itertools-style enumerator for populated multiindices (the
   library uses a pruned DFS; here we sweep generous exponent boxes and
   filter with the literal predicates),
@@ -47,6 +50,7 @@ package under test, using different algorithms than the library:
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -202,6 +206,34 @@ def brute_force_populated(alpha, d, cutoff):
                 if homogeneity(alpha, a, b, p) < cutoff:
                     results.add((a, b, p))
     return results
+
+
+# ---------------------------------------------------------------------------
+# multiindex arithmetic.  Here an index is its (a, b, p) triple of sorted
+# (key, count) tuples, each part a multiset of slot keys.
+# ---------------------------------------------------------------------------
+
+
+def _parts(counters):
+    return tuple(tuple(sorted((+counter).items())) for counter in counters)
+
+
+def parts_sum(x, y):
+    """(a, b, p) of x + y."""
+    return _parts(Counter(dict(px)) + Counter(dict(py)) for px, py in zip(x, y))
+
+
+def parts_difference(x, y):
+    """(a, b, p) of x - y, or None unless y <= x slot by slot."""
+    pairs = [(Counter(dict(px)), Counter(dict(py))) for px, py in zip(x, y)]
+    if not all(cy <= cx for cx, cy in pairs):
+        return None
+    return _parts(cx - cy for cx, cy in pairs)
+
+
+def parts_multiple(k, x):
+    """(a, b, p) of k * x."""
+    return _parts(Counter({key: k * c for key, c in px}) for px in x)
 
 
 # ---------------------------------------------------------------------------

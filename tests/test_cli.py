@@ -268,6 +268,14 @@ def test_m0_whose_square_overflows_is_a_config_error(capsys, argv):
     assert out == "" and "m0" in err
 
 
+@pytest.mark.parametrize("beta", ["2147483648e1", "2147483647f0+f0",
+                                  "99999999999999999999999g(0,1)"])
+def test_multiplicity_past_its_field_is_a_config_error(capsys, beta):
+    code, out, err = run(capsys, "homogeneity", "--alpha", "0.55", "--beta", beta)
+    assert code == 2, err
+    assert out == "" and "exceeds 2147483647" in err
+
+
 def test_simulate_scaling_needs_a_window(capsys):
     code, out, err = run(capsys, *SCALING, "--tau", "1e-14")
     assert code == 2

@@ -1,12 +1,22 @@
 """Multiindex algebra, gradings, predicates and enumeration."""
 
+import copy
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfrenorm.errors import ConfigError, ResourceError
 from tfrenorm.indices import (
+    FIELD_BITS,
+    MAX_MULTIPLICITY,
     ModelParams,
     Multiindex,
     ZERO,
@@ -31,7 +41,15 @@ from tfrenorm.indices import (
     renormalisation_candidates,
 )
 
-from oracles import brute_force_populated, homogeneity as oracle_homogeneity
+from oracles import (
+    brute_force_populated,
+    homogeneity as oracle_homogeneity,
+    parts_difference,
+    parts_multiple,
+    parts_sum,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 P055 = ModelParams(alpha=0.55, d=1)
 P075 = ModelParams(alpha=0.75, d=1, allow_rational_alpha=True)
@@ -189,6 +207,9 @@ def _assert_as_if_validated(m):
     cached = (m.a_count(), m.b_count(), m.p_count(), m.a_weight(), m.b_weight(),
               poly_weight(m))
     assert cached == _recount(m)
+    for read, part in ((m.a_at, m.a), (m.b_at, m.b), (m.p_at, m.p)):
+        assert all(read(key) == count for key, count in part)
+    assert m.a_at(10**40) == m.b_at(10**40) == m.p_at((10**40, 0)) == 0
 
 
 def _geq(x, y):
@@ -235,12 +256,176 @@ def test_unit_builders_match_the_validating_constructor_property(k, n):
     lambda: (e(1) + g((1, 0))) + (f(0) + g((0, 0, 1))),
     lambda: Multiindex(p=(((0, 1), 1), ((0, 1, 0), 1))),
     lambda: 1.5 * e(1),
+    lambda: Multiindex(a=((1, 1.5),)),
 ], ids=["negative count", "negative sum", "zero decoration", "zero unit", "zero parsed",
         "float slot", "str slot", "float unit", "negative unit", "mixed units",
-        "mixed sum", "mixed parts", "float multiple"])
+        "mixed sum", "mixed parts", "float multiple", "float count"])
 def test_public_boundary_still_validates(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda arity: st.tuples(
+    _indices(arity), _indices(arity))), st.integers(0, 5))
+def test_arithmetic_matches_the_counter_oracle_property(pair, k):
+    """+, minus and k * against multiset arithmetic on the parts, at d = 1, 2, 3."""
+    x, y = pair
+
+    def parts(m):
+        return (m.a, m.b, m.p)
+
+    assert parts(x + y) == parts_sum(parts(x), parts(y))
+    assert parts(k * x) == parts_multiple(k, parts(x))
+    for big, small in ((x, y), (y, x), (x + y, y), (x + y, x)):
+        diff = big.minus(small)
+        want = parts_difference(parts(big), parts(small))
+        assert (None if diff is None else parts(diff)) == want
+
+
+TOP = MAX_MULTIPLICITY
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Multiindex(a=((1, TOP + 1),)),
+    lambda: Multiindex(b=((0, TOP), (0, 1))),
+    lambda: parse_multiindex(f"{TOP + 1}e1"),
+    lambda: parse_multiindex(f"{TOP}f0+f0"),
+    lambda: parse_multiindex("99999999999999999999999g(0,1)"),
+    lambda: TOP * e(1) + e(1),
+    lambda: (TOP * g((0, 1)) + f(2)) + (f(2) + g((0, 1))),
+    lambda: 2 * (TOP * f(0)),
+    lambda: (TOP + 1) * e(3),
+    # k * x lands on the next field without touching the guard bit
+    lambda: (1 << FIELD_BITS) * e(1),
+    lambda: (1 << (3 * FIELD_BITS)) * (e(1) + f(0)),
+], ids=["constructor", "constructor sum", "parsed", "parsed sum", "parsed huge", "sum",
+        "sum of two", "double", "multiple", "multiple past the guard",
+        "multiple three fields on"])
+def test_a_multiplicity_past_its_field_is_a_config_error(build):
+    with pytest.raises(ConfigError, match="exceeds"):
+        build()
+
+
+def test_the_largest_multiplicity_fits_its_field():
+    m = TOP * e(1) + TOP * f(0) + TOP * g((0, 1))
+    assert m == parse_multiindex(f"{TOP}e1+{TOP}f0+{TOP}g(0,1)")
+    assert (m.a, m.b, m.p) == (((1, TOP),), ((0, TOP),), (((0, 1), TOP),))
+    assert m.minus(e(1) + f(0)) == (TOP - 1) * (e(1) + f(0)) + TOP * g((0, 1))
+    assert m.minus(2 * e(1)).minus(m) is None
+
+
+def test_any_slot_key_takes_one_field():
+    m = parse_multiindex("2e100000000+f100000000+g(0,100000000)")
+    assert str(m) == "2e100000000+f100000000+g(0,100000000)"
+    assert (m.a_weight(), m.b_weight(), poly_weight(m)) == (2 * 10**8, 10**8, 10**8)
+    assert m.minus(e(10**8)) == e(10**8) + f(10**8) + g((0, 10**8))
+    huge = e(10**30) + f(10**30)
+    assert huge.a_weight() == huge.b_weight() == 10**30
+    assert bracket(3 * huge) == 6 * 10**30
+
+
+def test_threads_registering_keys_at_once_get_one_field_each():
+    """Keys first used by several threads at once each get one field, so
+    the indices the threads build are equal."""
+    keys = range(7_000_000, 7_000_400)
+    results = [None] * 4
+
+    def build(i):
+        results[i] = [e(k) + f(k) for k in keys]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    for k, *built in zip(keys, *results):
+        want = parse_multiindex(f"e{k}+f{k}")
+        assert all(m == want for m in built), k
+
+
+def _fresh_interpreter(script, *args):
+    """stdout of ``script`` run in a new interpreter on the package source."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# units made first, in two orders, so that two interpreters lay their slot
+# keys out in different fields
+UNITS_FORWARD = ["e(0)", "e(1)", "e(2)", "e(3)", "f(0)", "f(1)", "f(2)", "f(3)",
+                 "g((0, 1))", "g((1, 0))", "g((0, 2))", "g((0, 1, 0))", "g((0, 0, 1))"]
+UNITS_BACKWARD = UNITS_FORWARD[::-1]
+SAMPLES = ["0", "f0", "2e1+2f0+g(0,1)", "e3+f2+3g(0,2)", "e100000000+4f3", "f1+g(0,0,1)"]
+
+
+def test_pickles_rebuild_from_the_parts_in_another_interpreter():
+    """A code is private to the registry that made it: an index pickled in
+    one interpreter unpickles, equal and with the same hash, in another
+    whose slot keys were registered in a different order."""
+    dump = (
+        "import pickle\n"
+        "from tfrenorm.indices import e, f, g, parse_multiindex\n"
+        f"for unit in {UNITS_FORWARD!r}: eval(unit)\n"
+        f"ms = [parse_multiindex(s) for s in {SAMPLES!r}]\n"
+        "print([m.code for m in ms])\n"
+        "print(pickle.dumps(ms).hex())\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from tfrenorm.indices import e, f, g, parse_multiindex\n"
+        f"for unit in {UNITS_BACKWARD!r}: eval(unit)\n"
+        "ms = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+        "for m in ms:\n"
+        "    again = parse_multiindex(str(m))\n"
+        "    assert m == again and hash(m) == hash(again), str(m)\n"
+        "print([m.code for m in ms])\n"
+        "print([str(m) for m in ms])\n"
+    )
+    codes, blob = _fresh_interpreter(dump).split("\n")[:2]
+    codes_there, strs = _fresh_interpreter(load, blob).split("\n")[:2]
+    assert codes != codes_there  # the two layouts differ
+    assert strs == repr(SAMPLES)
+
+
+def test_copies_are_equal_indices():
+    for text in SAMPLES:
+        m = parse_multiindex(text)
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and hash(twin) == hash(m) and str(twin) == text
+
+
+def test_outputs_do_not_depend_on_the_order_slot_keys_were_registered():
+    run = (
+        "import json, sys\n"
+        "from tfrenorm.cli import main\n"
+        "from tfrenorm.hierarchy import build_dag, expansion_to_json\n"
+        "from tfrenorm.indices import ModelParams, e, f, g\n"
+        "for unit in json.loads(sys.argv[1]): eval(unit)\n"
+        "print(e(1).code)\n"
+        "for alpha, d, cutoff in ((0.55, 1, 3.4), (0.62, 2, 3.0)):\n"
+        "    params = ModelParams(alpha=alpha, d=d)\n"
+        "    dag = build_dag(params, cutoff)\n"
+        "    print(json.dumps(expansion_to_json(params, dag.expansions)))\n"
+        "main(['enumerate', '--alpha', '0.55', '--cutoff', '3.4'])\n"
+        "main(['enumerate', '--alpha', '0.62', '--d', '2', '--cutoff', '3.0', '--format', 'csv'])\n"
+    )
+    forward = _fresh_interpreter(run, json.dumps(UNITS_FORWARD))
+    backward = _fresh_interpreter(run, json.dumps(UNITS_BACKWARD))
+    code_forward, rest_forward = forward.split("\n", 1)
+    code_backward, rest_backward = backward.split("\n", 1)
+    assert code_forward != code_backward  # the two layouts differ
+    assert rest_forward == rest_backward
+    assert rest_forward.count('"entries"') == 2 and "index,homogeneity" in rest_forward
 
 
 # ---------------------------------------------------------------------------
