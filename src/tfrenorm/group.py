@@ -24,7 +24,10 @@ support, with a letter index that never decreases: only the last letter
 taken can repeat, and its repeat count gives the multiplicities.  Each
 step carries the series with its word so far applied.  D^(n) depends on
 n alone, not on the support, so the adjacent letters of one n share one
-D^(n) application per step.
+D^(n) application per step.  A ``StructureMap`` sorts its letters and
+works out their homogeneity gaps once, when it is made, and both
+recursions read them from it; its families are read-only, so the two
+cannot disagree.
 
 Scalars are generic: float for numerics, Fraction for exact runs; any ring
 that multiplies with Fraction and compares with 0 works (the tests use
@@ -32,6 +35,7 @@ polynomial scalars).
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import ConfigError
 from .indices import (
@@ -102,11 +106,13 @@ class SeriesVector:
 
 def series_mul(x, y):
     """Cauchy product: (x*y)_beta = sum over splittings of beta."""
-    out = SeriesVector()
+    acc = {}
     for m1, v1 in x.items():
         for m2, v2 in y.items():
-            out.add_term(m1 + m2, v1 * v2)
-    return out
+            m = m1 + m2
+            cur = acc.get(m)
+            acc[m] = v1 * v2 if cur is None else cur + v1 * v2
+    return SeriesVector(acc)  # which drops the zero sums
 
 
 def basis(m):
@@ -183,8 +189,10 @@ class StructureMap:
     """Scalar families pi^(n) defining a recentering map.
 
     ``pi`` maps decoration vectors n (tuples, zero allowed) to dicts
-    Multiindex -> scalar.  Admissibility: every support index is populated
-    with homogeneity strictly above the anisotropic degree of its n.
+    Multiindex -> scalar; both levels are read-only views, because the
+    map holds its sorted letters and their gaps.  Admissibility: every
+    support index is populated with homogeneity strictly above the
+    anisotropic degree of its n.
     """
 
     def __init__(self, params, pi):
@@ -209,16 +217,24 @@ class StructureMap:
                     )
                 kept[m] = v
             if kept:
-                clean[n] = kept
-        self.pi = clean
+                clean[n] = MappingProxyType(kept)
+        self.pi = MappingProxyType(clean)
+        self._letters = tuple(
+            (n, m, clean[n][m])
+            for n in sorted(clean)
+            for m in sorted(clean[n], key=lambda t: t.sort_key())
+        )
+        self._gaps = tuple(
+            homogeneity(m, params) - aniso_degree(n) for n, m, _v in self._letters
+        )
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt, letters and gaps included
+        return (StructureMap, (self.params, {n: dict(es) for n, es in self.pi.items()}))
 
     def letters(self):
         """Flat list of (n, support index, value), deterministic order."""
-        out = []
-        for n in sorted(self.pi):
-            for m in sorted(self.pi[n], key=lambda t: t.sort_key()):
-                out.append((n, m, self.pi[n][m]))
-        return out
+        return list(self._letters)
 
 
 def gamma_entry(beta, gamma, smap):
@@ -230,7 +246,7 @@ def gamma_entry(beta, gamma, smap):
     The letter count j is capped by the bracket bookkeeping
     j <= (velocity+noise weight of beta) - [gamma].
     """
-    letters = smap.letters()
+    letters = smap._letters
     jmax = beta.a_weight() + beta.b_weight() - bracket(gamma)
     total = 1 if beta == gamma else 0
 
@@ -274,8 +290,7 @@ def gamma_apply(series, smap, cutoff):
     """
     params = smap.params
     alpha = params.alpha
-    letters = smap.letters()
-    gaps = [homogeneity(m, params) - aniso_degree(n) for n, m, _v in letters]
+    letters, gaps = smap._letters, smap._gaps
     out = SeriesVector()
     if not len(series):
         return out
@@ -287,7 +302,9 @@ def gamma_apply(series, smap, cutoff):
         # gradings so that it rounds exactly like homogeneity(m + shift)
         shift_bracket, shift_poly = bracket(shift), poly_weight(shift)
         for m, v in dser.items():
-            hom = alpha * (1 + bracket(m) + shift_bracket) + (poly_weight(m) + shift_poly)
+            hom = alpha * (1 + m._a_weight + m._b_weight - m._p_count + shift_bracket) + (
+                m._poly_weight + shift_poly
+            )
             if hom < cutoff:
                 out.add_term(m + shift, value * v * inv)
 

@@ -31,23 +31,29 @@ orderings of its plain factors, parts!/prod(multiplicities!), and a grouped
 counter term -1/prod(multiplicities!) -- the 1/m! of the iterated
 substitution cancels against the ordered count.
 
+Terms come out in order without sorting the factors of any term: splits
+are nondecreasing tuples of ranks in the sub-index pool, which is sorted
+by ``sort_key``, so a term's plain factors are already in order and the
+terms sort on int keys that order them as ``HierarchyTerm.sort_key``
+does.  A coefficient comes from the run lengths of its split, and each
+distinct factor and each counter row is checked for triangularity once
+per expansion.
+
 All coefficients are exact ``Fraction`` values and all derived column
 weights are integers; nothing in this module is floating point.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from operator import itemgetter
 
 from .errors import ConfigError, ConsistencyError
 from .group import d0_power_row
 from .indices import (
-    ZERO,
     e,
     f,
     format_multiindex,
-    g,
     homogeneity,
     is_populated,
     is_purely_polynomial,
@@ -100,33 +106,13 @@ class HierarchyTerm:
         )
 
 
-def _make_term(kind, coeff, factors, decorated=None, noise=False, c=None):
-    factors = tuple(sorted(factors, key=lambda m: m.sort_key()))
-    if c is not None:
-        c = tuple(sorted(c, key=lambda t: t[0].sort_key()))
-    return HierarchyTerm(kind, coeff, factors, decorated, noise, c)
-
-
 # ---------------------------------------------------------------------------
 # splitting machinery
 # ---------------------------------------------------------------------------
 
 
-def _sub_indices(beta):
-    """All multiindices componentwise <= beta."""
-    units = (
-        [(e(k), c) for k, c in beta.a]
-        + [(f(l), c) for l, c in beta.b]
-        + [(g(n), c) for n, c in beta.p]
-    )
-    out = [ZERO]
-    for unit, count in units:
-        out = [base + i * unit for base in out for i in range(count + 1)]
-    return out
-
-
 def _splits(rest, parts, pool, rank, start=0):
-    """Multisets (nondecreasing tuples) of `parts` pool entries summing to rest.
+    """Nondecreasing tuples of `parts` pool ranks whose entries sum to rest.
 
     ``rank`` maps each pool entry to its position; a last part must be rest
     itself, so it is looked up instead of searched for.
@@ -136,22 +122,31 @@ def _splits(rest, parts, pool, rank, start=0):
             yield ()
         return
     if parts == 1:
-        if rank.get(rest, -1) >= start:
-            yield (rest,)
+        i = rank.get(rest, -1)
+        if i >= start:
+            yield (i,)
         return
     for i in range(start, len(pool)):
         r = rest.minus(pool[i])
         if r is None:
             continue
+        if parts == 2:  # the last part inline, without a nested generator
+            j = rank.get(r, -1)
+            if j >= i:
+                yield (i, j)
+            continue
         for tail in _splits(r, parts - 1, pool, rank, i):
-            yield (pool[i],) + tail
+            yield (i,) + tail
 
 
-def _marked(split):
-    """(decorated, plain) for each distinct part of a nondecreasing split."""
-    for i, m in enumerate(split):
-        if i == 0 or m != split[i - 1]:
-            yield m, split[:i] + split[i + 1:]
+def _runs(split):
+    """(start, length) of each run of equal ranks in a nondecreasing split."""
+    runs, begin = [], 0
+    for i in range(1, len(split) + 1):
+        if i == len(split) or split[i] != split[begin]:
+            runs.append((begin, i - begin))
+            begin = i
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +160,9 @@ def expand(beta, params, mode="raw", *, rows=None):
     ``mode`` selects the constant columns kept in counter terms: "raw"
     keeps every admissible column, "reduced" additionally drops the
     odd-bracket columns (whose constants vanish by expectation parity).
-    ``rows`` is a dict sigma -> kept counter row that the expansions of
-    one build, with the same params and mode, share; without it each call
-    computes its rows afresh.
+    ``rows`` is a dict sigma -> kept counter row, sorted, that the
+    expansions of one build, with the same params and mode, share; without
+    it each call computes its rows afresh.
     """
     if mode not in ("raw", "reduced"):
         raise ConfigError(f"unknown counterterm mode {mode!r}")
@@ -189,8 +184,8 @@ def expand(beta, params, mode="raw", *, rows=None):
                 f"decoration {n} has arity {len(n)}, expected {params.arity}"
             )
 
-    subs = _sub_indices(beta)
-    pool = [m for m in subs if m and is_populated(m)]
+    subs = beta.sub_indices()[1:]  # without ZERO
+    pool = [m for m in subs if is_populated(m)]
     pool.sort(key=lambda m: m.sort_key())
     rank = {m: i for i, m in enumerate(pool)}
     if rows is None:
@@ -202,43 +197,71 @@ def expand(beta, params, mode="raw", *, rows=None):
     heads = [("quasi", e(k), k, None) for k, _ in beta.a]
     heads += [("noise", f(l), l, None) for l, _ in beta.b]
     for sigma in subs:
+        if sigma.p:
+            continue
         m = sigma.a_weight() + sigma.b_weight() - sigma.b_count()
-        if not sigma or sigma.p or m < 0:
+        if m < 0:
             continue
         kept = rows.get(sigma)
         if kept is None:
-            kept = rows[sigma] = [
-                (gamma, w)
-                for gamma, w in d0_power_row(sigma, m).items()
-                if keeps_counterterm(gamma, params, mode)
-            ]
+            kept = rows[sigma] = tuple(sorted(
+                ((gamma, w) for gamma, w in d0_power_row(sigma, m).items()
+                 if keeps_counterterm(gamma, params, mode)),
+                key=lambda t: t[0].sort_key(),
+            ))
         if kept:
             heads.append(("counter", sigma, m, kept))
 
-    terms = []
-    for kind, head, parts, c in heads:
-        has_dec = kind != "noise"
-        for split in _splits(beta.minus(head), parts + has_dec, pool, rank):
-            for dec, plain in _marked(split) if has_dec else [(None, split)]:
-                coeff = Fraction(
-                    -1 if kind == "counter" else factorial(parts),
-                    prod(map(factorial, Counter(plain).values())),
-                )
-                terms.append(_make_term(kind, coeff, plain, dec, not has_dec, c))
+    # Each term is found as (key, head number, coefficient), with the key
+    # (kind rank, factor count, factor ranks, decorated rank).  Pool ranks
+    # follow sort_key and (kind, factors, decorated) fixes the head, so the
+    # keys order terms as HierarchyTerm.sort_key does.  The plain factors
+    # of a nondecreasing split are in order already.
+    found = []
+    coeffs = {}
+    for h, (kind, head, parts, _c) in enumerate(heads):
+        kind_rank = KIND_RANK[kind]
+        num = -1 if kind == "counter" else factorial(parts)
+        for split in _splits(beta.minus(head), parts + (kind != "noise"), pool, rank):
+            runs = _runs(split)
+            den = prod(factorial(length) for _, length in runs)
+            if kind == "noise":
+                marks = [(split, (), den)]
+            else:
+                # each distinct part once as the decorated factor
+                marks = [
+                    (split[:i] + split[i + 1:], (split[i],), den // length)
+                    for i, length in runs
+                ]
+            for plain, dec, plain_den in marks:
+                coeff = coeffs.get((num, plain_den))
+                if coeff is None:
+                    coeff = coeffs[num, plain_den] = Fraction(num, plain_den)
+                found.append(((kind_rank, len(plain)) + plain + dec, h, coeff))
 
-    terms.sort(key=lambda t: t.sort_key())
-    _check_triangular(beta, terms, params)
+    found.sort(key=itemgetter(0))
+    _check_triangular(beta, found, pool, heads, params)
+    terms = []
+    for key, h, coeff in found:
+        kind, _head, _parts, c = heads[h]
+        factors = tuple([pool[r] for r in key[2:2 + key[1]]])
+        noise = kind == "noise"
+        decorated = None if noise else pool[key[-1]]
+        terms.append(HierarchyTerm(kind, coeff, factors, decorated, noise, c))
     return terms
 
 
-def _check_triangular(beta, terms, params):
+def _check_triangular(beta, found, pool, heads, params):
+    """Check the factors and constant columns of the found terms in term
+    order, each distinct factor and each counter row once."""
     hom_b = homogeneity(beta, params)
     len_b = order_length(beta, params)
-    for t in terms:
-        deps = list(t.factors)
-        if t.decorated is not None:
-            deps.append(t.decorated)
-        for m in deps:
+    checked, checked_rows = set(), set()
+    for key, h, _coeff in found:
+        for r in key[2:]:  # the plain factors, then the decorated one
+            if r in checked:
+                continue
+            m = pool[r]
             if not (
                 homogeneity(m, params) < hom_b and order_length(m, params) < len_b
             ):
@@ -246,12 +269,17 @@ def _check_triangular(beta, terms, params):
                     f"factor {format_multiindex(m)} of {format_multiindex(beta)} "
                     "violates triangularity"
                 )
-        for gamma, _w in t.c or ():
+            checked.add(r)
+        c = heads[h][3]
+        if c is None or h in checked_rows:
+            continue
+        for gamma, _w in c:
             if not order_length(gamma, params) < len_b:
                 raise ConsistencyError(
                     f"constant column {format_multiindex(gamma)} of "
                     f"{format_multiindex(beta)} violates triangularity"
                 )
+        checked_rows.add(h)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ e.g. ``2e1+2f0+g(0,1)``.  The zero multiindex prints as ``0``.
 Validation happens once, at the boundary.  The constructor
 ``Multiindex(a, b, p)`` canonicalises and checks its arguments in
 ``__post_init__``; ``parse_multiindex`` builds through it, and ``e``, ``f``
-and ``g`` check their one argument.  Every other index comes from ``+``,
-``minus`` and ``k *`` on indices that passed those checks.
+and ``g`` check their one argument the first time they see its value and
+type, then hand out the cached unit.  Every other index comes from ``+``,
+``minus``, ``k *`` and ``sub_indices`` on indices that passed those
+checks.
 
 Packed, hash-consed layout.  Every index is one Python int, its ``code``.
 A registry hands each slot key (e_k, f_l or g(n)) a field of
@@ -79,6 +81,7 @@ _GUARD = 0  # the guard bit of every field handed out so far
 _REGISTERING = threading.Lock()
 _TABLE = {}  # code -> the one Multiindex holding it
 _SHARED = {}  # each (key, count) pair and each part of a view, kept once
+_UNITS = {}  # (family, type of key, key) -> unit index, for checked keys
 
 
 def _field(family, key):
@@ -316,27 +319,52 @@ class Multiindex:
     def sort_key(self):
         return (self.a, self.b, self.p)
 
+    def sub_indices(self):
+        """Every index componentwise <= self, ZERO first: the counts of the
+        slot keys of ``a``, ``b`` and then ``p`` as digits, the last key
+        varying fastest."""
+        codes = [0]
+        for family, part in enumerate((self.a, self.b, self.p)):
+            for key, count in part:
+                step = 1 << _FIELDS[family, key]
+                codes = [code + i * step for code in codes for i in range(count + 1)]
+        table = _TABLE
+        return [table[code] if code in table else _intern(code) for code in codes]
+
     def __str__(self):
         return format_multiindex(self)
 
 
+def _unit(family, key):
+    """The unit index on one slot key.  A key is checked the first time its
+    value and type are seen; a float equal to an int key is a new key."""
+    try:
+        unit = _UNITS.get((family, key.__class__, key))
+    except TypeError:  # unhashable, so never a valid key
+        unit = None
+    if unit is None:
+        if family == _DECORATION:
+            _check_decoration(key)
+        else:
+            _check_slot(key, ("velocity", "noise")[family])
+        unit = _intern(1 << _field(family, key))
+        _UNITS[family, key.__class__, key] = unit
+    return unit
+
+
 def e(k):
     """Unit multiindex on velocity slot k."""
-    _check_slot(k, "velocity")
-    return _intern(1 << _field(_VELOCITY, k))
+    return _unit(_VELOCITY, k)
 
 
 def f(l):
     """Unit multiindex on noise slot l."""
-    _check_slot(l, "noise")
-    return _intern(1 << _field(_NOISE, l))
+    return _unit(_NOISE, l)
 
 
 def g(n):
     """Unit multiindex on decoration n (a nonzero tuple of exponents)."""
-    n = tuple(n)
-    _check_decoration(n)
-    return _intern(1 << _field(_DECORATION, n))
+    return _unit(_DECORATION, tuple(n))
 
 
 ZERO = Multiindex()
@@ -593,21 +621,15 @@ def enumerate_populated(params, cutoff, max_count=200_000):
     for unit in units:
         push(unit)
 
-    def velocity_parts(weight, max_part, acc, base):
-        """Partitions of `weight` into slots k >= 1, emitted as indices."""
+    def velocity_parts(weight, max_part, beta):
+        """Partitions of `weight` into slots k >= 1, emitted as indices; each
+        part is added to ``beta`` once, where the recursion chooses it."""
         if weight == 0:
-            beta = base
-            for k, c in acc.items():
-                beta = beta + c * e(k)
             if is_populated(beta):
                 push(beta)
             return
         for k in range(min(max_part, weight), 0, -1):
-            acc[k] = acc.get(k, 0) + 1
-            velocity_parts(weight - k, k, acc, base)
-            acc[k] -= 1
-            if not acc[k]:
-                del acc[k]
+            velocity_parts(weight - k, k, beta + e(k))
 
     def decoration_branch(s, b_index, b_weight):
         """Extend a chosen noise part by decorations, then velocities."""
@@ -617,7 +639,7 @@ def enumerate_populated(params, cutoff, max_count=200_000):
         def rec(start, p_index, p_weight, p_num):
             need = s + p_num - 1 - b_weight
             if need >= 0:
-                velocity_parts(need, need if need else 1, {}, b_index + p_index)
+                velocity_parts(need, need if need else 1, b_index + p_index)
             elif start == len(decs) or (
                 p_weight - need * aniso_degree(decs[start]) >= room
             ):

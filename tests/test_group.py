@@ -1,5 +1,7 @@
 """Derivations and the recentering map: exactness, grading, triangularity."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -244,6 +246,33 @@ def test_structure_map_drops_zeros():
     assert (0, 0) in smap.pi and P("f0") not in smap.pi[(0, 0)]
     smap = StructureMap(PARAMS, {(0, 0): {P("f0"): PolyScalar(), P("f0+f1"): 1.0}})
     assert set(smap.pi[(0, 0)]) == {P("f0+f1")}
+
+
+def test_structure_map_is_read_only():
+    """The map holds its letters, so its families cannot change under it."""
+    smap = StructureMap(PARAMS, {(0, 0): {P("f0"): 1, P("f0+f1"): 2}})
+    letters = smap.letters()
+    with pytest.raises(TypeError):
+        smap.pi[(0, 0)] = {P("f0"): 5}
+    with pytest.raises(TypeError):
+        smap.pi[(0, 1)] = {P("f1+g(0,1)"): 5}
+    with pytest.raises(TypeError):
+        smap.pi[(0, 0)][P("f0")] = 5
+    with pytest.raises(TypeError):
+        del smap.pi[(0, 0)][P("f0+f1")]
+    assert smap.letters() == letters == [((0, 0), P("f0"), 1), ((0, 0), P("f0+f1"), 2)]
+    letters.clear()  # a caller's copy
+    assert len(smap.letters()) == 2
+
+
+def test_structure_map_copies_keep_their_letters():
+    rng = random.Random(37)
+    smap = random_structure_map(PARAMS, rng, value=lambda rng: Fraction(rng.randint(1, 9), 7))
+    for twin in (copy.copy(smap), copy.deepcopy(smap), pickle.loads(pickle.dumps(smap))):
+        assert twin.letters() == smap.letters()
+        column = basis(P("f0+f1"))
+        assert dict(gamma_apply(column, twin, 3.0).items()) == dict(
+            gamma_apply(column, smap, 3.0).items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Right-hand-side expansion: golden displays, structure and serialisation."""
 
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_force_expansion
 from tfrenorm import hierarchy
-from tfrenorm.errors import ConfigError
+from tfrenorm.errors import ConfigError, ConsistencyError
 from tfrenorm.group import d0_power_row
 from tfrenorm.hierarchy import (
     KIND_RANK,
@@ -253,12 +254,88 @@ def test_coefficients_count_orderings():
                 assert t.coeff == Fraction(factorial(len(t.factors)), denom)
 
 
+def _decided_by_decorations(t1, t2):
+    """Whether sort_key orders two terms of one kind and length by the
+    decoration tuples of the first factor (or decorated index) they differ in."""
+    if (t1.kind, len(t1.factors)) != (t2.kind, len(t2.factors)):
+        return False
+    pairs = zip(t1.factors + (t1.decorated,), t2.factors + (t2.decorated,))
+    m1, m2 = next((m1, m2) for m1, m2 in pairs if m1 != m2)
+    return (m1.a, m1.b) == (m2.a, m2.b)
+
+
 def test_terms_are_unique_and_sorted():
-    for beta in all_expandable(PARAMS, 3.0):
-        terms = expand(beta, PARAMS)
-        keys = [t.sort_key() for t in terms]
-        assert keys == sorted(keys)
-        assert len(set(map(canon, terms))) == len(terms)
+    params2 = ModelParams(alpha=0.62, d=2)
+    for params, cutoff in ((PARAMS, 3.0), (params2, 3.2)):
+        for mode in ("raw", "reduced"):
+            by_decorations = 0
+            for beta in all_expandable(params, cutoff):
+                terms = expand(beta, params, mode)
+                keys = [t.sort_key() for t in terms]
+                assert keys == sorted(keys)
+                assert len(set(map(canon, terms))) == len(terms)
+                by_decorations += sum(map(_decided_by_decorations, terms, terms[1:]))
+            if params is params2:
+                # g(0,1,0) and g(0,0,1) have one degree, so decoration
+                # tuples decide some orders, and those are checked too
+                assert by_decorations > 0
+
+
+def _plain_then_decorated(t):
+    return t.factors + (() if t.decorated is None else (t.decorated,))
+
+
+def _first_fresh_pair(terms, parts, avoid=()):
+    """The parts of the first term that has two distinct parts neither met
+    in an earlier term nor in ``avoid``, in the order the term lists them."""
+    seen = set(avoid)
+    for t in terms:
+        fresh = [m for m in dict.fromkeys(parts(t)) if m not in seen]
+        if len(fresh) >= 2:
+            return fresh
+        seen.update(parts(t))
+    raise AssertionError("no term with two fresh parts")
+
+
+@pytest.mark.parametrize("grading", ["homogeneity", "order_length"])
+def test_a_factor_above_beta_violates_triangularity(monkeypatch, grading):
+    beta = P("e1+2f0+f2+g(0,1)")
+    fresh = _first_fresh_pair(expand(beta, PARAMS), _plain_then_decorated)
+    # two offenders in one term: the error names the one met first, the
+    # term's plain factors coming before its decorated one
+    bad = {fresh[0], fresh[-1]}
+    real = getattr(hierarchy, grading)
+    monkeypatch.setattr(
+        hierarchy, grading, lambda m, params: 99.0 if m in bad else real(m, params)
+    )
+    message = (
+        f"factor {format_multiindex(fresh[0])} of {format_multiindex(beta)} "
+        "violates triangularity"
+    )
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        expand(beta, PARAMS)
+
+
+def test_a_constant_column_above_beta_violates_triangularity(monkeypatch):
+    beta = P("e1+2f0+f2+g(0,1)")
+    terms = expand(beta, PARAMS)
+    factors = {m for t in terms for m in _plain_then_decorated(t)}
+    fresh = _first_fresh_pair(
+        terms, lambda t: tuple(gamma for gamma, _w in t.c or ()), avoid=factors
+    )
+    # two offending columns of one row: the first in row order is named
+    bad = {fresh[0], fresh[-1]}
+    real = hierarchy.order_length
+    monkeypatch.setattr(
+        hierarchy, "order_length",
+        lambda m, params: 99.0 if m in bad else real(m, params),
+    )
+    message = (
+        f"constant column {format_multiindex(fresh[0])} of "
+        f"{format_multiindex(beta)} violates triangularity"
+    )
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        expand(beta, PARAMS)
 
 
 def test_triangularity_of_dependencies():

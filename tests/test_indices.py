@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -263,6 +264,29 @@ def test_unit_builders_match_the_validating_constructor_property(k, n):
 def test_public_boundary_still_validates(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: e(1.0), "bad velocity slot 1.0"),
+    (lambda: e(-1), "bad velocity slot -1"),
+    (lambda: e("1"), "bad velocity slot '1'"),
+    (lambda: e([1]), "bad velocity slot [1]"),
+    (lambda: f(2.0), "bad noise slot 2.0"),
+    (lambda: g((0, 0)), "zero decoration vector is not allowed"),
+], ids=["float", "negative", "str", "list", "float noise", "zero decoration"])
+def test_a_cached_unit_does_not_admit_an_equal_bad_key(build, message):
+    # e(1.0) == e(1) as dict keys go; the cache must not let it through
+    e(1), f(2), g((0, 1))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_cached_units_accept_what_the_checks_accept():
+    assert e(1) is e(1) and f(2) is f(2) and g((0, 1)) is g((0, 1))
+    assert g([0, 1]) is g((0, 1))
+    # bool is an int; the second call reads the cache the first one filled
+    assert e(True) is e(1)
+    assert e(True) is e(1)
 
 
 @settings(max_examples=300, deadline=None)
