@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError, ConsistencyError, NumericError
@@ -52,19 +53,21 @@ from .indices import (
 # ---------------------------------------------------------------------------
 
 
-def _bool(text):
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _float(text):
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _fraction(text):
+    """The exact value of a decimal or a p/q string, so 0.55 is 11/20.  Its
+    float must be finite, as for _float; a decimal whose float is 0 is 0."""
+    try:
+        value = Fraction(text) if "/" in text or _float(text) else Fraction(0)
+        float(value)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a finite number: {text!r}") from None
     return value
 
 
@@ -97,15 +100,7 @@ class _Opt:
 
     def register(self, parser):
         flag = "--" + self.name.replace("_", "-")
-        if self.convert is _bool:
-            parser.add_argument(
-                flag, dest=self.name, action="store_const", const="true",
-                default=None, help=self.help,
-            )
-        else:
-            parser.add_argument(
-                flag, dest=self.name, type=str, default=None, help=self.help,
-            )
+        parser.add_argument(flag, dest=self.name, type=str, default=None, help=self.help)
 
     def finalise(self, raw):
         if raw is None:
@@ -175,11 +170,11 @@ _OUTPUT = [_Opt("output", str, help="write to this path instead of stdout")]
 _FORMAT = [_Opt("format", _choice("json", "csv"), default="json",
                 help="output format (default json)")]
 _PARAMS = [
-    _Opt("alpha", _float, required=True, help="regularity exponent in (1/2, 1)"),
+    _Opt("alpha", _fraction, required=True,
+         help="regularity exponent in (max(0, 3/2 - D/4), 1) with D = 4 + d, so "
+              "(1/4, 1) at d = 1; a decimal or p/q, taken exactly"),
     _Opt("d", int, default="1", help="spatial dimension (default 1)"),
     _Opt("lam", _float, default="0.4", help="ordering weight in (0, 1/2)"),
-    _Opt("allow_rational_alpha", _bool, default="false",
-         help="lift the guard against near-rational alpha"),
 ]
 _MOLLIFIER = [
     _Opt("tau", _float, required=True, help="mollification scale, > 0"),
@@ -192,10 +187,7 @@ _MOLLIFIER = [
 
 
 def _model_params(cfg):
-    return ModelParams(
-        alpha=cfg["alpha"], d=cfg["d"], lam=cfg["lam"],
-        allow_rational_alpha=cfg["allow_rational_alpha"],
-    )
+    return ModelParams(alpha=cfg["alpha"], d=cfg["d"], lam=cfg["lam"])
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +208,7 @@ def run_enumerate(cfg):
         {
             "alpha": params.alpha,
             "d": params.d,
-            "cutoff": cfg["cutoff"],
+            "cutoff": float(cfg["cutoff"]),
             "count": len(indices),
             "indices": [format_multiindex(b) for b in indices],
         }
@@ -453,7 +445,8 @@ _SUBCOMMANDS = {
     "enumerate": (
         run_enumerate,
         _PARAMS + _FORMAT + _OUTPUT + [
-            _Opt("cutoff", _float, required=True, help="homogeneity cutoff"),
+            _Opt("cutoff", _fraction, required=True,
+                 help="homogeneity cutoff, a decimal or p/q, taken exactly"),
             _Opt("max_count", int, default="200000",
                  help="abort past this many indices (default 200000)"),
         ],
@@ -487,8 +480,9 @@ _SUBCOMMANDS = {
     "kappa": (
         run_kappa,
         _PARAMS + _OUTPUT + [
-            _Opt("cutoff", _float,
-                 help="homogeneity cutoff for the window (default 3 + alpha + 1/2)"),
+            _Opt("cutoff", _fraction,
+                 help="homogeneity cutoff for the window, a decimal or p/q "
+                      "(default 3 + alpha + 1/2)"),
         ],
         "admissible remainder exponent for the kernel truncation",
     ),

@@ -18,16 +18,17 @@ strictly above |n| (the admissibility contract).  The n = 0 letter pairs
 pi^(0) with D0.  All the D's commute, so the word sum collapses onto
 multisets of letters with coefficient 1/prod(multiplicities!).
 
-Both Gamma* recursions walk these multisets depth first over the letters
-(n, support) of ``StructureMap.letters()``, sorted by n and then by
-support, with a letter index that never decreases: only the last letter
-taken can repeat, and its repeat count gives the multiplicities.  Each
-step carries the series with its word so far applied.  D^(n) depends on
-n alone, not on the support, so the adjacent letters of one n share one
-D^(n) application per step.  A ``StructureMap`` sorts its letters and
-works out their homogeneity gaps once, when it is made, and both
-recursions read them from it; its families are read-only, so the two
-cannot disagree.
+There is one Gamma* recursion, ``gamma_apply``.  It walks these multisets
+depth first over the letters (n, support) of ``StructureMap.letters()``,
+sorted by n and then by support, with a letter index that never
+decreases: only the last letter taken can repeat, and its repeat count
+gives the multiplicities.  Each step carries the series with its word so
+far applied.  D^(n) depends on n alone, not on the support, so the
+adjacent letters of one n share one D^(n) application per step.  Every
+letter raises the homogeneity by its gap |support| - |n| > 0, and the
+recursion prunes on the exact int gaps that a ``StructureMap`` works out
+once, when it is made.  ``gamma_entry`` reads one entry off a column cut
+just above the row's homogeneity.
 
 Scalars are generic: float for numerics, Fraction for exact runs; any ring
 that multiplies with Fraction and compares with 0 works (the tests use
@@ -46,10 +47,11 @@ from .indices import (
     f,
     g,
     format_multiindex,
-    homogeneity,
     is_populated,
     parse_multiindex,
     poly_weight,
+    scaled_cutoff,
+    scaled_homogeneity,
 )
 
 
@@ -92,8 +94,9 @@ class SeriesVector:
         return len(self.coeffs)
 
     def truncate(self, params, cutoff):
+        limit = scaled_cutoff(cutoff, params)
         return SeriesVector(
-            {m: v for m, v in self.coeffs.items() if homogeneity(m, params) < cutoff}
+            {m: v for m, v in self.coeffs.items() if scaled_homogeneity(m, params) < limit}
         )
 
     def __repr__(self):
@@ -190,13 +193,14 @@ class StructureMap:
 
     ``pi`` maps decoration vectors n (tuples, zero allowed) to dicts
     Multiindex -> scalar; both levels are read-only views, because the
-    map holds its sorted letters and their gaps.  Admissibility: every
-    support index is populated with homogeneity strictly above the
-    anisotropic degree of its n.
+    map holds its sorted letters and their gaps, as q|support| - q|n| for
+    alpha = p/q.  Admissibility: every support index is populated with
+    homogeneity strictly above the anisotropic degree of its n.
     """
 
     def __init__(self, params, pi):
         self.params = params
+        q = params.alpha_ratio[1]
         clean = {}
         for n, entries in pi.items():
             n = tuple(n)
@@ -210,7 +214,7 @@ class StructureMap:
                     raise ConfigError(
                         f"pi^{n} supported on unpopulated index {format_multiindex(m)}"
                     )
-                if homogeneity(m, params) <= aniso_degree(n):
+                if scaled_homogeneity(m, params) <= q * aniso_degree(n):
                     raise ConfigError(
                         f"pi^{n} entry {format_multiindex(m)} violates the "
                         f"homogeneity admissibility |beta| > |n|"
@@ -225,7 +229,7 @@ class StructureMap:
             for m in sorted(clean[n], key=lambda t: t.sort_key())
         )
         self._gaps = tuple(
-            homogeneity(m, params) - aniso_degree(n) for n, m, _v in self._letters
+            scaled_homogeneity(m, params) - q * aniso_degree(n) for n, m, _v in self._letters
         )
 
     def __reduce__(self):
@@ -240,41 +244,13 @@ class StructureMap:
 def gamma_entry(beta, gamma, smap):
     """Matrix entry (Gamma*)_beta^gamma of the recentering map.
 
-    Sums over multisets of letters {(n_i, beta_i)} with sum beta_i
-    componentwise inside beta, coefficient prod(pi-values)/prod(mult!),
-    times the commuting word (prod_i D^(n_i))_{beta - sum beta_i}^gamma.
-    The letter count j is capped by the bracket bookkeeping
-    j <= (velocity+noise weight of beta) - [gamma].
+    Read off the column of gamma cut just above |beta|: every word raises
+    the homogeneity by its letter gaps, so the cut keeps every word that
+    reaches beta.  The diagonal is the empty word's int 1.
     """
-    letters = smap._letters
-    jmax = beta.a_weight() + beta.b_weight() - bracket(gamma)
-    total = 1 if beta == gamma else 0
-
-    def rec(i, remaining, j, value, fact, series, reps):
-        # series: basis(gamma) with the word so far applied; reps: how often
-        # its last letter, letters[i], occurs in it
-        nonlocal total
-        if j > 0:
-            wv = series.get(remaining, 0)
-            if wv != 0:
-                total = total + value * wv * Fraction(1, fact)
-        if j == jmax:
-            return
-        last_n = None
-        for idx in range(i, len(letters)):
-            n, m, v = letters[idx]
-            rest = remaining.minus(m)
-            if rest is None:
-                continue
-            if n != last_n:
-                last_n, nser = n, dn_apply(series, n)
-            if not len(nser):
-                continue
-            mult = reps + 1 if idx == i else 1
-            rec(idx, rest, j + 1, value * v, fact * mult, nser, mult)
-
-    rec(0, beta, 0, 1, 1, basis(gamma), 0)
-    return total
+    params = smap.params
+    cut = Fraction(scaled_homogeneity(beta, params) + 1, params.alpha_ratio[1])
+    return gamma_apply(basis(gamma), smap, cut).get(beta, 0)
 
 
 def gamma_apply(series, smap, cutoff):
@@ -284,47 +260,49 @@ def gamma_apply(series, smap, cutoff):
     letter gaps (gap = |support| - |n|): every D^(n) shifts homogeneity by
     alpha - |n| and every pi-multiplication by |support| - alpha, so only
     the gaps accumulate.  Gaps are strictly positive by admissibility, so
-    the recursion terminates.  The result is exact below the cutoff for
-    series supported on indices of homogeneity >= alpha (populated or
-    purely polynomial supports qualify).
+    the recursion terminates.  Every comparison is on ints q|.| for
+    alpha = p/q.  The result is exact below the cutoff for series supported
+    on indices of homogeneity >= alpha (populated or purely polynomial
+    supports qualify).
     """
     params = smap.params
-    alpha = params.alpha
+    p, q = params.alpha_ratio
+    limit = scaled_cutoff(cutoff, params)
     letters, gaps = smap._letters, smap._gaps
     out = SeriesVector()
     if not len(series):
         return out
-    min_hom0 = min(homogeneity(m, params) for m, _ in series.items())
+    min_hom0 = min(scaled_homogeneity(m, params) for m, _ in series.items())
 
     def contribute(dser, shift, value, fact):
         inv = Fraction(1, fact)
-        # |m + shift| = |m| + |shift| - alpha, summed on the integer
-        # gradings so that it rounds exactly like homogeneity(m + shift)
-        shift_bracket, shift_poly = bracket(shift), poly_weight(shift)
+        # q|m + shift| = q|m| + p[shift] + q|shift|_p, so q|m| (inlined) must
+        # stay below m_limit
+        m_limit = limit - p * bracket(shift) - q * poly_weight(shift)
         for m, v in dser.items():
-            hom = alpha * (1 + m._a_weight + m._b_weight - m._p_count + shift_bracket) + (
-                m._poly_weight + shift_poly
-            )
-            if hom < cutoff:
-                out.add_term(m + shift, value * v * inv)
+            if p * (1 + m._a_weight + m._b_weight - m._p_count) + q * m._poly_weight < m_limit:
+                term = value * v
+                # no factor 1/1, so the diagonal of a basis column stays the int 1
+                out.add_term(m + shift, term if fact == 1 else term * inv)
 
-    def rec(i, dser, shift, value, fact, gap_sum, reps):
-        # reps: how often the last letter taken, letters[i], occurs so far
+    def rec(i, dser, shift, value, fact, room, reps):
+        # room: what the letters still taken may add to the gaps; reps: how
+        # often the last letter taken, letters[i], occurs so far
         contribute(dser, shift, value, fact)
         last_n = None
         for idx in range(i, len(letters)):
-            n, m, v = letters[idx]
             gap = gaps[idx]
-            if min_hom0 + gap_sum + gap >= cutoff:
+            if gap >= room:
                 continue
+            n, m, v = letters[idx]
             if n != last_n:
                 last_n, nser = n, dn_apply(dser, n)
             if not len(nser):
                 continue
             mult = reps + 1 if idx == i else 1
-            rec(idx, nser, shift + m, value * v, fact * mult, gap_sum + gap, mult)
+            rec(idx, nser, shift + m, value * v, fact * mult, room - gap, mult)
 
-    rec(0, series, ZERO, 1, 1, 0.0, 0)
+    rec(0, series, ZERO, 1, 1, limit - min_hom0, 0)
     return out
 
 
@@ -376,8 +354,7 @@ def structure_map_from_json(doc, params=None):
     try:
         if params is None:
             params = ModelParams(
-                alpha=float(doc["alpha"]), d=doc["d"], lam=float(doc.get("lam", 0.4)),
-                allow_rational_alpha=True,
+                alpha=float(doc["alpha"]), d=doc["d"], lam=float(doc.get("lam", 0.4))
             )
         pi = {
             tuple(int(i) for i in fam["n"]): {

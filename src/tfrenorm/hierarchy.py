@@ -39,8 +39,9 @@ does.  A coefficient comes from the run lengths of its split, and each
 distinct factor and each counter row is checked for triangularity once
 per expansion.
 
-All coefficients are exact ``Fraction`` values and all derived column
-weights are integers; nothing in this module is floating point.
+All coefficients are exact ``Fraction`` values, all derived column
+weights are integers and homogeneities are compared as ints; only the
+ordering length carries a float, its weight lam.
 """
 
 from dataclasses import dataclass
@@ -54,12 +55,12 @@ from .indices import (
     e,
     f,
     format_multiindex,
-    homogeneity,
     is_populated,
     is_purely_polynomial,
     keeps_counterterm,
     order_length,
     parse_multiindex,
+    scaled_homogeneity,
 )
 
 KIND_RANK = {"quasi": 0, "noise": 1, "counter": 2}
@@ -254,7 +255,7 @@ def expand(beta, params, mode="raw", *, rows=None):
 def _check_triangular(beta, found, pool, heads, params):
     """Check the factors and constant columns of the found terms in term
     order, each distinct factor and each counter row once."""
-    hom_b = homogeneity(beta, params)
+    hom_b = scaled_homogeneity(beta, params)
     len_b = order_length(beta, params)
     checked, checked_rows = set(), set()
     for key, h, _coeff in found:
@@ -263,7 +264,7 @@ def _check_triangular(beta, found, pool, heads, params):
                 continue
             m = pool[r]
             if not (
-                homogeneity(m, params) < hom_b and order_length(m, params) < len_b
+                scaled_homogeneity(m, params) < hom_b and order_length(m, params) < len_b
             ):
                 raise ConsistencyError(
                     f"factor {format_multiindex(m)} of {format_multiindex(beta)} "
@@ -288,7 +289,7 @@ def _check_triangular(beta, found, pool, heads, params):
 
 
 def _by_homogeneity(indices, params):
-    return sorted(indices, key=lambda m: (homogeneity(m, params), m.sort_key()))
+    return sorted(indices, key=lambda m: (scaled_homogeneity(m, params), m.sort_key()))
 
 
 def _components(terms, params):
@@ -389,7 +390,7 @@ def build_dag(params, cutoff, mode="raw", max_count=200_000):
         ]
     topo = sorted(
         nodes,
-        key=lambda m: (order_length(m, params), homogeneity(m, params), m.sort_key()),
+        key=lambda m: (order_length(m, params), scaled_homogeneity(m, params), m.sort_key()),
     )
     return HierarchyDag(tuple(nodes), expansions, edges, tuple(topo))
 

@@ -46,14 +46,20 @@ it: pickling and copying rebuild an index from its ``(a, b, p)`` view.  The
 table holds every distinct index a process meets and never shrinks; a
 benchmark ``algebra`` run of 480 jobs at d = 1 and 2 fills it with about
 2,750 indices.
+
+Decisions are exact.  ``ModelParams`` holds alpha = p/q exactly, and every
+decision on homogeneities, here and in the group and hierarchy modules,
+compares the int q|beta| = p(1 + [beta]) + q|beta|_p of ``scaled_homogeneity``
+with the int ceil(q * cutoff) of ``scaled_cutoff``: a tie such as
+7 * (1/3) = 2 + 1/3 falls as in exact arithmetic.  ``homogeneity`` stays a
+float, for output and for the numeric layers.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, ResourceError
 
@@ -142,8 +148,10 @@ def _canon(items):
 
 
 def _check_slot(key, family):
+    """The slot key as a plain int (so that True registers as 1)."""
     if not isinstance(key, int) or key < 0:
         raise ConfigError(f"bad {family} slot {key!r}")
+    return int(key)
 
 
 def _check_decoration(n):
@@ -151,6 +159,7 @@ def _check_decoration(n):
         raise ConfigError(f"bad decoration vector {n!r}")
     if not any(n):
         raise ConfigError("zero decoration vector is not allowed")
+    return n
 
 
 def _mixed_arities(*arities):
@@ -206,11 +215,9 @@ class Multiindex:
         return _TABLE.setdefault(m.code, m)
 
     def __post_init__(self):
-        a, b, p = _canon(self.a), _canon(self.b), _canon(self.p)
-        for k, _ in a:
-            _check_slot(k, "velocity")
-        for l, _ in b:
-            _check_slot(l, "noise")
+        a = tuple((_check_slot(k, "velocity"), c) for k, c in _canon(self.a))
+        b = tuple((_check_slot(l, "noise"), c) for l, c in _canon(self.b))
+        p = _canon(self.p)
         for n, _ in p:
             _check_decoration(n)
         if len({len(n) for n, _ in p}) > 1:
@@ -344,10 +351,10 @@ def _unit(family, key):
         unit = None
     if unit is None:
         if family == _DECORATION:
-            _check_decoration(key)
+            slot = _check_decoration(key)
         else:
-            _check_slot(key, ("velocity", "noise")[family])
-        unit = _intern(1 << _field(family, key))
+            slot = _check_slot(key, ("velocity", "noise")[family])
+        unit = _intern(1 << _field(family, slot))
         _UNITS[family, key.__class__, key] = unit
     return unit
 
@@ -429,37 +436,41 @@ def format_multiindex(beta):
 class ModelParams:
     """Analytic parameters of the model.
 
-    alpha   -- spatial regularity exponent, in (max(0, 3/2 - D/4), 1)
+    alpha   -- spatial regularity exponent, in (max(0, 3/2 - D/4), 1); a
+               float or a Fraction, stored as a float
     d       -- number of space dimensions (time is separate)
     lam     -- weight of the decoration degree in the ordering length,
                in (0, 1/2)
-    allow_rational_alpha -- lift the guard that rejects alpha within 1e-6 of
-               a rational with denominator <= 12 (those values create
-               homogeneity collisions; lift only for controlled experiments).
+    allow_rational_alpha -- no effect: decisions are exact at every alpha.
+               Kept for the benchmark, which still passes it (ROADMAP item 1).
+    alpha_ratio -- (p, q) with alpha = p/q exactly as given, so the float
+               1/3 lies below Fraction(1, 3); part of equality and hash.
     """
 
     alpha: float
     d: int = 1
     lam: float = 0.4
-    allow_rational_alpha: bool = False
+    allow_rational_alpha: bool = field(default=False, compare=False, repr=False)
+    alpha_ratio: tuple = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ConfigError(f"spatial dimension must be a positive int, got {self.d!r}")
-        lo = max(0.0, 1.5 - self.eff_dim / 4)
-        if not lo < self.alpha < 1.0:
+        try:
+            p, q = self.alpha.as_integer_ratio()
+        except (AttributeError, ValueError, OverflowError):
+            raise ConfigError(f"alpha={self.alpha!r} is not a finite number") from None
+        # the lower edge 3/2 - D/4 is (2 - d)/4
+        if not (0 < p < q and 4 * p > (2 - self.d) * q):
+            lo = max(0.0, 1.5 - self.eff_dim / 4)
             raise ConfigError(
-                f"alpha={self.alpha} outside the admissible window ({lo}, 1) for d={self.d}"
+                f"alpha={float(self.alpha)} outside the admissible window ({lo}, 1) "
+                f"for d={self.d}"
             )
         if not 0.0 < self.lam < 0.5:
             raise ConfigError(f"lam={self.lam} outside (0, 1/2)")
-        if not self.allow_rational_alpha:
-            for q in range(1, 13):
-                if abs(self.alpha - round(self.alpha * q) / q) < 1e-6:
-                    raise ConfigError(
-                        f"alpha={self.alpha} is within 1e-6 of a rational with "
-                        f"denominator {q}; pass allow_rational_alpha=True to override"
-                    )
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha_ratio", (p, q))
 
     @property
     def eff_dim(self):
@@ -491,12 +502,26 @@ def poly_weight(beta):
 
 
 def homogeneity(beta, params):
-    """|beta| = alpha * (1 + [beta]) + |beta|_p.
+    """|beta| = alpha * (1 + [beta]) + |beta|_p, as a float.
 
     Additive up to the alpha offset: |beta + gamma| - alpha =
-    (|beta| - alpha) + (|gamma| - alpha).
+    (|beta| - alpha) + (|gamma| - alpha).  Decisions compare
+    ``scaled_homogeneity`` instead.
     """
     return params.alpha * (1 + bracket(beta)) + poly_weight(beta)
+
+
+def scaled_homogeneity(beta, params):
+    """q|beta| = p(1 + [beta]) + q|beta|_p for alpha = p/q: an exact int."""
+    p, q = params.alpha_ratio
+    return p * (1 + beta._a_weight + beta._b_weight - beta._p_count) + q * beta._poly_weight
+
+
+def scaled_cutoff(cutoff, params):
+    """ceil(q * cutoff), the int L with |beta| < cutoff iff q|beta| < L; the
+    cutoff, an int, a float or a Fraction, is taken exactly."""
+    num, den = cutoff.as_integer_ratio()
+    return -(-params.alpha_ratio[1] * num // den)
 
 
 def order_length(beta, params):
@@ -549,7 +574,9 @@ def keeps_counterterm(gamma, params, mode="raw"):
         return False
     if gamma._b_count == 0:
         return False
-    if homogeneity(gamma, params) >= 2 + params.alpha:
+    # undecorated: |gamma| = alpha (1 + [gamma]) < 2 + alpha iff alpha [gamma] < 2
+    p, q = params.alpha_ratio
+    if p * bracket(gamma) >= 2 * q:
         return False
     if mode == "reduced" and bracket(gamma) % 2 != 0:
         return False
@@ -597,14 +624,18 @@ def iter_decorations(d, max_degree, max_count=None):
 
 
 def enumerate_populated(params, cutoff, max_count=200_000):
-    """All populated multiindices with homogeneity < cutoff and no k=0 slot.
+    """All populated multiindices with homogeneity < cutoff and no k=0 slot,
+    sorted by homogeneity.
 
     Depth-first over the noise multiset, then decorations, then velocity
     partitions forced by the population identity; every branch is pruned by
-    the running homogeneity.  Raises ResourceError past ``max_count``.
+    the running homogeneity.  A populated index with s noise slots has
+    |beta| = alpha s + |beta|_p, so each s leaves an int budget for the
+    decoration degree.  Raises ResourceError past ``max_count``.
     """
-    alpha = params.alpha
-    if cutoff <= 0:
+    p, q = params.alpha_ratio
+    limit = scaled_cutoff(cutoff, params)
+    if limit <= 0:
         return []
     results = []
 
@@ -612,11 +643,11 @@ def enumerate_populated(params, cutoff, max_count=200_000):
         results.append(beta)
         if len(results) > max_count:
             raise ResourceError(
-                f"enumeration exceeded max_count={max_count} below cutoff={cutoff}"
+                f"enumeration exceeded max_count={max_count} below cutoff={float(cutoff)}"
             )
 
     # purely polynomial branch: each decoration below the cutoff is an index
-    decs = iter_decorations(params.d, math.ceil(cutoff) - 1, max_count)
+    decs = iter_decorations(params.d, (limit - 1) // q, max_count)
     units = [g(n) for n in decs]
     for unit in units:
         push(unit)
@@ -631,35 +662,34 @@ def enumerate_populated(params, cutoff, max_count=200_000):
         for k in range(min(max_part, weight), 0, -1):
             velocity_parts(weight - k, k, beta + e(k))
 
-    def decoration_branch(s, b_index, b_weight):
-        """Extend a chosen noise part by decorations, then velocities."""
-        base_hom = alpha * s
-        room = cutoff - base_hom
+    def decoration_branch(s, budget, b_index, b_weight):
+        """Extend a chosen noise part by decorations of total degree at most
+        ``budget``, then velocities."""
 
         def rec(start, p_index, p_weight, p_num):
             need = s + p_num - 1 - b_weight
             if need >= 0:
                 velocity_parts(need, need if need else 1, b_index + p_index)
             elif start == len(decs) or (
-                p_weight - need * aniso_degree(decs[start]) >= room
+                p_weight - need * aniso_degree(decs[start]) > budget
             ):
-                return  # the -need missing decorations cannot fit under the room
+                return  # the -need missing decorations cannot fit in the budget
             for i in range(start, len(decs)):
                 w = aniso_degree(decs[i])
-                if p_weight + w >= room:
+                if p_weight + w > budget:
                     break
                 rec(i, p_index + units[i], p_weight + w, p_num + 1)
 
-        rec(0, ZERO, 0.0, 0)
+        rec(0, ZERO, 0, 0)
 
     def noise_branch(s):
         """Choose a noise multiset of size s, slots descending."""
-        p_max = int(cutoff - alpha * s) + 1  # decorations weigh >= 1 each
-        wb_max = s + p_max - 1  # population identity with velocity part >= 0
+        budget = (limit - 1 - p * s) // q  # the largest decoration degree below the cutoff
+        wb_max = s + budget - 1  # population identity, each decoration weighing >= 1
 
         def rec(remaining, max_slot, index, weight):
             if remaining == 0:
-                decoration_branch(s, index, weight)
+                decoration_branch(s, budget, index, weight)
                 return
             for l in range(min(max_slot, wb_max - weight), -1, -1):
                 rec(remaining - 1, l, index + f(l), weight + l)
@@ -667,11 +697,11 @@ def enumerate_populated(params, cutoff, max_count=200_000):
         rec(s, wb_max, ZERO, 0)
 
     s = 1
-    while alpha * s < cutoff:
+    while p * s < limit:
         noise_branch(s)
         s += 1
 
-    results.sort(key=lambda m: (homogeneity(m, params), m.sort_key()))
+    results.sort(key=lambda m: (scaled_homogeneity(m, params), m.sort_key()))
     return results
 
 
@@ -685,24 +715,27 @@ def choose_kappa(params, cutoff=None):
 
     The window is (3 - 2*alpha, min(D/2, m - 2*alpha)) where m is the
     smallest homogeneity strictly above 3 among the populated indices
-    below the cutoff (rounded to 12 digits).  The cutoff, 3 + alpha + 1/2
-    by default, must lie above 3 + alpha so that m is final; a smaller
-    cutoff or an empty window raises ConfigError.
+    below the cutoff.  The cutoff, 3 + alpha + 1/2 by default, must lie
+    above 3 + alpha so that m is final; a smaller cutoff or an empty window
+    raises ConfigError.
     """
     alpha = params.alpha
+    p, q = params.alpha_ratio
     if cutoff is None:
         cutoff = 3 + alpha + 0.5
-    if cutoff <= 3 + alpha:
+    if scaled_cutoff(cutoff, params) <= 3 * q + p:
         raise ConfigError(
-            f"homogeneity cutoff {cutoff} too small to determine the window "
+            f"homogeneity cutoff {float(cutoff)} too small to determine the window "
             f"(need > {3 + alpha})"
         )
-    homs = (round(homogeneity(b, params), 12) for b in enumerate_populated(params, cutoff))
-    m = min((h for h in homs if h > 3.0), default=None)
-    if m is None:
+    above = (
+        b for b in enumerate_populated(params, cutoff) if scaled_homogeneity(b, params) > 3 * q
+    )
+    first = next(above, None)  # the enumeration is sorted by homogeneity
+    if first is None:
         raise ConfigError("no populated homogeneity above 3; enlarge the cutoff")
     lo = 3 - 2 * alpha
-    hi = min(params.eff_dim / 2, m - 2 * alpha)
+    hi = min(params.eff_dim / 2, homogeneity(first, params) - 2 * alpha)
     if hi <= lo:
         raise ConfigError(f"empty kappa window ({lo}, {hi}) at alpha={alpha}")
     return 0.5 * (lo + hi)

@@ -65,13 +65,6 @@ def load_fixture(name, fixtures_dir=None):
         raise ConfigError(f"fixture {name!r} is not valid JSON: {exc}") from None
 
 
-def _params(alpha, d):
-    # Fixtures legitimately pin rationals like 3/4; the collision guard is
-    # for interactive parameter choices, not for replays.  ``d`` is passed
-    # through verbatim so a corrupted value trips the parameter validation.
-    return ModelParams(alpha=alpha, d=d, allow_rational_alpha=True)
-
-
 def _canon_term(doc):
     """Order-free canonical text of a term document.
 
@@ -93,10 +86,7 @@ def _canon_term(doc):
 
 def verify_hierarchy(doc):
     """Re-expand every stored index and compare the term multisets."""
-    params = ModelParams(
-        alpha=doc["alpha"], d=doc["d"], lam=doc["lam"],
-        allow_rational_alpha=True,
-    )
+    params = ModelParams(alpha=doc["alpha"], d=doc["d"], lam=doc["lam"])
     arity = 1 + params.d
     problems = []
     for ent in doc["entries"]:
@@ -138,9 +128,9 @@ def verify_candidates(doc):
     problems = []
     want = sorted(doc["candidates"])
     for alpha in doc["alphas"]:
+        params = ModelParams(alpha=alpha, d=doc["d"])
         got = sorted(
-            format_multiindex(m)
-            for m in renormalisation_candidates(_params(alpha, doc["d"]), doc["cutoff"])
+            format_multiindex(m) for m in renormalisation_candidates(params, doc["cutoff"])
         )
         if got != want:
             problems.append(
@@ -153,7 +143,8 @@ def verify_enumeration(doc):
     """Population counts for every (alpha, d, cutoff) row."""
     problems = []
     for ent in doc["entries"]:
-        got = len(enumerate_populated(_params(ent["alpha"], ent["d"]), ent["cutoff"]))
+        params = ModelParams(alpha=ent["alpha"], d=ent["d"])
+        got = len(enumerate_populated(params, ent["cutoff"]))
         if got != ent["count"]:
             problems.append(
                 f"enumeration[alpha={ent['alpha']}, d={ent['d']}, "

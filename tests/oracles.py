@@ -8,7 +8,12 @@ package under test, using different algorithms than the library:
   subtracts and multiplies one packed int),
 * a slow itertools-style enumerator for populated multiindices (the
   library uses a pruned DFS; here we sweep generous exponent boxes and
-  filter with the literal predicates),
+  filter with the literal predicates); it runs exactly when alpha is a
+  Fraction,
+* one entry (Gamma*)_beta^gamma of the recentering map by walking the
+  letter multisets that fit inside beta (the library cuts the whole column
+  of gamma by homogeneity and reads the entry off it); the group module
+  comes in as an argument,
 * the right-hand side of one hierarchy index with every sub-index tried as
   the decorated factor, every multiset of plain parts filtered by its sum
   and counted by its distinct orderings, and counter columns found by
@@ -234,6 +239,54 @@ def parts_difference(x, y):
 def parts_multiple(k, x):
     """(a, b, p) of k * x."""
     return _parts(Counter({key: k * c for key, c in px}) for px in x)
+
+
+# ---------------------------------------------------------------------------
+# structure-group oracle
+# ---------------------------------------------------------------------------
+
+
+def gamma_entry_by_containment(group, beta, gamma, smap):
+    """(Gamma*)_beta^gamma summed row-wise.
+
+    Sums over multisets of letters {(n_i, beta_i)} with sum beta_i
+    componentwise inside beta, coefficient prod(pi-values)/prod(mult!),
+    times the commuting word (prod_i D^(n_i))_{beta - sum beta_i}^gamma.
+    The letter count j is capped by the bracket bookkeeping
+    j <= (velocity+noise weight of beta) - [gamma].  Letters come in the
+    order of ``smap.letters()``, and only the last letter taken repeats.
+    """
+    letters = smap.letters()
+    jmax = beta.a_weight() + beta.b_weight() - (
+        gamma.a_weight() + gamma.b_weight() - gamma.p_count()
+    )
+    total = 1 if beta == gamma else 0
+
+    def rec(i, remaining, j, value, fact, series, reps):
+        # series: basis(gamma) with the word so far applied; reps: how often
+        # its last letter, letters[i], occurs in it
+        nonlocal total
+        if j > 0:
+            wv = series.get(remaining, 0)
+            if wv != 0:
+                total = total + value * wv * Fraction(1, fact)
+        if j == jmax:
+            return
+        last_n = None
+        for idx in range(i, len(letters)):
+            n, m, v = letters[idx]
+            rest = remaining.minus(m)
+            if rest is None:
+                continue
+            if n != last_n:
+                last_n, nser = n, group.dn_apply(series, n)
+            if not len(nser):
+                continue
+            mult = reps + 1 if idx == i else 1
+            rec(idx, rest, j + 1, value * v, fact * mult, nser, mult)
+
+    rec(0, beta, 0, 1, 1, group.basis(gamma), 0)
+    return total
 
 
 # ---------------------------------------------------------------------------

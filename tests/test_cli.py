@@ -88,6 +88,41 @@ def test_deps_lists_both_dependency_kinds(capsys):
     assert doc["c_dependencies"] == ["f1"]
 
 
+def test_alpha_and_cutoff_are_taken_exactly(capsys):
+    """--alpha and --cutoff parse as fractions and print as floats: 11/20
+    is 0.55, 17/5 is 3.4, and at alpha = 1/3 the ties at 7/3 fall below
+    the cut for the float 1/3 only."""
+    exact = run(capsys, "enumerate", "--alpha", "11/20", "--cutoff", "17/5")
+    assert exact == run(capsys, "enumerate", "--alpha", "0.55", "--cutoff", "3.4")
+    assert json.loads(exact[1])["cutoff"] == 3.4
+    third = run_json(capsys, "enumerate", "--alpha", "1/3", "--cutoff", "7/3")
+    float_third = run_json(capsys, "enumerate", "--alpha", repr(1 / 3), "--cutoff", "7/3")
+    assert third["alpha"] == float_third["alpha"] == 1 / 3
+    # |e6+7f0| = 7 alpha
+    assert "e6+7f0" in float_third["indices"] and "e6+7f0" not in third["indices"]
+    assert (third["count"], float_third["count"]) == (93, 184)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1/0", "1e400", "1" + "0" * 400 + "/3"])
+def test_fraction_options_keep_the_finite_value_rule(capsys, value):
+    for option in ("--alpha", "--cutoff"):
+        argv = {"--alpha": "0.55", "--cutoff": "3", option: value}
+        code, out, err = run(capsys, "enumerate", *[t for kv in argv.items() for t in kv])
+        assert code == 2 and out == "" and "not a finite number" in err
+
+
+def test_the_rational_alpha_override_is_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as stop:
+        main(["kappa", "--alpha", "0.75", "--allow-rational-alpha"])
+    assert stop.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=0.75\nallow_rational_alpha=true\n")
+    code, _, err = run(capsys, "kappa", "--config", str(cfg))
+    assert code == 2 and "allow_rational_alpha" in err
+    # 3/4 needs no override
+    assert run_json(capsys, "kappa", "--alpha", "0.75")["alpha"] == 0.75
+
+
 def test_kappa_midpoint(capsys):
     doc = run_json(capsys, "kappa", "--alpha", "0.55")
     assert doc["kappa"] == pytest.approx(1.95)

@@ -170,7 +170,7 @@ def test_closed_form_table_within_its_error_of_mpmath(alpha, m0, kind, tau, eta)
 def test_semigroup_error_estimate_covers_closed_form(alpha, m0, tau):
     """The stated error bounds the gap to the exact scaling law, also where
     the n and 2n rules agree to the last bits and only rounding is left."""
-    params = ModelParams(alpha=alpha, allow_rational_alpha=True)
+    params = ModelParams(alpha=alpha)
     table = counterterm_table(
         covariance_spec(alpha, m0), mollifier_spec("semigroup", tau, m0=m0)
     )
@@ -188,7 +188,7 @@ def test_semigroup_tables_cover_the_exact_scaling_law():
     points = zip(rng.uniform(0.5001, 0.999, 120), 10.0 ** rng.uniform(-1.0, 1.0, 120),
                  10.0 ** rng.uniform(-12.0, 1.0, 120))
     for alpha, m0, tau in points:
-        params = ModelParams(alpha=alpha, allow_rational_alpha=True)
+        params = ModelParams(alpha=alpha)
         table = counterterm_table(
             covariance_spec(alpha, m0), mollifier_spec("semigroup", tau, m0=m0)
         )
@@ -204,7 +204,7 @@ def test_semigroup_tables_cover_the_exact_scaling_law():
 
 def test_tau_slopes_semigroup():
     alpha = 0.75
-    params = ModelParams(alpha=alpha, allow_rational_alpha=True)
+    params = ModelParams(alpha=alpha)
     cov = covariance_spec(alpha)
     taus = np.geomspace(1e-4, 1e-3, 4)
     tables = [counterterm_table(cov, mollifier_spec("semigroup", t)) for t in taus]
@@ -264,7 +264,7 @@ def test_anisotropic_tables_collapse_on_x(alpha, first, second):
     the rest of each integrand gives exact powers of tau and m0.  Two
     tables with equal x agree within their summed relative errors.
     """
-    params = ModelParams(alpha=alpha, allow_rational_alpha=True)
+    params = ModelParams(alpha=alpha)
     deltas = []
     for eta, tau, m0 in (first, second):
         table = counterterm_table(
@@ -301,7 +301,7 @@ def test_symbol_on_the_substituted_ray_is_the_envelope(kind, tau, eta, m0, u, de
 
 def test_m0_slopes_semigroup():
     alpha, tau = 0.75, 1e-3
-    params = ModelParams(alpha=alpha, allow_rational_alpha=True)
+    params = ModelParams(alpha=alpha)
     m0s = np.geomspace(0.5, 2.0, 4)
     tables = [
         counterterm_table(
@@ -332,7 +332,7 @@ def test_m0_slopes_anisotropic():
 
 
 def test_scaling_exponents_contract():
-    params = ModelParams(alpha=0.6, allow_rational_alpha=True)
+    params = ModelParams(alpha=0.6)
     for idx in C_INDICES:
         tau_exp, m0_exp = scaling_exponents(idx, params, "anisotropic")
         assert tau_exp == pytest.approx((2 * 0.6 - 2) / 8.0)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tfrenorm import group
 from tfrenorm.errors import ConfigError
 from tfrenorm.group import (
     SeriesVector,
@@ -26,6 +27,7 @@ from tfrenorm.indices import (
     ModelParams,
     Multiindex,
     aniso_degree,
+    bracket,
     e,
     enumerate_populated,
     f,
@@ -34,8 +36,10 @@ from tfrenorm.indices import (
     keeps_counterterm,
     order_length,
     parse_multiindex,
+    poly_weight,
 )
 
+from oracles import gamma_entry_by_containment
 from scalars import PolyScalar, vector_binom
 
 PARAMS = ModelParams(alpha=0.55, d=1)
@@ -391,6 +395,7 @@ def test_gamma_apply_is_multiplicative():
 
 
 def test_gamma_entry_agrees_with_gamma_apply():
+    """The column and its entries match the row-wise containment oracle."""
     rng = random.Random(13)
     smap = random_structure_map(PARAMS, rng)
     cut = 3.4
@@ -398,13 +403,31 @@ def test_gamma_entry_agrees_with_gamma_apply():
         gamma_i = P(s)
         col = gamma_apply(basis(gamma_i), smap, cut)
         for beta_i, v in col.items():
-            assert gamma_entry(beta_i, gamma_i, smap) == pytest.approx(v, abs=1e-12)
+            want = gamma_entry_by_containment(group, beta_i, gamma_i, smap)
+            assert v == pytest.approx(want, abs=1e-12)
+            assert gamma_entry(beta_i, gamma_i, smap) == pytest.approx(want, abs=1e-12)
         # and entries it reports as zero really are absent
         for beta_i in enumerate_populated(PARAMS, cut):
             if beta_i not in col.coeffs:
-                assert gamma_entry(beta_i, gamma_i, smap) == pytest.approx(
-                    0.0, abs=1e-12
-                )
+                want = gamma_entry_by_containment(group, beta_i, gamma_i, smap)
+                assert want == pytest.approx(0.0, abs=1e-12)
+                assert gamma_entry(beta_i, gamma_i, smap) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_cut_just_above_beta_keeps_its_entry():
+    """Gap sums in floats reached a cut at nextafter(|beta|) on this map, so
+    the column lost its entry 9/8; in exact arithmetic they stay below."""
+    params = ModelParams(alpha=0.6492031127939478, d=1)
+    smap = StructureMap(
+        params, {(0, 0): {P("f0"): Fraction(3, 2)}, (0, 1): {P("f0+f1"): Fraction(3, 4)}}
+    )
+    beta, gamma_i = P("e1+2f0+2f1"), P("e1+f0+g(0,1)")
+    exact = Fraction(params.alpha) * (1 + bracket(beta)) + poly_weight(beta)
+    column = gamma_apply(basis(gamma_i), smap, exact + Fraction(1, 10**30))
+    assert column.get(beta, 0) == Fraction(9, 8)
+    assert gamma_apply(basis(gamma_i), smap, exact).get(beta, 0) == 0  # the cut is strict
+    assert gamma_entry(beta, gamma_i, smap) == Fraction(9, 8)
+    assert gamma_entry_by_containment(group, beta, gamma_i, smap) == Fraction(9, 8)
 
 
 def test_gamma_is_triangular():
@@ -483,15 +506,18 @@ def test_gamma_is_multiplicative_property(seed, x, y):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(POP_22))
 def test_gamma_entry_equals_gamma_apply_exactly_property(seed, column):
-    """The row-wise and the column-wise recursion give the same exact entries,
-    zero included, on maps whose letters share decorations and repeat."""
+    """The row-wise oracle and the column-wise recursion give the same exact
+    entries, zero included, on maps whose letters share decorations and
+    repeat; gamma_entry reads the same entries."""
     smap = random_structure_map(
         PARAMS, random.Random(seed),
         value=lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
     )
     col = gamma_apply(basis(column), smap, 3.0)
     for beta in POP_30:
-        assert gamma_entry(beta, column, smap) == col.get(beta, 0)
+        want = gamma_entry_by_containment(group, beta, column, smap)
+        assert col.get(beta, 0) == want
+        assert gamma_entry(beta, column, smap) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Multiindex algebra, gradings, predicates and enumeration."""
 
 import copy
+import itertools
 import json
 import os
 import pickle
@@ -9,6 +10,8 @@ import re
 import subprocess
 import sys
 import threading
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,7 +56,7 @@ from oracles import (
 ROOT = Path(__file__).resolve().parents[1]
 
 P055 = ModelParams(alpha=0.55, d=1)
-P075 = ModelParams(alpha=0.75, d=1, allow_rational_alpha=True)
+P075 = ModelParams(alpha=0.75, d=1)
 P095 = ModelParams(alpha=0.95, d=1)
 
 
@@ -428,6 +431,17 @@ def test_copies_are_equal_indices():
             assert twin == m and hash(twin) == hash(m) and str(twin) == text
 
 
+@pytest.mark.parametrize("first_use", ["e(True)", "Multiindex(a=((True, 1),))"])
+def test_a_bool_slot_key_registers_as_its_int(first_use):
+    """A bool as the first use of velocity slot 1 must not name the slot True."""
+    script = (
+        "from tfrenorm.indices import Multiindex, e, f, format_multiindex, parse_multiindex\n"
+        f"{first_use}\n"
+        "print(format_multiindex(parse_multiindex('e1+f0')), format_multiindex(e(1) + f(0)))\n"
+    )
+    assert _fresh_interpreter(script).split() == ["e1+f0", "e1+f0"]
+
+
 def test_outputs_do_not_depend_on_the_order_slot_keys_were_registered():
     run = (
         "import json, sys\n"
@@ -522,23 +536,38 @@ def test_params_window_validation():
     with pytest.raises(ConfigError):
         ModelParams(alpha=0.2, d=1)  # below 3/2 - 5/4 = 1/4
     with pytest.raises(ConfigError):
-        ModelParams(alpha=1.0, d=1, allow_rational_alpha=True)
+        ModelParams(alpha=1.0, d=1)
     with pytest.raises(ConfigError):
         ModelParams(alpha=0.55, d=0)
     with pytest.raises(ConfigError):
         ModelParams(alpha=0.55, d=1, lam=0.5)
     # d=2 widens the window downward: 3/2 - 6/4 = 0
-    ModelParams(alpha=0.2, d=2, allow_rational_alpha=True)
+    ModelParams(alpha=0.2, d=2)
 
 
-def test_params_rational_guard():
+def test_params_hold_alpha_exactly():
+    third = ModelParams(alpha=Fraction(1, 3))
+    assert third.alpha == 1 / 3 and type(third.alpha) is float
+    assert third.alpha_ratio == (1, 3)
+    # a float is exact on its own value, which lies below 1/3
+    assert ModelParams(alpha=1 / 3).alpha_ratio == (1 / 3).as_integer_ratio()
+    assert third != ModelParams(alpha=1 / 3)
+    for twin in (copy.copy(third), pickle.loads(pickle.dumps(third))):
+        assert twin == third and hash(twin) == hash(third)
+    # the window is exact too: 1/4 + 1e-20 rounds to the float 0.25
     with pytest.raises(ConfigError):
-        ModelParams(alpha=0.75, d=1)  # 3/4
-    with pytest.raises(ConfigError):
-        ModelParams(alpha=2 / 3, d=1)
-    ModelParams(alpha=0.75, d=1, allow_rational_alpha=True)
-    # 0.55 = 11/20 has denominator > 12, passes without the override
-    ModelParams(alpha=0.55, d=1)
+        ModelParams(alpha=Fraction(1, 4))
+    ModelParams(alpha=Fraction(1, 4) + Fraction(1, 10**20))
+    for bad in (float("nan"), float("inf"), "0.5"):
+        with pytest.raises(ConfigError):
+            ModelParams(alpha=bad)
+
+
+def test_allow_rational_alpha_has_no_effect():
+    for alpha in (0.75, 2 / 3, 0.55):
+        assert ModelParams(alpha=alpha, allow_rational_alpha=True) == ModelParams(alpha=alpha)
+    params = ModelParams(alpha=0.6, allow_rational_alpha=True)
+    assert enumerate_populated(params, 3.2) == enumerate_populated(ModelParams(alpha=0.6), 3.2)
 
 
 def test_params_derived_quantities():
@@ -647,7 +676,7 @@ FROZEN_COUNTS = {
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("alpha", [0.55, 0.75, 0.95])
 def test_enumeration_matches_brute_force(d, alpha):
-    params = ModelParams(alpha=alpha, d=d, allow_rational_alpha=True)
+    params = ModelParams(alpha=alpha, d=d)
     for cutoff in (2.0, 3.0, 4.0):
         got = enumerate_populated(params, cutoff)
         assert len(got) == FROZEN_COUNTS[(d, alpha)][cutoff]
@@ -689,20 +718,108 @@ def test_iter_decorations_ordering():
     assert degs == sorted(degs)
 
 
+def _exact_alphas():
+    """p/q in (1/4, 1), the d = 1 window, with q <= 12."""
+    return st.integers(2, 12).flatmap(
+        lambda q: st.integers(q // 4 + 1, q - 1).map(lambda p: Fraction(p, q))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exact_alphas(), st.integers(0, 12))
+def test_enumeration_is_exact_at_rational_alpha_property(alpha, k):
+    """At alpha = p/q every homogeneity is a multiple of 1/q, so a cutoff
+    n/q meets ties; the enumeration must match the brute force run in
+    Fractions, and be sorted by the exact homogeneity."""
+    q = alpha.denominator
+    cutoff = Fraction(q + k * q // 12, q)  # in [1, 2]
+    params = ModelParams(alpha=alpha)
+    got = enumerate_populated(params, cutoff)
+    assert {_as_counts(m) for m in got} == brute_force_populated(alpha, 1, cutoff)
+    exact = [oracle_homogeneity(alpha, *_as_counts(m)) for m in got]
+    assert exact == sorted(exact) and all(h < cutoff for h in exact)
+
+
+def _undecorated_below_window(alpha):
+    """Every undecorated index without an e0 slot whose weight W = [gamma]
+    satisfies alpha W < 2, i.e. |gamma| = alpha (1 + W) < 2 + alpha, in
+    Fractions, with up to W + 1 noise slots (one past the counterterm
+    identity).  The search stops on the homogeneity alone."""
+    alpha = Fraction(alpha)
+    out = []
+    weight = 0
+    while alpha * weight < 2:
+        for wa in range(weight + 1):
+            velocities = [
+                parts
+                for k in range(wa + 1)
+                for parts in itertools.combinations_with_replacement(range(1, wa + 1), k)
+                if sum(parts) == wa
+            ]
+            noises = [
+                parts
+                for s in range(weight + 2)
+                for parts in itertools.combinations_with_replacement(range(weight - wa + 1), s)
+                if sum(parts) == weight - wa
+            ]
+            for vel in velocities:
+                for noise in noises:
+                    a = tuple(Counter(vel).items())
+                    b = tuple(Counter(noise).items())
+                    out.append(Multiindex(a, b))
+        weight += 1
+    return out
+
+
+def _keeps_exactly(gamma, alpha, mode):
+    """The counterterm window in Fractions: weight equal to the noise
+    count, a noise slot, |gamma| < 2 + alpha, an even bracket if reduced."""
+    alpha = Fraction(alpha)
+    weight = gamma.a_weight() + gamma.b_weight()
+    if gamma.p or weight != gamma.b_count() or not gamma.b_count():
+        return False
+    if not alpha * (1 + weight) < 2 + alpha:
+        return False
+    return mode == "raw" or weight % 2 == 0
+
+
+# layer j of the reduced columns sits at (2j + 1) alpha, kept iff alpha < 1/j;
+# a float is exact on its own value, so 1/3 as a float keeps layer 3
+@pytest.mark.parametrize("alpha, count", [
+    (0.55, 5), (0.45, 25), (0.30, 90), (Fraction(1, 3), 25), (1 / 3, 90),
+    (Fraction(1, 2), 5), (0.5, 5),
+])
+def test_reduced_column_counts_by_brute_force(alpha, count):
+    params = ModelParams(alpha=alpha)
+    candidates = _undecorated_below_window(alpha)
+    kept = [m for m in candidates if keeps_counterterm(m, params, "reduced")]
+    assert kept == [m for m in candidates if _keeps_exactly(m, alpha, "reduced")]
+    assert len(kept) == count
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exact_alphas())
+def test_keeps_counterterm_is_exact_at_rational_alpha_property(alpha):
+    params = ModelParams(alpha=alpha)
+    for gamma in _undecorated_below_window(Fraction(1, 4) + Fraction(1, 100)):
+        for mode in ("raw", "reduced"):
+            assert keeps_counterterm(gamma, params, mode) == _keeps_exactly(gamma, alpha, mode)
+
+
 # ---------------------------------------------------------------------------
 # homogeneity window and kappa
 # ---------------------------------------------------------------------------
 
 
 def test_choose_kappa_worked_example():
-    params = ModelParams(alpha=0.6, d=1, allow_rational_alpha=True)
+    params = ModelParams(alpha=0.6, d=1)
     # smallest homogeneity above 3 at alpha = 0.6 is 3.2, window
     # (3 - 1.2, min(2.5, 3.2 - 1.2)) = (1.8, 2.0), midpoint 1.9
     assert choose_kappa(params, cutoff=3.7) == pytest.approx(1.9)
 
 
 def test_choose_kappa_needs_a_wide_enough_cutoff():
-    params = ModelParams(alpha=0.6, d=1, allow_rational_alpha=True)
+    params = ModelParams(alpha=0.6, d=1)
     with pytest.raises(ConfigError):
         choose_kappa(params, cutoff=3.1)
 
