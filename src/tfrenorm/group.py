@@ -27,8 +27,24 @@ far applied.  D^(n) depends on n alone, not on the support, so the
 adjacent letters of one n share one D^(n) application per step.  Every
 letter raises the homogeneity by its gap |support| - |n| > 0, and the
 recursion prunes on the exact int gaps that a ``StructureMap`` works out
-once, when it is made.  ``gamma_entry`` reads one entry off a column cut
-just above the row's homogeneity.
+once, when it is made.  ``gamma_entry`` runs the same walk for one row
+beta: it also prunes every letter whose support does not fit inside
+beta minus the supports already taken, since no later step removes it.
+
+The derivations multiply by their int slot counts, and not at all by a
+count of 1, so a basis column keeps int coefficients until the first
+pi value; a ``StructureMap`` holds int pi values as ``Fraction``, so an
+entry of an exact map is a ``Fraction`` off the diagonal, whose empty word
+gives the int 1.
+
+A Gamma* output is exact only below its cutoff: the terms above it miss
+the words the recursion cut.  So a ``SeriesVector`` records the cutoff
+below which it is exact, as (params, q-scaled limit); ``gamma_apply`` and
+``truncate`` set it, and ``series_mul`` forms only the pairs whose sum
+lies below the smaller cutoff of its operands.  Homogeneity is additive
+up to the alpha offset, q|m1 + m2| = q|m1| + q|m2| - p, so that is one
+int comparison per pair.  Sums and the derivations return series with no
+cutoff, exact everywhere.
 
 Scalars are generic: float for numerics, Fraction for exact runs; any ring
 that multiplies with Fraction and compares with 0 works (the tests use
@@ -41,6 +57,7 @@ from types import MappingProxyType
 from .errors import ConfigError
 from .indices import (
     ZERO,
+    Multiindex,
     aniso_degree,
     bracket,
     e,
@@ -61,12 +78,17 @@ from .indices import (
 
 
 class SeriesVector:
-    """Finitely supported map Multiindex -> scalar."""
+    """Finitely supported map Multiindex -> scalar.
 
-    __slots__ = ("coeffs",)
+    ``cutoff`` is None for a series exact everywhere, or (params, limit)
+    for one exact only on the indices with q|beta| < limit.
+    """
+
+    __slots__ = ("coeffs", "cutoff")
 
     def __init__(self, coeffs=None):
         self.coeffs = {}
+        self.cutoff = None
         for m, v in (coeffs or {}).items():
             self.add_term(m, v)
 
@@ -94,10 +116,14 @@ class SeriesVector:
         return len(self.coeffs)
 
     def truncate(self, params, cutoff):
+        """The terms with |beta| < cutoff; the result is exact below the
+        smaller of that cutoff and its own."""
         limit = scaled_cutoff(cutoff, params)
-        return SeriesVector(
+        out = SeriesVector(
             {m: v for m, v in self.coeffs.items() if scaled_homogeneity(m, params) < limit}
         )
+        out.cutoff = _smaller_cutoff(self.cutoff, (params, limit))
+        return out
 
     def __repr__(self):
         bits = [
@@ -107,15 +133,44 @@ class SeriesVector:
         return "SeriesVector({" + ", ".join(bits) + "})"
 
 
+def _smaller_cutoff(a, b):
+    """The smaller of two (params, limit) cutoffs, None standing for none."""
+    if a is None or b is None:
+        return b if a is None else a
+    if a[0] != b[0]:
+        raise ConfigError(f"series cut under different parameters: {a[0]} and {b[0]}")
+    return a if a[1] <= b[1] else b
+
+
 def series_mul(x, y):
-    """Cauchy product: (x*y)_beta = sum over splittings of beta."""
+    """Cauchy product: (x*y)_beta = sum over splittings of beta.
+
+    The product is exact below the smaller cutoff of its operands, and only
+    the pairs whose sum lies below it are formed: q|m1 + m2| = q|m1| +
+    q|m2| - p, one int comparison per pair on homogeneities worked out once
+    per term.  The pairs keep their order, so the result is the full
+    product followed by ``truncate``, float bits included.  Operands cut
+    under different parameters are a ConfigError.
+    """
+    cutoff = _smaller_cutoff(x.cutoff, y.cutoff)
+    if cutoff is None:
+        ys = [(m2, v2, 0) for m2, v2 in y.items()]
+        rooms = [(m1, v1, 1) for m1, v1 in x.items()]  # every pair is formed
+    else:
+        params, limit = cutoff
+        limit += params.alpha_ratio[0]
+        ys = [(m2, v2, scaled_homogeneity(m2, params)) for m2, v2 in y.items()]
+        rooms = [(m1, v1, limit - scaled_homogeneity(m1, params)) for m1, v1 in x.items()]
     acc = {}
-    for m1, v1 in x.items():
-        for m2, v2 in y.items():
-            m = m1 + m2
-            cur = acc.get(m)
-            acc[m] = v1 * v2 if cur is None else cur + v1 * v2
-    return SeriesVector(acc)  # which drops the zero sums
+    for m1, v1, room in rooms:
+        for m2, v2, h2 in ys:
+            if h2 < room:
+                m = m1 + m2
+                cur = acc.get(m)
+                acc[m] = v1 * v2 if cur is None else cur + v1 * v2
+    out = SeriesVector(acc)  # which drops the zero sums
+    out.cutoff = cutoff
+    return out
 
 
 def basis(m):
@@ -128,20 +183,21 @@ def basis(m):
 
 
 def d0_apply(series):
-    """D0 applied to a series (shift one slot up, weighted)."""
+    """D0 applied to a series (shift one slot up, weighted by an int)."""
     out = SeriesVector()
     for gamma, v in series.items():
         for k, c in gamma.a:
-            shifted = gamma.minus(e(k)) + e(k + 1)
-            out.add_term(shifted, v * Fraction((k + 1) * c))
+            w = (k + 1) * c
+            out.add_term(gamma.minus(e(k)) + e(k + 1), v if w == 1 else v * w)
         for l, c in gamma.b:
-            shifted = gamma.minus(f(l)) + f(l + 1)
-            out.add_term(shifted, v * Fraction((l + 1) * c))
+            w = (l + 1) * c
+            out.add_term(gamma.minus(f(l)) + f(l + 1), v if w == 1 else v * w)
     return out
 
 
 def dn_apply(series, n):
-    """D^(n) applied to a series (remove one decoration n)."""
+    """D^(n) applied to a series (remove one decoration n, weighted by its
+    int count)."""
     if not any(n):
         return d0_apply(series)
     out = SeriesVector()
@@ -150,7 +206,7 @@ def dn_apply(series, n):
     for gamma, v in series.items():
         c = gamma.p_at(n)
         if c:
-            out.add_term(gamma.minus(gn), v * Fraction(c))
+            out.add_term(gamma.minus(gn), v if c == 1 else v * c)
     return out
 
 
@@ -194,8 +250,9 @@ class StructureMap:
     ``pi`` maps decoration vectors n (tuples, zero allowed) to dicts
     Multiindex -> scalar; both levels are read-only views, because the
     map holds its sorted letters and their gaps, as q|support| - q|n| for
-    alpha = p/q.  Admissibility: every support index is populated with
-    homogeneity strictly above the anisotropic degree of its n.
+    alpha = p/q; the letters hold int values as ``Fraction``.
+    Admissibility: every support index is populated with homogeneity
+    strictly above the anisotropic degree of its n.
     """
 
     def __init__(self, params, pi):
@@ -223,10 +280,12 @@ class StructureMap:
             if kept:
                 clean[n] = MappingProxyType(kept)
         self.pi = MappingProxyType(clean)
+        # an int value is held as a Fraction, so that the products of int
+        # derivation weights with it keep the type of an exact entry
         self._letters = tuple(
-            (n, m, clean[n][m])
+            (n, m, Fraction(v) if isinstance(v, int) else v)
             for n in sorted(clean)
-            for m in sorted(clean[n], key=lambda t: t.sort_key())
+            for m, v in sorted(clean[n].items(), key=lambda t: t[0].sort_key())
         )
         self._gaps = tuple(
             scaled_homogeneity(m, params) - q * aniso_degree(n) for n, m, _v in self._letters
@@ -237,20 +296,35 @@ class StructureMap:
         return (StructureMap, (self.params, {n: dict(es) for n, es in self.pi.items()}))
 
     def letters(self):
-        """Flat list of (n, support index, value), deterministic order."""
+        """Flat list of (n, support index, value), deterministic order; an
+        int value comes back as a Fraction."""
         return list(self._letters)
 
 
 def gamma_entry(beta, gamma, smap):
     """Matrix entry (Gamma*)_beta^gamma of the recentering map.
 
-    Read off the column of gamma cut just above |beta|: every word raises
-    the homogeneity by its letter gaps, so the cut keeps every word that
-    reaches beta.  The diagonal is the empty word's int 1.
+    The walk of ``gamma_apply`` on the column of gamma, cut just above
+    |beta| (every letter raises the homogeneity by its gap), that also
+    prunes every letter whose support does not fit inside beta - shift,
+    shift being the supports taken so far: the word's output index is its
+    derived term plus its shift, so such a word never reaches beta.  Each
+    word reads the one term at beta - shift, and the entry sums them in
+    the order of the column, so it equals the column's entry bit for bit.
+    The diagonal is the empty word's int 1.
     """
     params = smap.params
-    cut = Fraction(scaled_homogeneity(beta, params) + 1, params.alpha_ratio[1])
-    return gamma_apply(basis(gamma), smap, cut).get(beta, 0)
+    limit = scaled_homogeneity(beta, params) + 1
+    out = SeriesVector()
+
+    def contribute(dser, rest, value, fact):
+        v = dser.coeffs.get(rest)
+        if v is not None:
+            term = value * v
+            out.add_term(beta, term if fact == 1 else term * Fraction(1, fact))
+
+    _walk(basis(gamma), smap, limit, beta, Multiindex.minus, contribute)
+    return out.get(beta, 0)
 
 
 def gamma_apply(series, smap, cutoff):
@@ -263,19 +337,17 @@ def gamma_apply(series, smap, cutoff):
     the recursion terminates.  Every comparison is on ints q|.| for
     alpha = p/q.  The result is exact below the cutoff for series supported
     on indices of homogeneity >= alpha (populated or purely polynomial
-    supports qualify).
+    supports qualify), and below the series' own cutoff, if it has one; it
+    records the smaller of the two.
     """
     params = smap.params
     p, q = params.alpha_ratio
     limit = scaled_cutoff(cutoff, params)
-    letters, gaps = smap._letters, smap._gaps
     out = SeriesVector()
-    if not len(series):
-        return out
-    min_hom0 = min(scaled_homogeneity(m, params) for m, _ in series.items())
+    out.cutoff = _smaller_cutoff(series.cutoff, (params, limit))
 
     def contribute(dser, shift, value, fact):
-        inv = Fraction(1, fact)
+        inv = Fraction(1, fact) if fact > 1 else 1
         # q|m + shift| = q|m| + p[shift] + q|shift|_p, so q|m| (inlined) must
         # stay below m_limit
         m_limit = limit - p * bracket(shift) - q * poly_weight(shift)
@@ -285,25 +357,46 @@ def gamma_apply(series, smap, cutoff):
                 # no factor 1/1, so the diagonal of a basis column stays the int 1
                 out.add_term(m + shift, term if fact == 1 else term * inv)
 
-    def rec(i, dser, shift, value, fact, room, reps):
+    if len(series):
+        _walk(series, smap, limit, ZERO, Multiindex.__add__, contribute)
+    return out
+
+
+def _walk(series, smap, limit, start, step, contribute):
+    """Depth-first walk over the letter multisets of Gamma*.
+
+    Calls contribute(dser, pos, value, fact) once per word whose gap sum
+    stays below limit - min q|input index|: dser is the series with the
+    word's derivations applied, value the product of its pi values and
+    fact the product of its multiplicities' factorials.  pos starts at
+    ``start`` and takes ``step(pos, support)`` at each letter; a step that
+    returns None prunes the letter.
+    """
+    letters, gaps = smap._letters, smap._gaps
+    params = smap.params
+
+    def rec(i, dser, pos, value, fact, room, reps):
         # room: what the letters still taken may add to the gaps; reps: how
         # often the last letter taken, letters[i], occurs so far
-        contribute(dser, shift, value, fact)
+        contribute(dser, pos, value, fact)
         last_n = None
         for idx in range(i, len(letters)):
             gap = gaps[idx]
             if gap >= room:
                 continue
             n, m, v = letters[idx]
+            npos = step(pos, m)
+            if npos is None:
+                continue
             if n != last_n:
                 last_n, nser = n, dn_apply(dser, n)
             if not len(nser):
                 continue
             mult = reps + 1 if idx == i else 1
-            rec(idx, nser, shift + m, value * v, fact * mult, room - gap, mult)
+            rec(idx, nser, npos, value * v, fact * mult, room - gap, mult)
 
-    rec(0, series, ZERO, 1, 1, limit - min_hom0, 0)
-    return out
+    min_hom0 = min(scaled_homogeneity(m, params) for m, _ in series.items())
+    rec(0, series, start, 1, 1, limit - min_hom0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +412,13 @@ def structure_map_to_json(smap):
             for m, v in sorted(smap.pi[n].items(), key=lambda t: t[0].sort_key())
         ]
         families.append({"n": list(n), "entries": entries})
+    params = smap.params
+    p, q = params.alpha_ratio
     return {
-        "alpha": smap.params.alpha,
-        "d": smap.params.d,
-        "lam": smap.params.lam,
+        # an exact alpha that is not the float's own ratio is written as "p/q"
+        "alpha": params.alpha if params.alpha.as_integer_ratio() == (p, q) else f"{p}/{q}",
+        "d": params.d,
+        "lam": params.lam,
         "families": families,
     }
 
@@ -353,8 +449,11 @@ def structure_map_from_json(doc, params=None):
 
     try:
         if params is None:
+            alpha = doc["alpha"]
             params = ModelParams(
-                alpha=float(doc["alpha"]), d=doc["d"], lam=float(doc.get("lam", 0.4))
+                alpha=Fraction(alpha) if isinstance(alpha, str) and "/" in alpha
+                else float(alpha),
+                d=doc["d"], lam=float(doc.get("lam", 0.4)),
             )
         pi = {
             tuple(int(i) for i in fam["n"]): {
@@ -364,7 +463,7 @@ def structure_map_from_json(doc, params=None):
             }
             for fam in doc["families"]
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(
             f"malformed structure map: {type(exc).__name__}: {exc}"
         ) from None

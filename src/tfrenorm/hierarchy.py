@@ -34,10 +34,11 @@ substitution cancels against the ordered count.
 Terms come out in order without sorting the factors of any term: splits
 are nondecreasing tuples of ranks in the sub-index pool, which is sorted
 by ``sort_key``, so a term's plain factors are already in order and the
-terms sort on int keys that order them as ``HierarchyTerm.sort_key``
-does.  A coefficient comes from the run lengths of its split, and each
-distinct factor and each counter row is checked for triangularity once
-per expansion.
+terms sort on int keys: by kind, factor count, plain factors, decorated
+factor and counter row, each factor in ``Multiindex.sort_key`` order.  A
+coefficient comes from the run lengths of its split, and each distinct
+factor and each counter row is checked for triangularity once per
+expansion.
 
 All coefficients are exact ``Fraction`` values, all derived column
 weights are integers and homogeneities are compared as ints; only the
@@ -94,17 +95,6 @@ class HierarchyTerm:
                 return "polynomialGradient"
             return "grad"
         return None
-
-    def sort_key(self):
-        dec = self.decorated.sort_key() if self.decorated is not None else ()
-        cpart = tuple((m.sort_key(), w) for m, w in self.c) if self.c else ()
-        return (
-            KIND_RANK[self.kind],
-            len(self.factors),
-            tuple(m.sort_key() for m in self.factors),
-            dec,
-            cpart,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +206,8 @@ def expand(beta, params, mode="raw", *, rows=None):
     # Each term is found as (key, head number, coefficient), with the key
     # (kind rank, factor count, factor ranks, decorated rank).  Pool ranks
     # follow sort_key and (kind, factors, decorated) fixes the head, so the
-    # keys order terms as HierarchyTerm.sort_key does.  The plain factors
-    # of a nondecreasing split are in order already.
+    # keys order terms by kind, factor count and their factors' sort keys.
+    # The plain factors of a nondecreasing split are in order already.
     found = []
     coeffs = {}
     for h, (kind, head, parts, _c) in enumerate(heads):

@@ -60,6 +60,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import ConfigError, ResourceError
 
@@ -445,20 +446,29 @@ class ModelParams:
                Kept for the benchmark, which still passes it (ROADMAP item 1).
     alpha_ratio -- (p, q) with alpha = p/q exactly as given, so the float
                1/3 lies below Fraction(1, 3); part of equality and hash.
+               Worked out from alpha when not given.  A given ratio is
+               kept if the float alpha is its rounding, so that
+               ``dataclasses.replace``, which passes it on, keeps an exact
+               alpha; otherwise alpha's own ratio replaces it.
     """
 
     alpha: float
     d: int = 1
     lam: float = 0.4
     allow_rational_alpha: bool = field(default=False, compare=False, repr=False)
-    alpha_ratio: tuple = field(init=False)
+    alpha_ratio: tuple = None
 
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ConfigError(f"spatial dimension must be a positive int, got {self.d!r}")
+        ratio = self.alpha_ratio
         try:
-            p, q = self.alpha.as_integer_ratio()
-        except (AttributeError, ValueError, OverflowError):
+            if ratio is not None and isinstance(self.alpha, float) and (
+                    ratio[0] / ratio[1] == self.alpha):
+                p, q = Fraction(*ratio).as_integer_ratio()
+            else:
+                p, q = self.alpha.as_integer_ratio()
+        except (AttributeError, ValueError, OverflowError, TypeError, ZeroDivisionError):
             raise ConfigError(f"alpha={self.alpha!r} is not a finite number") from None
         # the lower edge 3/2 - D/4 is (2 - d)/4
         if not (0 < p < q and 4 * p > (2 - self.d) * q):

@@ -19,6 +19,8 @@ package under test, using different algorithms than the library:
   and counted by its distinct orderings, and counter columns found by
   walking the D0 down-moves (the library marks the decorated factor inside
   one split and derives the columns from the counterterm identity),
+* the documented order of hierarchy terms as a tuple key built from each
+  term's fields (the library sorts on int keys of pool ranks),
 * closed-form values of the rescaled counterterm constants obtained by
   integrating the defining quadrant integrals exactly (Wallis/Beta
   identities), evaluated with math.gamma, and the same constants as
@@ -287,6 +289,24 @@ def gamma_entry_by_containment(group, beta, gamma, smap):
 
     rec(0, beta, 0, 1, 1, group.basis(gamma), 0)
     return total
+
+
+HIERARCHY_KIND_RANK = {"quasi": 0, "noise": 1, "counter": 2}
+
+
+def hierarchy_term_sort_key(term):
+    """Order of expanded hierarchy terms: kind, factor count, the plain
+    factors, the decorated factor, the counter row, each index compared by
+    its ``sort_key``."""
+    dec = term.decorated.sort_key() if term.decorated is not None else ()
+    cpart = tuple((m.sort_key(), w) for m, w in term.c) if term.c else ()
+    return (
+        HIERARCHY_KIND_RANK[term.kind],
+        len(term.factors),
+        tuple(m.sort_key() for m in term.factors),
+        dec,
+        cpart,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ the tests assert matrix identities with no floating-point slack.
 
 The ring interoperates with int and Fraction on either side, so generic
 code can start accumulators at 0 or 1 regardless of the scalar type.
+
+A CountingScalar is a Fraction that counts its multiplications, so a test
+can pin how much arithmetic a product does without timing it.
 """
 
 from fractions import Fraction
@@ -123,3 +126,37 @@ def vector_binom(n, m):
             return 0
         out *= comb(a, b)
     return out
+
+
+class CountingScalar:
+    """An exact Fraction that counts, in a shared tally, every
+    multiplication it takes part in; sums and products carry the tally on."""
+
+    __slots__ = ("value", "tally")
+
+    def __init__(self, value, tally):
+        self.value = Fraction(value)
+        self.tally = tally
+
+    @staticmethod
+    def _raw(other):
+        return other.value if isinstance(other, CountingScalar) else other
+
+    def __mul__(self, other):
+        self.tally["mul"] += 1
+        return CountingScalar(self.value * self._raw(other), self.tally)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return CountingScalar(self.value + self._raw(other), self.tally)
+
+    __radd__ = __add__
+
+    def __eq__(self, other):
+        return self.value == self._raw(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"CountingScalar({self.value})"

@@ -143,6 +143,30 @@ def test_gamma_entry_from_map_file(capsys, tmp_path):
     assert doc["value"] == "3/2"
 
 
+def test_gamma_entry_bytes_of_an_int_valued_map(capsys, tmp_path):
+    """JSON-int pi values give exact entries, printed as fraction strings;
+    only the diagonal is the int 1."""
+    smap = {
+        "alpha": 0.55,
+        "d": 1,
+        "lam": 0.4,
+        "families": [
+            {"n": [0, 0], "entries": [{"beta": "f0", "value": 4}]},
+            {"n": [0, 1], "entries": [{"beta": "f0+f1", "value": 2}]},
+        ],
+    }
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(smap))
+    for beta, gamma, value in (("f0+f1", "f0", '"4"'), ("e2+2f0", "e0", '"16"'),
+                               ("f0+f1", "g(0,1)", '"2"'), ("e0", "e0", "1")):
+        code, out, err = run(
+            capsys, "gamma-entry", "--map", str(path), "--beta", beta, "--gamma", gamma
+        )
+        assert code == 0, err
+        assert out == (f'{{\n "beta": "{beta}",\n "gamma": "{gamma}",\n'
+                       f' "value": {value}\n}}\n')
+
+
 def test_kernel_check_small_grid(capsys):
     doc = run_json(
         capsys, "kernel-check", "--sizes", "128,512", "--boxes", "1e-4,4.0"

@@ -3,6 +3,8 @@
 import copy
 import pickle
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -37,10 +39,12 @@ from tfrenorm.indices import (
     order_length,
     parse_multiindex,
     poly_weight,
+    scaled_cutoff,
+    scaled_homogeneity,
 )
 
 from oracles import gamma_entry_by_containment
-from scalars import PolyScalar, vector_binom
+from scalars import CountingScalar, PolyScalar, vector_binom
 
 PARAMS = ModelParams(alpha=0.55, d=1)
 P = parse_multiindex
@@ -521,6 +525,125 @@ def test_gamma_entry_equals_gamma_apply_exactly_property(seed, column):
 
 
 # ---------------------------------------------------------------------------
+# products cut at their operands' cutoff
+# ---------------------------------------------------------------------------
+
+PARAMS_D2 = ModelParams(alpha=0.62, d=2)
+MAP_LETTERS = {
+    PARAMS: ((0, 0), (0, 1), (0, 2)),
+    PARAMS_D2: ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)),
+}
+SCALARS = {
+    "fraction": lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+    "float": lambda rng: rng.uniform(-1.0, 1.0),
+}
+
+
+def _seeded_map(params, seed, scalar):
+    rng = random.Random(seed)
+    smap = random_structure_map(
+        params, rng, letters=MAP_LETTERS[params], value=SCALARS[scalar]
+    )
+    return smap, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(MAP_LETTERS, key=repr)),
+       st.sampled_from(sorted(SCALARS)), st.sampled_from((2.6, 3.0)))
+def test_bounded_product_is_the_truncated_full_product(seed, params, scalar, cut_y):
+    """A product of two Gamma* outputs forms only the pairs below the
+    smaller cutoff: the same terms, in the same order and with the same
+    float bits, as the full product of unbounded copies, truncated."""
+    smap, rng = _seeded_map(params, seed, scalar)
+    pop = enumerate_populated(params, 2.2)
+    x, y = (SeriesVector({m: SCALARS[scalar](rng) for m in rng.sample(pop, 2)})
+            for _ in range(2))
+    gx, gy = gamma_apply(x, smap, 3.0), gamma_apply(y, smap, cut_y)
+    bounded = series_mul(gx, gy)
+    full = series_mul(SeriesVector(dict(gx.items())), SeriesVector(dict(gy.items())))
+    assert full.cutoff is None
+    assert list(bounded.items()) == list(full.truncate(params, cut_y).items())
+    assert bounded.cutoff == (params, scaled_cutoff(cut_y, params))
+    assert list(bounded.truncate(params, cut_y).items()) == list(bounded.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(SCALARS)))
+def test_gamma_entry_equals_the_containment_oracle_in_two_dimensions(seed, scalar):
+    """Present and absent entries at d = 2 against the row-wise oracle
+    (exact for Fraction maps) and against the column (bit for bit)."""
+    smap, rng = _seeded_map(PARAMS_D2, seed, scalar)
+    rows = enumerate_populated(PARAMS_D2, 2.6)
+    for column in rng.sample(rows[:17], 3):
+        col = gamma_apply(basis(column), smap, 2.6)
+        for beta in rows:
+            got = gamma_entry(beta, column, smap)
+            want = gamma_entry_by_containment(group, beta, column, smap)
+            assert got == col.get(beta, 0)
+            if scalar == "fraction":
+                assert got == want
+            else:
+                assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_bounded_product_multiplies_only_the_pairs_below_the_cutoff():
+    """Work count, not time: one multiplication per pair whose sum the
+    cutoff keeps, none for the pairs above it."""
+    tally = Counter()
+    rng = random.Random(41)
+    smap = random_structure_map(
+        PARAMS, rng, value=lambda rng: CountingScalar(Fraction(rng.randint(1, 6), 5), tally)
+    )
+    cut = 3.0
+    x = SeriesVector({P("f0"): CountingScalar(2, tally), P("f0+f1"): CountingScalar(1, tally)})
+    y = SeriesVector({P("f0"): CountingScalar(3, tally), P("g(0,1)"): CountingScalar(1, tally)})
+    gx, gy = gamma_apply(x, smap, cut), gamma_apply(y, smap, cut)
+    limit = scaled_cutoff(cut, PARAMS)
+    below = sum(
+        scaled_homogeneity(m1 + m2, PARAMS) < limit for m1 in gx.coeffs for m2 in gy.coeffs
+    )
+    assert 0 < below < len(gx) * len(gy)
+    tally.clear()
+    product = series_mul(gx, gy)
+    assert tally["mul"] == below
+    full = series_mul(SeriesVector(dict(gx.items())), SeriesVector(dict(gy.items())))
+    assert tally["mul"] == below + len(gx) * len(gy)
+    assert dict(product.items()) == dict(full.truncate(PARAMS, cut).items())
+
+
+def test_cutoffs_are_set_only_by_gamma_apply_truncate_and_products():
+    smap = StructureMap(PARAMS, {(0, 0): {P("f0"): Fraction(1, 2)}})
+    column = gamma_apply(basis(P("e0")), smap, 3.0)
+    limit = scaled_cutoff(3.0, PARAMS)
+    assert column.cutoff == (PARAMS, limit)
+    # a truncation or a cut input keeps the smaller cutoff
+    assert column.truncate(PARAMS, 2.0).cutoff == (PARAMS, scaled_cutoff(2.0, PARAMS))
+    assert column.truncate(PARAMS, 4.0).cutoff == (PARAMS, limit)
+    assert gamma_apply(column, smap, 4.0).cutoff == (PARAMS, limit)
+    # sums, derivations and plain series are exact everywhere
+    for unbounded in (column + column, d0_apply(column), dn_apply(column, (0, 1)),
+                      basis(P("f0")), SeriesVector(dict(column.items()))):
+        assert unbounded.cutoff is None
+    assert series_mul(column, basis(P("f0"))).cutoff == (PARAMS, limit)
+    other = gamma_apply(basis(P("e0")), StructureMap(replace(PARAMS, lam=0.3), {}), 3.0)
+    with pytest.raises(ConfigError):
+        series_mul(column, other)
+
+
+def test_derivations_keep_int_weights():
+    assert d0_apply(basis(P("e1+2f0"))).items() == {P("e2+2f0"): 2, P("e1+f0+f1"): 2}.items()
+    out = dn_apply(basis(P("2g(0,1)+f1")), (0, 1))
+    assert [type(v) for _, v in out.items()] == [int]
+    # entries of an int-valued map are Fractions off the diagonal
+    smap = StructureMap(PARAMS, {(0, 0): {P("f0"): 4}})
+    assert smap.pi[(0, 0)][P("f0")] == 4 and type(smap.pi[(0, 0)][P("f0")]) is int
+    column = gamma_apply(basis(P("e0")), smap, 3.4)
+    assert {type(v) for m, v in column.items() if m != P("e0")} == {Fraction}
+    assert type(column.get(P("e0"))) is int
+    assert type(gamma_entry(P("e1+f0"), P("e0"), smap)) is Fraction
+
+
+# ---------------------------------------------------------------------------
 # serialisation
 # ---------------------------------------------------------------------------
 
@@ -552,3 +675,18 @@ def test_structure_map_json_rejects_exotic_scalars():
     )
     with pytest.raises(ConfigError):
         structure_map_to_json(smap)
+
+
+def test_structure_map_json_keeps_an_exact_alpha():
+    exact = ModelParams(alpha=Fraction(1, 3))
+    smap = StructureMap(exact, {(0, 0): {P("f0+f1"): Fraction(2, 3)}})
+    doc = structure_map_to_json(smap)
+    assert doc["alpha"] == "1/3"
+    assert structure_map_from_json(doc).params.alpha_ratio == (1, 3)
+    # a float alpha is written as the float, as before
+    doc = structure_map_to_json(StructureMap(PARAMS, {(0, 0): {P("f0"): 1}}))
+    assert doc["alpha"] == 0.55 and type(doc["alpha"]) is float
+    assert structure_map_from_json(doc).params == PARAMS
+    for bad in ("1/0", "a/3", "1/3/4"):
+        with pytest.raises(ConfigError):
+            structure_map_from_json(dict(doc, alpha=bad))

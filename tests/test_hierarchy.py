@@ -9,7 +9,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_force_expansion
+from oracles import brute_force_expansion, hierarchy_term_sort_key
 from tfrenorm import hierarchy
 from tfrenorm.errors import ConfigError, ConsistencyError
 from tfrenorm.group import d0_power_row
@@ -255,7 +255,7 @@ def test_coefficients_count_orderings():
 
 
 def _decided_by_decorations(t1, t2):
-    """Whether sort_key orders two terms of one kind and length by the
+    """Whether the term order decides two terms of one kind and length by the
     decoration tuples of the first factor (or decorated index) they differ in."""
     if (t1.kind, len(t1.factors)) != (t2.kind, len(t2.factors)):
         return False
@@ -271,7 +271,7 @@ def test_terms_are_unique_and_sorted():
             by_decorations = 0
             for beta in all_expandable(params, cutoff):
                 terms = expand(beta, params, mode)
-                keys = [t.sort_key() for t in terms]
+                keys = [hierarchy_term_sort_key(t) for t in terms]
                 assert keys == sorted(keys)
                 assert len(set(map(canon, terms))) == len(terms)
                 by_decorations += sum(map(_decided_by_decorations, terms, terms[1:]))

@@ -1,6 +1,7 @@
 """Multiindex algebra, gradings, predicates and enumeration."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import os
@@ -554,6 +555,11 @@ def test_params_hold_alpha_exactly():
     assert third != ModelParams(alpha=1 / 3)
     for twin in (copy.copy(third), pickle.loads(pickle.dumps(third))):
         assert twin == third and hash(twin) == hash(third)
+    # dataclasses.replace passes the ratio on; a new alpha brings its own
+    assert dataclasses.replace(third, lam=0.3).alpha_ratio == (1, 3)
+    assert dataclasses.replace(third, alpha=0.4).alpha_ratio == (0.4).as_integer_ratio()
+    assert dataclasses.replace(third, alpha=Fraction(2, 5)).alpha_ratio == (2, 5)
+    assert ModelParams(alpha=1 / 3, alpha_ratio=(2, 6)) == third
     # the window is exact too: 1/4 + 1e-20 rounds to the float 0.25
     with pytest.raises(ConfigError):
         ModelParams(alpha=Fraction(1, 4))
