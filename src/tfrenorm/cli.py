@@ -13,9 +13,9 @@ Conventions shared by every subcommand:
 * float options, and every element of a comma list, must be finite;
 * no environment variable changes the behaviour.
 
-The numeric layers (constants, kernel, mc, verify) pull in numpy,
-so each runner imports the ones it uses: the index-algebra subcommands start
-without them.
+Only the mesh layers (kernel, mc) pull in numpy, so each runner imports
+the layers it uses: the index-algebra subcommands and the constants,
+counterterm, h-eval and fixtures-verify subcommands start without it.
 
 Output is JSON unless a subcommand offers ``--format csv``; either way the
 content is deterministic for a fixed config and seed.  JSON output is

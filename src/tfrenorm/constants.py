@@ -9,6 +9,11 @@ module gives them at finite rates (counterterm_table), their m0- and
 tau-free limits C1, C2, C3, the scaling exponents in tau and m0, and the
 counterterm h with its leading thin-film form, all in closed form.
 
+It also holds the operator symbols of L and LL* with Q = symbol_LLstar,
+and TWO_PI and check_m0: the kernel layer imports them from here.  This
+module uses math alone, so the tables load no numpy; the symbols take
+numbers or numpy arrays alike.
+
 The m0 reduction.  Rescaling 2 pi m0^(1/4) k1 leaves m0^(-5/4), m0^(-1/4),
 m0^(-9/4) in front of c1, c2, c3 times the m0 = 1 table at tau' =
 space_rate / m0^2 and x = m0^2 time_rate / space_rate: x = 1 for the
@@ -45,18 +50,50 @@ was at most 5.4 eps of that sum, and 5.3 for the 2F1 alone, x 1e-40-1e40.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError, NumericError
 from .indices import e, f, homogeneity, is_c_populated
-from .kernel import TWO_PI, check_m0, symbol_LLstar
+
+TWO_PI = 2.0 * math.pi
 
 # constant vector columns carrying the three nonzero entries
 C1_INDEX = e(1) + f(0) + f(1)
 C2_INDEX = 2 * f(1)
 C3_INDEX = 2 * e(1) + 2 * f(0)
+
+
+# ---------------------------------------------------------------------------
+# operator symbols
+# ---------------------------------------------------------------------------
+
+
+def check_m0(m0):
+    """m0 as a float; a ConfigError unless it is positive with a finite
+    square.  Checked once where m0 enters (the covariance and mollifier
+    specs, kernel_checks), not in the symbols that integrands call."""
+    m0 = float(m0)
+    if not (m0 > 0 and math.isfinite(m0 * m0)):
+        raise ConfigError(f"m0 must be positive with a finite square, got {m0}")
+    return m0
+
+
+def symbol_LLstar(k, m0):
+    """Symbol of -d_0^2 + m0^2 Delta^4 at frequency k = (k0, k1, ..., kd),
+    whose entries are numbers or numpy arrays that broadcast together."""
+    if m0 <= 0:
+        raise ConfigError(f"m0 must be positive, got {m0}")
+    lap = sum([(TWO_PI * ki) ** 2 for ki in k[1:]])
+    return (TWO_PI * k[0]) ** 2 + m0**2 * lap**4
+
+
+def symbol_L(k, m0):
+    """Symbol of d_0 + m0 Delta^2; |symbol_L|^2 = symbol_LLstar."""
+    if m0 <= 0:
+        raise ConfigError(f"m0 must be positive, got {m0}")
+    lap = sum([(TWO_PI * ki) ** 2 for ki in k[1:]])
+    return TWO_PI * 1j * k[0] + m0 * lap**2
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +105,13 @@ C3_INDEX = 2 * e(1) + 2 * f(0)
 class CovarianceSpec:
     """Spectral density FC of the driving noise.
 
-    evaluator maps (k0, k1) to FC(k) >= 0, even in both arguments.  It
-    takes numpy arrays k0, k1 of one shape and returns an array of that
-    shape, since the noise sampler evaluates whole meshes.  The finite-tau
-    tables are closed forms of the paper's FC alone, so counterterm_table
-    refuses an evaluator that differs from it.
+    evaluator maps (k0, k1) to FC(k) >= 0, even in both arguments.  The
+    finite-tau tables are closed forms of the paper's FC alone, so
+    counterterm_table reads the evaluator at four float frequencies and
+    refuses it if it differs from that FC there.  The noise sampler
+    evaluates whole meshes: there the evaluator must take numpy arrays
+    k0, k1 that broadcast together and return an array of their shape,
+    and NoiseSampler refuses one that does not.
     """
 
     alpha: float
@@ -119,7 +158,10 @@ class MollifierSpec:
     space_rate: float
 
     def squared_symbol(self, k0, k1):
-        # np.exp keeps the symbol usable on whole frequency meshes
+        # np.exp keeps the symbol usable on whole frequency meshes; only
+        # the noise sampler calls it, and it has numpy loaded already
+        import numpy as np
+
         return np.exp(
             -self.time_rate * (TWO_PI * k0) ** 2 - self.space_rate * (TWO_PI * k1) ** 8
         )
@@ -152,7 +194,7 @@ def check_semigroup_m0(cov, moll):
 # the finite-tau tables in closed form
 # ---------------------------------------------------------------------------
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 # each err_i is this many eps of the sum of |terms| of c_i (module docstring)
 _ROUNDING = 16.0
 # B(1/2, (a + 1)/8) / 8 for the bracket monomials u^4 and u^12
@@ -161,8 +203,8 @@ _BETA12 = math.gamma(0.5) * math.gamma(13.0 / 8.0) / (8.0 * math.gamma(17.0 / 8.
 # frequencies (k0, k1) at which an evaluator must give the paper's FC: Q
 # from 0.1 to 5e6, so that a shift of Q or a wrong degree shows; the time
 # and space parts of Q are kept at m0 = 1, and k0 = 0 at none of them
-_PROBE_K = (np.array([0.3, 0.01, 1.7, -0.05]), np.array([0.0, 0.45, -1.1, 0.02]))
-_PROBE_Q = list(zip(((TWO_PI * _PROBE_K[0]) ** 2).tolist(), ((TWO_PI * _PROBE_K[1]) ** 8).tolist()))
+_PROBE_K = ((0.3, 0.0), (0.01, 0.45), (1.7, -1.1), (-0.05, 0.02))
+_PROBE_Q = [((TWO_PI * k0) ** 2, (TWO_PI * k1) ** 8) for k0, k1 in _PROBE_K]
 
 
 def _gauss_series(a, b, c, z):
@@ -199,14 +241,16 @@ def hyp2f1_1mx(a, b, c, x):
 
 def _check_paper_covariance(cov):
     """Refuse an evaluator that is not the paper's FC = Q^(-(2 alpha - 1)/8)
-    at cov's (alpha, m0), read at _PROBE_K.  The values are compared, not
-    the function, so a wrapped copy of the paper's evaluator passes."""
+    at cov's (alpha, m0), read at _PROBE_K one float frequency at a time.
+    The values are compared, not the function, so a wrapped copy of the
+    paper's evaluator passes.  Whether it also maps meshes is the noise
+    sampler's check."""
     power, msq = -(2.0 * cov.alpha - 1.0) / 8.0, cov.m0 * cov.m0
     want = [(q0 + msq * q1) ** power for q0, q1 in _PROBE_Q]
-    try:  # one value per frequency
-        got = np.asarray(cov.evaluator(*_PROBE_K), dtype=float).reshape(len(want)).tolist()
+    try:  # one number per frequency
+        got = [float(cov.evaluator(k0, k1)) for k0, k1 in _PROBE_K]
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"covariance evaluators must map numpy arrays: {exc}") from None
+        raise ConfigError(f"covariance evaluators must map frequencies to numbers: {exc}") from None
     if not all(map(math.isfinite, got)):
         raise NumericError(f"covariance evaluator gave non-finite values {got}")
     gap = max(abs(g / w - 1.0) for g, w in zip(got, want))

@@ -320,7 +320,7 @@ def gamma_entry(beta, gamma, smap):
     def contribute(dser, rest, value, fact):
         v = dser.coeffs.get(rest)
         if v is not None:
-            term = value * v
+            term = value if v.__class__ is int and v == 1 else value * v
             out.add_term(beta, term if fact == 1 else term * Fraction(1, fact))
 
     _walk(basis(gamma), smap, limit, beta, Multiindex.minus, contribute)
@@ -353,8 +353,10 @@ def gamma_apply(series, smap, cutoff):
         m_limit = limit - p * bracket(shift) - q * poly_weight(shift)
         for m, v in dser.items():
             if p * (1 + m._a_weight + m._b_weight - m._p_count) + q * m._poly_weight < m_limit:
-                term = value * v
-                # no factor 1/1, so the diagonal of a basis column stays the int 1
+                # an int coefficient 1 keeps value as it is (a float 1.0 must
+                # still turn a Fraction value into a float); no factor 1/1, so
+                # the diagonal of a basis column stays the int 1
+                term = value if v.__class__ is int and v == 1 else value * v
                 out.add_term(m + shift, term if fact == 1 else term * inv)
 
     if len(series):

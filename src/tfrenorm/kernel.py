@@ -10,6 +10,8 @@ and the inversion u = L^{-1} (div f) used by the simulation layer.  The
 multipliers of L^{-1} div are stated once, in div_symbols: solve_L_div
 and the MC checks apply them, and the pairing-sum oracles read them.
 point_reader reads a field at a few cells straight from its half spectrum.
+The symbols of L and LL* (symbol_L, symbol_LLstar) and check_m0 are
+numpy-free and live in the constants layer; this module imports them.
 
 The symbol of LL* is a time part plus a space part, (2 pi k0)^2 +
 m0^2 |2 pi k|^8, so psi_hat_t is their product exp(-t (2 pi k0)^2) *
@@ -47,9 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import TWO_PI, check_m0, symbol_L, symbol_LLstar
 from .errors import ConfigError
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +87,11 @@ class SpectralGrid:
 
     @property
     def point_count(self):
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @property
     def volume(self):
-        return float(np.prod(self.boxes))
+        return math.prod(self.boxes)
 
     @property
     def cell(self):
@@ -238,35 +239,8 @@ def real_defect(field, physical=None):
 
 
 # ---------------------------------------------------------------------------
-# symbols and the kernel
+# the kernel
 # ---------------------------------------------------------------------------
-
-
-def check_m0(m0):
-    """m0 as a float; a ConfigError unless it is positive with a finite
-    square.  Checked once where m0 enters (the covariance and mollifier
-    specs, kernel_checks), not in the symbols that integrands call."""
-    m0 = float(m0)
-    if not (m0 > 0 and math.isfinite(m0 * m0)):
-        raise ConfigError(f"m0 must be positive with a finite square, got {m0}")
-    return m0
-
-
-def symbol_LLstar(k, m0):
-    """Symbol of -d_0^2 + m0^2 Delta^4 at frequency k = (k0, k1, ..., kd),
-    whose entries are numbers or numpy arrays that broadcast together."""
-    if m0 <= 0:
-        raise ConfigError(f"m0 must be positive, got {m0}")
-    lap = sum([(TWO_PI * ki) ** 2 for ki in k[1:]])
-    return (TWO_PI * k[0]) ** 2 + m0**2 * lap**4
-
-
-def symbol_L(k, m0):
-    """Symbol of d_0 + m0 Delta^2; |symbol_L|^2 = symbol_LLstar."""
-    if m0 <= 0:
-        raise ConfigError(f"m0 must be positive, got {m0}")
-    lap = sum([(TWO_PI * ki) ** 2 for ki in k[1:]])
-    return TWO_PI * 1j * k[0] + m0 * lap**2
 
 
 def psi_hat(t, k, m0):

@@ -101,7 +101,10 @@ class NoiseSampler:
     def density(self):
         """Target density FF = FC |Fphi_tau|^2 on the grid; zero mode dropped.
 
-        Computed once and cached; the returned array is read-only.
+        Computed once and cached; the returned array is read-only.  The
+        covariance evaluator must map the frequency mesh to an array of its
+        shape; one that fails on it or returns another shape is a
+        ConfigError.
         """
         cached = getattr(self, "_density_cache", None)
         if cached is not None:
@@ -110,10 +113,14 @@ class NoiseSampler:
         k0 = mesh[0]
         k_rad = np.sqrt(sum(np.square(m) for m in mesh[1:]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ff = self.spec.evaluator(k0, k_rad) * self.moll.squared_symbol(
-                k0, k_rad
-            )
-        ff = np.broadcast_to(ff, self.grid.spectrum_shape).astype(float)
+            try:
+                fc = self.spec.evaluator(k0, k_rad)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"covariance evaluators must map frequency meshes: {exc}") from None
+            if np.shape(fc) != self.grid.spectrum_shape:
+                raise ConfigError(f"covariance evaluator gave shape {np.shape(fc)} on a "
+                                  f"frequency mesh of shape {self.grid.spectrum_shape}")
+            ff = (fc * self.moll.squared_symbol(k0, k_rad)).astype(float)
         ff[(0,) * (self.grid.d + 1)] = 0.0
         if not np.all(np.isfinite(ff)) or np.any(ff < 0):
             raise NumericError("spectral density is not finite and nonnegative")

@@ -441,6 +441,49 @@ def test_cli_import_loads_no_numeric_layer():
     assert proc.stdout.split() == ["[]", "[]"]
 
 
+COUNTERTERM_PROBE = """
+import contextlib, io, sys
+import tfrenorm.constants as con, tfrenorm.verify
+from tfrenorm.cli import main
+from tfrenorm.indices import ModelParams
+
+def numeric():
+    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))
+
+print(numeric())
+params = ModelParams(alpha=0.55, d=1)
+for kind in ('semigroup', 'anisotropic'):
+    cov = con.covariance_spec(0.55, 1.3)
+    con.counterterm_table(cov, con.mollifier_spec(kind, 1e-4, eta=2.5, m0=1.3))
+    con.C_constants_with_errors(0.55, kind)
+    con.scaling_exponents(con.C1_INDEX, params, kind)
+print(numeric())
+for argv in (['constants', '--alpha', '0.55', '--mollifier', 'anisotropic'],
+             ['counterterm', '--alpha', '0.55', '--tau', '1e-3,1e-4'],
+             ['counterterm', '--alpha', '0.55', '--tau', '1e-3', '--mollifier', 'anisotropic'],
+             ['h-eval', '--alpha', '0.55', '--tau', '1e-4', '--a', '0.5', '--a-prime', '0.1',
+              '--b', '2.0', '--b-prime', '0.25'],
+             ['fixtures-verify']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0, argv
+print(numeric())
+"""
+
+
+def test_counterterm_layer_loads_no_numpy():
+    """The tables, the universal constants and their subcommands run
+    without numpy: only the mesh layers kernel and mc load it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-c", COUNTERTERM_PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]", "[]"]
+
+
 @pytest.mark.parametrize("command", ["constants", "counterterm", "h-eval"])
 def test_constants_takes_no_tolerance(capsys, tmp_path, command):
     """No subcommand has a quadrature tolerance to tune: epsrel is an

@@ -643,6 +643,38 @@ def test_derivations_keep_int_weights():
     assert type(gamma_entry(P("e1+f0"), P("e0"), smap)) is Fraction
 
 
+@pytest.mark.parametrize("unit", [1, 1.0])
+def test_gamma_keeps_the_value_types_of_its_map_and_column(unit):
+    """Fraction, float and int maps keep their value types and values in
+    Gamma* columns and entries: an int coefficient 1 leaves a word's pi
+    value as it is, a float 1.0 still makes a Fraction value a float."""
+    rng = random.Random(11)
+    ints = random_structure_map(PARAMS, rng, density=0.7,
+                                value=lambda rng: rng.choice([-3, -1, 1, 2, 5]))
+    exact = {n: {m: Fraction(v) for m, v in es.items()} for n, es in ints.pi.items()}
+    maps = {int: ints, Fraction: StructureMap(PARAMS, exact),
+            float: StructureMap(PARAMS, {n: {m: float(v) for m, v in es.items()}
+                                         for n, es in exact.items()})}
+    for column in (P("e0"), P("f0"), P("e1+f0")):
+        want = gamma_apply(basis(column), maps[Fraction], 3.0)
+        assert len(want) > 10
+        for kind, smap in maps.items():
+            col = gamma_apply(SeriesVector({column: unit}), smap, 3.0)
+            assert [m for m, _ in col.items()] == [m for m, _ in want.items()]
+            for m, v in col.items():
+                if m == column:
+                    assert type(v) is type(unit) and v == 1
+                    continue
+                assert type(v) is (float if float in (kind, type(unit)) else Fraction)
+                assert v == pytest.approx(want.get(m), rel=1e-12)
+                if type(v) is Fraction:
+                    assert v == want.get(m)
+            if type(unit) is int:  # gamma_entry reads the int basis column
+                for m, v in col.items():
+                    entry = gamma_entry(m, column, smap)
+                    assert type(entry) is type(v) and entry == v
+
+
 # ---------------------------------------------------------------------------
 # serialisation
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Sampler, model components, pairing-sum oracles, and scaling fits."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tfrenorm import mc
-from tfrenorm.constants import covariance_spec, mollifier_spec
+from tfrenorm.constants import CovarianceSpec, counterterm_table, covariance_spec, mollifier_spec
 from tfrenorm.errors import ConfigError
 from tfrenorm.kernel import SpectralField, SpectralGrid, load_field
 
@@ -30,6 +31,34 @@ def test_sampler_rejects_mismatched_m0():
             moll=mollifier_spec("semigroup", 1e-10, m0=1.0),
             seed=0,
         )
+
+
+def _scalar_paper_covariance(alpha):
+    """The paper's FC at m0 = 1 through math.pow: right on floats, no meshes."""
+    power = -(2.0 * alpha - 1.0) / 8.0
+    return CovarianceSpec(alpha, 1.0, lambda k0, k1: math.pow(
+        (2 * math.pi * k0) ** 2 + (2 * math.pi * k1) ** 8, power))
+
+
+@pytest.mark.parametrize("evaluator", [
+    None,  # the scalar-only copy of the paper's FC
+    lambda k0, k1: 1.0,  # one number for the whole mesh
+    lambda k0, k1: np.ones(3),  # the wrong shape
+    lambda k0, k1: np.ones_like(k0),  # the time axis alone
+])
+def test_sampler_refuses_evaluators_that_do_not_map_meshes(evaluator):
+    """The tables probe the covariance at float frequencies, the sampler on
+    a mesh: an evaluator that cannot map the mesh is refused there."""
+    spec = _scalar_paper_covariance(0.55)
+    moll = mollifier_spec("semigroup", 1e-14)
+    if evaluator is None:
+        assert counterterm_table(spec, moll) == counterterm_table(covariance_spec(0.55), moll)
+    else:
+        spec = CovarianceSpec(0.55, 1.0, evaluator)
+    grid = SpectralGrid(d=1, sizes=(8, 16), boxes=(1.0, 1.0))
+    sampler = mc.NoiseSampler(grid=grid, spec=spec, moll=moll, seed=0)
+    with pytest.raises(ConfigError, match="mesh"):
+        sampler.density()
 
 
 def test_density_finite_zero_mode_dropped():
