@@ -14,39 +14,44 @@ and TWO_PI and check_m0: the kernel layer imports them from here.  This
 module uses math alone, so the tables load no numpy; the symbols take
 numbers or numpy arrays alike.
 
-The m0 reduction.  Rescaling 2 pi m0^(1/4) k1 leaves m0^(-5/4), m0^(-1/4),
-m0^(-9/4) in front of c1, c2, c3 times the m0 = 1 table at tau' =
-space_rate / m0^2 and x = m0^2 time_rate / space_rate: x = 1 for the
-semigroup family and m0^2 tau^(eta - 1) for the anisotropic one.
+The monomial table.  COLUMNS writes c1, c2, c3 as integrals over R^2 of
+monomials (w, b, a), each w m0^b (2 pi k1)^a Q^(-(a + 4)/8) FC |Fphi|^2;
+c2's kernel, m0 (2 pi k1)^5 / Q times d_k1 (FC |Fphi|^2), gives its two
+after one integration by parts in k1.  Rescaling 2 pi m0^(1/4) k1 leaves
+m0^((4 b - a - 1)/4), one power per column, times the m0 = 1 table at
+tau' = space_rate / m0^2 and x = m0^2 time_rate / space_rate: x = 1 for
+the semigroup family, m0^2 tau^(eta - 1) for the anisotropic one.
 
-The Euler integral.  2 pi k0 = r^4 sqrt(1 - u^8), 2 pi k1 = r u maps the
-quadrant (four times, the integrands being even) to (0, inf) x (0, 1) with
-weight (1 - u^8)^(-1/2).  At m0 = 1, FC = r^(-eps) and the mollifier is
-exp(-rate r^8), rate = tau' (u^8 + x (1 - u^8)), so the r-integral is
-Gamma(s) / (8 rate^s), s = (1 - eps)/8, and the r^8 part that the
-mollifier gradient adds to c2 multiplies it by s / rate.  The brackets are
-4 u^12 - 2 u^4 (c1), -eps u^12 - 8 s tau' u^12 / rate (c2) and -3 u^12
-(c3), times 16 / (2 pi)^2, and under v = u^8 each monomial is Euler's
-integral (DLMF 15.6.1), at (a, p) = (4, s), (12, s), (12, s + 1):
+The Euler integral.  At m0 = 1, 2 pi k0 = r^4 sqrt(1 - u^8), 2 pi k1 = r u
+maps the quadrant (four times, the integrands being even) to (0, inf) x
+(0, 1) with Q = r^8 and weight 16 / (2 pi)^2 r^4 (1 - u^8)^(-1/2).  A
+monomial becomes w u^a r^-eps exp(-rate r^8), rate = tau' (u^8 + x (1 -
+u^8)), whose r-integral is Gamma(s) / (8 rate^s), s = (1 - eps)/8, and
+whose u-integral is Euler's (DLMF 15.6.1, v = u^8), one 2F1 per a:
 
-    int_0^1 u^a rate^-p (1 - u^8)^(-1/2) du
-        = B(1/2, (a + 1)/8) / 8 * 2F1(p, 1/2; (a + 1)/8 + 1/2; 1 - x) tau'^-p.
+    int_0^1 u^a rate^-s (1 - u^8)^(-1/2) du
+        = B((a + 1)/8, 1/2) / 8 * 2F1(s, 1/2; (a + 5)/8; 1 - x) tau'^-s.
+
+At x = 1 every 2F1 is 1; as x -> 0, B((a + 1)/8, 1/2) 2F1 -> B((a + eps)/8,
+1/2) (DLMF 15.4.20) and tau'^-s adds m0^(2 s).  So the limits C1, C2, C3
+are the sums at x = 1 with B((a + sigma)/8, 1/2), and every m0 power is
+(4 b - a - sigma)/4, sigma = eps in the anisotropic limit and 1 elsewhere.
 
 The three branches.  hyp2f1_1mx takes x itself: forming 1 - x would lose
 every digit of an x below 1e-16, and the anisotropic family reaches 1e-26.
 
 * 1/2 <= x <= 3/2: the Gauss series in 1 - x, which is exact there;
 * x < 1/2: the connection formula DLMF 15.8.4, two Gauss series in x;
-  c - a - b is 5/8 - s or 13/8 - s (s - 1/2 or s + 1/2 after Pfaff),
-  never an integer for alpha in (1/4, 1), so no logarithmic case arises;
+  c - a - b is (a + eps)/8 (s - 1/2 after Pfaff), never an integer at
+  a = 4 or 12 for alpha in (1/4, 1), so no logarithmic case arises;
 * x > 3/2: Pfaff, DLMF 15.8.1, x^-b 2F1(c - a, b; c; 1 - 1/x), then one
-  of the two above.  At x = 1 every 2F1 is 1.
+  of the two above.
 
 The measured bound.  c1 cancels near alpha = 1/2, so err_i is 16 eps of
-the sum of |terms| of c_i, in which a power x^e with a rounded exponent
-counts 1 + |ln x| times.  Against 40-digit mpmath at 3000 seeded tables
-(both families, alpha 0.5-1, m0 0.1-10, tau 1e-12-10, eta 1.5-3) the gap
-was at most 5.4 eps of that sum, and 5.3 for the 2F1 alone, x 1e-40-1e40.
+the sum of |terms| of c_i, as hyp2f1_1mx counts them.  Against 40-digit
+mpmath at 3000 seeded tables (both families, alpha 0.5-1, m0 0.1-10, tau
+1e-12-10, eta 1.5-3) the gap was at most 5.3 eps of that sum (3.3 for
+c2), and 5.3 for the 2F1 alone, x 1e-40-1e40.
 """
 
 import math
@@ -197,9 +202,12 @@ def check_semigroup_m0(cov, moll):
 _EPS = sys.float_info.epsilon
 # each err_i is this many eps of the sum of |terms| of c_i (module docstring)
 _ROUNDING = 16.0
-# B(1/2, (a + 1)/8) / 8 for the bracket monomials u^4 and u^12
-_BETA4 = math.gamma(0.5) * math.gamma(5.0 / 8.0) / (8.0 * math.gamma(9.0 / 8.0))
-_BETA12 = math.gamma(0.5) * math.gamma(13.0 / 8.0) / (8.0 * math.gamma(17.0 / 8.0))
+# c1, c2, c3 as monomials (w, b, a) (module docstring)
+COLUMNS = (
+    ((4, 2, 12), (-2, 0, 4)),
+    ((-5, 1, 4), (8, 3, 12)),
+    ((-3, 1, 12),),
+)
 # frequencies (k0, k1) at which an evaluator must give the paper's FC: Q
 # from 0.1 to 5e6, so that a shift of Q or a wrong degree shows; the time
 # and space parts of Q are kept at m0 = 1, and k0 = 0 at none of them
@@ -278,28 +286,44 @@ class CountertermTable:
     eta: object = None
 
 
-def _closed_form(alpha, m0, time_rate, space_rate):
-    """([c1, c2, c3], [err1, err2, err3]) by the module docstring."""
+def _m0_power(column, sigma):
+    """The m0 power (4 b - a - sigma)/4 of a column, 4 b - a in ints."""
+    _w, b, a = column[0]
+    return (4 * b - a - sigma) / 4
+
+
+def _beta_terms(columns, sigma):
+    """Columns of monomials (w, b, a) as (the powers a, and per column
+    (m0 power, ((a, w B, |w| B), ...))), B = B((a + sigma)/8, 1/2) / 8."""
+    powers = tuple(sorted({a for col in columns for _w, _b, a in col}))
+    beta = {a: math.gamma(0.5) * math.gamma((a + sigma) / 8)
+            / (8.0 * math.gamma((a + sigma) / 8 + 0.5)) for a in powers}
+    return powers, tuple(
+        (_m0_power(col, sigma), tuple((a, w * beta[a], abs(w) * beta[a]) for w, _b, a in col))
+        for col in columns)
+
+
+_TERMS = _beta_terms(COLUMNS, 1)  # worked out once; also the semigroup limit's
+
+
+def _closed_form(alpha, m0, time_rate, space_rate, terms=_TERMS):
+    """([c_i], [err_i]) of the columns that terms hold, by the module
+    docstring; terms are _beta_terms(columns, 1) for a table."""
     tau_p = space_rate / (m0 * m0)
     x = time_rate / tau_p
     s = (2.0 - 2.0 * alpha) / 8.0  # exact for alpha in [1/2, 1)
-    f4 = hyp2f1_1mx(s, 0.5, 9.0 / 8.0, x)
-    f12 = hyp2f1_1mx(s, 0.5, 17.0 / 8.0, x)
-    g12 = hyp2f1_1mx(s + 1.0, 0.5, 17.0 / 8.0, x)
-    # (weight, Beta factor, 2F1) of each monomial of the three brackets
-    brackets = (
-        ((4.0, _BETA12, f12), (-2.0, _BETA4, f4)),
-        ((-(2.0 * alpha - 1.0), _BETA12, f12), (-8.0 * s, _BETA12, g12)),
-        ((-3.0, _BETA12, f12),),
-    )
+    hyp = {a: hyp2f1_1mx(s, 0.5, (a + 5) / 8, x) for a in terms[0]}
     # 16 / (2 pi)^2 times the radial factor Gamma(s) / 8 tau'^-s
     radial = 2.0 * math.gamma(s) * tau_p**-s / (TWO_PI * TWO_PI)
     values, errors = [], []
-    for power, terms in zip((-1.25, -0.25, -2.25), brackets):
+    for power, monomials in terms[1]:
+        value = mag = 0.0
+        for a, w_beta, abs_w_beta in monomials:
+            value += w_beta * hyp[a][0]
+            mag += abs_w_beta * hyp[a][1]
         scale = radial * m0**power
-        values.append(scale * sum(w * beta * hyp[0] for w, beta, hyp in terms))
-        errors.append(_ROUNDING * _EPS * abs(scale)
-                      * sum(abs(w) * beta * hyp[1] for w, beta, hyp in terms))
+        values.append(scale * value)
+        errors.append(_ROUNDING * _EPS * abs(scale) * mag)
     return values, errors
 
 
@@ -349,47 +373,27 @@ def sweep_csv(tables):
 
 
 def _sigma(alpha, mollifier_kind):
-    """The power sigma of u in the universal integrals: 1 for the semigroup
-    family, 2 alpha - 1 for the anisotropic one."""
+    """The sigma of the module docstring's m0 rule and limits: 1 for the
+    semigroup family, eps = 2 alpha - 1 for the anisotropic one."""
     if mollifier_kind not in ("semigroup", "anisotropic"):
         raise ConfigError(f"unknown mollifier kind {mollifier_kind!r}")
     return 1.0 if mollifier_kind == "semigroup" else 2.0 * alpha - 1.0
 
 
 def C_constants_with_errors(alpha, mollifier_kind):
-    """((C1, err1), (C2, err2), (C3, err3)): the tables at tau' = 1 in the
-    limit x = 1 (semigroup) or x -> 0 (anisotropic), m0- and tau-free.
-
-    There every 2F1 of the module docstring is 1 or its connection
-    coefficient, each bracket monomial is B((a + sigma)/8, 1/2)/8 with
-    sigma = 1 (semigroup) or eps (anisotropic), and B(y + 1, 1/2) =
-    B(y, 1/2) y / (y + 1/2) folds each bracket into one term:
-
-        (C1, C2, C3) = P (8 sigma, 4 (3 sigma - 8), -12 (4 + sigma)) / (8 + sigma),
-        P = Gamma((1 - eps)/8) Gamma((4 + sigma)/8) sqrt(pi) / (64 pi^2 Gamma(1 + sigma/8)).
-
-    No term cancels, and the anisotropic C1 is exactly zero at alpha = 1/2.
-    Each error is 32 eps of the value: three math.gamma values on (0, 9/8],
-    each within 3 eps of 30-digit mpmath, about ten roundings of half an
-    eps, and a factor 2 to spare.
+    """((C1, err1), (C2, err2), (C3, err3)): the tables at m0 = tau' = 1 in
+    the limit x = 1 (semigroup) or x -> 0 (anisotropic), m0- and tau-free:
+    the monomial sums at x = 1 with the Beta factors at sigma of the module
+    docstring.  Each error is 16 eps of the sum of |terms|, as for a table,
+    so the anisotropic C1, whose two terms cancel at alpha = 1/2, is zero
+    there only to within its error.
     """
     alpha = float(alpha)
     if not 0.5 <= alpha < 1.0:
         raise ConfigError(f"universal constants need alpha in [1/2, 1), got {alpha}")
     sigma = _sigma(alpha, mollifier_kind)
-    # 2 - 2 alpha = 1 - eps is exact for alpha in [1/2, 1)
-    p_val = (
-        math.gamma((2.0 - 2.0 * alpha) / 8.0) * math.gamma((4.0 + sigma) / 8.0)
-        * math.sqrt(math.pi) / (64.0 * math.pi**2 * math.gamma(1.0 + sigma / 8.0))
-    ) / (8.0 + sigma)
-    values = (8.0 * sigma, 4.0 * (3.0 * sigma - 8.0), -12.0 * (4.0 + sigma))
-    return tuple((v * p_val, 32.0 * _EPS * abs(v * p_val)) for v in values)
-
-
-def eval_C_constants(alpha, mollifier_kind):
-    """The three universal constants (C1, C2, C3), m0- and tau-free."""
-    pairs = C_constants_with_errors(alpha, mollifier_kind)
-    return tuple(value for value, _err in pairs)
+    terms = _TERMS if mollifier_kind == "semigroup" else _beta_terms(COLUMNS, sigma)
+    return tuple(zip(*_closed_form(alpha, 1.0, 1.0, 1.0, terms)))
 
 
 def scaling_exponents(beta_c, params, mollifier_kind="semigroup"):
@@ -398,19 +402,14 @@ def scaling_exponents(beta_c, params, mollifier_kind="semigroup"):
     The tau exponent (|beta| - alpha - 2)/8 comes from the homogeneity
     bound and equals (2 alpha - 2)/8 for the three nonzero constants; the
     m0 exponent is known only for those three (other constants vanish):
-    -(sigma + 4)/4, -sigma/4 and -(sigma + 8)/4, with the sigma of
-    C_constants_with_errors.
+    the (4 b - a - sigma)/4 of their column (module docstring).
     """
     sigma = _sigma(params.alpha, mollifier_kind)
     if not is_c_populated(beta_c, params):
         raise ConfigError("scaling exponents need a constant-carrying index")
     tau_exp = (homogeneity(beta_c, params) - params.alpha - 2.0) / 8.0
-    m0_exp = {
-        C1_INDEX: -(sigma + 4.0) / 4.0,
-        C2_INDEX: -sigma / 4.0,
-        C3_INDEX: -(sigma + 8.0) / 4.0,
-    }.get(beta_c)
-    return tau_exp, m0_exp
+    column = dict(zip((C1_INDEX, C2_INDEX, C3_INDEX), COLUMNS)).get(beta_c)
+    return tau_exp, None if column is None else _m0_power(column, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +465,11 @@ def tfe_leading_form(m, alpha, table=None):
             raise ConfigError(f"table was computed at alpha={table.alpha}, asked for {alpha}")
         if abs(table.m0 - 1.0) > 1e-12:
             raise ConfigError("stripping the tau power needs a unit-m0 table; rescale first")
-        combo = table.c2 / 4.0 + table.c3 - table.c1 / 2.0
-        coefficient = combo * table.tau ** (-(2.0 * alpha - 2.0) / 8.0)
+        c1, c2, c3, scale = table.c1, table.c2, table.c3, table.tau ** (-(2.0 * alpha - 2.0) / 8.0)
     else:
-        c1_val, c2_val, c3_val = eval_C_constants(alpha, "anisotropic")
-        coefficient = c2_val / 4.0 + c3_val - c1_val / 2.0
+        (c1, _), (c2, _), (c3, _) = C_constants_with_errors(alpha, "anisotropic")
+        scale = 1.0
+    coefficient = (c2 / 4.0 + c3 - c1 / 2.0) * scale
     m = float(m)
     return LeadingCounterterm(
         coefficient=coefficient,

@@ -449,7 +449,11 @@ class ModelParams:
                Worked out from alpha when not given.  A given ratio is
                kept if the float alpha is its rounding, so that
                ``dataclasses.replace``, which passes it on, keeps an exact
-               alpha; otherwise alpha's own ratio replaces it.
+               alpha; otherwise alpha's own ratio replaces it.  So a float
+               alpha and the exact one can decide differently near a
+               rational with a small denominator: ModelParams(0.6) has 63
+               populated indices at cutoff 3, while ``--alpha 0.6``, which
+               the CLI takes as Fraction(3, 5), has 43.
     """
 
     alpha: float

@@ -84,6 +84,15 @@ def _pairwise_sum(parts):
 # ---------------------------------------------------------------------------
 
 
+def _mesh_values(evaluator, k0, k1):
+    """The covariance evaluator on frequency arrays; one that cannot map
+    them is a ConfigError."""
+    try:
+        return evaluator(k0, k1)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"covariance evaluators must map frequency meshes: {exc}") from None
+
+
 @dataclass(frozen=True)
 class NoiseSampler:
     """Gaussian noise on a space-time torus with spectral density FC |Fphi|^2."""
@@ -104,7 +113,9 @@ class NoiseSampler:
         Computed once and cached; the returned array is read-only.  The
         covariance evaluator must map the frequency mesh to an array of its
         shape; one that fails on it or returns another shape is a
-        ConfigError.
+        ConfigError.  A density that underflows to zero at every mode (a
+        mollifier scale so large that exp(-tau Q) is 0 on the grid) is a
+        NumericError.
         """
         cached = getattr(self, "_density_cache", None)
         if cached is not None:
@@ -112,11 +123,8 @@ class NoiseSampler:
         mesh = self.grid.frequency_mesh()
         k0 = mesh[0]
         k_rad = np.sqrt(sum(np.square(m) for m in mesh[1:]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            try:
-                fc = self.spec.evaluator(k0, k_rad)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"covariance evaluators must map frequency meshes: {exc}") from None
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fc = _mesh_values(self.spec.evaluator, k0, k_rad)
             if np.shape(fc) != self.grid.spectrum_shape:
                 raise ConfigError(f"covariance evaluator gave shape {np.shape(fc)} on a "
                                   f"frequency mesh of shape {self.grid.spectrum_shape}")
@@ -124,6 +132,9 @@ class NoiseSampler:
         ff[(0,) * (self.grid.d + 1)] = 0.0
         if not np.all(np.isfinite(ff)) or np.any(ff < 0):
             raise NumericError("spectral density is not finite and nonnegative")
+        if not np.any(ff):
+            raise NumericError(f"the spectral density underflows to zero at every mode "
+                               f"(tau={self.moll.tau})")
         ff.setflags(write=False)
         object.__setattr__(self, "_density_cache", ff)
         return ff
@@ -465,7 +476,8 @@ def equal_time_density(sampler, k_values=None):
     integrand is bounded by its k0_max value over that envelope times the
     envelope's erfc tail.  The error estimate is that bound plus the move
     from the 32- to the 64-node rule, and an error above 1e-6 of the
-    result is a NumericError.
+    result is a NumericError.  An evaluator that cannot map the k0 panels
+    is a ConfigError, as in NoiseSampler.density.
     """
     if sampler.grid.d != 1:
         raise ConfigError("the equal-time marginal is wired for d = 1")
@@ -487,7 +499,7 @@ def equal_time_density(sampler, k_values=None):
     )
 
     def integrand(k0, k1):
-        ff = sampler.spec.evaluator(k0, k1) * sampler.moll.squared_symbol(k0, k1)
+        ff = _mesh_values(sampler.spec.evaluator, k0, k1) * sampler.moll.squared_symbol(k0, k1)
         return (TWO_PI * k1) ** 2 * ff / symbol_LLstar((k0, k1), m0)
 
     out = np.zeros_like(k_values)
@@ -574,6 +586,8 @@ def scaling_fit(component, sampler, window, n_samples=1024, bootstrap=200):
     """
     if bootstrap < 2:
         raise ConfigError(f"a bootstrap interval needs 2 or more resamples, got {bootstrap}")
+    if n_samples < 4:
+        raise ConfigError(f"a scaling fit needs at least 4 samples, got {n_samples}")
     js = _separation_indices(sampler.grid, window)
     grid = sampler.grid
     length = grid.boxes[-1]

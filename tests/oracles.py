@@ -25,7 +25,7 @@ package under test, using different algorithms than the library:
   integrating the defining quadrant integrals exactly (Wallis/Beta
   identities), evaluated with math.gamma, and the same constants as
   products of 1-D scipy quad integrals and of 40-digit mpmath Beta and
-  Gamma values (the library folds the Beta terms into one closed form),
+  Gamma values (the library sums the Beta terms of its monomial table),
 * the finite-tau constants by nested adaptive scipy quad with scalar
   callbacks (the library sums a Beta x 2F1 closed form); it reads only
   the evaluators and fields of the spec objects,
@@ -36,8 +36,12 @@ package under test, using different algorithms than the library:
   r-integral in closed form, the quadrature the library used before its
   closed form, with its homogeneity check and the parity residue of the c2
   integrand (the library sums Beta x 2F1 terms),
-* the same Beta x 2F1 closed form to 40 digits with mpmath's hyp2f1 (the
-  library sums its 2F1 series in floats, branch by branch),
+* the same Beta x 2F1 closed form to 40 digits with mpmath's hyp2f1, c2
+  before its integration by parts, with a 2F1 at s + 1 (the library sums
+  its 2F1 series in floats, branch by branch, c2 after it),
+* the integral of one monomial of the constants' table at m0 itself, the
+  r-integral in closed form and the u-integral by tanh-sinh quadrature (the
+  library rescales m0 and sums Beta x 2F1),
 * the equal-time line density by scipy quad on decade panels out to
   infinity (the library uses Gauss-Legendre panels cut at the mollifier
   envelope),
@@ -711,6 +715,33 @@ def mp_closed_form_table(alpha, m0, time_rate, space_rate, dps=40):
                     -3 * u12)
         powers = (mpmath.mpf(-5) / 4, mpmath.mpf(-1) / 4, mpmath.mpf(-9) / 4)
         return tuple(radial * m0**p * u for p, u in zip(powers, brackets))
+
+
+def mp_monomial(monomial, alpha, m0, time_rate, space_rate, dps=30):
+    """The integral over R^2 of the monomial (w, b, a), that is of
+    w m0^b (2 pi k1)^a Q^(-(a + 4)/8) FC |Fphi|^2 for the paper's FC, as mpf.
+
+    2 pi k0 = r^4 sqrt(1 - u^8), 2 pi k1 = r u gives Q = r^8 q(u) with
+    q = 1 - u^8 + m0^2 u^8, and the squared mollifier exp(-rate(u) r^8), so
+    the r-integral is Gamma(s) / (8 rate^s), s = (2 - 2 alpha)/8; the
+    u-integral, with its weight (1 - u^8)^(-1/2), goes to tanh-sinh
+    quadrature, split where the two rates of the envelope meet.
+    """
+    w, b, a = monomial
+    with mpmath.workdps(dps):
+        alpha, m0 = mpmath.mpf(alpha), mpmath.mpf(m0)
+        time_rate, space_rate = mpmath.mpf(time_rate), mpmath.mpf(space_rate)
+        eps = 2 * alpha - 1
+        s = (1 - eps) / 8
+
+        def integrand(u):
+            v = u**8
+            rate = time_rate * (1 - v) + space_rate * v
+            return (u**a * (1 - v + m0**2 * v) ** (-(a + 4 + eps) / 8)
+                    * mpmath.gamma(s) / (8 * rate**s) / mpmath.sqrt(1 - v))
+
+        turn = (time_rate / (time_rate + space_rate)) ** (mpmath.mpf(1) / 8)
+        return w * m0**b * 16 / (2 * mpmath.pi) ** 2 * mpmath.quad(integrand, [0, turn, 1])
 
 
 # ---------------------------------------------------------------------------

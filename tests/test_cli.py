@@ -305,6 +305,12 @@ def gamma_entry_argv(map_name):
     (H_EVAL + ["--a-prime", "1.0", "--mollifier", "anisotropic", "--eta", "1e6"], 2),
     # a bootstrap interval needs two resamples
     (SCALING + ["--tau", "1e-14", "--window", "0.02,0.4", "--bootstrap", "0"], 2),
+    # exp(-tau Q) underflows at every nonzero mode; the suite makes a
+    # RuntimeWarning on the way an error
+    (["simulate", "--task", "covariance", "--alpha", "0.75", "--tau", "1e300",
+      "--sizes", "8,16", "--samples", "4"], 3),
+    # a scaling fit needs the 4 samples of a batch-means error
+    (SCALING + ["--tau", "1e-14", "--window", "0.02,0.4", "--samples", "3"], 2),
 ])
 def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
     for name, doc in BAD_MAPS.items():

@@ -1,6 +1,7 @@
 """The finite-tau tables in closed form: the 2F1 branches, the tables
-against 40-digit mpmath and the ray-rule oracle, the small-x corrections,
-and the guard that admits only the paper's covariance."""
+against 40-digit mpmath and the ray-rule oracle, single monomials against
+a quadrature oracle, the small-x corrections, and the guard that admits
+only the paper's covariance."""
 
 import dataclasses
 import math
@@ -13,13 +14,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import mp_closed_form_table, ray_rule_counterterm
+from oracles import mp_closed_form_table, mp_monomial, ray_rule_counterterm
 from tfrenorm.cli import main
 from tfrenorm.constants import (
+    _beta_terms,
+    _closed_form,
+    COLUMNS,
+    C_constants_with_errors,
     CovarianceSpec,
     counterterm_table,
     covariance_spec,
-    eval_C_constants,
     hyp2f1_1mx,
     mollifier_spec,
 )
@@ -41,7 +45,7 @@ def test_hyp2f1_within_16_eps_of_its_magnitude(alpha):
     s = (2.0 - 2.0 * alpha) / 8.0
     edges = [0.5, 1.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(1.5, 2.0), 1e-15, 1e-16]
     xs = np.concatenate([10.0 ** np.linspace(-30.0, 30.0, 61), np.linspace(0.05, 3.0, 60), edges])
-    # (a, c) of the three 2F1(a, 1/2; c; 1 - x) of a table
+    # (a, c) of the two 2F1(a, 1/2; c; 1 - x) of a table, and one at a + 1
     for a, c in ((s, 9.0 / 8.0), (s, 17.0 / 8.0), (s + 1.0, 17.0 / 8.0)):
         for x in xs:
             value, mag = hyp2f1_1mx(a, 0.5, c, x)
@@ -77,6 +81,29 @@ def test_tables_within_their_bound_of_40_digit_mpmath_and_the_ray_rule():
             assert abs(value - ray) <= error + ray_err, (cov, moll)
 
 
+@pytest.mark.parametrize("alpha, m0, kind, tau, eta", [
+    (0.6, 1.7, "semigroup", 1e-3, 2.0),  # x = 1
+    (0.8, 0.4, "anisotropic", 1e-4, 2.5),  # x = 1.6e-7, the connection branch
+    (0.35, 1.0, "anisotropic", 1e-8, 3.0),  # x = 1e-16, alpha below 1/2
+    (0.7, 2.0, "anisotropic", 5.0, 3.0),  # x = 100, Pfaff
+])
+def test_monomials_meet_their_quadrature(alpha, m0, kind, tau, eta):
+    """The monomial (1, 0, 8), m0^0 (2 pi k1)^8 Q^(-3/2), which no constant
+    holds, and every column of the table, each summed by _closed_form, are
+    within the stated error of the quadrature oracle, which takes m0 as it
+    is and uses no 2F1."""
+    moll = mollifier_spec(kind, tau, eta=eta, m0=m0)
+    rates = (moll.time_rate, moll.space_rate)
+    outside = ((1, 0, 8),),
+    for columns, (values, errors) in (
+        (outside, _closed_form(alpha, m0, *rates, _beta_terms(outside, 1))),
+        (COLUMNS, _closed_form(alpha, m0, *rates)),
+    ):
+        for column, value, error in zip(columns, values, errors):
+            want = sum(mp_monomial(monomial, alpha, m0, *rates) for monomial in column)
+            assert abs(mpmath.mpf(value) - want) <= error, column
+
+
 @pytest.mark.parametrize("alpha", [0.55, 0.7, 0.9])
 def test_small_x_corrections_have_the_connection_exponents(alpha):
     """With c_i(0) = C_i tau^((2 alpha - 2)/8) at m0 = 1, the ray-rule oracle
@@ -85,7 +112,7 @@ def test_small_x_corrections_have_the_connection_exponents(alpha):
     defect is at least 1e3 times the oracle's error."""
     tau = 1e-2
     limits = [c * tau ** ((2.0 * alpha - 2.0) / 8.0)
-              for c in eval_C_constants(alpha, "anisotropic")]
+              for c, _err in C_constants_with_errors(alpha, "anisotropic")]
     kappas = ((2.0 * alpha + 3.0) / 8.0, (2.0 * alpha + 3.0) / 8.0, 1.0)
     xs = np.geomspace(1e-7, 1e-5, 3)
     defects = []

@@ -32,7 +32,6 @@ from tfrenorm.constants import (
     counterterm_h,
     counterterm_table,
     covariance_spec,
-    eval_C_constants,
     mollifier_spec,
     scaling_exponents,
     sweep_csv,
@@ -55,7 +54,7 @@ C_INDICES = (C1_INDEX, C2_INDEX, C3_INDEX)
 @pytest.mark.parametrize("kind", ["semigroup", "anisotropic"])
 @pytest.mark.parametrize("alpha", [0.5, 0.55, 0.75, 0.95])
 def test_universal_constants_match_closed_forms(kind, alpha):
-    values = eval_C_constants(alpha, kind)
+    values = [value for value, _err in C_constants_with_errors(alpha, kind)]
     for which, got in zip((1, 2, 3), values):
         want = CLOSED_FORMS[(kind, which)](alpha)
         if abs(want) < 1e-12:
@@ -68,13 +67,13 @@ def test_universal_constants_match_closed_forms(kind, alpha):
 def test_semigroup_constants_keep_fixed_ratios():
     """C2/C1 = -5/2 and C3/C1 = -15/2 hold at every exponent alpha."""
     for alpha in (0.5, 0.6, 0.85, 0.99):
-        c1_val, c2_val, c3_val = eval_C_constants(alpha, "semigroup")
+        (c1_val, _), (c2_val, _), (c3_val, _) = C_constants_with_errors(alpha, "semigroup")
         assert c2_val / c1_val == pytest.approx(-2.5, rel=1e-10)
         assert c3_val / c1_val == pytest.approx(-7.5, rel=1e-10)
 
 
 def test_anisotropic_combination_at_alpha_half():
-    c1_val, c2_val, c3_val = eval_C_constants(0.5, "anisotropic")
+    (c1_val, _), (c2_val, _), (c3_val, _) = C_constants_with_errors(0.5, "anisotropic")
     combo = c2_val / 4.0 + c3_val - c1_val / 2.0
     want = -7.0 * math.gamma(9.0 / 8.0) / (8.0 * math.pi)
     assert combo == pytest.approx(want, rel=1e-9)
@@ -120,7 +119,7 @@ def test_finite_tau_semigroup_matches_rescaled_limit():
     table = counterterm_table(
         covariance_spec(alpha, m0), mollifier_spec("semigroup", tau, m0=m0)
     )
-    limits = eval_C_constants(alpha, "semigroup")
+    limits = [value for value, _err in C_constants_with_errors(alpha, "semigroup")]
     for idx, limit, got in zip(C_INDICES, limits, (table.c1, table.c2, table.c3)):
         tau_exp, m0_exp = scaling_exponents(idx, params, "semigroup")
         assert got == pytest.approx(limit * m0**m0_exp * tau**tau_exp, rel=1e-8)
@@ -238,7 +237,7 @@ def test_anisotropic_remainder_exponent_is_stable():
     """
     alpha, eta = 0.55, 3.0
     cov = covariance_spec(alpha)
-    limit = eval_C_constants(alpha, "anisotropic")[0]
+    limit = C_constants_with_errors(alpha, "anisotropic")[0][0]
     s0 = (2 * alpha - 2) / 8.0
     g_exp = (eta - 1.0) * (3.0 + 2.0 * alpha) / 8.0
     fitted = []
@@ -271,8 +270,8 @@ def test_anisotropic_tables_collapse_on_x(alpha, first, second):
             covariance_spec(alpha, m0), mollifier_spec("anisotropic", tau, eta=eta, m0=m0)
         )
         row = []
-        for idx, big_c, (value, error) in zip(
-            C_INDICES, eval_C_constants(alpha, "anisotropic"), _values_and_errors(table)
+        for idx, (big_c, _), (value, error) in zip(
+            C_INDICES, C_constants_with_errors(alpha, "anisotropic"), _values_and_errors(table)
         ):
             tau_exp, m0_exp = scaling_exponents(idx, params, "anisotropic")
             scale = big_c * tau**tau_exp * m0**m0_exp

@@ -61,6 +61,16 @@ def test_sampler_refuses_evaluators_that_do_not_map_meshes(evaluator):
         sampler.density()
 
 
+def test_equal_time_density_refuses_evaluators_that_do_not_map_meshes():
+    """The line integral evaluates the covariance on its own k0 panels, so a
+    math.pow copy of the paper's FC is refused there as in density()."""
+    grid = SpectralGrid(d=1, sizes=(8, 16), boxes=(1.0, 1.0))
+    sampler = mc.NoiseSampler(grid=grid, spec=_scalar_paper_covariance(0.55),
+                              moll=mollifier_spec("semigroup", 1e-14), seed=0)
+    with pytest.raises(ConfigError, match="mesh"):
+        mc.equal_time_density(sampler)
+
+
 def test_density_finite_zero_mode_dropped():
     s = small_sampler()
     ff = s.density()
