@@ -9,19 +9,22 @@ kernel psi_t = exp(-t LL*) sampled on that torus, discrete convolution,
 and the inversion u = L^{-1} (div f) used by the simulation layer.  The
 multipliers of L^{-1} div are stated once, in div_symbols: solve_L_div
 and the MC checks apply them, and the pairing-sum oracles read them.
-point_reader reads a field at a few cells straight from its half spectrum.
+point_reader reads a field at a few cells straight from its half spectrum,
+and smoothing_reader reads psi_t * g at one cell straight from g.
 The symbols of L and LL* (symbol_L, symbol_LLstar) and check_m0 are
 numpy-free and live in the constants layer; this module imports them.
 
 The symbol of LL* is a time part plus a space part, (2 pi k0)^2 +
 m0^2 |2 pi k|^8, so psi_hat_t is their product exp(-t (2 pi k0)^2) *
 exp(-t m0^2 |2 pi k|^8) and on the torus psi_t(x0, x) = a_t(x0) b_t(x), with
-spatial derivatives acting on b_t alone; this holds in any d.  The moment
-and scaling checks evaluate psi_t from these factors (_kernel_factors): one
-transform over time, one over space per derivative order, and psi_t is
-never formed on the grid.  The semigroup, evenness, realness and inversion
-checks keep the full-grid transforms: they are the checks of convolve, of
-the transforms and of solve_L_div.
+spatial derivatives acting on b_t alone; this holds in any d.  psi_hat
+forms the two factors on their own axes.  The moment and scaling checks
+evaluate psi_t from its physical factors (_kernel_factors): one transform
+over time, one over space per derivative order, and psi_t is never formed
+on the grid; smoothing_reader forms it once per check from the same
+factors.  The semigroup, evenness, realness and inversion checks keep the
+full-grid transforms: they are the checks of convolve, of the transforms
+and of solve_L_div.
 
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
@@ -197,7 +200,10 @@ def point_reader(grid, cells):
     Re(W @ hat) with W[p, k] = c(k0) e^{2 pi i k x_p} / vol and the c2r
     weights c = 1 on the k0 = 0 and time-Nyquist planes, 2 elsewhere.  The
     real part is the projection the inverse real transform applies on the
-    self-conjugate planes.  W is built once; a read costs one small matmul.
+    self-conjugate planes.  W is built once; a read is one real matvec:
+    Re W against a real hat (a periodogram, say), and the interleaved
+    (Re W, -Im W) against the float view of a complex one, so no input is
+    upcast to complex.
     """
     c2r = np.full(grid.spectrum_shape[:1] + (1,) * grid.d, 2.0 / grid.volume)
     c2r[[0, -1]] = 1.0 / grid.volume
@@ -212,9 +218,14 @@ def point_reader(grid, cells):
             row = row * np.exp(TWO_PI * 1j * ((j * (int(x) % n)) % n) / n)
         rows.append(row.ravel())
     weights = np.array(rows)
+    real_weights = np.ascontiguousarray(weights.real)
+    pair_weights = np.stack([weights.real, -weights.imag], axis=-1).reshape(len(rows), -1)
 
     def read(hat):
-        return (weights @ np.ravel(hat)).real
+        hat = np.ravel(hat)
+        if np.iscomplexobj(hat):
+            return pair_weights @ np.ascontiguousarray(hat, dtype=np.complex128).view(np.float64)
+        return real_weights @ hat
 
     return read
 
@@ -244,10 +255,19 @@ def real_defect(field, physical=None):
 
 
 def psi_hat(t, k, m0):
-    """Fourier transform exp(-t LL*) of the kernel, real and positive."""
+    """Fourier transform exp(-t LL*) of the kernel, real and positive.
+
+    It is formed as its time factor exp(-t (2 pi k0)^2) times its space
+    factor exp(-t m0^2 |2 pi k|^8), each on its own axes before they
+    broadcast.  Where t times a symbol overflows, the factor is its limit 0.
+    """
     if t < 0:
         raise ConfigError(f"kernel time must be >= 0, got {t}")
-    return np.exp(-t * symbol_LLstar(k, m0))
+    space = (0.0,) * (len(k) - 1)
+    with np.errstate(over="ignore"):
+        time_factor = np.exp(-t * symbol_LLstar((k[0],) + space, m0))
+        space_factor = np.exp(-t * symbol_LLstar((0.0,) + tuple(k[1:]), m0))
+    return time_factor * space_factor
 
 
 def kernel_field(grid, t, m0=1.0):
@@ -279,6 +299,31 @@ def _kernel_factors(grid, t, m0, orders):
                 hat = hat * grid.ik_power(axis, order)
         factors.append(np.fft.ifftn(hat, axes=axes).real * scale)
     return a, factors
+
+
+def smoothing_reader(grid, times, cell, m0=1.0):
+    """Reader of (psi_t * g)(x) at one cell x, for each t in times, straight
+    from the physical values of g.
+
+    read(g)[j] equals convolve(SpectralField(grid, g, "physical"), times[j],
+    m0).values[cell] to rounding: it is cell * sum_y psi_t(x - y) g(y), one
+    real matvec against rows formed once from the factors of psi_t
+    (_kernel_factors).  x - y is a flip and a roll on every axis, so the
+    rows do not rely on psi_t being even.
+    """
+    rows = []
+    for t in times:
+        a, (b,) = _kernel_factors(grid, t, m0, [(0,) * grid.d])
+        row = a * b * grid.cell
+        for axis, x in enumerate(cell):
+            row = np.roll(np.flip(row, axis), int(x) + 1, axis)
+        rows.append(row.ravel())
+    weights = np.array(rows)
+
+    def read(values):
+        return weights @ np.ravel(values)
+
+    return read
 
 
 def convolve(field, t, m0=1.0):

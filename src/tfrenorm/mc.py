@@ -16,16 +16,19 @@ per check.
 A draw goes back to physical space only where a pointwise product or a
 full field needs it: pi_f0 squared (and the dumped field) in the moment
 check, xi pi_f0 in the bphz f0+f1 check.  Values at a few cells are read
-from a half spectrum by kernel.point_reader, a small matmul.  Transforms
-per sample at d = 1, forward + inverse: covariance 1 + 0, moment 1 + 1,
-bphz f0 1 + 0, bphz f0+f1 2 + 2.  The oracles add a few per check: one
-inverse (covariance), one per t (bphz f0+f1), three for the moment check.
+from a half spectrum by kernel.point_reader, and psi_t * (xi pi_f0) at the
+base point straight from the physical product by kernel.smoothing_reader;
+each is one small real matvec.  Transforms per sample at d = 1, forward +
+inverse: covariance 1 + 0, moment 1 + 1, bphz f0 1 + 0, bphz f0+f1 1 + 2.
+The oracles add a few per check: one inverse (covariance), one per t (bphz
+f0+f1), three for the moment check.
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 Randomness is counter-based: sample i of a sampler with seed s draws from
 Philox keyed by hash(s, i), so estimates are bit-identical however the
 sample loop is scheduled or parallelised, and the only reduction over
-samples is a fixed-order pairwise sum.
+samples is a fixed-order pairwise sum.  A check re-keys one Philox per
+sample rather than building a fresh one (_keyed_normals).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .kernel import (
     dump_field,
     point_reader,
     psi_hat,
+    smoothing_reader,
     solve_L_div,
     symbol_LLstar,
 )
@@ -140,36 +144,57 @@ class NoiseSampler:
         return ff
 
 
-def _noise_scale(sampler):
-    """The shaping multiplier sqrt(FF / cell) of every noise component."""
-    return np.sqrt(sampler.density() / sampler.grid.cell)
+def _keyed_normals():
+    """normals(key, shape): the standard normals Generator(Philox(key=key))
+    draws, bit for bit, from one Philox re-keyed per call.
+
+    Re-keying sets the state a fresh Philox starts in: counter 0, key
+    (key, 0) and an empty buffer.  Building a Philox per key would also seed
+    a SeedSequence from OS entropy on every build.
+    """
+    bits = np.random.Philox(key=0)
+    normal = np.random.Generator(bits).standard_normal
+    state = bits.state
+
+    def normals(key, shape):
+        state["state"]["key"][0] = key
+        bits.state = state
+        return normal(shape)
+
+    return normals
 
 
-def _noise_spectrum(sampler, scale, index, comp):
-    """Shaped half spectrum of component comp of sample index.
+def _noise_source(sampler):
+    """spectrum(index, comp): the shaped half spectrum of component comp of
+    sample index.
 
     The draw is physical white noise from a Philox stream keyed by
     (seed, index, comp), so any subset of samples can be generated in any
-    order.  One forward transform times scale, the _noise_scale the caller
-    forms once, gives E|xi_hat(k)|^2 = vol FF(k) at every mode.
+    order.  One forward transform times sqrt(FF / cell), formed once here,
+    gives E|xi_hat(k)|^2 = vol FF(k) at every mode.
     """
-    key = _sample_key(sampler.seed, (index << 8) | comp)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    white = SpectralField(sampler.grid, rng.standard_normal(sampler.grid.sizes), "physical")
-    return white.to_fourier().values * scale
+    grid = sampler.grid
+    scale = np.sqrt(sampler.density() / grid.cell)
+    normals = _keyed_normals()
+
+    def spectrum(index, comp):
+        white = normals(_sample_key(sampler.seed, (index << 8) | comp), grid.sizes)
+        return SpectralField(grid, white, "physical").to_fourier().values * scale
+
+    return spectrum
 
 
 def sample_noise(sampler, index=0):
     """One noise sample: a list of d real mollified components.
 
     This is the physical view of the keyed draw the checks read in Fourier
-    space: component c is the inverse transform of _noise_spectrum(sampler,
-    scale, index, c), the same values bit for bit.
+    space: component c is the inverse transform of
+    _noise_source(sampler)(index, c), the same values bit for bit.
     """
     grid = sampler.grid
-    scale = _noise_scale(sampler)
+    spectrum = _noise_source(sampler)
     return [
-        SpectralField(grid, _noise_spectrum(sampler, scale, index, comp), "fourier").to_physical()
+        SpectralField(grid, spectrum(index, comp), "fourier").to_physical()
         for comp in range(grid.d)
     ]
 
@@ -341,10 +366,10 @@ def covariance_check(sampler, lags=None, n_samples=256):
     oracle_field = _density_transform(grid, sampler.density())
     oracles = [oracle_field[cell] for cell in cells]
     read = point_reader(grid, cells)
-    scale = _noise_scale(sampler)
+    spectrum = _noise_source(sampler)
     rows = []
     for i in range(n_samples):
-        xi_hat = _noise_spectrum(sampler, scale, i, 0)
+        xi_hat = spectrum(i, 0)
         rows.append(read(np.abs(xi_hat) ** 2 / grid.volume))
     return _batch_report("covariance", lags, rows, oracles)
 
@@ -376,11 +401,11 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     ]
     cells = [tuple((xi + si) % n for xi, si, n in zip(x, sep, grid.sizes))
              for sep in separations]
-    scale = _noise_scale(sampler)
+    spectrum = _noise_source(sampler)
     rows = []
     mean_sq = None
     for i in range(n_samples):
-        hats = [_noise_spectrum(sampler, scale, i, c) for c in range(grid.d)]
+        hats = [spectrum(i, c) for c in range(grid.d)]
         sq = _centered_solution(grid, mults, hats, x) ** 2
         mean_sq = sq if mean_sq is None else mean_sq + sq
         rows.append([sq[cell] for cell in cells])
@@ -397,39 +422,49 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     For f0 the integrand is the noise itself and the oracle vanishes; for
     f0+f1 the oracle is the pairing sum
     (1/vol) sum_k (1 - psi_t(k)) 2 pi i k1 FF(k) / symbol_L(k) at r = 0, which
-    vanishes whenever the density is even in the spatial frequency.  The
-    smoothed values at x are read from the half spectrum by
-    kernel.point_reader; only the product xi pi_f0 of f0+f1 is formed in
-    physical space.
+    vanishes whenever the density is even in the spatial frequency.  The f0
+    values at x are read from the half spectrum by kernel.point_reader.  The
+    f0+f1 integrand xi pi_f0 is formed in physical space, and its smoothed
+    values at x are read from there by kernel.smoothing_reader, one real
+    matvec for every t, with no transform back.  A t at which psi_t
+    underflows to zero at every nonzero mode is a NumericError: it would
+    read the mean of the integrand.
     """
     if component not in ("f0", "f0f1"):
         raise ConfigError(f"component must be f0 or f0f1, got {component!r}")
     grid = sampler.grid
     x = _base_index(grid, x)
+    m0 = sampler.spec.m0
     t_list = [float(t) for t in t_list]
-    psis = [psi_hat(t, grid.frequency_mesh(), sampler.spec.m0) for t in t_list]
-    mults = div_symbols(grid, sampler.spec.m0)
+    psis = [psi_hat(t, grid.frequency_mesh(), m0) for t in t_list]
+    for t, psi in zip(t_list, psis):
+        if not np.any(psi.ravel()[1:]):
+            raise NumericError(f"psi_t underflows to zero at every nonzero mode (t={t:g})")
+    spectrum = _noise_source(sampler)
     if component == "f0":
         oracles = [0.0 for _ in t_list]
+        read = point_reader(grid, [x])
+
+        def sample(i):
+            base_hat = spectrum(i, 0)
+            return [float(read(base_hat * psi)[0]) for psi in psis]
     else:
+        mults = div_symbols(grid, m0)
         zero = (0,) * (grid.d + 1)
         ff = sampler.density()
         oracles = [
             float(_density_transform(grid, (1.0 - psi) * mults[0] * ff)[zero])
             for psi in psis
         ]
-    read = point_reader(grid, [x])
-    scale = _noise_scale(sampler)
-    rows = []
-    for i in range(n_samples):
-        if component == "f0":
-            base_hat = _noise_spectrum(sampler, scale, i, 0)
-        else:
-            hats = [_noise_spectrum(sampler, scale, i, c) for c in range(grid.d)]
+        smooth = smoothing_reader(grid, t_list, x, m0)
+
+        def sample(i):
+            hats = [spectrum(i, c) for c in range(grid.d)]
             piece = _centered_solution(grid, mults, hats, x)
             noise = SpectralField(grid, hats[0], "fourier").to_physical().values
-            base_hat = SpectralField(grid, piece * noise, "physical").to_fourier().values
-        rows.append([float(read(base_hat * psi)[0]) for psi in psis])
+            return smooth(piece * noise)
+
+    rows = [sample(i) for i in range(n_samples)]
     return _batch_report(f"bphz_{component}", t_list, rows, oracles)
 
 
@@ -476,8 +511,9 @@ def equal_time_density(sampler, k_values=None):
     integrand is bounded by its k0_max value over that envelope times the
     envelope's erfc tail.  The error estimate is that bound plus the move
     from the 32- to the 64-node rule, and an error above 1e-6 of the
-    result is a NumericError.  An evaluator that cannot map the k0 panels
-    is a ConfigError, as in NoiseSampler.density.
+    result is a NumericError, and so is a density that underflows to zero
+    at every nonzero k1.  An evaluator that cannot map the k0 panels is a
+    ConfigError, as in NoiseSampler.density.
     """
     if sampler.grid.d != 1:
         raise ConfigError("the equal-time marginal is wired for d = 1")
@@ -499,7 +535,10 @@ def equal_time_density(sampler, k_values=None):
     )
 
     def integrand(k0, k1):
-        ff = _mesh_values(sampler.spec.evaluator, k0, k1) * sampler.moll.squared_symbol(k0, k1)
+        # where a rate times its symbol overflows, the envelope is its limit 0
+        with np.errstate(over="ignore"):
+            envelope = sampler.moll.squared_symbol(k0, k1)
+        ff = _mesh_values(sampler.spec.evaluator, k0, k1) * envelope
         return (TWO_PI * k1) ** 2 * ff / symbol_LLstar((k0, k1), m0)
 
     out = np.zeros_like(k_values)
@@ -523,6 +562,9 @@ def equal_time_density(sampler, k_values=None):
                 f"frequency-line integral error {err:g} too large for {total:g}"
             )
         out[np.abs(k_values) == mag] = 2.0 * total
+    if np.any(k_values) and not np.any(out):
+        raise NumericError(f"the line density underflows to zero at every nonzero k1 "
+                           f"(tau={sampler.moll.tau})")
     return out
 
 
@@ -597,10 +639,10 @@ def scaling_fit(component, sampler, window, n_samples=1024, bootstrap=200):
     if component == "f0":
         p_density = equal_time_density(sampler)
         scale = np.sqrt(p_density * n / length)
+        normals = _keyed_normals()
         for i in range(n_samples):
-            key = _sample_key(sampler.seed, (i << 8) | 0x5C)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            w = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * scale, n)
+            white = normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n)
+            w = np.fft.irfft(np.fft.rfft(white) * scale, n)
             rows[i] = [np.mean((np.roll(w, -j) - w) ** 2) for j in js]
     elif component == "f0f1":
         x = (0,) * (grid.d + 1)

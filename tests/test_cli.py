@@ -311,6 +311,14 @@ def gamma_entry_argv(map_name):
       "--sizes", "8,16", "--samples", "4"], 3),
     # a scaling fit needs the 4 samples of a batch-means error
     (SCALING + ["--tau", "1e-14", "--window", "0.02,0.4", "--samples", "3"], 2),
+    # psi_t underflows at every nonzero mode, so the check would read the
+    # integrand's mean; the line density of the f0 fit underflows at every
+    # nonzero k1 (both once printed an overflow RuntimeWarning)
+    *[(["simulate", "--task", "bphz", "--component", component, "--alpha", "0.75",
+        "--tau", "1e-14", "--t-list", "1e300", "--sizes", "8,16", "--samples", "8"], 3)
+      for component in ("f0", "f0f1")],
+    (SCALING + ["--component", "f0", "--alpha", "0.75", "--tau", "1e300",
+                "--window", "0.03,0.2"], 3),
 ])
 def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
     for name, doc in BAD_MAPS.items():

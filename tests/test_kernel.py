@@ -31,6 +31,7 @@ from tfrenorm.kernel import (
     real_defect,
     scaling_defect,
     semigroup_defect,
+    smoothing_reader,
     solve_L_div,
     symbol_L,
     symbol_LLstar,
@@ -118,7 +119,8 @@ def test_hermitian_defect_flags_complex_data():
 def test_point_reader_matches_the_inverse_transform(shape, seed):
     # a random half spectrum is not conjugate symmetric on the k0 = 0 and
     # time-Nyquist planes: the reader must take the real part there exactly
-    # as irfftn does, at random cells and on every Nyquist row
+    # as irfftn does, at random cells and on every Nyquist row; a real half
+    # spectrum, the periodogram of a random field, is read as it is
     sizes, boxes = shape
     grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=boxes)
     rng = np.random.default_rng(seed)
@@ -130,9 +132,45 @@ def test_point_reader_matches_the_inverse_transform(shape, seed):
     cells += [tuple(n // 2 for n in sizes),
               (sizes[0] // 2,) + tuple(int(rng.integers(n)) for n in sizes[1:]),
               tuple(int(rng.integers(n)) for n in sizes[:-1]) + (sizes[-1] // 2,)]
-    want = np.array([full.values[cell] for cell in cells])
-    got = point_reader(grid, cells)(hat)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(full.values))
+    field = SpectralField(grid, rng.standard_normal(sizes), "physical")
+    periodogram = np.abs(field.to_fourier().values) ** 2
+    assert periodogram.dtype == np.float64
+    read = point_reader(grid, cells)
+    for spectrum in (hat, periodogram):
+        full = SpectralField(grid, spectrum, "fourier").to_physical().values
+        want = np.array([full[cell] for cell in cells])
+        assert np.max(np.abs(read(spectrum) - want)) <= 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("sizes", [(8, 32), (4, 8, 16)])
+def test_smoothing_reader_matches_convolve(sizes):
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    rng = np.random.default_rng(11)
+    field = SpectralField(grid, rng.standard_normal(sizes), "physical")
+    times = (0.0, 1e-6, 1e-5, 1e-4)
+    cells = [tuple(int(rng.integers(n)) for n in sizes) for _ in range(3)]
+    cells += [tuple(n // 2 for n in sizes), (0,) * len(sizes)]
+    for cell in cells:
+        got = smoothing_reader(grid, times, cell, 1.3)(field.values)
+        want = [convolve(field, t, 1.3).values[cell] for t in times]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(field.values))
+
+
+def test_smoothing_reader_reads_x_minus_y(monkeypatch):
+    # psi_t is even, so only an uneven stand-in for its factors shows
+    # whether the rows hold K(x - y) or K(y - x)
+    grid = SpectralGrid(d=2, sizes=(4, 6, 8), boxes=(1.0, 1.0, 1.0))
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 1, 1))
+    b = rng.standard_normal((1, 6, 8))
+    monkeypatch.setattr(kernel, "_kernel_factors", lambda grid, t, m0, orders: (a, [b]))
+    g = rng.standard_normal(grid.sizes)
+    x = (1, 4, 6)
+    ys = np.indices(grid.sizes)
+    diff = tuple((xi - yi) % n for xi, yi, n in zip(x, ys, grid.sizes))
+    want = grid.cell * np.sum(a[diff[0], 0, 0] * b[0, diff[1], diff[2]] * g)
+    (got,) = smoothing_reader(grid, [1e-6], x)(g)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +211,21 @@ def test_psi_hat_delta_start_and_semigroup_property():
     assert np.allclose(prod, psi_hat(s + t, mesh, 1.3), rtol=1e-12)
     with pytest.raises(ConfigError):
         psi_hat(-1e-12, mesh, 1.0)
+
+
+def test_psi_hat_is_its_time_factor_times_its_space_factor():
+    grid = SpectralGrid(d=2, sizes=(16, 32, 8), boxes=(1e-4, 1.0, 2.0))
+    mesh = grid.frequency_mesh()
+    for t in (0.0, 1e-12, 1e-10, 1e-8):
+        full = np.exp(-t * symbol_LLstar(mesh, 1.3))
+        np.testing.assert_allclose(psi_hat(t, mesh, 1.3), full, rtol=1e-12, atol=1e-300)
+
+
+def test_psi_hat_underflows_to_zero_without_a_warning():
+    # t times the symbol overflows; the suite makes a RuntimeWarning an error
+    grid = small_grid()
+    psi = psi_hat(1e300, grid.frequency_mesh(), 1.0)
+    assert psi.ravel()[0] == 1.0 and not np.any(psi.ravel()[1:])
 
 
 def test_convolve_identity_and_semigroup():

@@ -99,6 +99,23 @@ def test_sample_noise_real_reproducible():
     assert abs(hat[0, 0]) <= 1e-12 * scale
 
 
+def test_rekeyed_draws_equal_a_fresh_generator_per_key():
+    # (5, 7) leaves the Philox buffer part used before the next key
+    normals = mc._keyed_normals()
+    keys = [0, 1, 0x5C, mc._sample_key(7, 3 << 8), 2**63, 2**64 - 1, 1]
+    for key in keys:
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal((5, 7))
+        assert np.array_equal(normals(key, (5, 7)), want)
+    # so sample_noise is the shaped fresh-generator draw, bit for bit
+    sampler = small_sampler(seed=7)
+    grid = sampler.grid
+    fresh = np.random.Generator(np.random.Philox(key=mc._sample_key(7, 3 << 8)))
+    hat = SpectralField(grid, fresh.standard_normal(grid.sizes), "physical").to_fourier().values
+    hat = hat * np.sqrt(sampler.density() / grid.cell)
+    want = SpectralField(grid, hat, "fourier").to_physical().values
+    assert np.array_equal(mc.sample_noise(sampler, 3)[0].values, want)
+
+
 def test_mode_variance_matches_density():
     s = small_sampler(seed=5)
     probe = (2, 5)

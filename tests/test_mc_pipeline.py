@@ -47,12 +47,13 @@ def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
 
 # transforms per sample (forward, inverse) at d = 1, and per check for the
 # oracles: the covariance and bphz oracles read full inverse transforms of
-# a density, the moment oracle also projects each L^{-1} div multiplier
+# a density, the moment oracle also projects each L^{-1} div multiplier;
+# bphz f0+f1 smooths xi pi_f0 in physical space, with no transform back
 BUDGET = {
     "covariance": ((1, 0), (0, 1)),
     "pi_f0_second_moment": ((1, 1), (1, 2)),
     "bphz_f0": ((1, 0), (0, 0)),
-    "bphz_f0f1": ((2, 2), (0, len(T_LIST))),
+    "bphz_f0f1": ((1, 2), (0, len(T_LIST))),
 }
 
 
