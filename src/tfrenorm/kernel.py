@@ -26,6 +26,18 @@ factors.  The semigroup, evenness, realness and inversion checks keep the
 full-grid transforms: they are the checks of convolve, of the transforms
 and of solve_L_div.
 
+Memory rule: a full-grid transform or check holds only the grid arrays its
+arithmetic needs, and no public function writes into an array its caller
+passed.  The transforms are staged.  Forward: rfft along time, then fft
+in place over each space axis (the last first, as rfftn orders them), then
+the cell scaling in place.  Inverse: ifft over the space axes (1, ..., d)
+in place on a working copy, then irfft along time, then the scaling in
+place.  Both are bit for bit rfftn and irfftn over the axes (1, ..., d,
+0).  A function that owns a half spectrum it made (kernel_field; convolve,
+derivative and solve_L_div on physical input) hands it to the inverse as
+its working copy, to be overwritten.  The checks reduce into buffers they
+own.  The in-place passes use the out= of numpy.fft, new in numpy 2.0.
+
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
 
@@ -131,11 +143,6 @@ class SpectralGrid:
             k.flat[self.sizes[axis] // 2] = 0.0
         return (TWO_PI * 1j * k) ** int(order)
 
-    def _transform_args(self):
-        """rfftn/irfftn arguments: space axes first, time last (halved)."""
-        return {"s": self.sizes[1:] + self.sizes[:1],
-                "axes": tuple(range(1, self.d + 1)) + (0,)}
-
     def coordinates(self, axis, centered=False):
         """Lattice coordinates along one axis, optionally wrapped to 0."""
         n, box = self.sizes[axis], self.boxes[axis]
@@ -182,17 +189,33 @@ class SpectralField:
     def to_fourier(self):
         if self.space == "fourier":
             return self
-        vals = np.fft.rfftn(self.values, **self.grid._transform_args())
-        return SpectralField(self.grid, vals * self.grid.cell, "fourier")
+        vals = np.fft.rfft(self.values, n=self.grid.sizes[0], axis=0)
+        for axis in range(self.grid.d, 0, -1):
+            np.fft.fft(vals, axis=axis, out=vals)
+        vals *= self.grid.cell
+        return SpectralField(self.grid, vals, "fourier")
 
     def to_physical(self):
         if self.space == "physical":
             return self
-        vals = np.fft.irfftn(self.values, **self.grid._transform_args())
-        return SpectralField(self.grid, vals / self.grid.cell, "physical")
+        return SpectralField(self.grid, _inverse(self.grid, self.values), "physical")
 
 
-def point_reader(grid, cells):
+def _inverse(grid, hat, owned=False):
+    """Physical values of the half spectrum hat (the staged irfftn, scaled).
+
+    With owned set, hat is the working copy and is overwritten; otherwise
+    the first space pass writes a fresh one.
+    """
+    for axis in range(1, grid.d + 1):
+        hat = np.fft.ifft(hat, axis=axis, out=hat if owned else None)
+        owned = True
+    out = np.fft.irfft(hat, n=grid.sizes[0], axis=0)
+    out /= grid.cell
+    return out
+
+
+def point_reader(grid, cells, multipliers=None):
     """Reader of physical values at a few cells straight from a half spectrum.
 
     read(hat)[p] equals SpectralField(grid, hat, "fourier").to_physical()
@@ -204,6 +227,10 @@ def point_reader(grid, cells):
     Re W against a real hat (a periodogram, say), and the interleaved
     (Re W, -Im W) against the float view of a complex one, so no input is
     upcast to complex.
+
+    multipliers, if given, are half spectra m_j; the rows are then W m_j,
+    and read(hat)[j * len(cells) + p] is the value of m_j hat at cells[p]:
+    one matvec reads hat under every multiplier.
     """
     c2r = np.full(grid.spectrum_shape[:1] + (1,) * grid.d, 2.0 / grid.volume)
     c2r[[0, -1]] = 1.0 / grid.volume
@@ -218,8 +245,10 @@ def point_reader(grid, cells):
             row = row * np.exp(TWO_PI * 1j * ((j * (int(x) % n)) % n) / n)
         rows.append(row.ravel())
     weights = np.array(rows)
+    if multipliers is not None:
+        weights = np.concatenate([weights * np.ravel(m) for m in multipliers])
     real_weights = np.ascontiguousarray(weights.real)
-    pair_weights = np.stack([weights.real, -weights.imag], axis=-1).reshape(len(rows), -1)
+    pair_weights = np.stack([weights.real, -weights.imag], axis=-1).reshape(len(weights), -1)
 
     def read(hat):
         hat = np.ravel(hat)
@@ -246,7 +275,9 @@ def real_defect(field, physical=None):
     if physical is None:
         physical = hat.to_physical()
     back = physical.to_fourier().values
-    return float(np.max(np.abs(hat.values - back)) / scale)
+    np.subtract(hat.values, back, out=back)
+    np.abs(back, out=back)
+    return float(np.max(back.real) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +303,8 @@ def psi_hat(t, k, m0):
 
 def kernel_field(grid, t, m0=1.0):
     """The kernel psi_t sampled on the torus, as a physical-space field."""
-    hat = psi_hat(t, grid.frequency_mesh(), m0)
-    return SpectralField(grid, hat, "fourier").to_physical()
+    hat = psi_hat(t, grid.frequency_mesh(), m0).astype(np.complex128)
+    return SpectralField(grid, _inverse(grid, hat, owned=True), "physical")
 
 
 def _kernel_factors(grid, t, m0, orders):
@@ -328,10 +359,13 @@ def smoothing_reader(grid, times, cell, m0=1.0):
 
 def convolve(field, t, m0=1.0):
     """Space-time convolution with psi_t, returned in the input space."""
-    hat = field.to_fourier()
-    vals = hat.values * psi_hat(t, field.grid.frequency_mesh(), m0)
-    out = SpectralField(field.grid, vals, "fourier")
-    return out if field.space == "fourier" else out.to_physical()
+    owned = field.space == "physical"
+    hat = field.to_fourier().values
+    hat = np.multiply(hat, psi_hat(t, field.grid.frequency_mesh(), m0),
+                      out=hat if owned else None)
+    if not owned:
+        return SpectralField(field.grid, hat, "fourier")
+    return SpectralField(field.grid, _inverse(field.grid, hat, owned=True), "physical")
 
 
 def derivative(field, orders):
@@ -340,20 +374,39 @@ def derivative(field, orders):
         raise ConfigError(
             f"need {field.grid.d + 1} derivative orders, got {len(orders)}"
         )
+    owned = field.space == "physical"
     vals = field.to_fourier().values
     for axis, order in enumerate(orders):
         if order:
-            vals = vals * field.grid.ik_power(axis, order)
-    out = SpectralField(field.grid, vals, "fourier")
-    return out if field.space == "fourier" else out.to_physical()
+            vals = np.multiply(vals, field.grid.ik_power(axis, order),
+                               out=vals if owned else None)
+            owned = True
+    if field.space == "fourier":
+        return SpectralField(field.grid, vals, "fourier")
+    return SpectralField(field.grid, _inverse(field.grid, vals, owned=True), "physical")
 
 
 def div_symbols(grid, m0):
     """The multipliers 2 pi i k_i / symbol_L(k, m0) of L^{-1} div, one per
-    spatial axis i; zero at k = 0 and on the axis's Nyquist row."""
+    spatial axis i; zero at k = 0 and on the axis's Nyquist row.  The last
+    one is divided into symbol_L's array."""
     sym = symbol_L(grid.frequency_mesh(), m0)
     sym[(0,) * (grid.d + 1)] = 1.0  # where every 2 pi i k_i is zero
-    return [grid.ik_power(1 + i, 1) / sym for i in range(grid.d)]
+    return [np.divide(grid.ik_power(1 + i, 1), sym, out=sym if i == grid.d - 1 else None)
+            for i in range(grid.d)]
+
+
+def _sum_of_products(terms):
+    """sum of mult * hat over the (mult, hat, owned) terms, accumulated in
+    place in the first product; an owned hat's product overwrites it."""
+    total = None
+    for mult, hat, owned in terms:
+        product = np.multiply(mult, hat, out=hat if owned else None)
+        if total is None:
+            total = product
+        else:
+            total += product
+    return total
 
 
 def solve_L_div(components, m0=1.0):
@@ -370,12 +423,13 @@ def solve_L_div(components, m0=1.0):
         )
     if any(c.grid != grid for c in components):
         raise ConfigError("all components must share one grid")
-    u_hat = sum(
-        mult * comp.to_fourier().values
+    u_hat = _sum_of_products(
+        (mult, comp.to_fourier().values, comp.space == "physical")
         for mult, comp in zip(div_symbols(grid, m0), components)
     )
-    out = SpectralField(grid, u_hat, "fourier")
-    return out if components[0].space == "fourier" else out.to_physical()
+    if components[0].space == "fourier":
+        return SpectralField(grid, u_hat, "fourier")
+    return SpectralField(grid, _inverse(grid, u_hat, owned=True), "physical")
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +450,32 @@ def checks_grid():
 
 
 def semigroup_defect(grid, s, t, m0=1.0):
-    """Relative gap between psi_s * psi_t and psi_{s+t} on the torus."""
-    two_step = convolve(kernel_field(grid, s, m0), t, m0)
-    one_step = kernel_field(grid, s + t, m0)
-    scale = np.max(np.abs(one_step.values))
-    return float(np.max(np.abs(two_step.values - one_step.values)) / scale)
+    """Relative gap between psi_s * psi_t and psi_{s+t} on the torus.
+
+    The two-step field is formed first: the single kernel_field then runs
+    beside one finished field, not beside the convolution's input.
+    """
+    gap = convolve(kernel_field(grid, s, m0), t, m0).values
+    one_step = kernel_field(grid, s + t, m0).values
+    np.subtract(gap, one_step, out=gap)
+    np.abs(gap, out=gap)
+    np.abs(one_step, out=one_step)
+    return float(np.max(gap) / np.max(one_step))
 
 
 def evenness_defect(field):
     """Deviation from reflection symmetry in every spatial coordinate."""
     vals = field.to_physical().values
+    buf = np.empty_like(vals)
     worst = 0.0
     for axis in range(1, field.grid.d + 1):
-        flipped = np.flip(np.roll(vals, -1, axis=axis), axis=axis)
-        worst = max(worst, float(np.max(np.abs(vals - flipped))))
-    return worst / float(np.max(np.abs(vals)))
+        # the reflection x -> -x reads index -j, wrapped
+        np.take(vals, -np.arange(field.grid.sizes[axis]), axis=axis, out=buf, mode="wrap")
+        np.subtract(vals, buf, out=buf)
+        np.abs(buf, out=buf)
+        worst = max(worst, float(np.max(buf)))
+    np.abs(vals, out=buf)
+    return worst / float(np.max(buf))
 
 
 def scaling_defect(grid, t, m0=1.0):
@@ -502,15 +567,21 @@ def inversion_residual(grid, m0=1.0, seed=0):
     mesh = grid.frequency_mesh()
     comps = []
     for _ in range(grid.d):
-        field = SpectralField(grid, rng.standard_normal(grid.sizes), "physical")
-        hat = field.to_fourier().values
-        for k, box, n in zip(mesh, grid.boxes, grid.sizes):
-            hat = np.where(np.abs(np.rint(k * box)) < n / 4, hat, 0.0)
+        hat = SpectralField(grid, rng.standard_normal(grid.sizes), "physical").to_fourier().values
+        for axis, (k, box, n) in enumerate(zip(mesh, grid.boxes, grid.sizes)):
+            hat.swapaxes(0, axis)[np.abs(np.rint(k * box)).ravel() >= n / 4] = 0.0
         comps.append(SpectralField(grid, hat, "fourier"))
     u_hat = solve_L_div(comps, m0)
-    div_hat = sum(grid.ik_power(1 + i, 1) * c.values for i, c in enumerate(comps))
-    gap = symbol_L(mesh, m0) * u_hat.values - div_hat
-    return float(np.linalg.norm(gap) / np.linalg.norm(div_hat)), real_defect(u_hat)
+    div_hat = _sum_of_products(
+        (grid.ik_power(1 + i, 1), c.values, True) for i, c in enumerate(comps)
+    )
+    del comps, hat  # hat is the last component's array
+    gap = symbol_L(mesh, m0)
+    gap *= u_hat.values
+    gap -= div_hat
+    residual = float(np.linalg.norm(gap) / np.linalg.norm(div_hat))
+    del gap, div_hat
+    return residual, real_defect(u_hat)
 
 
 def kernel_checks(grid, m0=1.0, scaling_time=3e-13):

@@ -16,12 +16,14 @@ per check.
 A draw goes back to physical space only where a pointwise product or a
 full field needs it: pi_f0 squared (and the dumped field) in the moment
 check, xi pi_f0 in the bphz f0+f1 check.  Values at a few cells are read
-from a half spectrum by kernel.point_reader, and psi_t * (xi pi_f0) at the
-base point straight from the physical product by kernel.smoothing_reader;
-each is one small real matvec.  Transforms per sample at d = 1, forward +
-inverse: covariance 1 + 0, moment 1 + 1, bphz f0 1 + 0, bphz f0+f1 1 + 2.
-The oracles add a few per check: one inverse (covariance), one per t (bphz
-f0+f1), three for the moment check.
+from a half spectrum by kernel.point_reader (for bphz f0, psi_t * xi at the
+base point, through rows W psi_t formed once per check), and psi_t *
+(xi pi_f0) at the base point straight from the physical product by
+kernel.smoothing_reader; each is one small real matvec.  Transforms per
+sample at d = 1, forward + inverse: covariance 1 + 0, moment 1 + 1, bphz
+f0 1 + 0, bphz f0+f1 1 + 2.  The oracles add a few per check: one inverse
+(covariance), three for the moment check, none for bphz (the f0+f1
+oracles are read at the zero cell by point_reader, 0 per t).
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 Randomness is counter-based: sample i of a sampler with seed s draws from
@@ -403,11 +405,12 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
              for sep in separations]
     spectrum = _noise_source(sampler)
     rows = []
-    mean_sq = None
+    mean_sq = None if dump_path is None else np.zeros(grid.sizes)
     for i in range(n_samples):
         hats = [spectrum(i, c) for c in range(grid.d)]
         sq = _centered_solution(grid, mults, hats, x) ** 2
-        mean_sq = sq if mean_sq is None else mean_sq + sq
+        if mean_sq is not None:
+            mean_sq += sq
         rows.append([sq[cell] for cell in cells])
     if dump_path is not None:
         dump_field(SpectralField(grid, mean_sq / n_samples, "physical"),
@@ -422,8 +425,10 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     For f0 the integrand is the noise itself and the oracle vanishes; for
     f0+f1 the oracle is the pairing sum
     (1/vol) sum_k (1 - psi_t(k)) 2 pi i k1 FF(k) / symbol_L(k) at r = 0, which
-    vanishes whenever the density is even in the spatial frequency.  The f0
-    values at x are read from the half spectrum by kernel.point_reader.  The
+    vanishes whenever the density is even in the spatial frequency, and is
+    read at the zero cell by kernel.point_reader.  The f0 values at x are
+    read from the half spectrum by kernel.point_reader through the rows
+    W_x psi_t, formed once per check, so a sample is one real matvec.  The
     f0+f1 integrand xi pi_f0 is formed in physical space, and its smoothed
     values at x are read from there by kernel.smoothing_reader, one real
     matvec for every t, with no transform back.  A t at which psi_t
@@ -443,19 +448,15 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     spectrum = _noise_source(sampler)
     if component == "f0":
         oracles = [0.0 for _ in t_list]
-        read = point_reader(grid, [x])
+        read = point_reader(grid, [x], psis)
 
         def sample(i):
-            base_hat = spectrum(i, 0)
-            return [float(read(base_hat * psi)[0]) for psi in psis]
+            return read(spectrum(i, 0))
     else:
         mults = div_symbols(grid, m0)
         zero = (0,) * (grid.d + 1)
-        ff = sampler.density()
-        oracles = [
-            float(_density_transform(grid, (1.0 - psi) * mults[0] * ff)[zero])
-            for psi in psis
-        ]
+        read_zero = point_reader(grid, [zero], [1.0 - psi for psi in psis])
+        oracles = list(read_zero(mults[0] * sampler.density()))
         smooth = smoothing_reader(grid, t_list, x, m0)
 
         def sample(i):

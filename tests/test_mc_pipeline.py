@@ -46,14 +46,16 @@ def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
 
 
 # transforms per sample (forward, inverse) at d = 1, and per check for the
-# oracles: the covariance and bphz oracles read full inverse transforms of
-# a density, the moment oracle also projects each L^{-1} div multiplier;
-# bphz f0+f1 smooths xi pi_f0 in physical space, with no transform back
+# oracles: the covariance oracle reads a full inverse transform of a
+# density, the moment oracle also projects each L^{-1} div multiplier, and
+# the bphz f0+f1 oracles are read at the zero cell by point_reader, with no
+# transform; bphz f0+f1 smooths xi pi_f0 in physical space, with no
+# transform back
 BUDGET = {
     "covariance": ((1, 0), (0, 1)),
     "pi_f0_second_moment": ((1, 1), (1, 2)),
     "bphz_f0": ((1, 0), (0, 0)),
-    "bphz_f0f1": ((1, 2), (0, len(T_LIST))),
+    "bphz_f0f1": ((1, 2), (0, 0)),
 }
 
 
