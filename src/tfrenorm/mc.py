@@ -10,9 +10,9 @@ projection the inverse real transform applies to them: that projection, not
 the bare multiplier, is what reaches a real sample.
 
 The checks keep each draw in Fourier space.  Component c of sample i is
-one forward transform of keyed white noise times sqrt(FF / cell), L^{-1}
-div is the div_symbols multipliers, and both multipliers are formed once
-per check.
+drawn there directly, on the spatial columns where the density lives
+(_noise_source), L^{-1} div is the div_symbols multipliers, and the draw's
+amplitudes and the multipliers are formed once per check.
 A draw goes back to physical space only where a pointwise product or a
 full field needs it: pi_f0 squared (and the dumped field) in the moment
 check, xi pi_f0 in the bphz f0+f1 check.  Values at a few cells are read
@@ -20,17 +20,21 @@ from a half spectrum by kernel.point_reader (for bphz f0, psi_t * xi at the
 base point, through rows W psi_t formed once per check), and psi_t *
 (xi pi_f0) at the base point straight from the physical product by
 kernel.smoothing_reader; each is one small real matvec.  Transforms per
-sample at d = 1, forward + inverse: covariance 1 + 0, moment 1 + 1, bphz
-f0 1 + 0, bphz f0+f1 1 + 2.  The oracles add a few per check: one inverse
-(covariance), three for the moment check, none for bphz (the f0+f1
-oracles are read at the zero cell by point_reader, 0 per t).
+sample at d = 1, forward + inverse: covariance 0 + 0, moment 0 + 1, bphz
+f0 0 + 0, bphz f0+f1 0 + 2.  The oracles add one inverse per check for
+the covariance and the moment check, none for bphz (the f0+f1 oracles are
+read at the zero cell by point_reader, 0 per t).
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
-Randomness is counter-based: sample i of a sampler with seed s draws from
-Philox keyed by hash(s, i), so estimates are bit-identical however the
-sample loop is scheduled or parallelised, and the only reduction over
-samples is a fixed-order pairwise sum.  A check re-keys one Philox per
-sample rather than building a fresh one (_keyed_normals).
+Randomness is counter-based: component c of sample i of a sampler with
+seed s is one call for 2 rows |S| standard normals from Philox keyed by
+hash(s, (i << 8) | c).  They are the real and imaginary parts of its half
+spectrum on S, the spatial columns where the density is nonzero (closed
+under k -> -k), and the draw has exactly the law of physical white noise
+transformed and shaped (_noise_source).  So estimates are bit-identical
+however the sample loop is scheduled or parallelised, and the only
+reduction over samples is a fixed-order pairwise sum.  A check re-keys one
+Philox per sample rather than building a fresh one (_keyed_normals).
 """
 
 from __future__ import annotations
@@ -166,22 +170,56 @@ def _keyed_normals():
     return normals
 
 
+def _negated_columns(grid):
+    """The flat spatial column of -k for every flat spatial column k, with a
+    half spectrum viewed as (time rows, spatial columns)."""
+    space = grid.sizes[1:]
+    return np.ravel_multi_index(
+        tuple(-i % n for i, n in zip(np.indices(space), space)), space).ravel()
+
+
 def _noise_source(sampler):
     """spectrum(index, comp): the shaped half spectrum of component comp of
-    sample index.
+    sample index, drawn on the support of the density alone.
 
-    The draw is physical white noise from a Philox stream keyed by
-    (seed, index, comp), so any subset of samples can be generated in any
-    order.  One forward transform times sqrt(FF / cell), formed once here,
-    gives E|xi_hat(k)|^2 = vol FF(k) at every mode.
+    The law is that of physical white noise w, transformed and shaped:
+    to_fourier(w) sqrt(FF / cell).  That spectrum is z(k) sqrt(vol FF(k))
+    with z(k) = W(k) / sqrt(N), W the unnormalised DFT of w: unit complex
+    normals, independent over the half spectrum except that on the two
+    self-conjugate time planes (k0 = 0 and the time Nyquist) z(-k) is
+    conj z(k), and z(k) is real where k = -k.  The draw builds that z
+    directly.  The support S is the set of spatial columns where FF is
+    nonzero in some time row, closed under k -> -k and found once here.
+    Sample index, component comp, is one keyed call
+    normals(key, (rows, |S|, 2)), key = hash(seed, (index << 8) | comp),
+    read as z = (a + ib) / sqrt(2); on the two planes
+    z(k) <- (z(k) + conj z(-k)) / sqrt(2), which gives Hermitian pairs and
+    real unit-variance self-conjugate modes.  Then z sqrt(vol FF) goes into
+    a zero half spectrum on S.  Both 1/sqrt(2) factors are folded into the
+    amplitude, sqrt(vol FF / 2) off the planes and sqrt(vol FF / 4) on them.
+    No transform runs, and a sample draws 2 rows |S| normals instead of N.
     """
     grid = sampler.grid
-    scale = np.sqrt(sampler.density() / grid.cell)
+    rows = grid.spectrum_shape[0]
+    density = sampler.density().reshape(rows, -1)
+    negated = _negated_columns(grid)
+    live = np.any(density, axis=0)
+    cols = np.flatnonzero(live | live[negated])
+    mirror = np.searchsorted(cols, negated[cols])
+    weight = np.full((rows, 1), 0.5)
+    weight[[0, -1]] = 0.25
+    amplitude = np.sqrt(grid.volume * density[:, cols] * weight)
+    planes = slice(None, None, rows - 1)
+    shape = (rows, cols.size, 2)
     normals = _keyed_normals()
 
     def spectrum(index, comp):
-        white = normals(_sample_key(sampler.seed, (index << 8) | comp), grid.sizes)
-        return SpectralField(grid, white, "physical").to_fourier().values * scale
+        z = normals(_sample_key(sampler.seed, (index << 8) | comp), shape)
+        z = z.view(np.complex128)[..., 0]
+        z[planes] += z[planes, mirror].conj()
+        hat = np.zeros(grid.spectrum_shape, dtype=np.complex128)
+        hat.reshape(rows, -1)[:, cols] = z * amplitude
+        return hat
 
     return spectrum
 
@@ -190,8 +228,9 @@ def sample_noise(sampler, index=0):
     """One noise sample: a list of d real mollified components.
 
     This is the physical view of the keyed draw the checks read in Fourier
-    space: component c is the inverse transform of
-    _noise_source(sampler)(index, c), the same values bit for bit.
+    space: component c is the inverse transform of the support draw
+    _noise_source(sampler)(index, c), the same values bit for bit.  Its law
+    is that of white noise shaped by sqrt(FF / cell) in Fourier space.
     """
     grid = sampler.grid
     spectrum = _noise_source(sampler)
@@ -381,20 +420,28 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
 
     The oracle is 2(G(0) - G(y-x)) with G the inverse transform of the
     lattice density of v = L^{-1} div xi: FF sum_i |P M_i|^2 over the
-    div_symbols M_i, P a physical round trip.  On the self-conjugate planes
-    the inverse real transform keeps the conjugate-symmetric part of
-    M_i xi_hat_i, which is xi_hat_i P M_i as xi_hat_i is symmetric there.
-    With dump_path set, the full second-moment field is written in the
-    binary field format.
+    div_symbols M_i.  On the self-conjugate planes the inverse real
+    transform keeps the conjugate-symmetric part of M_i xi_hat_i, which is
+    xi_hat_i P M_i as xi_hat_i is symmetric there; so P M_i is
+    (M_i(k) + conj M_i(-k)) / 2 on those planes and M_i elsewhere.  It is
+    formed exactly: a round trip through physical space would leave
+    rounding of order 1e-16 max|M_i| at k1 = 0, where M_i is 0 and the
+    density is largest, and once tau leaves little density elsewhere that
+    rounding outweighs the oracle.  With dump_path set, the full
+    second-moment field is written in the binary field format.
     """
     grid = sampler.grid
     x = _base_index(grid, x)
     separations = _geometric_offsets(grid, 3, 14, 4)
     mults = div_symbols(grid, sampler.spec.m0)
-    mult_sq = sum(
-        np.abs(SpectralField(grid, m, "fourier").to_physical().to_fourier().values) ** 2
-        for m in mults
-    )
+    rows = grid.spectrum_shape[0]
+    planes = slice(None, None, rows - 1)
+    negated = _negated_columns(grid)
+    mult_sq = 0.0
+    for m in mults:
+        kept = m.reshape(rows, -1).copy()
+        kept[planes] = (kept[planes] + kept[planes, negated].conj()) / 2
+        mult_sq = mult_sq + np.abs(kept.reshape(grid.spectrum_shape)) ** 2
     g_field = _density_transform(grid, sampler.density() * mult_sq)
     zero = (0,) * (grid.d + 1)
     oracles = [

@@ -48,6 +48,10 @@ package under test, using different algorithms than the library:
 * the exact second moment of a linear function of white noise as the sum
   of its squared responses to every unit vector (the library sums the
   spectral density against the squared multiplier),
+* the covariance of the real and imaginary parts of a linear complex
+  function of white noise, from its responses to every unit vector (the
+  library draws the shaped noise spectrum on the density's support, and the
+  tests compare its law with that of shaped physical white noise),
 * the kernel moment ratios in np.longdouble: the time and space factors
   of the kernel as direct trigonometric sums, and each weighted integral
   summed over the whole plane (the library sums 1-D factors against the
@@ -897,6 +901,21 @@ def unit_response_second_moment(response, shape):
         unit.flat[j] = 1.0
         total = total + response(unit) ** 2
     return total
+
+
+def unit_response_covariance(response, shape):
+    """The covariance matrix of (Re A w, Im A w), flattened and stacked, for
+    white noise w ~ N(0, I) of the given shape and a linear map A = response
+    with complex output: R^T R, where row j of R is the stacked response to
+    the unit vector e_j."""
+    rows = []
+    for j in range(math.prod(shape)):
+        unit = np.zeros(shape)
+        unit.flat[j] = 1.0
+        out = np.ravel(response(unit))
+        rows.append(np.concatenate([out.real, out.imag]))
+    rows = np.array(rows)
+    return rows.T @ rows
 
 
 def separable_moment_spreads(sizes, boxes, times, m0=1.0):

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import unit_response_covariance
 from tfrenorm import mc
 from tfrenorm.constants import CovarianceSpec, counterterm_table, covariance_spec, mollifier_spec
-from tfrenorm.errors import ConfigError
+from tfrenorm.errors import ConfigError, NumericError
 from tfrenorm.kernel import SpectralField, SpectralGrid, load_field
 
 
@@ -106,14 +107,86 @@ def test_rekeyed_draws_equal_a_fresh_generator_per_key():
     for key in keys:
         want = np.random.Generator(np.random.Philox(key=key)).standard_normal((5, 7))
         assert np.array_equal(normals(key, (5, 7)), want)
-    # so sample_noise is the shaped fresh-generator draw, bit for bit
+    # so sample_noise is the fresh-generator draw on the density's support,
+    # bit for bit: pairs (a, b) as a + ib on the live columns closed under
+    # k -> -k, each self-conjugate time plane plus its conjugate reflection,
+    # times sqrt(vol FF / 2) off those planes and sqrt(vol FF / 4) on them
     sampler = small_sampler(seed=7)
     grid = sampler.grid
+    ff = sampler.density()
+    live = np.any(ff, axis=0)
+    cols = np.flatnonzero(live | np.roll(live[::-1], 1))
+    assert 0 < cols.size < grid.sizes[1]
     fresh = np.random.Generator(np.random.Philox(key=mc._sample_key(7, 3 << 8)))
-    hat = SpectralField(grid, fresh.standard_normal(grid.sizes), "physical").to_fourier().values
-    hat = hat * np.sqrt(sampler.density() / grid.cell)
+    pairs = fresh.standard_normal((ff.shape[0], cols.size, 2))
+    hat = np.zeros(ff.shape, dtype=complex)
+    hat[:, cols] = pairs[..., 0] + 1j * pairs[..., 1]
+    for plane in (0, -1):
+        hat[plane] = hat[plane] + np.conj(np.roll(hat[plane][::-1], 1))
+    weight = np.full((ff.shape[0], 1), 0.5)
+    weight[[0, -1]] = 0.25
+    hat *= np.sqrt(grid.volume * ff * weight)
     want = SpectralField(grid, hat, "fourier").to_physical().values
     assert np.array_equal(mc.sample_noise(sampler, 3)[0].values, want)
+
+
+@pytest.mark.parametrize("sizes, alpha, tau", [
+    # the spatial-Nyquist column and the time-Nyquist plane carry mass
+    ((4, 8), 0.55, 1e-12),
+    # 9 of the 64 spatial columns are live
+    ((8, 64), 0.55, 1e-9),
+    ((4, 6, 8), 0.55, 1e-12),
+])
+def test_support_draw_has_the_law_of_shaped_white_noise(monkeypatch, sizes, alpha, tau):
+    # both draws are linear Gaussian maps, so their laws are equal iff the
+    # covariances of (Re, Im) of the spectra are: physical white noise,
+    # transformed and shaped, against the support draw fed unit normals
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(alpha),
+                              moll=mollifier_spec("semigroup", tau), seed=0)
+    scale = np.sqrt(sampler.density() / grid.cell)
+    want = unit_response_covariance(
+        lambda white: SpectralField(grid, white, "physical").to_fourier().values * scale,
+        grid.sizes)
+    draw = {}
+
+    def unit_normals():
+        def normals(key, shape):
+            draw["shape"] = shape
+            return draw.get("unit", np.zeros(shape))
+        return normals
+
+    monkeypatch.setattr(mc, "_keyed_normals", unit_normals)
+    spectrum = mc._noise_source(sampler)
+    spectrum(0, 0)
+
+    def response(unit):
+        draw["unit"] = unit
+        return spectrum(0, 0)
+
+    got = unit_response_covariance(response, draw["shape"])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tau, live", [
+    (1e-4, [0, 1, 31]),  # one column pair |k1| = 1 besides k1 = 0
+    (1e-30, list(range(32))),  # every column
+])
+def test_checks_at_the_edges_of_the_support(tau, live):
+    sampler = small_sampler(seed=11, tau=tau, sizes=(8, 32))
+    assert np.flatnonzero(np.any(sampler.density(), axis=0)).tolist() == live
+    assert mc.covariance_check(sampler, n_samples=128).worst_z() < 3.5
+    assert mc.pi_f0_second_moment_check(sampler, n_samples=128).worst_z() < 3.5
+
+
+def test_density_underflow_is_raised_before_any_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(mc, "_keyed_normals", lambda: lambda key, shape: drawn.append(shape))
+    sampler = small_sampler(tau=1e300, sizes=(8, 32))
+    for check in (mc.covariance_check, mc.pi_f0_second_moment_check):
+        with pytest.raises(NumericError, match="underflows"):
+            check(sampler, n_samples=8)
+    assert drawn == []
 
 
 def test_mode_variance_matches_density():

@@ -1,5 +1,6 @@
 """The MC checks keep each draw in Fourier space: they report what the direct
-physical-space loops report, within a fixed transform budget per sample."""
+physical-space loops report, within a fixed budget of transforms and
+normals per sample."""
 
 import numpy as np
 import pytest
@@ -46,16 +47,17 @@ def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
 
 
 # transforms per sample (forward, inverse) at d = 1, and per check for the
-# oracles: the covariance oracle reads a full inverse transform of a
-# density, the moment oracle also projects each L^{-1} div multiplier, and
-# the bphz f0+f1 oracles are read at the zero cell by point_reader, with no
-# transform; bphz f0+f1 smooths xi pi_f0 in physical space, with no
-# transform back
+# oracles: a sample is drawn in Fourier space, with no forward transform;
+# the covariance and moment oracles each read a full inverse transform of a
+# density (the moment oracle projects each L^{-1} div multiplier exactly,
+# with no transform), and the bphz f0+f1 oracles are read at the zero cell
+# by point_reader, with no transform; bphz f0+f1 smooths xi pi_f0 in
+# physical space, with no transform back
 BUDGET = {
-    "covariance": ((1, 0), (0, 1)),
-    "pi_f0_second_moment": ((1, 1), (1, 2)),
-    "bphz_f0": ((1, 0), (0, 0)),
-    "bphz_f0f1": ((1, 2), (0, 0)),
+    "covariance": ((0, 0), (0, 1)),
+    "pi_f0_second_moment": ((0, 1), (0, 1)),
+    "bphz_f0": ((0, 0), (0, 0)),
+    "bphz_f0f1": ((0, 2), (0, 0)),
 }
 
 
@@ -71,12 +73,30 @@ def test_transform_budget_per_sample(monkeypatch, name):
             return _original(field)
 
         monkeypatch.setattr(SpectralField, method, counted)
-    sampler = make_sampler((8, 32), 0.55, 1e-14, 1.0, 3)
+    keyed = mc._keyed_normals
+
+    def counted_normals():
+        normals = keyed()
+
+        def draw(key, shape):
+            counts["normals"] += np.prod(shape)
+            return normals(key, shape)
+
+        return draw
+
+    monkeypatch.setattr(mc, "_keyed_normals", counted_normals)
+    sampler = make_sampler((8, 32), 0.55, 1e-9, 1.0, 3)
     used = []
     for n in (4, 8):
-        counts.update(fourier=0, physical=0)
+        counts.update(fourier=0, physical=0, normals=0)
         CHECKS[name](sampler, (1, 5), n)
-        used.append(np.array([counts["fourier"], counts["physical"]]))
+        used.append(np.array([counts["fourier"], counts["physical"], counts["normals"]]))
     per_sample = (used[1] - used[0]) // 4
     per_check = used[0] - 4 * per_sample
-    assert (tuple(per_sample), tuple(per_check)) == BUDGET[name]
+    assert (tuple(per_sample[:2]), tuple(per_check[:2])) == BUDGET[name]
+    # normals: 2 per mode of the live columns, closed under k -> -k, and
+    # none outside them
+    live = np.any(sampler.density(), axis=0)
+    support = np.count_nonzero(live | np.roll(live[::-1], 1))
+    assert support < sampler.grid.sizes[1]
+    assert (per_sample[2], per_check[2]) == (2 * sampler.grid.spectrum_shape[0] * support, 0)
