@@ -376,12 +376,14 @@ def run_simulate(cfg):
         NoiseSampler,
         bphz_triviality_check,
         covariance_check,
-        deterministic_scaling_slope,
         pi_f0_second_moment_check,
         scaling_fit,
     )
 
     task = cfg["task"]
+    if task == "scaling" and cfg["component"] != "f0":
+        raise ConfigError("--task scaling fits f0 only, use --component f0: the space-time "
+                          "torus cannot show the scaling of f0+f1")
     if task == "scaling" and cfg["window"] is None:
         raise ConfigError("--task scaling needs --window lo,hi (half a decade or more)")
     sizes, boxes = cfg["sizes"], cfg["boxes"]
@@ -404,9 +406,8 @@ def run_simulate(cfg):
             x=x, n_samples=cfg["samples"],
         )
     elif task == "scaling":
-        exponent, ci = scaling_fit(
-            cfg["component"], sampler, cfg["window"],
-            n_samples=cfg["samples"], bootstrap=cfg["bootstrap"],
+        exponent, ci, exact_slope = scaling_fit(
+            sampler, cfg["window"], n_samples=cfg["samples"], bootstrap=cfg["bootstrap"],
         )
         doc = {
             "task": "scaling",
@@ -414,9 +415,8 @@ def run_simulate(cfg):
             "samples": cfg["samples"],
             "exponent": exponent,
             "ci": ci,
+            "deterministic_slope": exact_slope,
         }
-        if cfg["component"] == "f0" and grid.d == 1:
-            doc["deterministic_slope"] = deterministic_scaling_slope(sampler, cfg["window"])
         if cfg["format"] == "csv":
             keys = list(doc)
             return ",".join(keys) + "\n" + ",".join(repr(doc[k]) for k in keys)
@@ -545,7 +545,7 @@ _SUBCOMMANDS = {
             _Opt("seed", int, default="0", help="sampler seed"),
             _Opt("samples", int, default="256", help="Monte Carlo sample count"),
             _Opt("component", _choice("f0", "f0f1"), default="f0",
-                 help="model component for bphz/scaling"),
+                 help="model component for bphz; scaling fits f0 only"),
             _Opt("window", _floats,
                  help="fit window lo,hi in torus units, spanning half a decade or "
                       "more (required for --task scaling)"),

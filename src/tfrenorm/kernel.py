@@ -555,12 +555,13 @@ def inversion_residual(grid, m0=1.0, seed=0):
     """(residual, realness) of solve_L_div on random real input, band
     limited to the wavenumbers |j| < N_i/4 on each axis.
 
-    residual -- relative gap ||symbol_L u_hat - div_hat|| / ||div_hat|| in
-                Fourier space (div_hat has no zero mode), where u_hat comes from
-                solve_L_div and div_hat is rebuilt by the same ik_power
-                rule; it shows that solve_L_div divides by symbol_L on
-                every nonzero mode, so it sits at rounding level, but it
-                checks neither the transforms nor the divergence itself
+    residual -- relative gap ||L u_hat - div_hat|| / ||div_hat|| in Fourier
+                space (div_hat has no zero mode), where u_hat comes from
+                solve_L_div and L is applied as d_0 + m0 (sum_i d_i^2)^2
+                from ik_power alone, never from symbol_L; so a wrong
+                symbol in solve_L_div shows, while a right one leaves
+                rounding level.  Input and u_hat stay in Fourier space, so
+                it does not check the inverse transform
     realness -- real_defect of u: the part of its spectrum no real field has
     """
     rng = np.random.default_rng(seed)
@@ -576,7 +577,8 @@ def inversion_residual(grid, m0=1.0, seed=0):
         (grid.ik_power(1 + i, 1), c.values, True) for i, c in enumerate(comps)
     )
     del comps, hat  # hat is the last component's array
-    gap = symbol_L(mesh, m0)
+    lap = sum(grid.ik_power(1 + i, 2) for i in range(grid.d))
+    gap = grid.ik_power(0, 1) + m0 * lap**2
     gap *= u_hat.values
     gap -= div_hat
     residual = float(np.linalg.norm(gap) / np.linalg.norm(div_hat))

@@ -26,6 +26,10 @@ the covariance and the moment check, none for bphz (the f0+f1 oracles are
 read at the zero cell by point_reader, 0 per t).
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
+The scaling fit reads f0 alone, on the equal-time line with time
+frequencies integrated out (equal_time_density): on the space-time torus
+every component shows the smooth-lattice slope, not |y - x|^{2|beta|}.
+
 Randomness is counter-based: component c of sample i of a sampler with
 seed s is one call for 2 rows |S| standard normals from Philox keyed by
 hash(s, (i << 8) | c).  They are the real and imaginary parts of its half
@@ -652,54 +656,42 @@ def _separation_indices(grid, window):
     return js
 
 
-def deterministic_scaling_slope(sampler, window):
-    """Slope of the exact equal-time pairing sum for pi_f0, no sampling."""
-    js = _separation_indices(sampler.grid, window)
-    p_density = equal_time_density(sampler)
-    length = sampler.grid.boxes[-1]
-    n = sampler.grid.sizes[-1]
-    g_line = np.fft.irfft(p_density, n) * (n / length)
-    moments = np.array([2.0 * (g_line[0] - g_line[j]) for j in js])
-    seps = np.array(js) * (length / n)
-    return fit_log_slope(seps, moments)
+def scaling_fit(sampler, window, n_samples=1024, bootstrap=200):
+    """(exponent, ci, exact_slope): log-log slopes of the equal-time second
+    moment E|Pi_f0(y)|^2 against |y - x|, on separations inside ``window``.
 
-
-def scaling_fit(component, sampler, window, n_samples=1024, bootstrap=200):
-    """(exponent, ci): log-log slope of E|Pi(y)|^2 against |y - x|_s.
-
-    'f0' samples the equal-time spatial marginal directly (the space-time
-    torus cannot resolve the parabolic frequency ridge, see
-    equal_time_density); 'f0f1' runs on the sampler's own space-time grid
-    and is therefore comparable only with same-grid oracles.  The ci is
-    the half-width of a 95% bootstrap interval over samples.  ``window``
-    (lo, hi) bounds the separations and must span half a decade.
+    The fit samples the equal-time spatial marginal (equal_time_density,
+    d = 1), which the space-time torus cannot resolve.  exponent is the
+    slope of the mean over n_samples draws, draw i the line density's
+    shaping of the keyed normals (i << 8) | 0x5C; ci is the half-width of
+    a 95% bootstrap interval over samples; exact_slope is the slope of the
+    pairing sum 2 (G(0) - G(r)), G the inverse transform of the line
+    density.  ``window`` (lo, hi) must span half a decade and start at or
+    above the mollification scale space_rate^(1/8), tau^(1/8) at m0 = 1:
+    below it every draw is smooth and the bootstrap cannot move the slope.
     """
     if bootstrap < 2:
         raise ConfigError(f"a bootstrap interval needs 2 or more resamples, got {bootstrap}")
     if n_samples < 4:
         raise ConfigError(f"a scaling fit needs at least 4 samples, got {n_samples}")
     js = _separation_indices(sampler.grid, window)
-    grid = sampler.grid
-    length = grid.boxes[-1]
-    n = grid.sizes[-1]
+    length = sampler.grid.boxes[-1]
+    n = sampler.grid.sizes[-1]
+    p_density = equal_time_density(sampler)
+    smooth_below = sampler.moll.space_rate ** 0.125
+    if window[0] < smooth_below:
+        raise ConfigError(f"window starts at {window[0]:g}, below the mollification "
+                          f"scale space_rate^(1/8) = {smooth_below:g}")
     seps = np.array(js) * (length / n)
+    g_line = np.fft.irfft(p_density, n) * (n / length)
+    exact_slope = fit_log_slope(seps, [2.0 * (g_line[0] - g_line[j]) for j in js])
+    scale = np.sqrt(p_density * n / length)
+    normals = _keyed_normals()
     rows = np.empty((n_samples, len(js)))
-    if component == "f0":
-        p_density = equal_time_density(sampler)
-        scale = np.sqrt(p_density * n / length)
-        normals = _keyed_normals()
-        for i in range(n_samples):
-            white = normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n)
-            w = np.fft.irfft(np.fft.rfft(white) * scale, n)
-            rows[i] = [np.mean((np.roll(w, -j) - w) ** 2) for j in js]
-    elif component == "f0f1":
-        x = (0,) * (grid.d + 1)
-        for i in range(n_samples):
-            noise = sample_noise(sampler, i)
-            u = pi_f0f1(noise, x, m0=sampler.spec.m0).values
-            rows[i] = [u[x[:-1] + ((x[-1] + j) % n,)] ** 2 for j in js]
-    else:
-        raise ConfigError(f"component must be f0 or f0f1, got {component!r}")
+    for i in range(n_samples):
+        white = normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n)
+        w = np.fft.irfft(np.fft.rfft(white) * scale, n)
+        rows[i] = [np.mean((np.roll(w, -j) - w) ** 2) for j in js]
     mean = _pairwise_sum(list(rows)) / n_samples
     exponent = fit_log_slope(seps, mean)
     rng = np.random.Generator(
@@ -710,4 +702,4 @@ def scaling_fit(component, sampler, window, n_samples=1024, bootstrap=200):
         pick = rng.integers(0, n_samples, n_samples)
         slopes[b] = fit_log_slope(seps, rows[pick].mean(axis=0))
     lo, hi = np.quantile(slopes, [0.025, 0.975])
-    return exponent, float((hi - lo) / 2.0)
+    return exponent, float((hi - lo) / 2.0), exact_slope

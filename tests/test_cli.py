@@ -356,6 +356,24 @@ def test_simulate_scaling_needs_a_window(capsys):
     assert out == ""
 
 
+def test_simulate_scaling_fits_f0_only(capsys):
+    code, out, err = run(capsys, *SCALING, "--tau", "1e-14", "--window", "0.02,0.4",
+                         "--component", "f0f1")
+    assert code == 2
+    assert out == "" and "--component f0" in err
+
+
+def test_simulate_scaling_window_below_the_mollification_scale(capsys):
+    # tau^(1/8) = 0.18: every sample is the same smooth mode up to a factor,
+    # and the bootstrap interval shrinks to rounding
+    code, out, err = run(
+        capsys, "simulate", "--task", "scaling", "--component", "f0", "--alpha", "0.75",
+        "--tau", "1e-6", "--window", "0.01,0.1", "--samples", "64",
+    )
+    assert code == 2, err
+    assert out == "" and "mollification scale" in err
+
+
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON constant {token}")
 

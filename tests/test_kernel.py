@@ -395,7 +395,7 @@ def test_moment_spreads_peak_memory():
 
 
 def test_kernel_checks_peak_memory():
-    # measured: 3.53 half spectra, reached in inversion_residual; the
+    # measured: 3.54 half spectra, reached in inversion_residual; the
     # warm-up call keeps numpy's lazy module imports out of the count
     grid = small_checks_grid()
     half_spectrum = math.prod(grid.spectrum_shape) * 16
@@ -441,6 +441,17 @@ def test_solve_residual_and_realness():
     residual, realness = inversion_residual(small_grid(), seed=5)
     assert residual < 1e-10
     assert realness < 1e-10
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda k, m0: symbol_L(k, m0 * m0),
+    lambda k, m0: symbol_L(k, m0).conj(),  # the time term with the wrong sign
+], ids=["m0_squared", "time_sign"])
+def test_inversion_residual_fails_a_wrong_symbol_of_L(monkeypatch, wrong):
+    # solve_L_div divides by kernel.symbol_L; the residual applies L without it
+    monkeypatch.setattr(kernel, "symbol_L", wrong)
+    residual, _ = inversion_residual(small_grid(), m0=1.7)
+    assert residual > 1e-10
 
 
 def test_inversion_band_limit_zeroes_the_transform_in_place(monkeypatch):

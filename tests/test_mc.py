@@ -338,9 +338,8 @@ def test_scaling_fit_f0_reaches_continuum_exponent():
         grid=grid, spec=covariance_spec(alpha),
         moll=mollifier_spec("semigroup", tau), seed=1,
     )
-    det = mc.deterministic_scaling_slope(s, window)
+    exponent, ci, det = mc.scaling_fit(s, window, n_samples=1024)
     assert abs(det - 2 * alpha) < 0.03
-    exponent, ci = mc.scaling_fit("f0", s, window, n_samples=1024)
     assert abs(exponent - 2 * alpha) < 0.05
     assert abs(exponent - det) < 3 * ci
     # distributional statement: a different seed agrees within the cis
@@ -348,8 +347,9 @@ def test_scaling_fit_f0_reaches_continuum_exponent():
         grid=grid, spec=covariance_spec(alpha),
         moll=mollifier_spec("semigroup", tau), seed=2,
     )
-    exponent2, ci2 = mc.scaling_fit("f0", s2, window, n_samples=1024)
+    exponent2, ci2, det2 = mc.scaling_fit(s2, window, n_samples=1024)
     assert abs(exponent2 - exponent) < ci + ci2
+    assert det2 == det  # the exact slope samples nothing
 
 
 def test_scaling_fit_f0_tau_independent():
@@ -362,34 +362,25 @@ def test_scaling_fit_f0_tau_independent():
             grid=grid, spec=covariance_spec(alpha),
             moll=mollifier_spec("semigroup", tau), seed=7,
         )
-        results.append(mc.scaling_fit("f0", s, (8 * t8, 80 * t8),
-                                      n_samples=512))
-    (e1, c1), (e2, c2) = results
+        results.append(mc.scaling_fit(s, (8 * t8, 80 * t8), n_samples=512))
+    (e1, c1, _), (e2, c2, _) = results
     assert abs(e1 - e2) < c1 + c2
-
-
-def test_scaling_fit_f0f1_reproducible():
-    s = small_sampler(seed=3, tau=1e-18)
-    window = (4 * (1e-18) ** 0.125, 0.125)
-    e1, c1 = mc.scaling_fit("f0f1", s, window, n_samples=128, bootstrap=64)
-    e2, c2 = mc.scaling_fit("f0f1", s, window, n_samples=128, bootstrap=64)
-    assert (e1, c1) == (e2, c2)
-    assert np.isfinite(e1) and c1 > 0
 
 
 def test_scaling_fit_window_validation():
     s = small_sampler()
     with pytest.raises(ConfigError):
-        mc.scaling_fit("f0", s, (0.05, 0.1), n_samples=8)  # < half decade
+        mc.scaling_fit(s, (0.05, 0.1), n_samples=8)  # < half decade
     with pytest.raises(ConfigError):
-        mc.scaling_fit("f0", s, (0.2, 0.1), n_samples=8)
+        mc.scaling_fit(s, (0.2, 0.1), n_samples=8)
     with pytest.raises(ConfigError):
-        mc.scaling_fit("f0", s, (0.05, 0.6), n_samples=8)  # beyond box/2
-    with pytest.raises(ConfigError):
-        mc.scaling_fit("box", s, (0.01, 0.12), n_samples=8)
+        mc.scaling_fit(s, (0.05, 0.6), n_samples=8)  # beyond box/2
+    # tau^(1/8) is 0.0178: below it every sample is smooth
+    with pytest.raises(ConfigError, match="mollification scale"):
+        mc.scaling_fit(s, (0.01, 0.12), n_samples=8)
     for bootstrap in (0, 1):  # no interval from fewer than two resamples
         with pytest.raises(ConfigError):
-            mc.scaling_fit("f0", s, (0.01, 0.12), n_samples=8, bootstrap=bootstrap)
+            mc.scaling_fit(s, (0.02, 0.12), n_samples=8, bootstrap=bootstrap)
 
 
 def test_base_point_validation():
