@@ -10,7 +10,8 @@ and the inversion u = L^{-1} (div f) used by the simulation layer.  The
 multipliers of L^{-1} div are stated once, in div_symbols: solve_L_div
 and the MC checks apply them, and the pairing-sum oracles read them.
 point_reader reads a field at a few cells straight from its half spectrum,
-and smoothing_reader reads psi_t * g at one cell straight from g.
+or from its block on the spatial columns outside which it is zero, and
+smoothing_reader reads psi_t * g at one cell straight from g.
 The symbols of L and LL* (symbol_L, symbol_LLstar) and check_m0 are
 numpy-free and live in the constants layer; this module imports them.
 
@@ -215,7 +216,7 @@ def _inverse(grid, hat, owned=False):
     return out
 
 
-def point_reader(grid, cells, multipliers=None):
+def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     """Reader of physical values at a few cells straight from a half spectrum.
 
     read(hat)[p] equals SpectralField(grid, hat, "fourier").to_physical()
@@ -226,25 +227,58 @@ def point_reader(grid, cells, multipliers=None):
     self-conjugate planes.  W is built once; a read is one real matvec:
     Re W against a real hat (a periodogram, say), and the interleaved
     (Re W, -Im W) against the float view of a complex one, so no input is
-    upcast to complex.
+    upcast to complex.  Along each axis the phase k x_p is an integer number
+    of 1/n turns, so it is exact on the lattice, and a cell is read modulo
+    the grid sizes.
 
-    multipliers, if given, are half spectra m_j; the rows are then W m_j,
-    and read(hat)[j * len(cells) + p] is the value of m_j hat at cells[p]:
-    one matvec reads hat under every multiplier.
+    base, if given, is a cell whose value each read subtracts: the rows are
+    then W_p - W_base = W_base (e^{2 pi i k (x_p - x_base)} - 1), formed from
+    e^{2 pi i s} - 1 = 2i sin(pi s) e^{i pi s} per axis, s the axis's turns
+    wrapped into [-1/2, 1/2).  So a gap between two cells where the field
+    varies little is read without the cancellation between two reads.
+
+    cols, if given, restricts W to a set of spatial columns: with the half
+    spectrum viewed as (time rows, flat spatial columns), hat is then the
+    block hat[:, cols] of shape (rows, len(cols)), and a field that is zero
+    off those columns reads exactly as in full.  All columns is the default.
+
+    multipliers, if given, are arrays m_j in the layout of hat; the rows are
+    then W m_j, and read(hat)[j * len(cells) + p] is the value of m_j hat at
+    cells[p]: one matvec reads hat under every multiplier.
     """
-    c2r = np.full(grid.spectrum_shape[:1] + (1,) * grid.d, 2.0 / grid.volume)
+    rows_n, space = grid.spectrum_shape[0], grid.sizes[1:]
+    if cols is None:
+        cols = np.arange(math.prod(space))
+    c2r = np.full((rows_n, 1), 2.0 / grid.volume)
     c2r[[0, -1]] = 1.0 / grid.volume
-    wavenumbers = [np.arange(grid.spectrum_shape[0])]
-    wavenumbers += [np.fft.fftfreq(n, 1.0 / n).astype(np.int64) for n in grid.sizes[1:]]
-    mesh = np.meshgrid(*wavenumbers, indexing="ij", sparse=True)
-    rows = []
-    for cell in cells:
+    wavenumbers = [np.arange(rows_n)[:, None]]
+    wavenumbers += [np.fft.fftfreq(n, 1.0 / n).astype(np.int64)[index]
+                    for n, index in zip(space, np.unravel_index(cols, space))]
+
+    def turns(cells):
+        """Per axis, j x mod n for every cell (first axis): the phases in
+        exact integer 1/n turns."""
+        cells = np.reshape(np.asarray(cells, dtype=np.int64), (-1, grid.d + 1))
+        return [(j * (x[:, None, None] % n)) % n
+                for j, x, n in zip(wavenumbers, cells.T, grid.sizes)]
+
+    def phase(cells):
         row = c2r
-        for j, x, n in zip(mesh, cell, grid.sizes):
-            # integer turns (j x mod n) / n keep the phase exact on the lattice
-            row = row * np.exp(TWO_PI * 1j * ((j * (int(x) % n)) % n) / n)
-        rows.append(row.ravel())
-    weights = np.array(rows)
+        for m, n in zip(turns(cells), grid.sizes):
+            row = row * np.exp(TWO_PI * 1j * np.arange(n) / n)[m]
+        return row
+
+    if base is None:
+        weights = phase(cells)
+    else:
+        # e^{2 pi i s} - 1 over the axes: (E_a E_b - 1) = (E_a - 1) E_b + (E_b - 1)
+        gap = 0.0
+        for m, m_base, n in zip(turns(cells), turns([base]), grid.sizes):
+            s = np.arange(-(n // 2), n // 2) / n
+            step = (2j * np.sin(np.pi * s) * np.exp(1j * np.pi * s))[(m - m_base + n // 2) % n]
+            gap = gap * (1.0 + step) + step
+        weights = phase([base]) * gap
+    weights = weights.reshape(-1, rows_n * cols.size)
     if multipliers is not None:
         weights = np.concatenate([weights * np.ravel(m) for m in multipliers])
     real_weights = np.ascontiguousarray(weights.real)

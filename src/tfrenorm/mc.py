@@ -9,21 +9,23 @@ The moment oracle squares the kernel.div_symbols multipliers after the
 projection the inverse real transform applies to them: that projection, not
 the bare multiplier, is what reaches a real sample.
 
-The checks keep each draw in Fourier space.  Component c of sample i is
-drawn there directly, on the spatial columns where the density lives
-(_noise_source), L^{-1} div is the div_symbols multipliers, and the draw's
-amplitudes and the multipliers are formed once per check.
-A draw goes back to physical space only where a pointwise product or a
-full field needs it: pi_f0 squared (and the dumped field) in the moment
-check, xi pi_f0 in the bphz f0+f1 check.  Values at a few cells are read
-from a half spectrum by kernel.point_reader (for bphz f0, psi_t * xi at the
-base point, through rows W psi_t formed once per check), and psi_t *
-(xi pi_f0) at the base point straight from the physical product by
-kernel.smoothing_reader; each is one small real matvec.  Transforms per
-sample at d = 1, forward + inverse: covariance 0 + 0, moment 0 + 1, bphz
-f0 0 + 0, bphz f0+f1 0 + 2.  The oracles add one inverse per check for
-the covariance and the moment check, none for bphz (the f0+f1 oracles are
-read at the zero cell by point_reader, 0 per t).
+The checks keep each draw in Fourier space, on its support.  Component c
+of sample i is drawn there directly as a block: its values on the spatial
+columns S where the density lives, zero elsewhere (_noise_source).  L^{-1}
+div is the div_symbols multipliers on S, and the draw's amplitudes and the
+multipliers are formed once per check.  Values at a few cells are read from
+a block by kernel.point_reader with rows on S alone: the periodogram at the
+lags in the covariance check, pi_f0 at its cells in the moment check (as
+gaps from the base point), psi_t * xi at the base point for bphz f0
+(through rows W psi_t formed once per check); each is one small real
+matvec.  A draw goes back to physical space only where a pointwise product
+or a full field needs it: xi pi_f0 in the bphz f0+f1 check, smoothed at the
+base point by kernel.smoothing_reader, and the dumped field of the moment
+check.  It goes back by the support inverse (_NoiseSource.inverse), which
+transforms the |S| columns alone over time.  Transforms per sample at
+d = 1, forward + inverse, a support inverse counting as one: covariance
+0 + 0, moment 0 + 0 (0 + 1 with a dump), bphz f0 0 + 0, bphz f0+f1 0 + 2.
+Every oracle is read by point_reader too, with 0 transforms per check.
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 The scaling fit reads f0 alone, on the equal-time line with time
@@ -182,9 +184,81 @@ def _negated_columns(grid):
         tuple(-i % n for i, n in zip(np.indices(space), space)), space).ravel()
 
 
+class _NoiseSource:
+    """The support draw of a sampler, built by _noise_source.
+
+    cols are the flat spatial columns of the support S, with a half spectrum
+    viewed as (time rows, spatial columns); mirror[s] is the index in cols of
+    the column of -k for the column cols[s] of k; density is the density's
+    block on S.  A block is an array of shape (rows, |S|): the values of a
+    half spectrum on S, which is zero off S.
+    """
+
+    def __init__(self, sampler, cols, mirror, density, amplitude):
+        grid = sampler.grid
+        rows = grid.spectrum_shape[0]
+        self.grid, self.seed = grid, sampler.seed
+        self.cols, self.mirror, self.density = cols, mirror, density
+        self._amplitude = amplitude
+        self._planes = slice(None, None, rows - 1)
+        self._shape = (rows, cols.size, 2)
+        self._normals = _keyed_normals()
+        # the inverse: c(k0) / (2 cell) per time row, and the columns of S in
+        # the spatially halved layout of irfftn (last index 0, ..., N_d / 2)
+        self._time_weight = np.full((rows, 1), 1.0 / grid.cell)
+        self._time_weight[self._planes] = 0.5 / grid.cell
+        space = grid.sizes[1:]
+        self._halved_shape = space[:-1] + (space[-1] // 2 + 1,)
+        index = np.unravel_index(cols, space)
+        kept = np.flatnonzero(index[-1] <= space[-1] // 2)
+        self._kept, self._kept_mirror = kept, mirror[kept]
+        self._halved = np.ravel_multi_index(tuple(i[kept] for i in index),
+                                            self._halved_shape)
+
+    def restrict(self, spectrum):
+        """The block on S of a half spectrum."""
+        return np.reshape(spectrum, (self._shape[0], -1))[:, self.cols]
+
+    def block(self, index, comp):
+        """The shaped block on S of component comp of sample index."""
+        z = self._normals(_sample_key(self.seed, (index << 8) | comp), self._shape)
+        z = z.view(np.complex128)[..., 0]
+        z[self._planes] += z[self._planes, self.mirror].conj()
+        return z * self._amplitude
+
+    def __call__(self, index, comp):
+        """The block scattered into a zero half spectrum."""
+        hat = np.zeros(self.grid.spectrum_shape, dtype=np.complex128)
+        hat.reshape(self._shape[0], -1)[:, self.cols] = self.block(index, comp)
+        return hat
+
+    def inverse(self, block):
+        """Physical values of the half spectrum that is block on S and zero
+        off it: kernel._inverse of the scattered block, to rounding.
+
+        The inverse real transform is Re P, P the complex sum
+        sum_k c(k0) hat(k) e^{2 pi i k x} / vol (kernel.point_reader).  The
+        time pass runs on the |S| columns alone: a c2c ifft of the block
+        under the weights c(k0) / (2 cell), zero-padded to N0.  Re over space
+        is then the inverse of the Hermitian fold Q(k) = P(k) + conj P(-k)
+        (its 1/2 is in the weights), which the staged irfftn over the space
+        axes reads on the columns of S in the spatially halved layout.
+        """
+        grid = self.grid
+        n0 = grid.sizes[0]
+        p = np.fft.ifft(block * self._time_weight, n=n0, axis=0)
+        q = np.zeros((n0, math.prod(self._halved_shape)), dtype=np.complex128)
+        q[:, self._halved] = p[:, self._kept] + p[:, self._kept_mirror].conj()
+        q = q.reshape((n0,) + self._halved_shape)
+        for axis in range(1, grid.d):
+            np.fft.ifft(q, axis=axis, out=q)
+        return np.fft.irfft(q, n=grid.sizes[-1], axis=-1)
+
+
 def _noise_source(sampler):
-    """spectrum(index, comp): the shaped half spectrum of component comp of
-    sample index, drawn on the support of the density alone.
+    """The _NoiseSource of sampler: the shaped half spectrum of component comp
+    of sample index, drawn on the support of the density alone, as the
+    block source.block(index, comp) or scattered, source(index, comp).
 
     The law is that of physical white noise w, transformed and shaped:
     to_fourier(w) sqrt(FF / cell).  That spectrum is z(k) sqrt(vol FF(k))
@@ -198,10 +272,11 @@ def _noise_source(sampler):
     normals(key, (rows, |S|, 2)), key = hash(seed, (index << 8) | comp),
     read as z = (a + ib) / sqrt(2); on the two planes
     z(k) <- (z(k) + conj z(-k)) / sqrt(2), which gives Hermitian pairs and
-    real unit-variance self-conjugate modes.  Then z sqrt(vol FF) goes into
-    a zero half spectrum on S.  Both 1/sqrt(2) factors are folded into the
-    amplitude, sqrt(vol FF / 2) off the planes and sqrt(vol FF / 4) on them.
-    No transform runs, and a sample draws 2 rows |S| normals instead of N.
+    real unit-variance self-conjugate modes.  The block is z sqrt(vol FF)
+    on S; only sample_noise scatters it into a zero half spectrum.  Both
+    1/sqrt(2) factors are folded into the amplitude, sqrt(vol FF / 2) off
+    the planes and sqrt(vol FF / 4) on them.  No transform runs, and a
+    sample draws 2 rows |S| normals instead of N.
     """
     grid = sampler.grid
     rows = grid.spectrum_shape[0]
@@ -212,20 +287,9 @@ def _noise_source(sampler):
     mirror = np.searchsorted(cols, negated[cols])
     weight = np.full((rows, 1), 0.5)
     weight[[0, -1]] = 0.25
-    amplitude = np.sqrt(grid.volume * density[:, cols] * weight)
-    planes = slice(None, None, rows - 1)
-    shape = (rows, cols.size, 2)
-    normals = _keyed_normals()
-
-    def spectrum(index, comp):
-        z = normals(_sample_key(sampler.seed, (index << 8) | comp), shape)
-        z = z.view(np.complex128)[..., 0]
-        z[planes] += z[planes, mirror].conj()
-        hat = np.zeros(grid.spectrum_shape, dtype=np.complex128)
-        hat.reshape(rows, -1)[:, cols] = z * amplitude
-        return hat
-
-    return spectrum
+    density = density[:, cols]
+    amplitude = np.sqrt(grid.volume * density * weight)
+    return _NoiseSource(sampler, cols, mirror, density, amplitude)
 
 
 def sample_noise(sampler, index=0):
@@ -367,12 +431,6 @@ def _batch_report(estimator, points, per_sample, oracles):
 # ---------------------------------------------------------------------------
 
 
-def _density_transform(grid, density):
-    """(1/vol) sum_k density(k) e^{2 pi i k r} on the lattice, for a density
-    given on the half spectrum."""
-    return SpectralField(grid, density, "fourier").to_physical().values
-
-
 def _geometric_offsets(grid, divisor, n_spatial, n_temporal):
     """Lattice offsets along the last spatial axis, then along time: per axis
     the distinct integer parts of n geometric steps from 1 to
@@ -389,33 +447,25 @@ def _default_lags(grid):
     return _geometric_offsets(grid, 4, 14, 6)
 
 
-def _centered_solution(grid, mults, hats, x):
-    """Physical values of L^{-1} div of the half spectra hats minus their
-    value at x: pi_f0 of a draw kept in Fourier space, one inverse transform."""
-    u_hat = sum(mult * hat for mult, hat in zip(mults, hats))
-    u = SpectralField(grid, u_hat, "fourier").to_physical().values
-    return u - u[x]
-
-
 def covariance_check(sampler, lags=None, n_samples=256):
     """E[xi(x) xi(x+r)] against the pairing sum, averaged over base points.
 
     Each sample's average over base points comes for all lags at once from
     its periodogram |xi_hat|^2 / vol (Wiener-Khinchin), read at the lags by
-    kernel.point_reader.  A lag is read modulo the grid sizes, so every
-    default lag exists on any grid.
+    kernel.point_reader on the support, and the oracle is the density read
+    there the same way.  A lag is read modulo the grid sizes, so every
+    default lag exists on any grid; an empty list of lags is a ConfigError.
     """
     grid = sampler.grid
-    lags = [tuple(int(i) for i in lag) for lag in (lags or _default_lags(grid))]
-    cells = [tuple(i % n for i, n in zip(lag, grid.sizes)) for lag in lags]
-    oracle_field = _density_transform(grid, sampler.density())
-    oracles = [oracle_field[cell] for cell in cells]
-    read = point_reader(grid, cells)
-    spectrum = _noise_source(sampler)
-    rows = []
-    for i in range(n_samples):
-        xi_hat = spectrum(i, 0)
-        rows.append(read(np.abs(xi_hat) ** 2 / grid.volume))
+    lags = [tuple(int(i) for i in lag)
+            for lag in (_default_lags(grid) if lags is None else lags)]
+    if not lags:
+        raise ConfigError("the covariance check needs at least one lag")
+    source = _noise_source(sampler)
+    read = point_reader(grid, lags, cols=source.cols)
+    oracles = read(source.density)
+    rows = [read(np.abs(source.block(i, 0)) ** 2 / grid.volume)
+            for i in range(n_samples)]
     return _batch_report("covariance", lags, rows, oracles)
 
 
@@ -431,38 +481,37 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     formed exactly: a round trip through physical space would leave
     rounding of order 1e-16 max|M_i| at k1 = 0, where M_i is 0 and the
     density is largest, and once tau leaves little density elsewhere that
-    rounding outweighs the oracle.  With dump_path set, the full
-    second-moment field is written in the binary field format.
+    rounding outweighs the oracle.  The gaps G(y-x) - G(0), and each
+    sample's v(y) - v(x) from its block sum_i M_i xi_hat_i on the support,
+    are read by kernel.point_reader from rows based at 0 and at x: no
+    transform, and no cancellation between two reads.  With dump_path set,
+    the full second-moment field is written in the binary field format,
+    from one support inverse per sample.
     """
     grid = sampler.grid
     x = _base_index(grid, x)
     separations = _geometric_offsets(grid, 3, 14, 4)
-    mults = div_symbols(grid, sampler.spec.m0)
-    rows = grid.spectrum_shape[0]
-    planes = slice(None, None, rows - 1)
-    negated = _negated_columns(grid)
+    source = _noise_source(sampler)
+    mults = [source.restrict(m) for m in div_symbols(grid, sampler.spec.m0)]
+    planes = slice(None, None, grid.spectrum_shape[0] - 1)
     mult_sq = 0.0
     for m in mults:
-        kept = m.reshape(rows, -1).copy()
-        kept[planes] = (kept[planes] + kept[planes, negated].conj()) / 2
-        mult_sq = mult_sq + np.abs(kept.reshape(grid.spectrum_shape)) ** 2
-    g_field = _density_transform(grid, sampler.density() * mult_sq)
+        kept = m.copy()
+        kept[planes] = (kept[planes] + kept[planes, source.mirror].conj()) / 2
+        mult_sq = mult_sq + np.abs(kept) ** 2
     zero = (0,) * (grid.d + 1)
-    oracles = [
-        2.0 * (g_field[zero] - g_field[tuple(si % n for si, n in zip(sep, grid.sizes))])
-        for sep in separations
-    ]
-    cells = [tuple((xi + si) % n for xi, si, n in zip(x, sep, grid.sizes))
-             for sep in separations]
-    spectrum = _noise_source(sampler)
+    g_gap = point_reader(grid, separations, cols=source.cols, base=zero)
+    oracles = -2.0 * g_gap(source.density * mult_sq)
+    cells = [tuple(xi + si for xi, si in zip(x, sep)) for sep in separations]
+    read = point_reader(grid, cells, cols=source.cols, base=x)
     rows = []
     mean_sq = None if dump_path is None else np.zeros(grid.sizes)
     for i in range(n_samples):
-        hats = [spectrum(i, c) for c in range(grid.d)]
-        sq = _centered_solution(grid, mults, hats, x) ** 2
+        v_hat = sum(m * source.block(i, c) for c, m in enumerate(mults))
+        rows.append(read(v_hat) ** 2)
         if mean_sq is not None:
-            mean_sq += sq
-        rows.append([sq[cell] for cell in cells])
+            v = source.inverse(v_hat)
+            mean_sq += (v - v[x]) ** 2
     if dump_path is not None:
         dump_field(SpectralField(grid, mean_sq / n_samples, "physical"),
                    dump_path)
@@ -478,13 +527,14 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     (1/vol) sum_k (1 - psi_t(k)) 2 pi i k1 FF(k) / symbol_L(k) at r = 0, which
     vanishes whenever the density is even in the spatial frequency, and is
     read at the zero cell by kernel.point_reader.  The f0 values at x are
-    read from the half spectrum by kernel.point_reader through the rows
-    W_x psi_t, formed once per check, so a sample is one real matvec.  The
-    f0+f1 integrand xi pi_f0 is formed in physical space, and its smoothed
+    read from the noise block by kernel.point_reader through the rows
+    W_x psi_t on the support, formed once per check, so a sample is one
+    real matvec.  The f0+f1 integrand xi pi_f0 is formed in physical space,
+    from one support inverse each of xi and of pi_f0, and its smoothed
     values at x are read from there by kernel.smoothing_reader, one real
-    matvec for every t, with no transform back.  A t at which psi_t
-    underflows to zero at every nonzero mode is a NumericError: it would
-    read the mean of the integrand.
+    matvec for every t, with no transform back.  An empty t_list is a
+    ConfigError, and a t at which psi_t underflows to zero at every nonzero
+    mode is a NumericError: it would read the mean of the integrand.
     """
     if component not in ("f0", "f0f1"):
         raise ConfigError(f"component must be f0 or f0f1, got {component!r}")
@@ -492,29 +542,32 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     x = _base_index(grid, x)
     m0 = sampler.spec.m0
     t_list = [float(t) for t in t_list]
+    if not t_list:
+        raise ConfigError("the bphz check needs at least one t")
     psis = [psi_hat(t, grid.frequency_mesh(), m0) for t in t_list]
     for t, psi in zip(t_list, psis):
         if not np.any(psi.ravel()[1:]):
             raise NumericError(f"psi_t underflows to zero at every nonzero mode (t={t:g})")
-    spectrum = _noise_source(sampler)
+    source = _noise_source(sampler)
     if component == "f0":
         oracles = [0.0 for _ in t_list]
-        read = point_reader(grid, [x], psis)
+        read = point_reader(grid, [x], [source.restrict(psi) for psi in psis], source.cols)
 
         def sample(i):
-            return read(spectrum(i, 0))
+            return read(source.block(i, 0))
     else:
-        mults = div_symbols(grid, m0)
+        mults = [source.restrict(m) for m in div_symbols(grid, m0)]
         zero = (0,) * (grid.d + 1)
-        read_zero = point_reader(grid, [zero], [1.0 - psi for psi in psis])
-        oracles = list(read_zero(mults[0] * sampler.density()))
+        read_zero = point_reader(grid, [zero], [source.restrict(1.0 - psi) for psi in psis],
+                                 source.cols)
+        oracles = list(read_zero(mults[0] * source.density))
         smooth = smoothing_reader(grid, t_list, x, m0)
 
         def sample(i):
-            hats = [spectrum(i, c) for c in range(grid.d)]
-            piece = _centered_solution(grid, mults, hats, x)
-            noise = SpectralField(grid, hats[0], "fourier").to_physical().values
-            return smooth(piece * noise)
+            blocks = [source.block(i, c) for c in range(grid.d)]
+            piece = source.inverse(sum(m * b for m, b in zip(mults, blocks)))
+            piece -= piece[x]
+            return smooth(piece * source.inverse(blocks[0]))
 
     rows = [sample(i) for i in range(n_samples)]
     return _batch_report(f"bphz_{component}", t_list, rows, oracles)

@@ -201,6 +201,61 @@ def test_point_reader_matches_the_inverse_transform(shape, seed):
         assert np.max(np.abs(read(spectrum) - want)) <= 1e-13 * np.max(np.abs(full))
 
 
+@pytest.mark.parametrize("sizes", [(8, 32), (4, 6, 8)])
+def test_point_reader_on_columns_reads_as_in_full(sizes):
+    # a half spectrum that is zero off a set of spatial columns reads the
+    # same from its block on them, with and without multipliers and a base
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    rng = np.random.default_rng(3)
+    rows = grid.spectrum_shape[0]
+    cols = np.sort(rng.choice(math.prod(sizes[1:]), 7, replace=False))
+    hat = np.zeros(grid.spectrum_shape, dtype=complex)
+    block = rng.standard_normal((rows, 7)) + 1j * rng.standard_normal((rows, 7))
+    hat.reshape(rows, -1)[:, cols] = block
+    mult = rng.standard_normal(grid.spectrum_shape)
+    cells = [tuple(int(rng.integers(n)) for n in sizes) for _ in range(4)]
+    scale = np.max(np.abs(SpectralField(grid, hat, "fourier").to_physical().values))
+    for base in (None, cells[0]):
+        full = point_reader(grid, cells, [mult], base=base)(hat)
+        on_cols = point_reader(grid, cells, [mult.reshape(rows, -1)[:, cols]], cols,
+                               base=base)(block)
+        assert np.max(np.abs(full - on_cols)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("sizes", [(16, 64), (4, 6, 8)])
+def test_point_reader_reads_gaps_without_cancellation(sizes):
+    # a field of size 1 on a constant offset of 1e8: rows based at a cell
+    # read the gaps of the field to full relative accuracy (against a long
+    # double sum), where the difference of two reads loses the offset's
+    # rounding, about 1e-8 absolute
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    rng = np.random.default_rng(12)
+    hat = (rng.standard_normal(grid.spectrum_shape)
+           + 1j * rng.standard_normal(grid.spectrum_shape)) / math.sqrt(grid.point_count)
+    hat.flat[0] = 0.0
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    c = np.full(grid.spectrum_shape[:1] + (1,) * grid.d, ld(2))
+    c[[0, -1]] = 1
+    wavenumbers = np.meshgrid(np.arange(grid.spectrum_shape[0]),
+                              *[np.fft.fftfreq(n, 1.0 / n).astype(int) for n in sizes[1:]],
+                              indexing="ij", sparse=True)
+
+    def exact(cell):
+        turns = sum(ld((j * x) % n) / n for j, x, n in zip(wavenumbers, cell, sizes))
+        return np.sum(c * (hat.real * np.cos(two_pi * turns) - hat.imag * np.sin(two_pi * turns)))
+
+    base = (1,) + (2,) * grid.d
+    cells = [tuple(b + (i == axis) for i, b in enumerate(base)) for axis in range(grid.d + 1)]
+    cells += [tuple(int(rng.integers(n)) for n in sizes) for _ in range(3)]
+    want = np.array([float(exact(cell) - exact(base)) for cell in cells])
+    hat.flat[0] = 1e8
+    got = point_reader(grid, cells, base=base)(hat)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    plain = point_reader(grid, cells + [base])(hat)
+    assert np.max(np.abs(plain[:-1] - plain[-1] - want)) > 1e-10 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("sizes", [(8, 32), (4, 8, 16)])
 def test_smoothing_reader_matches_convolve(sizes):
     grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))

@@ -10,7 +10,7 @@ from oracles import unit_response_covariance
 from tfrenorm import mc
 from tfrenorm.constants import CovarianceSpec, counterterm_table, covariance_spec, mollifier_spec
 from tfrenorm.errors import ConfigError, NumericError
-from tfrenorm.kernel import SpectralField, SpectralGrid, load_field
+from tfrenorm.kernel import SpectralField, SpectralGrid, _inverse, load_field
 
 
 def small_sampler(seed=1, alpha=0.55, tau=1e-14, sizes=(32, 128)):
@@ -177,6 +177,57 @@ def test_checks_at_the_edges_of_the_support(tau, live):
     assert np.flatnonzero(np.any(sampler.density(), axis=0)).tolist() == live
     assert mc.covariance_check(sampler, n_samples=128).worst_z() < 3.5
     assert mc.pi_f0_second_moment_check(sampler, n_samples=128).worst_z() < 3.5
+
+
+@pytest.mark.parametrize("sizes, tau", [
+    ((64, 256), 1e-14),
+    ((4, 8), 1e-12),  # the spatial-Nyquist column is live
+    ((8, 32), 1e-4),  # only k1 = 0, +-1 are live
+    ((8, 32), 1e-30),  # every column is live
+    ((4, 6, 8), 1e-12),
+    ((4, 8, 16), 1e-12),
+])
+def test_support_inverse_equals_the_full_inverse(sizes, tau):
+    # random blocks are not conjugate symmetric on the self-conjugate planes,
+    # so the fold must take the real part there exactly as irfftn does
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
+                              moll=mollifier_spec("semigroup", tau), seed=2)
+    source = mc._noise_source(sampler)
+    rng = np.random.default_rng(8)
+    blocks = [source.block(0, 0)]
+    blocks += [rng.standard_normal(source.density.shape)
+               + 1j * rng.standard_normal(source.density.shape) for _ in range(3)]
+    for block in blocks:
+        hat = np.zeros(grid.spectrum_shape, dtype=complex)
+        hat.reshape(hat.shape[0], -1)[:, source.cols] = block
+        want = _inverse(grid, hat)
+        got = source.inverse(block)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_moment_check_reads_the_same_with_and_without_a_dump(tmp_path):
+    s = small_sampler(seed=6)
+    x = (3, 17)
+    path = tmp_path / "moment.field"
+    plain = mc.pi_f0_second_moment_check(s, x=x, n_samples=16)
+    dumped = mc.pi_f0_second_moment_check(s, x=x, n_samples=16, dump_path=path)
+    for key in ("estimates", "standard_errors", "oracles", "z_scores"):
+        assert np.array_equal(getattr(plain, key), getattr(dumped, key)), key
+    field = load_field(path).values
+    assert field[x] == 0.0
+    want = np.mean([mc.pi_f0(mc.sample_noise(s, i), x).values ** 2 for i in range(16)], axis=0)
+    assert np.max(np.abs(field - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize("check", [
+    lambda s: mc.bphz_triviality_check(s, [], component="f0", n_samples=8),
+    lambda s: mc.bphz_triviality_check(s, [], component="f0f1", n_samples=8),
+    lambda s: mc.covariance_check(s, lags=[], n_samples=8),
+], ids=["bphz_f0", "bphz_f0f1", "covariance"])
+def test_empty_point_lists_are_config_errors(check):
+    with pytest.raises(ConfigError, match="at least one"):
+        check(small_sampler(sizes=(8, 32)))
 
 
 def test_density_underflow_is_raised_before_any_draw(monkeypatch):

@@ -47,22 +47,25 @@ def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
 
 
 # transforms per sample (forward, inverse) at d = 1, and per check for the
-# oracles: a sample is drawn in Fourier space, with no forward transform;
-# the covariance and moment oracles each read a full inverse transform of a
-# density (the moment oracle projects each L^{-1} div multiplier exactly,
-# with no transform), and the bphz f0+f1 oracles are read at the zero cell
-# by point_reader, with no transform; bphz f0+f1 smooths xi pi_f0 in
-# physical space, with no transform back
+# oracles, a support inverse counting as an inverse transform: a sample is
+# drawn in Fourier space on the support, with no forward transform; the
+# covariance and moment checks read each sample and their oracles on the
+# support by point_reader (the moment oracle projects each L^{-1} div
+# multiplier exactly, with no transform), and a moment dump adds one
+# support inverse per sample; the bphz f0+f1 oracles are read at the zero
+# cell by point_reader, and the check smooths xi pi_f0 in physical space
+# from one support inverse each of xi and pi_f0, with no transform back
 BUDGET = {
-    "covariance": ((0, 0), (0, 1)),
-    "pi_f0_second_moment": ((0, 1), (0, 1)),
+    "covariance": ((0, 0), (0, 0)),
+    "pi_f0_second_moment": ((0, 0), (0, 0)),
+    "pi_f0_second_moment_dump": ((0, 1), (0, 0)),
     "bphz_f0": ((0, 0), (0, 0)),
     "bphz_f0f1": ((0, 2), (0, 0)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CHECKS))
-def test_transform_budget_per_sample(monkeypatch, name):
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_transform_budget_per_sample(monkeypatch, tmp_path, name):
     counts = {"fourier": 0, "physical": 0}
     for method, space in (("to_fourier", "fourier"), ("to_physical", "physical")):
         original = getattr(SpectralField, method)
@@ -73,6 +76,13 @@ def test_transform_budget_per_sample(monkeypatch, name):
             return _original(field)
 
         monkeypatch.setattr(SpectralField, method, counted)
+    support_inverse = mc._NoiseSource.inverse
+
+    def counted_inverse(source, block):
+        counts["physical"] += 1
+        return support_inverse(source, block)
+
+    monkeypatch.setattr(mc._NoiseSource, "inverse", counted_inverse)
     keyed = mc._keyed_normals
 
     def counted_normals():
@@ -89,7 +99,11 @@ def test_transform_budget_per_sample(monkeypatch, name):
     used = []
     for n in (4, 8):
         counts.update(fourier=0, physical=0, normals=0)
-        CHECKS[name](sampler, (1, 5), n)
+        if name == "pi_f0_second_moment_dump":
+            mc.pi_f0_second_moment_check(sampler, x=(1, 5), n_samples=n,
+                                         dump_path=tmp_path / "moment.field")
+        else:
+            CHECKS[name](sampler, (1, 5), n)
         used.append(np.array([counts["fourier"], counts["physical"], counts["normals"]]))
     per_sample = (used[1] - used[0]) // 4
     per_check = used[0] - 4 * per_sample
