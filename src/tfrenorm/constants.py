@@ -76,8 +76,9 @@ C3_INDEX = 2 * e(1) + 2 * f(0)
 
 def check_m0(m0):
     """m0 as a float; a ConfigError unless it is positive with a finite
-    square.  Checked once where m0 enters (the covariance and mollifier
-    specs, kernel_checks), not in the symbols that integrands call."""
+    square.  Checked where m0 enters (the covariance and mollifier specs,
+    kernel_checks) and by the symbols of L and LL*, so every mesh function
+    that calls them refuses a NaN, infinite or huge m0 too."""
     m0 = float(m0)
     if not (m0 > 0 and math.isfinite(m0 * m0)):
         raise ConfigError(f"m0 must be positive with a finite square, got {m0}")
@@ -87,16 +88,14 @@ def check_m0(m0):
 def symbol_LLstar(k, m0):
     """Symbol of -d_0^2 + m0^2 Delta^4 at frequency k = (k0, k1, ..., kd),
     whose entries are numbers or numpy arrays that broadcast together."""
-    if m0 <= 0:
-        raise ConfigError(f"m0 must be positive, got {m0}")
+    check_m0(m0)
     lap = sum([(TWO_PI * ki) ** 2 for ki in k[1:]])
     return (TWO_PI * k[0]) ** 2 + m0**2 * lap**4
 
 
 def symbol_L(k, m0):
     """Symbol of d_0 + m0 Delta^2; |symbol_L|^2 = symbol_LLstar."""
-    if m0 <= 0:
-        raise ConfigError(f"m0 must be positive, got {m0}")
+    check_m0(m0)
     lap = sum([(TWO_PI * ki) ** 2 for ki in k[1:]])
     return TWO_PI * 1j * k[0] + m0 * lap**2
 

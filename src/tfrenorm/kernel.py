@@ -19,13 +19,13 @@ The symbol of LL* is a time part plus a space part, (2 pi k0)^2 +
 m0^2 |2 pi k|^8, so psi_hat_t is their product exp(-t (2 pi k0)^2) *
 exp(-t m0^2 |2 pi k|^8) and on the torus psi_t(x0, x) = a_t(x0) b_t(x), with
 spatial derivatives acting on b_t alone; this holds in any d.  psi_hat
-forms the two factors on their own axes.  The moment and scaling checks
-evaluate psi_t from its physical factors (_kernel_factors): one transform
-over time, one over space per derivative order, and psi_t is never formed
-on the grid; smoothing_reader forms it once per check from the same
-factors.  The semigroup, evenness, realness and inversion checks keep the
-full-grid transforms: they are the checks of convolve, of the transforms
-and of solve_L_div.
+forms the two factors on their own axes; _kernel_factors transforms them,
+one transform over time and one over space per derivative order.  Only
+kernel_field forms psi_t on the grid, as a_t b_t; smoothing_reader takes its
+rows from it, and the moment and scaling checks read the factors alone.
+The semigroup check sets convolve's transforms against kernel_field.  The
+evenness, realness and inversion checks keep the full-grid transforms:
+they are the checks of the transforms and of solve_L_div.
 
 Memory rule: a full-grid transform or check holds only the grid arrays its
 arithmetic needs, and no public function writes into an array its caller
@@ -34,10 +34,10 @@ in place over each space axis (the last first, as rfftn orders them), then
 the cell scaling in place.  Inverse: ifft over the space axes (1, ..., d)
 in place on a working copy, then irfft along time, then the scaling in
 place.  Both are bit for bit rfftn and irfftn over the axes (1, ..., d,
-0).  A function that owns a half spectrum it made (kernel_field; convolve,
-derivative and solve_L_div on physical input) hands it to the inverse as
-its working copy, to be overwritten.  The checks reduce into buffers they
-own.  The in-place passes use the out= of numpy.fft, new in numpy 2.0.
+0).  A function that owns a half spectrum it made (convolve, derivative
+and solve_L_div on physical input) hands it to the inverse as its working
+copy, to be overwritten.  The checks reduce into buffers they own.  The
+in-place passes use the out= of numpy.fft, new in numpy 2.0.
 
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
@@ -49,9 +49,10 @@ so that multiplier formulas look exactly like their continuum versions.
 
 Every field is real, and Fourier data is its half spectrum (rfftn over
 the axes (1, ..., d, 0)): time is the halved axis, with frequencies
-0..N0/2 and shape (N0//2 + 1, N1, ..., Nd).  The symbol of L is odd in k0,
-so on the time-Nyquist plane the inverse transform keeps exactly the
-conjugate-symmetric part that a real part of a full transform would.
+0..N0/2 and shape (N0//2 + 1, N1, ..., Nd).  Plane rule: the inverse real
+transform weighs time row k0 by c(k0) (SpectralGrid.c2r_weights), and on
+the self-conjugate planes k0 = 0, N0/2 keeps only the part with x(-k) =
+conj x(k), the part a real part of a full transform keeps.
 Nyquist rule: an odd power of 2 pi i k is zero on its axis's Nyquist row,
 where +N/2 and -N/2 are one mode (SpectralGrid.ik_power).
 """
@@ -133,6 +134,13 @@ class SpectralGrid:
         axes = [np.fft.rfftfreq(n0, d=self.boxes[0] / n0)]
         axes += [self.frequencies(i) for i in range(1, self.d + 1)]
         return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+
+    def c2r_weights(self):
+        """c(k0) per time row, shape (N0//2 + 1, 1): the inverse real transform
+        counts the planes k0 = 0 and k0 = N0/2 once, every other row twice."""
+        c = np.full((self.spectrum_shape[0], 1), 2.0)
+        c[[0, -1]] = 1.0
+        return c
 
     def ik_power(self, axis, order):
         """(2 pi i k)^order along one axis, broadcastable to the half spectrum.
@@ -221,15 +229,14 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
 
     read(hat)[p] equals SpectralField(grid, hat, "fourier").to_physical()
     .values[cells[p]] to rounding, for any half spectrum hat: it is
-    Re(W @ hat) with W[p, k] = c(k0) e^{2 pi i k x_p} / vol and the c2r
-    weights c = 1 on the k0 = 0 and time-Nyquist planes, 2 elsewhere.  The
-    real part is the projection the inverse real transform applies on the
-    self-conjugate planes.  W is built once; a read is one real matvec:
-    Re W against a real hat (a periodogram, say), and the interleaved
-    (Re W, -Im W) against the float view of a complex one, so no input is
-    upcast to complex.  Along each axis the phase k x_p is an integer number
-    of 1/n turns, so it is exact on the lattice, and a cell is read modulo
-    the grid sizes.
+    Re(W @ hat) with W[p, k] = c(k0) e^{2 pi i k x_p} / vol, c the c2r
+    weights.  The real part is the projection the inverse real transform
+    applies on the self-conjugate planes.  W is built once; a read is one
+    real matvec: Re W against a real hat (a periodogram, say), and the
+    interleaved (Re W, -Im W) against the float view of a complex one, so no
+    input is upcast to complex.  Along each axis the phase k x_p is an
+    integer number of 1/n turns, so it is exact on the lattice, and a cell
+    is read modulo the grid sizes.
 
     base, if given, is a cell whose value each read subtracts: the rows are
     then W_p - W_base = W_base (e^{2 pi i k (x_p - x_base)} - 1), formed from
@@ -249,8 +256,7 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     rows_n, space = grid.spectrum_shape[0], grid.sizes[1:]
     if cols is None:
         cols = np.arange(math.prod(space))
-    c2r = np.full((rows_n, 1), 2.0 / grid.volume)
-    c2r[[0, -1]] = 1.0 / grid.volume
+    c2r = grid.c2r_weights() / grid.volume
     wavenumbers = [np.arange(rows_n)[:, None]]
     wavenumbers += [np.fft.fftfreq(n, 1.0 / n).astype(np.int64)[index]
                     for n, index in zip(space, np.unravel_index(cols, space))]
@@ -336,9 +342,10 @@ def psi_hat(t, k, m0):
 
 
 def kernel_field(grid, t, m0=1.0):
-    """The kernel psi_t sampled on the torus, as a physical-space field."""
-    hat = psi_hat(t, grid.frequency_mesh(), m0).astype(np.complex128)
-    return SpectralField(grid, _inverse(grid, hat, owned=True), "physical")
+    """The kernel psi_t sampled on the torus, as a physical-space field:
+    a_t(x0) b_t(x) from its factors (_kernel_factors)."""
+    a, (b,) = _kernel_factors(grid, t, m0, [(0,) * grid.d])
+    return SpectralField(grid, a * b, "physical")
 
 
 def _kernel_factors(grid, t, m0, orders):
@@ -372,14 +379,13 @@ def smoothing_reader(grid, times, cell, m0=1.0):
 
     read(g)[j] equals convolve(SpectralField(grid, g, "physical"), times[j],
     m0).values[cell] to rounding: it is cell * sum_y psi_t(x - y) g(y), one
-    real matvec against rows formed once from the factors of psi_t
-    (_kernel_factors).  x - y is a flip and a roll on every axis, so the
-    rows do not rely on psi_t being even.
+    real matvec against rows formed once from kernel_field.  x - y is a
+    flip and a roll on every axis, so the rows do not rely on psi_t being
+    even.
     """
     rows = []
     for t in times:
-        a, (b,) = _kernel_factors(grid, t, m0, [(0,) * grid.d])
-        row = a * b * grid.cell
+        row = kernel_field(grid, t, m0).values * grid.cell
         for axis, x in enumerate(cell):
             row = np.roll(np.flip(row, axis), int(x) + 1, axis)
         rows.append(row.ravel())
@@ -486,8 +492,9 @@ def checks_grid():
 def semigroup_defect(grid, s, t, m0=1.0):
     """Relative gap between psi_s * psi_t and psi_{s+t} on the torus.
 
-    The two-step field is formed first: the single kernel_field then runs
-    beside one finished field, not beside the convolution's input.
+    It checks convolve's transforms against kernel_field, which runs through
+    neither.  The two-step field is formed first: the single kernel_field
+    then runs beside one finished field, not beside the convolution's input.
     """
     gap = convolve(kernel_field(grid, s, m0), t, m0).values
     one_step = kernel_field(grid, s + t, m0).values
@@ -585,9 +592,9 @@ def moment_bound_spreads(grid, times, m0=1.0):
     return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
 
 
-def inversion_residual(grid, m0=1.0, seed=0):
-    """(residual, realness) of solve_L_div on random real input, band
-    limited to the wavenumbers |j| < N_i/4 on each axis.
+def inversion_residual(grid, m0=1.0):
+    """(residual, realness) of solve_L_div on random real input (seed 0),
+    band limited to the wavenumbers |j| < N_i/4 on each axis.
 
     residual -- relative gap ||L u_hat - div_hat|| / ||div_hat|| in Fourier
                 space (div_hat has no zero mode), where u_hat comes from
@@ -598,7 +605,7 @@ def inversion_residual(grid, m0=1.0, seed=0):
                 it does not check the inverse transform
     realness -- real_defect of u: the part of its spectrum no real field has
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     mesh = grid.frequency_mesh()
     comps = []
     for _ in range(grid.d):

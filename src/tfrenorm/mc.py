@@ -9,45 +9,49 @@ The moment oracle squares the kernel.div_symbols multipliers after the
 projection the inverse real transform applies to them: that projection, not
 the bare multiplier, is what reaches a real sample.
 
-The checks keep each draw in Fourier space, on its support.  Component c
-of sample i is drawn there directly as a block: its values on the spatial
-columns S where the density lives, zero elsewhere (_noise_source).  L^{-1}
-div is the div_symbols multipliers on S, and the draw's amplitudes and the
-multipliers are formed once per check.  Values at a few cells are read from
-a block by kernel.point_reader with rows on S alone: the periodogram at the
-lags in the covariance check, pi_f0 at its cells in the moment check (as
-gaps from the base point), psi_t * xi at the base point for bphz f0
-(through rows W psi_t formed once per check); each is one small real
-matvec.  A draw goes back to physical space only where a pointwise product
-or a full field needs it: xi pi_f0 in the bphz f0+f1 check, smoothed at the
-base point by kernel.smoothing_reader, and the dumped field of the moment
-check.  It goes back by the support inverse (_NoiseSource.inverse), which
-transforms the |S| columns alone over time.  Transforms per sample at
-d = 1, forward + inverse, a support inverse counting as one: covariance
-0 + 0, moment 0 + 0 (0 + 1 with a dump), bphz f0 0 + 0, bphz f0+f1 0 + 2.
-Every oracle is read by point_reader too, with 0 transforms per check.
+The checks keep each draw in Fourier space, on its support.  One
+constructor, _NoiseSource(sampler), finds the spatial columns S where the
+density lives and applies the half spectrum's plane rule: the c2r weights
+c(k0) and the projection P on the self-conjugate planes
+(_NoiseSource.project), which shapes each draw and each moment multiplier.
+Component c of sample i is drawn directly as a block: its values on S,
+zero elsewhere.  L^{-1} div is the div_symbols multipliers on S, and the
+draw's amplitudes and the multipliers are formed once per check.  Values at
+a few cells are read from a block by kernel.point_reader with rows on S
+alone: the periodogram at the lags in the covariance check, pi_f0 at its
+cells in the moment check (as gaps from the base point), psi_t * xi at the
+base point for bphz f0 (through rows W psi_t formed once per check); each
+is one small real matvec.  A draw goes back to physical space only where a
+pointwise product or a full field needs it: xi pi_f0 in the bphz f0+f1
+check, smoothed at the base point by kernel.smoothing_reader, and the
+dumped field of the moment check.  It goes back by the support inverse
+(_NoiseSource.inverse), which transforms the |S| columns alone over time.
+Transforms per sample at d = 1, forward + inverse, a support inverse
+counting as one: covariance 0 + 0, moment 0 + 0 (0 + 1 with a dump), bphz
+f0 0 + 0, bphz f0+f1 0 + 2.  Every oracle is read by point_reader too, with
+0 transforms per check.
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 The scaling fit reads f0 alone, on the equal-time line with time
 frequencies integrated out (equal_time_density): on the space-time torus
-every component shows the smooth-lattice slope, not |y - x|^{2|beta|}.
+every component shows the smooth-lattice slope, not |y - x|^{2|beta|}.  Its
+exact slope and its samples are one read, 2 (G(0) - G(r)) with G the inverse
+transform of the line density or of a sample's periodogram (Wiener-Khinchin).
 
 Randomness is counter-based: component c of sample i of a sampler with
 seed s is one call for 2 rows |S| standard normals from Philox keyed by
-hash(s, (i << 8) | c).  They are the real and imaginary parts of its half
-spectrum on S, the spatial columns where the density is nonzero (closed
-under k -> -k), and the draw has exactly the law of physical white noise
-transformed and shaped (_noise_source).  So estimates are bit-identical
-however the sample loop is scheduled or parallelised, and the only
-reduction over samples is a fixed-order pairwise sum.  A check re-keys one
-Philox per sample rather than building a fresh one (_keyed_normals).
+hash(s, (i << 8) | c), the real and imaginary parts of its half spectrum on
+S, with exactly the law of physical white noise transformed and shaped
+(_NoiseSource).  So estimates are bit-identical however the sample loop is
+scheduled or parallelised, and the only reduction over samples is a
+fixed-order pairwise sum.  A check re-keys one Philox per sample rather
+than building a fresh one (_keyed_normals).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,38 +180,53 @@ def _keyed_normals():
     return normals
 
 
-def _negated_columns(grid):
-    """The flat spatial column of -k for every flat spatial column k, with a
-    half spectrum viewed as (time rows, spatial columns)."""
-    space = grid.sizes[1:]
-    return np.ravel_multi_index(
-        tuple(-i % n for i, n in zip(np.indices(space), space)), space).ravel()
-
-
 class _NoiseSource:
-    """The support draw of a sampler, built by _noise_source.
+    """The shaped half spectrum of component comp of sample index, drawn on
+    the support of the sampler's density alone: source.block(index, comp),
+    or scattered into a zero half spectrum, source(index, comp).
 
-    cols are the flat spatial columns of the support S, with a half spectrum
-    viewed as (time rows, spatial columns); mirror[s] is the index in cols of
-    the column of -k for the column cols[s] of k; density is the density's
-    block on S.  A block is an array of shape (rows, |S|): the values of a
-    half spectrum on S, which is zero off S.
+    The support S is the set of spatial columns where the density FF is
+    nonzero in some time row, closed under k -> -k; cols are its flat
+    columns, a half spectrum viewed as (time rows, spatial columns), and
+    mirror[s] is the index in cols of the column of -k for cols[s].  A
+    block, density among them, is the (rows, |S|) part on S of a half
+    spectrum that is zero off S.  The plane rule of the half spectrum has
+    two parts: the c2r weights c(k0) (kernel.SpectralGrid.c2r_weights), and
+    the projection P x = (x(k) + conj x(-k)) / 2 on the self-conjugate
+    planes k0 = 0, N0/2, x elsewhere (project).
+
+    A draw has the law of physical white noise w, transformed and shaped,
+    to_fourier(w) sqrt(FF / cell) = z sqrt(vol FF) with z = W / sqrt(N), W
+    the unnormalised DFT of w: unit complex normals, independent over the
+    half spectrum except that z(-k) = conj z(k) on the two planes (z real
+    where k = -k).  Sample index, component comp, is one keyed call
+    normals(key, (rows, |S|, 2)), key = hash(seed, (index << 8) | comp),
+    read as a + ib, and its block is P(a + ib) sqrt(vol FF / c): off the
+    planes E|a + ib|^2 = 2 = c, on them E|P(a + ib)|^2 = 1 = c.  No
+    transform runs, and a sample draws 2 rows |S| normals instead of N.
     """
 
-    def __init__(self, sampler, cols, mirror, density, amplitude):
+    def __init__(self, sampler):
         grid = sampler.grid
         rows = grid.spectrum_shape[0]
+        space = grid.sizes[1:]
+        density = sampler.density().reshape(rows, -1)
+        # the flat spatial column of -k for every flat spatial column k
+        negated = np.ravel_multi_index(
+            tuple(-i % n for i, n in zip(np.indices(space), space)), space).ravel()
+        live = np.any(density, axis=0)
+        cols = np.flatnonzero(live | live[negated])
+        mirror = np.searchsorted(cols, negated[cols])
+        c2r = grid.c2r_weights()
         self.grid, self.seed = grid, sampler.seed
-        self.cols, self.mirror, self.density = cols, mirror, density
-        self._amplitude = amplitude
+        self.cols, self.mirror, self.density = cols, mirror, density[:, cols]
+        self._amplitude = np.sqrt(grid.volume * self.density / c2r)
         self._planes = slice(None, None, rows - 1)
         self._shape = (rows, cols.size, 2)
         self._normals = _keyed_normals()
         # the inverse: c(k0) / (2 cell) per time row, and the columns of S in
         # the spatially halved layout of irfftn (last index 0, ..., N_d / 2)
-        self._time_weight = np.full((rows, 1), 1.0 / grid.cell)
-        self._time_weight[self._planes] = 0.5 / grid.cell
-        space = grid.sizes[1:]
+        self._time_weight = c2r / (2.0 * grid.cell)
         self._halved_shape = space[:-1] + (space[-1] // 2 + 1,)
         index = np.unravel_index(cols, space)
         kept = np.flatnonzero(index[-1] <= space[-1] // 2)
@@ -219,12 +238,18 @@ class _NoiseSource:
         """The block on S of a half spectrum."""
         return np.reshape(spectrum, (self._shape[0], -1))[:, self.cols]
 
+    def project(self, block):
+        """P block, in place, returned: (x(k) + conj x(-k)) / 2 on the two
+        self-conjugate time planes, the block itself elsewhere."""
+        planes = block[self._planes]
+        planes += planes[:, self.mirror].conj()
+        planes *= 0.5
+        return block
+
     def block(self, index, comp):
         """The shaped block on S of component comp of sample index."""
         z = self._normals(_sample_key(self.seed, (index << 8) | comp), self._shape)
-        z = z.view(np.complex128)[..., 0]
-        z[self._planes] += z[self._planes, self.mirror].conj()
-        return z * self._amplitude
+        return self.project(z.view(np.complex128)[..., 0]) * self._amplitude
 
     def __call__(self, index, comp):
         """The block scattered into a zero half spectrum."""
@@ -255,53 +280,16 @@ class _NoiseSource:
         return np.fft.irfft(q, n=grid.sizes[-1], axis=-1)
 
 
-def _noise_source(sampler):
-    """The _NoiseSource of sampler: the shaped half spectrum of component comp
-    of sample index, drawn on the support of the density alone, as the
-    block source.block(index, comp) or scattered, source(index, comp).
-
-    The law is that of physical white noise w, transformed and shaped:
-    to_fourier(w) sqrt(FF / cell).  That spectrum is z(k) sqrt(vol FF(k))
-    with z(k) = W(k) / sqrt(N), W the unnormalised DFT of w: unit complex
-    normals, independent over the half spectrum except that on the two
-    self-conjugate time planes (k0 = 0 and the time Nyquist) z(-k) is
-    conj z(k), and z(k) is real where k = -k.  The draw builds that z
-    directly.  The support S is the set of spatial columns where FF is
-    nonzero in some time row, closed under k -> -k and found once here.
-    Sample index, component comp, is one keyed call
-    normals(key, (rows, |S|, 2)), key = hash(seed, (index << 8) | comp),
-    read as z = (a + ib) / sqrt(2); on the two planes
-    z(k) <- (z(k) + conj z(-k)) / sqrt(2), which gives Hermitian pairs and
-    real unit-variance self-conjugate modes.  The block is z sqrt(vol FF)
-    on S; only sample_noise scatters it into a zero half spectrum.  Both
-    1/sqrt(2) factors are folded into the amplitude, sqrt(vol FF / 2) off
-    the planes and sqrt(vol FF / 4) on them.  No transform runs, and a
-    sample draws 2 rows |S| normals instead of N.
-    """
-    grid = sampler.grid
-    rows = grid.spectrum_shape[0]
-    density = sampler.density().reshape(rows, -1)
-    negated = _negated_columns(grid)
-    live = np.any(density, axis=0)
-    cols = np.flatnonzero(live | live[negated])
-    mirror = np.searchsorted(cols, negated[cols])
-    weight = np.full((rows, 1), 0.5)
-    weight[[0, -1]] = 0.25
-    density = density[:, cols]
-    amplitude = np.sqrt(grid.volume * density * weight)
-    return _NoiseSource(sampler, cols, mirror, density, amplitude)
-
-
 def sample_noise(sampler, index=0):
     """One noise sample: a list of d real mollified components.
 
     This is the physical view of the keyed draw the checks read in Fourier
     space: component c is the inverse transform of the support draw
-    _noise_source(sampler)(index, c), the same values bit for bit.  Its law
+    _NoiseSource(sampler)(index, c), the same values bit for bit.  Its law
     is that of white noise shaped by sqrt(FF / cell) in Fourier space.
     """
     grid = sampler.grid
-    spectrum = _noise_source(sampler)
+    spectrum = _NoiseSource(sampler)
     return [
         SpectralField(grid, spectrum(index, comp), "fourier").to_physical()
         for comp in range(grid.d)
@@ -379,9 +367,6 @@ class McReport:
             "oracles": list(self.oracles),
             "z_scores": list(self.z_scores),
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=1)
 
     def to_csv(self):
         buf = io.StringIO()
@@ -461,7 +446,7 @@ def covariance_check(sampler, lags=None, n_samples=256):
             for lag in (_default_lags(grid) if lags is None else lags)]
     if not lags:
         raise ConfigError("the covariance check needs at least one lag")
-    source = _noise_source(sampler)
+    source = _NoiseSource(sampler)
     read = point_reader(grid, lags, cols=source.cols)
     oracles = read(source.density)
     rows = [read(np.abs(source.block(i, 0)) ** 2 / grid.volume)
@@ -476,9 +461,8 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     lattice density of v = L^{-1} div xi: FF sum_i |P M_i|^2 over the
     div_symbols M_i.  On the self-conjugate planes the inverse real
     transform keeps the conjugate-symmetric part of M_i xi_hat_i, which is
-    xi_hat_i P M_i as xi_hat_i is symmetric there; so P M_i is
-    (M_i(k) + conj M_i(-k)) / 2 on those planes and M_i elsewhere.  It is
-    formed exactly: a round trip through physical space would leave
+    xi_hat_i P M_i as xi_hat_i is symmetric there (_NoiseSource.project).
+    It is formed exactly: a round trip through physical space would leave
     rounding of order 1e-16 max|M_i| at k1 = 0, where M_i is 0 and the
     density is largest, and once tau leaves little density elsewhere that
     rounding outweighs the oracle.  The gaps G(y-x) - G(0), and each
@@ -491,14 +475,9 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     grid = sampler.grid
     x = _base_index(grid, x)
     separations = _geometric_offsets(grid, 3, 14, 4)
-    source = _noise_source(sampler)
+    source = _NoiseSource(sampler)
     mults = [source.restrict(m) for m in div_symbols(grid, sampler.spec.m0)]
-    planes = slice(None, None, grid.spectrum_shape[0] - 1)
-    mult_sq = 0.0
-    for m in mults:
-        kept = m.copy()
-        kept[planes] = (kept[planes] + kept[planes, source.mirror].conj()) / 2
-        mult_sq = mult_sq + np.abs(kept) ** 2
+    mult_sq = sum(np.abs(source.project(m.copy())) ** 2 for m in mults)
     zero = (0,) * (grid.d + 1)
     g_gap = point_reader(grid, separations, cols=source.cols, base=zero)
     oracles = -2.0 * g_gap(source.density * mult_sq)
@@ -548,7 +527,7 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     for t, psi in zip(t_list, psis):
         if not np.any(psi.ravel()[1:]):
             raise NumericError(f"psi_t underflows to zero at every nonzero mode (t={t:g})")
-    source = _noise_source(sampler)
+    source = _NoiseSource(sampler)
     if component == "f0":
         oracles = [0.0 for _ in t_list]
         read = point_reader(grid, [x], [source.restrict(psi) for psi in psis], source.cols)
@@ -588,7 +567,9 @@ _LOG_TAIL = -math.log(_TAIL_CUT)
 def _legendre(n):
     """The n-node Gauss-Legendre rule on (0, 1) by Golub-Welsch: eigenvalues
     and squared first eigenvector components of the Jacobi matrix of the
-    Legendre polynomials; read-only, as callers share it."""
+    Legendre polynomials.  Only equal_time_density's panels use it (the
+    finite-tau tables are closed forms); read-only, as the cache hands the
+    same arrays to every call."""
     k = np.arange(1, n)
     off = np.sqrt(k * k / (4.0 * k * k - 1.0))
     nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
@@ -598,15 +579,15 @@ def _legendre(n):
     return rule
 
 
-def equal_time_density(sampler, k_values=None):
-    """Marginal spatial density P(k1) of v at a fixed time, d = 1.
+def equal_time_density(sampler):
+    """Marginal spatial density P(k1) of v at a fixed time, d = 1, on the
+    grid's half line k1 = 0, ..., N1/2 (rfftfreq).
 
     P(k1) = integral over the real time-frequency line of
     (2 pi k1)^2 FF(k0, k1) / symbol_LLstar dk0.  A lattice k0 sum is the
     wrong object here: resolving the frequency ridge k0 ~ k1^4 across a
     decade of k1 would take ~1e6 time modes, while the line integral is
-    cheap and is what the whole-space statements are about.  k_values
-    defaults to the grid's half line 0, ..., N1/2 (rfftfreq).
+    cheap and is what the whole-space statements are about.
 
     The integrand mixes scales that can sit ten decades apart (the
     dispersion ridge and the mollifier rolloff), so the half line k0 > 0
@@ -622,10 +603,8 @@ def equal_time_density(sampler, k_values=None):
     """
     if sampler.grid.d != 1:
         raise ConfigError("the equal-time marginal is wired for d = 1")
-    if k_values is None:
-        n = sampler.grid.sizes[1]
-        k_values = np.fft.rfftfreq(n, d=sampler.grid.boxes[1] / n)
-    k_values = np.asarray(k_values, dtype=float)
+    n = sampler.grid.sizes[1]
+    k_values = np.fft.rfftfreq(n, d=sampler.grid.boxes[1] / n)
     m0 = sampler.spec.m0
     # the time-frequency envelope of the mollifier is exp(-(2 pi k0 scale)^2)
     scale = math.sqrt(sampler.moll.time_rate)
@@ -647,7 +626,7 @@ def equal_time_density(sampler, k_values=None):
         return (TWO_PI * k1) ** 2 * ff / symbol_LLstar((k0, k1), m0)
 
     out = np.zeros_like(k_values)
-    for mag in np.unique(np.abs(k_values[k_values != 0.0])):
+    for j, mag in enumerate(k_values[1:], start=1):
         ridge = m0 * (TWO_PI * mag) ** 4 / TWO_PI
         if not ridge > 0.0:
             raise NumericError(f"the dispersion ridge at k1 = {mag:g} underflows to zero")
@@ -666,8 +645,8 @@ def equal_time_density(sampler, k_values=None):
             raise NumericError(
                 f"frequency-line integral error {err:g} too large for {total:g}"
             )
-        out[np.abs(k_values) == mag] = 2.0 * total
-    if np.any(k_values) and not np.any(out):
+        out[j] = 2.0 * total
+    if not np.any(out):
         raise NumericError(f"the line density underflows to zero at every nonzero k1 "
                            f"(tau={sampler.moll.tau})")
     return out
@@ -719,9 +698,12 @@ def scaling_fit(sampler, window, n_samples=1024, bootstrap=200):
     shaping of the keyed normals (i << 8) | 0x5C; ci is the half-width of
     a 95% bootstrap interval over samples; exact_slope is the slope of the
     pairing sum 2 (G(0) - G(r)), G the inverse transform of the line
-    density.  ``window`` (lo, hi) must span half a decade and start at or
-    above the mollification scale space_rate^(1/8), tau^(1/8) at m0 = 1:
-    below it every draw is smooth and the bootstrap cannot move the slope.
+    density.  A draw's mean squared increment is the same read of its
+    periodogram |rfft(white)|^2 / n times the line density, whose mean over
+    draws is the line density.  ``window`` (lo, hi) must span half a decade
+    and start at or above the mollification scale space_rate^(1/8),
+    tau^(1/8) at m0 = 1: below it every draw is smooth and the bootstrap
+    cannot move the slope.
     """
     if bootstrap < 2:
         raise ConfigError(f"a bootstrap interval needs 2 or more resamples, got {bootstrap}")
@@ -736,15 +718,19 @@ def scaling_fit(sampler, window, n_samples=1024, bootstrap=200):
         raise ConfigError(f"window starts at {window[0]:g}, below the mollification "
                           f"scale space_rate^(1/8) = {smooth_below:g}")
     seps = np.array(js) * (length / n)
-    g_line = np.fft.irfft(p_density, n) * (n / length)
-    exact_slope = fit_log_slope(seps, [2.0 * (g_line[0] - g_line[j]) for j in js])
-    scale = np.sqrt(p_density * n / length)
+
+    def structure(power):
+        """2 (G(0) - G(r)) at the separations, G the inverse transform of
+        the line power (a density on k1 = 0, ..., n/2)."""
+        g = np.fft.irfft(power, n) * (n / length)
+        return 2.0 * (g[0] - g[js])
+
+    exact_slope = fit_log_slope(seps, structure(p_density))
     normals = _keyed_normals()
     rows = np.empty((n_samples, len(js)))
     for i in range(n_samples):
         white = normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n)
-        w = np.fft.irfft(np.fft.rfft(white) * scale, n)
-        rows[i] = [np.mean((np.roll(w, -j) - w) ** 2) for j in js]
+        rows[i] = structure(np.abs(np.fft.rfft(white)) ** 2 * p_density / n)
     mean = _pairwise_sum(list(rows)) / n_samples
     exponent = fit_log_slope(seps, mean)
     rng = np.random.Generator(

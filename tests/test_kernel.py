@@ -364,6 +364,33 @@ def test_kernel_field_is_real_even_and_mass_one():
     assert np.sum(psi.values) * grid.cell == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid", [
+    checks_grid(),
+    SpectralGrid(d=1, sizes=(64, 96), boxes=(1e-4, 1.0)),
+    SpectralGrid(d=2, sizes=(16, 32, 24), boxes=(1e-4, 1.0, 1.5)),
+], ids=["checks_grid", "d1", "d2"])
+def test_kernel_field_from_its_factors_equals_the_inverse_of_psi_hat(grid):
+    for t in (1e-12, 1e-11):
+        hat = psi_hat(t, grid.frequency_mesh(), 1.3).astype(complex)
+        want = kernel._inverse(grid, hat, owned=True)
+        got = kernel_field(grid, t, 1.3).values
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_semigroup_defect_sees_a_wrong_inverse_transform(monkeypatch):
+    # kernel_field does not run through _inverse, so a mutant inverse that
+    # zeroes time row k0 = 1 shows in convolve's side of the gap alone
+    inverse = kernel._inverse
+
+    def mutant(grid, hat, owned=False):
+        hat = np.array(hat)
+        hat[1] = 0.0
+        return inverse(grid, hat, owned=True)
+
+    monkeypatch.setattr(kernel, "_inverse", mutant)
+    assert semigroup_defect(small_grid(), 3e-12, 7e-12) > 1e-3
+
+
 def test_evenness_and_realness_read_one_inverse_transform():
     # kernel_checks hands one physical view of psi_hat(1e-12) to both checks
     grid = small_checks_grid()
@@ -391,12 +418,25 @@ def test_kernel_checks_refuse_d2_before_the_full_grid_checks(monkeypatch):
         kernel_checks(SpectralGrid(d=2, sizes=(8, 8, 8), boxes=(1e-4, 1.0, 1.0)))
 
 
-@pytest.mark.parametrize("m0", [0.0, -1.0, math.nan, math.inf, 1.4e154, 1e300])
+@pytest.mark.parametrize("m0", [0.0, -1.0, math.nan, math.inf, 1.4e154, 1e200, 1e300])
 def test_m0_needs_a_positive_finite_square(m0):
-    with pytest.raises(ConfigError):
-        check_m0(m0)
-    with pytest.raises(ConfigError):
-        kernel_checks(small_checks_grid(), m0=m0)
+    # the symbols of L and LL* check m0 as check_m0 does, so no mesh function
+    # fills a field with NaN (the suite makes the overflow's RuntimeWarning
+    # an error)
+    grid = SpectralGrid(d=1, sizes=(8, 16), boxes=(1e-4, 1.0))
+    ones = [SpectralField(grid, np.ones(grid.sizes), "physical")]
+    for call in (
+        lambda: check_m0(m0),
+        lambda: kernel_checks(small_checks_grid(), m0=m0),
+        lambda: psi_hat(1e-12, grid.frequency_mesh(), m0),
+        lambda: kernel_field(grid, 1e-12, m0),
+        lambda: convolve(ones[0], 1e-12, m0),
+        lambda: solve_L_div(ones, m0),
+        lambda: mc.pi_f0(ones, None, m0),
+        lambda: mc.pi_f0f1(ones, None, m0),
+    ):
+        with pytest.raises(ConfigError, match="finite square"):
+            call()
 
 
 def test_m0_just_below_the_square_overflow_is_accepted():
@@ -493,7 +533,7 @@ def test_solve_zero_field_and_gauge():
 
 
 def test_solve_residual_and_realness():
-    residual, realness = inversion_residual(small_grid(), seed=5)
+    residual, realness = inversion_residual(small_grid())
     assert residual < 1e-10
     assert realness < 1e-10
 

@@ -157,7 +157,7 @@ def test_support_draw_has_the_law_of_shaped_white_noise(monkeypatch, sizes, alph
         return normals
 
     monkeypatch.setattr(mc, "_keyed_normals", unit_normals)
-    spectrum = mc._noise_source(sampler)
+    spectrum = mc._NoiseSource(sampler)
     spectrum(0, 0)
 
     def response(unit):
@@ -193,7 +193,7 @@ def test_support_inverse_equals_the_full_inverse(sizes, tau):
     grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
     sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
                               moll=mollifier_spec("semigroup", tau), seed=2)
-    source = mc._noise_source(sampler)
+    source = mc._NoiseSource(sampler)
     rng = np.random.default_rng(8)
     blocks = [source.block(0, 0)]
     blocks += [rng.standard_normal(source.density.shape)
@@ -357,7 +357,7 @@ def test_bphz_f0f1_oracle_vanishes_for_even_density():
 def test_report_serialisation():
     rep = mc.covariance_check(small_sampler(seed=3), lags=[(0, 1), (1, 0)],
                               n_samples=64)
-    blob = json.loads(rep.to_json())
+    blob = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
     assert blob["estimator"] == "covariance"
     assert blob["samples"] == 64
     assert len(blob["z_scores"]) == 2
@@ -371,7 +371,7 @@ def test_equal_time_density_matches_extended_lattice_sum():
     # sum with unit spacing and a wide truncation approximates it closely
     s = small_sampler(seed=1, tau=1e-20, sizes=(8, 64))
     k1 = 2.0
-    p = mc.equal_time_density(s, [k1])[0]
+    p = mc.equal_time_density(s)[2]  # the lattice k1 = 0, ..., 32
     ridge = (2 * np.pi * k1) ** 4 / (2 * np.pi)
     js = np.arange(-int(3000 * ridge), int(3000 * ridge) + 1)
     ff = s.spec.evaluator(js, k1) * s.moll.squared_symbol(js, k1)
@@ -416,6 +416,38 @@ def test_scaling_fit_f0_tau_independent():
         results.append(mc.scaling_fit(s, (8 * t8, 80 * t8), n_samples=512))
     (e1, c1, _), (e2, c2, _) = results
     assert abs(e1 - e2) < c1 + c2
+
+
+@pytest.mark.parametrize("alpha, m0, kind, tau, sizes, window", [
+    (0.55, 1.0, "semigroup", 1e-24, (8, 1024), (8e-3, 8e-2)),
+    (0.8, 1.5, "anisotropic", 1e-16, (8, 2048), (0.012, 0.12)),
+])
+def test_scaling_fit_rows_are_the_mean_squared_increments_of_the_draws(
+        monkeypatch, alpha, m0, kind, tau, sizes, window):
+    # each row is read from the draw's periodogram; the reference builds the
+    # draw's physical field and takes its mean squared increments by np.roll
+    grid = SpectralGrid(d=1, sizes=sizes, boxes=(1.0, 1.0))
+    s = mc.NoiseSampler(grid=grid, spec=covariance_spec(alpha, m0),
+                        moll=mollifier_spec(kind, tau, eta=2.0, m0=m0), seed=4)
+    captured = []
+    pairwise = mc._pairwise_sum
+
+    def capture(parts):
+        captured.append(np.array(parts))
+        return pairwise(parts)
+
+    monkeypatch.setattr(mc, "_pairwise_sum", capture)
+    mc.scaling_fit(s, window, n_samples=8, bootstrap=2)
+    (rows,) = captured
+    n = grid.sizes[1]
+    js = mc._separation_indices(grid, window)
+    scale = np.sqrt(mc.equal_time_density(s) * n / grid.boxes[1])
+    normals = mc._keyed_normals()
+    for i, row in enumerate(rows):
+        white = normals(mc._sample_key(s.seed, (i << 8) | 0x5C), n)
+        w = np.fft.irfft(np.fft.rfft(white) * scale, n)
+        want = np.array([np.mean((np.roll(w, -j) - w) ** 2) for j in js])
+        assert np.max(np.abs(row - want) / want) <= 1e-13
 
 
 def test_scaling_fit_window_validation():

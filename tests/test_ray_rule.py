@@ -23,8 +23,9 @@ from tfrenorm.mc import _legendre
 @pytest.mark.parametrize("n", [32, 64, 128, 256])
 def test_legendre_rule_is_the_stevd_rule_to_the_bit(n):
     """The symmetric eigensolver gives the bits LAPACK stevd gives on the
-    Jacobi matrix of the Legendre polynomials, so the tables and the MC line
-    density keep the rule they were validated with."""
+    Jacobi matrix of the Legendre polynomials, so the MC line density keeps
+    the rule it was validated with (the finite-tau tables are closed forms
+    and use no quadrature rule)."""
     k = np.arange(1, n)
     s = 2.0 * k
     off = np.sqrt(4.0 * k * k * k**2 / (s * s * (s + 1.0) * (s - 1.0)))
