@@ -24,8 +24,11 @@ one transform over time and one over space per derivative order.  Only
 kernel_field forms psi_t on the grid, as a_t b_t; smoothing_reader takes its
 rows from it, and the moment and scaling checks read the factors alone.
 The semigroup check sets convolve's transforms against kernel_field.  The
-evenness, realness and inversion checks keep the full-grid transforms:
-they are the checks of the transforms and of solve_L_div.
+evenness and realness checks keep the full-grid transforms: they are the
+checks of the transforms.  The inversion check of solve_L_div runs on the
+half lattice, N_i/2 points per axis over the same boxes: its input band
+|j| < N_i/4 is every mode there but the Nyquist rows, so the full grid
+would only carry zeros.
 
 Memory rule: a full-grid transform or check holds only the grid arrays its
 arithmetic needs, and no public function writes into an array its caller
@@ -224,6 +227,24 @@ def _inverse(grid, hat, owned=False):
     return out
 
 
+def _turns(sizes, wavenumbers, cells):
+    """Per axis, j x mod n for every cell (first axis): the phases in exact
+    integer 1/n turns."""
+    cells = np.reshape(np.asarray(cells, dtype=np.int64), (-1, len(sizes)))
+    return [(j * (x[:, None, None] % n)) % n for j, x, n in zip(wavenumbers, cells.T, sizes)]
+
+
+def lattice_phase(sizes, wavenumbers, cells, row=1.0):
+    """row times prod_i e^{2 pi i j_i x_i / n_i} for every cell x (first
+    axis) and the integer wavenumbers j_i of each axis (arrays that
+    broadcast against each other).  Along each axis the phase is an integer
+    number of 1/n turns, read from a table of the n roots of unity, so it
+    is exact on the lattice; a cell is read modulo the sizes."""
+    for m, n in zip(_turns(sizes, wavenumbers, cells), sizes):
+        row = row * np.exp(TWO_PI * 1j * np.arange(n) / n)[m]
+    return row
+
+
 def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     """Reader of physical values at a few cells straight from a half spectrum.
 
@@ -234,9 +255,8 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     applies on the self-conjugate planes.  W is built once; a read is one
     real matvec: Re W against a real hat (a periodogram, say), and the
     interleaved (Re W, -Im W) against the float view of a complex one, so no
-    input is upcast to complex.  Along each axis the phase k x_p is an
-    integer number of 1/n turns, so it is exact on the lattice, and a cell
-    is read modulo the grid sizes.
+    input is upcast to complex.  The phases are lattice_phase's: exact on
+    the lattice, and a cell is read modulo the grid sizes.
 
     base, if given, is a cell whose value each read subtracts: the rows are
     then W_p - W_base = W_base (e^{2 pi i k (x_p - x_base)} - 1), formed from
@@ -261,29 +281,17 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     wavenumbers += [np.fft.fftfreq(n, 1.0 / n).astype(np.int64)[index]
                     for n, index in zip(space, np.unravel_index(cols, space))]
 
-    def turns(cells):
-        """Per axis, j x mod n for every cell (first axis): the phases in
-        exact integer 1/n turns."""
-        cells = np.reshape(np.asarray(cells, dtype=np.int64), (-1, grid.d + 1))
-        return [(j * (x[:, None, None] % n)) % n
-                for j, x, n in zip(wavenumbers, cells.T, grid.sizes)]
-
-    def phase(cells):
-        row = c2r
-        for m, n in zip(turns(cells), grid.sizes):
-            row = row * np.exp(TWO_PI * 1j * np.arange(n) / n)[m]
-        return row
-
     if base is None:
-        weights = phase(cells)
+        weights = lattice_phase(grid.sizes, wavenumbers, cells, c2r)
     else:
         # e^{2 pi i s} - 1 over the axes: (E_a E_b - 1) = (E_a - 1) E_b + (E_b - 1)
         gap = 0.0
-        for m, m_base, n in zip(turns(cells), turns([base]), grid.sizes):
+        for m, m_base, n in zip(_turns(grid.sizes, wavenumbers, cells),
+                                _turns(grid.sizes, wavenumbers, [base]), grid.sizes):
             s = np.arange(-(n // 2), n // 2) / n
             step = (2j * np.sin(np.pi * s) * np.exp(1j * np.pi * s))[(m - m_base + n // 2) % n]
             gap = gap * (1.0 + step) + step
-        weights = phase([base]) * gap
+        weights = lattice_phase(grid.sizes, wavenumbers, [base], c2r) * gap
     weights = weights.reshape(-1, rows_n * cols.size)
     if multipliers is not None:
         weights = np.concatenate([weights * np.ravel(m) for m in multipliers])
@@ -596,6 +604,14 @@ def inversion_residual(grid, m0=1.0):
     """(residual, realness) of solve_L_div on random real input (seed 0),
     band limited to the wavenumbers |j| < N_i/4 on each axis.
 
+    The band is every mode of the half lattice except its Nyquist rows: the
+    lattice of M_i = 2 ceil(N_i/4) points per axis (N_i/2 where 4 divides
+    N_i) over the same boxes, whose wavenumbers -M_i/2, ..., M_i/2 - 1 are
+    the band plus the Nyquist row j = -M_i/2.  A frequency is j / box on
+    either lattice, so the check runs on the half lattice: the input is
+    drawn there and its Nyquist rows are zeroed in place in the forward
+    transform's output.
+
     residual -- relative gap ||L u_hat - div_hat|| / ||div_hat|| in Fourier
                 space (div_hat has no zero mode), where u_hat comes from
                 solve_L_div and L is applied as d_0 + m0 (sum_i d_i^2)^2
@@ -605,21 +621,21 @@ def inversion_residual(grid, m0=1.0):
                 it does not check the inverse transform
     realness -- real_defect of u: the part of its spectrum no real field has
     """
+    half = make_grid(grid.d, [2 * -(-n // 4) for n in grid.sizes], grid.boxes)
     rng = np.random.default_rng(0)
-    mesh = grid.frequency_mesh()
     comps = []
-    for _ in range(grid.d):
-        hat = SpectralField(grid, rng.standard_normal(grid.sizes), "physical").to_fourier().values
-        for axis, (k, box, n) in enumerate(zip(mesh, grid.boxes, grid.sizes)):
-            hat.swapaxes(0, axis)[np.abs(np.rint(k * box)).ravel() >= n / 4] = 0.0
-        comps.append(SpectralField(grid, hat, "fourier"))
+    for _ in range(half.d):
+        hat = SpectralField(half, rng.standard_normal(half.sizes), "physical").to_fourier().values
+        for axis, n in enumerate(half.sizes):
+            hat.swapaxes(0, axis)[n // 2] = 0.0  # on the time axis, the last row
+        comps.append(SpectralField(half, hat, "fourier"))
     u_hat = solve_L_div(comps, m0)
     div_hat = _sum_of_products(
-        (grid.ik_power(1 + i, 1), c.values, True) for i, c in enumerate(comps)
+        (half.ik_power(1 + i, 1), c.values, True) for i, c in enumerate(comps)
     )
     del comps, hat  # hat is the last component's array
-    lap = sum(grid.ik_power(1 + i, 2) for i in range(grid.d))
-    gap = grid.ik_power(0, 1) + m0 * lap**2
+    lap = sum(half.ik_power(1 + i, 2) for i in range(half.d))
+    gap = half.ik_power(0, 1) + m0 * lap**2
     gap *= u_hat.values
     gap -= div_hat
     residual = float(np.linalg.norm(gap) / np.linalg.norm(div_hat))

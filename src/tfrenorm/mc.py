@@ -26,10 +26,15 @@ pointwise product or a full field needs it: xi pi_f0 in the bphz f0+f1
 check, smoothed at the base point by kernel.smoothing_reader, and the
 dumped field of the moment check.  It goes back by the support inverse
 (_NoiseSource.inverse), which transforms the |S| columns alone over time.
+A field whose band is known goes back to the coarsest lattice that holds
+it without aliasing: the dump to the grid, the two factors of xi pi_f0 to
+the product lattice of S, N0 times M_i points over the same boxes with
+M_i > 4 K_i, K_i the largest |k_i| on S (Orszag's rule), where the product
+of two fields on S has the Fourier coefficients it has on the grid.
 Transforms per sample at d = 1, forward + inverse, a support inverse
 counting as one: covariance 0 + 0, moment 0 + 0 (0 + 1 with a dump), bphz
-f0 0 + 0, bphz f0+f1 0 + 2.  Every oracle is read by point_reader too, with
-0 transforms per check.
+f0 0 + 0, bphz f0+f1 0 + 2, both on the product lattice.  Every oracle is
+read by point_reader too, with 0 transforms per check.
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 The scaling fit reads f0 alone, on the equal-time line with time
@@ -65,6 +70,8 @@ from .kernel import (
     TWO_PI,
     div_symbols,
     dump_field,
+    lattice_phase,
+    make_grid,
     point_reader,
     psi_hat,
     smoothing_reader,
@@ -133,16 +140,22 @@ class NoiseSampler:
         Computed once and cached; the returned array is read-only.  The
         covariance evaluator must map the frequency mesh to an array of its
         shape; one that fails on it or returns another shape is a
-        ConfigError.  A density that underflows to zero at every mode (a
-        mollifier scale so large that exp(-tau Q) is 0 on the grid) is a
-        NumericError.
+        ConfigError.  A frequency mesh whose squares overflow (boxes so
+        small that k0^2 or |k|^2 is not finite), a density that is not finite,
+        and one that underflows to zero at every mode (a mollifier scale so
+        large that exp(-tau Q) is 0 on the grid) are NumericErrors.
         """
         cached = getattr(self, "_density_cache", None)
         if cached is not None:
             return cached
         mesh = self.grid.frequency_mesh()
         k0 = mesh[0]
-        k_rad = np.sqrt(sum(np.square(m) for m in mesh[1:]))
+        with np.errstate(over="ignore"):
+            squares = np.square(k0), sum(np.square(m) for m in mesh[1:])
+        if not all(np.all(np.isfinite(sq)) for sq in squares):
+            raise NumericError(f"the frequency mesh overflows when squared "
+                               f"(boxes={self.grid.boxes})")
+        k_rad = np.sqrt(squares[1])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             fc = _mesh_values(self.spec.evaluator, k0, k_rad)
             if np.shape(fc) != self.grid.spectrum_shape:
@@ -195,6 +208,9 @@ class _NoiseSource:
     the projection P x = (x(k) + conj x(-k)) / 2 on the self-conjugate
     planes k0 = 0, N0/2, x elsewhere (project).
 
+    The support inverse writes onto lattice: the grid, or with product set
+    the product lattice of S (inverse).
+
     A draw has the law of physical white noise w, transformed and shaped,
     to_fourier(w) sqrt(FF / cell) = z sqrt(vol FF) with z = W / sqrt(N), W
     the unnormalised DFT of w: unit complex normals, independent over the
@@ -206,7 +222,7 @@ class _NoiseSource:
     transform runs, and a sample draws 2 rows |S| normals instead of N.
     """
 
-    def __init__(self, sampler):
+    def __init__(self, sampler, product=False):
         grid = sampler.grid
         rows = grid.spectrum_shape[0]
         space = grid.sizes[1:]
@@ -224,12 +240,22 @@ class _NoiseSource:
         self._planes = slice(None, None, rows - 1)
         self._shape = (rows, cols.size, 2)
         self._normals = _keyed_normals()
-        # the inverse: c(k0) / (2 cell) per time row, and the columns of S in
-        # the spatially halved layout of irfftn (last index 0, ..., N_d / 2)
-        self._time_weight = c2r / (2.0 * grid.cell)
-        self._halved_shape = space[:-1] + (space[-1] // 2 + 1,)
-        index = np.unravel_index(cols, space)
-        kept = np.flatnonzero(index[-1] <= space[-1] // 2)
+        # the signed integer wavenumbers of the columns of S, per spatial axis
+        self.wavenumbers = [np.fft.fftfreq(n, 1.0 / n).astype(np.int64)[index]
+                            for n, index in zip(space, np.unravel_index(cols, space))]
+        if product:
+            space_out = tuple(_product_size(int(np.max(np.abs(w))), n)
+                              for w, n in zip(self.wavenumbers, space))
+        else:
+            space_out = space
+        self.lattice = make_grid(grid.d, (grid.sizes[0],) + space_out, grid.boxes)
+        # the inverse: c(k0) / (2 cell) per time row, times prod M_i / prod N_i,
+        # and the columns of S at k mod M_i in the spatially halved layout of
+        # irfftn on the output lattice (last index 0, ..., M_d / 2)
+        self._time_weight = c2r / (2.0 * grid.cell) * (math.prod(space_out) / math.prod(space))
+        self._halved_shape = space_out[:-1] + (space_out[-1] // 2 + 1,)
+        index = [w % m for w, m in zip(self.wavenumbers, space_out)]
+        kept = np.flatnonzero(index[-1] <= space_out[-1] // 2)
         self._kept, self._kept_mirror = kept, mirror[kept]
         self._halved = np.ravel_multi_index(tuple(i[kept] for i in index),
                                             self._halved_shape)
@@ -257,9 +283,24 @@ class _NoiseSource:
         hat.reshape(self._shape[0], -1)[:, self.cols] = self.block(index, comp)
         return hat
 
+    def phase(self, cell):
+        """e^{2 pi i k x} on the columns of S for the spatial cell x
+        (kernel.lattice_phase, exact in integer turns): a block times it is
+        the block of its field translated by -x, which puts x at the
+        spatial origin of any lattice."""
+        return lattice_phase(self.grid.sizes[1:], self.wavenumbers, [cell]).reshape(-1)
+
     def inverse(self, block):
         """Physical values of the half spectrum that is block on S and zero
-        off it: kernel._inverse of the scattered block, to rounding.
+        off it, on the output lattice self.lattice: kernel._inverse of the
+        scattered block on that lattice, to rounding.
+
+        The output lattice is the grid, or with product set the product
+        lattice of S: time keeps N0, and space axis i gets M_i points
+        (_product_size) over the same box, M_i > 4 K_i with K_i the largest
+        |k_i| on S.  A field on S, and the product of two of them, then has
+        the same Fourier coefficients on that lattice as on the grid, so
+        the product of two inverses is exact there.
 
         The inverse real transform is Re P, P the complex sum
         sum_k c(k0) hat(k) e^{2 pi i k x} / vol (kernel.point_reader).  The
@@ -267,17 +308,41 @@ class _NoiseSource:
         under the weights c(k0) / (2 cell), zero-padded to N0.  Re over space
         is then the inverse of the Hermitian fold Q(k) = P(k) + conj P(-k)
         (its 1/2 is in the weights), which the staged irfftn over the space
-        axes reads on the columns of S in the spatially halved layout.
+        axes reads on the columns of S at k mod M_i in the spatially halved
+        layout of the output lattice.  The c2c passes there divide by the
+        M_i rather than the N_i, which the weights undo with prod M_i /
+        prod N_i.
         """
-        grid = self.grid
-        n0 = grid.sizes[0]
+        n0 = self.grid.sizes[0]
         p = np.fft.ifft(block * self._time_weight, n=n0, axis=0)
         q = np.zeros((n0, math.prod(self._halved_shape)), dtype=np.complex128)
         q[:, self._halved] = p[:, self._kept] + p[:, self._kept_mirror].conj()
         q = q.reshape((n0,) + self._halved_shape)
-        for axis in range(1, grid.d):
+        for axis in range(1, self.grid.d):
             np.fft.ifft(q, axis=axis, out=q)
-        return np.fft.irfft(q, n=grid.sizes[-1], axis=-1)
+        return np.fft.irfft(q, n=self.lattice.sizes[-1], axis=-1)
+
+
+def _five_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def _product_size(k_max, n):
+    """Points M on an axis of the product lattice: the smallest even
+    5-smooth M > 4 k_max, capped at the grid's n.
+
+    Two fields of band k_max on the axis multiply to band 2 k_max, which M
+    points hold without aliasing when 2 k_max < M / 2 (Orszag's rule); at
+    M = 4 k_max the modes +-2 k_max fold onto one Nyquist mode.  A live
+    Nyquist column, k_max = n / 2, gives n.
+    """
+    m = 4 * k_max + 2
+    while m < n and not _five_smooth(m):
+        m += 2
+    return min(m, n)
 
 
 def sample_noise(sampler, index=0):
@@ -508,12 +573,20 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     read at the zero cell by kernel.point_reader.  The f0 values at x are
     read from the noise block by kernel.point_reader through the rows
     W_x psi_t on the support, formed once per check, so a sample is one
-    real matvec.  The f0+f1 integrand xi pi_f0 is formed in physical space,
-    from one support inverse each of xi and of pi_f0, and its smoothed
-    values at x are read from there by kernel.smoothing_reader, one real
-    matvec for every t, with no transform back.  An empty t_list is a
-    ConfigError, and a t at which psi_t underflows to zero at every nonzero
-    mode is a NumericError: it would read the mean of the integrand.
+    real matvec.  The f0+f1 integrand xi pi_f0 is formed in physical space
+    on the product lattice of the support (_NoiseSource.inverse), from one
+    support inverse each of xi and of pi_f0, and its smoothed values at x
+    are read from there by kernel.smoothing_reader on that lattice, one
+    real matvec for every t, with no transform back.  The product's band,
+    twice that of S, sits below the lattice's Nyquist rows, so its Fourier
+    coefficients there are its coefficients on the grid, and psi_t takes
+    the same values on them: the read is the grid's, to rounding.  The
+    spatial cell of x need not be a point of that lattice, so both blocks
+    are first translated by -x through the phases e^{2 pi i k x}, exact in
+    integer turns (_NoiseSource.phase), and read at (x0, 0, ..., 0).  An
+    empty t_list is a ConfigError, and a t at which psi_t underflows to
+    zero at every nonzero mode is a NumericError: it would read the mean of
+    the integrand.
     """
     if component not in ("f0", "f0f1"):
         raise ConfigError(f"component must be f0 or f0f1, got {component!r}")
@@ -527,7 +600,7 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     for t, psi in zip(t_list, psis):
         if not np.any(psi.ravel()[1:]):
             raise NumericError(f"psi_t underflows to zero at every nonzero mode (t={t:g})")
-    source = _NoiseSource(sampler)
+    source = _NoiseSource(sampler, product=component == "f0f1")
     if component == "f0":
         oracles = [0.0 for _ in t_list]
         read = point_reader(grid, [x], [source.restrict(psi) for psi in psis], source.cols)
@@ -540,13 +613,17 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
         read_zero = point_reader(grid, [zero], [source.restrict(1.0 - psi) for psi in psis],
                                  source.cols)
         oracles = list(read_zero(mults[0] * source.density))
-        smooth = smoothing_reader(grid, t_list, x, m0)
+        # x's spatial cell may be no point of the product lattice
+        shift = source.phase(x[1:])
+        mults = [m * shift for m in mults]
+        at = x[:1] + (0,) * grid.d
+        smooth = smoothing_reader(source.lattice, t_list, at, m0)
 
         def sample(i):
             blocks = [source.block(i, c) for c in range(grid.d)]
             piece = source.inverse(sum(m * b for m, b in zip(mults, blocks)))
-            piece -= piece[x]
-            return smooth(piece * source.inverse(blocks[0]))
+            piece -= piece[at]
+            return smooth(piece * source.inverse(blocks[0] * shift))
 
     rows = [sample(i) for i in range(n_samples)]
     return _batch_report(f"bphz_{component}", t_list, rows, oracles)
@@ -561,6 +638,7 @@ _PANEL_NODES = 32  # Gauss-Legendre nodes per panel; the check rule has twice as
 # the line integral ends where the mollifier envelope drops below _TAIL_CUT
 _TAIL_CUT = 1e-18
 _LOG_TAIL = -math.log(_TAIL_CUT)
+_K1_BATCH = 128  # k1 per panel array, which holds k1 x panels x 64 nodes
 
 
 @lru_cache(maxsize=None)
@@ -625,27 +703,41 @@ def equal_time_density(sampler):
         ff = _mesh_values(sampler.spec.evaluator, k0, k1) * envelope
         return (TWO_PI * k1) ** 2 * ff / symbol_LLstar((k0, k1), m0)
 
-    out = np.zeros_like(k_values)
-    for j, mag in enumerate(k_values[1:], start=1):
-        ridge = m0 * (TWO_PI * mag) ** 4 / TWO_PI
-        if not ridge > 0.0:
-            raise NumericError(f"the dispersion ridge at k1 = {mag:g} underflows to zero")
-        edges = [0.0, min(ridge, k0_moll)]
-        while 10.0 * edges[-1] < k0_max:
-            edges.append(10.0 * edges[-1])
-        edges = np.array(edges + [k0_max])
-        lo, width = edges[:-1, None], np.diff(edges)[:, None]
-        rules = []
-        for nodes, weights in (_legendre(_PANEL_NODES), _legendre(2 * _PANEL_NODES)):
-            values = integrand(lo + width * nodes, mag)
-            rules.append(float(np.sum(width * values * weights)))
-        coarse, total = rules
-        err = abs(total - coarse) + abs(integrand(np.float64(k0_max), mag)) * tail_factor
-        if not math.isfinite(total + err) or err > max(1e-6 * abs(total), 1e-280):
-            raise NumericError(
-                f"frequency-line integral error {err:g} too large for {total:g}"
-            )
-        out[j] = 2.0 * total
+    mags = k_values[1:]
+    ridges = m0 * (TWO_PI * mags) ** 4 / TWO_PI
+    if not np.all(ridges > 0.0):
+        raise NumericError(f"the dispersion ridge at k1 = {mags[np.argmin(ridges > 0.0)]:g} "
+                           f"underflows to zero")
+    # the decade edges of every k1: min(ridge, k0_moll), then ten times the
+    # last while that stays below k0_max; k1 with the same count of edges
+    # (a run, as the ridge grows with k1) share one panel array
+    decades = [np.minimum(ridges, k0_moll)]
+    while np.any(10.0 * decades[-1] < k0_max):
+        decades.append(10.0 * decades[-1])
+    decades = np.array(decades)
+    counts = np.count_nonzero(decades < k0_max, axis=0)
+    rules = (_legendre(_PANEL_NODES), _legendre(2 * _PANEL_NODES))
+    total, err = np.empty_like(mags), np.empty_like(mags)
+    for count in np.unique(counts):
+        run = np.flatnonzero(counts == count)
+        for part in np.array_split(run, -(-run.size // _K1_BATCH)):
+            edges = np.concatenate([np.zeros((1, part.size)), decades[:count, part],
+                                    np.full((1, part.size), k0_max)]).T
+            lo, width = edges[:, :-1, None], np.diff(edges)[..., None]
+            mag = mags[part, None, None]
+            coarse, total[part] = [
+                np.sum((width * integrand(lo + width * nodes, mag) * weights)
+                       .reshape(part.size, -1), axis=1)
+                for nodes, weights in rules]
+            err[part] = (np.abs(total[part] - coarse)
+                         + np.abs(integrand(np.float64(k0_max), mags[part])) * tail_factor)
+    bad = ~np.isfinite(total + err) | (err > np.maximum(1e-6 * np.abs(total), 1e-280))
+    if np.any(bad):
+        j = np.argmax(bad)
+        raise NumericError(
+            f"frequency-line integral error {err[j]:g} too large for {total[j]:g}"
+        )
+    out = np.concatenate([[0.0], 2.0 * total])
     if not np.any(out):
         raise NumericError(f"the line density underflows to zero at every nonzero k1 "
                            f"(tau={sampler.moll.tau})")

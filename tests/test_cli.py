@@ -456,6 +456,24 @@ def test_huge_cutoff_is_a_prompt_resource_error(argv):
     assert "max_count" in proc.stderr
 
 
+@pytest.mark.parametrize("task", [["covariance"], ["bphz", "--component", "f0f1"]])
+def test_tiny_boxes_are_one_line_numeric_error(task):
+    # the spatial frequencies j / 1e-300 overflow when squared: the density
+    # refuses the mesh, and no RuntimeWarning reaches stderr before that
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "tfrenorm.cli", "simulate", "--alpha", "0.75", "--tau", "1e-14",
+         "--task", *task, "--samples", "8", "--sizes", "4,8", "--boxes", "1,1e-300"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("numeric error: the frequency mesh overflows when squared"), line
+
+
 def test_cli_import_loads_no_numeric_layer():
     """The index-algebra subcommands start without numpy or scipy, and the
     numeric layers load no scipy either."""

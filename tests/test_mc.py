@@ -206,6 +206,69 @@ def test_support_inverse_equals_the_full_inverse(sizes, tau):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_product_lattice_size_rule():
+    smooth = {2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6)}
+    for n in (8, 30, 256, 1000, 4096):
+        for k in range(n // 2 + 1):
+            m = mc._product_size(k, n)
+            assert m <= n
+            if m < n:
+                # a product of two fields of band k has band 2k: at m = 4k
+                # the modes +2k and -2k would be one mode
+                assert m > 4 * k and m % 2 == 0 and m in smooth, (k, n, m)
+                assert not any(4 * k < s < m and s % 2 == 0 for s in smooth), (k, n, m)
+            else:
+                assert not any(4 * k < s < n and s % 2 == 0 for s in smooth), (k, n)
+    assert mc._product_size(8, 64) == 36 and mc._product_size(15, 256) == 64
+    # a live Nyquist column gives the grid's size
+    for n in (8, 30, 256):
+        assert mc._product_size(n // 2, n) == n
+
+
+@pytest.mark.parametrize("sizes, tau, want", [
+    ((4, 8), 1e-12, (4, 8)),  # the spatial-Nyquist column is live
+    ((8, 32), 1e-30, (8, 32)),  # every column is live
+    ((8, 32), 1e-4, (8, 6)),  # k1 = 0, +-1: M > 4
+    ((64, 256), 1e-14, (64, 90)),
+])
+def test_product_lattice_of_the_support(sizes, tau, want):
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
+                              moll=mollifier_spec("semigroup", tau), seed=2)
+    assert mc._NoiseSource(sampler).lattice == grid
+    assert mc._NoiseSource(sampler, product=True).lattice.sizes == want
+
+
+@pytest.mark.parametrize("sizes, tau", [
+    ((64, 256), 1e-14),
+    ((8, 32), 1e-4),
+    ((8, 64, 64), 1e-12),
+    ((4, 8, 16), 1e-12),
+])
+def test_support_inverse_on_the_product_lattice(sizes, tau):
+    # a half spectrum's coefficients do not depend on the lattice that holds
+    # its band, so the inverse onto the product lattice is the full inverse
+    # there of the block scattered at k mod M_i
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
+                              moll=mollifier_spec("semigroup", tau), seed=2)
+    source = mc._NoiseSource(sampler, product=True)
+    lattice = source.lattice
+    space = lattice.sizes[1:]
+    cols = np.ravel_multi_index(tuple(w % m for w, m in zip(source.wavenumbers, space)), space)
+    rng = np.random.default_rng(8)
+    blocks = [source.block(0, 0)]
+    blocks += [rng.standard_normal(source.density.shape)
+               + 1j * rng.standard_normal(source.density.shape) for _ in range(3)]
+    for block in blocks:
+        hat = np.zeros(lattice.spectrum_shape, dtype=complex)
+        hat.reshape(hat.shape[0], -1)[:, cols] = block
+        want = _inverse(lattice, hat)
+        got = source.inverse(block)
+        assert got.shape == lattice.sizes
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_moment_check_reads_the_same_with_and_without_a_dump(tmp_path):
     s = small_sampler(seed=6)
     x = (3, 17)

@@ -46,6 +46,33 @@ def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
         assert np.max(np.abs(np.subtract(rep.z_scores, want.z_scores))) <= 1e-11, name
 
 
+@pytest.mark.parametrize("sizes, tau, x, t_list", [
+    ((64, 256), 1e-14, (5, 37), (1e-17, 1e-14, 1e-11)),
+    ((64, 256), 1e-14, (63, 255), (1e-17, 1e-14, 1e-11)),
+    ((8, 64, 64), 1e-12, (3, 10, 50), (1e-15, 1e-13, 1e-11)),
+])
+def test_bphz_f0f1_on_a_product_lattice_coarser_than_the_grid(sizes, tau, x, t_list):
+    # xi pi_f0 is formed on the product lattice of the support, with x
+    # translated to its spatial origin; here that lattice is coarser than
+    # the grid on every space axis, so an aliased product or a wrong shift
+    # shows against the full-grid physical path.  The short times keep
+    # psi_t wide in space: at t >= 1e-6 it reads only |k| <= 1, where even
+    # a lattice of 2K + 2 points does not alias (that one misses here by
+    # 3e-11 of the largest estimate or more).  The largest gaps measured
+    # are 5.3e-15 of the largest estimate and 3.1e-12 in a z-score, at
+    # t = 1e-17, where the standard errors are smallest
+    sampler = make_sampler(sizes, 0.55, tau, 1.0, 4)
+    lattice = mc._NoiseSource(sampler, product=True).lattice
+    assert lattice.sizes[0] == sizes[0] and lattice.boxes == sampler.grid.boxes
+    assert all(m < n for m, n in zip(lattice.sizes[1:], sizes[1:])), lattice.sizes
+    rep = mc.bphz_triviality_check(sampler, t_list, "f0f1", x=x, n_samples=32)
+    want = physical_path_reports(mc, sampler, {"bphz_f0f1": rep}, x)["bphz_f0f1"]
+    scale = np.max(np.abs(want.estimates))
+    assert scale > 0.0
+    assert np.max(np.abs(np.subtract(rep.estimates, want.estimates))) <= 1e-13 * scale
+    assert np.max(np.abs(np.subtract(rep.z_scores, want.z_scores))) <= 1e-11
+
+
 # transforms per sample (forward, inverse) at d = 1, and per check for the
 # oracles, a support inverse counting as an inverse transform: a sample is
 # drawn in Fourier space on the support, with no forward transform; the
