@@ -172,18 +172,30 @@ class MollifierSpec:
 
 
 def mollifier_spec(kind, tau, eta=2.0, m0=1.0):
+    """The mollifier of the family kind at scale tau (MollifierSpec).  A
+    rate that overflows the float range (tau^eta or tau m0^2) is a
+    ConfigError."""
     tau = float(tau)
     m0 = check_m0(m0)
     if tau <= 0:
         raise ConfigError(f"mollifier scale tau must be positive, got {tau}")
     if kind == "semigroup":
-        return MollifierSpec(kind, tau, None, m0, tau, tau * m0 * m0)
-    if kind == "anisotropic":
+        eta, time_rate, space_rate = None, tau, tau * m0 * m0
+    elif kind == "anisotropic":
         eta = float(eta)
         if eta <= 1:
             raise ConfigError(f"anisotropic mollifier needs eta > 1, got {eta}")
-        return MollifierSpec(kind, tau, eta, m0, tau**eta, tau)
-    raise ConfigError(f"unknown mollifier kind {kind!r}")
+        try:
+            time_rate = tau**eta
+        except OverflowError:
+            time_rate = math.inf
+        space_rate = tau
+    else:
+        raise ConfigError(f"unknown mollifier kind {kind!r}")
+    if not (time_rate < math.inf and space_rate < math.inf):
+        raise ConfigError(f"mollifier rates must be finite, got {time_rate} and {space_rate} "
+                          f"(tau={tau}, eta={eta})")
+    return MollifierSpec(kind, tau, eta, m0, time_rate, space_rate)
 
 
 def check_semigroup_m0(cov, moll):

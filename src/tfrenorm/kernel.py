@@ -38,9 +38,10 @@ the cell scaling in place.  Inverse: ifft over the space axes (1, ..., d)
 in place on a working copy, then irfft along time, then the scaling in
 place.  Both are bit for bit rfftn and irfftn over the axes (1, ..., d,
 0).  A function that owns a half spectrum it made (convolve, derivative
-and solve_L_div on physical input) hands it to the inverse as its working
-copy, to be overwritten.  The checks reduce into buffers they own.  The
-in-place passes use the out= of numpy.fft, new in numpy 2.0.
+and solve_L_div on physical input, and mc._NoiseSource.inverse on the
+block it scatters) hands it to the inverse as its working copy, to be
+overwritten.  The checks reduce into buffers they own.  The in-place
+passes use the out= of numpy.fft, new in numpy 2.0.
 
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
@@ -58,6 +59,9 @@ the self-conjugate planes k0 = 0, N0/2 keeps only the part with x(-k) =
 conj x(k), the part a real part of a full transform keeps.
 Nyquist rule: an odd power of 2 pi i k is zero on its axis's Nyquist row,
 where +N/2 and -N/2 are one mode (SpectralGrid.ik_power).
+Mesh rule: symbol_LLstar is finite at every frequency of a grid
+(check_mesh); NoiseSampler.density, equal_time_density and kernel_checks
+refuse a grid that breaks it before any other work.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import TWO_PI, check_m0, symbol_L, symbol_LLstar
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,20 @@ def make_grid(d, sizes, boxes):
     return SpectralGrid(d=d, sizes=tuple(sizes), boxes=tuple(boxes))
 
 
+def check_mesh(grid, m0=1.0):
+    """The mesh rule: |symbol_L|^2 = symbol_LLstar = (2 pi k0)^2 +
+    m0^2 |2 pi k|^8 is finite at every frequency of the grid, so every power
+    of a frequency that the mesh layers form is finite too.  It is largest
+    at the Nyquist corner k_i = (N_i / 2) / box_i.  Boxes so small that it
+    overflows there are a NumericError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        corner = [np.float64(n // 2) / box for n, box in zip(grid.sizes, grid.boxes)]
+        peak = symbol_LLstar(corner, m0)
+    if not np.isfinite(peak):
+        raise NumericError(f"the frequency mesh overflows when squared into symbol_LLstar "
+                           f"(boxes={grid.boxes}, m0={m0})")
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """A real field on the grid, tagged with the representation it lives in.
@@ -227,6 +245,13 @@ def _inverse(grid, hat, owned=False):
     return out
 
 
+def column_wavenumbers(sizes, cols):
+    """Per axis of sizes, the signed integer wavenumbers (fftfreq order) of
+    the flat columns cols of an array of that shape."""
+    return [np.fft.fftfreq(n, 1.0 / n).astype(np.int64)[index]
+            for n, index in zip(sizes, np.unravel_index(cols, sizes))]
+
+
 def _turns(sizes, wavenumbers, cells):
     """Per axis, j x mod n for every cell (first axis): the phases in exact
     integer 1/n turns."""
@@ -277,9 +302,7 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     if cols is None:
         cols = np.arange(math.prod(space))
     c2r = grid.c2r_weights() / grid.volume
-    wavenumbers = [np.arange(rows_n)[:, None]]
-    wavenumbers += [np.fft.fftfreq(n, 1.0 / n).astype(np.int64)[index]
-                    for n, index in zip(space, np.unravel_index(cols, space))]
+    wavenumbers = [np.arange(rows_n)[:, None], *column_wavenumbers(space, cols)]
 
     if base is None:
         weights = lattice_phase(grid.sizes, wavenumbers, cells, c2r)
@@ -573,7 +596,8 @@ def moment_bound_spreads(grid, times, m0=1.0):
     v = |z1|, is additive, so theta = 0 is a product of two 1-D sums,
     theta = 1 is three such products, and theta = -1 is one contraction
     |a|^T (1/w) |b^(n)| over the four orders.  The one grid-sized array
-    is 1/w, refilled in place for each t.
+    is 1/w, refilled in place for each t.  A ratio that underflows to 0
+    (psi_t fills a small box) gives an infinite or NaN spread.
     """
     if grid.d != 1:
         raise ConfigError("the moment derivative orders are wired for d = 1")
@@ -597,7 +621,8 @@ def moment_bound_spreads(grid, times, m0=1.0):
             for theta, weighted in zip((-1, 0, 1), per_theta):
                 ratio = t ** ((n1 - theta) / 8.0) * float(weighted[n1] * grid.cell)
                 acc.setdefault(((0, n1), theta), []).append(ratio)
-    return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
 
 
 def inversion_residual(grid, m0=1.0):
@@ -649,8 +674,10 @@ def kernel_checks(grid, m0=1.0, scaling_time=3e-13):
     Keys: semigroup, evenness, realness, scaling, inversion_residual,
     inversion_realness, moment_spread (dict over (orders, theta) of
     max/min - 1 across the time window of five times from 1e-12 to 1e-10).
+    A grid that breaks the mesh rule (check_mesh) is a NumericError.
     """
     m0 = check_m0(m0)
+    check_mesh(grid, m0)
     scaling = scaling_defect(grid, scaling_time, m0)  # refuses d != 1 before the grid checks
     times = np.geomspace(1e-12, 1e-10, 5)
     base = float(times[0])

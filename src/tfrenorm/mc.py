@@ -25,16 +25,17 @@ is one small real matvec.  A draw goes back to physical space only where a
 pointwise product or a full field needs it: xi pi_f0 in the bphz f0+f1
 check, smoothed at the base point by kernel.smoothing_reader, and the
 dumped field of the moment check.  It goes back by the support inverse
-(_NoiseSource.inverse), which transforms the |S| columns alone over time.
-A field whose band is known goes back to the coarsest lattice that holds
-it without aliasing: the dump to the grid, the two factors of xi pi_f0 to
-the product lattice of S, N0 times M_i points over the same boxes with
-M_i > 4 K_i, K_i the largest |k_i| on S (Orszag's rule), where the product
-of two fields on S has the Fourier coefficients it has on the grid.
-Transforms per sample at d = 1, forward + inverse, a support inverse
-counting as one: covariance 0 + 0, moment 0 + 0 (0 + 1 with a dump), bphz
-f0 0 + 0, bphz f0+f1 0 + 2, both on the product lattice.  Every oracle is
-read by point_reader too, with 0 transforms per check.
+(_NoiseSource.inverse): the block scattered into a zero half spectrum of
+an output lattice, then kernel._inverse there, the inverse that
+SpectralField.to_physical runs.  A field whose band is known goes back to
+the coarsest lattice that holds it without aliasing: the dump to the grid,
+the two factors of xi pi_f0 to the product lattice of S, N0 times M_i
+points over the same boxes with M_i > 4 K_i, K_i the largest |k_i| on S
+(Orszag's rule), where the product of two fields on S has the Fourier
+coefficients it has on the grid.  Transforms per sample at d = 1,
+forward + inverse: covariance 0 + 0, moment 0 + 0 (0 + 1 on the grid with
+a dump), bphz f0 0 + 0, bphz f0+f1 0 + 2 on the product lattice.  Every
+oracle is read by point_reader too, with 0 transforms per check.
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 The scaling fit reads f0 alone, on the equal-time line with time
@@ -68,6 +69,9 @@ from .errors import ConfigError, NumericError
 from .kernel import (
     SpectralField,
     TWO_PI,
+    _inverse,
+    check_mesh,
+    column_wavenumbers,
     div_symbols,
     dump_field,
     lattice_phase,
@@ -140,22 +144,17 @@ class NoiseSampler:
         Computed once and cached; the returned array is read-only.  The
         covariance evaluator must map the frequency mesh to an array of its
         shape; one that fails on it or returns another shape is a
-        ConfigError.  A frequency mesh whose squares overflow (boxes so
-        small that k0^2 or |k|^2 is not finite), a density that is not finite,
-        and one that underflows to zero at every mode (a mollifier scale so
-        large that exp(-tau Q) is 0 on the grid) are NumericErrors.
+        ConfigError.  A mesh that breaks the mesh rule (kernel.check_mesh:
+        boxes so small that symbol_LLstar overflows), a density that is not
+        finite, and one that underflows to zero at every mode (a mollifier
+        scale so large that exp(-tau Q) is 0 on the grid) are NumericErrors.
         """
         cached = getattr(self, "_density_cache", None)
         if cached is not None:
             return cached
-        mesh = self.grid.frequency_mesh()
-        k0 = mesh[0]
-        with np.errstate(over="ignore"):
-            squares = np.square(k0), sum(np.square(m) for m in mesh[1:])
-        if not all(np.all(np.isfinite(sq)) for sq in squares):
-            raise NumericError(f"the frequency mesh overflows when squared "
-                               f"(boxes={self.grid.boxes})")
-        k_rad = np.sqrt(squares[1])
+        check_mesh(self.grid, self.spec.m0)
+        k0, *space = self.grid.frequency_mesh()
+        k_rad = np.sqrt(sum(np.square(k) for k in space))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             fc = _mesh_values(self.spec.evaluator, k0, k_rad)
             if np.shape(fc) != self.grid.spectrum_shape:
@@ -196,7 +195,8 @@ def _keyed_normals():
 class _NoiseSource:
     """The shaped half spectrum of component comp of sample index, drawn on
     the support of the sampler's density alone: source.block(index, comp),
-    or scattered into a zero half spectrum, source(index, comp).
+    or scattered into a zero half spectrum of the output lattice
+    self.lattice, source(index, comp).
 
     The support S is the set of spatial columns where the density FF is
     nonzero in some time row, closed under k -> -k; cols are its flat
@@ -207,9 +207,6 @@ class _NoiseSource:
     two parts: the c2r weights c(k0) (kernel.SpectralGrid.c2r_weights), and
     the projection P x = (x(k) + conj x(-k)) / 2 on the self-conjugate
     planes k0 = 0, N0/2, x elsewhere (project).
-
-    The support inverse writes onto lattice: the grid, or with product set
-    the product lattice of S (inverse).
 
     A draw has the law of physical white noise w, transformed and shaped,
     to_fourier(w) sqrt(FF / cell) = z sqrt(vol FF) with z = W / sqrt(N), W
@@ -233,32 +230,20 @@ class _NoiseSource:
         live = np.any(density, axis=0)
         cols = np.flatnonzero(live | live[negated])
         mirror = np.searchsorted(cols, negated[cols])
-        c2r = grid.c2r_weights()
         self.grid, self.seed = grid, sampler.seed
         self.cols, self.mirror, self.density = cols, mirror, density[:, cols]
-        self._amplitude = np.sqrt(grid.volume * self.density / c2r)
+        self._amplitude = np.sqrt(grid.volume * self.density / grid.c2r_weights())
         self._planes = slice(None, None, rows - 1)
         self._shape = (rows, cols.size, 2)
         self._normals = _keyed_normals()
         # the signed integer wavenumbers of the columns of S, per spatial axis
-        self.wavenumbers = [np.fft.fftfreq(n, 1.0 / n).astype(np.int64)[index]
-                            for n, index in zip(space, np.unravel_index(cols, space))]
-        if product:
-            space_out = tuple(_product_size(int(np.max(np.abs(w))), n)
-                              for w, n in zip(self.wavenumbers, space))
-        else:
-            space_out = space
+        self.wavenumbers = column_wavenumbers(space, cols)
+        space_out = tuple(_product_size(int(np.max(np.abs(w))), n) if product else n
+                          for w, n in zip(self.wavenumbers, space))
         self.lattice = make_grid(grid.d, (grid.sizes[0],) + space_out, grid.boxes)
-        # the inverse: c(k0) / (2 cell) per time row, times prod M_i / prod N_i,
-        # and the columns of S at k mod M_i in the spatially halved layout of
-        # irfftn on the output lattice (last index 0, ..., M_d / 2)
-        self._time_weight = c2r / (2.0 * grid.cell) * (math.prod(space_out) / math.prod(space))
-        self._halved_shape = space_out[:-1] + (space_out[-1] // 2 + 1,)
-        index = [w % m for w, m in zip(self.wavenumbers, space_out)]
-        kept = np.flatnonzero(index[-1] <= space_out[-1] // 2)
-        self._kept, self._kept_mirror = kept, mirror[kept]
-        self._halved = np.ravel_multi_index(tuple(i[kept] for i in index),
-                                            self._halved_shape)
+        # the flat spatial column of each column of S on the output lattice
+        self._lattice_cols = np.ravel_multi_index(
+            tuple(w % m for w, m in zip(self.wavenumbers, space_out)), space_out)
 
     def restrict(self, spectrum):
         """The block on S of a half spectrum."""
@@ -277,11 +262,14 @@ class _NoiseSource:
         z = self._normals(_sample_key(self.seed, (index << 8) | comp), self._shape)
         return self.project(z.view(np.complex128)[..., 0]) * self._amplitude
 
-    def __call__(self, index, comp):
-        """The block scattered into a zero half spectrum."""
-        hat = np.zeros(self.grid.spectrum_shape, dtype=np.complex128)
-        hat.reshape(self._shape[0], -1)[:, self.cols] = self.block(index, comp)
+    def scatter(self, block):
+        """block on S and zero off it, on self.lattice: k at k mod M_i."""
+        hat = np.zeros(self.lattice.spectrum_shape, dtype=np.complex128)
+        hat.reshape(self._shape[0], -1)[:, self._lattice_cols] = block
         return hat
+
+    def __call__(self, index, comp):
+        return self.scatter(self.block(index, comp))
 
     def phase(self, cell):
         """e^{2 pi i k x} on the columns of S for the spatial cell x
@@ -291,36 +279,16 @@ class _NoiseSource:
         return lattice_phase(self.grid.sizes[1:], self.wavenumbers, [cell]).reshape(-1)
 
     def inverse(self, block):
-        """Physical values of the half spectrum that is block on S and zero
-        off it, on the output lattice self.lattice: kernel._inverse of the
-        scattered block on that lattice, to rounding.
-
-        The output lattice is the grid, or with product set the product
-        lattice of S: time keeps N0, and space axis i gets M_i points
-        (_product_size) over the same box, M_i > 4 K_i with K_i the largest
-        |k_i| on S.  A field on S, and the product of two of them, then has
-        the same Fourier coefficients on that lattice as on the grid, so
-        the product of two inverses is exact there.
-
-        The inverse real transform is Re P, P the complex sum
-        sum_k c(k0) hat(k) e^{2 pi i k x} / vol (kernel.point_reader).  The
-        time pass runs on the |S| columns alone: a c2c ifft of the block
-        under the weights c(k0) / (2 cell), zero-padded to N0.  Re over space
-        is then the inverse of the Hermitian fold Q(k) = P(k) + conj P(-k)
-        (its 1/2 is in the weights), which the staged irfftn over the space
-        axes reads on the columns of S at k mod M_i in the spatially halved
-        layout of the output lattice.  The c2c passes there divide by the
-        M_i rather than the N_i, which the weights undo with prod M_i /
-        prod N_i.
+        """Physical values on self.lattice of the half spectrum that is block
+        on S and zero off it: kernel._inverse of the scattered block, exact on
+        the grid and on the product lattice of S (_product_size).  The Riemann
+        normalisation makes f(x) = (1/vol) sum_k c(k0) hat(k) e^{2 pi i k x}
+        independent of the lattice.  Where M_i < N_i, M_i > 4 K_i puts distinct
+        columns of S on distinct lattice columns, none on its Nyquist row;
+        -k mod M_i = -(k mod M_i) keeps conjugate pairs; and the irfft over
+        time applies the plane rule.
         """
-        n0 = self.grid.sizes[0]
-        p = np.fft.ifft(block * self._time_weight, n=n0, axis=0)
-        q = np.zeros((n0, math.prod(self._halved_shape)), dtype=np.complex128)
-        q[:, self._halved] = p[:, self._kept] + p[:, self._kept_mirror].conj()
-        q = q.reshape((n0,) + self._halved_shape)
-        for axis in range(1, self.grid.d):
-            np.fft.ifft(q, axis=axis, out=q)
-        return np.fft.irfft(q, n=self.lattice.sizes[-1], axis=-1)
+        return _inverse(self.lattice, self.scatter(block), owned=True)
 
 
 def _five_smooth(m):
@@ -574,10 +542,11 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     read from the noise block by kernel.point_reader through the rows
     W_x psi_t on the support, formed once per check, so a sample is one
     real matvec.  The f0+f1 integrand xi pi_f0 is formed in physical space
-    on the product lattice of the support (_NoiseSource.inverse), from one
-    support inverse each of xi and of pi_f0, and its smoothed values at x
-    are read from there by kernel.smoothing_reader on that lattice, one
-    real matvec for every t, with no transform back.  The product's band,
+    on the product lattice of the support, from one support inverse each
+    of xi and of pi_f0 (_NoiseSource.inverse: the block scattered onto that
+    lattice, then kernel._inverse there), and its smoothed values at x are
+    read from there by kernel.smoothing_reader on that lattice, one real
+    matvec for every t, with no transform back.  The product's band,
     twice that of S, sits below the lattice's Nyquist rows, so its Fourier
     coefficients there are its coefficients on the grid, and psi_t takes
     the same values on them: the read is the grid's, to rounding.  The
@@ -675,12 +644,14 @@ def equal_time_density(sampler):
     integrand is bounded by its k0_max value over that envelope times the
     envelope's erfc tail.  The error estimate is that bound plus the move
     from the 32- to the 64-node rule, and an error above 1e-6 of the
-    result is a NumericError, and so is a density that underflows to zero
-    at every nonzero k1.  An evaluator that cannot map the k0 panels is a
+    result is a NumericError, and so are a density that underflows to zero
+    at every nonzero k1 and a grid that breaks the mesh rule
+    (kernel.check_mesh).  An evaluator that cannot map the k0 panels is a
     ConfigError, as in NoiseSampler.density.
     """
     if sampler.grid.d != 1:
         raise ConfigError("the equal-time marginal is wired for d = 1")
+    check_mesh(sampler.grid, sampler.spec.m0)
     n = sampler.grid.sizes[1]
     k_values = np.fft.rfftfreq(n, d=sampler.grid.boxes[1] / n)
     m0 = sampler.spec.m0
@@ -760,6 +731,8 @@ def fit_log_slope(xs, ys):
 
 
 def _separation_indices(grid, window):
+    if len(window) != 2:
+        raise ConfigError(f"window needs two values lo,hi, got {len(window)}: {window}")
     lo, hi = window
     if not 0 < lo < hi:
         raise ConfigError(f"window must satisfy 0 < lo < hi, got {window}")

@@ -3,17 +3,14 @@
 import json
 import os
 import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from child import ROOT, run_python
 from tfrenorm.cli import main
 from tfrenorm.constants import C_constants_with_errors
 from tfrenorm.verify import FIXTURE_NAMES
 
-ROOT = Path(__file__).resolve().parents[1]
 PACKAGED = ROOT / "src" / "tfrenorm" / "fixtures"
 
 
@@ -356,6 +353,30 @@ def test_simulate_scaling_needs_a_window(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("window", ["0.01", "0.01,0.1,0.2"])
+def test_simulate_scaling_window_has_two_values(capsys, window):
+    code, out, err = run(capsys, "simulate", "--task", "scaling", "--alpha", "0.75",
+                         "--tau", "1e-24", "--sizes", "8,64", "--samples", "8",
+                         "--window", window)
+    assert code == 2, err
+    assert out == "" and "window needs two values" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterterm", "--alpha", "0.75", "--tau", "10", "--eta", "400"],
+    ["counterterm", "--alpha", "0.75", "--tau", "1e300", "--eta", "50"],
+    ["h-eval", "--alpha", "0.75", "--tau", "1e300", "--eta", "50", "--a", "0.5",
+     "--a-prime", "0.1", "--b", "2.0", "--b-prime", "0.25"],
+    ["simulate", "--task", "covariance", "--alpha", "0.75", "--tau", "1e300", "--eta", "50",
+     "--samples", "8", "--sizes", "4,8"],
+], ids=["counterterm-10^400", "counterterm-1e300^50", "h-eval", "simulate"])
+def test_anisotropic_rate_that_overflows_is_a_config_error(capsys, argv):
+    # tau^eta is beyond the float range; mollifier_spec refuses it
+    code, out, err = run(capsys, *argv, "--mollifier", "anisotropic")
+    assert code == 2, err
+    assert out == "" and "mollifier rates must be finite" in err
+
+
 def test_simulate_scaling_fits_f0_only(capsys):
     code, out, err = run(capsys, *SCALING, "--tau", "1e-14", "--window", "0.02,0.4",
                          "--component", "f0f1")
@@ -419,18 +440,11 @@ def test_simulate_moment_on_a_two_point_space_axis(capsys):
 def test_closed_stdout_pipe_exits_quietly():
     """A reader that closed stdout before the output was written ends the
     run with the documented status 141 and no traceback."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "tfrenorm.cli", "kappa", "--alpha", "0.55"],
-            cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE,
-            text=True, timeout=60,
-        )
+        proc = run_python(["-m", "tfrenorm.cli", "kappa", "--alpha", "0.55"], timeout=60,
+                          stdout=write_end)
     finally:
         os.close(write_end)
     assert "Traceback" not in proc.stderr
@@ -444,49 +458,60 @@ def test_closed_stdout_pipe_exits_quietly():
     ["enumerate", "--alpha", "0.55", "--cutoff", "40", "--max-count", "1000"],
 ])
 def test_huge_cutoff_is_a_prompt_resource_error(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "tfrenorm.cli", *argv], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=20,
-    )
+    proc = run_python(["-m", "tfrenorm.cli", *argv], timeout=20)
     assert proc.returncode == 3, proc.stderr
     assert "max_count" in proc.stderr
 
 
-@pytest.mark.parametrize("task", [["covariance"], ["bphz", "--component", "f0f1"]])
-def test_tiny_boxes_are_one_line_numeric_error(task):
-    # the spatial frequencies j / 1e-300 overflow when squared: the density
-    # refuses the mesh, and no RuntimeWarning reaches stderr before that
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "tfrenorm.cli", "simulate", "--alpha", "0.75", "--tau", "1e-14",
-         "--task", *task, "--samples", "8", "--sizes", "4,8", "--boxes", "1,1e-300"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 3, proc.stderr
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith("numeric error: the frequency mesh overflows when squared"), line
+TINY = ["--alpha", "0.75", "--tau", "1e-14", "--samples", "8"]
+MESH = "numeric error: the frequency mesh overflows when squared"
+
+
+def _simulate(task, sizes, box, *extra):
+    return ["simulate", "--task", *task, *TINY, "--sizes", sizes, "--boxes", f"1,{box}", *extra]
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    # the spatial frequencies j / 1e-300 overflow when squared
+    pytest.param(_simulate(["covariance"], "4,8", "1e-300"), 3, MESH, id="covariance-1e-300"),
+    pytest.param(_simulate(["bphz", "--component", "f0f1"], "4,8", "1e-300"), 3, MESH,
+                 id="bphz_f0f1-1e-300"),
+    # |2 pi k|^8 overflows: in symbol_L, symbol_LLstar, the mollifier or ik_power
+    pytest.param(_simulate(["bphz", "--component", "f0f1"], "4,8", "1e-80"), 3, MESH,
+                 id="bphz_f0f1-1e-80"),
+    pytest.param(_simulate(["scaling"], "4,64", "1e-300", "--window", "2e-302,1e-301"), 3, MESH,
+                 id="scaling-1e-300"),
+    pytest.param(_simulate(["scaling"], "4,64", "1e-40", "--window", "2e-42,1e-41"), 3, MESH,
+                 id="scaling-1e-40"),
+    *[pytest.param(["kernel-check", "--sizes", "128,512", "--boxes", f"1e-4,{box}"], 3, MESH,
+                   id=f"kernel_check-{box}") for box in ("1e-40", "1e-80", "1e-160", "1e-300")],
+    # symbol_LLstar is finite at the Nyquist corner, where |2 pi k| = 2.5e38
+    pytest.param(_simulate(["bphz", "--component", "f0f1"], "4,8", "1e-37"), 0, None,
+                 id="bphz_f0f1-1e-37"),
+    # psi_t fills the box, so moment ratios underflow to 0
+    pytest.param(["kernel-check", "--sizes", "128,512", "--boxes", "1e-4,0.1"], 3,
+                 "numeric error: the result is not finite", id="kernel_check-0.1"),
+])
+def test_tiny_boxes_are_one_line_numeric_error(argv, code, line):
+    # kernel.check_mesh refuses the mesh before any other work, so no
+    # RuntimeWarning reaches stderr: one line and exit 3, or exit 0 and none
+    proc = run_python(["-m", "tfrenorm.cli", *argv], timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if line is None:
+        assert proc.stderr == ""
+    else:
+        (got,) = proc.stderr.splitlines()
+        assert got.startswith(line), got
 
 
 def test_cli_import_loads_no_numeric_layer():
     """The index-algebra subcommands start without numpy or scipy, and the
     numeric layers load no scipy either."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     probe = ("import sys, tfrenorm.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))); "
              "import tfrenorm.constants, tfrenorm.kernel, tfrenorm.mc, tfrenorm.verify; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(["-c", probe], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
 
@@ -524,12 +549,7 @@ print(numeric())
 def test_counterterm_layer_loads_no_numpy():
     """The tables, the universal constants and their subcommands run
     without numpy: only the mesh layers kernel and mc load it."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run([sys.executable, "-c", COUNTERTERM_PROBE], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(["-c", COUNTERTERM_PROBE], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]", "[]"]
 

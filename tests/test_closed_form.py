@@ -5,15 +5,12 @@ only the paper's covariance."""
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from child import run_python
 from oracles import mp_closed_form_table, mp_monomial, ray_rule_counterterm
 from tfrenorm.cli import main
 from tfrenorm.constants import (
@@ -30,7 +27,6 @@ from tfrenorm.constants import (
 from tfrenorm.errors import ConfigError
 from tfrenorm.mc import fit_log_slope
 
-ROOT = Path(__file__).resolve().parents[1]
 EPS = np.finfo(float).eps
 
 
@@ -184,11 +180,8 @@ def test_a_covariance_other_than_the_papers_is_refused(make, capsys, monkeypatch
 
 
 def test_constants_module_loads_neither_scipy_nor_mpmath():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = ("import sys, tfrenorm.constants; "
              "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(["-c", probe], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]

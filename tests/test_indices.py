@@ -4,16 +4,13 @@ import copy
 import dataclasses
 import itertools
 import json
-import os
 import pickle
 import random
 import re
-import subprocess
 import sys
 import threading
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +43,7 @@ from tfrenorm.indices import (
     renormalisation_candidates,
 )
 
+from child import run_python
 from oracles import (
     brute_force_populated,
     homogeneity as oracle_homogeneity,
@@ -54,7 +52,6 @@ from oracles import (
     parts_sum,
 )
 
-ROOT = Path(__file__).resolve().parents[1]
 
 P055 = ModelParams(alpha=0.55, d=1)
 P075 = ModelParams(alpha=0.75, d=1)
@@ -380,10 +377,7 @@ def test_threads_registering_keys_at_once_get_one_field_each():
 
 def _fresh_interpreter(script, *args):
     """stdout of ``script`` run in a new interpreter on the package source."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(["-c", script, *args], timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

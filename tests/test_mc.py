@@ -189,7 +189,7 @@ def test_checks_at_the_edges_of_the_support(tau, live):
 ])
 def test_support_inverse_equals_the_full_inverse(sizes, tau):
     # random blocks are not conjugate symmetric on the self-conjugate planes,
-    # so the fold must take the real part there exactly as irfftn does
+    # so the inverse must take the real part there exactly as irfftn does
     grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
     sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
                               moll=mollifier_spec("semigroup", tau), seed=2)
@@ -267,6 +267,43 @@ def test_support_inverse_on_the_product_lattice(sizes, tau):
         got = source.inverse(block)
         assert got.shape == lattice.sizes
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sizes, tau", [
+    ((64, 256), 1e-14),
+    ((8, 32), 1e-4),
+    ((8, 64, 64), 1e-12),
+    ((4, 8, 16), 1e-12),
+])
+def test_support_inverse_against_the_explicit_sum(sizes, tau):
+    # the reference is the Riemann inverse (1/vol) Re sum_k c(k0) hat(k)
+    # e^{2 pi i k x} over the columns of S, at the product lattice's own
+    # coordinates, with each k read from the grid: no transform and no
+    # lattice index
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
+                              moll=mollifier_spec("semigroup", tau), seed=2)
+    source = mc._NoiseSource(sampler, product=True)
+    lattice = source.lattice
+    rows = np.arange(grid.spectrum_shape[0])
+    c = np.where((rows == 0) | (rows == rows[-1]), 1.0, 2.0)
+    time = c[:, None] * np.exp(2j * np.pi * np.outer(rows / grid.boxes[0], lattice.coordinates(0)))
+    space = np.ones((source.cols.size,) + (1,) * grid.d)
+    for axis, index in enumerate(np.unravel_index(source.cols, grid.sizes[1:]), start=1):
+        k = grid.frequencies(axis)[index]
+        shape = [1] * grid.d
+        shape[axis - 1] = -1
+        space = space * np.exp(2j * np.pi * np.outer(k, lattice.coordinates(axis))
+                               ).reshape(k.size, *shape)
+    space = space.reshape(source.cols.size, -1)
+    rng = np.random.default_rng(8)
+    blocks = [source.block(0, 0)]
+    blocks += [rng.standard_normal(source.density.shape)
+               + 1j * rng.standard_normal(source.density.shape) for _ in range(3)]
+    for block in blocks:
+        want = (time.T @ block @ space).real.reshape(lattice.sizes) / grid.volume
+        got = source.inverse(block)
+        assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
 
 
 def test_moment_check_reads_the_same_with_and_without_a_dump(tmp_path):
