@@ -596,8 +596,9 @@ def moment_bound_spreads(grid, times, m0=1.0):
     v = |z1|, is additive, so theta = 0 is a product of two 1-D sums,
     theta = 1 is three such products, and theta = -1 is one contraction
     |a|^T (1/w) |b^(n)| over the four orders.  The one grid-sized array
-    is 1/w, refilled in place for each t.  A ratio that underflows to 0
-    (psi_t fills a small box) gives an infinite or NaN spread.
+    is 1/w, refilled in place for each t.  A spread that is not finite, as
+    when a ratio underflows to 0 because psi_t fills a small box, is a
+    NumericError naming the ratio, its t and the boxes.
     """
     if grid.d != 1:
         raise ConfigError("the moment derivative orders are wired for d = 1")
@@ -605,7 +606,8 @@ def moment_bound_spreads(grid, times, m0=1.0):
     u = u**0.25
     inv_w = np.empty(grid.sizes)
     acc = {}
-    for t in np.asarray(times, dtype=float):
+    times = np.asarray(times, dtype=float)
+    for t in times:
         a, factors = _kernel_factors(grid, t, m0, [(n1,) for n1 in range(4)])
         a, b = np.abs(a[:, 0]), np.abs(np.concatenate(factors))
         c = t**0.125
@@ -621,8 +623,14 @@ def moment_bound_spreads(grid, times, m0=1.0):
             for theta, weighted in zip((-1, 0, 1), per_theta):
                 ratio = t ** ((n1 - theta) / 8.0) * float(weighted[n1] * grid.cell)
                 acc.setdefault(((0, n1), theta), []).append(ratio)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        spreads = {key: max(vals) / min(vals) - 1.0 for key, vals in acc.items()}
+    for key, spread in spreads.items():
+        if not math.isfinite(spread):
+            j = int(np.argmin(acc[key]))
+            raise NumericError(f"moment ratio ((0, n1), theta) = {key} is {acc[key][j]:g} at "
+                               f"t = {times[j]:g} on boxes {grid.boxes}: its spread is not finite")
+    return spreads
 
 
 def inversion_residual(grid, m0=1.0):

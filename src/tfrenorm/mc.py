@@ -39,10 +39,11 @@ oracle is read by point_reader too, with 0 transforms per check.
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 The scaling fit reads f0 alone, on the equal-time line with time
-frequencies integrated out (equal_time_density): on the space-time torus
-every component shows the smooth-lattice slope, not |y - x|^{2|beta|}.  Its
-exact slope and its samples are one read, 2 (G(0) - G(r)) with G the inverse
-transform of the line density or of a sample's periodogram (Wiener-Khinchin).
+frequencies integrated out (equal_time_density, one trapezoid sum in u per
+k1 after k0 = c sinh u): on the space-time torus every component shows the
+smooth-lattice slope, not |y - x|^{2|beta|}.  Its exact slope and its
+samples are one read, 2 (G(0) - G(r)) with G the inverse transform of the
+line density or of a sample's periodogram (Wiener-Khinchin).
 
 Randomness is counter-based: component c of sample i of a sampler with
 seed s is one call for 2 rows |S| standard normals from Philox keyed by
@@ -60,7 +61,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -603,116 +603,80 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
 # ---------------------------------------------------------------------------
 
 
-_PANEL_NODES = 32  # Gauss-Legendre nodes per panel; the check rule has twice as many
-# the line integral ends where the mollifier envelope drops below _TAIL_CUT
-_TAIL_CUT = 1e-18
-_LOG_TAIL = -math.log(_TAIL_CUT)
-_K1_BATCH = 128  # k1 per panel array, which holds k1 x panels x 64 nodes
-
-
-@lru_cache(maxsize=None)
-def _legendre(n):
-    """The n-node Gauss-Legendre rule on (0, 1) by Golub-Welsch: eigenvalues
-    and squared first eigenvector components of the Jacobi matrix of the
-    Legendre polynomials.  Only equal_time_density's panels use it (the
-    finite-tau tables are closed forms); read-only, as the cache hands the
-    same arrays to every call."""
-    k = np.arange(1, n)
-    off = np.sqrt(k * k / (4.0 * k * k - 1.0))
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    rule = 0.5 * (nodes + 1.0), vectors[0] ** 2
-    for array in rule:
-        array.flags.writeable = False
-    return rule
+_TAIL_CUT = 1e-18  # the line ends where the mollifier envelope drops below it
+_K1_BATCH = 128  # k1 per node array, which holds k1 x steps
 
 
 def equal_time_density(sampler):
     """Marginal spatial density P(k1) of v at a fixed time, d = 1, on the
-    grid's half line k1 = 0, ..., N1/2 (rfftfreq).
+    grid's half line k1 = 0, ..., N1/2 (rfftfreq): the integral over the
+    real time-frequency line of (2 pi k1)^2 FF(k0, k1) / symbol_LLstar dk0.
+    A lattice k0 sum would need ~1e6 time modes to resolve the ridge
+    k0 ~ k1^4 across a decade of k1.
 
-    P(k1) = integral over the real time-frequency line of
-    (2 pi k1)^2 FF(k0, k1) / symbol_LLstar dk0.  A lattice k0 sum is the
-    wrong object here: resolving the frequency ridge k0 ~ k1^4 across a
-    decade of k1 would take ~1e6 time modes, while the line integral is
-    cheap and is what the whole-space statements are about.
-
-    The integrand mixes scales that can sit ten decades apart (the
-    dispersion ridge and the mollifier rolloff), so the half line k0 > 0
-    is cut into decade panels starting at the smaller scale, each taken by
-    Gauss-Legendre.  The last panel ends at k0_max, where the mollifier
-    envelope exp(-(2 pi k0 scale)^2) drops below 1e-18; beyond it the
-    integrand is bounded by its k0_max value over that envelope times the
-    envelope's erfc tail.  The error estimate is that bound plus the move
-    from the 32- to the 64-node rule, and an error above 1e-6 of the
-    result is a NumericError, and so are a density that underflows to zero
-    at every nonzero k1 and a grid that breaks the mesh rule
-    (kernel.check_mesh).  An evaluator that cannot map the k0 panels is a
-    ConfigError, as in NoiseSampler.density.
+    The ridge m0 (2 pi k1)^4 / (2 pi), the modulus of the integrand's branch
+    points in k0, and the mollifier's k0_moll can sit thirty decades apart.
+    k0 = c sinh u with c = min(ridge, k0_moll) makes the integrand an even
+    function of u, analytic for |Im u| < pi/2 and decaying on each line
+    |Im u| = a < pi/4, so the trapezoid rule of step h errs by
+    O(exp(-2 pi a / h)) (Trefethen and Weideman, SIAM Review 56, 2014).  It
+    sums [0, U], U = asinh(k0_max / c) where the envelope
+    exp(-(k0 / k0_moll)^2) falls below 1e-18, in an even number of steps,
+    8 or more per unit of the largest U in each batch of _K1_BATCH k1.  The
+    error estimate, |T_h - T_2h| (T_2h on the even nodes) plus the
+    envelope's erfc tail beyond k0_max, is conservative: halving h squares
+    the exponential factor, so it is about T_2h's error, far above T_h's.
+    An error above 1e-6 of the result is a NumericError, as are a density
+    that underflows to zero at every nonzero k1, a range that leaves the
+    float domain and a grid that breaks the mesh rule (kernel.check_mesh).
+    An evaluator that cannot map the node arrays is a ConfigError.
     """
+    return _line_density(sampler)[0]
+
+
+def _line_density(sampler):
+    """(P, err): equal_time_density and its error estimate at each k1."""
     if sampler.grid.d != 1:
         raise ConfigError("the equal-time marginal is wired for d = 1")
-    check_mesh(sampler.grid, sampler.spec.m0)
-    n = sampler.grid.sizes[1]
-    k_values = np.fft.rfftfreq(n, d=sampler.grid.boxes[1] / n)
-    m0 = sampler.spec.m0
-    # the time-frequency envelope of the mollifier is exp(-(2 pi k0 scale)^2)
-    scale = math.sqrt(sampler.moll.time_rate)
-    if not scale > 0.0:
+    m0, n = sampler.spec.m0, sampler.grid.sizes[1]
+    check_mesh(sampler.grid, m0)
+    k1 = np.fft.rfftfreq(n, d=sampler.grid.boxes[1] / n)[1:]
+    if not sampler.moll.time_rate > 0.0:
         raise NumericError("the mollifier's time-frequency scale underflows to zero")
-    k0_moll = 1.0 / (TWO_PI * scale)
-    k0_max = math.sqrt(_LOG_TAIL) * k0_moll
-    # integral_{k0_max}^inf of the envelope, over its value at k0_max
-    tail_factor = (
-        math.erfc(math.sqrt(_LOG_TAIL)) * math.sqrt(math.pi)
-        / (2.0 * TWO_PI * scale * _TAIL_CUT)
-    )
+    k0_moll = 1.0 / (TWO_PI * math.sqrt(sampler.moll.time_rate))
+    k0_max = math.sqrt(-math.log(_TAIL_CUT)) * k0_moll
+    # integral_{k0_max}^inf of the envelope exp(-(k0 / k0_moll)^2), over its value there
+    tail_factor = math.erfc(k0_max / k0_moll) * math.sqrt(math.pi) * k0_moll / (2 * _TAIL_CUT)
 
     def integrand(k0, k1):
-        # where a rate times its symbol overflows, the envelope is its limit 0
-        with np.errstate(over="ignore"):
-            envelope = sampler.moll.squared_symbol(k0, k1)
-        ff = _mesh_values(sampler.spec.evaluator, k0, k1) * envelope
+        ff = _mesh_values(sampler.spec.evaluator, k0, k1) * sampler.moll.squared_symbol(k0, k1)
         return (TWO_PI * k1) ** 2 * ff / symbol_LLstar((k0, k1), m0)
 
-    mags = k_values[1:]
-    ridges = m0 * (TWO_PI * mags) ** 4 / TWO_PI
-    if not np.all(ridges > 0.0):
-        raise NumericError(f"the dispersion ridge at k1 = {mags[np.argmin(ridges > 0.0)]:g} "
-                           f"underflows to zero")
-    # the decade edges of every k1: min(ridge, k0_moll), then ten times the
-    # last while that stays below k0_max; k1 with the same count of edges
-    # (a run, as the ridge grows with k1) share one panel array
-    decades = [np.minimum(ridges, k0_moll)]
-    while np.any(10.0 * decades[-1] < k0_max):
-        decades.append(10.0 * decades[-1])
-    decades = np.array(decades)
-    counts = np.count_nonzero(decades < k0_max, axis=0)
-    rules = (_legendre(_PANEL_NODES), _legendre(2 * _PANEL_NODES))
-    total, err = np.empty_like(mags), np.empty_like(mags)
-    for count in np.unique(counts):
-        run = np.flatnonzero(counts == count)
-        for part in np.array_split(run, -(-run.size // _K1_BATCH)):
-            edges = np.concatenate([np.zeros((1, part.size)), decades[:count, part],
-                                    np.full((1, part.size), k0_max)]).T
-            lo, width = edges[:, :-1, None], np.diff(edges)[..., None]
-            mag = mags[part, None, None]
-            coarse, total[part] = [
-                np.sum((width * integrand(lo + width * nodes, mag) * weights)
-                       .reshape(part.size, -1), axis=1)
-                for nodes, weights in rules]
-            err[part] = (np.abs(total[part] - coarse)
-                         + np.abs(integrand(np.float64(k0_max), mags[part])) * tail_factor)
+    c = np.minimum(m0 * (TWO_PI * k1) ** 4 / TWO_PI, k0_moll)
+    total, err = np.empty_like(k1), np.empty_like(k1)
+    # values beyond the float range are refused below; an envelope that underflows is 0
+    with np.errstate(all="ignore"):
+        reach = np.arcsinh(k0_max / c)  # U; the ridge grows with k1, so U falls
+        if not np.all(np.isfinite(reach)):
+            raise NumericError(f"k0_max / ridge {k0_max:g} / {c[0]:g} at k1 = {k1[0]:g} overflows")
+        for lo in range(0, k1.size, _K1_BATCH):
+            part = slice(lo, lo + _K1_BATCH)
+            steps = 2 * math.ceil(4.0 * reach[part].max())  # even, 8 or more per unit of u
+            h = reach[part] / steps
+            u = h[:, None] * np.arange(steps + 1)
+            g = integrand(c[part, None] * np.sinh(u), k1[part, None]) * c[part, None] * np.cosh(u)
+            g[:, [0, -1]] *= 0.5
+            total[part] = h * g.sum(axis=1)
+            err[part] = np.abs(total[part] - 2.0 * h * g[:, ::2].sum(axis=1))
+        err += np.abs(integrand(np.float64(k0_max), k1)) * tail_factor
     bad = ~np.isfinite(total + err) | (err > np.maximum(1e-6 * np.abs(total), 1e-280))
     if np.any(bad):
         j = np.argmax(bad)
-        raise NumericError(
-            f"frequency-line integral error {err[j]:g} too large for {total[j]:g}"
-        )
-    out = np.concatenate([[0.0], 2.0 * total])
-    if not np.any(out):
+        raise NumericError(f"frequency-line integral error {err[j]:g} too large for {total[j]:g}")
+    if not np.any(total):
         raise NumericError(f"the line density underflows to zero at every nonzero k1 "
                            f"(tau={sampler.moll.tau})")
-    return out
+    return np.concatenate([[0.0], 2.0 * total]), np.concatenate([[0.0], 2.0 * err])
 
 
 def fit_log_slope(xs, ys):
@@ -775,13 +739,13 @@ def scaling_fit(sampler, window, n_samples=1024, bootstrap=200):
     if n_samples < 4:
         raise ConfigError(f"a scaling fit needs at least 4 samples, got {n_samples}")
     js = _separation_indices(sampler.grid, window)
-    length = sampler.grid.boxes[-1]
-    n = sampler.grid.sizes[-1]
-    p_density = equal_time_density(sampler)
+    check_mesh(sampler.grid, sampler.spec.m0)  # first, as in every layer; then the window
     smooth_below = sampler.moll.space_rate ** 0.125
     if window[0] < smooth_below:
         raise ConfigError(f"window starts at {window[0]:g}, below the mollification "
                           f"scale space_rate^(1/8) = {smooth_below:g}")
+    length, n = sampler.grid.boxes[-1], sampler.grid.sizes[-1]
+    p_density = equal_time_density(sampler)
     seps = np.array(js) * (length / n)
 
     def structure(power):

@@ -43,8 +43,9 @@ package under test, using different algorithms than the library:
   r-integral in closed form and the u-integral by tanh-sinh quadrature (the
   library rescales m0 and sums Beta x 2F1),
 * the equal-time line density by scipy quad on decade panels out to
-  infinity (the library uses Gauss-Legendre panels cut at the mollifier
-  envelope),
+  infinity, and to 40 digits by mpmath tanh-sinh on the same kind of
+  panels (the library sums one trapezoid rule in u, k0 = c sinh u, cut at
+  the mollifier envelope),
 * the exact second moment of a linear function of white noise as the sum
   of its squared responses to every unit vector (the library sums the
   spectral density against the squared multiplier),
@@ -885,6 +886,33 @@ def quad_line_density(evaluator, squared_symbol, m0, k1, k0_mollifier, epsrel=1e
         val, err = _quad(integrand, lo, hi, epsabs=1e-300, epsrel=epsrel, limit=200)
         value, error = value + val, error + err
     return 2.0 * value, 2.0 * error
+
+
+def mp_line_density(alpha, m0, time_rate, space_rate, k1, dps=40):
+    """2 * integral_0^inf (2 pi k1)^2 FC |Fphi|^2 / Q dk0 to dps digits, for
+    the paper's FC = Q^(-(2 alpha - 1)/8), Q = (2 pi k0)^2 + m0^2 (2 pi k1)^8
+    and |Fphi|^2 = exp(-time_rate (2 pi k0)^2 - space_rate (2 pi k1)^8), all
+    in mpmath from the exact float inputs: tanh-sinh quadrature on decade
+    panels from the smaller of the ridge m0 (2 pi k1)^4 / (2 pi) and the
+    mollifier scale 1 / (2 pi sqrt(time_rate)) to ten times the larger, and
+    then to infinity.  Returned as an mpf, which does not underflow."""
+    with mpmath.workdps(dps):
+        two_pi = 2 * mpmath.pi
+        m0, k1 = mpmath.mpf(m0), mpmath.mpf(k1)
+        time_rate, space_rate = mpmath.mpf(time_rate), mpmath.mpf(space_rate)
+        power = -(2 * mpmath.mpf(alpha) - 1) / 8
+        space = (two_pi * k1) ** 8
+        factor = (two_pi * k1) ** 2 * mpmath.exp(-space_rate * space)
+
+        def integrand(k0):
+            q = (two_pi * k0) ** 2 + m0**2 * space
+            return q ** (power - 1) * mpmath.exp(-time_rate * (two_pi * k0) ** 2)
+
+        lo, hi = sorted([m0 * (two_pi * k1) ** 4 / two_pi, 1 / (two_pi * mpmath.sqrt(time_rate))])
+        edges = [mpmath.mpf(0), lo]
+        while edges[-1] < 10 * hi:
+            edges.append(10 * edges[-1])
+        return 2 * factor * mpmath.quad(integrand, edges + [mpmath.inf])
 
 
 # ---------------------------------------------------------------------------

@@ -309,13 +309,15 @@ def gamma_entry_argv(map_name):
     # a scaling fit needs the 4 samples of a batch-means error
     (SCALING + ["--tau", "1e-14", "--window", "0.02,0.4", "--samples", "3"], 2),
     # psi_t underflows at every nonzero mode, so the check would read the
-    # integrand's mean; the line density of the f0 fit underflows at every
-    # nonzero k1 (both once printed an overflow RuntimeWarning)
+    # integrand's mean (it once printed an overflow RuntimeWarning)
     *[(["simulate", "--task", "bphz", "--component", component, "--alpha", "0.75",
         "--tau", "1e-14", "--t-list", "1e300", "--sizes", "8,16", "--samples", "8"], 3)
       for component in ("f0", "f0f1")],
-    (SCALING + ["--component", "f0", "--alpha", "0.75", "--tau", "1e300",
-                "--window", "0.03,0.2"], 3),
+    # the line density of the f0 fit underflows at every nonzero k1, on a
+    # window above the mollification scale: Q^(-1.12) underflows at Q = 1.7e296
+    (SCALING + ["--component", "f0", "--alpha", "0.98", "--m0", "1.3e154", "--tau", "1e10",
+                "--mollifier", "anisotropic", "--eta", "3", "--boxes", "1,200",
+                "--window", "20,90"], 3),
 ])
 def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
     for name, doc in BAD_MAPS.items():
@@ -385,14 +387,19 @@ def test_simulate_scaling_fits_f0_only(capsys):
 
 
 def test_simulate_scaling_window_below_the_mollification_scale(capsys):
-    # tau^(1/8) = 0.18: every sample is the same smooth mode up to a factor,
-    # and the bootstrap interval shrinks to rounding
-    code, out, err = run(
-        capsys, "simulate", "--task", "scaling", "--component", "f0", "--alpha", "0.75",
-        "--tau", "1e-6", "--window", "0.01,0.1", "--samples", "64",
-    )
-    assert code == 2, err
-    assert out == "" and "mollification scale" in err
+    for tau, window, samples in [
+        # tau^(1/8) = 0.18: every sample is the same smooth mode up to a
+        # factor, and the bootstrap interval shrinks to rounding
+        ("1e-6", "0.01,0.1", "64"),
+        # refused before the line density, which underflows here
+        ("1e300", "0.03,0.2", "8"),
+    ]:
+        code, out, err = run(
+            capsys, "simulate", "--task", "scaling", "--component", "f0", "--alpha", "0.75",
+            "--tau", tau, "--window", window, "--samples", samples,
+        )
+        assert code == 2, err
+        assert out == "" and "mollification scale" in err
 
 
 def _reject_constant(token):
@@ -490,7 +497,16 @@ def _simulate(task, sizes, box, *extra):
                  id="bphz_f0f1-1e-37"),
     # psi_t fills the box, so moment ratios underflow to 0
     pytest.param(["kernel-check", "--sizes", "128,512", "--boxes", "1e-4,0.1"], 3,
-                 "numeric error: the result is not finite", id="kernel_check-0.1"),
+                 "numeric error: moment ratio ((0, n1), theta) = ((0, 1), -1) is 0 at "
+                 "t = 3.16228e-12 on boxes (0.0001, 0.1)", id="kernel_check-0.1"),
+    # the ridge at k1 = 1e-68 is 2.5e-270, so k0_max / ridge overflows
+    pytest.param(["simulate", "--task", "scaling", "--component", "f0", "--alpha", "0.75",
+                  "--tau", "1e-30", "--mollifier", "anisotropic", "--eta", "3", "--sizes", "8,64",
+                  "--boxes", "1,1e68", "--window", "2e66,2e67", "--samples", "8",
+                  "--bootstrap", "2"], 3,
+                 "numeric error: k0_max / ridge 1.02462e+45 / 2.4805e-270 at k1 = 1e-68 "
+                 "overflows",
+                 id="scaling_anisotropic-1e68"),
 ])
 def test_tiny_boxes_are_one_line_numeric_error(argv, code, line):
     # kernel.check_mesh refuses the mesh before any other work, so no

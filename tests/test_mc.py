@@ -63,8 +63,8 @@ def test_sampler_refuses_evaluators_that_do_not_map_meshes(evaluator):
 
 
 def test_equal_time_density_refuses_evaluators_that_do_not_map_meshes():
-    """The line integral evaluates the covariance on its own k0 panels, so a
-    math.pow copy of the paper's FC is refused there as in density()."""
+    """The line integral evaluates the covariance on its own k0 node arrays,
+    so a math.pow copy of the paper's FC is refused there as in density()."""
     grid = SpectralGrid(d=1, sizes=(8, 16), boxes=(1.0, 1.0))
     sampler = mc.NoiseSampler(grid=grid, spec=_scalar_paper_covariance(0.55),
                               moll=mollifier_spec("semigroup", 1e-14), seed=0)

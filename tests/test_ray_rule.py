@@ -1,12 +1,9 @@
-"""The Gauss-Legendre rule of the MC line density, and the conditions under
-which the finite-tau tables hold: the paper's homogeneous covariance and
-alpha < 1."""
+"""The conditions under which the finite-tau tables hold: the paper's
+homogeneous covariance and alpha < 1."""
 
 import math
 
-import numpy as np
 import pytest
-from scipy.linalg.lapack import dstevd
 
 from oracles import check_homogeneous
 from tfrenorm.constants import (
@@ -17,23 +14,6 @@ from tfrenorm.constants import (
 )
 from tfrenorm.errors import ConfigError
 from tfrenorm.kernel import TWO_PI
-from tfrenorm.mc import _legendre
-
-
-@pytest.mark.parametrize("n", [32, 64, 128, 256])
-def test_legendre_rule_is_the_stevd_rule_to_the_bit(n):
-    """The symmetric eigensolver gives the bits LAPACK stevd gives on the
-    Jacobi matrix of the Legendre polynomials, so the MC line density keeps
-    the rule it was validated with (the finite-tau tables are closed forms
-    and use no quadrature rule)."""
-    k = np.arange(1, n)
-    s = 2.0 * k
-    off = np.sqrt(4.0 * k * k * k**2 / (s * s * (s + 1.0) * (s - 1.0)))
-    nodes, vectors, info = dstevd(np.zeros(n), off, compute_v=1)
-    assert info == 0
-    got_nodes, got_weights = _legendre(n)
-    assert np.array_equal(got_nodes, 0.5 * (nodes + 1.0))
-    assert np.array_equal(got_weights, vectors[0] ** 2)
 
 
 def _paper_form(alpha, shift):
