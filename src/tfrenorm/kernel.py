@@ -11,7 +11,8 @@ multipliers of L^{-1} div are stated once, in div_symbols: solve_L_div
 and the MC checks apply them, and the pairing-sum oracles read them.
 point_reader reads a field at a few cells straight from its half spectrum,
 or from its block on the spatial columns outside which it is zero, and
-smoothing_reader reads psi_t * g at one cell straight from g.
+smoothing_reader reads psi_t * g at one cell straight from g; smoothing_band
+is the spatial band such a read sees.
 The symbols of L and LL* (symbol_L, symbol_LLstar) and check_m0 are
 numpy-free and live in the constants layer; this module imports them.
 
@@ -426,6 +427,21 @@ def smoothing_reader(grid, times, cell, m0=1.0):
         return weights @ np.ravel(values)
 
     return read
+
+
+def smoothing_band(grid, times, m0=1.0):
+    """Per spatial axis, the band of a smoothing_reader read at times: the
+    largest |k_i| (integer wavenumber) at which psi_hat_t, at its largest
+    over k0 and over times (k0 = 0 and the least t), exceeds eps times its
+    peak 1.  The read weights every wavenumber beyond it by less than eps."""
+    band = []
+    for axis in range(1, grid.d + 1):
+        k = [0.0] * (grid.d + 1)
+        k[axis] = grid.frequencies(axis)
+        live = psi_hat(min(times), k, m0) > np.finfo(float).eps
+        n = grid.sizes[axis]
+        band.append(int(np.max(np.abs(np.fft.fftfreq(n, 1.0 / n)[live]))))
+    return tuple(band)
 
 
 def convolve(field, t, m0=1.0):

@@ -28,13 +28,20 @@ dumped field of the moment check.  It goes back by the support inverse
 (_NoiseSource.inverse): the block scattered into a zero half spectrum of
 an output lattice, then kernel._inverse there, the inverse that
 SpectralField.to_physical runs.  A field whose band is known goes back to
-the coarsest lattice that holds it without aliasing: the dump to the grid,
-the two factors of xi pi_f0 to the product lattice of S, N0 times M_i
-points over the same boxes with M_i > 4 K_i, K_i the largest |k_i| on S
-(Orszag's rule), where the product of two fields on S has the Fourier
-coefficients it has on the grid.  Transforms per sample at d = 1,
-forward + inverse: covariance 0 + 0, moment 0 + 0 (0 + 1 on the grid with
-a dump), bphz f0 0 + 0, bphz f0+f1 0 + 2 on the product lattice.  Every
+the coarsest lattice its reader needs: the dump to the grid, the two
+factors of xi pi_f0 to the product lattice of S, N0 times M_i points over
+the same boxes.  A draw carries the band of S, K_i the largest |k_i| on
+its columns (_NoiseSource.band); a product has the sum of its factors'
+bands.  A product read up to a band K_out, the next reader's
+(kernel.smoothing_band for a smoothing read), is formed on the smallest
+even 5-smooth M_i > K_a + K_b + K_out (_lattice_size, Orszag's rule),
+where its Fourier coefficients on the read band are its coefficients on
+the grid; with no reader named, K_out is the product's band, M_i > 4 K_i.
+M_i is capped at N_i: there the product is the grid's own, as the physical
+path forms it, and _NoiseSource.folded reports how far its band folds onto
+the read band.  Transforms per sample at d = 1, forward + inverse:
+covariance 0 + 0, moment 0 + 0 (0 + 1 on the grid with a dump), bphz f0
+0 + 0, bphz f0+f1 0 + 2 on M_i > 2 K_i + K_out points.  Every
 oracle is read by point_reader too, with 0 transforms per check.
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
@@ -78,6 +85,7 @@ from .kernel import (
     make_grid,
     point_reader,
     psi_hat,
+    smoothing_band,
     smoothing_reader,
     solve_L_div,
     symbol_LLstar,
@@ -217,9 +225,15 @@ class _NoiseSource:
     read as a + ib, and its block is P(a + ib) sqrt(vol FF / c): off the
     planes E|a + ib|^2 = 2 = c, on them E|P(a + ib)|^2 = 1 = c.  No
     transform runs, and a sample draws 2 rows |S| normals instead of N.
+
+    The output lattice is the grid, or with product = p the lattice on which
+    a product of 1 + p fields on S is formed and then read up to read_band
+    (K_out per spatial axis; None reads the product's whole band): N0 times
+    M_i points over the same boxes, M_i from _lattice_size with 1 + p bands
+    K_i (self.band, the largest |k_i| on S), and self.folded its report.
     """
 
-    def __init__(self, sampler, product=False):
+    def __init__(self, sampler, product=False, read_band=None):
         grid = sampler.grid
         rows = grid.spectrum_shape[0]
         space = grid.sizes[1:]
@@ -238,8 +252,11 @@ class _NoiseSource:
         self._normals = _keyed_normals()
         # the signed integer wavenumbers of the columns of S, per spatial axis
         self.wavenumbers = column_wavenumbers(space, cols)
-        space_out = tuple(_product_size(int(np.max(np.abs(w))), n) if product else n
-                          for w, n in zip(self.wavenumbers, space))
+        # K_i, the largest |k_i| over the columns of S: the band of a draw
+        self.band = tuple(int(np.max(np.abs(w))) for w in self.wavenumbers)
+        sizes = [_lattice_size((k,) * (1 + product), k_out, n) if product else (n, 0)
+                 for k, k_out, n in zip(self.band, read_band or (None,) * grid.d, space)]
+        space_out, self.folded = (tuple(v) for v in zip(*sizes))
         self.lattice = make_grid(grid.d, (grid.sizes[0],) + space_out, grid.boxes)
         # the flat spatial column of each column of S on the output lattice
         self._lattice_cols = np.ravel_multi_index(
@@ -281,12 +298,17 @@ class _NoiseSource:
     def inverse(self, block):
         """Physical values on self.lattice of the half spectrum that is block
         on S and zero off it: kernel._inverse of the scattered block, exact on
-        the grid and on the product lattice of S (_product_size).  The Riemann
-        normalisation makes f(x) = (1/vol) sum_k c(k0) hat(k) e^{2 pi i k x}
-        independent of the lattice.  Where M_i < N_i, M_i > 4 K_i puts distinct
-        columns of S on distinct lattice columns, none on its Nyquist row;
-        -k mod M_i = -(k mod M_i) keeps conjugate pairs; and the irfft over
-        time applies the plane rule.
+        the grid and on the product lattice of S.  The Riemann normalisation
+        makes f(x) = (1/vol) sum_k c(k0) hat(k) e^{2 pi i k x} independent of
+        the lattice.  Where M_i < N_i, M_i > K_a + K_b + K_out >= 2 K_i puts
+        distinct columns of S on distinct lattice columns, none on its
+        Nyquist row; -k mod M_i = -(k mod M_i) keeps conjugate pairs; and the
+        irfft over time applies the plane rule.  A product of such values is
+        then exact at the lattice points, and its Fourier coefficients are
+        the grid's on the read band |k_i| <= K_out (_lattice_size).  Where the
+        exact lattice would exceed the grid, M_i = N_i: the product is the
+        grid's own, as the physical path forms it, and self.folded[i] > 0
+        says how far its band folds onto the read band.
         """
         return _inverse(self.lattice, self.scatter(block), owned=True)
 
@@ -298,19 +320,26 @@ def _five_smooth(m):
     return m == 1
 
 
-def _product_size(k_max, n):
-    """Points M on an axis of the product lattice: the smallest even
-    5-smooth M > 4 k_max, capped at the grid's n.
+def _lattice_size(bands, read_band, n):
+    """(M, folded) on an axis: M points for the product of fields of the
+    given bands read up to read_band, the smallest even 5-smooth
+    M > sum(bands) + read_band capped at the grid's n; read_band None reads
+    the product's whole band, sum(bands).
 
-    Two fields of band k_max on the axis multiply to band 2 k_max, which M
-    points hold without aliasing when 2 k_max < M / 2 (Orszag's rule); at
-    M = 4 k_max the modes +-2 k_max fold onto one Nyquist mode.  A live
-    Nyquist column, k_max = n / 2, gives n.
+    The product has band B = sum(bands), and on M points its wavenumber k
+    lands on k mod M, which for M > B + read_band is a read wavenumber
+    |k mod M| <= read_band only when it is k itself (Orszag's rule; the
+    3/2 rule when read_band = B / 2).  folded = max(0, B + read_band + 1 - M)
+    is 0 below the cap; for B < M it counts the k > 0 that land on another
+    read wavenumber (as many k < 0 do).  A live Nyquist column, K = n / 2,
+    gives M = n with folded > 0.  Fields of one support, band K each, have
+    sum(bands) >= 2K, so M also puts distinct columns on distinct ones.
     """
-    m = 4 * k_max + 2
+    need = sum(bands) + (sum(bands) if read_band is None else read_band)
+    m = need + 2 - need % 2
     while m < n and not _five_smooth(m):
         m += 2
-    return min(m, n)
+    return min(m, n), max(0, need + 1 - min(m, n))
 
 
 def sample_noise(sampler, index=0):
@@ -546,13 +575,18 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     of xi and of pi_f0 (_NoiseSource.inverse: the block scattered onto that
     lattice, then kernel._inverse there), and its smoothed values at x are
     read from there by kernel.smoothing_reader on that lattice, one real
-    matvec for every t, with no transform back.  The product's band,
-    twice that of S, sits below the lattice's Nyquist rows, so its Fourier
-    coefficients there are its coefficients on the grid, and psi_t takes
-    the same values on them: the read is the grid's, to rounding.  The
-    spatial cell of x need not be a point of that lattice, so both blocks
-    are first translated by -x through the phases e^{2 pi i k x}, exact in
-    integer turns (_NoiseSource.phase), and read at (x0, 0, ..., 0).  An
+    matvec for every t, with no transform back.  That read sees the band
+    K_out = kernel.smoothing_band(grid, t_list, m0), where psi_t, at its
+    largest over k0 and t_list, exceeds eps of its peak.  The product of two
+    fields of band K is formed on M_i > 2 K_i + K_out points, so its Fourier
+    coefficients on the read band are its coefficients on the grid, and
+    psi_t takes the same values on them: the read is the grid's, to
+    rounding.  Where that lattice would exceed the grid, the product is the
+    grid's own, as the physical path forms it, and _NoiseSource.folded
+    reports the fold.  The spatial cell of x need not be a point of that
+    lattice, so both blocks are first translated by -x through the phases
+    e^{2 pi i k x}, exact in integer turns (_NoiseSource.phase), and read
+    at (x0, 0, ..., 0).  An
     empty t_list is a ConfigError, and a t at which psi_t underflows to
     zero at every nonzero mode is a NumericError: it would read the mean of
     the integrand.
@@ -569,7 +603,8 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     for t, psi in zip(t_list, psis):
         if not np.any(psi.ravel()[1:]):
             raise NumericError(f"psi_t underflows to zero at every nonzero mode (t={t:g})")
-    source = _NoiseSource(sampler, product=component == "f0f1")
+    source = _NoiseSource(sampler, product=component == "f0f1",
+                          read_band=smoothing_band(grid, t_list, m0))
     if component == "f0":
         oracles = [0.0 for _ in t_list]
         read = point_reader(grid, [x], [source.restrict(psi) for psi in psis], source.cols)
@@ -626,6 +661,7 @@ def equal_time_density(sampler):
     error estimate, |T_h - T_2h| (T_2h on the even nodes) plus the
     envelope's erfc tail beyond k0_max, is conservative: halving h squares
     the exponential factor, so it is about T_2h's error, far above T_h's.
+    It adds the rounding floor 8 eps (1 + x) |P|, x = space_rate (2 pi k1)^8.
     An error above 1e-6 of the result is a NumericError, as are a density
     that underflows to zero at every nonzero k1, a range that leaves the
     float domain and a grid that breaks the mesh rule (kernel.check_mesh).
@@ -669,6 +705,8 @@ def _line_density(sampler):
             total[part] = h * g.sum(axis=1)
             err[part] = np.abs(total[part] - 2.0 * h * g[:, ::2].sum(axis=1))
         err += np.abs(integrand(np.float64(k0_max), k1)) * tail_factor
+        x = sampler.moll.space_rate * (TWO_PI * k1) ** 8  # exp(-x) is off by x eps relative
+        err += np.where(total == 0.0, 0.0, 8.0 * np.finfo(float).eps * (1.0 + x) * np.abs(total))
     bad = ~np.isfinite(total + err) | (err > np.maximum(1e-6 * np.abs(total), 1e-280))
     if np.any(bad):
         j = np.argmax(bad)

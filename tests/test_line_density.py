@@ -38,7 +38,7 @@ def test_equal_time_density_matches_panel_quad(alpha, m0, kind, tau, eta):
         assert abs(density[k1] - want) <= err, k1
 
 
-@pytest.mark.parametrize("alpha, m0, kind, tau, eta, box, modes", [
+MPMATH_POINTS = [
     (0.55, 1.0, "semigroup", 1e-24, 2.0, 1.0, (1, 5, 32)),
     # U = asinh(k0_max / ridge) reaches 70 at k1 = 1
     (0.95, 2.0, "anisotropic", 1e-22, 3.0, 1.0, (1, 7, 32)),
@@ -46,7 +46,10 @@ def test_equal_time_density_matches_panel_quad(alpha, m0, kind, tau, eta):
     (0.75, 1.0, "semigroup", 1e-6, 2.0, 4.0, (3, 4, 5, 6)),
     (0.6, 0.25, "anisotropic", 1e-20, 1.5, 1.0, (1, 10, 32)),
     (0.85, 4.0, "semigroup", 1e-12, 2.0, 1.0, (1, 2, 8)),
-])
+]
+
+
+@pytest.mark.parametrize("alpha, m0, kind, tau, eta, box, modes", MPMATH_POINTS)
 def test_equal_time_density_meets_the_mpmath_oracle(alpha, m0, kind, tau, eta, box, modes):
     # within the rule's own error estimate plus the rounding of its float
     # integrand, whose envelope exp(-x), x >= space_rate (2 pi k1)^8, is
@@ -60,3 +63,16 @@ def test_equal_time_density_meets_the_mpmath_oracle(alpha, m0, kind, tau, eta, b
         x = sampler.moll.space_rate * (2.0 * math.pi * k1) ** 8
         rounding = 8.0 * np.finfo(float).eps * (1.0 + x) * want
         assert abs(density[j] - want) <= err[j] + rounding, (j, density[j], want, err[j])
+
+
+@pytest.mark.parametrize("alpha, m0, kind, tau, eta, box, modes", MPMATH_POINTS)
+def test_line_density_error_estimate_covers_its_rounding(alpha, m0, kind, tau, eta, box, modes):
+    # the estimate carries its own rounding floor, so the 40-digit gap is
+    # within it alone: without the floor it reads 2.8e-59 at the anisotropic
+    # eta 3 k1 = 7, where the gap is 4.2e-22
+    sampler = _sampler(alpha, m0, kind, tau, eta, box)
+    density, err = mc._line_density(sampler)
+    for j in modes:
+        want = float(mp_line_density(alpha, m0, sampler.moll.time_rate,
+                                     sampler.moll.space_rate, j / box))
+        assert abs(density[j] - want) <= err[j], (j, density[j], want, err[j])

@@ -207,22 +207,29 @@ def test_support_inverse_equals_the_full_inverse(sizes, tau):
 
 
 def test_product_lattice_size_rule():
-    smooth = {2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6)}
+    # M is the smallest even 5-smooth M > K_a + K_b + K_out, capped at N: a
+    # product of bands K_a, K_b has band K_a + K_b, and on fewer points its
+    # wavenumber M - K_out would land on the read wavenumber -K_out
+    smooth = sorted({2**a * 3**b * 5**c for a in range(1, 14) for b in range(8)
+                     for c in range(6)})
     for n in (8, 30, 256, 1000, 4096):
         for k in range(n // 2 + 1):
-            m = mc._product_size(k, n)
-            assert m <= n
-            if m < n:
-                # a product of two fields of band k has band 2k: at m = 4k
-                # the modes +2k and -2k would be one mode
-                assert m > 4 * k and m % 2 == 0 and m in smooth, (k, n, m)
-                assert not any(4 * k < s < m and s % 2 == 0 for s in smooth), (k, n, m)
-            else:
-                assert not any(4 * k < s < n and s % 2 == 0 for s in smooth), (k, n)
-    assert mc._product_size(8, 64) == 36 and mc._product_size(15, 256) == 64
-    # a live Nyquist column gives the grid's size
+            for bands, k_out in [((k, k), None), ((k, k), 0), ((k, k), 1),
+                                 ((k, k // 3), k % 7), ((k, k, k), 1)]:
+                need = sum(bands) + (sum(bands) if k_out is None else k_out)
+                m, folded = mc._lattice_size(bands, k_out, n)
+                assert m == min(next(s for s in smooth if s > need), n), (bands, k_out, n)
+                # the product's wavenumbers M - K_out, ..., K_a + K_b fold
+                # onto the read band, none below the cap
+                assert folded == max(0, need + 1 - m) and (folded == 0 or m == n)
+    # K_out = K_a + K_b is the rule M > 4K of a product read in full
+    assert mc._lattice_size((8, 8), None, 64)[0] == 36
+    assert mc._lattice_size((15, 15), None, 256)[0] == 64
+    # a live Nyquist column gives the grid's size, and it folds
     for n in (8, 30, 256):
-        assert mc._product_size(n // 2, n) == n
+        for k_out in (None, 0, 1):
+            m, folded = mc._lattice_size((n // 2, n // 2), k_out, n)
+            assert m == n and folded > 0
 
 
 @pytest.mark.parametrize("sizes, tau, want", [
