@@ -24,25 +24,26 @@ forms the two factors on their own axes; _kernel_factors transforms them,
 one transform over time and one over space per derivative order.  Only
 kernel_field forms psi_t on the grid, as a_t b_t; smoothing_reader takes its
 rows from it, and the moment and scaling checks read the factors alone.
-The semigroup check sets convolve's transforms against kernel_field.  The
-evenness and realness checks keep the full-grid transforms: they are the
-checks of the transforms.  The inversion check of solve_L_div runs on the
-half lattice, N_i/2 points per axis over the same boxes: its input band
-|j| < N_i/4 is every mode there but the Nyquist rows, so the full grid
-would only carry zeros.
+kernel_checks runs three full-grid transforms as one chain on psi_hat_s:
+the evenness, realness and semigroup checks read it, and are the checks of
+the transforms; semigroup sets them against kernel_field's factors.  The
+inversion check of solve_L_div runs on the half lattice, N_i/2 points per
+axis over the same boxes: its input band |j| < N_i/4 is every mode there
+but the Nyquist rows, so the full grid would only carry zeros.
 
 Memory rule: a full-grid transform or check holds only the grid arrays its
-arithmetic needs, and no public function writes into an array its caller
-passed.  The transforms are staged.  Forward: rfft along time, then fft
-in place over each space axis (the last first, as rfftn orders them), then
-the cell scaling in place.  Inverse: ifft over the space axes (1, ..., d)
-in place on a working copy, then irfft along time, then the scaling in
-place.  Both are bit for bit rfftn and irfftn over the axes (1, ..., d,
-0).  A function that owns a half spectrum it made (convolve, derivative
-and solve_L_div on physical input, and mc._NoiseSource.inverse on the
-block it scatters) hands it to the inverse as its working copy, to be
-overwritten.  The checks reduce into buffers they own.  The in-place
-passes use the out= of numpy.fft, new in numpy 2.0.
+arithmetic needs, and no public function but semigroup_defect (into the
+forward transform handed to it) writes into an array its caller passed.
+The transforms are staged.  Forward: rfft along time, then fft in place
+over each space axis (the last first, as rfftn orders them), then the cell
+scaling in place.  Inverse: ifft over the space axes (1, ..., d) in place
+on a working copy, then irfft along time, then the scaling in place.  Both
+are bit for bit rfftn and irfftn over the axes (1, ..., d, 0).  A function
+that owns a half spectrum it made (convolve, derivative and solve_L_div on
+physical input, and mc._NoiseSource.inverse on the block it scatters) hands
+it to the inverse as its working copy, to be overwritten.  The checks
+reduce into buffers they own, or a time row at a time.  The in-place passes
+use the out= of numpy.fft, new in numpy 2.0.
 
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
@@ -331,25 +332,25 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     return read
 
 
-def real_defect(field, physical=None):
+def real_defect(field, physical=None, forward=None):
     """Relative part of the Fourier data that no real field carries.
 
     This is what a round trip through physical space drops: the part of
     the self-conjugate planes that is not conjugate symmetric.  Zero (to
     rounding) for the transform of any physical field.  physical, if
     given, is the inverse transform of the field's Fourier data, made once
-    by a caller that needs it too.
+    by a caller that needs it too; forward, if given, is the forward
+    transform of that physical field, which kernel_checks then hands on to
+    semigroup_defect.  The gap is reduced one time row at a time, with no
+    temporary of the grid's size.
     """
     hat = field.to_fourier()
-    scale = np.max(np.abs(hat.values))
+    scale = max(float(np.max(np.abs(row))) for row in hat.values)
     if scale == 0.0:
         return 0.0
-    if physical is None:
-        physical = hat.to_physical()
-    back = physical.to_fourier().values
-    np.subtract(hat.values, back, out=back)
-    np.abs(back, out=back)
-    return float(np.max(back.real) / scale)
+    if forward is None:
+        forward = (hat.to_physical() if physical is None else physical).to_fourier().values
+    return max(float(np.max(np.abs(h - f))) for h, f in zip(hat.values, forward)) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +379,16 @@ def kernel_field(grid, t, m0=1.0):
     a_t(x0) b_t(x) from its factors (_kernel_factors)."""
     a, (b,) = _kernel_factors(grid, t, m0, [(0,) * grid.d])
     return SpectralField(grid, a * b, "physical")
+
+
+def _complex_psi_hat(grid, t, m0):
+    """psi_hat_t on the grid as complex data, bit for bit psi_hat's: the product
+    of its factors goes straight into the real part, with no real grid array."""
+    k0, *space = grid.frequency_mesh()
+    hat = np.zeros(grid.spectrum_shape, complex)
+    np.multiply(psi_hat(t, (k0,) + (0.0,) * grid.d, m0), psi_hat(t, (0.0, *space), m0),
+                out=hat.real)
+    return hat
 
 
 def _kernel_factors(grid, t, m0, orders):
@@ -536,19 +547,23 @@ def checks_grid():
     return SpectralGrid(d=1, sizes=(512, 4096), boxes=(1e-4, 4.0))
 
 
-def semigroup_defect(grid, s, t, m0=1.0):
+def semigroup_defect(grid, s, t, m0=1.0, forward=None):
     """Relative gap between psi_s * psi_t and psi_{s+t} on the torus.
 
-    It checks convolve's transforms against kernel_field, which runs through
-    neither.  The two-step field is formed first: the single kernel_field
-    then runs beside one finished field, not beside the convolution's input.
+    The two-step field is convolve's arithmetic, the Fourier data of psi_s
+    times psi_hat_t through _inverse, set row by row against psi_{s+t} from
+    kernel_field's factors, which run through neither transform.  That data
+    is forward, if given: the forward transform of psi_s that realness read
+    in kernel_checks, handed over to be overwritten.  Otherwise it is the
+    forward transform of kernel_field(s).
     """
-    gap = convolve(kernel_field(grid, s, m0), t, m0).values
-    one_step = kernel_field(grid, s + t, m0).values
-    np.subtract(gap, one_step, out=gap)
-    np.abs(gap, out=gap)
-    np.abs(one_step, out=one_step)
-    return float(np.max(gap) / np.max(one_step))
+    if forward is None:
+        forward = kernel_field(grid, s, m0).to_fourier().values
+    forward *= psi_hat(t, grid.frequency_mesh(), m0)
+    two_step = _inverse(grid, forward, owned=True)
+    a, (b,) = _kernel_factors(grid, s + t, m0, [(0,) * grid.d])
+    gap = max(float(np.max(np.abs(row - a_row * b))) for row, a_row in zip(two_step, a))
+    return gap / float(np.max(np.abs(a)) * np.max(np.abs(b)))  # max |a b|: rounding is monotone
 
 
 def evenness_defect(field):
@@ -699,22 +714,32 @@ def kernel_checks(grid, m0=1.0, scaling_time=3e-13):
     inversion_realness, moment_spread (dict over (orders, theta) of
     max/min - 1 across the time window of five times from 1e-12 to 1e-10).
     A grid that breaks the mesh rule (check_mesh) is a NumericError.
+
+    The full-grid checks are one chain of three transforms on psi_hat_s,
+    s = 1e-12, with at most two half spectra live: evenness reads its
+    inverse; realness reads the forward transform of that against psi_hat_s;
+    semigroup takes the same forward transform times psi_hat_t, t = 9e-12,
+    back through the inverse, against kernel_field(s + t).
     """
     m0 = check_m0(m0)
     check_mesh(grid, m0)
     scaling = scaling_defect(grid, scaling_time, m0)  # refuses d != 1 before the grid checks
     times = np.geomspace(1e-12, 1e-10, 5)
-    base = float(times[0])
-    base_hat = SpectralField(grid, psi_hat(base, grid.frequency_mesh(), m0), "fourier")
-    base_field = base_hat.to_physical()
-    evenness, realness = evenness_defect(base_field), real_defect(base_hat, base_field)
-    del base_hat, base_field  # not held through the checks below
+    s = float(times[0])
+    physical = SpectralField(grid, _inverse(grid, _complex_psi_hat(grid, s, m0), owned=True),
+                             "physical")
+    evenness = evenness_defect(physical)
+    forward = physical.to_fourier().values
+    del physical
+    realness = real_defect(SpectralField(grid, _complex_psi_hat(grid, s, m0), "fourier"),
+                           forward=forward)
     out = {
-        "semigroup": semigroup_defect(grid, 3.0 * base, 7.0 * base, m0),
+        "semigroup": semigroup_defect(grid, s, 9.0 * s, m0, forward=forward),
         "evenness": evenness,
         "realness": realness,
         "scaling": scaling,
     }
+    del forward  # overwritten by semigroup_defect
     out["inversion_residual"], out["inversion_realness"] = inversion_residual(grid, m0)
     out["moment_spread"] = moment_bound_spreads(grid, times, m0)
     return out

@@ -1,5 +1,6 @@
 """Spectral grid, kernel symbols, convolution and inversion checks."""
 
+import collections
 import math
 import tracemalloc
 
@@ -418,6 +419,74 @@ def test_kernel_checks_refuse_d2_before_the_full_grid_checks(monkeypatch):
         kernel_checks(SpectralGrid(d=2, sizes=(8, 8, 8), boxes=(1e-4, 1.0, 1.0)))
 
 
+def test_kernel_checks_refuse_d2_before_any_transform(monkeypatch):
+    # the chain's first full-grid step is the inverse of psi_hat_s, not
+    # semigroup_defect, so the guard above alone would pass without it
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a transform ran before the d = 1 check")
+
+    monkeypatch.setattr(kernel, "_inverse", not_reached)
+    monkeypatch.setattr(SpectralField, "to_fourier", not_reached)
+    with pytest.raises(ConfigError, match="d = 1"):
+        kernel_checks(SpectralGrid(d=2, sizes=(8, 8, 8), boxes=(1e-4, 1.0, 1.0)))
+
+
+def test_kernel_checks_run_three_transforms_on_the_checked_grid(monkeypatch):
+    # one chain on psi_hat_s: its inverse, the forward transform of that, and
+    # the inverse of the product with psi_hat_t; inversion_residual keeps its
+    # own three on the half lattice.  A to_fourier call on Fourier data is no
+    # transform and is not counted.
+    grid = small_checks_grid()
+    counts = collections.Counter()
+    to_fourier, inverse = SpectralField.to_fourier, kernel._inverse
+
+    def counted_to_fourier(field):
+        counts[field.grid] += field.space == "physical"
+        return to_fourier(field)
+
+    def counted_inverse(on, hat, owned=False):
+        counts[on] += 1
+        return inverse(on, hat, owned)
+
+    monkeypatch.setattr(SpectralField, "to_fourier", counted_to_fourier)
+    monkeypatch.setattr(kernel, "_inverse", counted_inverse)
+    kernel_checks(grid)
+    half = SpectralGrid(d=1, sizes=(64, 256), boxes=grid.boxes)
+    assert counts == {grid: 3, half: 3}
+
+
+def test_kernel_checks_see_a_wrong_forward_transform(monkeypatch):
+    # realness and semigroup share one forward transform; a mutant that
+    # scales its time row k0 = 1 by 1 + 1e-6 must show in both, above 1e-10
+    # (the benchmark's semigroup limit; its realness limit is 1e-12)
+    to_fourier = SpectralField.to_fourier
+
+    def mutant(field):
+        out = to_fourier(field)
+        if field.space == "physical":
+            out.values[1] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(SpectralField, "to_fourier", mutant)
+    checks = kernel_checks(small_checks_grid())
+    assert checks["realness"] > 1e-10 and checks["semigroup"] > 1e-10
+
+
+def test_kernel_checks_see_a_wrong_inverse_transform(monkeypatch):
+    # the mutant of test_semigroup_defect_sees_a_wrong_inverse_transform, run
+    # through the whole chain: both of its inverses zero time row k0 = 1
+    inverse = kernel._inverse
+
+    def mutant(grid, hat, owned=False):
+        hat = np.array(hat)
+        hat[1] = 0.0
+        return inverse(grid, hat, owned=True)
+
+    monkeypatch.setattr(kernel, "_inverse", mutant)
+    checks = kernel_checks(small_checks_grid())
+    assert checks["semigroup"] > 1e-3 and checks["realness"] > 1e-10
+
+
 @pytest.mark.parametrize("m0", [0.0, -1.0, math.nan, math.inf, 1.4e154, 1e200, 1e300])
 def test_m0_needs_a_positive_finite_square(m0):
     # the symbols of L and LL* check m0 as check_m0 does, so no mesh function
@@ -489,20 +558,31 @@ def test_moment_spreads_peak_memory():
     assert peak <= 3 * grid.point_count * 8
 
 
-def test_kernel_checks_peak_memory():
-    # measured: 3.11 half spectra, reached in real_defect of the base kernel
-    # (its half spectrum and physical field, beside the transform back); the
-    # warm-up call keeps numpy's lazy module imports out of the count
-    grid = small_checks_grid()
-    half_spectrum = math.prod(grid.spectrum_shape) * 16
-    kernel_checks(grid)
+def kernel_checks_peak(grid):
+    """tracemalloc peak of kernel_checks(grid), in half spectra of the grid.
+    The warm-up call keeps numpy's lazy module imports out of the count."""
+    kernel_checks(small_checks_grid())
     tracemalloc.start()
     try:
         kernel_checks(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * half_spectrum
+    return peak / (math.prod(grid.spectrum_shape) * 16)
+
+
+def test_kernel_checks_peak_memory():
+    # measured: 2.27 half spectra: the chain's two live half spectra, plus
+    # numpy's iterator buffers, about 130 KiB, which are a quarter of a half
+    # spectrum on this small grid (3.11 when realness and semigroup ran as
+    # two round trips)
+    assert kernel_checks_peak(small_checks_grid()) <= 2.3
+
+
+def test_kernel_checks_peak_memory_on_checks_grid():
+    # measured: 2.01 half spectra (3.00 as two round trips); a full-grid 2-D
+    # transform holds its input and its output, so two is the floor
+    assert kernel_checks_peak(checks_grid()) <= 2.05
 
 
 def test_inversion_residual_peak_memory():
