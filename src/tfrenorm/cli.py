@@ -553,7 +553,9 @@ _SUBCOMMANDS = {
                  help="bootstrap resamples for the scaling ci"),
             _Opt("t_list", _floats, default="1e-6,1e-5,1e-4",
                  help="kernel times for the bphz check"),
-            _Opt("x", _ints, help="base grid point, e.g. 0,0"),
+            _Opt("x", _ints, help="base grid point of --task bphz --component f0, e.g. "
+                                  "0,0; moment and bphz f0f1 average over every base "
+                                  "point and refuse it"),
             _Opt("dump", str, help="dump the averaged moment field to this path"),
         ],
         "Monte Carlo estimators with same-grid oracles",

@@ -18,20 +18,27 @@ Component c of sample i is drawn directly as a block: its values on S,
 zero elsewhere.  L^{-1} div is the div_symbols multipliers on S, and the
 draw's amplitudes and the multipliers are formed once per check.  Values at
 a few cells are read from a block by kernel.point_reader with rows on S
-alone: the periodogram at the lags in the covariance check, pi_f0 at its
-cells in the moment check (as gaps from the base point), psi_t * xi at the
-base point for bphz f0 (through rows W psi_t formed once per check); each
-is one small real matvec.  A draw goes back to physical space only where a
-pointwise product or a full field needs it: xi pi_f0 in the bphz f0+f1
-check, smoothed at the base point by kernel.smoothing_reader, and the
-dumped field of the moment check.  It goes back by the support inverse
-(_NoiseSource.inverse): the block scattered into a zero half spectrum of
-an output lattice, then kernel._inverse there, the inverse that
-SpectralField.to_physical runs.  A field whose band is known goes back to
-the coarsest lattice its reader needs: the dump to the grid, the two
-factors of xi pi_f0 to the product lattice of S, N0 times M_i points over
-the same boxes.  A draw carries the band of S, K_i the largest |k_i| on
-its columns (_NoiseSource.band); a product has the sum of its factors'
+alone, each one small real matvec: the periodogram at the lags in the
+covariance check and psi_t * xi at the base point for bphz f0 (through
+rows W psi_t formed once per check).  The noise law is translation
+invariant, so the moment and bphz f0+f1 checks average each draw over
+every base point, and by Parseval that average is a weighted sum of the
+draw's squares on S: |P M xi_hat|^2 read at the separations for the
+moment, Re(xi_hat conj(P M xi_hat)) weighted by c(k0) (1 - psi_t) for
+bphz f0+f1.  At d = 1 the multiplier sits in the rows, so a sample is one
+keyed draw, one square and one matvec.  Only the dumped field of the moment
+check goes back to physical space, once per check, by the support inverse
+(_NoiseSource.inverse): the mean periodogram scattered into a zero half
+spectrum of the grid, then kernel._inverse there, the inverse that
+SpectralField.to_physical runs.  Transforms per sample, forward + inverse:
+0 + 0 in every check; a moment dump adds 0 + 1 per check.  Every oracle
+is read by point_reader too, with 0 transforms per check.  sample_noise,
+pi_f0 and pi_f0f1 are the physical views of the same draw.
+
+_NoiseSource also forms products of draws on the coarsest lattice their
+reader needs, for the sampled products of higher model components; no
+check runs one today.  A draw carries the band of S, K_i the largest |k_i|
+on its columns (_NoiseSource.band); a product has the sum of its factors'
 bands.  A product read up to a band K_out, the next reader's
 (kernel.smoothing_band for a smoothing read), is formed on the smallest
 even 5-smooth M_i > K_a + K_b + K_out (_lattice_size, Orszag's rule),
@@ -39,11 +46,7 @@ where its Fourier coefficients on the read band are its coefficients on
 the grid; with no reader named, K_out is the product's band, M_i > 4 K_i.
 M_i is capped at N_i: there the product is the grid's own, as the physical
 path forms it, and _NoiseSource.folded reports how far its band folds onto
-the read band.  Transforms per sample at d = 1, forward + inverse:
-covariance 0 + 0, moment 0 + 0 (0 + 1 on the grid with a dump), bphz f0
-0 + 0, bphz f0+f1 0 + 2 on M_i > 2 K_i + K_out points.  Every
-oracle is read by point_reader too, with 0 transforms per check.
-sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
+the read band.
 
 The scaling fit reads f0 alone, on the equal-time line with time
 frequencies integrated out (equal_time_density, one trapezoid sum in u per
@@ -85,8 +88,6 @@ from .kernel import (
     make_grid,
     point_reader,
     psi_hat,
-    smoothing_band,
-    smoothing_reader,
     solve_L_div,
     symbol_LLstar,
 )
@@ -231,6 +232,11 @@ class _NoiseSource:
     (K_out per spatial axis; None reads the product's whole band): N0 times
     M_i points over the same boxes, M_i from _lattice_size with 1 + p bands
     K_i (self.band, the largest |k_i| on S), and self.folded its report.
+    No check forms a product since the bphz f0+f1 check averages over every
+    base point: product, read_band, _lattice_size, phase and
+    kernel.smoothing_band and smoothing_reader stay for the sampled
+    products of higher model components, and the tests' single-x f0+f1
+    oracle (tests/oracles.py) keeps them exercised.
     """
 
     def __init__(self, sampler, product=False, read_band=None):
@@ -516,45 +522,79 @@ def covariance_check(sampler, lags=None, n_samples=256):
     return _batch_report("covariance", lags, rows, oracles)
 
 
-def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
-    """E|pi_f0(y)|^2 against the exact Gaussian pairing sum.
+def _no_base_point(x, check):
+    if x is not None:
+        raise ConfigError(f"the {check} averages over every base point, so a base point x "
+                          f"selects nothing")
 
-    The oracle is 2(G(0) - G(y-x)) with G the inverse transform of the
-    lattice density of v = L^{-1} div xi: FF sum_i |P M_i|^2 over the
-    div_symbols M_i.  On the self-conjugate planes the inverse real
-    transform keeps the conjugate-symmetric part of M_i xi_hat_i, which is
-    xi_hat_i P M_i as xi_hat_i is symmetric there (_NoiseSource.project).
-    It is formed exactly: a round trip through physical space would leave
-    rounding of order 1e-16 max|M_i| at k1 = 0, where M_i is 0 and the
-    density is largest, and once tau leaves little density elsewhere that
-    rounding outweighs the oracle.  The gaps G(y-x) - G(0), and each
-    sample's v(y) - v(x) from its block sum_i M_i xi_hat_i on the support,
-    are read by kernel.point_reader from rows based at 0 and at x: no
-    transform, and no cancellation between two reads.  With dump_path set,
-    the full second-moment field is written in the binary field format,
-    from one support inverse per sample.
+
+def _power(a, b):
+    """Re(a conj b) per mode, from the real and imaginary parts."""
+    return a.real * b.real + a.imag * b.imag
+
+
+def _pi_f0_draw(source, mults, index):
+    """(xi_hat, v_hat) of sample index on S: its first noise component and
+    v_hat = sum_i P M_i xi_hat_i for the projected multipliers mults.  At
+    d = 1 v_hat is xi_hat itself: the caller puts P M into its rows."""
+    blocks = [source.block(index, comp) for comp in range(len(mults))]
+    if len(blocks) == 1:
+        return blocks[0], blocks[0]
+    return blocks[0], sum(m * b for m, b in zip(mults, blocks))
+
+
+def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
+    """E|pi_f0(y)|^2 at y = x + r against the exact Gaussian pairing sum,
+    each draw averaged over every base point x.
+
+    The noise law is translation invariant, so the moment depends on the
+    separation r alone, and a draw's mean over x of (v(x + r) - v(x))^2 is
+    2 (C_v(0) - C_v(r)), C_v the inverse transform of the periodogram
+    |P M xi_hat|^2 / vol of v = L^{-1} div xi (Wiener-Khinchin).  M_i are
+    the div_symbols multipliers: on the self-conjugate planes the inverse
+    real transform keeps the conjugate-symmetric part of M_i xi_hat_i, which
+    is xi_hat_i P M_i as xi_hat_i is symmetric there
+    (_NoiseSource.project).  Each sample is read by kernel.point_reader
+    from rows based at 0, the gaps C_v(r) - C_v(0) with no cancellation
+    between two reads, and the oracle is the same read of the mean
+    periodogram FF sum_i |P M_i|^2, formed exactly: a round trip through
+    physical space would leave rounding of order 1e-16 max|M_i| at k1 = 0,
+    where M_i is 0 and the density is largest, and once tau leaves little
+    density elsewhere that rounding outweighs the oracle.  At d = 1,
+    |P M xi_hat|^2 = |P M|^2 |xi_hat|^2 and |P M|^2 sits in the rows, so a
+    sample is its draw, one square and one real matvec; at d >= 2 the cross
+    terms of sum_i P M_i xi_hat_i stay.  No transform runs per sample.  An x
+    is a ConfigError: it selects nothing.  With dump_path set, the mean of
+    the averaged field, 2 (C_v(0) - C_v(r)) at every cell r, is written in
+    the binary field format, from one support inverse of the mean
+    periodogram.
     """
+    _no_base_point(x, "moment check")
     grid = sampler.grid
-    x = _base_index(grid, x)
     separations = _geometric_offsets(grid, 3, 14, 4)
     source = _NoiseSource(sampler)
-    mults = [source.restrict(m) for m in div_symbols(grid, sampler.spec.m0)]
-    mult_sq = sum(np.abs(source.project(m.copy())) ** 2 for m in mults)
+    mults = [source.project(source.restrict(m)) for m in div_symbols(grid, sampler.spec.m0)]
+    mult_sq = sum(np.abs(m) ** 2 for m in mults)
+    # a sample's power |v_hat|^2 has mean vol FF sum_i |P M_i|^2; at d = 1
+    # it is |P M|^2 |xi_hat|^2, and |P M|^2 goes into the rows
+    if grid.d == 1:
+        fold, mean_power = mult_sq, grid.volume * source.density
+    else:
+        fold, mean_power = 1.0, grid.volume * source.density * mult_sq
     zero = (0,) * (grid.d + 1)
-    g_gap = point_reader(grid, separations, cols=source.cols, base=zero)
-    oracles = -2.0 * g_gap(source.density * mult_sq)
-    cells = [tuple(xi + si for xi, si in zip(x, sep)) for sep in separations]
-    read = point_reader(grid, cells, cols=source.cols, base=x)
+    read = point_reader(grid, separations, [-2.0 / grid.volume * fold], source.cols, base=zero)
+    oracles = read(mean_power)
     rows = []
-    mean_sq = None if dump_path is None else np.zeros(grid.sizes)
+    power_sum = 0.0
     for i in range(n_samples):
-        v_hat = sum(m * source.block(i, c) for c, m in enumerate(mults))
-        rows.append(read(v_hat) ** 2)
-        if mean_sq is not None:
-            v = source.inverse(v_hat)
-            mean_sq += (v - v[x]) ** 2
+        _, v_hat = _pi_f0_draw(source, mults, i)
+        power = _power(v_hat, v_hat)
+        rows.append(read(power))
+        if dump_path is not None:
+            power_sum = power_sum + power
     if dump_path is not None:
-        dump_field(SpectralField(grid, mean_sq / n_samples, "physical"),
+        covariance = source.inverse(power_sum * (fold / (grid.volume * n_samples)))
+        dump_field(SpectralField(grid, 2.0 * (covariance[zero] - covariance), "physical"),
                    dump_path)
     return _batch_report("pi_f0_second_moment", separations, rows, oracles)
 
@@ -563,36 +603,36 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
                           n_samples=128):
     """MC estimate of the smoothed expectation E[(psi_t * Pi^-)(x)] per t.
 
-    For f0 the integrand is the noise itself and the oracle vanishes; for
-    f0+f1 the oracle is the pairing sum
-    (1/vol) sum_k (1 - psi_t(k)) 2 pi i k1 FF(k) / symbol_L(k) at r = 0, which
-    vanishes whenever the density is even in the spatial frequency, and is
-    read at the zero cell by kernel.point_reader.  The f0 values at x are
-    read from the noise block by kernel.point_reader through the rows
-    W_x psi_t on the support, formed once per check, so a sample is one
-    real matvec.  The f0+f1 integrand xi pi_f0 is formed in physical space
-    on the product lattice of the support, from one support inverse each
-    of xi and of pi_f0 (_NoiseSource.inverse: the block scattered onto that
-    lattice, then kernel._inverse there), and its smoothed values at x are
-    read from there by kernel.smoothing_reader on that lattice, one real
-    matvec for every t, with no transform back.  That read sees the band
-    K_out = kernel.smoothing_band(grid, t_list, m0), where psi_t, at its
-    largest over k0 and t_list, exceeds eps of its peak.  The product of two
-    fields of band K is formed on M_i > 2 K_i + K_out points, so its Fourier
-    coefficients on the read band are its coefficients on the grid, and
-    psi_t takes the same values on them: the read is the grid's, to
-    rounding.  Where that lattice would exceed the grid, the product is the
-    grid's own, as the physical path forms it, and _NoiseSource.folded
-    reports the fold.  The spatial cell of x need not be a point of that
-    lattice, so both blocks are first translated by -x through the phases
-    e^{2 pi i k x}, exact in integer turns (_NoiseSource.phase), and read
-    at (x0, 0, ..., 0).  An
-    empty t_list is a ConfigError, and a t at which psi_t underflows to
+    For f0 the integrand is the noise itself and the oracle vanishes.  Its
+    values at x are read from the noise block by kernel.point_reader
+    through the rows W_x psi_t on the support, formed once per check, so a
+    sample is one real matvec.
+
+    For f0+f1 each draw is averaged over every base point x, as the noise
+    law is translation invariant: the mean over x of
+    (psi_t * (xi pi_f0,x))(x) = (psi_t * (xi v))(x) - v(x) (psi_t * xi)(x),
+    v = L^{-1} div xi and xi its first component, is
+    mean(xi v) - mean(v (psi_t * xi)) = (1/vol^2) sum_k c(k0) (1 - psi_t)
+    Re(xi_hat conj(P M xi_hat)) over the half spectrum (Parseval), with the
+    c2r weights c(k0) and P M the projected div_symbols multipliers of
+    pi_f0_second_moment_check.  Both are read at the zero cell by
+    kernel.point_reader.  The oracle is the same read of the mean, vol FF
+    for |xi_hat|^2: the pairing sum (1/vol) sum_k c(k0) (1 - psi_t)
+    Re(P M_1) FF, which vanishes whenever the density is even in the
+    spatial frequency.  At d = 1, Re(xi_hat conj(P M xi_hat)) =
+    Re(P M) |xi_hat|^2 and Re(P M) sits in the rows, so a sample is its
+    draw, one square and one real matvec; at d >= 2 the cross terms with
+    the other components stay.  No transform runs per sample, and an x is
+    a ConfigError: it selects nothing.
+
+    An empty t_list is a ConfigError, and a t at which psi_t underflows to
     zero at every nonzero mode is a NumericError: it would read the mean of
     the integrand.
     """
     if component not in ("f0", "f0f1"):
         raise ConfigError(f"component must be f0 or f0f1, got {component!r}")
+    if component == "f0f1":
+        _no_base_point(x, "bphz f0+f1 check")
     grid = sampler.grid
     x = _base_index(grid, x)
     m0 = sampler.spec.m0
@@ -603,8 +643,7 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     for t, psi in zip(t_list, psis):
         if not np.any(psi.ravel()[1:]):
             raise NumericError(f"psi_t underflows to zero at every nonzero mode (t={t:g})")
-    source = _NoiseSource(sampler, product=component == "f0f1",
-                          read_band=smoothing_band(grid, t_list, m0))
+    source = _NoiseSource(sampler)
     if component == "f0":
         oracles = [0.0 for _ in t_list]
         read = point_reader(grid, [x], [source.restrict(psi) for psi in psis], source.cols)
@@ -612,22 +651,20 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
         def sample(i):
             return read(source.block(i, 0))
     else:
-        mults = [source.restrict(m) for m in div_symbols(grid, m0)]
+        mults = [source.project(source.restrict(m)) for m in div_symbols(grid, m0)]
+        # a sample's power Re(xi_hat conj v_hat) has mean vol FF Re(P M_1);
+        # at d = 1 it is Re(P M) |xi_hat|^2, and Re(P M) goes into the rows
+        if grid.d == 1:
+            fold, mean_power = mults[0].real, grid.volume * source.density
+        else:
+            fold, mean_power = 1.0, grid.volume * source.density * mults[0].real
         zero = (0,) * (grid.d + 1)
-        read_zero = point_reader(grid, [zero], [source.restrict(1.0 - psi) for psi in psis],
-                                 source.cols)
-        oracles = list(read_zero(mults[0] * source.density))
-        # x's spatial cell may be no point of the product lattice
-        shift = source.phase(x[1:])
-        mults = [m * shift for m in mults]
-        at = x[:1] + (0,) * grid.d
-        smooth = smoothing_reader(source.lattice, t_list, at, m0)
+        read = point_reader(grid, [zero], [source.restrict(1.0 - psi) * fold / grid.volume
+                                           for psi in psis], source.cols)
+        oracles = list(read(mean_power))
 
         def sample(i):
-            blocks = [source.block(i, c) for c in range(grid.d)]
-            piece = source.inverse(sum(m * b for m, b in zip(mults, blocks)))
-            piece -= piece[at]
-            return smooth(piece * source.inverse(blocks[0] * shift))
+            return read(_power(*_pi_f0_draw(source, mults, i)))
 
     rows = [sample(i) for i in range(n_samples)]
     return _batch_report(f"bphz_{component}", t_list, rows, oracles)

@@ -59,9 +59,14 @@ package under test, using different algorithms than the library:
   additive weight in float64),
 * the per-sample values of the MC checks with every draw taken to physical
   space by the public sample_noise and pi_f0 and every value read from a
-  full inverse transform (the library keeps each draw in Fourier space and
-  reads a few cells straight from the half spectrum); the mc module comes
-  in as an argument.
+  full inverse transform, a base-point average as the mean over every cell
+  of the grid (the library keeps each draw in Fourier space and reads a few
+  cells, or its averages, straight from the half spectrum); the mc module
+  comes in as an argument,
+* the bphz f0+f1 read at one base point x: xi and pi_f0 taken to the
+  product lattice of the density's support, multiplied there and smoothed
+  at x (the library averages over every base point, from the draw's squares
+  on the support); the mc and kernel modules come in as arguments.
 """
 
 import math
@@ -1003,43 +1008,88 @@ def separable_moment_spreads(sizes, boxes, times, m0=1.0):
 def physical_path_reports(mc, sampler, reports, x):
     """The reports of the MC checks recomputed the direct way.
 
-    reports maps an estimator name (covariance, pi_f0_second_moment,
-    bphz_f0, bphz_f0f1) to the library's report; each is rebuilt at the
-    same points, sample count and oracles from per-sample values that
-    round-trip through physical space: mc.sample_noise for the noise,
-    mc.pi_f0 for the linear component, a full inverse transform per read.
-    x is the base point of the moment and bphz checks, in range.
+    reports maps a read to the library's report: covariance,
+    pi_f0_second_moment and bphz_f0f1, averaged over every base point, and
+    bphz_f0 and bphz_f0f1_at_x, at the base point x (in range).  Each is
+    rebuilt at the same points, sample count and oracles from per-sample
+    values that round-trip through physical space: mc.sample_noise for the
+    noise, mc.pi_f0 for the linear component, a full inverse transform per
+    smoothing.  A base-point average is the mean over every cell y: of
+    (v(y + r) - v(y))^2 for the moment, and of
+    (psi_t * (xi (v - v(y))))(y) = (psi_t * (xi v))(y) - v(y) (psi_t * xi)(y)
+    for bphz f0+f1.
     """
     grid = sampler.grid
     m0 = sampler.spec.m0
     field = type(mc.sample_noise(sampler, 0)[0])
     mesh = grid.frequency_mesh()
     lap = sum((TWO_PI * k) ** 2 for k in mesh[1:])
+    axes = tuple(range(grid.d + 1))
 
     def physical(hat):
         return field(grid, hat, "fourier").to_physical().values
 
-    def psi(t):
-        return np.exp(-t * ((TWO_PI * mesh[0]) ** 2 + m0**2 * lap**4))
+    def smooth(values, t):
+        hat = field(grid, values, "physical").to_fourier().values
+        return physical(hat * np.exp(-t * ((TWO_PI * mesh[0]) ** 2 + m0**2 * lap**4)))
 
     out = {}
     for name, rep in reports.items():
         rows = []
         for i in range(rep.samples):
             noise = mc.sample_noise(sampler, i)
+            xi = noise[0].values
             if name == "covariance":
                 corr = physical(np.abs(noise[0].to_fourier().values) ** 2 / grid.volume)
                 rows.append([corr[tuple(r % n for r, n in zip(lag, grid.sizes))]
                              for lag in rep.points])
             elif name == "pi_f0_second_moment":
-                sq = mc.pi_f0(noise, x, m0).values ** 2
-                rows.append([sq[tuple((a + r) % n for a, r, n in zip(x, sep, grid.sizes))]
+                v = mc.pi_f0(noise, None, m0).values
+                rows.append([np.mean((np.roll(v, [-r for r in sep], axes) - v) ** 2)
                              for sep in rep.points])
+            elif name == "bphz_f0f1":
+                v = mc.pi_f0(noise, None, m0).values
+                rows.append([np.mean(smooth(xi * v, t) - v * smooth(xi, t)) for t in rep.points])
             else:
-                base = noise[0].values
-                if name == "bphz_f0f1":
-                    base = mc.pi_f0(noise, x, m0).values * base
-                base_hat = field(grid, base, "physical").to_fourier().values
-                rows.append([physical(base_hat * psi(t))[x] for t in rep.points])
+                if name == "bphz_f0f1_at_x":
+                    xi = mc.pi_f0(noise, x, m0).values * xi
+                rows.append([smooth(xi, t)[x] for t in rep.points])
         out[name] = mc._batch_report(rep.estimator, rep.points, rows, rep.oracles)
     return out
+
+
+def single_x_bphz_f0f1(mc, kernel, sampler, t_list, x, n_samples):
+    """The report of bphz f0+f1 at the base point x alone: the smoothed
+    expectation E[(psi_t * (xi pi_f0,x))(x)] per t, against the library's
+    oracle, from n_samples draws of the library's keyed source.
+
+    xi pi_f0 is formed in physical space on the product lattice of the
+    density's support (mc._NoiseSource with product and read_band, the band
+    kernel.smoothing_band of the read), from one support inverse each of xi
+    and of pi_f0, and smoothed at x by kernel.smoothing_reader on that
+    lattice.  x's spatial cell need not be a point of that lattice, so both
+    blocks are first translated by -x through the phases
+    mc._NoiseSource.phase, and read at (x0, 0, ..., 0).
+    """
+    grid = sampler.grid
+    m0 = sampler.spec.m0
+    x = tuple(i % n for i, n in zip(x, grid.sizes))
+    psis = [kernel.psi_hat(t, grid.frequency_mesh(), m0) for t in t_list]
+    source = mc._NoiseSource(sampler, product=True,
+                             read_band=kernel.smoothing_band(grid, t_list, m0))
+    mults = [source.restrict(m) for m in kernel.div_symbols(grid, m0)]
+    zero = (0,) * (grid.d + 1)
+    read_zero = kernel.point_reader(grid, [zero], [source.restrict(1.0 - psi) for psi in psis],
+                                    source.cols)
+    oracles = list(read_zero(mults[0] * source.density))
+    shift = source.phase(x[1:])
+    mults = [m * shift for m in mults]
+    at = x[:1] + (0,) * grid.d
+    smooth = kernel.smoothing_reader(source.lattice, t_list, at, m0)
+    rows = []
+    for i in range(n_samples):
+        blocks = [source.block(i, c) for c in range(grid.d)]
+        piece = source.inverse(sum(m * b for m, b in zip(mults, blocks)))
+        piece -= piece[at]
+        rows.append(smooth(piece * source.inverse(blocks[0] * shift)))
+    return mc._batch_report("bphz_f0f1", t_list, rows, oracles)

@@ -444,6 +444,24 @@ def test_simulate_moment_on_a_two_point_space_axis(capsys):
     assert [0, 1] in doc["points"] and [1, 0] in doc["points"]
     assert doc["estimates"] == doc["oracles"] == [0.0] * len(doc["points"])
 
+@pytest.mark.parametrize("task", [["moment"], ["bphz", "--component", "f0f1"]],
+                         ids=["moment", "bphz_f0f1"])
+def test_simulate_refuses_x_where_the_check_averages_over_base_points(capsys, task):
+    code, out, err = run(capsys, "simulate", "--task", *task, "--alpha", "0.55",
+                         "--tau", "1e-14", "--sizes", "8,64", "--samples", "8", "--x", "1,2")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("config error: ") and "averages over every base point" in line
+
+
+def test_simulate_bphz_f0_reads_at_x(capsys):
+    argv = ["simulate", "--task", "bphz", "--component", "f0", "--alpha", "0.55",
+            "--tau", "1e-14", "--sizes", "8,64", "--samples", "8"]
+    at_origin = run_json(capsys, *argv)
+    assert run_json(capsys, *argv, "--x", "0,0") == at_origin
+    assert run_json(capsys, *argv, "--x", "3,17")["estimates"] != at_origin["estimates"]
+
+
 def test_closed_stdout_pipe_exits_quietly():
     """A reader that closed stdout before the output was written ends the
     run with the documented status 141 and no traceback."""

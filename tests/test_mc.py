@@ -314,17 +314,30 @@ def test_support_inverse_against_the_explicit_sum(sizes, tau):
 
 
 def test_moment_check_reads_the_same_with_and_without_a_dump(tmp_path):
-    s = small_sampler(seed=6)
-    x = (3, 17)
-    path = tmp_path / "moment.field"
-    plain = mc.pi_f0_second_moment_check(s, x=x, n_samples=16)
-    dumped = mc.pi_f0_second_moment_check(s, x=x, n_samples=16, dump_path=path)
-    for key in ("estimates", "standard_errors", "oracles", "z_scores"):
-        assert np.array_equal(getattr(plain, key), getattr(dumped, key)), key
-    field = load_field(path).values
-    assert field[x] == 0.0
-    want = np.mean([mc.pi_f0(mc.sample_noise(s, i), x).values ** 2 for i in range(16)], axis=0)
-    assert np.max(np.abs(field - want)) <= 1e-13 * np.max(want)
+    # the dump is the mean over draws and base points y of
+    # (pi_f0(y + r) - pi_f0(y))^2 at every cell r, which is
+    # 2 (mean v^2 - C(r)) with C the circular autocorrelation of v; at
+    # d = 2 the check reads |v_hat|^2 with its cross terms
+    def increments(v):
+        corr = np.fft.ifftn(np.abs(np.fft.fftn(v)) ** 2).real / v.size
+        return 2.0 * (np.mean(v ** 2) - corr)
+
+    grid = SpectralGrid(d=2, sizes=(4, 8, 16), boxes=(1.0, 1.0, 1.0))
+    plane = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.6),
+                            moll=mollifier_spec("semigroup", 1e-14), seed=2)
+    for s in (small_sampler(seed=6), plane):
+        path = tmp_path / f"moment{s.grid.d}.field"
+        plain = mc.pi_f0_second_moment_check(s, n_samples=16)
+        dumped = mc.pi_f0_second_moment_check(s, n_samples=16, dump_path=path)
+        for key in ("estimates", "standard_errors", "oracles", "z_scores"):
+            assert np.array_equal(getattr(plain, key), getattr(dumped, key)), key
+        field = load_field(path).values
+        assert field[(0,) * (s.grid.d + 1)] == 0.0
+        want = np.mean([increments(mc.pi_f0(mc.sample_noise(s, i), None).values)
+                        for i in range(16)], axis=0)
+        assert np.max(np.abs(field - want)) <= 1e-13 * np.max(want)
+        at = tuple(np.transpose(plain.points))
+        assert np.max(np.abs(field[at] - plain.estimates)) <= 1e-13 * np.max(want)
 
 
 @pytest.mark.parametrize("check", [
@@ -334,6 +347,15 @@ def test_moment_check_reads_the_same_with_and_without_a_dump(tmp_path):
 ], ids=["bphz_f0", "bphz_f0f1", "covariance"])
 def test_empty_point_lists_are_config_errors(check):
     with pytest.raises(ConfigError, match="at least one"):
+        check(small_sampler(sizes=(8, 32)))
+
+
+@pytest.mark.parametrize("check", [
+    lambda s: mc.pi_f0_second_moment_check(s, x=(0, 0), n_samples=8),
+    lambda s: mc.bphz_triviality_check(s, [1e-6], component="f0f1", x=(1, 2), n_samples=8),
+], ids=["moment", "bphz_f0f1"])
+def test_averaged_checks_refuse_a_base_point(check):
+    with pytest.raises(ConfigError, match="averages over every base point"):
         check(small_sampler(sizes=(8, 32)))
 
 
@@ -384,16 +406,18 @@ def test_pi_f0_zero_at_base_and_odd():
 
 
 def test_pi_f0_second_moment_oracle(tmp_path):
-    s = small_sampler(seed=5)
+    # at this setting the check reads worst |z| > 3.5 on 4 of seeds 0-299
+    # (seed 5 among them, at 3.94, falling to 1.15 at 1536 samples): a
+    # sample is dominated by a few chi^2_2 modes, whose batch means are
+    # skewed
+    s = small_sampler(seed=6)
     path = tmp_path / "moment.field"
-    rep = mc.pi_f0_second_moment_check(
-        s, x=(3, 17), n_samples=192, dump_path=path
-    )
+    rep = mc.pi_f0_second_moment_check(s, n_samples=192, dump_path=path)
     assert rep.worst_z() < 3.5
     dumped = load_field(path)
     assert dumped.values.shape == s.grid.sizes
-    # the dumped moment field vanishes at the base point by construction
-    assert abs(dumped.values[3, 17]) == 0.0
+    # the dumped moment field vanishes at separation 0 by construction
+    assert abs(dumped.values[0, 0]) == 0.0
 
 
 def test_pi_f0f1_zero_at_base_and_even():

@@ -1,12 +1,13 @@
 """The MC checks keep each draw in Fourier space: they report what the direct
 physical-space loops report, within a fixed budget of transforms and
-normals per sample."""
+normals per sample.  The product lattice of the support is read through
+oracles.single_x_bphz_f0f1, bphz f0+f1 at one base point."""
 
 import numpy as np
 import pytest
 
-from oracles import physical_path_reports
-from tfrenorm import mc
+from oracles import physical_path_reports, single_x_bphz_f0f1
+from tfrenorm import kernel, mc
 from tfrenorm.constants import covariance_spec, mollifier_spec
 from tfrenorm.kernel import SpectralField, SpectralGrid, convolve, smoothing_band, smoothing_reader
 
@@ -21,9 +22,9 @@ def make_sampler(sizes, alpha, tau, m0, seed):
 
 CHECKS = {
     "covariance": lambda s, x, n: mc.covariance_check(s, n_samples=n),
-    "pi_f0_second_moment": lambda s, x, n: mc.pi_f0_second_moment_check(s, x=x, n_samples=n),
+    "pi_f0_second_moment": lambda s, x, n: mc.pi_f0_second_moment_check(s, n_samples=n),
     "bphz_f0": lambda s, x, n: mc.bphz_triviality_check(s, T_LIST, "f0", x=x, n_samples=n),
-    "bphz_f0f1": lambda s, x, n: mc.bphz_triviality_check(s, T_LIST, "f0f1", x=x, n_samples=n),
+    "bphz_f0f1": lambda s, x, n: mc.bphz_triviality_check(s, T_LIST, "f0f1", n_samples=n),
 }
 
 
@@ -32,8 +33,11 @@ CHECKS = {
     ((4, 8, 16), 0.6, 1e-14, 1.3, 2),
 ])
 def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
-    # the largest gaps measured on these grids are 4.3e-15 of the largest
-    # estimate and 1.6e-14 in a z-score
+    # the moment and bphz f0+f1 checks average over every base point, the
+    # physical path over every cell of the grid; bphz f0 reads x alone.
+    # The largest gaps measured are 3.8e-14 of the largest estimate and
+    # 4.2e-14 in a z-score, for bphz f0+f1 on 8 x 32, where the physical
+    # path's mean(xi v) - mean(v (psi_t * xi)) cancels most
     sampler = make_sampler(sizes, alpha, tau, m0, seed)
     x = tuple(n // 2 - 1 for n in sizes)
     reports = {name: check(sampler, x, 32) for name, check in CHECKS.items()}
@@ -65,8 +69,8 @@ def test_bphz_f0f1_on_a_product_lattice_coarser_than_the_grid(sizes, tau, x, t_l
     lattice = mc._NoiseSource(sampler, product=True).lattice
     assert lattice.sizes[0] == sizes[0] and lattice.boxes == sampler.grid.boxes
     assert all(m < n for m, n in zip(lattice.sizes[1:], sizes[1:])), lattice.sizes
-    rep = mc.bphz_triviality_check(sampler, t_list, "f0f1", x=x, n_samples=32)
-    want = physical_path_reports(mc, sampler, {"bphz_f0f1": rep}, x)["bphz_f0f1"]
+    rep = single_x_bphz_f0f1(mc, kernel, sampler, t_list, x, 32)
+    want = physical_path_reports(mc, sampler, {"bphz_f0f1_at_x": rep}, x)["bphz_f0f1_at_x"]
     scale = np.max(np.abs(want.estimates))
     assert scale > 0.0
     assert np.max(np.abs(np.subtract(rep.estimates, want.estimates))) <= 1e-13 * scale
@@ -74,10 +78,10 @@ def test_bphz_f0f1_on_a_product_lattice_coarser_than_the_grid(sizes, tau, x, t_l
 
 
 def _f0f1_gaps(sampler, t_list, x):
-    """The largest gaps of bphz f0+f1 to the physical path, in its estimates
-    (relative to the largest) and in its z-scores."""
-    rep = mc.bphz_triviality_check(sampler, t_list, "f0f1", x=x, n_samples=32)
-    want = physical_path_reports(mc, sampler, {"bphz_f0f1": rep}, x)["bphz_f0f1"]
+    """The largest gaps of the single-x bphz f0+f1 oracle to the physical
+    path, in its estimates (relative to the largest) and in its z-scores."""
+    rep = single_x_bphz_f0f1(mc, kernel, sampler, t_list, x, 32)
+    want = physical_path_reports(mc, sampler, {"bphz_f0f1_at_x": rep}, x)["bphz_f0f1_at_x"]
     scale = np.max(np.abs(want.estimates))
     assert scale > 0.0
     return (np.max(np.abs(np.subtract(rep.estimates, want.estimates))) / scale,
@@ -92,13 +96,13 @@ def test_bphz_f0f1_at_the_benchmark_settings(monkeypatch, tau, m0):
     # whole band, and still reads what the full grid reads
     sampler = make_sampler((64, 256), 0.75, tau, m0, 5)
     lattices = []
-    reader = mc.smoothing_reader
+    reader = kernel.smoothing_reader
 
     def recorded(grid, *args):
         lattices.append(grid)
         return reader(grid, *args)
 
-    monkeypatch.setattr(mc, "smoothing_reader", recorded)
+    monkeypatch.setattr(kernel, "smoothing_reader", recorded)
     gap, z_gap = _f0f1_gaps(sampler, T_LIST, (17, 101))
     (lattice,) = lattices
     full = mc._NoiseSource(sampler, product=True).lattice
@@ -114,7 +118,7 @@ def test_bphz_f0f1_needs_the_read_band_of_psi_t(monkeypatch):
     t_list, x = (1e-17, 1e-14, 1e-11), (5, 37)
     gap, z_gap = _f0f1_gaps(sampler, t_list, x)
     assert gap <= 1e-13 and z_gap <= 1e-11, (gap, z_gap)
-    monkeypatch.setattr(mc, "smoothing_band", lambda grid, times, m0: (1,) * grid.d)
+    monkeypatch.setattr(kernel, "smoothing_band", lambda grid, times, m0: (1,) * grid.d)
     gap, _ = _f0f1_gaps(sampler, t_list, x)
     assert gap > 1e-13, gap
 
@@ -155,19 +159,18 @@ def test_a_product_beyond_the_grid_is_formed_on_the_grid_and_reported():
 
 # transforms per sample (forward, inverse) at d = 1, and per check for the
 # oracles, a support inverse counting as an inverse transform: a sample is
-# drawn in Fourier space on the support, with no forward transform; the
-# covariance and moment checks read each sample and their oracles on the
-# support by point_reader (the moment oracle projects each L^{-1} div
-# multiplier exactly, with no transform), and a moment dump adds one
-# support inverse per sample; the bphz f0+f1 oracles are read at the zero
-# cell by point_reader, and the check smooths xi pi_f0 in physical space
-# from one support inverse each of xi and pi_f0, with no transform back
+# drawn in Fourier space on the support, with no forward transform; every
+# check reads each sample and its oracles on the support by point_reader,
+# with no transform (the moment oracle projects each L^{-1} div multiplier
+# exactly, and the moment and bphz f0+f1 samples are base-point averages
+# read from their draws' squares); a moment dump adds one support inverse
+# per check, of the mean periodogram
 BUDGET = {
     "covariance": ((0, 0), (0, 0)),
     "pi_f0_second_moment": ((0, 0), (0, 0)),
-    "pi_f0_second_moment_dump": ((0, 1), (0, 0)),
+    "pi_f0_second_moment_dump": ((0, 0), (0, 1)),
     "bphz_f0": ((0, 0), (0, 0)),
-    "bphz_f0f1": ((0, 2), (0, 0)),
+    "bphz_f0f1": ((0, 0), (0, 0)),
 }
 
 
@@ -207,7 +210,7 @@ def test_transform_budget_per_sample(monkeypatch, tmp_path, name):
     for n in (4, 8):
         counts.update(fourier=0, physical=0, normals=0)
         if name == "pi_f0_second_moment_dump":
-            mc.pi_f0_second_moment_check(sampler, x=(1, 5), n_samples=n,
+            mc.pi_f0_second_moment_check(sampler, n_samples=n,
                                          dump_path=tmp_path / "moment.field")
         else:
             CHECKS[name](sampler, (1, 5), n)
@@ -221,3 +224,37 @@ def test_transform_budget_per_sample(monkeypatch, tmp_path, name):
     support = np.count_nonzero(live | np.roll(live[::-1], 1))
     assert support < sampler.grid.sizes[1]
     assert (per_sample[2], per_check[2]) == (2 * sampler.grid.spectrum_shape[0] * support, 0)
+
+
+# the benchmark's corners (alpha, tau, m0) on its 64 x 256 grid
+CORNERS = [(0.95, 1e-13, 2.0), (0.75, 1e-14, 1.0), (0.55, 1e-15, 0.5)]
+
+
+@pytest.mark.parametrize("alpha, tau, m0", CORNERS)
+def test_averaged_reads_give_their_oracles_on_the_expected_power(monkeypatch, alpha, tau, m0):
+    # no sampling: every draw is replaced by sqrt(vol FF), whose power
+    # |xi_hat|^2 = vol FF is the mean power of a draw, so each sample reads
+    # the mean of the estimate; each check's samples and oracle then share
+    # one read up to the order of its rounding.  The f0+f1 oracle vanishes
+    # by evenness, so its gap is taken against the sum of its terms' sizes
+    sampler = make_sampler((64, 256), alpha, tau, m0, 0)
+    grid = sampler.grid
+    monkeypatch.setattr(mc._NoiseSource, "block", lambda source, index, comp: np.sqrt(
+        grid.volume * source.density).astype(complex))
+    rep = mc.pi_f0_second_moment_check(sampler, n_samples=4)
+    assert np.max(np.abs(np.subtract(rep.estimates, rep.oracles))) <= 1e-14 * np.max(rep.oracles)
+    rep = mc.bphz_triviality_check(sampler, T_LIST, "f0f1", n_samples=4)
+    source = mc._NoiseSource(sampler)
+    c = grid.c2r_weights()
+    mult = source.restrict(kernel.div_symbols(grid, m0)[0])
+    for t, got, oracle in zip(T_LIST, rep.estimates, rep.oracles):
+        psi = source.restrict(kernel.psi_hat(t, grid.frequency_mesh(), m0))
+        size = np.sum(c * (1.0 - psi) * np.abs(mult) * source.density) / grid.volume
+        assert size > 0.0 and abs(got - oracle) <= 1e-14 * size, (t, got, oracle, size)
+
+
+def test_averaged_checks_are_reproducible_from_seed_and_index():
+    sampler = make_sampler((64, 256), 0.75, 1e-14, 1.0, 12)
+    for check in (lambda: mc.pi_f0_second_moment_check(sampler, n_samples=8),
+                  lambda: mc.bphz_triviality_check(sampler, T_LIST, "f0f1", n_samples=8)):
+        assert check().to_dict() == check().to_dict()
