@@ -299,6 +299,8 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     multipliers, if given, are arrays m_j in the layout of hat; the rows are
     then W m_j, and read(hat)[j * len(cells) + p] is the value of m_j hat at
     cells[p]: one matvec reads hat under every multiplier.
+
+    read.weights is Re W, the rows a real hat is read with, one per value.
     """
     rows_n, space = grid.spectrum_shape[0], grid.sizes[1:]
     if cols is None:
@@ -329,6 +331,7 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
             return pair_weights @ np.ascontiguousarray(hat, dtype=np.complex128).view(np.float64)
         return real_weights @ hat
 
+    read.weights = real_weights
     return read
 
 

@@ -26,8 +26,12 @@ every base point, and by Parseval that average is a weighted sum of the
 draw's squares on S: |P M xi_hat|^2 read at the separations for the
 moment, Re(xi_hat conj(P M xi_hat)) weighted by c(k0) (1 - psi_t) for
 bphz f0+f1.  At d = 1 the multiplier sits in the rows, so a sample is one
-keyed draw, one square and one matvec.  Only the dumped field of the moment
-check goes back to physical space, once per check, by the support inverse
+keyed draw, one square and one matvec.  Their standard errors are exact:
+the modes of a draw are independent complex normals, except k and -k on
+the planes, so the variance of a sample's read is a pairing sum over its
+rows (_read_variance), formed once per check; the other checks take
+theirs from batch means.  Only the dumped field of the moment check goes
+back to physical space, once per check, by the support inverse
 (_NoiseSource.inverse): the mean periodogram scattered into a zero half
 spectrum of the grid, then kernel._inverse there, the inverse that
 SpectralField.to_physical runs.  Transforms per sample, forward + inverse:
@@ -410,7 +414,8 @@ def pi_f0f1(noise, x, m0=1.0):
 
 @dataclass(frozen=True)
 class McReport:
-    """Estimates against oracles; standard errors from batch means."""
+    """Estimates against oracles; standard errors from batch means, or
+    exact where a check knows the variance of a sample's estimate."""
 
     estimator: str
     samples: int
@@ -451,18 +456,23 @@ class McReport:
         return buf.getvalue()
 
 
-def _batch_report(estimator, points, per_sample, oracles):
+def _batch_report(estimator, points, per_sample, oracles, variance=None):
     """Assemble a report from per-sample estimates (samples x points), with
-    batch-means errors over 16 batches (fewer below 32 samples)."""
+    batch-means errors over 16 batches (fewer below 32 samples), or, given
+    the variance of one sample's estimate at each point, the exact
+    standard error sqrt(variance / n) of the mean of n independent draws."""
     per_sample = np.asarray(per_sample, dtype=float)
     n = per_sample.shape[0]
     if n < 4:
         raise ConfigError("batch-means errors need at least 4 samples")
-    batches = min(16, n // 2)
     estimates = _pairwise_sum(list(per_sample)) / n
-    cut = (n // batches) * batches
-    means = per_sample[:cut].reshape(batches, -1, per_sample.shape[1]).mean(axis=1)
-    se = means.std(axis=0, ddof=1) / math.sqrt(batches)
+    if variance is None:
+        batches = min(16, n // 2)
+        cut = (n // batches) * batches
+        means = per_sample[:cut].reshape(batches, -1, per_sample.shape[1]).mean(axis=1)
+        se = means.std(axis=0, ddof=1) / math.sqrt(batches)
+    else:
+        se = np.sqrt(np.asarray(variance, dtype=float) / n)
     # a point without spread has z = 0 when it hits its oracle exactly and
     # an infinite z when it misses
     miss = estimates - np.asarray(oracles, dtype=float)
@@ -536,11 +546,44 @@ def _power(a, b):
 def _pi_f0_draw(source, mults, index):
     """(xi_hat, v_hat) of sample index on S: its first noise component and
     v_hat = sum_i P M_i xi_hat_i for the projected multipliers mults.  At
-    d = 1 v_hat is xi_hat itself: the caller puts P M into its rows."""
+    d = 1 v_hat is xi_hat itself: the caller puts P M into its rows
+    (_fold)."""
     blocks = [source.block(index, comp) for comp in range(len(mults))]
     if len(blocks) == 1:
         return blocks[0], blocks[0]
     return blocks[0], sum(m * b for m, b in zip(mults, blocks))
+
+
+def _fold(grid, source, mult, spread):
+    """(fold, mean, var) for an averaged check whose power per mode of S,
+    read from _pi_f0_draw, has mean vol FF mult and variance
+    (vol FF)^2 spread: the factor its reader's rows take, and the mean and
+    variance per mode of the power those rows then read.  At d = 1 the
+    power is mult |xi_hat|^2: mult goes into the rows, and |xi_hat|^2 has
+    mean vol FF and variance its mean squared (spread = mult^2).  At
+    d >= 2 the cross terms between components stay in the power."""
+    power = grid.volume * source.density
+    if grid.d == 1:
+        return mult, power, power ** 2
+    return 1.0, power * mult, power ** 2 * spread
+
+
+def _read_variance(source, weights, power_var):
+    """The variance of one sample's read weights @ power, power a block on S
+    with variance power_var per mode, from the law of the draw (Isserlis).
+
+    Off the self-conjugate planes the modes are independent, and a mode
+    adds w^2 var.  On them the power of k and -k is one variable, as the
+    draw is symmetric there, so the pair adds (w_k + w_-k)^2 var; and where
+    k = -k the draw is real, whose square has twice the variance of a
+    complex normal's |z|^2: 2 w^2 var.  Summing (w_k + w_mirror(k))^2 var / 2
+    over every column of a plane gives both."""
+    w = weights.reshape(len(weights), *power_var.shape)
+    planes = w[:, source._planes]
+    pairs = planes + planes[..., source.mirror]
+    var = np.square(w[:, 1:-1]).reshape(len(w), -1) @ power_var[1:-1].ravel()
+    return var + 0.5 * (np.square(pairs).reshape(len(w), -1)
+                        @ power_var[source._planes].ravel())
 
 
 def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
@@ -563,24 +606,22 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     density elsewhere that rounding outweighs the oracle.  At d = 1,
     |P M xi_hat|^2 = |P M|^2 |xi_hat|^2 and |P M|^2 sits in the rows, so a
     sample is its draw, one square and one real matvec; at d >= 2 the cross
-    terms of sum_i P M_i xi_hat_i stay.  No transform runs per sample.  An x
-    is a ConfigError: it selects nothing.  With dump_path set, the mean of
-    the averaged field, 2 (C_v(0) - C_v(r)) at every cell r, is written in
-    the binary field format, from one support inverse of the mean
-    periodogram.
+    terms of sum_i P M_i xi_hat_i stay.  No transform runs per sample.  The
+    standard error is exact, from the variance of |v_hat|^2, its mean
+    squared per mode (_read_variance).  An x is a ConfigError: it selects
+    nothing.  With dump_path set, the mean of the averaged field,
+    2 (C_v(0) - C_v(r)) at every cell r, is written in the binary field
+    format, from one support inverse of the mean periodogram.
     """
     _no_base_point(x, "moment check")
     grid = sampler.grid
     separations = _geometric_offsets(grid, 3, 14, 4)
     source = _NoiseSource(sampler)
     mults = [source.project(source.restrict(m)) for m in div_symbols(grid, sampler.spec.m0)]
+    # v_hat is a complex normal per mode, so |v_hat|^2 has mean
+    # vol FF sum_i |P M_i|^2 and variance its mean squared
     mult_sq = sum(np.abs(m) ** 2 for m in mults)
-    # a sample's power |v_hat|^2 has mean vol FF sum_i |P M_i|^2; at d = 1
-    # it is |P M|^2 |xi_hat|^2, and |P M|^2 goes into the rows
-    if grid.d == 1:
-        fold, mean_power = mult_sq, grid.volume * source.density
-    else:
-        fold, mean_power = 1.0, grid.volume * source.density * mult_sq
+    fold, mean_power, power_var = _fold(grid, source, mult_sq, mult_sq ** 2)
     zero = (0,) * (grid.d + 1)
     read = point_reader(grid, separations, [-2.0 / grid.volume * fold], source.cols, base=zero)
     oracles = read(mean_power)
@@ -596,7 +637,8 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
         covariance = source.inverse(power_sum * (fold / (grid.volume * n_samples)))
         dump_field(SpectralField(grid, 2.0 * (covariance[zero] - covariance), "physical"),
                    dump_path)
-    return _batch_report("pi_f0_second_moment", separations, rows, oracles)
+    return _batch_report("pi_f0_second_moment", separations, rows, oracles,
+                         _read_variance(source, read.weights, power_var))
 
 
 def bphz_triviality_check(sampler, t_list, component="f0", x=None,
@@ -623,7 +665,9 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     Re(P M) |xi_hat|^2 and Re(P M) sits in the rows, so a sample is its
     draw, one square and one real matvec; at d >= 2 the cross terms with
     the other components stay.  No transform runs per sample, and an x is
-    a ConfigError: it selects nothing.
+    a ConfigError: it selects nothing.  The standard error is exact, from
+    the variance of Re(xi_hat conj v_hat) per mode (_read_variance); f0's
+    comes from batch means.
 
     An empty t_list is a ConfigError, and a t at which psi_t underflows to
     zero at every nonzero mode is a NumericError: it would read the mean of
@@ -647,27 +691,28 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     if component == "f0":
         oracles = [0.0 for _ in t_list]
         read = point_reader(grid, [x], [source.restrict(psi) for psi in psis], source.cols)
+        variance = None
 
         def sample(i):
             return read(source.block(i, 0))
     else:
         mults = [source.project(source.restrict(m)) for m in div_symbols(grid, m0)]
-        # a sample's power Re(xi_hat conj v_hat) has mean vol FF Re(P M_1);
-        # at d = 1 it is Re(P M) |xi_hat|^2, and Re(P M) goes into the rows
-        if grid.d == 1:
-            fold, mean_power = mults[0].real, grid.volume * source.density
-        else:
-            fold, mean_power = 1.0, grid.volume * source.density * mults[0].real
+        # Re(xi_hat conj v_hat) = Re(P M_1) |xi_hat_1|^2 plus the cross
+        # terms Re(xi_hat_1 conj(P M_i xi_hat_i)), uncorrelated with it and
+        # with each other, of variance (vol FF)^2 |P M_i|^2 / 2
+        spread = mults[0].real ** 2 + sum(np.abs(m) ** 2 for m in mults[1:]) / 2
+        fold, mean_power, power_var = _fold(grid, source, mults[0].real, spread)
         zero = (0,) * (grid.d + 1)
         read = point_reader(grid, [zero], [source.restrict(1.0 - psi) * fold / grid.volume
                                            for psi in psis], source.cols)
         oracles = list(read(mean_power))
+        variance = _read_variance(source, read.weights, power_var)
 
         def sample(i):
             return read(_power(*_pi_f0_draw(source, mults, i)))
 
     rows = [sample(i) for i in range(n_samples)]
-    return _batch_report(f"bphz_{component}", t_list, rows, oracles)
+    return _batch_report(f"bphz_{component}", t_list, rows, oracles, variance)
 
 
 # ---------------------------------------------------------------------------

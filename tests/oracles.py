@@ -1017,7 +1017,10 @@ def physical_path_reports(mc, sampler, reports, x):
     smoothing.  A base-point average is the mean over every cell y: of
     (v(y + r) - v(y))^2 for the moment, and of
     (psi_t * (xi (v - v(y))))(y) = (psi_t * (xi v))(y) - v(y) (psi_t * xi)(y)
-    for bphz f0+f1.
+    for bphz f0+f1.  These two take the exact variance of a sample from the
+    library's report, so their z-scores differ from the library's only as
+    their estimates do; the variance is checked against the sample variance
+    of many draws on its own.
     """
     grid = sampler.grid
     m0 = sampler.spec.m0
@@ -1054,7 +1057,10 @@ def physical_path_reports(mc, sampler, reports, x):
                 if name == "bphz_f0f1_at_x":
                     xi = mc.pi_f0(noise, x, m0).values * xi
                 rows.append([smooth(xi, t)[x] for t in rep.points])
-        out[name] = mc._batch_report(rep.estimator, rep.points, rows, rep.oracles)
+        variance = None
+        if name in ("pi_f0_second_moment", "bphz_f0f1"):
+            variance = np.square(rep.standard_errors) * rep.samples
+        out[name] = mc._batch_report(rep.estimator, rep.points, rows, rep.oracles, variance)
     return out
 
 

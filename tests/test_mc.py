@@ -406,11 +406,7 @@ def test_pi_f0_zero_at_base_and_odd():
 
 
 def test_pi_f0_second_moment_oracle(tmp_path):
-    # at this setting the check reads worst |z| > 3.5 on 4 of seeds 0-299
-    # (seed 5 among them, at 3.94, falling to 1.15 at 1536 samples): a
-    # sample is dominated by a few chi^2_2 modes, whose batch means are
-    # skewed
-    s = small_sampler(seed=6)
+    s = small_sampler(seed=5)
     path = tmp_path / "moment.field"
     rep = mc.pi_f0_second_moment_check(s, n_samples=192, dump_path=path)
     assert rep.worst_z() < 3.5

@@ -34,10 +34,11 @@ CHECKS = {
 ])
 def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
     # the moment and bphz f0+f1 checks average over every base point, the
-    # physical path over every cell of the grid; bphz f0 reads x alone.
-    # The largest gaps measured are 3.8e-14 of the largest estimate and
-    # 4.2e-14 in a z-score, for bphz f0+f1 on 8 x 32, where the physical
-    # path's mean(xi v) - mean(v (psi_t * xi)) cancels most
+    # physical path over every cell of the grid, with the library's exact
+    # variance; bphz f0 reads x alone.  The largest gaps measured are
+    # 3.8e-14 of the largest estimate and 4.0e-14 in a z-score, for bphz
+    # f0+f1 on 8 x 32, where the physical path's
+    # mean(xi v) - mean(v (psi_t * xi)) cancels most
     sampler = make_sampler(sizes, alpha, tau, m0, seed)
     x = tuple(n // 2 - 1 for n in sizes)
     reports = {name: check(sampler, x, 32) for name, check in CHECKS.items()}
@@ -251,6 +252,42 @@ def test_averaged_reads_give_their_oracles_on_the_expected_power(monkeypatch, al
         psi = source.restrict(kernel.psi_hat(t, grid.frequency_mesh(), m0))
         size = np.sum(c * (1.0 - psi) * np.abs(mult) * source.density) / grid.volume
         assert size > 0.0 and abs(got - oracle) <= 1e-14 * size, (t, got, oracle, size)
+
+
+@pytest.mark.parametrize("sizes, alpha, tau, m0, seed, t_list", [
+    ((8, 32), 0.58, 1e-15, 0.6, 7, T_LIST),
+    ((2, 4, 8), 0.6, 1e-12, 1.0, 3, (1e-3, 1e-2)),
+    ((4, 8, 16), 0.6, 1e-14, 1.3, 2, T_LIST),
+    ((64, 256), 0.75, 1e-14, 1.0, 9, T_LIST),
+])
+def test_exact_variance_meets_the_sample_variance(monkeypatch, sizes, alpha, tau, m0, seed,
+                                                  t_list):
+    # the standard errors of the averaged checks come from the law of the
+    # draw; over 4096 draws, sqrt(mean((sample - oracle)^2)) meets that
+    # sigma within 2.9% at every point (measured).  A sample sigma of n
+    # draws spreads by about sqrt(kurtosis - 1) / (2 sqrt(n)), 2.9% for
+    # the kurtosis 15 of a single chi^2_1 mode, so the bound is three of
+    # those.  The 2 x 4 x 8 grid is all self-conjugate planes, where the
+    # draws of k and -k are one variable (sigma 1.43x too small if they
+    # were counted apart), and at d = 2 the f0+f1 cross terms between
+    # components carry most of the variance (sigma 337x too small without)
+    sampler = make_sampler(sizes, alpha, tau, m0, seed)
+    captured = []
+    report = mc._batch_report
+
+    def capture(estimator, points, per_sample, oracles, variance=None):
+        captured.append((np.asarray(per_sample), variance))
+        return report(estimator, points, per_sample, oracles, variance)
+
+    monkeypatch.setattr(mc, "_batch_report", capture)
+    for rep in (mc.pi_f0_second_moment_check(sampler, n_samples=4096),
+                mc.bphz_triviality_check(sampler, t_list, "f0f1", n_samples=4096)):
+        rows, variance = captured.pop(0)
+        spread = np.mean(np.square(rows - np.asarray(rep.oracles)), axis=0)
+        live = variance > 0.0
+        assert np.all(spread[~live] == 0.0) and np.any(live), rep.estimator
+        ratio = np.sqrt(spread[live] / variance[live])
+        assert np.max(np.abs(ratio - 1.0)) <= 0.087, (rep.estimator, ratio)
 
 
 def test_averaged_checks_are_reproducible_from_seed_and_index():

@@ -37,9 +37,9 @@ def scaled_amplitude(monkeypatch):
 # (name, plant, caught by, missed by)
 MUTANTS = [
     # a draw 5% too strong: its power is 10% too high, which the averaged
-    # moment check reads at worst |z| 5.5-11.8 (0.5-3.9 unmutated); the
+    # moment check reads at worst |z| 6.1-9.9 (0.4-2.7 unmutated); the
     # mean of xi pi_f0 stays 0 under any rescaling, so no bphz f0+f1 read,
-    # at x or averaged, sees it
+    # at x or averaged, sees it (at most 2.8)
     ("amplitude_x1.05", scaled_amplitude, ["moment"], ["bphz_f0f1", "bphz_f0f1_at_x"]),
 ]
 
