@@ -381,6 +381,12 @@ def run_simulate(cfg):
     )
 
     task = cfg["task"]
+    # an option a task does not read is refused rather than ignored; moment
+    # and bphz f0f1 refuse --x themselves, as they average over base points
+    for option, readers in (("x", ("moment", "bphz")), ("dump", ("moment",)),
+                            ("window", ("scaling",))):
+        if cfg[option] is not None and task not in readers:
+            raise ConfigError(f"--task {task} does not read --{option}")
     if task == "scaling" and cfg["component"] != "f0":
         raise ConfigError("--task scaling fits f0 only, use --component f0: the space-time "
                           "torus cannot show the scaling of f0+f1")
@@ -548,15 +554,17 @@ _SUBCOMMANDS = {
                  help="model component for bphz; scaling fits f0 only"),
             _Opt("window", _floats,
                  help="fit window lo,hi in torus units, spanning half a decade or "
-                      "more (required for --task scaling)"),
+                      "more (--task scaling only, which requires it)"),
             _Opt("bootstrap", int, default="200",
                  help="bootstrap resamples for the scaling ci"),
             _Opt("t_list", _floats, default="1e-6,1e-5,1e-4",
                  help="kernel times for the bphz check"),
             _Opt("x", _ints, help="base grid point of --task bphz --component f0, e.g. "
-                                  "0,0; moment and bphz f0f1 average over every base "
-                                  "point and refuse it"),
-            _Opt("dump", str, help="dump the averaged moment field to this path"),
+                                  "0,0; every other task refuses it: moment and bphz "
+                                  "f0f1 average over every base point, covariance "
+                                  "and scaling read none"),
+            _Opt("dump", str, help="dump the averaged moment field to this path "
+                                   "(--task moment only)"),
         ],
         "Monte Carlo estimators with same-grid oracles",
     ),

@@ -9,10 +9,9 @@ kernel psi_t = exp(-t LL*) sampled on that torus, discrete convolution,
 and the inversion u = L^{-1} (div f) used by the simulation layer.  The
 multipliers of L^{-1} div are stated once, in div_symbols: solve_L_div
 and the MC checks apply them, and the pairing-sum oracles read them.
-point_reader reads a field at a few cells straight from its half spectrum,
-or from its block on the spatial columns outside which it is zero, and
-smoothing_reader reads psi_t * g at one cell straight from g; smoothing_band
-is the spatial band such a read sees.
+point_reader, the one reader, reads a field at a few cells straight from
+its half spectrum, or from its block on the spatial columns outside which
+it is zero.
 The symbols of L and LL* (symbol_L, symbol_LLstar) and check_m0 are
 numpy-free and live in the constants layer; this module imports them.
 
@@ -22,8 +21,8 @@ exp(-t m0^2 |2 pi k|^8) and on the torus psi_t(x0, x) = a_t(x0) b_t(x), with
 spatial derivatives acting on b_t alone; this holds in any d.  psi_hat
 forms the two factors on their own axes; _kernel_factors transforms them,
 one transform over time and one over space per derivative order.  Only
-kernel_field forms psi_t on the grid, as a_t b_t; smoothing_reader takes its
-rows from it, and the moment and scaling checks read the factors alone.
+kernel_field forms psi_t on the grid, as a_t b_t, and the moment and
+scaling checks read the factors alone.
 kernel_checks runs three full-grid transforms as one chain on psi_hat_s:
 the evenness, realness and semigroup checks read it, and are the checks of
 the transforms; semigroup sets them against kernel_field's factors.  The
@@ -417,45 +416,6 @@ def _kernel_factors(grid, t, m0, orders):
                 hat = hat * grid.ik_power(axis, order)
         factors.append(np.fft.ifftn(hat, axes=axes).real * scale)
     return a, factors
-
-
-def smoothing_reader(grid, times, cell, m0=1.0):
-    """Reader of (psi_t * g)(x) at one cell x, for each t in times, straight
-    from the physical values of g.
-
-    read(g)[j] equals convolve(SpectralField(grid, g, "physical"), times[j],
-    m0).values[cell] to rounding: it is cell * sum_y psi_t(x - y) g(y), one
-    real matvec against rows formed once from kernel_field.  x - y is a
-    flip and a roll on every axis, so the rows do not rely on psi_t being
-    even.
-    """
-    rows = []
-    for t in times:
-        row = kernel_field(grid, t, m0).values * grid.cell
-        for axis, x in enumerate(cell):
-            row = np.roll(np.flip(row, axis), int(x) + 1, axis)
-        rows.append(row.ravel())
-    weights = np.array(rows)
-
-    def read(values):
-        return weights @ np.ravel(values)
-
-    return read
-
-
-def smoothing_band(grid, times, m0=1.0):
-    """Per spatial axis, the band of a smoothing_reader read at times: the
-    largest |k_i| (integer wavenumber) at which psi_hat_t, at its largest
-    over k0 and over times (k0 = 0 and the least t), exceeds eps times its
-    peak 1.  The read weights every wavenumber beyond it by less than eps."""
-    band = []
-    for axis in range(1, grid.d + 1):
-        k = [0.0] * (grid.d + 1)
-        k[axis] = grid.frequencies(axis)
-        live = psi_hat(min(times), k, m0) > np.finfo(float).eps
-        n = grid.sizes[axis]
-        band.append(int(np.max(np.abs(np.fft.fftfreq(n, 1.0 / n)[live]))))
-    return tuple(band)
 
 
 def convolve(field, t, m0=1.0):

@@ -39,19 +39,6 @@ SpectralField.to_physical runs.  Transforms per sample, forward + inverse:
 is read by point_reader too, with 0 transforms per check.  sample_noise,
 pi_f0 and pi_f0f1 are the physical views of the same draw.
 
-_NoiseSource also forms products of draws on the coarsest lattice their
-reader needs, for the sampled products of higher model components; no
-check runs one today.  A draw carries the band of S, K_i the largest |k_i|
-on its columns (_NoiseSource.band); a product has the sum of its factors'
-bands.  A product read up to a band K_out, the next reader's
-(kernel.smoothing_band for a smoothing read), is formed on the smallest
-even 5-smooth M_i > K_a + K_b + K_out (_lattice_size, Orszag's rule),
-where its Fourier coefficients on the read band are its coefficients on
-the grid; with no reader named, K_out is the product's band, M_i > 4 K_i.
-M_i is capped at N_i: there the product is the grid's own, as the physical
-path forms it, and _NoiseSource.folded reports how far its band folds onto
-the read band.
-
 The scaling fit reads f0 alone, on the equal-time line with time
 frequencies integrated out (equal_time_density, one trapezoid sum in u per
 k1 after k0 = c sinh u): on the space-time torus every component shows the
@@ -85,11 +72,8 @@ from .kernel import (
     TWO_PI,
     _inverse,
     check_mesh,
-    column_wavenumbers,
     div_symbols,
     dump_field,
-    lattice_phase,
-    make_grid,
     point_reader,
     psi_hat,
     solve_L_div,
@@ -208,8 +192,7 @@ def _keyed_normals():
 class _NoiseSource:
     """The shaped half spectrum of component comp of sample index, drawn on
     the support of the sampler's density alone: source.block(index, comp),
-    or scattered into a zero half spectrum of the output lattice
-    self.lattice, source(index, comp).
+    or scattered into a zero half spectrum of the grid, source(index, comp).
 
     The support S is the set of spatial columns where the density FF is
     nonzero in some time row, closed under k -> -k; cols are its flat
@@ -230,20 +213,12 @@ class _NoiseSource:
     read as a + ib, and its block is P(a + ib) sqrt(vol FF / c): off the
     planes E|a + ib|^2 = 2 = c, on them E|P(a + ib)|^2 = 1 = c.  No
     transform runs, and a sample draws 2 rows |S| normals instead of N.
-
-    The output lattice is the grid, or with product = p the lattice on which
-    a product of 1 + p fields on S is formed and then read up to read_band
-    (K_out per spatial axis; None reads the product's whole band): N0 times
-    M_i points over the same boxes, M_i from _lattice_size with 1 + p bands
-    K_i (self.band, the largest |k_i| on S), and self.folded its report.
-    No check forms a product since the bphz f0+f1 check averages over every
-    base point: product, read_band, _lattice_size, phase and
-    kernel.smoothing_band and smoothing_reader stay for the sampled
-    products of higher model components, and the tests' single-x f0+f1
-    oracle (tests/oracles.py) keeps them exercised.
+    Every check draws these blocks and reads them on S; sample_noise takes a
+    draw back to the grid, and the moment dump its mean periodogram
+    (scatter, inverse).
     """
 
-    def __init__(self, sampler, product=False, read_band=None):
+    def __init__(self, sampler):
         grid = sampler.grid
         rows = grid.spectrum_shape[0]
         space = grid.sizes[1:]
@@ -260,17 +235,6 @@ class _NoiseSource:
         self._planes = slice(None, None, rows - 1)
         self._shape = (rows, cols.size, 2)
         self._normals = _keyed_normals()
-        # the signed integer wavenumbers of the columns of S, per spatial axis
-        self.wavenumbers = column_wavenumbers(space, cols)
-        # K_i, the largest |k_i| over the columns of S: the band of a draw
-        self.band = tuple(int(np.max(np.abs(w))) for w in self.wavenumbers)
-        sizes = [_lattice_size((k,) * (1 + product), k_out, n) if product else (n, 0)
-                 for k, k_out, n in zip(self.band, read_band or (None,) * grid.d, space)]
-        space_out, self.folded = (tuple(v) for v in zip(*sizes))
-        self.lattice = make_grid(grid.d, (grid.sizes[0],) + space_out, grid.boxes)
-        # the flat spatial column of each column of S on the output lattice
-        self._lattice_cols = np.ravel_multi_index(
-            tuple(w % m for w, m in zip(self.wavenumbers, space_out)), space_out)
 
     def restrict(self, spectrum):
         """The block on S of a half spectrum."""
@@ -290,66 +254,17 @@ class _NoiseSource:
         return self.project(z.view(np.complex128)[..., 0]) * self._amplitude
 
     def scatter(self, block):
-        """block on S and zero off it, on self.lattice: k at k mod M_i."""
-        hat = np.zeros(self.lattice.spectrum_shape, dtype=np.complex128)
-        hat.reshape(self._shape[0], -1)[:, self._lattice_cols] = block
+        """The half spectrum of the grid that is block on S and zero off it."""
+        hat = np.zeros(self.grid.spectrum_shape, dtype=np.complex128)
+        hat.reshape(self._shape[0], -1)[:, self.cols] = block
         return hat
 
     def __call__(self, index, comp):
         return self.scatter(self.block(index, comp))
 
-    def phase(self, cell):
-        """e^{2 pi i k x} on the columns of S for the spatial cell x
-        (kernel.lattice_phase, exact in integer turns): a block times it is
-        the block of its field translated by -x, which puts x at the
-        spatial origin of any lattice."""
-        return lattice_phase(self.grid.sizes[1:], self.wavenumbers, [cell]).reshape(-1)
-
     def inverse(self, block):
-        """Physical values on self.lattice of the half spectrum that is block
-        on S and zero off it: kernel._inverse of the scattered block, exact on
-        the grid and on the product lattice of S.  The Riemann normalisation
-        makes f(x) = (1/vol) sum_k c(k0) hat(k) e^{2 pi i k x} independent of
-        the lattice.  Where M_i < N_i, M_i > K_a + K_b + K_out >= 2 K_i puts
-        distinct columns of S on distinct lattice columns, none on its
-        Nyquist row; -k mod M_i = -(k mod M_i) keeps conjugate pairs; and the
-        irfft over time applies the plane rule.  A product of such values is
-        then exact at the lattice points, and its Fourier coefficients are
-        the grid's on the read band |k_i| <= K_out (_lattice_size).  Where the
-        exact lattice would exceed the grid, M_i = N_i: the product is the
-        grid's own, as the physical path forms it, and self.folded[i] > 0
-        says how far its band folds onto the read band.
-        """
-        return _inverse(self.lattice, self.scatter(block), owned=True)
-
-
-def _five_smooth(m):
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    return m == 1
-
-
-def _lattice_size(bands, read_band, n):
-    """(M, folded) on an axis: M points for the product of fields of the
-    given bands read up to read_band, the smallest even 5-smooth
-    M > sum(bands) + read_band capped at the grid's n; read_band None reads
-    the product's whole band, sum(bands).
-
-    The product has band B = sum(bands), and on M points its wavenumber k
-    lands on k mod M, which for M > B + read_band is a read wavenumber
-    |k mod M| <= read_band only when it is k itself (Orszag's rule; the
-    3/2 rule when read_band = B / 2).  folded = max(0, B + read_band + 1 - M)
-    is 0 below the cap; for B < M it counts the k > 0 that land on another
-    read wavenumber (as many k < 0 do).  A live Nyquist column, K = n / 2,
-    gives M = n with folded > 0.  Fields of one support, band K each, have
-    sum(bands) >= 2K, so M also puts distinct columns on distinct ones.
-    """
-    need = sum(bands) + (sum(bands) if read_band is None else read_band)
-    m = need + 2 - need % 2
-    while m < n and not _five_smooth(m):
-        m += 2
-    return min(m, n), max(0, need + 1 - min(m, n))
+        """Physical values on the grid of scatter(block), by kernel._inverse."""
+        return _inverse(self.grid, self.scatter(block), owned=True)
 
 
 def sample_noise(sampler, index=0):
@@ -671,7 +586,9 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
 
     An empty t_list is a ConfigError, and a t at which psi_t underflows to
     zero at every nonzero mode is a NumericError: it would read the mean of
-    the integrand.
+    the integrand.  So is, for f0+f1, a t at which 1 - psi_t is zero on the
+    whole support (t = 0, say): every draw would read 0, a row that cannot
+    fail.
     """
     if component not in ("f0", "f0f1"):
         raise ConfigError(f"component must be f0 or f0f1, got {component!r}")
@@ -702,9 +619,14 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
         # with each other, of variance (vol FF)^2 |P M_i|^2 / 2
         spread = mults[0].real ** 2 + sum(np.abs(m) ** 2 for m in mults[1:]) / 2
         fold, mean_power, power_var = _fold(grid, source, mults[0].real, spread)
+        smoothing = [source.restrict(1.0 - psi) for psi in psis]
+        for t, row in zip(t_list, smoothing):
+            if not np.any(row):
+                raise NumericError(f"1 - psi_t is zero on the whole support (t={t:g}): the "
+                                   f"f0+f1 read would be 0 in every draw")
         zero = (0,) * (grid.d + 1)
-        read = point_reader(grid, [zero], [source.restrict(1.0 - psi) * fold / grid.volume
-                                           for psi in psis], source.cols)
+        read = point_reader(grid, [zero], [row * fold / grid.volume for row in smoothing],
+                            source.cols)
         oracles = list(read(mean_power))
         variance = _read_variance(source, read.weights, power_var)
 

@@ -1010,7 +1010,7 @@ def physical_path_reports(mc, sampler, reports, x):
 
     reports maps a read to the library's report: covariance,
     pi_f0_second_moment and bphz_f0f1, averaged over every base point, and
-    bphz_f0 and bphz_f0f1_at_x, at the base point x (in range).  Each is
+    bphz_f0, at the base point x (in range).  Each is
     rebuilt at the same points, sample count and oracles from per-sample
     values that round-trip through physical space: mc.sample_noise for the
     noise, mc.pi_f0 for the linear component, a full inverse transform per
@@ -1054,48 +1054,9 @@ def physical_path_reports(mc, sampler, reports, x):
                 v = mc.pi_f0(noise, None, m0).values
                 rows.append([np.mean(smooth(xi * v, t) - v * smooth(xi, t)) for t in rep.points])
             else:
-                if name == "bphz_f0f1_at_x":
-                    xi = mc.pi_f0(noise, x, m0).values * xi
                 rows.append([smooth(xi, t)[x] for t in rep.points])
         variance = None
         if name in ("pi_f0_second_moment", "bphz_f0f1"):
             variance = np.square(rep.standard_errors) * rep.samples
         out[name] = mc._batch_report(rep.estimator, rep.points, rows, rep.oracles, variance)
     return out
-
-
-def single_x_bphz_f0f1(mc, kernel, sampler, t_list, x, n_samples):
-    """The report of bphz f0+f1 at the base point x alone: the smoothed
-    expectation E[(psi_t * (xi pi_f0,x))(x)] per t, against the library's
-    oracle, from n_samples draws of the library's keyed source.
-
-    xi pi_f0 is formed in physical space on the product lattice of the
-    density's support (mc._NoiseSource with product and read_band, the band
-    kernel.smoothing_band of the read), from one support inverse each of xi
-    and of pi_f0, and smoothed at x by kernel.smoothing_reader on that
-    lattice.  x's spatial cell need not be a point of that lattice, so both
-    blocks are first translated by -x through the phases
-    mc._NoiseSource.phase, and read at (x0, 0, ..., 0).
-    """
-    grid = sampler.grid
-    m0 = sampler.spec.m0
-    x = tuple(i % n for i, n in zip(x, grid.sizes))
-    psis = [kernel.psi_hat(t, grid.frequency_mesh(), m0) for t in t_list]
-    source = mc._NoiseSource(sampler, product=True,
-                             read_band=kernel.smoothing_band(grid, t_list, m0))
-    mults = [source.restrict(m) for m in kernel.div_symbols(grid, m0)]
-    zero = (0,) * (grid.d + 1)
-    read_zero = kernel.point_reader(grid, [zero], [source.restrict(1.0 - psi) for psi in psis],
-                                    source.cols)
-    oracles = list(read_zero(mults[0] * source.density))
-    shift = source.phase(x[1:])
-    mults = [m * shift for m in mults]
-    at = x[:1] + (0,) * grid.d
-    smooth = kernel.smoothing_reader(source.lattice, t_list, at, m0)
-    rows = []
-    for i in range(n_samples):
-        blocks = [source.block(i, c) for c in range(grid.d)]
-        piece = source.inverse(sum(m * b for m, b in zip(mults, blocks)))
-        piece -= piece[at]
-        rows.append(smooth(piece * source.inverse(blocks[0] * shift)))
-    return mc._batch_report("bphz_f0f1", t_list, rows, oracles)

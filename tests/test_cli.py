@@ -318,6 +318,10 @@ def gamma_entry_argv(map_name):
     (SCALING + ["--component", "f0", "--alpha", "0.98", "--m0", "1.3e154", "--tau", "1e10",
                 "--mollifier", "anisotropic", "--eta", "3", "--boxes", "1,200",
                 "--window", "20,90"], 3),
+    # at t = 0, 1 - psi_t is zero on the whole support: every f0+f1 draw
+    # would read 0, a row that cannot fail
+    (["simulate", "--task", "bphz", "--component", "f0f1", "--alpha", "0.75",
+      "--tau", "1e-14", "--t-list", "0,1e-6", "--sizes", "8,16", "--samples", "8"], 3),
 ])
 def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
     for name, doc in BAD_MAPS.items():
@@ -444,14 +448,30 @@ def test_simulate_moment_on_a_two_point_space_axis(capsys):
     assert [0, 1] in doc["points"] and [1, 0] in doc["points"]
     assert doc["estimates"] == doc["oracles"] == [0.0] * len(doc["points"])
 
-@pytest.mark.parametrize("task", [["moment"], ["bphz", "--component", "f0f1"]],
-                         ids=["moment", "bphz_f0f1"])
-def test_simulate_refuses_x_where_the_check_averages_over_base_points(capsys, task):
+@pytest.mark.parametrize("task, option, says", [
+    (["moment"], ["--x", "1,2"], "averages over every base point"),
+    (["bphz", "--component", "f0f1"], ["--x", "1,2"], "averages over every base point"),
+    # options a task does not read are refused, not ignored
+    (["covariance"], ["--x", "1,2"], "--task covariance does not read --x"),
+    (["scaling", "--window", "0.02,0.4"], ["--x", "1,2"], "--task scaling does not read --x"),
+    (["covariance"], ["--dump", "{tmp}/f"], "--task covariance does not read --dump"),
+    (["bphz"], ["--dump", "{tmp}/f"], "--task bphz does not read --dump"),
+    (["scaling", "--window", "0.02,0.4"], ["--dump", "{tmp}/f"],
+     "--task scaling does not read --dump"),
+    (["covariance"], ["--window", "0.02,0.4"], "--task covariance does not read --window"),
+    (["moment"], ["--window", "0.02,0.4"], "--task moment does not read --window"),
+    (["bphz"], ["--window", "0.02,0.4"], "--task bphz does not read --window"),
+], ids=["moment", "bphz_f0f1", "covariance_x", "scaling_x", "covariance_dump", "bphz_dump",
+        "scaling_dump", "covariance_window", "moment_window", "bphz_window"])
+def test_simulate_refuses_x_where_the_check_averages_over_base_points(capsys, tmp_path, task,
+                                                                       option, says):
+    option = [arg.replace("{tmp}", str(tmp_path)) for arg in option]
     code, out, err = run(capsys, "simulate", "--task", *task, "--alpha", "0.55",
-                         "--tau", "1e-14", "--sizes", "8,64", "--samples", "8", "--x", "1,2")
+                         "--tau", "1e-14", "--sizes", "8,64", "--samples", "8", *option)
     assert code == 2 and out == ""
     (line,) = err.splitlines()
-    assert line.startswith("config error: ") and "averages over every base point" in line
+    assert line.startswith("config error: ") and says in line
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_bphz_f0_reads_at_x(capsys):

@@ -32,7 +32,6 @@ from tfrenorm.kernel import (
     real_defect,
     scaling_defect,
     semigroup_defect,
-    smoothing_reader,
     solve_L_div,
     symbol_L,
     symbol_LLstar,
@@ -255,37 +254,6 @@ def test_point_reader_reads_gaps_without_cancellation(sizes):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     plain = point_reader(grid, cells + [base])(hat)
     assert np.max(np.abs(plain[:-1] - plain[-1] - want)) > 1e-10 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("sizes", [(8, 32), (4, 8, 16)])
-def test_smoothing_reader_matches_convolve(sizes):
-    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
-    rng = np.random.default_rng(11)
-    field = SpectralField(grid, rng.standard_normal(sizes), "physical")
-    times = (0.0, 1e-6, 1e-5, 1e-4)
-    cells = [tuple(int(rng.integers(n)) for n in sizes) for _ in range(3)]
-    cells += [tuple(n // 2 for n in sizes), (0,) * len(sizes)]
-    for cell in cells:
-        got = smoothing_reader(grid, times, cell, 1.3)(field.values)
-        want = [convolve(field, t, 1.3).values[cell] for t in times]
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(field.values))
-
-
-def test_smoothing_reader_reads_x_minus_y(monkeypatch):
-    # psi_t is even, so only an uneven stand-in for its factors shows
-    # whether the rows hold K(x - y) or K(y - x)
-    grid = SpectralGrid(d=2, sizes=(4, 6, 8), boxes=(1.0, 1.0, 1.0))
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 1, 1))
-    b = rng.standard_normal((1, 6, 8))
-    monkeypatch.setattr(kernel, "_kernel_factors", lambda grid, t, m0, orders: (a, [b]))
-    g = rng.standard_normal(grid.sizes)
-    x = (1, 4, 6)
-    ys = np.indices(grid.sizes)
-    diff = tuple((xi - yi) % n for xi, yi, n in zip(x, ys, grid.sizes))
-    want = grid.cell * np.sum(a[diff[0], 0, 0] * b[0, diff[1], diff[2]] * g)
-    (got,) = smoothing_reader(grid, [1e-6], x)(g)
-    assert got == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -206,76 +206,6 @@ def test_support_inverse_equals_the_full_inverse(sizes, tau):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_product_lattice_size_rule():
-    # M is the smallest even 5-smooth M > K_a + K_b + K_out, capped at N: a
-    # product of bands K_a, K_b has band K_a + K_b, and on fewer points its
-    # wavenumber M - K_out would land on the read wavenumber -K_out
-    smooth = sorted({2**a * 3**b * 5**c for a in range(1, 14) for b in range(8)
-                     for c in range(6)})
-    for n in (8, 30, 256, 1000, 4096):
-        for k in range(n // 2 + 1):
-            for bands, k_out in [((k, k), None), ((k, k), 0), ((k, k), 1),
-                                 ((k, k // 3), k % 7), ((k, k, k), 1)]:
-                need = sum(bands) + (sum(bands) if k_out is None else k_out)
-                m, folded = mc._lattice_size(bands, k_out, n)
-                assert m == min(next(s for s in smooth if s > need), n), (bands, k_out, n)
-                # the product's wavenumbers M - K_out, ..., K_a + K_b fold
-                # onto the read band, none below the cap
-                assert folded == max(0, need + 1 - m) and (folded == 0 or m == n)
-    # K_out = K_a + K_b is the rule M > 4K of a product read in full
-    assert mc._lattice_size((8, 8), None, 64)[0] == 36
-    assert mc._lattice_size((15, 15), None, 256)[0] == 64
-    # a live Nyquist column gives the grid's size, and it folds
-    for n in (8, 30, 256):
-        for k_out in (None, 0, 1):
-            m, folded = mc._lattice_size((n // 2, n // 2), k_out, n)
-            assert m == n and folded > 0
-
-
-@pytest.mark.parametrize("sizes, tau, want", [
-    ((4, 8), 1e-12, (4, 8)),  # the spatial-Nyquist column is live
-    ((8, 32), 1e-30, (8, 32)),  # every column is live
-    ((8, 32), 1e-4, (8, 6)),  # k1 = 0, +-1: M > 4
-    ((64, 256), 1e-14, (64, 90)),
-])
-def test_product_lattice_of_the_support(sizes, tau, want):
-    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
-    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
-                              moll=mollifier_spec("semigroup", tau), seed=2)
-    assert mc._NoiseSource(sampler).lattice == grid
-    assert mc._NoiseSource(sampler, product=True).lattice.sizes == want
-
-
-@pytest.mark.parametrize("sizes, tau", [
-    ((64, 256), 1e-14),
-    ((8, 32), 1e-4),
-    ((8, 64, 64), 1e-12),
-    ((4, 8, 16), 1e-12),
-])
-def test_support_inverse_on_the_product_lattice(sizes, tau):
-    # a half spectrum's coefficients do not depend on the lattice that holds
-    # its band, so the inverse onto the product lattice is the full inverse
-    # there of the block scattered at k mod M_i
-    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
-    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
-                              moll=mollifier_spec("semigroup", tau), seed=2)
-    source = mc._NoiseSource(sampler, product=True)
-    lattice = source.lattice
-    space = lattice.sizes[1:]
-    cols = np.ravel_multi_index(tuple(w % m for w, m in zip(source.wavenumbers, space)), space)
-    rng = np.random.default_rng(8)
-    blocks = [source.block(0, 0)]
-    blocks += [rng.standard_normal(source.density.shape)
-               + 1j * rng.standard_normal(source.density.shape) for _ in range(3)]
-    for block in blocks:
-        hat = np.zeros(lattice.spectrum_shape, dtype=complex)
-        hat.reshape(hat.shape[0], -1)[:, cols] = block
-        want = _inverse(lattice, hat)
-        got = source.inverse(block)
-        assert got.shape == lattice.sizes
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
 @pytest.mark.parametrize("sizes, tau", [
     ((64, 256), 1e-14),
     ((8, 32), 1e-4),
@@ -284,14 +214,13 @@ def test_support_inverse_on_the_product_lattice(sizes, tau):
 ])
 def test_support_inverse_against_the_explicit_sum(sizes, tau):
     # the reference is the Riemann inverse (1/vol) Re sum_k c(k0) hat(k)
-    # e^{2 pi i k x} over the columns of S, at the product lattice's own
-    # coordinates, with each k read from the grid: no transform and no
-    # lattice index
+    # e^{2 pi i k x} over the columns of S, at the grid's coordinates, with
+    # each k read from the grid: no transform and no lattice index
     grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
     sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
                               moll=mollifier_spec("semigroup", tau), seed=2)
-    source = mc._NoiseSource(sampler, product=True)
-    lattice = source.lattice
+    source = mc._NoiseSource(sampler)
+    lattice = source.grid
     rows = np.arange(grid.spectrum_shape[0])
     c = np.where((rows == 0) | (rows == rows[-1]), 1.0, 2.0)
     time = c[:, None] * np.exp(2j * np.pi * np.outer(rows / grid.boxes[0], lattice.coordinates(0)))
@@ -357,6 +286,20 @@ def test_empty_point_lists_are_config_errors(check):
 def test_averaged_checks_refuse_a_base_point(check):
     with pytest.raises(ConfigError, match="averages over every base point"):
         check(small_sampler(sizes=(8, 32)))
+
+
+def test_bphz_f0f1_refuses_a_t_it_cannot_test(monkeypatch):
+    # at t = 0, 1 - psi_t is zero on the whole support: every draw would
+    # read 0 against the oracle 0, a row that cannot fail.  f0 at t = 0
+    # reads xi(x) and stays allowed
+    sampler = small_sampler(sizes=(8, 32))
+    rep = mc.bphz_triviality_check(sampler, [0.0], component="f0", n_samples=8)
+    assert rep.estimates[0] != 0.0
+    drawn = []
+    monkeypatch.setattr(mc, "_keyed_normals", lambda: lambda key, shape: drawn.append(shape))
+    with pytest.raises(NumericError, match="1 - psi_t is zero on the whole support"):
+        mc.bphz_triviality_check(sampler, [1e-6, 0.0], component="f0f1", n_samples=8)
+    assert drawn == []
 
 
 def test_density_underflow_is_raised_before_any_draw(monkeypatch):

@@ -1,15 +1,14 @@
 """The MC checks keep each draw in Fourier space: they report what the direct
 physical-space loops report, within a fixed budget of transforms and
-normals per sample.  The product lattice of the support is read through
-oracles.single_x_bphz_f0f1, bphz f0+f1 at one base point."""
+normals per sample."""
 
 import numpy as np
 import pytest
 
-from oracles import physical_path_reports, single_x_bphz_f0f1
+from oracles import physical_path_reports
 from tfrenorm import kernel, mc
 from tfrenorm.constants import covariance_spec, mollifier_spec
-from tfrenorm.kernel import SpectralField, SpectralGrid, convolve, smoothing_band, smoothing_reader
+from tfrenorm.kernel import SpectralField, SpectralGrid
 
 T_LIST = (1e-6, 1e-5, 1e-4)
 
@@ -49,113 +48,6 @@ def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
         assert scale > 0.0, name
         assert np.max(np.abs(np.subtract(rep.estimates, want.estimates))) <= 1e-13 * scale, name
         assert np.max(np.abs(np.subtract(rep.z_scores, want.z_scores))) <= 1e-11, name
-
-
-@pytest.mark.parametrize("sizes, tau, x, t_list", [
-    ((64, 256), 1e-14, (5, 37), (1e-17, 1e-14, 1e-11)),
-    ((64, 256), 1e-14, (63, 255), (1e-17, 1e-14, 1e-11)),
-    ((8, 64, 64), 1e-12, (3, 10, 50), (1e-15, 1e-13, 1e-11)),
-])
-def test_bphz_f0f1_on_a_product_lattice_coarser_than_the_grid(sizes, tau, x, t_list):
-    # xi pi_f0 is formed on the product lattice of the support, with x
-    # translated to its spatial origin; here that lattice is coarser than
-    # the grid on every space axis, so an aliased product or a wrong shift
-    # shows against the full-grid physical path.  The short times keep
-    # psi_t wide in space: at t >= 1e-6 it reads only |k| <= 1, where even
-    # a lattice of 2K + 2 points does not alias (that one misses here by
-    # 3e-11 of the largest estimate or more).  The largest gaps measured
-    # are 5.3e-15 of the largest estimate and 3.1e-12 in a z-score, at
-    # t = 1e-17, where the standard errors are smallest
-    sampler = make_sampler(sizes, 0.55, tau, 1.0, 4)
-    lattice = mc._NoiseSource(sampler, product=True).lattice
-    assert lattice.sizes[0] == sizes[0] and lattice.boxes == sampler.grid.boxes
-    assert all(m < n for m, n in zip(lattice.sizes[1:], sizes[1:])), lattice.sizes
-    rep = single_x_bphz_f0f1(mc, kernel, sampler, t_list, x, 32)
-    want = physical_path_reports(mc, sampler, {"bphz_f0f1_at_x": rep}, x)["bphz_f0f1_at_x"]
-    scale = np.max(np.abs(want.estimates))
-    assert scale > 0.0
-    assert np.max(np.abs(np.subtract(rep.estimates, want.estimates))) <= 1e-13 * scale
-    assert np.max(np.abs(np.subtract(rep.z_scores, want.z_scores))) <= 1e-11
-
-
-def _f0f1_gaps(sampler, t_list, x):
-    """The largest gaps of the single-x bphz f0+f1 oracle to the physical
-    path, in its estimates (relative to the largest) and in its z-scores."""
-    rep = single_x_bphz_f0f1(mc, kernel, sampler, t_list, x, 32)
-    want = physical_path_reports(mc, sampler, {"bphz_f0f1_at_x": rep}, x)["bphz_f0f1_at_x"]
-    scale = np.max(np.abs(want.estimates))
-    assert scale > 0.0
-    return (np.max(np.abs(np.subtract(rep.estimates, want.estimates))) / scale,
-            np.max(np.abs(np.subtract(rep.z_scores, want.z_scores))))
-
-
-@pytest.mark.parametrize("tau", [1e-14, 1e-15])
-@pytest.mark.parametrize("m0", [0.5, 2.0])
-def test_bphz_f0f1_at_the_benchmark_settings(monkeypatch, tau, m0):
-    # at t >= 1e-6 the read sees |k1| <= 1, so the product is formed on
-    # M > 2K + 1 points, coarser than the lattice M > 4K that holds its
-    # whole band, and still reads what the full grid reads
-    sampler = make_sampler((64, 256), 0.75, tau, m0, 5)
-    lattices = []
-    reader = kernel.smoothing_reader
-
-    def recorded(grid, *args):
-        lattices.append(grid)
-        return reader(grid, *args)
-
-    monkeypatch.setattr(kernel, "smoothing_reader", recorded)
-    gap, z_gap = _f0f1_gaps(sampler, T_LIST, (17, 101))
-    (lattice,) = lattices
-    full = mc._NoiseSource(sampler, product=True).lattice
-    assert lattice.sizes[0] == 64 and lattice.sizes[1] < full.sizes[1], (lattice, full)
-    assert gap <= 1e-13 and z_gap <= 1e-11, (gap, z_gap)
-
-
-def test_bphz_f0f1_needs_the_read_band_of_psi_t(monkeypatch):
-    # at t = 1e-17 psi_t reads |k1| <= 33: a read band forced to 1 forms
-    # the product on too few points, and the aliased read misses the full
-    # grid's by far more than the rule's own band does
-    sampler = make_sampler((64, 256), 0.55, 1e-14, 1.0, 4)
-    t_list, x = (1e-17, 1e-14, 1e-11), (5, 37)
-    gap, z_gap = _f0f1_gaps(sampler, t_list, x)
-    assert gap <= 1e-13 and z_gap <= 1e-11, (gap, z_gap)
-    monkeypatch.setattr(kernel, "smoothing_band", lambda grid, times, m0: (1,) * grid.d)
-    gap, _ = _f0f1_gaps(sampler, t_list, x)
-    assert gap > 1e-13, gap
-
-
-def test_triple_product_on_its_lattice():
-    # the band ledger: a product of three draws of band K has band 3K, so
-    # read up to K_out it is formed on M > 3K + K_out points; at the
-    # benchmark's largest band (tau 1e-15, m0 0.5: K = 32) it meets the
-    # full-grid product smoothed by psi_t
-    sampler = make_sampler((64, 256), 0.55, 1e-15, 0.5, 6)
-    grid, x = sampler.grid, (9, 200)
-    band = smoothing_band(grid, T_LIST, 0.5)
-    source = mc._NoiseSource(sampler, product=2, read_band=band)
-    assert source.band == (32,) and band == (1,) and source.lattice.sizes == (64, 100)
-    shift = source.phase(x[1:])
-    factors = [source.inverse(source.block(i, 0) * shift) for i in range(3)]
-    got = smoothing_reader(source.lattice, T_LIST, (x[0], 0), 0.5)(np.prod(factors, axis=0))
-    product = np.prod([mc.sample_noise(sampler, i)[0].values for i in range(3)], axis=0)
-    want = [convolve(SpectralField(grid, product, "physical"), t, 0.5).values[x] for t in T_LIST]
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert source.folded == (0,)
-
-
-def test_a_product_beyond_the_grid_is_formed_on_the_grid_and_reported():
-    # every column of 8 x 32 is live at tau 1e-30, so K = 16 = N/2: the
-    # exact lattice would exceed the grid, the product is the grid's own,
-    # which the physical path forms too, and folded names the overlap
-    sampler = make_sampler((8, 32), 0.55, 1e-30, 1.0, 2)
-    band = smoothing_band(sampler.grid, T_LIST, 1.0)
-    source = mc._NoiseSource(sampler, product=True, read_band=band)
-    assert source.band == (16,) and source.lattice == sampler.grid
-    # 2K + K_out + 1 - N = K_out + 1 wavenumbers k > 0 land on the read band
-    assert source.folded == (band[0] + 1,)
-    assert mc._NoiseSource(sampler).folded == (0,)
-    gap, z_gap = _f0f1_gaps(sampler, T_LIST, (3, 7))
-    assert gap <= 1e-13 and z_gap <= 1e-11, (gap, z_gap)
 
 
 # transforms per sample (forward, inverse) at d = 1, and per check for the
