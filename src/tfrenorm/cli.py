@@ -381,12 +381,17 @@ def run_simulate(cfg):
     )
 
     task = cfg["task"]
-    # an option a task does not read is refused rather than ignored; moment
-    # and bphz f0f1 refuse --x themselves, as they average over base points
+    # an option a task does not read is refused rather than ignored, so
+    # --component, --t-list and --bootstrap take their defaults only here;
+    # moment and bphz f0f1 refuse --x themselves, as they average over base
+    # points
     for option, readers in (("x", ("moment", "bphz")), ("dump", ("moment",)),
-                            ("window", ("scaling",))):
+                            ("window", ("scaling",)), ("component", ("bphz", "scaling")),
+                            ("t_list", ("bphz",)), ("bootstrap", ("scaling",))):
         if cfg[option] is not None and task not in readers:
-            raise ConfigError(f"--task {task} does not read --{option}")
+            raise ConfigError(f"--task {task} does not read --{option.replace('_', '-')}")
+    defaults = {"component": "f0", "t_list": (1e-6, 1e-5, 1e-4), "bootstrap": 200}
+    cfg = {**cfg, **{key: value for key, value in defaults.items() if cfg[key] is None}}
     if task == "scaling" and cfg["component"] != "f0":
         raise ConfigError("--task scaling fits f0 only, use --component f0: the space-time "
                           "torus cannot show the scaling of f0+f1")
@@ -549,16 +554,17 @@ _SUBCOMMANDS = {
             _Opt("boxes", _floats, default="1.0,1.0",
                  help="torus lengths, time first (default 1.0,1.0)"),
             _Opt("seed", int, default="0", help="sampler seed"),
-            _Opt("samples", int, default="256", help="Monte Carlo sample count"),
-            _Opt("component", _choice("f0", "f0f1"), default="f0",
-                 help="model component for bphz; scaling fits f0 only"),
+            _Opt("samples", int, default="256",
+                 help="Monte Carlo sample count, at least 4 (default 256)"),
+            _Opt("component", _choice("f0", "f0f1"),
+                 help="model component for bphz (default f0); scaling fits f0 only"),
             _Opt("window", _floats,
                  help="fit window lo,hi in torus units, spanning half a decade or "
                       "more (--task scaling only, which requires it)"),
-            _Opt("bootstrap", int, default="200",
-                 help="bootstrap resamples for the scaling ci"),
-            _Opt("t_list", _floats, default="1e-6,1e-5,1e-4",
-                 help="kernel times for the bphz check"),
+            _Opt("bootstrap", int,
+                 help="bootstrap resamples for the scaling ci (default 200)"),
+            _Opt("t_list", _floats,
+                 help="kernel times for the bphz check (default 1e-6,1e-5,1e-4)"),
             _Opt("x", _ints, help="base grid point of --task bphz --component f0, e.g. "
                                   "0,0; every other task refuses it: moment and bphz "
                                   "f0f1 average over every base point, covariance "

@@ -18,26 +18,27 @@ Component c of sample i is drawn directly as a block: its values on S,
 zero elsewhere.  L^{-1} div is the div_symbols multipliers on S, and the
 draw's amplitudes and the multipliers are formed once per check.  Values at
 a few cells are read from a block by kernel.point_reader with rows on S
-alone, each one small real matvec: the periodogram at the lags in the
-covariance check and psi_t * xi at the base point for bphz f0 (through
-rows W psi_t formed once per check).  The noise law is translation
-invariant, so the moment and bphz f0+f1 checks average each draw over
-every base point, and by Parseval that average is a weighted sum of the
-draw's squares on S: |P M xi_hat|^2 read at the separations for the
-moment, Re(xi_hat conj(P M xi_hat)) weighted by c(k0) (1 - psi_t) for
-bphz f0+f1.  At d = 1 the multiplier sits in the rows, so a sample is one
-keyed draw, one square and one matvec.  Their standard errors are exact:
+alone, each one small real matvec: psi_t * xi at the base point for bphz
+f0, through rows W psi_t formed once per check.  The noise law is
+translation invariant, so the other checks average each draw over every
+base point, and by Parseval that average is a weighted sum over S of the
+power Re(a conj b), a and b sums of multipliers times the draw's
+components (_quadratic_check): |xi_hat|^2 read at the lags for the
+covariance, |P M xi_hat|^2 at the separations for the moment and
+Re(xi_hat conj(P M xi_hat)) weighted by c(k0) (1 - psi_t) for bphz f0+f1.
+With one multiplier on each side it sits in the rows, so a sample is one
+keyed draw, one square and one matvec.  Every standard error is exact:
 the modes of a draw are independent complex normals, except k and -k on
 the planes, so the variance of a sample's read is a pairing sum over its
-rows (_read_variance), formed once per check; the other checks take
-theirs from batch means.  Only the dumped field of the moment check goes
-back to physical space, once per check, by the support inverse
-(_NoiseSource.inverse): the mean periodogram scattered into a zero half
-spectrum of the grid, then kernel._inverse there, the inverse that
-SpectralField.to_physical runs.  Transforms per sample, forward + inverse:
-0 + 0 in every check; a moment dump adds 0 + 1 per check.  Every oracle
-is read by point_reader too, with 0 transforms per check.  sample_noise,
-pi_f0 and pi_f0f1 are the physical views of the same draw.
+rows (_read_variance), formed once per check, and that of bphz f0 is the
+covariance pairing sum at lag 0 under |psi_t|^2.  Only the dumped field of
+the moment check goes back to physical space, once per check, by the
+support inverse (_NoiseSource.inverse): the mean periodogram scattered into
+a zero half spectrum of the grid, then kernel._inverse there, the inverse
+that SpectralField.to_physical runs.  Transforms per sample, forward +
+inverse: 0 + 0 in every check; a moment dump adds 0 + 1 per check.  Every
+oracle is read by point_reader too, with 0 transforms per check.
+sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 The scaling fit reads f0 alone, on the equal-time line with time
 frequencies integrated out (equal_time_density, one trapezoid sum in u per
@@ -329,8 +330,8 @@ def pi_f0f1(noise, x, m0=1.0):
 
 @dataclass(frozen=True)
 class McReport:
-    """Estimates against oracles; standard errors from batch means, or
-    exact where a check knows the variance of a sample's estimate."""
+    """Estimates against oracles, with exact standard errors: each check
+    knows the variance of one sample's estimate from the law of the draw."""
 
     estimator: str
     samples: int
@@ -371,23 +372,16 @@ class McReport:
         return buf.getvalue()
 
 
-def _batch_report(estimator, points, per_sample, oracles, variance=None):
-    """Assemble a report from per-sample estimates (samples x points), with
-    batch-means errors over 16 batches (fewer below 32 samples), or, given
-    the variance of one sample's estimate at each point, the exact
-    standard error sqrt(variance / n) of the mean of n independent draws."""
+def _report(estimator, points, per_sample, oracles, variance):
+    """Assemble a report from per-sample estimates (samples x points) and the
+    variance of one sample's estimate at each point: the standard error of
+    the mean of n independent draws is sqrt(variance / n)."""
     per_sample = np.asarray(per_sample, dtype=float)
     n = per_sample.shape[0]
     if n < 4:
-        raise ConfigError("batch-means errors need at least 4 samples")
+        raise ConfigError(f"a Monte Carlo check needs at least 4 samples, got {n}")
     estimates = _pairwise_sum(list(per_sample)) / n
-    if variance is None:
-        batches = min(16, n // 2)
-        cut = (n // batches) * batches
-        means = per_sample[:cut].reshape(batches, -1, per_sample.shape[1]).mean(axis=1)
-        se = means.std(axis=0, ddof=1) / math.sqrt(batches)
-    else:
-        se = np.sqrt(np.asarray(variance, dtype=float) / n)
+    se = np.sqrt(np.asarray(variance, dtype=float) / n)
     # a point without spread has z = 0 when it hits its oracle exactly and
     # an infinite z when it misses
     miss = estimates - np.asarray(oracles, dtype=float)
@@ -421,66 +415,9 @@ def _geometric_offsets(grid, divisor, n_spatial, n_temporal):
             + [(j,) + (0,) * grid.d for j in steps(grid.sizes[0], n_temporal)])
 
 
-def _default_lags(grid):
-    return _geometric_offsets(grid, 4, 14, 6)
-
-
-def covariance_check(sampler, lags=None, n_samples=256):
-    """E[xi(x) xi(x+r)] against the pairing sum, averaged over base points.
-
-    Each sample's average over base points comes for all lags at once from
-    its periodogram |xi_hat|^2 / vol (Wiener-Khinchin), read at the lags by
-    kernel.point_reader on the support, and the oracle is the density read
-    there the same way.  A lag is read modulo the grid sizes, so every
-    default lag exists on any grid; an empty list of lags is a ConfigError.
-    """
-    grid = sampler.grid
-    lags = [tuple(int(i) for i in lag)
-            for lag in (_default_lags(grid) if lags is None else lags)]
-    if not lags:
-        raise ConfigError("the covariance check needs at least one lag")
-    source = _NoiseSource(sampler)
-    read = point_reader(grid, lags, cols=source.cols)
-    oracles = read(source.density)
-    rows = [read(np.abs(source.block(i, 0)) ** 2 / grid.volume)
-            for i in range(n_samples)]
-    return _batch_report("covariance", lags, rows, oracles)
-
-
-def _no_base_point(x, check):
-    if x is not None:
-        raise ConfigError(f"the {check} averages over every base point, so a base point x "
-                          f"selects nothing")
-
-
 def _power(a, b):
     """Re(a conj b) per mode, from the real and imaginary parts."""
     return a.real * b.real + a.imag * b.imag
-
-
-def _pi_f0_draw(source, mults, index):
-    """(xi_hat, v_hat) of sample index on S: its first noise component and
-    v_hat = sum_i P M_i xi_hat_i for the projected multipliers mults.  At
-    d = 1 v_hat is xi_hat itself: the caller puts P M into its rows
-    (_fold)."""
-    blocks = [source.block(index, comp) for comp in range(len(mults))]
-    if len(blocks) == 1:
-        return blocks[0], blocks[0]
-    return blocks[0], sum(m * b for m, b in zip(mults, blocks))
-
-
-def _fold(grid, source, mult, spread):
-    """(fold, mean, var) for an averaged check whose power per mode of S,
-    read from _pi_f0_draw, has mean vol FF mult and variance
-    (vol FF)^2 spread: the factor its reader's rows take, and the mean and
-    variance per mode of the power those rows then read.  At d = 1 the
-    power is mult |xi_hat|^2: mult goes into the rows, and |xi_hat|^2 has
-    mean vol FF and variance its mean squared (spread = mult^2).  At
-    d >= 2 the cross terms between components stay in the power."""
-    power = grid.volume * source.density
-    if grid.d == 1:
-        return mult, power, power ** 2
-    return 1.0, power * mult, power ** 2 * spread
 
 
 def _read_variance(source, weights, power_var):
@@ -501,6 +438,80 @@ def _read_variance(source, weights, power_var):
                         @ power_var[source._planes].ravel())
 
 
+def _quadratic_check(estimator, points, source, left, right, n_samples, reader,
+                     summed=False):
+    """(report, summed power) of a check whose sample reads the power
+    p = Re(a conj b) per mode of S, a = L . xi_hat and b = R . xi_hat for
+    lists L = left and R = right of multipliers on S, one per noise
+    component from the first, through the point_reader reader(fold).
+
+    The components of xi_hat are independent complex normals of variance
+    s = vol FF per mode, so p has mean s Re(L . conj R) and variance
+    s^2 (|L|^2 |R|^2 + Re((L . conj R)^2)) / 2 (Isserlis); the oracles are
+    the read of that mean, and the variance of a sample's read is the
+    pairing sum of _read_variance.  With one multiplier on each side,
+    p = Re(L conj R) |xi_hat|^2: the fold Re(L conj R) goes into the rows
+    (fold 1 otherwise), so a sample is one draw, one square and one matvec.
+    The summed power, the sum of p over the samples, is formed if summed is
+    set, and None otherwise.
+    """
+    s = source.grid.volume * source.density
+    single = len(left) == len(right) == 1
+    if single:
+        fold, mean, var = _power(left[0], right[0]), s, s ** 2
+    else:
+        dot = sum(m * np.conj(n) for m, n in zip(left, right))
+        norms = sum(_power(m, m) for m in left) * sum(_power(n, n) for n in right)
+        fold, mean, var = 1.0, s * dot.real, s ** 2 * (norms + (dot * dot).real) / 2
+
+    def power(index):
+        blocks = [source.block(index, comp) for comp in range(max(len(left), len(right)))]
+        if single:
+            return _power(blocks[0], blocks[0])
+        a = sum(m * z for m, z in zip(left, blocks))
+        b = a if right is left else sum(n * z for n, z in zip(right, blocks))
+        return _power(a, b)
+
+    read = reader(fold)
+    rows, total = [], np.zeros_like(s) if summed else None
+    for i in range(n_samples):
+        p = power(i)
+        rows.append(read(p))
+        if summed:
+            total += p
+    report = _report(estimator, points, rows, read(mean),
+                     _read_variance(source, read.weights, var))
+    return report, total * fold if summed else None
+
+
+def covariance_check(sampler, lags=None, n_samples=256):
+    """E[xi(x) xi(x+r)] against the pairing sum, averaged over base points.
+
+    Each sample's average over base points comes for all lags at once from
+    its periodogram |xi_hat|^2 / vol (Wiener-Khinchin), read at the lags by
+    kernel.point_reader on the support, and the oracle is the density read
+    there the same way: the read of _quadratic_check with L = R = [1], on
+    the first noise component.  A lag is read modulo the grid sizes, so
+    every default lag exists on any grid; an empty list of lags is a
+    ConfigError.
+    """
+    grid = sampler.grid
+    lags = [tuple(int(i) for i in lag)
+            for lag in (_geometric_offsets(grid, 4, 14, 6) if lags is None else lags)]
+    if not lags:
+        raise ConfigError("the covariance check needs at least one lag")
+    source = _NoiseSource(sampler)
+    return _quadratic_check(
+        "covariance", lags, source, [1.0], [1.0], n_samples,
+        lambda fold: point_reader(grid, lags, [fold / grid.volume], source.cols))[0]
+
+
+def _no_base_point(x, check):
+    if x is not None:
+        raise ConfigError(f"the {check} averages over every base point, so a base point x "
+                          f"selects nothing")
+
+
 def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     """E|pi_f0(y)|^2 at y = x + r against the exact Gaussian pairing sum,
     each draw averaged over every base point x.
@@ -518,12 +529,8 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     periodogram FF sum_i |P M_i|^2, formed exactly: a round trip through
     physical space would leave rounding of order 1e-16 max|M_i| at k1 = 0,
     where M_i is 0 and the density is largest, and once tau leaves little
-    density elsewhere that rounding outweighs the oracle.  At d = 1,
-    |P M xi_hat|^2 = |P M|^2 |xi_hat|^2 and |P M|^2 sits in the rows, so a
-    sample is its draw, one square and one real matvec; at d >= 2 the cross
-    terms of sum_i P M_i xi_hat_i stay.  No transform runs per sample.  The
-    standard error is exact, from the variance of |v_hat|^2, its mean
-    squared per mode (_read_variance).  An x is a ConfigError: it selects
+    density elsewhere that rounding outweighs the oracle.  It is the read of
+    _quadratic_check with L = R = P M.  An x is a ConfigError: it selects
     nothing.  With dump_path set, the mean of the averaged field,
     2 (C_v(0) - C_v(r)) at every cell r, is written in the binary field
     format, from one support inverse of the mean periodogram.
@@ -533,27 +540,16 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     separations = _geometric_offsets(grid, 3, 14, 4)
     source = _NoiseSource(sampler)
     mults = [source.project(source.restrict(m)) for m in div_symbols(grid, sampler.spec.m0)]
-    # v_hat is a complex normal per mode, so |v_hat|^2 has mean
-    # vol FF sum_i |P M_i|^2 and variance its mean squared
-    mult_sq = sum(np.abs(m) ** 2 for m in mults)
-    fold, mean_power, power_var = _fold(grid, source, mult_sq, mult_sq ** 2)
     zero = (0,) * (grid.d + 1)
-    read = point_reader(grid, separations, [-2.0 / grid.volume * fold], source.cols, base=zero)
-    oracles = read(mean_power)
-    rows = []
-    power_sum = 0.0
-    for i in range(n_samples):
-        _, v_hat = _pi_f0_draw(source, mults, i)
-        power = _power(v_hat, v_hat)
-        rows.append(read(power))
-        if dump_path is not None:
-            power_sum = power_sum + power
+    report, total = _quadratic_check(
+        "pi_f0_second_moment", separations, source, mults, mults, n_samples,
+        lambda fold: point_reader(grid, separations, [-2.0 / grid.volume * fold],
+                                  source.cols, base=zero), summed=dump_path is not None)
     if dump_path is not None:
-        covariance = source.inverse(power_sum * (fold / (grid.volume * n_samples)))
+        covariance = source.inverse(total / (grid.volume * n_samples))
         dump_field(SpectralField(grid, 2.0 * (covariance[zero] - covariance), "physical"),
                    dump_path)
-    return _batch_report("pi_f0_second_moment", separations, rows, oracles,
-                         _read_variance(source, read.weights, power_var))
+    return report
 
 
 def bphz_triviality_check(sampler, t_list, component="f0", x=None,
@@ -563,7 +559,8 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     For f0 the integrand is the noise itself and the oracle vanishes.  Its
     values at x are read from the noise block by kernel.point_reader
     through the rows W_x psi_t on the support, formed once per check, so a
-    sample is one real matvec.
+    sample is one real matvec.  Its variance is E[(psi_t * xi)(x)^2], the
+    covariance check's pairing sum read at the zero cell with |psi_t|^2.
 
     For f0+f1 each draw is averaged over every base point x, as the noise
     law is translation invariant: the mean over x of
@@ -576,13 +573,9 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     kernel.point_reader.  The oracle is the same read of the mean, vol FF
     for |xi_hat|^2: the pairing sum (1/vol) sum_k c(k0) (1 - psi_t)
     Re(P M_1) FF, which vanishes whenever the density is even in the
-    spatial frequency.  At d = 1, Re(xi_hat conj(P M xi_hat)) =
-    Re(P M) |xi_hat|^2 and Re(P M) sits in the rows, so a sample is its
-    draw, one square and one real matvec; at d >= 2 the cross terms with
-    the other components stay.  No transform runs per sample, and an x is
-    a ConfigError: it selects nothing.  The standard error is exact, from
-    the variance of Re(xi_hat conj v_hat) per mode (_read_variance); f0's
-    comes from batch means.
+    spatial frequency.  It is the read of _quadratic_check with L = [1] and
+    R = P M.  No transform runs per sample, and an x is a ConfigError: it
+    selects nothing.
 
     An empty t_list is a ConfigError, and a t at which psi_t underflows to
     zero at every nonzero mode is a NumericError: it would read the mean of
@@ -605,36 +598,24 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
         if not np.any(psi.ravel()[1:]):
             raise NumericError(f"psi_t underflows to zero at every nonzero mode (t={t:g})")
     source = _NoiseSource(sampler)
+    zero = (0,) * (grid.d + 1)
     if component == "f0":
-        oracles = [0.0 for _ in t_list]
-        read = point_reader(grid, [x], [source.restrict(psi) for psi in psis], source.cols)
-        variance = None
-
-        def sample(i):
-            return read(source.block(i, 0))
-    else:
-        mults = [source.project(source.restrict(m)) for m in div_symbols(grid, m0)]
-        # Re(xi_hat conj v_hat) = Re(P M_1) |xi_hat_1|^2 plus the cross
-        # terms Re(xi_hat_1 conj(P M_i xi_hat_i)), uncorrelated with it and
-        # with each other, of variance (vol FF)^2 |P M_i|^2 / 2
-        spread = mults[0].real ** 2 + sum(np.abs(m) ** 2 for m in mults[1:]) / 2
-        fold, mean_power, power_var = _fold(grid, source, mults[0].real, spread)
-        smoothing = [source.restrict(1.0 - psi) for psi in psis]
-        for t, row in zip(t_list, smoothing):
-            if not np.any(row):
-                raise NumericError(f"1 - psi_t is zero on the whole support (t={t:g}): the "
-                                   f"f0+f1 read would be 0 in every draw")
-        zero = (0,) * (grid.d + 1)
-        read = point_reader(grid, [zero], [row * fold / grid.volume for row in smoothing],
-                            source.cols)
-        oracles = list(read(mean_power))
-        variance = _read_variance(source, read.weights, power_var)
-
-        def sample(i):
-            return read(_power(*_pi_f0_draw(source, mults, i)))
-
-    rows = [sample(i) for i in range(n_samples)]
-    return _batch_report(f"bphz_{component}", t_list, rows, oracles, variance)
+        psis = [source.restrict(psi) for psi in psis]
+        read = point_reader(grid, [x], psis, source.cols)
+        variance = point_reader(grid, [zero], [psi ** 2 for psi in psis],
+                                source.cols)(source.density)
+        rows = [read(source.block(i, 0)) for i in range(n_samples)]
+        return _report("bphz_f0", t_list, rows, [0.0] * len(t_list), variance)
+    smoothing = [source.restrict(1.0 - psi) for psi in psis]
+    for t, row in zip(t_list, smoothing):
+        if not np.any(row):
+            raise NumericError(f"1 - psi_t is zero on the whole support (t={t:g}): the "
+                               f"f0+f1 read would be 0 in every draw")
+    mults = [source.project(source.restrict(m)) for m in div_symbols(grid, m0)]
+    return _quadratic_check(
+        "bphz_f0f1", t_list, source, [1.0], mults, n_samples,
+        lambda fold: point_reader(grid, [zero], [row * fold / grid.volume for row in smoothing],
+                                  source.cols))[0]
 
 
 # ---------------------------------------------------------------------------

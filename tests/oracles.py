@@ -62,11 +62,7 @@ package under test, using different algorithms than the library:
   full inverse transform, a base-point average as the mean over every cell
   of the grid (the library keeps each draw in Fourier space and reads a few
   cells, or its averages, straight from the half spectrum); the mc module
-  comes in as an argument,
-* the bphz f0+f1 read at one base point x: xi and pi_f0 taken to the
-  product lattice of the density's support, multiplied there and smoothed
-  at x (the library averages over every base point, from the draw's squares
-  on the support); the mc and kernel modules come in as arguments.
+  comes in as an argument.
 """
 
 import math
@@ -1017,10 +1013,10 @@ def physical_path_reports(mc, sampler, reports, x):
     smoothing.  A base-point average is the mean over every cell y: of
     (v(y + r) - v(y))^2 for the moment, and of
     (psi_t * (xi (v - v(y))))(y) = (psi_t * (xi v))(y) - v(y) (psi_t * xi)(y)
-    for bphz f0+f1.  These two take the exact variance of a sample from the
-    library's report, so their z-scores differ from the library's only as
-    their estimates do; the variance is checked against the sample variance
-    of many draws on its own.
+    for bphz f0+f1.  Each takes the exact variance of a sample from the
+    library's report, so its z-scores differ from the library's only as its
+    estimates do; the variance is checked against the sample variance of
+    many draws on its own.
     """
     grid = sampler.grid
     m0 = sampler.spec.m0
@@ -1055,8 +1051,6 @@ def physical_path_reports(mc, sampler, reports, x):
                 rows.append([np.mean(smooth(xi * v, t) - v * smooth(xi, t)) for t in rep.points])
             else:
                 rows.append([smooth(xi, t)[x] for t in rep.points])
-        variance = None
-        if name in ("pi_f0_second_moment", "bphz_f0f1"):
-            variance = np.square(rep.standard_errors) * rep.samples
-        out[name] = mc._batch_report(rep.estimator, rep.points, rows, rep.oracles, variance)
+        variance = np.square(rep.standard_errors) * rep.samples
+        out[name] = mc._report(rep.estimator, rep.points, rows, rep.oracles, variance)
     return out

@@ -306,7 +306,7 @@ def gamma_entry_argv(map_name):
     # RuntimeWarning on the way an error
     (["simulate", "--task", "covariance", "--alpha", "0.75", "--tau", "1e300",
       "--sizes", "8,16", "--samples", "4"], 3),
-    # a scaling fit needs the 4 samples of a batch-means error
+    # a scaling fit needs at least 4 samples
     (SCALING + ["--tau", "1e-14", "--window", "0.02,0.4", "--samples", "3"], 2),
     # psi_t underflows at every nonzero mode, so the check would read the
     # integrand's mean (it once printed an overflow RuntimeWarning)
@@ -461,8 +461,20 @@ def test_simulate_moment_on_a_two_point_space_axis(capsys):
     (["covariance"], ["--window", "0.02,0.4"], "--task covariance does not read --window"),
     (["moment"], ["--window", "0.02,0.4"], "--task moment does not read --window"),
     (["bphz"], ["--window", "0.02,0.4"], "--task bphz does not read --window"),
+    # so are those with a default, given a value, even the default
+    (["covariance"], ["--component", "f0f1"], "--task covariance does not read --component"),
+    (["moment"], ["--component", "f0"], "--task moment does not read --component"),
+    (["covariance"], ["--t-list", "1e-3"], "--task covariance does not read --t-list"),
+    (["moment"], ["--t-list", "1e-6,1e-5,1e-4"], "--task moment does not read --t-list"),
+    (["scaling", "--window", "0.02,0.4"], ["--t-list", "1e-3"],
+     "--task scaling does not read --t-list"),
+    (["covariance"], ["--bootstrap", "5"], "--task covariance does not read --bootstrap"),
+    (["moment"], ["--bootstrap", "200"], "--task moment does not read --bootstrap"),
+    (["bphz"], ["--bootstrap", "5"], "--task bphz does not read --bootstrap"),
 ], ids=["moment", "bphz_f0f1", "covariance_x", "scaling_x", "covariance_dump", "bphz_dump",
-        "scaling_dump", "covariance_window", "moment_window", "bphz_window"])
+        "scaling_dump", "covariance_window", "moment_window", "bphz_window",
+        "covariance_component", "moment_component", "covariance_t_list", "moment_t_list",
+        "scaling_t_list", "covariance_bootstrap", "moment_bootstrap", "bphz_bootstrap"])
 def test_simulate_refuses_x_where_the_check_averages_over_base_points(capsys, tmp_path, task,
                                                                        option, says):
     option = [arg.replace("{tmp}", str(tmp_path)) for arg in option]
@@ -472,6 +484,16 @@ def test_simulate_refuses_x_where_the_check_averages_over_base_points(capsys, tm
     (line,) = err.splitlines()
     assert line.startswith("config error: ") and says in line
     assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_refuses_an_unread_option_from_a_config_file(capsys, tmp_path):
+    cfg = tmp_path / "simulate.cfg"
+    cfg.write_text("component=f0f1\nbootstrap=5\n")
+    code, out, err = run(capsys, "simulate", "--task", "covariance", "--alpha", "0.55",
+                         "--tau", "1e-14", "--sizes", "8,64", "--samples", "8",
+                         "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "config error: --task covariance does not read --component\n"
 
 
 def test_simulate_bphz_f0_reads_at_x(capsys):

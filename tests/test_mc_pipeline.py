@@ -154,25 +154,28 @@ def test_averaged_reads_give_their_oracles_on_the_expected_power(monkeypatch, al
 ])
 def test_exact_variance_meets_the_sample_variance(monkeypatch, sizes, alpha, tau, m0, seed,
                                                   t_list):
-    # the standard errors of the averaged checks come from the law of the
-    # draw; over 4096 draws, sqrt(mean((sample - oracle)^2)) meets that
-    # sigma within 2.9% at every point (measured).  A sample sigma of n
-    # draws spreads by about sqrt(kurtosis - 1) / (2 sqrt(n)), 2.9% for
-    # the kurtosis 15 of a single chi^2_1 mode, so the bound is three of
-    # those.  The 2 x 4 x 8 grid is all self-conjugate planes, where the
-    # draws of k and -k are one variable (sigma 1.43x too small if they
-    # were counted apart), and at d = 2 the f0+f1 cross terms between
-    # components carry most of the variance (sigma 337x too small without)
+    # every check's standard error comes from the law of the draw; over
+    # 4096 draws, sqrt(mean((sample - oracle)^2)) meets that sigma within
+    # 3.1% at every point (measured).  A sample sigma of n draws spreads by
+    # about sqrt(kurtosis - 1) / (2 sqrt(n)), 2.9% for the kurtosis 15 of a
+    # single chi^2_1 mode, so the bound is three of those.  The 2 x 4 x 8
+    # grid is all self-conjugate planes, where the draws of k and -k are one
+    # variable (sigma 1.43x too small if they were counted apart), and at
+    # d = 2 the f0+f1 cross terms between components carry most of the
+    # variance (sigma 337x too small without)
     sampler = make_sampler(sizes, alpha, tau, m0, seed)
     captured = []
-    report = mc._batch_report
+    report = mc._report
 
-    def capture(estimator, points, per_sample, oracles, variance=None):
+    def capture(estimator, points, per_sample, oracles, variance):
         captured.append((np.asarray(per_sample), variance))
         return report(estimator, points, per_sample, oracles, variance)
 
-    monkeypatch.setattr(mc, "_batch_report", capture)
-    for rep in (mc.pi_f0_second_moment_check(sampler, n_samples=4096),
+    monkeypatch.setattr(mc, "_report", capture)
+    x = tuple(n // 2 - 1 for n in sizes)
+    for rep in (mc.covariance_check(sampler, n_samples=4096),
+                mc.pi_f0_second_moment_check(sampler, n_samples=4096),
+                mc.bphz_triviality_check(sampler, t_list, "f0", x=x, n_samples=4096),
                 mc.bphz_triviality_check(sampler, t_list, "f0f1", n_samples=4096)):
         rows, variance = captured.pop(0)
         spread = np.mean(np.square(rows - np.asarray(rep.oracles)), axis=0)

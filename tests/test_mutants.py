@@ -40,16 +40,17 @@ def amplitude_times(factor):
 
 
 # (name, plant, caught by, missed by); unmutated, the three checks read
-# worst |z| at most 3.22 over these seeds and corners
+# worst |z| at most 3.18 over these seeds and corners, each z from the
+# exact variance of a sample
 MUTANTS = [
     # a draw 5% too strong: its power is 10% too high, which the covariance
-    # check reads at worst |z| 9.9-33 and the averaged moment check at
+    # check reads at worst |z| 11.2-25.6 and the averaged moment check at
     # 6.1-9.9; the mean of xi pi_f0 stays 0 under any rescaling, so the
     # bphz f0+f1 read does not see it (at most 2.5)
     ("amplitude_x1.05", amplitude_times(lambda source: 1.05), ["covariance", "moment"],
      ["bphz_f0f1"]),
     # 1/c(k0) dropped from the amplitude: off the self-conjugate planes the
-    # power doubles, which covariance reads at 51-178 and moment at 63-71.
+    # power doubles, which covariance reads at 106-234 and moment at 63-71.
     # bphz f0+f1 reads 0.18-4.55, on both sides of Z_CAUGHT, so it is listed
     # neither as catching nor as missing it
     ("c2r_weight_dropped", amplitude_times(lambda source: np.sqrt(source.grid.c2r_weights())),
