@@ -382,15 +382,14 @@ def run_simulate(cfg):
 
     task = cfg["task"]
     # an option a task does not read is refused rather than ignored, so
-    # --component, --t-list and --bootstrap take their defaults only here;
-    # moment and bphz f0f1 refuse --x themselves, as they average over base
-    # points
+    # --component and --t-list take their defaults only here; moment and
+    # bphz f0f1 refuse --x themselves, as they average over base points
     for option, readers in (("x", ("moment", "bphz")), ("dump", ("moment",)),
                             ("window", ("scaling",)), ("component", ("bphz", "scaling")),
-                            ("t_list", ("bphz",)), ("bootstrap", ("scaling",))):
+                            ("t_list", ("bphz",))):
         if cfg[option] is not None and task not in readers:
             raise ConfigError(f"--task {task} does not read --{option.replace('_', '-')}")
-    defaults = {"component": "f0", "t_list": (1e-6, 1e-5, 1e-4), "bootstrap": 200}
+    defaults = {"component": "f0", "t_list": (1e-6, 1e-5, 1e-4)}
     cfg = {**cfg, **{key: value for key, value in defaults.items() if cfg[key] is None}}
     if task == "scaling" and cfg["component"] != "f0":
         raise ConfigError("--task scaling fits f0 only, use --component f0: the space-time "
@@ -417,9 +416,7 @@ def run_simulate(cfg):
             x=x, n_samples=cfg["samples"],
         )
     elif task == "scaling":
-        exponent, ci, exact_slope = scaling_fit(
-            sampler, cfg["window"], n_samples=cfg["samples"], bootstrap=cfg["bootstrap"],
-        )
+        exponent, ci, exact_slope = scaling_fit(sampler, cfg["window"], n_samples=cfg["samples"])
         doc = {
             "task": "scaling",
             "component": cfg["component"],
@@ -555,14 +552,12 @@ _SUBCOMMANDS = {
                  help="torus lengths, time first (default 1.0,1.0)"),
             _Opt("seed", int, default="0", help="sampler seed"),
             _Opt("samples", int, default="256",
-                 help="Monte Carlo sample count, at least 4 (default 256)"),
+                 help="Monte Carlo sample count, 4 to 2^56 (default 256)"),
             _Opt("component", _choice("f0", "f0f1"),
                  help="model component for bphz (default f0); scaling fits f0 only"),
             _Opt("window", _floats,
                  help="fit window lo,hi in torus units, spanning half a decade or "
                       "more (--task scaling only, which requires it)"),
-            _Opt("bootstrap", int,
-                 help="bootstrap resamples for the scaling ci (default 200)"),
             _Opt("t_list", _floats,
                  help="kernel times for the bphz check (default 1e-6,1e-5,1e-4)"),
             _Opt("x", _ints, help="base grid point of --task bphz --component f0, e.g. "

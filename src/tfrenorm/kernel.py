@@ -61,8 +61,8 @@ conj x(k), the part a real part of a full transform keeps.
 Nyquist rule: an odd power of 2 pi i k is zero on its axis's Nyquist row,
 where +N/2 and -N/2 are one mode (SpectralGrid.ik_power).
 Mesh rule: symbol_LLstar is finite at every frequency of a grid
-(check_mesh); NoiseSampler.density, equal_time_density and kernel_checks
-refuse a grid that breaks it before any other work.
+(check_mesh); the NoiseSampler constructor and kernel_checks refuse a grid
+that breaks it before any other work.
 """
 
 from __future__ import annotations

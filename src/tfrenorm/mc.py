@@ -41,11 +41,10 @@ oracle is read by point_reader too, with 0 transforms per check.
 sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 
 The scaling fit reads f0 alone, on the equal-time line with time
-frequencies integrated out (equal_time_density, one trapezoid sum in u per
-k1 after k0 = c sinh u): on the space-time torus every component shows the
-smooth-lattice slope, not |y - x|^{2|beta|}.  Its exact slope and its
-samples are one read, 2 (G(0) - G(r)) with G the inverse transform of the
-line density or of a sample's periodogram (Wiener-Khinchin).
+frequencies integrated out (equal_time_density): on the space-time torus
+every component shows the smooth-lattice slope, not |y - x|^{2|beta|}.  Its
+exact slope and its draws are one gap-form read, and its ci comes from the
+periodogram's law: nothing is resampled.
 
 Randomness is counter-based: component c of sample i of a sampler with
 seed s is one call for 2 rows |S| standard normals from Philox keyed by
@@ -124,7 +123,8 @@ def _mesh_values(evaluator, k0, k1):
 
 @dataclass(frozen=True)
 class NoiseSampler:
-    """Gaussian noise on a space-time torus with spectral density FC |Fphi|^2."""
+    """Gaussian noise on a space-time torus with spectral density FC |Fphi|^2;
+    a grid that breaks the mesh rule (kernel.check_mesh) is a NumericError."""
 
     grid: object
     spec: object
@@ -135,6 +135,7 @@ class NoiseSampler:
         if self.moll.tau <= 0:
             raise ConfigError("mollifier scale must be positive")
         check_semigroup_m0(self.spec, self.moll)
+        check_mesh(self.grid, self.spec.m0)
 
     def density(self):
         """Target density FF = FC |Fphi_tau|^2 on the grid; zero mode dropped.
@@ -142,15 +143,13 @@ class NoiseSampler:
         Computed once and cached; the returned array is read-only.  The
         covariance evaluator must map the frequency mesh to an array of its
         shape; one that fails on it or returns another shape is a
-        ConfigError.  A mesh that breaks the mesh rule (kernel.check_mesh:
-        boxes so small that symbol_LLstar overflows), a density that is not
-        finite, and one that underflows to zero at every mode (a mollifier
-        scale so large that exp(-tau Q) is 0 on the grid) are NumericErrors.
+        ConfigError.  A density that is not finite, and one that underflows
+        to zero at every mode (a mollifier scale so large that exp(-tau Q)
+        is 0 on the grid), are NumericErrors.
         """
         cached = getattr(self, "_density_cache", None)
         if cached is not None:
             return cached
-        check_mesh(self.grid, self.spec.m0)
         k0, *space = self.grid.frequency_mesh()
         k_rad = np.sqrt(sum(np.square(k) for k in space))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -372,14 +371,20 @@ class McReport:
         return buf.getvalue()
 
 
+def _check_samples(n):
+    """4 to 2^56 samples, before any draw: _sample_key keeps 64 bits of (i << 8) | comp."""
+    if n < 4:
+        raise ConfigError(f"a Monte Carlo check needs at least 4 samples, got {n}")
+    if n > 1 << 56:
+        raise ConfigError(f"a Monte Carlo check has at most 2^56 distinct samples, got {n}")
+
+
 def _report(estimator, points, per_sample, oracles, variance):
     """Assemble a report from per-sample estimates (samples x points) and the
     variance of one sample's estimate at each point: the standard error of
     the mean of n independent draws is sqrt(variance / n)."""
     per_sample = np.asarray(per_sample, dtype=float)
     n = per_sample.shape[0]
-    if n < 4:
-        raise ConfigError(f"a Monte Carlo check needs at least 4 samples, got {n}")
     estimates = _pairwise_sum(list(per_sample)) / n
     se = np.sqrt(np.asarray(variance, dtype=float) / n)
     # a point without spread has z = 0 when it hits its oracle exactly and
@@ -455,6 +460,7 @@ def _quadratic_check(estimator, points, source, left, right, n_samples, reader,
     The summed power, the sum of p over the samples, is formed if summed is
     set, and None otherwise.
     """
+    _check_samples(n_samples)
     s = source.grid.volume * source.density
     single = len(left) == len(right) == 1
     if single:
@@ -600,6 +606,7 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     source = _NoiseSource(sampler)
     zero = (0,) * (grid.d + 1)
     if component == "f0":
+        _check_samples(n_samples)
         psis = [source.restrict(psi) for psi in psis]
         read = point_reader(grid, [x], psis, source.cols)
         variance = point_reader(grid, [zero], [psi ** 2 for psi in psis],
@@ -648,9 +655,8 @@ def equal_time_density(sampler):
     the exponential factor, so it is about T_2h's error, far above T_h's.
     It adds the rounding floor 8 eps (1 + x) |P|, x = space_rate (2 pi k1)^8.
     An error above 1e-6 of the result is a NumericError, as are a density
-    that underflows to zero at every nonzero k1, a range that leaves the
-    float domain and a grid that breaks the mesh rule (kernel.check_mesh).
-    An evaluator that cannot map the node arrays is a ConfigError.
+    that underflows to zero at every nonzero k1 and a range that leaves the
+    float domain; an evaluator that cannot map the nodes is a ConfigError.
     """
     return _line_density(sampler)[0]
 
@@ -660,7 +666,6 @@ def _line_density(sampler):
     if sampler.grid.d != 1:
         raise ConfigError("the equal-time marginal is wired for d = 1")
     m0, n = sampler.spec.m0, sampler.grid.sizes[1]
-    check_mesh(sampler.grid, m0)
     k1 = np.fft.rfftfreq(n, d=sampler.grid.boxes[1] / n)[1:]
     if not sampler.moll.time_rate > 0.0:
         raise NumericError("the mollifier's time-frequency scale underflows to zero")
@@ -703,18 +708,18 @@ def _line_density(sampler):
 
 
 def fit_log_slope(xs, ys):
-    """Least-squares slope of log|y| against log x."""
+    """Least-squares slope of log|y| against log x: _lever(xs) . log|y|."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ConfigError("slope fit needs at least two points")
     if any(x <= 0 for x in xs) or any(y == 0 for y in ys):
         raise ConfigError("slope fit needs positive x and nonzero y")
-    lx = [math.log(x) for x in xs]
-    ly = [math.log(abs(y)) for y in ys]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-    den = sum((a - mx) ** 2 for a in lx)
-    return num / den
+    return float(_lever(xs) @ np.log(np.abs(ys)))
+
+
+def _lever(xs):
+    """The gradient of the least-squares log-log slope in log|y|."""
+    lx = np.log(xs) - np.mean(np.log(xs))
+    return lx / (lx @ lx)
 
 
 def _separation_indices(grid, window):
@@ -740,57 +745,41 @@ def _separation_indices(grid, window):
     return js
 
 
-def scaling_fit(sampler, window, n_samples=1024, bootstrap=200):
+def scaling_fit(sampler, window, n_samples=1024):
     """(exponent, ci, exact_slope): log-log slopes of the equal-time second
     moment E|Pi_f0(y)|^2 against |y - x|, on separations inside ``window``.
 
     The fit samples the equal-time spatial marginal (equal_time_density,
-    d = 1), which the space-time torus cannot resolve.  exponent is the
-    slope of the mean over n_samples draws, draw i the line density's
-    shaping of the keyed normals (i << 8) | 0x5C; ci is the half-width of
-    a 95% bootstrap interval over samples; exact_slope is the slope of the
-    pairing sum 2 (G(0) - G(r)), G the inverse transform of the line
-    density.  A draw's mean squared increment is the same read of its
-    periodogram |rfft(white)|^2 / n times the line density, whose mean over
-    draws is the line density.  ``window`` (lo, hi) must span half a decade
-    and start at or above the mollification scale space_rate^(1/8),
-    tau^(1/8) at m0 = 1: below it every draw is smooth and the bootstrap
-    cannot move the slope.
+    d = 1), which the space-time torus cannot resolve.  A line power P has
+    mean squared increments 2 (G(0) - G(r_j)) = R P at r_j = j L / n, G its
+    inverse transform, with R_jk = (4 / L) c(k) sin^2(pi k j / n) in gap form
+    (c the c2r weight).  exact_slope is the slope of R P for the line density
+    P; exponent that of the mean of R (P E) over n_samples draws, E the
+    periodogram |rfft(w)|^2 / n of keyed white noise, key (i << 8) | 0x5C,
+    with independent ordinates: Exp(1) for 0 < k < n/2, chi^2_1 at k = 0,
+    n/2 (Percival and Walden 1993).  ci, the half-width of a 95% interval,
+    is 1.96 times the slope's first-order spread at R P under the covariance
+    R diag(P^2 v) R^T / n_samples of that mean, v = 2 / c.  ``window`` must
+    span half a decade and start at or above the mollification scale
+    space_rate^(1/8) (tau^(1/8) at m0 = 1), below which every draw is smooth.
     """
-    if bootstrap < 2:
-        raise ConfigError(f"a bootstrap interval needs 2 or more resamples, got {bootstrap}")
-    if n_samples < 4:
-        raise ConfigError(f"a scaling fit needs at least 4 samples, got {n_samples}")
+    _check_samples(n_samples)
     js = _separation_indices(sampler.grid, window)
-    check_mesh(sampler.grid, sampler.spec.m0)  # first, as in every layer; then the window
     smooth_below = sampler.moll.space_rate ** 0.125
     if window[0] < smooth_below:
         raise ConfigError(f"window starts at {window[0]:g}, below the mollification "
                           f"scale space_rate^(1/8) = {smooth_below:g}")
     length, n = sampler.grid.boxes[-1], sampler.grid.sizes[-1]
-    p_density = equal_time_density(sampler)
-    seps = np.array(js) * (length / n)
-
-    def structure(power):
-        """2 (G(0) - G(r)) at the separations, G the inverse transform of
-        the line power (a density on k1 = 0, ..., n/2)."""
-        g = np.fft.irfft(power, n) * (n / length)
-        return 2.0 * (g[0] - g[js])
-
-    exact_slope = fit_log_slope(seps, structure(p_density))
+    c = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]
+    # sin^2 has period pi, so k j reduces mod n exactly, before rounding
+    rows = 4.0 / length * c * np.sin(np.pi / n * (np.outer(js, np.arange(n // 2 + 1)) % n)) ** 2
+    p = equal_time_density(sampler)
+    exact, weights = rows @ p, rows * p
+    exact_slope = fit_log_slope(js, exact)  # against j: a log-log slope ignores the scale L / n
     normals = _keyed_normals()
-    rows = np.empty((n_samples, len(js)))
-    for i in range(n_samples):
-        white = normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n)
-        rows[i] = structure(np.abs(np.fft.rfft(white)) ** 2 * p_density / n)
-    mean = _pairwise_sum(list(rows)) / n_samples
-    exponent = fit_log_slope(seps, mean)
-    rng = np.random.Generator(
-        np.random.Philox(key=_sample_key(sampler.seed, 0xB00))
-    )
-    slopes = np.empty(bootstrap)
-    for b in range(bootstrap):
-        pick = rng.integers(0, n_samples, n_samples)
-        slopes[b] = fit_log_slope(seps, rows[pick].mean(axis=0))
-    lo, hi = np.quantile(slopes, [0.025, 0.975])
-    return exponent, float((hi - lo) / 2.0), exact_slope
+    draws = (np.fft.rfft(normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n))
+             for i in range(n_samples))
+    mean = _pairwise_sum([weights @ (_power(z, z) / n) for z in draws]) / n_samples
+    spread = (_lever(js) / exact) @ weights  # the slope's first-order response to each E_k
+    ci = 1.96 * math.sqrt(np.sum(2.0 / c * spread ** 2) / n_samples)
+    return fit_log_slope(js, mean), ci, exact_slope

@@ -219,7 +219,7 @@ def test_simulate_scaling_reports_deterministic_slope(capsys):
     doc = run_json(
         capsys, "simulate", "--task", "scaling", "--alpha", "0.55",
         "--tau", "1e-24", "--sizes", "4,512", "--window", "8e-3,8e-2",
-        "--samples", "32", "--bootstrap", "32", "--seed", "1",
+        "--samples", "32", "--seed", "1",
     )
     assert set(doc) >= {"exponent", "ci", "deterministic_slope"}
     assert doc["exponent"] == pytest.approx(doc["deterministic_slope"], abs=0.2)
@@ -255,7 +255,7 @@ def test_invalid_parameter_is_config_error(capsys):
 H_EVAL = ["h-eval", "--alpha", "0.55", "--tau", "1e-4", "--a", "0.5",
           "--b", "2.0", "--b-prime", "0.25"]
 SCALING = ["simulate", "--task", "scaling", "--alpha", "0.55", "--sizes", "8,64",
-           "--samples", "8", "--bootstrap", "4"]
+           "--samples", "8"]
 MOMENT = ["simulate", "--task", "moment", "--alpha", "0.55", "--tau", "1e-14",
           "--sizes", "8,64", "--samples", "8"]
 # structure maps that are not valid documents; "{tmp}" is the test's directory
@@ -300,8 +300,10 @@ def gamma_entry_argv(map_name):
     (["counterterm", "--alpha", "0.6", "--tau", "1e-3", "--mollifier", "anisotropic",
       "--eta", "1e6"], 2),
     (H_EVAL + ["--a-prime", "1.0", "--mollifier", "anisotropic", "--eta", "1e6"], 2),
-    # a bootstrap interval needs two resamples
-    (SCALING + ["--tau", "1e-14", "--window", "0.02,0.4", "--bootstrap", "0"], 2),
+    # a Monte Carlo check needs at least 4 samples, refused before any draw:
+    # covariance here, scaling below, moment and bphz last, so no id moves
+    (["simulate", "--task", "covariance", "--alpha", "0.55", "--tau", "1e-14",
+      "--sizes", "8,16", "--samples", "3"], 2),
     # exp(-tau Q) underflows at every nonzero mode; the suite makes a
     # RuntimeWarning on the way an error
     (["simulate", "--task", "covariance", "--alpha", "0.75", "--tau", "1e300",
@@ -322,6 +324,9 @@ def gamma_entry_argv(map_name):
     # would read 0, a row that cannot fail
     (["simulate", "--task", "bphz", "--component", "f0f1", "--alpha", "0.75",
       "--tau", "1e-14", "--t-list", "0,1e-6", "--sizes", "8,16", "--samples", "8"], 3),
+    # the sample floor of the moment and bphz checks
+    *[(["simulate", "--task", task, "--alpha", "0.55", "--tau", "1e-14", "--sizes", "8,16",
+        "--samples", "3"], 2) for task in ("moment", "bphz")],
 ])
 def test_non_finite_input_or_result_exits_cleanly(capsys, tmp_path, argv, want):
     for name, doc in BAD_MAPS.items():
@@ -393,7 +398,7 @@ def test_simulate_scaling_fits_f0_only(capsys):
 def test_simulate_scaling_window_below_the_mollification_scale(capsys):
     for tau, window, samples in [
         # tau^(1/8) = 0.18: every sample is the same smooth mode up to a
-        # factor, and the bootstrap interval shrinks to rounding
+        # factor, and a factor moves no log-log slope
         ("1e-6", "0.01,0.1", "64"),
         # refused before the line density, which underflows here
         ("1e300", "0.03,0.2", "8"),
@@ -468,13 +473,10 @@ def test_simulate_moment_on_a_two_point_space_axis(capsys):
     (["moment"], ["--t-list", "1e-6,1e-5,1e-4"], "--task moment does not read --t-list"),
     (["scaling", "--window", "0.02,0.4"], ["--t-list", "1e-3"],
      "--task scaling does not read --t-list"),
-    (["covariance"], ["--bootstrap", "5"], "--task covariance does not read --bootstrap"),
-    (["moment"], ["--bootstrap", "200"], "--task moment does not read --bootstrap"),
-    (["bphz"], ["--bootstrap", "5"], "--task bphz does not read --bootstrap"),
 ], ids=["moment", "bphz_f0f1", "covariance_x", "scaling_x", "covariance_dump", "bphz_dump",
         "scaling_dump", "covariance_window", "moment_window", "bphz_window",
         "covariance_component", "moment_component", "covariance_t_list", "moment_t_list",
-        "scaling_t_list", "covariance_bootstrap", "moment_bootstrap", "bphz_bootstrap"])
+        "scaling_t_list"])
 def test_simulate_refuses_x_where_the_check_averages_over_base_points(capsys, tmp_path, task,
                                                                        option, says):
     option = [arg.replace("{tmp}", str(tmp_path)) for arg in option]
@@ -488,12 +490,38 @@ def test_simulate_refuses_x_where_the_check_averages_over_base_points(capsys, tm
 
 def test_simulate_refuses_an_unread_option_from_a_config_file(capsys, tmp_path):
     cfg = tmp_path / "simulate.cfg"
-    cfg.write_text("component=f0f1\nbootstrap=5\n")
+    cfg.write_text("component=f0f1\nt_list=1e-3\n")
     code, out, err = run(capsys, "simulate", "--task", "covariance", "--alpha", "0.55",
                          "--tau", "1e-14", "--sizes", "8,64", "--samples", "8",
                          "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == "config error: --task covariance does not read --component\n"
+
+
+def test_simulate_has_no_bootstrap_option(capsys, tmp_path):
+    """The scaling ci comes from the law of the draws: nothing is resampled,
+    so bootstrap is an unknown option, as a flag and as a config key."""
+    with pytest.raises(SystemExit) as stop:
+        main([*SCALING, "--tau", "1e-14", "--window", "0.02,0.4", "--bootstrap", "5"])
+    assert stop.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bootstrap=5\n")
+    code, out, err = run(capsys, *SCALING, "--tau", "1e-14", "--window", "0.02,0.4",
+                         "--config", str(cfg))
+    assert code == 2 and out == "" and "bootstrap" in err
+
+
+@pytest.mark.parametrize("task", [["covariance"], ["moment"], ["bphz"],
+                                  ["scaling", "--window", "0.02,0.4"]],
+                         ids=["covariance", "moment", "bphz", "scaling"])
+def test_huge_sample_count_is_a_prompt_config_error(task):
+    # _sample_key keeps 64 bits of (i << 8) | comp, so draw 2^56 would repeat
+    # draw 0; the count is refused before any draw, not after hours of them
+    proc = run_python(["-m", "tfrenorm.cli", "simulate", "--task", *task, "--alpha", "0.55",
+                       "--tau", "1e-14", "--sizes", "8,64", "--samples", str(2 ** 56 + 1)],
+                      timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "at most 2^56" in proc.stderr
 
 
 def test_simulate_bphz_f0_reads_at_x(capsys):
@@ -550,6 +578,9 @@ def _simulate(task, sizes, box, *extra):
                  id="scaling-1e-300"),
     pytest.param(_simulate(["scaling"], "4,64", "1e-40", "--window", "2e-42,1e-41"), 3, MESH,
                  id="scaling-1e-40"),
+    # the mesh before the window, though this window is reversed
+    pytest.param(_simulate(["scaling"], "4,64", "1e-40", "--window", "0.2,0.1"), 3, MESH,
+                 id="scaling-1e-40-reversed_window"),
     *[pytest.param(["kernel-check", "--sizes", "128,512", "--boxes", f"1e-4,{box}"], 3, MESH,
                    id=f"kernel_check-{box}") for box in ("1e-40", "1e-80", "1e-160", "1e-300")],
     # symbol_LLstar is finite at the Nyquist corner, where |2 pi k| = 2.5e38
@@ -562,8 +593,7 @@ def _simulate(task, sizes, box, *extra):
     # the ridge at k1 = 1e-68 is 2.5e-270, so k0_max / ridge overflows
     pytest.param(["simulate", "--task", "scaling", "--component", "f0", "--alpha", "0.75",
                   "--tau", "1e-30", "--mollifier", "anisotropic", "--eta", "3", "--sizes", "8,64",
-                  "--boxes", "1,1e68", "--window", "2e66,2e67", "--samples", "8",
-                  "--bootstrap", "2"], 3,
+                  "--boxes", "1,1e68", "--window", "2e66,2e67", "--samples", "8"], 3,
                  "numeric error: k0_max / ridge 1.02462e+45 / 2.4805e-270 at k1 = 1e-68 "
                  "overflows",
                  id="scaling_anisotropic-1e68"),

@@ -488,14 +488,15 @@ def test_scaling_fit_f0_tau_independent():
     assert abs(e1 - e2) < c1 + c2
 
 
-@pytest.mark.parametrize("alpha, m0, kind, tau, sizes, window", [
+SCALING_SETTINGS = pytest.mark.parametrize("alpha, m0, kind, tau, sizes, window", [
     (0.55, 1.0, "semigroup", 1e-24, (8, 1024), (8e-3, 8e-2)),
     (0.8, 1.5, "anisotropic", 1e-16, (8, 2048), (0.012, 0.12)),
 ])
-def test_scaling_fit_rows_are_the_mean_squared_increments_of_the_draws(
-        monkeypatch, alpha, m0, kind, tau, sizes, window):
-    # each row is read from the draw's periodogram; the reference builds the
-    # draw's physical field and takes its mean squared increments by np.roll
+
+
+def _scaling_reads(monkeypatch, alpha, m0, kind, tau, sizes, window, n_samples):
+    """(sampler, scaling_fit's result, its per-draw reads), the reads captured
+    at the fit's one pairwise sum."""
     grid = SpectralGrid(d=1, sizes=sizes, boxes=(1.0, 1.0))
     s = mc.NoiseSampler(grid=grid, spec=covariance_spec(alpha, m0),
                         moll=mollifier_spec(kind, tau, eta=2.0, m0=m0), seed=4)
@@ -507,8 +508,18 @@ def test_scaling_fit_rows_are_the_mean_squared_increments_of_the_draws(
         return pairwise(parts)
 
     monkeypatch.setattr(mc, "_pairwise_sum", capture)
-    mc.scaling_fit(s, window, n_samples=8, bootstrap=2)
-    (rows,) = captured
+    result = mc.scaling_fit(s, window, n_samples=n_samples)
+    (reads,) = captured
+    return s, result, reads
+
+
+@SCALING_SETTINGS
+def test_scaling_fit_rows_are_the_mean_squared_increments_of_the_draws(
+        monkeypatch, alpha, m0, kind, tau, sizes, window):
+    # each row is read from the draw's periodogram; the reference builds the
+    # draw's physical field and takes its mean squared increments by np.roll
+    s, _, rows = _scaling_reads(monkeypatch, alpha, m0, kind, tau, sizes, window, 8)
+    grid = s.grid
     n = grid.sizes[1]
     js = mc._separation_indices(grid, window)
     scale = np.sqrt(mc.equal_time_density(s) * n / grid.boxes[1])
@@ -518,6 +529,24 @@ def test_scaling_fit_rows_are_the_mean_squared_increments_of_the_draws(
         w = np.fft.irfft(np.fft.rfft(white) * scale, n)
         want = np.array([np.mean((np.roll(w, -j) - w) ** 2) for j in js])
         assert np.max(np.abs(row - want) / want) <= 1e-13
+
+
+@SCALING_SETTINGS
+def test_scaling_fit_ci_meets_the_spread_of_independent_fits(
+        monkeypatch, alpha, m0, kind, tau, sizes, window):
+    # the reads of one fit over 256 x 64 draws are 256 independent fits of 64
+    # draws, whose exponents spread by the exact-law sigma ci sqrt(256) / 1.96.
+    # A sample sigma of 256 fits has a relative sd of 1 / sqrt(510) = 4.4%, so
+    # the bound 20% is 4.5 of them; measured 0.97 and 1.02 here, and 0.93-1.06
+    # at seeds 0-3
+    fits, per_fit = 256, 64
+    s, (_, ci, _), reads = _scaling_reads(monkeypatch, alpha, m0, kind, tau, sizes, window,
+                                          fits * per_fit)
+    seps = np.array(mc._separation_indices(s.grid, window)) * (s.grid.boxes[1] / s.grid.sizes[1])
+    exponents = [mc.fit_log_slope(seps, fit.mean(axis=0))
+                 for fit in reads.reshape(fits, per_fit, -1)]
+    ratio = np.std(exponents, ddof=1) / (ci * math.sqrt(fits) / 1.96)
+    assert abs(ratio - 1.0) <= 0.2, ratio
 
 
 def test_scaling_fit_window_validation():
@@ -531,9 +560,6 @@ def test_scaling_fit_window_validation():
     # tau^(1/8) is 0.0178: below it every sample is smooth
     with pytest.raises(ConfigError, match="mollification scale"):
         mc.scaling_fit(s, (0.01, 0.12), n_samples=8)
-    for bootstrap in (0, 1):  # no interval from fewer than two resamples
-        with pytest.raises(ConfigError):
-            mc.scaling_fit(s, (0.02, 0.12), n_samples=8, bootstrap=bootstrap)
 
 
 def test_base_point_validation():
