@@ -176,14 +176,13 @@ _PARAMS = [
     _Opt("d", int, default="1", help="spatial dimension (default 1)"),
     _Opt("lam", _float, default="0.4", help="ordering weight in (0, 1/2)"),
 ]
+_FAMILY = [_Opt("mollifier", _choice("semigroup", "anisotropic"), default="semigroup",
+                help="mollifier family (default semigroup)")]
+_ETA = [_Opt("eta", _float, default="2.0", help="anisotropic aspect exponent (default 2)")]
 _MOLLIFIER = [
     _Opt("tau", _float, required=True, help="mollification scale, > 0"),
     _Opt("m0", _float, default="1.0", help="operator coefficient (default 1)"),
-    _Opt("mollifier", _choice("semigroup", "anisotropic"), default="semigroup",
-         help="mollifier family (default semigroup)"),
-    _Opt("eta", _float, default="2.0",
-         help="anisotropic aspect exponent (default 2)"),
-]
+] + _FAMILY + _ETA
 
 
 def _model_params(cfg):
@@ -507,25 +506,20 @@ _SUBCOMMANDS = {
     ),
     "constants": (
         run_constants,
-        _FORMAT + _OUTPUT + [
+        _FORMAT + _OUTPUT + _FAMILY + [
             _Opt("alpha", _float, required=True, help="exponent in [1/2, 1)"),
-            _Opt("mollifier", _choice("semigroup", "anisotropic"),
-                 default="semigroup", help="mollifier family"),
         ],
         "universal small-tau constants (C1, C2, C3) in closed form, with rounding bounds;"
         " the anisotropic family adds the leading thin-film form C2/4 + C3 - C1/2",
     ),
     "counterterm": (
         run_counterterm,
-        _FORMAT + _OUTPUT + [
+        _FORMAT + _OUTPUT + _FAMILY + _ETA + [
             _Opt("alpha", _float, required=True, help="exponent in (1/2, 1)"),
             _Opt("tau", _floats, required=True,
                  help="mollification scales, comma-separated for a sweep"),
             _Opt("m0", _floats, default="1.0",
                  help="operator coefficients, comma-separated for a sweep"),
-            _Opt("mollifier", _choice("semigroup", "anisotropic"),
-                 default="semigroup", help="mollifier family"),
-            _Opt("eta", _float, default="2.0", help="anisotropic aspect exponent"),
         ],
         "finite-tau counterterm constants; a sweep runs serially in (tau, m0) order",
     ),

@@ -334,24 +334,23 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     return read
 
 
-def real_defect(field, physical=None, forward=None):
+def real_defect(field, forward=None):
     """Relative part of the Fourier data that no real field carries.
 
     This is what a round trip through physical space drops: the part of
     the self-conjugate planes that is not conjugate symmetric.  Zero (to
-    rounding) for the transform of any physical field.  physical, if
-    given, is the inverse transform of the field's Fourier data, made once
-    by a caller that needs it too; forward, if given, is the forward
-    transform of that physical field, which kernel_checks then hands on to
-    semigroup_defect.  The gap is reduced one time row at a time, with no
-    temporary of the grid's size.
+    rounding) for the transform of any physical field.  forward, if given,
+    is the forward transform of the inverse transform of the field's
+    Fourier data, made once by kernel_checks, which hands it on to
+    semigroup_defect too.  The gap is reduced one time row at a time, with
+    no temporary of the grid's size.
     """
     hat = field.to_fourier()
     scale = max(float(np.max(np.abs(row))) for row in hat.values)
     if scale == 0.0:
         return 0.0
     if forward is None:
-        forward = (hat.to_physical() if physical is None else physical).to_fourier().values
+        forward = hat.to_physical().to_fourier().values
     return max(float(np.max(np.abs(h - f))) for h, f in zip(hat.values, forward)) / scale
 
 
@@ -565,8 +564,9 @@ def scaling_defect(grid, t, m0=1.0):
     w1 = n1 // (4 * sigma)
     if w0 < 2 or w1 < 2:
         raise ConfigError("grid too coarse for the scaling window")
-    coarse_a, (coarse_b,) = _kernel_factors(grid, (sigma**8) * t, m0, [(0,)])
+    # t before sigma^8 t, so a refused time is the one given
     fine_a, (fine_b,) = _kernel_factors(grid, t, m0, [(0,)])
+    coarse_a, (coarse_b,) = _kernel_factors(grid, (sigma**8) * t, m0, [(0,)])
     j0 = np.arange(-w0, w0 + 1)[:, None]
     j1 = np.arange(-w1, w1 + 1)
     fine_win = fine_a[j0 % n0, 0] * fine_b[0, j1 % n1]

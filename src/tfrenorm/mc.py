@@ -27,7 +27,9 @@ components (_quadratic_check): |xi_hat|^2 read at the lags for the
 covariance, |P M xi_hat|^2 at the separations for the moment and
 Re(xi_hat conj(P M xi_hat)) weighted by c(k0) (1 - psi_t) for bphz f0+f1.
 With one multiplier on each side it sits in the rows, so a sample is one
-keyed draw, one square and one matvec.  Every standard error is exact:
+keyed draw and one square.  A read is linear, so the mean of the samples'
+reads is the read of their mean: every check sums its samples' powers (bphz
+f0 its blocks) and reads that sum once.  Every standard error is exact:
 the modes of a draw are independent complex normals, except k and -k on
 the planes, so the variance of a sample's read is a pairing sum over its
 rows (_read_variance), formed once per check, and that of bphz f0 is the
@@ -43,17 +45,17 @@ sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 The scaling fit reads f0 alone, on the equal-time line with time
 frequencies integrated out (equal_time_density): on the space-time torus
 every component shows the smooth-lattice slope, not |y - x|^{2|beta|}.  Its
-exact slope and its draws are one gap-form read, and its ci comes from the
-periodogram's law: nothing is resampled.
+exact slope and its draws' summed periodogram are each one gap-form read,
+and its ci comes from the periodogram's law: nothing is resampled.
 
 Randomness is counter-based: component c of sample i of a sampler with
 seed s is one call for 2 rows |S| standard normals from Philox keyed by
 hash(s, (i << 8) | c), the real and imaginary parts of its half spectrum on
 S, with exactly the law of physical white noise transformed and shaped
 (_NoiseSource).  So estimates are bit-identical however the sample loop is
-scheduled or parallelised, and the only reduction over samples is a
-fixed-order pairwise sum.  A check re-keys one Philox per sample rather
-than building a fresh one (_keyed_normals).
+scheduled or parallelised, and the only reduction over samples is one sum
+in sample-index order into a fresh zero array.  A check re-keys one Philox
+per sample rather than building a fresh one (_keyed_normals).
 """
 
 from __future__ import annotations
@@ -92,19 +94,6 @@ def _splitmix64(z):
 
 def _sample_key(seed, index):
     return _splitmix64(_splitmix64(seed & _MASK64) ^ (index & _MASK64))
-
-
-def _pairwise_sum(parts):
-    """Deterministic pairwise reduction; order fixed by the input order."""
-    items = list(parts)
-    if not items:
-        raise ConfigError("pairwise sum needs at least one term")
-    while len(items) > 1:
-        merged = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +368,11 @@ def _check_samples(n):
         raise ConfigError(f"a Monte Carlo check has at most 2^56 distinct samples, got {n}")
 
 
-def _report(estimator, points, per_sample, oracles, variance):
-    """Assemble a report from per-sample estimates (samples x points) and the
-    variance of one sample's estimate at each point: the standard error of
+def _report(estimator, points, n, estimates, oracles, variance):
+    """Assemble a report from the mean estimates of n samples at each point
+    and the variance of one sample's estimate there: the standard error of
     the mean of n independent draws is sqrt(variance / n)."""
-    per_sample = np.asarray(per_sample, dtype=float)
-    n = per_sample.shape[0]
-    estimates = _pairwise_sum(list(per_sample)) / n
+    estimates = np.asarray(estimates, dtype=float)
     se = np.sqrt(np.asarray(variance, dtype=float) / n)
     # a point without spread has z = 0 when it hits its oracle exactly and
     # an infinite z when it misses
@@ -443,12 +430,11 @@ def _read_variance(source, weights, power_var):
                         @ power_var[source._planes].ravel())
 
 
-def _quadratic_check(estimator, points, source, left, right, n_samples, reader,
-                     summed=False):
-    """(report, summed power) of a check whose sample reads the power
+def _quadratic_check(estimator, points, source, left, right, n_samples, reader):
+    """(report, summed power) of a check whose sample is the power
     p = Re(a conj b) per mode of S, a = L . xi_hat and b = R . xi_hat for
     lists L = left and R = right of multipliers on S, one per noise
-    component from the first, through the point_reader reader(fold).
+    component from the first, read through the point_reader reader(fold).
 
     The components of xi_hat are independent complex normals of variance
     s = vol FF per mode, so p has mean s Re(L . conj R) and variance
@@ -456,9 +442,9 @@ def _quadratic_check(estimator, points, source, left, right, n_samples, reader,
     the read of that mean, and the variance of a sample's read is the
     pairing sum of _read_variance.  With one multiplier on each side,
     p = Re(L conj R) |xi_hat|^2: the fold Re(L conj R) goes into the rows
-    (fold 1 otherwise), so a sample is one draw, one square and one matvec.
-    The summed power, the sum of p over the samples, is formed if summed is
-    set, and None otherwise.
+    (fold 1 otherwise), so a sample is one draw and one square.  A read is
+    linear: the powers are summed in sample order into a fresh array, the
+    summed power returned, and the check reads that sum once.
     """
     _check_samples(n_samples)
     s = source.grid.volume * source.density
@@ -479,15 +465,12 @@ def _quadratic_check(estimator, points, source, left, right, n_samples, reader,
         return _power(a, b)
 
     read = reader(fold)
-    rows, total = [], np.zeros_like(s) if summed else None
+    total = np.zeros_like(s)
     for i in range(n_samples):
-        p = power(i)
-        rows.append(read(p))
-        if summed:
-            total += p
-    report = _report(estimator, points, rows, read(mean),
+        total += power(i)
+    report = _report(estimator, points, n_samples, read(total) / n_samples, read(mean),
                      _read_variance(source, read.weights, var))
-    return report, total * fold if summed else None
+    return report, total * fold
 
 
 def covariance_check(sampler, lags=None, n_samples=256):
@@ -529,15 +512,16 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     the div_symbols multipliers: on the self-conjugate planes the inverse
     real transform keeps the conjugate-symmetric part of M_i xi_hat_i, which
     is xi_hat_i P M_i as xi_hat_i is symmetric there
-    (_NoiseSource.project).  Each sample is read by kernel.point_reader
-    from rows based at 0, the gaps C_v(r) - C_v(0) with no cancellation
-    between two reads, and the oracle is the same read of the mean
-    periodogram FF sum_i |P M_i|^2, formed exactly: a round trip through
-    physical space would leave rounding of order 1e-16 max|M_i| at k1 = 0,
-    where M_i is 0 and the density is largest, and once tau leaves little
-    density elsewhere that rounding outweighs the oracle.  It is the read of
-    _quadratic_check with L = R = P M.  An x is a ConfigError: it selects
-    nothing.  With dump_path set, the mean of the averaged field,
+    (_NoiseSource.project).  The summed periodogram of the samples is read
+    once by kernel.point_reader from rows based at 0, the gaps
+    C_v(r) - C_v(0) with no cancellation between two reads, and the oracle
+    is the same read of the mean periodogram FF sum_i |P M_i|^2, formed
+    exactly: a round trip through physical space would leave rounding of
+    order 1e-16 max|M_i| at k1 = 0, where M_i is 0 and the density is
+    largest, and once tau leaves little density elsewhere that rounding
+    outweighs the oracle.  It is the read of _quadratic_check with
+    L = R = P M.  An x is a ConfigError: it selects nothing.  With
+    dump_path set, the mean of the averaged field,
     2 (C_v(0) - C_v(r)) at every cell r, is written in the binary field
     format, from one support inverse of the mean periodogram.
     """
@@ -550,7 +534,7 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
     report, total = _quadratic_check(
         "pi_f0_second_moment", separations, source, mults, mults, n_samples,
         lambda fold: point_reader(grid, separations, [-2.0 / grid.volume * fold],
-                                  source.cols, base=zero), summed=dump_path is not None)
+                                  source.cols, base=zero))
     if dump_path is not None:
         covariance = source.inverse(total / (grid.volume * n_samples))
         dump_field(SpectralField(grid, 2.0 * (covariance[zero] - covariance), "physical"),
@@ -563,10 +547,11 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     """MC estimate of the smoothed expectation E[(psi_t * Pi^-)(x)] per t.
 
     For f0 the integrand is the noise itself and the oracle vanishes.  Its
-    values at x are read from the noise block by kernel.point_reader
-    through the rows W_x psi_t on the support, formed once per check, so a
-    sample is one real matvec.  Its variance is E[(psi_t * xi)(x)^2], the
-    covariance check's pairing sum read at the zero cell with |psi_t|^2.
+    values at x are read by kernel.point_reader through the rows W_x psi_t
+    on the support, formed once per check: the blocks of the samples are
+    summed, and the sum is read once.  The variance of one sample's read is
+    E[(psi_t * xi)(x)^2], the covariance check's pairing sum read at the
+    zero cell with |psi_t|^2.
 
     For f0+f1 each draw is averaged over every base point x, as the noise
     law is translation invariant: the mean over x of
@@ -576,12 +561,12 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
     Re(xi_hat conj(P M xi_hat)) over the half spectrum (Parseval), with the
     c2r weights c(k0) and P M the projected div_symbols multipliers of
     pi_f0_second_moment_check.  Both are read at the zero cell by
-    kernel.point_reader.  The oracle is the same read of the mean, vol FF
-    for |xi_hat|^2: the pairing sum (1/vol) sum_k c(k0) (1 - psi_t)
-    Re(P M_1) FF, which vanishes whenever the density is even in the
-    spatial frequency.  It is the read of _quadratic_check with L = [1] and
-    R = P M.  No transform runs per sample, and an x is a ConfigError: it
-    selects nothing.
+    kernel.point_reader, once, from the summed power of the samples.  The
+    oracle is the same read of the mean, vol FF for |xi_hat|^2: the pairing
+    sum (1/vol) sum_k c(k0) (1 - psi_t) Re(P M_1) FF, which vanishes
+    whenever the density is even in the spatial frequency.  It is the read
+    of _quadratic_check with L = [1] and R = P M.  No transform runs per
+    sample, and an x is a ConfigError: it selects nothing.
 
     An empty t_list is a ConfigError, and a t at which psi_t underflows to
     zero at every nonzero mode is a NumericError: it would read the mean of
@@ -611,8 +596,11 @@ def bphz_triviality_check(sampler, t_list, component="f0", x=None,
         read = point_reader(grid, [x], psis, source.cols)
         variance = point_reader(grid, [zero], [psi ** 2 for psi in psis],
                                 source.cols)(source.density)
-        rows = [read(source.block(i, 0)) for i in range(n_samples)]
-        return _report("bphz_f0", t_list, rows, [0.0] * len(t_list), variance)
+        total = np.zeros(source.density.shape, dtype=np.complex128)
+        for i in range(n_samples):
+            total += source.block(i, 0)
+        return _report("bphz_f0", t_list, n_samples, read(total) / n_samples,
+                       [0.0] * len(t_list), variance)
     smoothing = [source.restrict(1.0 - psi) for psi in psis]
     for t, row in zip(t_list, smoothing):
         if not np.any(row):
@@ -754,10 +742,11 @@ def scaling_fit(sampler, window, n_samples=1024):
     mean squared increments 2 (G(0) - G(r_j)) = R P at r_j = j L / n, G its
     inverse transform, with R_jk = (4 / L) c(k) sin^2(pi k j / n) in gap form
     (c the c2r weight).  exact_slope is the slope of R P for the line density
-    P; exponent that of the mean of R (P E) over n_samples draws, E the
-    periodogram |rfft(w)|^2 / n of keyed white noise, key (i << 8) | 0x5C,
-    with independent ordinates: Exp(1) for 0 < k < n/2, chi^2_1 at k = 0,
-    n/2 (Percival and Walden 1993).  ci, the half-width of a 95% interval,
+    P; exponent that of R (P E), one matvec, E the mean over n_samples draws
+    (summed in sample order) of the periodogram |rfft(w)|^2 / n of keyed
+    white noise, key (i << 8) | 0x5C, whose ordinates are independent:
+    Exp(1) for 0 < k < n/2, chi^2_1 at k = 0, n/2 (Percival and Walden
+    1993).  ci, the half-width of a 95% interval,
     is 1.96 times the slope's first-order spread at R P under the covariance
     R diag(P^2 v) R^T / n_samples of that mean, v = 2 / c.  ``window`` must
     span half a decade and start at or above the mollification scale
@@ -777,9 +766,11 @@ def scaling_fit(sampler, window, n_samples=1024):
     exact, weights = rows @ p, rows * p
     exact_slope = fit_log_slope(js, exact)  # against j: a log-log slope ignores the scale L / n
     normals = _keyed_normals()
-    draws = (np.fft.rfft(normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n))
-             for i in range(n_samples))
-    mean = _pairwise_sum([weights @ (_power(z, z) / n) for z in draws]) / n_samples
+    total = np.zeros(n // 2 + 1)
+    for i in range(n_samples):
+        z = np.fft.rfft(normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n))
+        total += _power(z, z)
+    mean = weights @ (total / (n * n_samples))
     spread = (_lever(js) / exact) @ weights  # the slope's first-order response to each E_k
     ci = 1.96 * math.sqrt(np.sum(2.0 / c * spread ** 2) / n_samples)
     return fit_log_slope(js, mean), ci, exact_slope

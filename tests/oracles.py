@@ -1052,5 +1052,6 @@ def physical_path_reports(mc, sampler, reports, x):
             else:
                 rows.append([smooth(xi, t)[x] for t in rep.points])
         variance = np.square(rep.standard_errors) * rep.samples
-        out[name] = mc._report(rep.estimator, rep.points, rows, rep.oracles, variance)
+        out[name] = mc._report(rep.estimator, rep.points, rep.samples, np.mean(rows, axis=0),
+                               rep.oracles, variance)
     return out

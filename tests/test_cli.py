@@ -250,6 +250,10 @@ def test_missing_required_option_is_config_error(capsys):
 def test_invalid_parameter_is_config_error(capsys):
     code, _, err = run(capsys, "enumerate", "--alpha", "2.0", "--cutoff", "2")
     assert code == 2
+    # the refusal names the time given, not the rescaled one
+    code, _, err = run(capsys, "kernel-check", "--scaling-time", "-1")
+    assert code == 2
+    assert "kernel time must be >= 0, got -1.0" in err
 
 
 H_EVAL = ["h-eval", "--alpha", "0.55", "--tau", "1e-4", "--a", "0.5",

@@ -121,7 +121,6 @@ def test_read_only_inputs_are_read_not_written(sizes):
     rng = np.random.default_rng(17)
     phys = rng.standard_normal(sizes)
     hat = SpectralField(grid, phys, "physical").to_fourier().values
-    back = SpectralField(grid, hat, "fourier").to_physical().values
     comps = [rng.standard_normal(sizes) for _ in range(grid.d)]
     orders = (1,) + (1,) * grid.d
 
@@ -142,7 +141,6 @@ def test_read_only_inputs_are_read_not_written(sizes):
             solve_L_div([field(c, "physical").to_fourier() for c in comps]).values,
             solve_L_div([field(hat, "fourier")] * grid.d).values,
             real_defect(field(hat, "fourier")),
-            real_defect(field(hat, "fourier"), field(back, "physical")),
             real_defect(field(phys, "physical")),
             evenness_defect(field(phys, "physical")),
             evenness_defect(field(hat, "fourier")),

@@ -324,13 +324,6 @@ def test_mode_variance_matches_density():
     assert abs(vals.mean() - want) < 3.0 * se
 
 
-def test_pairwise_sum_fixed_order():
-    assert mc._pairwise_sum([1, 2, 3, 4, 5]) == 15
-    assert mc._pairwise_sum([np.arange(3)] * 4).tolist() == [0, 4, 8]
-    with pytest.raises(ConfigError):
-        mc._pairwise_sum([])
-
-
 def test_covariance_check_against_pairing_sum():
     rep = mc.covariance_check(small_sampler(seed=3), n_samples=192)
     assert rep.samples == 192
@@ -494,58 +487,61 @@ SCALING_SETTINGS = pytest.mark.parametrize("alpha, m0, kind, tau, sizes, window"
 ])
 
 
-def _scaling_reads(monkeypatch, alpha, m0, kind, tau, sizes, window, n_samples):
-    """(sampler, scaling_fit's result, its per-draw reads), the reads captured
-    at the fit's one pairwise sum."""
+def _scaling_sampler(alpha, m0, kind, tau, sizes, seed=4):
     grid = SpectralGrid(d=1, sizes=sizes, boxes=(1.0, 1.0))
-    s = mc.NoiseSampler(grid=grid, spec=covariance_spec(alpha, m0),
-                        moll=mollifier_spec(kind, tau, eta=2.0, m0=m0), seed=4)
-    captured = []
-    pairwise = mc._pairwise_sum
-
-    def capture(parts):
-        captured.append(np.array(parts))
-        return pairwise(parts)
-
-    monkeypatch.setattr(mc, "_pairwise_sum", capture)
-    result = mc.scaling_fit(s, window, n_samples=n_samples)
-    (reads,) = captured
-    return s, result, reads
+    return mc.NoiseSampler(grid=grid, spec=covariance_spec(alpha, m0),
+                           moll=mollifier_spec(kind, tau, eta=2.0, m0=m0), seed=seed)
 
 
 @SCALING_SETTINGS
 def test_scaling_fit_rows_are_the_mean_squared_increments_of_the_draws(
         monkeypatch, alpha, m0, kind, tau, sizes, window):
-    # each row is read from the draw's periodogram; the reference builds the
-    # draw's physical field and takes its mean squared increments by np.roll
-    s, _, rows = _scaling_reads(monkeypatch, alpha, m0, kind, tau, sizes, window, 8)
+    # the fit reads its draws' summed periodogram once, by the gap-form rows;
+    # the reference builds each draw's physical field and averages its mean
+    # squared increments by np.roll.  The fit's mean is captured at its slope
+    # fit, which also fits the exact read first
+    s = _scaling_sampler(alpha, m0, kind, tau, sizes)
+    fitted = []
+    fit = mc.fit_log_slope
+
+    def capture(xs, ys):
+        fitted.append(np.array(ys))
+        return fit(xs, ys)
+
+    monkeypatch.setattr(mc, "fit_log_slope", capture)
+    exponent, _, _ = mc.scaling_fit(s, window, n_samples=8)
+    _, mean = fitted
     grid = s.grid
     n = grid.sizes[1]
     js = mc._separation_indices(grid, window)
+    assert exponent == fit(js, mean)
     scale = np.sqrt(mc.equal_time_density(s) * n / grid.boxes[1])
     normals = mc._keyed_normals()
-    for i, row in enumerate(rows):
+    want = np.zeros(len(js))
+    for i in range(8):
         white = normals(mc._sample_key(s.seed, (i << 8) | 0x5C), n)
         w = np.fft.irfft(np.fft.rfft(white) * scale, n)
-        want = np.array([np.mean((np.roll(w, -j) - w) ** 2) for j in js])
-        assert np.max(np.abs(row - want) / want) <= 1e-13
+        want += [np.mean((np.roll(w, -j) - w) ** 2) for j in js]
+    want /= 8
+    assert np.max(np.abs(mean - want) / want) <= 1e-13
 
 
 @SCALING_SETTINGS
 def test_scaling_fit_ci_meets_the_spread_of_independent_fits(
         monkeypatch, alpha, m0, kind, tau, sizes, window):
-    # the reads of one fit over 256 x 64 draws are 256 independent fits of 64
-    # draws, whose exponents spread by the exact-law sigma ci sqrt(256) / 1.96.
-    # A sample sigma of 256 fits has a relative sd of 1 / sqrt(510) = 4.4%, so
-    # the bound 20% is 4.5 of them; measured 0.97 and 1.02 here, and 0.93-1.06
-    # at seeds 0-3
+    # 256 fits of 64 draws each, at seeds 0-255, are independent, and their
+    # exponents spread by the exact-law sigma ci / 1.96 of a 64-draw fit,
+    # the same at every seed.  A sample sigma of 256 fits has a relative sd
+    # of 1 / sqrt(510) = 4.4%, so the bound 20% is 4.5 of them; measured
+    # 1.04 and 1.06 here, and 0.92-1.04 over seeds 256-1023
     fits, per_fit = 256, 64
-    s, (_, ci, _), reads = _scaling_reads(monkeypatch, alpha, m0, kind, tau, sizes, window,
-                                          fits * per_fit)
-    seps = np.array(mc._separation_indices(s.grid, window)) * (s.grid.boxes[1] / s.grid.sizes[1])
-    exponents = [mc.fit_log_slope(seps, fit.mean(axis=0))
-                 for fit in reads.reshape(fits, per_fit, -1)]
-    ratio = np.std(exponents, ddof=1) / (ci * math.sqrt(fits) / 1.96)
+    density = mc.equal_time_density(_scaling_sampler(alpha, m0, kind, tau, sizes))
+    monkeypatch.setattr(mc, "equal_time_density", lambda sampler: density)
+    results = [mc.scaling_fit(_scaling_sampler(alpha, m0, kind, tau, sizes, seed), window,
+                              n_samples=per_fit) for seed in range(fits)]
+    exponents, cis, _ = zip(*results)
+    assert len(set(cis)) == 1
+    ratio = np.std(exponents, ddof=1) / (cis[0] / 1.96)
     assert abs(ratio - 1.0) <= 0.2, ratio
 
 

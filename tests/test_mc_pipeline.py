@@ -50,20 +50,21 @@ def test_checks_match_the_physical_path(sizes, alpha, tau, m0, seed):
         assert np.max(np.abs(np.subtract(rep.z_scores, want.z_scores))) <= 1e-11, name
 
 
-# transforms per sample (forward, inverse) at d = 1, and per check for the
-# oracles, a support inverse counting as an inverse transform: a sample is
-# drawn in Fourier space on the support, with no forward transform; every
-# check reads each sample and its oracles on the support by point_reader,
-# with no transform (the moment oracle projects each L^{-1} div multiplier
-# exactly, and the moment and bphz f0+f1 samples are base-point averages
-# read from their draws' squares); a moment dump adds one support inverse
-# per check, of the mean periodogram
+# transforms (forward, inverse) and calls of a point_reader read per sample
+# at d = 1, and per check, a support inverse counting as an inverse
+# transform: a sample is drawn in Fourier space on the support, with no
+# forward transform, and summed; every check reads that sum and its oracles
+# (bphz f0: its variance) on the support by point_reader, once each, with no
+# transform (the moment oracle projects each L^{-1} div multiplier exactly,
+# and the moment and bphz f0+f1 samples are base-point averages read from
+# their draws' squares); a moment dump adds one support inverse per check,
+# of the mean periodogram
 BUDGET = {
-    "covariance": ((0, 0), (0, 0)),
-    "pi_f0_second_moment": ((0, 0), (0, 0)),
-    "pi_f0_second_moment_dump": ((0, 0), (0, 1)),
-    "bphz_f0": ((0, 0), (0, 0)),
-    "bphz_f0f1": ((0, 0), (0, 0)),
+    "covariance": ((0, 0, 0), (0, 0, 2)),
+    "pi_f0_second_moment": ((0, 0, 0), (0, 0, 2)),
+    "pi_f0_second_moment_dump": ((0, 0, 0), (0, 1, 2)),
+    "bphz_f0": ((0, 0, 0), (0, 0, 2)),
+    "bphz_f0f1": ((0, 0, 0), (0, 0, 2)),
 }
 
 
@@ -98,25 +99,39 @@ def test_transform_budget_per_sample(monkeypatch, tmp_path, name):
         return draw
 
     monkeypatch.setattr(mc, "_keyed_normals", counted_normals)
+    reader = mc.point_reader
+
+    def counted_reader(*args, **kwargs):
+        read = reader(*args, **kwargs)
+
+        def counted(hat):
+            counts["reads"] += 1
+            return read(hat)
+
+        counted.weights = read.weights
+        return counted
+
+    monkeypatch.setattr(mc, "point_reader", counted_reader)
     sampler = make_sampler((8, 32), 0.55, 1e-9, 1.0, 3)
     used = []
     for n in (4, 8):
-        counts.update(fourier=0, physical=0, normals=0)
+        counts.update(fourier=0, physical=0, normals=0, reads=0)
         if name == "pi_f0_second_moment_dump":
             mc.pi_f0_second_moment_check(sampler, n_samples=n,
                                          dump_path=tmp_path / "moment.field")
         else:
             CHECKS[name](sampler, (1, 5), n)
-        used.append(np.array([counts["fourier"], counts["physical"], counts["normals"]]))
+        used.append(np.array([counts["fourier"], counts["physical"], counts["reads"],
+                              counts["normals"]]))
     per_sample = (used[1] - used[0]) // 4
     per_check = used[0] - 4 * per_sample
-    assert (tuple(per_sample[:2]), tuple(per_check[:2])) == BUDGET[name]
+    assert (tuple(per_sample[:3]), tuple(per_check[:3])) == BUDGET[name]
     # normals: 2 per mode of the live columns, closed under k -> -k, and
     # none outside them
     live = np.any(sampler.density(), axis=0)
     support = np.count_nonzero(live | np.roll(live[::-1], 1))
     assert support < sampler.grid.sizes[1]
-    assert (per_sample[2], per_check[2]) == (2 * sampler.grid.spectrum_shape[0] * support, 0)
+    assert (per_sample[3], per_check[3]) == (2 * sampler.grid.spectrum_shape[0] * support, 0)
 
 
 # the benchmark's corners (alpha, tau, m0) on its 64 x 256 grid
@@ -162,22 +177,46 @@ def test_exact_variance_meets_the_sample_variance(monkeypatch, sizes, alpha, tau
     # grid is all self-conjugate planes, where the draws of k and -k are one
     # variable (sigma 1.43x too small if they were counted apart), and at
     # d = 2 the f0+f1 cross terms between components carry most of the
-    # variance (sigma 337x too small without)
+    # variance (sigma 337x too small without).  Each check reads its summed
+    # power once; its per-sample reads are its own reader applied to the
+    # powers (bphz f0: blocks) it summed, captured as they are formed, and
+    # their mean is its estimate to rounding: within 1.3e-15 of the largest
+    # read (measured)
     sampler = make_sampler(sizes, alpha, tau, m0, seed)
-    captured = []
-    report = mc._report
+    readers, powers, blocks = [], [], []
+    reader, power, block = mc.point_reader, mc._power, mc._NoiseSource.block
 
-    def capture(estimator, points, per_sample, oracles, variance):
-        captured.append((np.asarray(per_sample), variance))
-        return report(estimator, points, per_sample, oracles, variance)
+    def capture_reader(*args, **kwargs):
+        readers.append(reader(*args, **kwargs))
+        return readers[-1]
 
-    monkeypatch.setattr(mc, "_report", capture)
+    def capture_power(a, b):
+        p = power(a, b)
+        powers.append(np.copy(p))
+        return p
+
+    def capture_block(source, index, comp):
+        z = block(source, index, comp)
+        blocks.append(z.copy())
+        return z
+
+    monkeypatch.setattr(mc, "point_reader", capture_reader)
+    monkeypatch.setattr(mc, "_power", capture_power)
+    monkeypatch.setattr(mc._NoiseSource, "block", capture_block)
     x = tuple(n // 2 - 1 for n in sizes)
-    for rep in (mc.covariance_check(sampler, n_samples=4096),
-                mc.pi_f0_second_moment_check(sampler, n_samples=4096),
-                mc.bphz_triviality_check(sampler, t_list, "f0", x=x, n_samples=4096),
-                mc.bphz_triviality_check(sampler, t_list, "f0f1", n_samples=4096)):
-        rows, variance = captured.pop(0)
+    n = 4096
+    for check, samples in (
+            (lambda: mc.covariance_check(sampler, n_samples=n), powers),
+            (lambda: mc.pi_f0_second_moment_check(sampler, n_samples=n), powers),
+            (lambda: mc.bphz_triviality_check(sampler, t_list, "f0", x=x, n_samples=n), blocks),
+            (lambda: mc.bphz_triviality_check(sampler, t_list, "f0f1", n_samples=n), powers)):
+        del readers[:], powers[:], blocks[:]
+        rep = check()
+        # the check's own reader comes first; a sample's power is formed last
+        rows = np.array([readers[0](p) for p in samples[-n:]])
+        gap = np.max(np.abs(rows.mean(axis=0) - rep.estimates))
+        assert gap <= 1e-14 * np.max(np.abs(rows)), rep.estimator
+        variance = np.square(rep.standard_errors) * n
         spread = np.mean(np.square(rows - np.asarray(rep.oracles)), axis=0)
         live = variance > 0.0
         assert np.all(spread[~live] == 0.0) and np.any(live), rep.estimator
