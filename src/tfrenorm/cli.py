@@ -380,19 +380,18 @@ def run_simulate(cfg):
     )
 
     task = cfg["task"]
-    # an option a task does not read is refused rather than ignored, so
-    # --component and --t-list take their defaults only here; moment and
-    # bphz f0f1 refuse --x themselves, as they average over base points
+    # an option a task does not read is refused rather than ignored, so the
+    # options below take their defaults only here; moment and bphz f0f1
+    # refuse --x themselves, as they average over base points
+    sampled = ("covariance", "moment", "bphz")
     for option, readers in (("x", ("moment", "bphz")), ("dump", ("moment",)),
-                            ("window", ("scaling",)), ("component", ("bphz", "scaling")),
-                            ("t_list", ("bphz",))):
+                            ("window", ("scaling",)), ("component", ("bphz",)),
+                            ("t_list", ("bphz",)), ("samples", sampled), ("seed", sampled)):
         if cfg[option] is not None and task not in readers:
             raise ConfigError(f"--task {task} does not read --{option.replace('_', '-')}")
-    defaults = {"component": "f0", "t_list": (1e-6, 1e-5, 1e-4)}
+    # the scaling task's sampler gets seed 0, which nothing reads
+    defaults = {"component": "f0", "t_list": (1e-6, 1e-5, 1e-4), "samples": 256, "seed": 0}
     cfg = {**cfg, **{key: value for key, value in defaults.items() if cfg[key] is None}}
-    if task == "scaling" and cfg["component"] != "f0":
-        raise ConfigError("--task scaling fits f0 only, use --component f0: the space-time "
-                          "torus cannot show the scaling of f0+f1")
     if task == "scaling" and cfg["window"] is None:
         raise ConfigError("--task scaling needs --window lo,hi (half a decade or more)")
     sizes, boxes = cfg["sizes"], cfg["boxes"]
@@ -415,15 +414,7 @@ def run_simulate(cfg):
             x=x, n_samples=cfg["samples"],
         )
     elif task == "scaling":
-        exponent, ci, exact_slope = scaling_fit(sampler, cfg["window"], n_samples=cfg["samples"])
-        doc = {
-            "task": "scaling",
-            "component": cfg["component"],
-            "samples": cfg["samples"],
-            "exponent": exponent,
-            "ci": ci,
-            "deterministic_slope": exact_slope,
-        }
+        doc = {"task": "scaling", "deterministic_slope": scaling_fit(sampler, cfg["window"])}
         if cfg["format"] == "csv":
             keys = list(doc)
             return ",".join(keys) + "\n" + ",".join(repr(doc[k]) for k in keys)
@@ -544,20 +535,21 @@ _SUBCOMMANDS = {
                  help="grid sizes, time first (default 64,256)"),
             _Opt("boxes", _floats, default="1.0,1.0",
                  help="torus lengths, time first (default 1.0,1.0)"),
-            _Opt("seed", int, default="0", help="sampler seed"),
-            _Opt("samples", int, default="256",
-                 help="Monte Carlo sample count, 4 to 2^56 (default 256)"),
+            _Opt("seed", int, help="sampler seed for covariance, moment and bphz (default 0)"),
+            _Opt("samples", int,
+                 help="Monte Carlo sample count for covariance, moment and bphz, 4 to "
+                      "2^56 (default 256)"),
             _Opt("component", _choice("f0", "f0f1"),
-                 help="model component for bphz (default f0); scaling fits f0 only"),
+                 help="model component for bphz (default f0)"),
             _Opt("window", _floats,
                  help="fit window lo,hi in torus units, spanning half a decade or "
                       "more (--task scaling only, which requires it)"),
             _Opt("t_list", _floats,
                  help="kernel times for the bphz check (default 1e-6,1e-5,1e-4)"),
             _Opt("x", _ints, help="base grid point of --task bphz --component f0, e.g. "
-                                  "0,0; every other task refuses it: moment and bphz "
-                                  "f0f1 average over every base point, covariance "
-                                  "and scaling read none"),
+                                  "3,17 (default the origin); every other task refuses "
+                                  "it: moment and bphz f0f1 average over every base "
+                                  "point, covariance and scaling read none"),
             _Opt("dump", str, help="dump the averaged moment field to this path "
                                    "(--task moment only)"),
         ],

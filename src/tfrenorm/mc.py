@@ -45,8 +45,8 @@ sample_noise, pi_f0 and pi_f0f1 are the physical views of the same draw.
 The scaling fit reads f0 alone, on the equal-time line with time
 frequencies integrated out (equal_time_density): on the space-time torus
 every component shows the smooth-lattice slope, not |y - x|^{2|beta|}.  Its
-exact slope and its draws' summed periodogram are each one gap-form read,
-and its ci comes from the periodogram's law: nothing is resampled.
+slope is one gap-form read of that line density, formed once: it draws
+nothing and has no ci.
 
 Randomness is counter-based: component c of sample i of a sampler with
 seed s is one call for 2 rows |S| standard normals from Philox keyed by
@@ -361,7 +361,8 @@ class McReport:
 
 
 def _check_samples(n):
-    """4 to 2^56 samples, before any draw: _sample_key keeps 64 bits of (i << 8) | comp."""
+    """The sample count of a covariance, moment or bphz check, 4 to 2^56,
+    before any draw: _sample_key keeps 64 bits of (i << 8) | comp."""
     if n < 4:
         raise ConfigError(f"a Monte Carlo check needs at least 4 samples, got {n}")
     if n > 1 << 56:
@@ -696,18 +697,13 @@ def _line_density(sampler):
 
 
 def fit_log_slope(xs, ys):
-    """Least-squares slope of log|y| against log x: _lever(xs) . log|y|."""
+    """Least-squares slope of log|y| against log x."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ConfigError("slope fit needs at least two points")
     if any(x <= 0 for x in xs) or any(y == 0 for y in ys):
         raise ConfigError("slope fit needs positive x and nonzero y")
-    return float(_lever(xs) @ np.log(np.abs(ys)))
-
-
-def _lever(xs):
-    """The gradient of the least-squares log-log slope in log|y|."""
     lx = np.log(xs) - np.mean(np.log(xs))
-    return lx / (lx @ lx)
+    return float(lx / (lx @ lx) @ np.log(np.abs(ys)))
 
 
 def _separation_indices(grid, window):
@@ -733,26 +729,19 @@ def _separation_indices(grid, window):
     return js
 
 
-def scaling_fit(sampler, window, n_samples=1024):
-    """(exponent, ci, exact_slope): log-log slopes of the equal-time second
-    moment E|Pi_f0(y)|^2 against |y - x|, on separations inside ``window``.
+def scaling_fit(sampler, window):
+    """The log-log slope of the equal-time second moment E|Pi_f0(y)|^2
+    against |y - x|, on separations inside ``window``.
 
-    The fit samples the equal-time spatial marginal (equal_time_density,
+    The fit reads the equal-time spatial marginal (equal_time_density,
     d = 1), which the space-time torus cannot resolve.  A line power P has
     mean squared increments 2 (G(0) - G(r_j)) = R P at r_j = j L / n, G its
     inverse transform, with R_jk = (4 / L) c(k) sin^2(pi k j / n) in gap form
-    (c the c2r weight).  exact_slope is the slope of R P for the line density
-    P; exponent that of R (P E), one matvec, E the mean over n_samples draws
-    (summed in sample order) of the periodogram |rfft(w)|^2 / n of keyed
-    white noise, key (i << 8) | 0x5C, whose ordinates are independent:
-    Exp(1) for 0 < k < n/2, chi^2_1 at k = 0, n/2 (Percival and Walden
-    1993).  ci, the half-width of a 95% interval,
-    is 1.96 times the slope's first-order spread at R P under the covariance
-    R diag(P^2 v) R^T / n_samples of that mean, v = 2 / c.  ``window`` must
-    span half a decade and start at or above the mollification scale
-    space_rate^(1/8) (tau^(1/8) at m0 = 1), below which every draw is smooth.
+    (c the c2r weight).  The slope is that of R P for the line density P,
+    formed once: nothing is drawn.  ``window`` must span half a decade and
+    start at or above the mollification scale space_rate^(1/8) (tau^(1/8)
+    at m0 = 1), below which the field is smooth.
     """
-    _check_samples(n_samples)
     js = _separation_indices(sampler.grid, window)
     smooth_below = sampler.moll.space_rate ** 0.125
     if window[0] < smooth_below:
@@ -762,15 +751,5 @@ def scaling_fit(sampler, window, n_samples=1024):
     c = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]
     # sin^2 has period pi, so k j reduces mod n exactly, before rounding
     rows = 4.0 / length * c * np.sin(np.pi / n * (np.outer(js, np.arange(n // 2 + 1)) % n)) ** 2
-    p = equal_time_density(sampler)
-    exact, weights = rows @ p, rows * p
-    exact_slope = fit_log_slope(js, exact)  # against j: a log-log slope ignores the scale L / n
-    normals = _keyed_normals()
-    total = np.zeros(n // 2 + 1)
-    for i in range(n_samples):
-        z = np.fft.rfft(normals(_sample_key(sampler.seed, (i << 8) | 0x5C), n))
-        total += _power(z, z)
-    mean = weights @ (total / (n * n_samples))
-    spread = (_lever(js) / exact) @ weights  # the slope's first-order response to each E_k
-    ci = 1.96 * math.sqrt(np.sum(2.0 / c * spread ** 2) / n_samples)
-    return fit_log_slope(js, mean), ci, exact_slope
+    # against j: a log-log slope ignores the scale L / n
+    return fit_log_slope(js, rows @ equal_time_density(sampler))

@@ -216,13 +216,14 @@ def test_simulate_covariance_csv(capsys):
 
 
 def test_simulate_scaling_reports_deterministic_slope(capsys):
-    doc = run_json(
-        capsys, "simulate", "--task", "scaling", "--alpha", "0.55",
-        "--tau", "1e-24", "--sizes", "4,512", "--window", "8e-3,8e-2",
-        "--samples", "32", "--seed", "1",
-    )
-    assert set(doc) >= {"exponent", "ci", "deterministic_slope"}
-    assert doc["exponent"] == pytest.approx(doc["deterministic_slope"], abs=0.2)
+    argv = ["simulate", "--task", "scaling", "--alpha", "0.55", "--tau", "1e-24",
+            "--sizes", "4,512", "--window", "8e-3,8e-2"]
+    doc = run_json(capsys, *argv)
+    assert list(doc) == ["task", "deterministic_slope"]
+    assert doc["deterministic_slope"] == pytest.approx(1.1, abs=0.05)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert out == f"task,deterministic_slope\n'scaling',{doc['deterministic_slope']!r}\n"
 
 
 def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
@@ -258,8 +259,7 @@ def test_invalid_parameter_is_config_error(capsys):
 
 H_EVAL = ["h-eval", "--alpha", "0.55", "--tau", "1e-4", "--a", "0.5",
           "--b", "2.0", "--b-prime", "0.25"]
-SCALING = ["simulate", "--task", "scaling", "--alpha", "0.55", "--sizes", "8,64",
-           "--samples", "8"]
+SCALING = ["simulate", "--task", "scaling", "--alpha", "0.55", "--sizes", "8,64"]
 MOMENT = ["simulate", "--task", "moment", "--alpha", "0.55", "--tau", "1e-14",
           "--sizes", "8,64", "--samples", "8"]
 # structure maps that are not valid documents; "{tmp}" is the test's directory
@@ -312,7 +312,7 @@ def gamma_entry_argv(map_name):
     # RuntimeWarning on the way an error
     (["simulate", "--task", "covariance", "--alpha", "0.75", "--tau", "1e300",
       "--sizes", "8,16", "--samples", "4"], 3),
-    # a scaling fit needs at least 4 samples
+    # a scaling fit draws nothing, so it refuses a sample count
     (SCALING + ["--tau", "1e-14", "--window", "0.02,0.4", "--samples", "3"], 2),
     # psi_t underflows at every nonzero mode, so the check would read the
     # integrand's mean (it once printed an overflow RuntimeWarning)
@@ -321,7 +321,7 @@ def gamma_entry_argv(map_name):
       for component in ("f0", "f0f1")],
     # the line density of the f0 fit underflows at every nonzero k1, on a
     # window above the mollification scale: Q^(-1.12) underflows at Q = 1.7e296
-    (SCALING + ["--component", "f0", "--alpha", "0.98", "--m0", "1.3e154", "--tau", "1e10",
+    (SCALING + ["--alpha", "0.98", "--m0", "1.3e154", "--tau", "1e10",
                 "--mollifier", "anisotropic", "--eta", "3", "--boxes", "1,200",
                 "--window", "20,90"], 3),
     # at t = 0, 1 - psi_t is zero on the whole support: every f0+f1 draw
@@ -371,8 +371,7 @@ def test_simulate_scaling_needs_a_window(capsys):
 @pytest.mark.parametrize("window", ["0.01", "0.01,0.1,0.2"])
 def test_simulate_scaling_window_has_two_values(capsys, window):
     code, out, err = run(capsys, "simulate", "--task", "scaling", "--alpha", "0.75",
-                         "--tau", "1e-24", "--sizes", "8,64", "--samples", "8",
-                         "--window", window)
+                         "--tau", "1e-24", "--sizes", "8,64", "--window", window)
     assert code == 2, err
     assert out == "" and "window needs two values" in err
 
@@ -392,24 +391,17 @@ def test_anisotropic_rate_that_overflows_is_a_config_error(capsys, argv):
     assert out == "" and "mollifier rates must be finite" in err
 
 
-def test_simulate_scaling_fits_f0_only(capsys):
-    code, out, err = run(capsys, *SCALING, "--tau", "1e-14", "--window", "0.02,0.4",
-                         "--component", "f0f1")
-    assert code == 2
-    assert out == "" and "--component f0" in err
-
-
 def test_simulate_scaling_window_below_the_mollification_scale(capsys):
-    for tau, window, samples in [
-        # tau^(1/8) = 0.18: every sample is the same smooth mode up to a
-        # factor, and a factor moves no log-log slope
-        ("1e-6", "0.01,0.1", "64"),
+    for tau, window in [
+        # tau^(1/8) = 0.18: the field is smooth there, so the window would
+        # fit the slope 2 of a smooth field
+        ("1e-6", "0.01,0.1"),
         # refused before the line density, which underflows here
-        ("1e300", "0.03,0.2", "8"),
+        ("1e300", "0.03,0.2"),
     ]:
         code, out, err = run(
-            capsys, "simulate", "--task", "scaling", "--component", "f0", "--alpha", "0.75",
-            "--tau", tau, "--window", window, "--samples", samples,
+            capsys, "simulate", "--task", "scaling", "--alpha", "0.75",
+            "--tau", tau, "--window", window,
         )
         assert code == 2, err
         assert out == "" and "mollification scale" in err
@@ -477,15 +469,22 @@ def test_simulate_moment_on_a_two_point_space_axis(capsys):
     (["moment"], ["--t-list", "1e-6,1e-5,1e-4"], "--task moment does not read --t-list"),
     (["scaling", "--window", "0.02,0.4"], ["--t-list", "1e-3"],
      "--task scaling does not read --t-list"),
+    # scaling fits f0 and draws nothing
+    (["scaling", "--window", "0.02,0.4"], ["--component", "f0"],
+     "--task scaling does not read --component"),
+    (["scaling", "--window", "0.02,0.4"], ["--samples", "8"],
+     "--task scaling does not read --samples"),
+    (["scaling", "--window", "0.02,0.4"], ["--seed", "1"],
+     "--task scaling does not read --seed"),
 ], ids=["moment", "bphz_f0f1", "covariance_x", "scaling_x", "covariance_dump", "bphz_dump",
         "scaling_dump", "covariance_window", "moment_window", "bphz_window",
         "covariance_component", "moment_component", "covariance_t_list", "moment_t_list",
-        "scaling_t_list"])
+        "scaling_t_list", "scaling_component", "scaling_samples", "scaling_seed"])
 def test_simulate_refuses_x_where_the_check_averages_over_base_points(capsys, tmp_path, task,
                                                                        option, says):
     option = [arg.replace("{tmp}", str(tmp_path)) for arg in option]
     code, out, err = run(capsys, "simulate", "--task", *task, "--alpha", "0.55",
-                         "--tau", "1e-14", "--sizes", "8,64", "--samples", "8", *option)
+                         "--tau", "1e-14", "--sizes", "8,64", *option)
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert line.startswith("config error: ") and says in line
@@ -502,9 +501,19 @@ def test_simulate_refuses_an_unread_option_from_a_config_file(capsys, tmp_path):
     assert err == "config error: --task covariance does not read --component\n"
 
 
+@pytest.mark.parametrize("key", ["component=f0", "samples=8", "seed=1"])
+def test_simulate_scaling_refuses_sample_options_from_a_config_file(capsys, tmp_path, key):
+    cfg = tmp_path / "scaling.cfg"
+    cfg.write_text(key + "\n")
+    code, out, err = run(capsys, *SCALING, "--tau", "1e-14", "--window", "0.02,0.4",
+                         "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"config error: --task scaling does not read --{key.partition('=')[0]}\n"
+
+
 def test_simulate_has_no_bootstrap_option(capsys, tmp_path):
-    """The scaling ci comes from the law of the draws: nothing is resampled,
-    so bootstrap is an unknown option, as a flag and as a config key."""
+    """The scaling task draws nothing, so nothing is resampled: bootstrap is
+    an unknown option, as a flag and as a config key."""
     with pytest.raises(SystemExit) as stop:
         main([*SCALING, "--tau", "1e-14", "--window", "0.02,0.4", "--bootstrap", "5"])
     assert stop.value.code == 2
@@ -515,9 +524,8 @@ def test_simulate_has_no_bootstrap_option(capsys, tmp_path):
     assert code == 2 and out == "" and "bootstrap" in err
 
 
-@pytest.mark.parametrize("task", [["covariance"], ["moment"], ["bphz"],
-                                  ["scaling", "--window", "0.02,0.4"]],
-                         ids=["covariance", "moment", "bphz", "scaling"])
+@pytest.mark.parametrize("task", [["covariance"], ["moment"], ["bphz"]],
+                         ids=["covariance", "moment", "bphz"])
 def test_huge_sample_count_is_a_prompt_config_error(task):
     # _sample_key keeps 64 bits of (i << 8) | comp, so draw 2^56 would repeat
     # draw 0; the count is refused before any draw, not after hours of them
@@ -562,12 +570,14 @@ def test_huge_cutoff_is_a_prompt_resource_error(argv):
     assert "max_count" in proc.stderr
 
 
-TINY = ["--alpha", "0.75", "--tau", "1e-14", "--samples", "8"]
+TINY = ["--alpha", "0.75", "--tau", "1e-14"]
 MESH = "numeric error: the frequency mesh overflows when squared"
 
 
 def _simulate(task, sizes, box, *extra):
-    return ["simulate", "--task", *task, *TINY, "--sizes", sizes, "--boxes", f"1,{box}", *extra]
+    samples = [] if task[0] == "scaling" else ["--samples", "8"]  # scaling draws nothing
+    return ["simulate", "--task", *task, *TINY, *samples, "--sizes", sizes,
+            "--boxes", f"1,{box}", *extra]
 
 
 @pytest.mark.parametrize("argv, code, line", [
@@ -595,9 +605,9 @@ def _simulate(task, sizes, box, *extra):
                  "numeric error: moment ratio ((0, n1), theta) = ((0, 1), -1) is 0 at "
                  "t = 3.16228e-12 on boxes (0.0001, 0.1)", id="kernel_check-0.1"),
     # the ridge at k1 = 1e-68 is 2.5e-270, so k0_max / ridge overflows
-    pytest.param(["simulate", "--task", "scaling", "--component", "f0", "--alpha", "0.75",
+    pytest.param(["simulate", "--task", "scaling", "--alpha", "0.75",
                   "--tau", "1e-30", "--mollifier", "anisotropic", "--eta", "3", "--sizes", "8,64",
-                  "--boxes", "1,1e68", "--window", "2e66,2e67", "--samples", "8"], 3,
+                  "--boxes", "1,1e68", "--window", "2e66,2e67"], 3,
                  "numeric error: k0_max / ridge 1.02462e+45 / 2.4805e-270 at k1 = 1e-68 "
                  "overflows",
                  id="scaling_anisotropic-1e68"),
