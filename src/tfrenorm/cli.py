@@ -375,6 +375,7 @@ def run_simulate(cfg):
         NoiseSampler,
         bphz_triviality_check,
         covariance_check,
+        csv_text,
         pi_f0_second_moment_check,
         scaling_fit,
     )
@@ -416,8 +417,7 @@ def run_simulate(cfg):
     elif task == "scaling":
         doc = {"task": "scaling", "deterministic_slope": scaling_fit(sampler, cfg["window"])}
         if cfg["format"] == "csv":
-            keys = list(doc)
-            return ",".join(keys) + "\n" + ",".join(repr(doc[k]) for k in keys)
+            return csv_text([doc.keys(), doc.values()])
         return _to_json(doc)
     else:  # unreachable: the option converter restricts the choices
         raise ConfigError(f"unknown simulate task {task!r}")

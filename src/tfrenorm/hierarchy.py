@@ -36,9 +36,19 @@ are nondecreasing tuples of ranks in the sub-index pool, which is sorted
 by ``sort_key``, so a term's plain factors are already in order and the
 terms sort on int keys: by kind, factor count, plain factors, decorated
 factor and counter row, each factor in ``Multiindex.sort_key`` order.  A
-coefficient comes from the run lengths of its split, and each distinct
-factor and each counter row is checked for triangularity once per
-expansion.
+coefficient comes from the run lengths of its split.
+
+The right-hand side is alpha-free except for its counter rows: heads,
+splits, coefficients and term order depend on beta alone, and alpha only
+decides which columns c_gamma a row keeps, those with alpha [gamma] < 2,
+that is [gamma] at most ``kept_bracket_bound``.  So the terms are worked
+out once per process for each key (beta, mode, bound) and each kept row
+once for each (sigma, mode, bound), in two memos that hold immutable
+tuples and grow with the distinct keys met (146 in a benchmark ``algebra``
+run of 120 jobs).  What depends on alpha or lam beyond the bound runs on
+every call, and so does the validation of the arguments: the
+triangularity check of each distinct factor and column, whose list the
+term memo keeps, and in ``build_dag`` the edges and the topological order.
 
 All coefficients are exact ``Fraction`` values, all derived column
 weights are integers and homogeneities are compared as ints; only the
@@ -47,6 +57,7 @@ ordering length carries a float, its weight lam.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 from operator import itemgetter
 
@@ -58,7 +69,8 @@ from .indices import (
     format_multiindex,
     is_populated,
     is_purely_polynomial,
-    keeps_counterterm,
+    keeps_column,
+    kept_bracket_bound,
     order_length,
     parse_multiindex,
     scaled_homogeneity,
@@ -145,15 +157,16 @@ def _runs(split):
 # ---------------------------------------------------------------------------
 
 
-def expand(beta, params, mode="raw", *, rows=None):
+def expand(beta, params, mode="raw"):
     """Grouped right-hand-side terms of the beta component, sorted.
 
     ``mode`` selects the constant columns kept in counter terms: "raw"
     keeps every admissible column, "reduced" additionally drops the
     odd-bracket columns (whose constants vanish by expectation parity).
-    ``rows`` is a dict sigma -> kept counter row, sorted, that the
-    expansions of one build, with the same params and mode, share; without
-    it each call computes its rows afresh.
+    The terms come from the process-wide memo keyed by (beta, mode,
+    ``kept_bracket_bound(params)``); the arguments are validated and the
+    terms checked for triangularity at params on every call, and the list
+    returned is the caller's own.
     """
     if mode not in ("raw", "reduced"):
         raise ConfigError(f"unknown counterterm mode {mode!r}")
@@ -174,13 +187,33 @@ def expand(beta, params, mode="raw", *, rows=None):
             raise ConfigError(
                 f"decoration {n} has arity {len(n)}, expected {params.arity}"
             )
+    terms, checks = _right_hand_side(beta, mode, kept_bracket_bound(params))
+    _check_triangular(beta, checks, params)
+    return list(terms)
 
+
+@cache
+def _counter_row(sigma, m, mode, bound):
+    """The kept columns of the row (D0)^m of sigma, sorted; m is fixed by
+    sigma, so the memo holds one row per (sigma, mode, bound)."""
+    return tuple(sorted(
+        ((gamma, w) for gamma, w in d0_power_row(sigma, m).items()
+         if keeps_column(gamma, bound, mode)),
+        key=lambda t: t[0].sort_key(),
+    ))
+
+
+@cache
+def _right_hand_side(beta, mode, bound):
+    """The sorted term tuple of a valid beta, whose counter rows keep the
+    columns of bracket at most bound, and what its triangularity check
+    reads: (index, is a column) for each distinct factor and each column of
+    each distinct row, in term order, a term's plain factors before its
+    decorated one and its row."""
     subs = beta.sub_indices()[1:]  # without ZERO
     pool = [m for m in subs if is_populated(m)]
     pool.sort(key=lambda m: m.sort_key())
     rank = {m: i for i, m in enumerate(pool)}
-    if rows is None:
-        rows = {}
 
     # heads (kind, removed part, plain count, columns): e_k + (k plain) +
     # (1 GradLap factor), f_l + (l plain), and sigma + (m plain) + (1 Grad
@@ -193,13 +226,7 @@ def expand(beta, params, mode="raw", *, rows=None):
         m = sigma.a_weight() + sigma.b_weight() - sigma.b_count()
         if m < 0:
             continue
-        kept = rows.get(sigma)
-        if kept is None:
-            kept = rows[sigma] = tuple(sorted(
-                ((gamma, w) for gamma, w in d0_power_row(sigma, m).items()
-                 if keeps_counterterm(gamma, params, mode)),
-                key=lambda t: t[0].sort_key(),
-            ))
+        kept = _counter_row(sigma, m, mode, bound)
         if kept:
             heads.append(("counter", sigma, m, kept))
 
@@ -231,46 +258,43 @@ def expand(beta, params, mode="raw", *, rows=None):
                 found.append(((kind_rank, len(plain)) + plain + dec, h, coeff))
 
     found.sort(key=itemgetter(0))
-    _check_triangular(beta, found, pool, heads, params)
-    terms = []
+    terms, checks = [], []
+    seen, seen_rows = set(), set()
     for key, h, coeff in found:
         kind, _head, _parts, c = heads[h]
         factors = tuple([pool[r] for r in key[2:2 + key[1]]])
         noise = kind == "noise"
         decorated = None if noise else pool[key[-1]]
         terms.append(HierarchyTerm(kind, coeff, factors, decorated, noise, c))
-    return terms
+        for r in key[2:]:  # the plain factors, then the decorated one
+            if r not in seen:
+                seen.add(r)
+                checks.append((pool[r], False))
+        if c is not None and h not in seen_rows:
+            seen_rows.add(h)
+            checks += [(gamma, True) for gamma, _w in c]
+    return tuple(terms), tuple(checks)
 
 
-def _check_triangular(beta, found, pool, heads, params):
-    """Check the factors and constant columns of the found terms in term
-    order, each distinct factor and each counter row once."""
+def _check_triangular(beta, checks, params):
+    """Check each factor and constant column that ``_right_hand_side``
+    lists against beta, in its order."""
     hom_b = scaled_homogeneity(beta, params)
     len_b = order_length(beta, params)
-    checked, checked_rows = set(), set()
-    for key, h, _coeff in found:
-        for r in key[2:]:  # the plain factors, then the decorated one
-            if r in checked:
-                continue
-            m = pool[r]
-            if not (
-                scaled_homogeneity(m, params) < hom_b and order_length(m, params) < len_b
-            ):
+    for m, column in checks:
+        if column:
+            if not order_length(m, params) < len_b:
                 raise ConsistencyError(
-                    f"factor {format_multiindex(m)} of {format_multiindex(beta)} "
-                    "violates triangularity"
-                )
-            checked.add(r)
-        c = heads[h][3]
-        if c is None or h in checked_rows:
-            continue
-        for gamma, _w in c:
-            if not order_length(gamma, params) < len_b:
-                raise ConsistencyError(
-                    f"constant column {format_multiindex(gamma)} of "
+                    f"constant column {format_multiindex(m)} of "
                     f"{format_multiindex(beta)} violates triangularity"
                 )
-        checked_rows.add(h)
+        elif not (
+            scaled_homogeneity(m, params) < hom_b and order_length(m, params) < len_b
+        ):
+            raise ConsistencyError(
+                f"factor {format_multiindex(m)} of {format_multiindex(beta)} "
+                "violates triangularity"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +380,11 @@ class HierarchyDag:
 def build_dag(params, cutoff, mode="raw", max_count=200_000):
     """Expand every populated non-polynomial index below the cutoff.
 
+    Each node's terms come from ``expand``, so a node met before in the
+    process, at any alpha with the same ``kept_bracket_bound``, costs only
+    its triangularity check; the nodes, edges and topological order are
+    worked out at params on every build.
+
     Expansions may reference purely polynomial components (explicit
     centered monomials) and indices of homogeneity above the cutoff; both
     appear as edge targets only when they are themselves below the cutoff,
@@ -369,12 +398,11 @@ def build_dag(params, cutoff, mode="raw", max_count=200_000):
     node_set = set(nodes)
     expansions = {}
     edges = {}
-    rows = {}
     for beta in nodes:
         if is_purely_polynomial(beta):
             edges[beta] = []
             continue
-        expansions[beta] = expand(beta, params, mode, rows=rows)
+        expansions[beta] = expand(beta, params, mode)
         edges[beta] = [
             m for m in _components(expansions[beta], params) if m in node_set
         ]

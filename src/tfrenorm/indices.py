@@ -573,12 +573,31 @@ def is_c_populated(beta, params):
     return keeps_counterterm(beta, params, "reduced")
 
 
+def kept_bracket_bound(params):
+    """The largest bracket of a kept counterterm column.
+
+    An undecorated gamma has |gamma| = alpha (1 + [gamma]), below 2 + alpha
+    iff p [gamma] < 2q for alpha = p/q, that is iff [gamma] <= ceil(2q/p) - 1.
+    So alpha decides which columns are kept only through this int, which
+    is 3 on [1/2, 2/3) and 2 on [2/3, 1).
+    """
+    p, q = params.alpha_ratio
+    return -(-2 * q // p) - 1
+
+
 def keeps_counterterm(gamma, params, mode="raw"):
-    """Whether a counterterm column c_gamma survives pruning.
+    """Whether a counterterm column c_gamma survives pruning at params."""
+    return keeps_column(gamma, kept_bracket_bound(params), mode)
+
+
+def keeps_column(gamma, bound, mode="raw"):
+    """Whether a counterterm column c_gamma survives pruning when the kept
+    brackets are those up to bound (``kept_bracket_bound``).
 
     raw mode keeps every undecorated index satisfying the counterterm
-    identity with a noise slot below the 2+alpha window; reduced mode
-    additionally drops odd brackets (the parity-vanishing columns).
+    identity with a noise slot and bracket at most bound, the 2+alpha
+    window; reduced mode additionally drops odd brackets (the
+    parity-vanishing columns).
     """
     if mode not in ("raw", "reduced"):
         raise ConfigError(f"unknown counterterm mode {mode!r}")
@@ -588,9 +607,7 @@ def keeps_counterterm(gamma, params, mode="raw"):
         return False
     if gamma._b_count == 0:
         return False
-    # undecorated: |gamma| = alpha (1 + [gamma]) < 2 + alpha iff alpha [gamma] < 2
-    p, q = params.alpha_ratio
-    if p * bracket(gamma) >= 2 * q:
+    if bracket(gamma) > bound:
         return False
     if mode == "reduced" and bracket(gamma) % 2 != 0:
         return False

@@ -346,18 +346,18 @@ class McReport:
         }
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["point", "estimate", "standard_error", "oracle", "z"])
-        for row in zip(
-            self.points,
-            self.estimates,
-            self.standard_errors,
-            self.oracles,
-            self.z_scores,
-        ):
-            writer.writerow(row)
-        return buf.getvalue()
+        return csv_text([
+            ("point", "estimate", "standard_error", "oracle", "z"),
+            *zip(self.points, self.estimates, self.standard_errors, self.oracles,
+                 self.z_scores),
+        ])
+
+
+def csv_text(rows):
+    """The rows as ``csv.writer`` writes them, in one string."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _check_samples(n):

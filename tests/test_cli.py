@@ -1,5 +1,7 @@
 """Frontend behavior: documented invocations, config files, exit codes."""
 
+import csv
+import io
 import json
 import os
 import shutil
@@ -223,7 +225,9 @@ def test_simulate_scaling_reports_deterministic_slope(capsys):
     assert doc["deterministic_slope"] == pytest.approx(1.1, abs=0.05)
     code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 0, err
-    assert out == f"task,deterministic_slope\n'scaling',{doc['deterministic_slope']!r}\n"
+    header, row = csv.reader(io.StringIO(out.strip()))
+    assert header == list(doc)
+    assert row[0] == doc["task"] and float(row[1]) == doc["deterministic_slope"]
 
 
 def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):

@@ -55,6 +55,13 @@ MUTANTS = [
     # neither as catching nor as missing it
     ("c2r_weight_dropped", amplitude_times(lambda source: np.sqrt(source.grid.c2r_weights())),
      ["covariance", "moment"], []),
+    # a draw 5% stronger at k1 > 0 and 5% weaker at k1 < 0: the f0+f1 read,
+    # whose oracle vanishes by evenness in k1, sees it at 4.70-8.65, while
+    # covariance (at most 3.10) and moment (at most 2.68) read the power
+    # summed over k1 and -k1, which moves by 0.25%
+    ("amplitude_x1.05_sign_k1",
+     amplitude_times(lambda source: 1 + 0.05 * np.sign(source.grid.frequencies(1)[source.cols])),
+     ["bphz_f0f1"], ["covariance", "moment"]),
 ]
 
 
