@@ -18,7 +18,8 @@ the layers it uses: the index-algebra subcommands and the constants,
 counterterm, h-eval and fixtures-verify subcommands start without it.
 
 Output is JSON unless a subcommand offers ``--format csv``; either way the
-content is deterministic for a fixed config and seed.  JSON output is
+content is deterministic for a fixed config and seed, its lines end in a
+bare newline, and it ends in exactly one.  JSON output is
 strict: a non-finite result is a numerical failure, never ``NaN`` or
 ``Infinity`` on stdout.
 """
@@ -148,11 +149,15 @@ def _merge(args, opts):
 
 
 def _emit(text, path):
+    """Write text so that it ends in exactly one newline: JSON and some CSV
+    text come without one, ``csv_text`` and ``sweep_csv`` with one."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path in (None, "-"):
-        print(text, flush=True)  # a closed pipe fails here, inside main
+        print(text, end="", flush=True)  # a closed pipe fails here, inside main
         return
     try:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+        Path(path).write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 

@@ -24,10 +24,14 @@ sorted by n and then by support, with a letter index that never
 decreases: only the last letter taken can repeat, and its repeat count
 gives the multiplicities.  Each step carries the series with its word so
 far applied.  D^(n) depends on n alone, not on the support, so the
-adjacent letters of one n share one D^(n) application per step.  Every
-letter raises the homogeneity by its gap |support| - |n| > 0, and the
-recursion prunes on the exact int gaps that a ``StructureMap`` works out
-once, when it is made.  ``gamma_entry`` runs the same walk for one row
+letters of one n form a run, and the derived series depends only on the
+n-word, the n of the letters taken: the walk applies D^(n) once per run,
+keeps the result per n-word for the rest of the walk, and skips a run
+whose derived series is empty before it steps on any of its letters.
+Every letter raises the homogeneity by its gap |support| - |n| > 0, and
+the recursion prunes on the exact int gaps that a ``StructureMap`` works
+out once, when it is made, with each run's smallest gap, below which no
+letter of the run fits.  ``gamma_entry`` runs the same walk for one row
 beta: it also prunes every letter whose support does not fit inside
 beta minus the supports already taken, since no later step removes it.
 
@@ -250,7 +254,8 @@ class StructureMap:
     ``pi`` maps decoration vectors n (tuples, zero allowed) to dicts
     Multiindex -> scalar; both levels are read-only views, because the
     map holds its sorted letters and their gaps, as q|support| - q|n| for
-    alpha = p/q; the letters hold int values as ``Fraction``.
+    alpha = p/q, and the runs of letters of one n with their smallest
+    gaps; the letters hold int values as ``Fraction``.
     Admissibility: every support index is populated with homogeneity
     strictly above the anisotropic degree of its n.
     """
@@ -290,9 +295,16 @@ class StructureMap:
         self._gaps = tuple(
             scaled_homogeneity(m, params) - q * aniso_degree(n) for n, m, _v in self._letters
         )
+        # the letters of each n as one run: (n, start, end, min gap)
+        runs, start = [], 0
+        for n in sorted(clean):
+            end = start + len(clean[n])
+            runs.append((n, start, end, min(self._gaps[start:end])))
+            start = end
+        self._runs = tuple(runs)
 
     def __reduce__(self):
-        # copies and pickles are rebuilt, letters and gaps included
+        # copies and pickles are rebuilt, letters, gaps and runs included
         return (StructureMap, (self.params, {n: dict(es) for n, es in self.pi.items()}))
 
     def letters(self):
@@ -373,32 +385,41 @@ def _walk(series, smap, limit, start, step, contribute):
     fact the product of its multiplicities' factorials.  pos starts at
     ``start`` and takes ``step(pos, support)`` at each letter; a step that
     returns None prunes the letter.
+
+    The letters go by the map's runs: a run is skipped whole when its
+    smallest gap does not fit the room left or its derived series, kept
+    per n-word for the walk, is empty.
     """
     letters, gaps = smap._letters, smap._gaps
     params = smap.params
+    derived = {}  # n-word -> its derived series
 
-    def rec(i, dser, pos, value, fact, room, reps):
+    def rec(i, word, dser, pos, value, fact, room, reps):
         # room: what the letters still taken may add to the gaps; reps: how
         # often the last letter taken, letters[i], occurs so far
         contribute(dser, pos, value, fact)
-        last_n = None
-        for idx in range(i, len(letters)):
-            gap = gaps[idx]
-            if gap >= room:
+        for n, first, end, min_gap in smap._runs:
+            if end <= i or min_gap >= room:
                 continue
-            n, m, v = letters[idx]
-            npos = step(pos, m)
-            if npos is None:
-                continue
-            if n != last_n:
-                last_n, nser = n, dn_apply(dser, n)
+            nword = word + (n,)
+            nser = derived.get(nword)
+            if nser is None:
+                nser = derived[nword] = dn_apply(dser, n)
             if not len(nser):
                 continue
-            mult = reps + 1 if idx == i else 1
-            rec(idx, nser, npos, value * v, fact * mult, room - gap, mult)
+            for idx in range(max(first, i), end):
+                gap = gaps[idx]
+                if gap >= room:
+                    continue
+                _n, m, v = letters[idx]
+                npos = step(pos, m)
+                if npos is None:
+                    continue
+                mult = reps + 1 if idx == i else 1
+                rec(idx, nword, nser, npos, value * v, fact * mult, room - gap, mult)
 
     min_hom0 = min(scaled_homogeneity(m, params) for m, _ in series.items())
-    rec(0, series, start, 1, 1, limit - min_hom0, 0)
+    rec(0, (), series, start, 1, 1, limit - min_hom0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,18 @@ table holds every distinct index a process meets and never shrinks; a
 benchmark ``algebra`` run of 480 jobs at d = 1 and 2 fills it with about
 2,750 indices.
 
+Enumeration by alpha-free layers.  A populated index with s noise slots
+has 1 + [beta] = s (the population identity), so with decoration degree
+w = |beta|_p its scaled homogeneity is q|beta| = p s + q w for alpha =
+p/q.  The populated indices with s noise slots and degree w, the layer
+(s, w), do not depend on alpha; alpha decides only which layers lie below
+a cutoff and in what order.  So ``enumerate_populated`` keeps a
+process-wide memo of layers, keyed (d, s, w), each a tuple sorted by
+``sort_key`` (s = 0 holds the units g(n), |n| = w), fills it by its
+depth-first search, and reads every later call at any alpha from it.
+Like the table, the memo never shrinks: a benchmark ``algebra`` run of
+120 jobs leaves about 45 layers holding about 1,000 indices.
+
 Decisions are exact.  ``ModelParams`` holds alpha = p/q exactly, and every
 decision on homogeneities, here and in the group and hierarchy modules,
 compares the int q|beta| = p(1 + [beta]) + q|beta|_p of ``scaled_homogeneity``
@@ -61,6 +73,8 @@ import re
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .errors import ConfigError, ResourceError
 
@@ -656,84 +670,123 @@ def iter_decorations(d, max_degree, max_count=None):
 
 def enumerate_populated(params, cutoff, max_count=200_000):
     """All populated multiindices with homogeneity < cutoff and no k=0 slot,
-    sorted by homogeneity.
+    sorted by homogeneity and then by ``sort_key``, as a fresh list.
 
-    Depth-first over the noise multiset, then decorations, then velocity
-    partitions forced by the population identity; every branch is pruned by
-    the running homogeneity.  A populated index with s noise slots has
-    |beta| = alpha s + |beta|_p, so each s leaves an int budget for the
-    decoration degree.  Raises ResourceError past ``max_count``.
+    A populated index with s noise slots and decoration degree w has
+    q|beta| = p s + q w for alpha = p/q, so it lies below the cutoff iff
+    its layer (s, w) does.  The layers come from the process-wide memo that
+    ``_search`` fills, and are taken in the order of p s + q w; only layers
+    of equal homogeneity, which a rational alpha can give, are merged by
+    ``sort_key``.  Raises ResourceError when more than ``max_count`` indices
+    lie below the cutoff, memo or not; a search stops as soon as its count
+    passes that.
     """
     p, q = params.alpha_ratio
     limit = scaled_cutoff(cutoff, params)
-    if limit <= 0:
-        return []
-    results = []
+    taken = []  # (q|beta|, layer) for each nonempty layer below the cutoff
+    count = 0
+
+    def too_many():
+        return ResourceError(
+            f"enumeration exceeded max_count={max_count} below cutoff={float(cutoff)}"
+        )
+
+    s = 0
+    while p * s < limit:
+        budget = (limit - 1 - p * s) // q  # the largest decoration degree below the cutoff
+        if (params.d, s, budget) not in _LAYERS:
+            _search(params.d, s, budget, max_count - count, too_many)
+        for w in range(budget + 1):
+            layer = _LAYERS[params.d, s, w]
+            if layer:
+                count += len(layer)
+                taken.append((p * s + q * w, layer))
+        if count > max_count:
+            raise too_many()
+        s += 1
+    taken.sort(key=itemgetter(0))
+    out = []
+    for _h, run in groupby(taken, key=itemgetter(0)):
+        layers = [layer for _h, layer in run]
+        out += layers[0] if len(layers) == 1 else sorted(chain(*layers), key=Multiindex.sort_key)
+    return out
+
+
+_LAYERS = {}  # (d, s, w) -> the populated indices with s noise slots and degree w
+
+
+def _search(d, s, budget, room, too_many):
+    """Put in ``_LAYERS`` every layer (d, s, w) with w <= budget, each a
+    tuple sorted by ``sort_key``, from one depth-first search; raise
+    too_many() as soon as the search finds more than ``room`` indices.
+
+    s = 0 holds the units g(n), |n| = w.  For s >= 1 the search goes over
+    the noise multiset, then the decorations (the units of the layers
+    (d, 0, w), w <= budget, which must be in the memo), then the velocity
+    partitions forced by the population identity; every branch is pruned
+    by the decoration degree.  No layer enters the memo before the search
+    is complete, and the layer at the budget enters last, so its presence
+    means that every layer below it is there.
+    """
+    found = []
 
     def push(beta):
-        results.append(beta)
-        if len(results) > max_count:
-            raise ResourceError(
-                f"enumeration exceeded max_count={max_count} below cutoff={float(cutoff)}"
-            )
+        found.append(beta)
+        if len(found) > room:
+            raise too_many()
 
-    # purely polynomial branch: each decoration below the cutoff is an index
-    decs = iter_decorations(params.d, (limit - 1) // q, max_count)
-    units = [g(n) for n in decs]
-    for unit in units:
-        push(unit)
-
-    def velocity_parts(weight, max_part, beta):
-        """Partitions of `weight` into slots k >= 1, emitted as indices; each
-        part is added to ``beta`` once, where the recursion chooses it."""
-        if weight == 0:
-            if is_populated(beta):
-                push(beta)
-            return
-        for k in range(min(max_part, weight), 0, -1):
-            velocity_parts(weight - k, k, beta + e(k))
-
-    def decoration_branch(s, budget, b_index, b_weight):
-        """Extend a chosen noise part by decorations of total degree at most
-        ``budget``, then velocities."""
-
-        def rec(start, p_index, p_weight, p_num):
-            need = s + p_num - 1 - b_weight
-            if need >= 0:
-                velocity_parts(need, need if need else 1, b_index + p_index)
-            elif start == len(decs) or (
-                p_weight - need * aniso_degree(decs[start]) > budget
-            ):
-                return  # the -need missing decorations cannot fit in the budget
-            for i in range(start, len(decs)):
-                w = aniso_degree(decs[i])
-                if p_weight + w > budget:
-                    break
-                rec(i, p_index + units[i], p_weight + w, p_num + 1)
-
-        rec(0, ZERO, 0, 0)
-
-    def noise_branch(s):
-        """Choose a noise multiset of size s, slots descending."""
-        budget = (limit - 1 - p * s) // q  # the largest decoration degree below the cutoff
+    if s == 0:
+        for n in iter_decorations(d, budget, room):
+            push(g(n))
+    else:
+        units = [unit for w in range(1, budget + 1) for unit in _LAYERS[d, 0, w]]
+        degrees = [unit._poly_weight for unit in units]
         wb_max = s + budget - 1  # population identity, each decoration weighing >= 1
 
-        def rec(remaining, max_slot, index, weight):
+        def velocity_parts(weight, max_part, beta):
+            """Partitions of `weight` into slots k >= 1, emitted as indices;
+            each part is added to ``beta`` once, where the recursion
+            chooses it."""
+            if weight == 0:
+                if is_populated(beta):
+                    push(beta)
+                return
+            for k in range(min(max_part, weight), 0, -1):
+                velocity_parts(weight - k, k, beta + e(k))
+
+        def decoration_branch(b_index, b_weight):
+            """Extend a chosen noise part by decorations of total degree at
+            most ``budget``, then velocities."""
+
+            def rec(start, p_index, p_weight, p_num):
+                need = s + p_num - 1 - b_weight
+                if need >= 0:
+                    velocity_parts(need, need if need else 1, b_index + p_index)
+                elif start == len(units) or p_weight - need * degrees[start] > budget:
+                    return  # the -need missing decorations cannot fit in the budget
+                for i in range(start, len(units)):
+                    w = degrees[i]
+                    if p_weight + w > budget:
+                        break
+                    rec(i, p_index + units[i], p_weight + w, p_num + 1)
+
+            rec(0, ZERO, 0, 0)
+
+        def noise_branch(remaining, max_slot, index, weight):
+            """Choose a noise multiset of size s, slots descending."""
             if remaining == 0:
-                decoration_branch(s, budget, index, weight)
+                decoration_branch(index, weight)
                 return
             for l in range(min(max_slot, wb_max - weight), -1, -1):
-                rec(remaining - 1, l, index + f(l), weight + l)
+                noise_branch(remaining - 1, l, index + f(l), weight + l)
 
-        rec(s, wb_max, ZERO, 0)
+        noise_branch(s, wb_max, ZERO, 0)
 
-    s = 1
-    while p * s < limit:
-        noise_branch(s)
-        s += 1
-
-    results.sort(key=lambda m: (scaled_homogeneity(m, params), m.sort_key()))
-    return results
+    layers = [[] for _ in range(budget + 1)]
+    for beta in found:
+        layers[beta._poly_weight].append(beta)
+    for w, layer in enumerate(layers):
+        _LAYERS[d, s, w] = tuple(sorted(layer, key=Multiindex.sort_key))
 
 
 # ---------------------------------------------------------------------------

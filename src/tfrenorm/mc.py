@@ -354,9 +354,10 @@ class McReport:
 
 
 def csv_text(rows):
-    """The rows as ``csv.writer`` writes them, in one string."""
+    """The rows as ``csv.writer`` writes them, in one string, each row
+    ending in a newline."""
     buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 

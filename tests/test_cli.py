@@ -230,6 +230,28 @@ def test_simulate_scaling_reports_deterministic_slope(capsys):
     assert row[0] == doc["task"] and float(row[1]) == doc["deterministic_slope"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--alpha", "0.55", "--cutoff", "2"],
+    ["constants", "--alpha", "0.55"],
+    ["counterterm", "--alpha", "0.55", "--tau", "1e-3,1e-4"],
+    ["simulate", "--task", "covariance", "--alpha", "0.55", "--tau", "1e-14",
+     "--sizes", "16,64", "--samples", "8"],
+    ["simulate", "--task", "scaling", "--alpha", "0.55", "--tau", "1e-24",
+     "--sizes", "4,512", "--window", "8e-3,8e-2"],
+], ids=["enumerate", "constants", "counterterm", "simulate-covariance", "simulate-scaling"])
+def test_every_csv_output_ends_in_one_newline(capsys, tmp_path, argv):
+    """Every CSV line ends in a bare newline, and the output ends in exactly
+    one, on stdout and in an --output file alike."""
+    argv = [*argv, "--format", "csv"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(path)]) == 0
+    for text in (out, path.read_bytes().decode()):
+        assert "\r" not in text and text.endswith("\n") and not text.endswith("\n\n")
+        assert len(text.splitlines()) >= 2
+
+
 def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha=0.55\ncutoff=2\n# comment line\n")

@@ -26,6 +26,7 @@ from tfrenorm.group import (
     structure_map_to_json,
 )
 from tfrenorm.indices import (
+    ZERO,
     ModelParams,
     Multiindex,
     aniso_degree,
@@ -466,6 +467,57 @@ def test_gamma_battery_of_random_maps():
         keys = set(lhs.coeffs) | set(rhs.coeffs)
         for k in keys:
             assert abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) < 1e-11
+
+
+def test_the_walk_applies_each_n_word_once(monkeypatch):
+    """In one gamma_apply, D^(n) runs at most once per n-word (the n of the
+    letters taken, in walk order), however many supports lead to it."""
+    rng = random.Random(48)
+    smap = random_structure_map(PARAMS, rng, density=0.6, value=lambda rng: Fraction(
+        rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)))
+    column = basis(P("e1+2f0+g(0,1)"))
+    words = {id(column): ()}
+    seen = []  # (n-word, derived series), which also keeps every id alive
+    apply = group.dn_apply
+
+    def counted(series, n):
+        word = words[id(series)] + (tuple(n),)
+        out = apply(series, n)
+        words[id(out)] = word
+        seen.append((word, out))
+        return out
+
+    monkeypatch.setattr(group, "dn_apply", counted)
+    gamma_apply(column, smap, 4.0)
+    assert len(seen) > 20 and max(len(word) for word, _ in seen) >= 3
+    assert len({word for word, _ in seen}) == len(seen)
+
+
+def test_the_walk_steps_on_no_letter_of_a_dead_run():
+    """A run of letters whose D^(n) leaves nothing is skipped before any
+    step: here no index of the walk carries the decoration (0, 2), so the
+    supports of that run, which no other run shares, never reach step."""
+    pop = enumerate_populated(PARAMS, 3.0)
+    low = [m for m in pop if homogeneity(m, PARAMS) < 2]
+    high = [m for m in pop if homogeneity(m, PARAMS) > 2]
+    smap = StructureMap(PARAMS, {
+        (0, 0): {m: Fraction(1, 2) for m in low[:4]},
+        (0, 1): {m: Fraction(-1, 3) for m in low[4:8]},
+        (0, 2): {m: Fraction(2) for m in high[:6]},
+    })
+    dead = set(smap.pi[(0, 2)])
+    column = P("e1+2f0+g(0,1)")
+    stepped = []
+
+    def step(pos, m):
+        stepped.append(m)
+        return pos + m
+
+    limit = scaled_cutoff(6.0, PARAMS)
+    group._walk(basis(column), smap, limit, ZERO, step, lambda dser, pos, value, fact: None)
+    assert len(stepped) > 10 and not dead & set(stepped)
+    # the gaps alone would let every letter of the dead run in
+    assert all(gap < limit - scaled_homogeneity(column, PARAMS) for gap in smap._gaps[-6:])
 
 
 def test_gamma_exact_with_fractions():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_force_expansion, hierarchy_term_sort_key
-from tfrenorm import hierarchy
+from tfrenorm import hierarchy, indices
 from tfrenorm.errors import ConfigError, ConsistencyError
 from tfrenorm.group import d0_power_row
 from tfrenorm.hierarchy import (
@@ -47,12 +47,13 @@ P = parse_multiindex
 def clear_memos():
     hierarchy._right_hand_side.cache_clear()
     hierarchy._counter_row.cache_clear()
+    indices._LAYERS.clear()
 
 
 @pytest.fixture
 def cleared_memos():
-    """Start from empty expansion memos, so that a test counting calls sees
-    every one the expansions make."""
+    """Start from empty expansion and enumeration memos, so that a test
+    counting calls sees every one the expansions and searches make."""
     clear_memos()
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tfrenorm import indices
 from tfrenorm.errors import ConfigError, ResourceError
 from tfrenorm.indices import (
     FIELD_BITS,
@@ -41,6 +42,7 @@ from tfrenorm.indices import (
     parse_multiindex,
     poly_weight,
     renormalisation_candidates,
+    scaled_homogeneity,
 )
 
 from child import run_python
@@ -708,6 +710,42 @@ def test_enumeration_contains_the_display_indices():
 def test_enumeration_resource_guard():
     with pytest.raises(ResourceError):
         enumerate_populated(P055, 4.0, max_count=50)
+
+
+def test_enumeration_from_the_layer_memo_equals_a_cold_search():
+    """One process enumerates at several alphas, dimensions and cutoffs, so
+    later calls read layers that earlier ones searched, at other alphas and
+    smaller budgets; each list equals the one an emptied memo gives.  At
+    alpha = 1/2 and 2/3 layers (s, w) of one homogeneity meet, and the
+    merged run must still be in sort_key order."""
+    alphas = (0.55, Fraction(1, 2), 0.75, Fraction(2, 3), 0.95)
+    calls = [(ModelParams(alpha=a, d=d), cutoff)
+             for d in (1, 2) for a in alphas for cutoff in (1.5, 3.0, 2.2, 3.6)]
+    warm = [enumerate_populated(params, cutoff) for params, cutoff in calls]
+    for (params, cutoff), got in zip(calls, warm):
+        assert got == sorted(got, key=lambda m: (scaled_homogeneity(m, params), m.sort_key()))
+        indices._LAYERS.clear()
+        assert enumerate_populated(params, cutoff) == got
+    half = ModelParams(alpha=Fraction(1, 2))
+    layers = Counter((scaled_homogeneity(m, half), m.b_count()) for m in
+                     enumerate_populated(half, 3.0))
+    assert len(layers) > len({h for h, _s in layers})  # some layers do meet
+
+
+def test_enumeration_returns_a_fresh_list():
+    got = enumerate_populated(P055, 3.0)
+    got.clear()
+    assert len(enumerate_populated(P055, 3.0)) == 63
+
+
+def test_max_count_holds_with_a_warm_or_a_cut_memo():
+    count = FROZEN_COUNTS[(1, 0.55)][4.0]
+    indices._LAYERS.clear()
+    with pytest.raises(ResourceError, match="max_count=50"):
+        enumerate_populated(P055, 4.0, max_count=50)  # a cold search, cut short
+    assert len(enumerate_populated(P055, 4.0, max_count=count)) == count
+    with pytest.raises(ResourceError, match=f"max_count={count - 1}"):
+        enumerate_populated(P055, 4.0, max_count=count - 1)  # every layer from the memo
 
 
 def test_iter_decorations_ordering():

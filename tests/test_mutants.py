@@ -4,8 +4,9 @@ Each row of MUTANTS names a defect, the monkeypatch that plants it, the
 checks that must catch it (worst |z| above Z_CAUGHT on every seed) and those
 that miss it (worst |z| at most Z_CAUGHT on every seed), each run as the
 benchmark runs it: on its 64 x 256 grid, at its three corners, with its
-sample counts and times.  A check that misses a defect some other check
-catches names what only the catching check can see.
+sample counts and times.  The benchmark does not run bphz f0; it runs here
+with the samples and times of bphz f0+f1.  A check that misses a defect
+some other check catches names what only the catching check can see.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ CHECKS = {
     "covariance": lambda s: mc.covariance_check(s, n_samples=64),
     "moment": lambda s: mc.pi_f0_second_moment_check(s, n_samples=64),
     "bphz_f0f1": lambda s: mc.bphz_triviality_check(s, T_LIST, "f0f1", n_samples=96),
+    "bphz_f0": lambda s: mc.bphz_triviality_check(s, T_LIST, "f0", n_samples=96),
 }
 
 
@@ -39,9 +41,24 @@ def amplitude_times(factor):
     return plant
 
 
-# (name, plant, caught by, missed by); unmutated, the three checks read
-# worst |z| at most 3.18 over these seeds and corners, each z from the
-# exact variance of a sample
+def mean_shifted(size):
+    """The plant that adds size times the amplitude on S to every block, a
+    mean of size standard deviations per mode."""
+
+    def plant(monkeypatch):
+        block = mc._NoiseSource.block
+
+        def planted(source, index, comp):
+            return block(source, index, comp) + size * source._amplitude
+
+        monkeypatch.setattr(mc._NoiseSource, "block", planted)
+
+    return plant
+
+
+# (name, plant, caught by, missed by); unmutated, the four checks read
+# worst |z| at most 3.18 over these seeds and corners (bphz f0 at most
+# 2.31), each z from the exact variance of a sample
 MUTANTS = [
     # a draw 5% too strong: its power is 10% too high, which the covariance
     # check reads at worst |z| 11.2-25.6 and the averaged moment check at
@@ -62,6 +79,11 @@ MUTANTS = [
     ("amplitude_x1.05_sign_k1",
      amplitude_times(lambda source: 1 + 0.05 * np.sign(source.grid.frequencies(1)[source.cols])),
      ["bphz_f0f1"], ["covariance", "moment"]),
+    # a mean of 0.1 standard deviations per mode: the f0 read, whose oracle
+    # is the vanishing mean, sees it at 5.25-11.29, while the three reads of
+    # the power, which moves by 1%, stay at most 3.15
+    ("mean_shift_0.1", mean_shifted(0.1), ["bphz_f0"],
+     ["covariance", "moment", "bphz_f0f1"]),
 ]
 
 
