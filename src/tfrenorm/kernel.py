@@ -23,26 +23,39 @@ forms the two factors on their own axes; _kernel_factors transforms them,
 one transform over time and one over space per derivative order.  Only
 kernel_field forms psi_t on the grid, as a_t b_t, and the moment and
 scaling checks read the factors alone.
-kernel_checks runs three full-grid transforms as one chain on psi_hat_s:
-the evenness, realness and semigroup checks read it, and are the checks of
-the transforms; semigroup sets them against kernel_field's factors.  The
-inversion check of solve_L_div runs on the half lattice, N_i/2 points per
-axis over the same boxes: its input band |j| < N_i/4 is every mode there
-but the Nyquist rows, so the full grid would only carry zeros.
+kernel_checks runs three full-grid transforms as one chain on psi_hat_s, in
+one buffer: the evenness, realness and semigroup checks read it, and are
+the checks of the transforms; semigroup sets them against kernel_field's
+factors.  The inversion check of solve_L_div runs on the half lattice, N_i/2
+points per axis over the same boxes: its input band |j| < N_i/4 is every
+mode there but the Nyquist rows, so the full grid would only carry zeros.
 
 Memory rule: a full-grid transform or check holds only the grid arrays its
 arithmetic needs, and no public function but semigroup_defect (into the
 forward transform handed to it) writes into an array its caller passed.
-The transforms are staged.  Forward: rfft along time, then fft in place
-over each space axis (the last first, as rfftn orders them), then the cell
-scaling in place.  Inverse: ifft over the space axes (1, ..., d) in place
-on a working copy, then irfft along time, then the scaling in place.  Both
-are bit for bit rfftn and irfftn over the axes (1, ..., d, 0).  A function
-that owns a half spectrum it made (convolve, derivative and solve_L_div on
-physical input, and mc._NoiseSource.inverse on the block it scatters) hands
-it to the inverse as its working copy, to be overwritten.  The checks
-reduce into buffers they own, or a time row at a time.  The in-place passes
-use the out= of numpy.fft, new in numpy 2.0.
+Every grid array the transforms make is time-contiguous (Fortran order):
+each time-axis line is contiguous, and so is each block of the last spatial
+axis (_blocks, 128 KiB of half spectrum).  The transforms are staged.
+Forward (_forward): rfft along time block by block, then fft in place over
+each space axis (the last first, as rfftn orders them), then the cell
+scaling in place.  Inverse (_inverse): ifft over the space axes (1, ..., d)
+into a working copy, then irfft along time block by block, then the scaling
+in place.  Both are bit for bit rfftn and irfftn over the axes (1, ..., d,
+0): per line, numpy's FFT of a block is that of the whole array.
+A half-spectrum column (one time line) takes 8 N0 + 16 bytes and a physical
+one 8 N0.  So the inverse writes the physical values packed at the front of
+its working copy's buffer, blocks first to last, and the forward transform
+of values packed so can go back into that buffer, blocks last to first: in
+either order no column is written before it is read, and numpy copies out a
+block that its output overlaps (the ufunc overlap rule).  A function that
+owns a time-contiguous half spectrum it made (convolve, derivative and
+solve_L_div on physical input) hands it to the inverse as its working copy,
+to be overwritten; other input, such as the C-ordered half spectrum that
+mc._NoiseSource.inverse scatters, gets a fresh working copy from the first
+space pass.  The checks reduce block by block, one function call per
+block, so that one block's temporaries are live at a time and none has the
+grid's size.  The in-place passes use the out= of numpy.fft, new in numpy
+2.0.
 
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
@@ -220,11 +233,7 @@ class SpectralField:
     def to_fourier(self):
         if self.space == "fourier":
             return self
-        vals = np.fft.rfft(self.values, n=self.grid.sizes[0], axis=0)
-        for axis in range(self.grid.d, 0, -1):
-            np.fft.fft(vals, axis=axis, out=vals)
-        vals *= self.grid.cell
-        return SpectralField(self.grid, vals, "fourier")
+        return SpectralField(self.grid, _forward(self.grid, self.values), "fourier")
 
     def to_physical(self):
         if self.space == "physical":
@@ -232,16 +241,56 @@ class SpectralField:
         return SpectralField(self.grid, _inverse(self.grid, self.values), "physical")
 
 
-def _inverse(grid, hat, owned=False):
-    """Physical values of the half spectrum hat (the staged irfftn, scaled).
+# bytes of half spectrum per block of the time passes and the full-grid
+# reductions: a reduction holds about two blocks of temporaries
+_BLOCK_BYTES = 1 << 17
 
-    With owned set, hat is the working copy and is overwritten; otherwise
-    the first space pass writes a fresh one.
+
+def _blocks(grid):
+    """Index tuples of the blocks the time passes and the full-grid reductions
+    run over, first to last: slices of the last spatial axis, each about
+    _BLOCK_BYTES of half spectrum, the last one partial.  In a time-contiguous
+    array a block is one contiguous run of memory."""
+    n = grid.sizes[-1]
+    width = max(1, _BLOCK_BYTES // (16 * math.prod(grid.spectrum_shape[:-1])))
+    return [(Ellipsis, slice(j, min(j + width, n))) for j in range(0, n, width)]
+
+
+def _forward(grid, vals, out=None):
+    """Half spectrum of the physical values vals (the staged rfftn, scaled),
+    time-contiguous: written to out, or to a fresh array.
+
+    vals may be packed at the front of out's buffer, as _inverse leaves it:
+    the time pass runs over the blocks from last to first, so no column is
+    written before it is read.
     """
+    if out is None:
+        out = np.empty(grid.spectrum_shape, complex, order="F")
+    for block in reversed(_blocks(grid)):
+        np.fft.rfft(vals[block], n=grid.sizes[0], axis=0, out=out[block])
+    for axis in range(grid.d, 0, -1):
+        np.fft.fft(out, axis=axis, out=out)
+    out *= grid.cell
+    return out
+
+
+def _inverse(grid, hat, owned=False):
+    """Physical values of the half spectrum hat (the staged irfftn, scaled),
+    time-contiguous and packed at the front of the working copy's buffer.
+
+    With owned set and hat time-contiguous, hat is the working copy and is
+    overwritten; otherwise the first space pass writes a fresh
+    time-contiguous one.  The time pass runs over the blocks from first to
+    last, so no column is written before it is read.
+    """
+    work = hat
+    if not (owned and hat.flags.f_contiguous):
+        work = np.empty(grid.spectrum_shape, complex, order="F")
     for axis in range(1, grid.d + 1):
-        hat = np.fft.ifft(hat, axis=axis, out=hat if owned else None)
-        owned = True
-    out = np.fft.irfft(hat, n=grid.sizes[0], axis=0)
+        hat = np.fft.ifft(hat, axis=axis, out=work)
+    out = np.ndarray(grid.sizes, np.float64, buffer=work, order="F")
+    for block in _blocks(grid):
+        np.fft.irfft(work[block], n=grid.sizes[0], axis=0, out=out[block])
     out /= grid.cell
     return out
 
@@ -334,24 +383,35 @@ def point_reader(grid, cells, multipliers=None, cols=None, base=None):
     return read
 
 
-def real_defect(field, forward=None):
+def real_defect(field):
     """Relative part of the Fourier data that no real field carries.
 
     This is what a round trip through physical space drops: the part of
     the self-conjugate planes that is not conjugate symmetric.  Zero (to
-    rounding) for the transform of any physical field.  forward, if given,
-    is the forward transform of the inverse transform of the field's
-    Fourier data, made once by kernel_checks, which hands it on to
-    semigroup_defect too.  The gap is reduced one time row at a time, with
-    no temporary of the grid's size.
+    rounding) for the transform of any physical field, and 0.0 for the zero
+    field.  The round trip runs in one working copy, and the gap is reduced
+    block by block (_real_gap).
     """
-    hat = field.to_fourier()
-    scale = max(float(np.max(np.abs(row))) for row in hat.values)
-    if scale == 0.0:
-        return 0.0
-    if forward is None:
-        forward = hat.to_physical().to_fourier().values
-    return max(float(np.max(np.abs(h - f))) for h, f in zip(hat.values, forward)) / scale
+    grid = field.grid
+    hat = field.to_fourier().values
+    forward = np.array(hat, order="F")
+    forward = _forward(grid, _inverse(grid, forward, owned=True), out=forward)
+    return _real_gap(grid, hat.__getitem__, forward)
+
+
+def _real_gap(grid, hat_block, forward):
+    """max |hat - forward| / max |hat|, 0.0 where hat is zero, for the half
+    spectrum hat whose block hat_block(block) is, over the blocks of
+    _blocks(grid): no temporary of the grid's size."""
+    def maxima(block):
+        part = hat_block(block)
+        scale = float(np.max(np.abs(part)))
+        part = np.subtract(part, forward[block])
+        return scale, float(np.max(np.abs(part)))
+
+    scales, gaps = zip(*map(maxima, _blocks(grid)))
+    scale = max(scales)
+    return max(gaps) / scale if scale else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +442,31 @@ def kernel_field(grid, t, m0=1.0):
     return SpectralField(grid, a * b, "physical")
 
 
-def _complex_psi_hat(grid, t, m0):
-    """psi_hat_t on the grid as complex data, bit for bit psi_hat's: the product
-    of its factors goes straight into the real part, with no real grid array."""
+def _psi_hat_factors(grid, t, m0):
+    """psi_hat_t's time factor, of shape (N0//2 + 1, 1, ..., 1), and space
+    factor, of shape (1, N1, ..., Nd), on the grid: their product is
+    psi_hat(t, grid.frequency_mesh(), m0) bit for bit, and a block of it is
+    the time factor times the space factor's block."""
     k0, *space = grid.frequency_mesh()
-    hat = np.zeros(grid.spectrum_shape, complex)
-    np.multiply(psi_hat(t, (k0,) + (0.0,) * grid.d, m0), psi_hat(t, (0.0, *space), m0),
-                out=hat.real)
+    return psi_hat(t, (k0,) + (0.0,) * grid.d, m0), psi_hat(t, (0.0, *space), m0)
+
+
+def _complex_psi_hat(grid, t, m0):
+    """psi_hat_t on the grid as time-contiguous complex data, bit for bit
+    psi_hat's: the product of its factors goes straight into the real part,
+    with no real grid array."""
+    hat = np.zeros(grid.spectrum_shape, complex, order="F")
+    np.multiply(*_psi_hat_factors(grid, t, m0), out=hat.real)
     return hat
+
+
+def _times_psi_hat(grid, hat, t, m0, out):
+    """out = hat psi_hat_t, returned, block by block: psi_hat_t is formed a
+    block at a time from its factors, so no multiplier of the grid's size."""
+    time_factor, space_factor = _psi_hat_factors(grid, t, m0)
+    for block in _blocks(grid):
+        np.multiply(hat[block], time_factor * space_factor[block], out=out[block])
+    return out
 
 
 def _kernel_factors(grid, t, m0, orders):
@@ -401,10 +478,8 @@ def _kernel_factors(grid, t, m0, orders):
     b_n one transform over the space axes of psi_hat_t(0, k) prod_i
     (2 pi i k_i)^{n_i}, of shape (1, N1, ..., Nd).
     """
-    k0, *space = grid.frequency_mesh()
-    time_hat = psi_hat(t, (k0,) + (0.0,) * grid.d, m0)
+    time_hat, space_hat = _psi_hat_factors(grid, t, m0)
     a = np.fft.irfft(time_hat, n=grid.sizes[0], axis=0) * (grid.sizes[0] / grid.boxes[0])
-    space_hat = psi_hat(t, (0.0, *space), m0)
     axes = tuple(range(1, grid.d + 1))
     scale = math.prod(grid.sizes[1:]) / math.prod(grid.boxes[1:])
     factors = []
@@ -419,13 +494,13 @@ def _kernel_factors(grid, t, m0, orders):
 
 def convolve(field, t, m0=1.0):
     """Space-time convolution with psi_t, returned in the input space."""
-    owned = field.space == "physical"
+    grid, owned = field.grid, field.space == "physical"
     hat = field.to_fourier().values
-    hat = np.multiply(hat, psi_hat(t, field.grid.frequency_mesh(), m0),
-                      out=hat if owned else None)
+    out = hat if owned else np.empty(grid.spectrum_shape, complex, order="F")
+    hat = _times_psi_hat(grid, hat, t, m0, out)
     if not owned:
-        return SpectralField(field.grid, hat, "fourier")
-    return SpectralField(field.grid, _inverse(field.grid, hat, owned=True), "physical")
+        return SpectralField(grid, hat, "fourier")
+    return SpectralField(grid, _inverse(grid, hat, owned=True), "physical")
 
 
 def derivative(field, orders):
@@ -513,34 +588,50 @@ def semigroup_defect(grid, s, t, m0=1.0, forward=None):
     """Relative gap between psi_s * psi_t and psi_{s+t} on the torus.
 
     The two-step field is convolve's arithmetic, the Fourier data of psi_s
-    times psi_hat_t through _inverse, set row by row against psi_{s+t} from
-    kernel_field's factors, which run through neither transform.  That data
-    is forward, if given: the forward transform of psi_s that realness read
-    in kernel_checks, handed over to be overwritten.  Otherwise it is the
-    forward transform of kernel_field(s).
+    times psi_hat_t (_times_psi_hat) through _inverse, set block by block
+    against psi_{s+t} from kernel_field's factors, which run through neither
+    transform.  That data is forward, if given: the forward transform of
+    psi_s that realness read in kernel_checks, handed over to be
+    overwritten.  Otherwise it is the forward transform of kernel_field(s).
     """
     if forward is None:
         forward = kernel_field(grid, s, m0).to_fourier().values
-    forward *= psi_hat(t, grid.frequency_mesh(), m0)
-    two_step = _inverse(grid, forward, owned=True)
+    two_step = _inverse(grid, _times_psi_hat(grid, forward, t, m0, out=forward), owned=True)
     a, (b,) = _kernel_factors(grid, s + t, m0, [(0,) * grid.d])
-    gap = max(float(np.max(np.abs(row - a_row * b))) for row, a_row in zip(two_step, a))
+
+    def block_gap(block):
+        part = a * b[block]
+        np.subtract(two_step[block], part, out=part)
+        return float(np.max(np.abs(part, out=part)))
+
+    gap = max(map(block_gap, _blocks(grid)))
     return gap / float(np.max(np.abs(a)) * np.max(np.abs(b)))  # max |a b|: rounding is monotone
 
 
 def evenness_defect(field):
-    """Deviation from reflection symmetry in every spatial coordinate."""
+    """Deviation from reflection symmetry in every spatial coordinate,
+    relative to max |field|; 0.0 for the zero field.
+
+    The reflection x -> -x reads index -j, wrapped.  Each block of the last
+    spatial axis is set against its reflection, which reads the block's
+    mirror columns: no temporary of the grid's size.
+    """
+    grid = field.grid
     vals = field.to_physical().values
-    buf = np.empty_like(vals)
-    worst = 0.0
-    for axis in range(1, field.grid.d + 1):
-        # the reflection x -> -x reads index -j, wrapped
-        np.take(vals, -np.arange(field.grid.sizes[axis]), axis=axis, out=buf, mode="wrap")
-        np.subtract(vals, buf, out=buf)
-        np.abs(buf, out=buf)
-        worst = max(worst, float(np.max(buf)))
-    np.abs(vals, out=buf)
-    return worst / float(np.max(buf))
+
+    def axis_gap(block, axis):
+        reflect = -np.arange(grid.sizes[axis])
+        if axis == grid.d:
+            mirror = vals[..., reflect[block[-1]]]
+        else:
+            mirror = np.take(vals[block], reflect, axis=axis)
+        np.subtract(vals[block], mirror, out=mirror)
+        return float(np.max(np.abs(mirror, out=mirror)))
+
+    blocks = _blocks(grid)
+    worst = max(axis_gap(block, axis) for block in blocks for axis in range(1, grid.d + 1))
+    scale = max(float(np.max(np.abs(vals[block]))) for block in blocks)
+    return worst / scale if scale else 0.0
 
 
 def scaling_defect(grid, t, m0=1.0):
@@ -657,7 +748,10 @@ def inversion_residual(grid, m0=1.0):
             hat.swapaxes(0, axis)[n // 2] = 0.0  # on the time axis, the last row
         comps.append(SpectralField(half, hat, "fourier"))
     u_hat = solve_L_div(comps, m0)
-    div_hat = _sum_of_products(
+    # np.linalg.norm sums in memory order, so both norms read C-ordered
+    # arrays: gap is one by broadcasting, div_hat a copy of the sum
+    div_hat = np.empty(half.spectrum_shape, complex)
+    div_hat[...] = _sum_of_products(
         (half.ik_power(1 + i, 1), c.values, True) for i, c in enumerate(comps)
     )
     del comps, hat  # hat is the last component's array
@@ -679,23 +773,25 @@ def kernel_checks(grid, m0=1.0, scaling_time=3e-13):
     A grid that breaks the mesh rule (check_mesh) is a NumericError.
 
     The full-grid checks are one chain of three transforms on psi_hat_s,
-    s = 1e-12, with at most two half spectra live: evenness reads its
-    inverse; realness reads the forward transform of that against psi_hat_s;
-    semigroup takes the same forward transform times psi_hat_t, t = 9e-12,
-    back through the inverse, against kernel_field(s + t).
+    s = 1e-12, in the one time-contiguous buffer that _complex_psi_hat
+    allocates: evenness reads its inverse, packed at the buffer's front; the
+    forward transform of that goes back into the buffer, and realness sets it
+    against psi_hat_s, formed a block at a time from its factors; semigroup
+    takes it times psi_hat_t, t = 9e-12, back through the inverse in place,
+    against kernel_field(s + t).  So one half spectrum is live, plus a block.
     """
     m0 = check_m0(m0)
     check_mesh(grid, m0)
     scaling = scaling_defect(grid, scaling_time, m0)  # refuses d != 1 before the grid checks
     times = np.geomspace(1e-12, 1e-10, 5)
     s = float(times[0])
-    physical = SpectralField(grid, _inverse(grid, _complex_psi_hat(grid, s, m0), owned=True),
-                             "physical")
-    evenness = evenness_defect(physical)
-    forward = physical.to_fourier().values
-    del physical
-    realness = real_defect(SpectralField(grid, _complex_psi_hat(grid, s, m0), "fourier"),
-                           forward=forward)
+    work = _complex_psi_hat(grid, s, m0)
+    physical = _inverse(grid, work, owned=True)
+    evenness = evenness_defect(SpectralField(grid, physical, "physical"))
+    forward = _forward(grid, physical, out=work)
+    del physical, work
+    time_factor, space_factor = _psi_hat_factors(grid, s, m0)
+    realness = _real_gap(grid, lambda block: time_factor * space_factor[block], forward)
     out = {
         "semigroup": semigroup_defect(grid, s, 9.0 * s, m0, forward=forward),
         "evenness": evenness,

@@ -93,8 +93,19 @@ def test_field_round_trip_and_validation():
         SpectralField(grid, vals, "spectral")
 
 
-# d = 1 and d = 2, with time the shortest and the longest axis
-STAGED_SIZES = [(8, 32), (64, 6), (6, 300), (4, 6, 10), (16, 4, 34)]
+# d = 1 and d = 2, with time the shortest and the longest axis, and last
+# axes that span more than two blocks of the time passes, the last partial
+BLOCK_EDGE_SIZES = [(8, 4000), (4, 6, 1000)]
+STAGED_SIZES = [(8, 32), (64, 6), (6, 300), (4, 6, 10), (16, 4, 34)] + BLOCK_EDGE_SIZES
+
+
+@pytest.mark.parametrize("sizes", BLOCK_EDGE_SIZES)
+def test_block_edge_sizes_end_in_a_partial_block(sizes):
+    grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
+    blocks = [block[-1] for block in kernel._blocks(grid)]
+    assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+    assert blocks[0].start == 0 and blocks[-1].stop == sizes[-1]
 
 
 @pytest.mark.parametrize("sizes", STAGED_SIZES)
@@ -103,19 +114,26 @@ def test_staged_transforms_equal_the_numpy_nd_transforms(sizes):
     args = {"s": sizes[1:] + sizes[:1], "axes": tuple(range(1, grid.d + 1)) + (0,)}
     rng = np.random.default_rng(len(sizes) * sizes[-1])
     vals = rng.standard_normal(sizes)
-    hat = SpectralField(grid, vals, "physical").to_fourier().values
-    assert np.array_equal(hat, np.fft.rfftn(vals, **args) * grid.cell)
     # a random half spectrum is not conjugate symmetric on the k0 = 0 and
     # time-Nyquist planes, so the inverse must keep irfftn's projection
     noisy = (rng.standard_normal(grid.spectrum_shape)
              + 1j * rng.standard_normal(grid.spectrum_shape))
     want = np.fft.irfftn(noisy, **args) / grid.cell
     assert np.max(np.abs(np.fft.rfftn(want, **args) * grid.cell - noisy)) > 1e-3
-    assert np.array_equal(SpectralField(grid, noisy, "fourier").to_physical().values, want)
-    assert np.array_equal(kernel._inverse(grid, noisy.copy(), owned=True), want)
+    for order in "CF":  # C-ordered and time-contiguous input
+        vals, noisy = np.array(vals, order=order), np.array(noisy, order=order)
+        hat = SpectralField(grid, vals, "physical").to_fourier().values
+        assert np.array_equal(hat, np.fft.rfftn(vals, **args) * grid.cell)
+        assert np.array_equal(SpectralField(grid, noisy, "fourier").to_physical().values, want)
+        assert np.array_equal(kernel._inverse(grid, noisy.copy(order="K"), owned=True), want)
+    # in place: the inverse packs the physical values at the front of its
+    # working copy, and the forward transform writes back into that buffer
+    work = np.array(noisy, order="F")
+    assert np.array_equal(kernel._forward(grid, kernel._inverse(grid, work, owned=True), out=work),
+                          np.fft.rfftn(want, **args) * grid.cell)
 
 
-@pytest.mark.parametrize("sizes", [(8, 32), (4, 6, 10)])
+@pytest.mark.parametrize("sizes", [(8, 32), (4, 6, 10)] + BLOCK_EDGE_SIZES)
 def test_read_only_inputs_are_read_not_written(sizes):
     grid = SpectralGrid(d=len(sizes) - 1, sizes=sizes, boxes=(1.0,) * len(sizes))
     rng = np.random.default_rng(17)
@@ -124,9 +142,9 @@ def test_read_only_inputs_are_read_not_written(sizes):
     comps = [rng.standard_normal(sizes) for _ in range(grid.d)]
     orders = (1,) + (1,) * grid.d
 
-    def results(writable):
+    def results(writable, order):
         def field(values, space):
-            values = values.copy()
+            values = np.array(values, order=order)
             values.setflags(write=writable)
             return SpectralField(grid, values, space)
 
@@ -146,8 +164,16 @@ def test_read_only_inputs_are_read_not_written(sizes):
             evenness_defect(field(hat, "fourier")),
         ]
 
-    for got, want in zip(results(False), results(True), strict=True):
-        assert np.array_equal(got, want)
+    for order in "CF":  # C-ordered and time-contiguous input
+        for got, want in zip(results(False, order), results(True, order), strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_defects_of_the_zero_field_are_zero():
+    grid = SpectralGrid(d=1, sizes=(8, 16), boxes=(1.0, 1.0))
+    for space, shape in (("physical", grid.sizes), ("fourier", grid.spectrum_shape)):
+        zero = SpectralField(grid, np.zeros(shape), space)
+        assert evenness_defect(zero) == 0.0 and real_defect(zero) == 0.0
 
 
 def test_hermitian_defect_flags_complex_data():
@@ -392,7 +418,7 @@ def test_kernel_checks_refuse_d2_before_any_transform(monkeypatch):
         raise AssertionError("a transform ran before the d = 1 check")
 
     monkeypatch.setattr(kernel, "_inverse", not_reached)
-    monkeypatch.setattr(SpectralField, "to_fourier", not_reached)
+    monkeypatch.setattr(kernel, "_forward", not_reached)
     with pytest.raises(ConfigError, match="d = 1"):
         kernel_checks(SpectralGrid(d=2, sizes=(8, 8, 8), boxes=(1e-4, 1.0, 1.0)))
 
@@ -400,21 +426,21 @@ def test_kernel_checks_refuse_d2_before_any_transform(monkeypatch):
 def test_kernel_checks_run_three_transforms_on_the_checked_grid(monkeypatch):
     # one chain on psi_hat_s: its inverse, the forward transform of that, and
     # the inverse of the product with psi_hat_t; inversion_residual keeps its
-    # own three on the half lattice.  A to_fourier call on Fourier data is no
-    # transform and is not counted.
+    # own three on the half lattice.  Every forward transform, to_fourier's
+    # too, is kernel._forward.
     grid = small_checks_grid()
     counts = collections.Counter()
-    to_fourier, inverse = SpectralField.to_fourier, kernel._inverse
+    forward, inverse = kernel._forward, kernel._inverse
 
-    def counted_to_fourier(field):
-        counts[field.grid] += field.space == "physical"
-        return to_fourier(field)
+    def counted_forward(on, vals, out=None):
+        counts[on] += 1
+        return forward(on, vals, out)
 
     def counted_inverse(on, hat, owned=False):
         counts[on] += 1
         return inverse(on, hat, owned)
 
-    monkeypatch.setattr(SpectralField, "to_fourier", counted_to_fourier)
+    monkeypatch.setattr(kernel, "_forward", counted_forward)
     monkeypatch.setattr(kernel, "_inverse", counted_inverse)
     kernel_checks(grid)
     half = SpectralGrid(d=1, sizes=(64, 256), boxes=grid.boxes)
@@ -425,15 +451,14 @@ def test_kernel_checks_see_a_wrong_forward_transform(monkeypatch):
     # realness and semigroup share one forward transform; a mutant that
     # scales its time row k0 = 1 by 1 + 1e-6 must show in both, above 1e-10
     # (the benchmark's semigroup limit; its realness limit is 1e-12)
-    to_fourier = SpectralField.to_fourier
+    forward = kernel._forward
 
-    def mutant(field):
-        out = to_fourier(field)
-        if field.space == "physical":
-            out.values[1] *= 1.0 + 1e-6
+    def mutant(grid, vals, out=None):
+        out = forward(grid, vals, out)
+        out[1] *= 1.0 + 1e-6
         return out
 
-    monkeypatch.setattr(SpectralField, "to_fourier", mutant)
+    monkeypatch.setattr(kernel, "_forward", mutant)
     checks = kernel_checks(small_checks_grid())
     assert checks["realness"] > 1e-10 and checks["semigroup"] > 1e-10
 
@@ -524,31 +549,48 @@ def test_moment_spreads_peak_memory():
     assert peak <= 3 * grid.point_count * 8
 
 
-def kernel_checks_peak(grid):
-    """tracemalloc peak of kernel_checks(grid), in half spectra of the grid.
-    The warm-up call keeps numpy's lazy module imports out of the count."""
-    kernel_checks(small_checks_grid())
+def peak_of(call, grid):
+    """tracemalloc peak of call(), in half spectra of the grid."""
     tracemalloc.start()
     try:
-        kernel_checks(grid)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak / (math.prod(grid.spectrum_shape) * 16)
 
 
+def kernel_checks_peak(grid):
+    """tracemalloc peak of kernel_checks(grid), in half spectra of the grid.
+    The warm-up call keeps numpy's lazy module imports out of the count."""
+    kernel_checks(small_checks_grid())
+    return peak_of(lambda: kernel_checks(grid), grid)
+
+
 def test_kernel_checks_peak_memory():
-    # measured: 2.27 half spectra: the chain's two live half spectra, plus
-    # numpy's iterator buffers, about 130 KiB, which are a quarter of a half
-    # spectrum on this small grid (3.11 when realness and semigroup ran as
-    # two round trips)
-    assert kernel_checks_peak(small_checks_grid()) <= 2.3
+    # measured: 1.89 half spectra (2.27 with two half spectra live): the
+    # chain's one buffer plus a block's temporaries and numpy's cast buffers,
+    # which on this small grid are a quarter of a half spectrum each; the
+    # margin is 0.11
+    assert kernel_checks_peak(small_checks_grid()) <= 2.0
 
 
 def test_kernel_checks_peak_memory_on_checks_grid():
-    # measured: 2.01 half spectra (3.00 as two round trips); a full-grid 2-D
-    # transform holds its input and its output, so two is the floor
-    assert kernel_checks_peak(checks_grid()) <= 2.05
+    # measured: 1.04 half spectra (2.01 with two half spectra live): the
+    # transforms and checks run in the one buffer _complex_psi_hat allocates,
+    # and the time passes and reductions add a block of 128 KiB at a time
+    assert kernel_checks_peak(checks_grid()) <= 1.1
+
+
+def test_transform_and_convolve_peak_memory_on_checks_grid():
+    # measured: 1.01 half spectra for to_physical and 1.03 for convolve (2.00
+    # each when the time pass ran out of place over the whole array): each
+    # allocates one time-contiguous half spectrum and works in it block by block
+    grid = checks_grid()
+    phys = SpectralField(grid, np.random.default_rng(5).standard_normal(grid.sizes), "physical")
+    hat = SpectralField(grid, np.ascontiguousarray(phys.to_fourier().values), "fourier")
+    assert peak_of(hat.to_physical, grid) <= 1.1
+    assert peak_of(lambda: convolve(phys, 1e-12), grid) <= 1.1
 
 
 def test_inversion_residual_peak_memory():
