@@ -18,22 +18,30 @@ strictly above |n| (the admissibility contract).  The n = 0 letter pairs
 pi^(0) with D0.  All the D's commute, so the word sum collapses onto
 multisets of letters with coefficient 1/prod(multiplicities!).
 
-There is one Gamma* recursion, ``gamma_apply``.  It walks these multisets
-depth first over the letters (n, support) of ``StructureMap.letters()``,
-sorted by n and then by support, with a letter index that never
-decreases: only the last letter taken can repeat, and its repeat count
-gives the multiplicities.  Each step carries the series with its word so
-far applied.  D^(n) depends on n alone, not on the support, so the
-letters of one n form a run, and the derived series depends only on the
-n-word, the n of the letters taken: the walk applies D^(n) once per run,
-keeps the result per n-word for the rest of the walk, and skips a run
-whose derived series is empty before it steps on any of its letters.
-Every letter raises the homogeneity by its gap |support| - |n| > 0, and
-the recursion prunes on the exact int gaps that a ``StructureMap`` works
-out once, when it is made, with each run's smallest gap, below which no
-letter of the run fits.  ``gamma_entry`` runs the same walk for one row
-beta: it also prunes every letter whose support does not fit inside
-beta minus the supports already taken, since no later step removes it.
+There is one Gamma* walk, ``StructureMap._words``, which ``gamma_apply``
+and ``gamma_entry`` read.  It goes depth first over these multisets, in
+the letters (n, support) of ``StructureMap.letters()``, sorted by n and
+then by support, with a letter index that never decreases: only the last
+letter taken can repeat, and its repeat count gives the multiplicities.
+The words are data of the map: each map keeps a trie of the words its
+walks have reached, one node per word with its coefficient
+pi^w / prod(multiplicities!), formed once, the sum of its supports (the
+shift of its output indices) and that shift's part of a homogeneity.  A
+node is made the first time a walk steps on its word and lives as long
+as the map.  What a walk carries is the series with the word's
+derivations applied.  D^(n) depends on n alone, not on the support, so
+the letters of one n form a run, and the derived series depends only on
+the n-word, the n of the letters taken: the walk applies D^(n) once per
+run and n-word and skips a run whose derived series is empty before it
+steps on any of its letters.  The derived series of a basis column
+z^gamma depend on neither alpha nor the map, so they are kept for the
+whole process, keyed by (gamma, n-word); those of any other series are
+kept for one walk.  Every letter raises the homogeneity by its gap
+|support| - |n| > 0, and the walk prunes on the exact int gaps that a
+``StructureMap`` works out once, when it is made, with each run's
+smallest gap, below which no letter of the run fits.  For one row beta,
+``gamma_entry`` also prunes every word whose shift does not fit inside
+beta, since no later letter removes it.
 
 The derivations multiply by their int slot counts, and not at all by a
 count of 1, so a basis column keeps int coefficients until the first
@@ -42,7 +50,7 @@ entry of an exact map is a ``Fraction`` off the diagonal, whose empty word
 gives the int 1.
 
 A Gamma* output is exact only below its cutoff: the terms above it miss
-the words the recursion cut.  So a ``SeriesVector`` records the cutoff
+the words the walk cut.  So a ``SeriesVector`` records the cutoff
 below which it is exact, as (params, q-scaled limit); ``gamma_apply`` and
 ``truncate`` set it, and ``series_mul`` forms only the pairs whose sum
 lies below the smaller cutoff of its operands.  Homogeneity is additive
@@ -61,16 +69,13 @@ from types import MappingProxyType
 from .errors import ConfigError
 from .indices import (
     ZERO,
-    Multiindex,
     aniso_degree,
-    bracket,
     e,
     f,
     g,
     format_multiindex,
     is_populated,
     parse_multiindex,
-    poly_weight,
     scaled_cutoff,
     scaled_homogeneity,
 )
@@ -248,21 +253,47 @@ def d0_power_row(beta, m):
 # ---------------------------------------------------------------------------
 
 
+class _Word:
+    """One word of Gamma*, a letter multiset, as a node of its map's trie.
+
+    ``coef`` is pi^w / w!, ``shift`` the sum of the supports and ``weight``
+    the shift's part of a q-scaled homogeneity, p[shift] + q|shift|_p
+    (q|m + shift| = q|m| + weight); ``nword`` is the n of each letter in
+    walk order.  ``last`` is the index of the last letter and ``reps`` its
+    multiplicity; ``value`` and ``fact`` are pi^w and w!, kept to form the
+    children, which ``kids`` holds by letter index.
+    """
+
+    __slots__ = ("coef", "shift", "weight", "nword", "last", "reps", "value", "fact", "kids")
+
+    def __init__(self, value, fact, shift, weight, nword, last, reps):
+        # an int factor 1 is not applied: the empty word's coefficient
+        # stays the int 1, the diagonal of an exact column
+        self.coef = value if fact == 1 else value * Fraction(1, fact)
+        self.value, self.fact = value, fact
+        self.shift, self.weight, self.nword = shift, weight, nword
+        self.last, self.reps = last, reps
+        self.kids = {}
+
+
 class StructureMap:
     """Scalar families pi^(n) defining a recentering map.
 
     ``pi`` maps decoration vectors n (tuples, zero allowed) to dicts
     Multiindex -> scalar; both levels are read-only views, because the
     map holds its sorted letters and their gaps, as q|support| - q|n| for
-    alpha = p/q, and the runs of letters of one n with their smallest
-    gaps; the letters hold int values as ``Fraction``.
+    alpha = p/q, the runs of letters of one n with their smallest gaps,
+    and the trie of the words its walks have reached; the letters hold
+    int values as ``Fraction``.  The trie starts at the empty word and
+    grows by one node the first time a walk steps on a word; it lives and
+    dies with its map, and copies and pickles start a fresh one.
     Admissibility: every support index is populated with homogeneity
     strictly above the anisotropic degree of its n.
     """
 
     def __init__(self, params, pi):
         self.params = params
-        q = params.alpha_ratio[1]
+        p, q = params.alpha_ratio
         clean = {}
         for n, entries in pi.items():
             n = tuple(n)
@@ -292,19 +323,26 @@ class StructureMap:
             for n in sorted(clean)
             for m, v in sorted(clean[n].items(), key=lambda t: t[0].sort_key())
         )
-        self._gaps = tuple(
-            scaled_homogeneity(m, params) - q * aniso_degree(n) for n, m, _v in self._letters
-        )
+        homs = [scaled_homogeneity(m, params) for _n, m, _v in self._letters]
+        self._gaps = tuple(h - q * aniso_degree(n) for h, (n, _m, _v) in zip(homs, self._letters))
+        # a support's part of a shifted homogeneity, q|m + support| - q|m|
+        self._weights = tuple(h - p for h in homs)
         # the letters of each n as one run: (n, start, end, min gap)
         runs, start = [], 0
         for n in sorted(clean):
             end = start + len(clean[n])
             runs.append((n, start, end, min(self._gaps[start:end])))
             start = end
-        self._runs = tuple(runs)
+        # the runs a word whose last letter is i goes on with, from i
+        self._runs_from = tuple(
+            tuple((n, max(first, i), end, min_gap) for n, first, end, min_gap in runs if end > i)
+            for i in range(len(self._letters) or 1)
+        )
+        self._root = _Word(1, 1, ZERO, 0, (), 0, 0)
 
     def __reduce__(self):
-        # copies and pickles are rebuilt, letters, gaps and runs included
+        # copies and pickles are rebuilt, letters, gaps and runs included,
+        # with a trie that holds the empty word alone
         return (StructureMap, (self.params, {n: dict(es) for n, es in self.pi.items()}))
 
     def letters(self):
@@ -312,30 +350,89 @@ class StructureMap:
         int value comes back as a Fraction."""
         return list(self._letters)
 
+    def _child(self, word, idx, nword):
+        """The node of word + letters[idx], made on first use."""
+        _n, m, v = self._letters[idx]
+        mult = word.reps + 1 if idx == word.last else 1
+        kid = word.kids[idx] = _Word(
+            word.value * v, word.fact * mult, word.shift + m, word.weight + self._weights[idx],
+            nword, idx, mult,
+        )
+        return kid
+
+    def _words(self, series, room, beta=None):
+        """Pre-order walk of the words of Gamma* on a series: yields (word,
+        derived series) for each word whose gap sum stays below room.
+
+        The letters go by the map's runs: a run is skipped whole when its
+        smallest gap does not fit the room left or its derived series is
+        empty.  A derived series depends on the n-word alone; a basis
+        column's come from the process-wide memo, any other series' from
+        one kept for the walk.  With ``beta`` a word whose shift does not
+        fit inside beta is pruned, since no later letter removes it.
+        """
+        gaps, runs_from = self._gaps, self._runs_from
+        derived = _derivatives(series)
+        stack = [(self._root, series, room)]
+        while stack:
+            word, dser, room = stack.pop()
+            yield word, dser
+            kids, steps = word.kids, []
+            for n, first, end, min_gap in runs_from[word.last]:
+                if min_gap >= room:
+                    continue
+                nword = word.nword + (n,)
+                nser = derived.get(nword)
+                if nser is None:
+                    nser = derived[nword] = dn_apply(dser, n)
+                if not nser.coeffs:
+                    continue
+                for idx in range(first, end):
+                    gap = gaps[idx]
+                    if gap >= room:
+                        continue
+                    kid = kids.get(idx) or self._child(word, idx, nword)
+                    if beta is None or beta.minus(kid.shift) is not None:
+                        steps.append((kid, nser, room - gap))
+            stack.extend(reversed(steps))
+
+
+# D^w z^gamma for the n-words w the walks of basis columns have reached:
+# gamma -> n-word -> derived series.  The derivations depend on neither
+# alpha nor the map, so the entries hold for every walk in the process.
+_BASIS_DERIVED = {}
+
+
+def _derivatives(series):
+    """The n-word -> derived series memo a walk on ``series`` reads."""
+    if len(series.coeffs) == 1:
+        ((gamma, v),) = series.coeffs.items()
+        if v.__class__ is int and v == 1:
+            return _BASIS_DERIVED.setdefault(gamma, {})
+    return {}
+
 
 def gamma_entry(beta, gamma, smap):
     """Matrix entry (Gamma*)_beta^gamma of the recentering map.
 
-    The walk of ``gamma_apply`` on the column of gamma, cut just above
-    |beta| (every letter raises the homogeneity by its gap), that also
-    prunes every letter whose support does not fit inside beta - shift,
-    shift being the supports taken so far: the word's output index is its
-    derived term plus its shift, so such a word never reaches beta.  Each
-    word reads the one term at beta - shift, and the entry sums them in
-    the order of the column, so it equals the column's entry bit for bit.
-    The diagonal is the empty word's int 1.
+    The walk of ``gamma_apply`` on the column of gamma, over the same
+    trie, cut just above |beta| (every letter raises the homogeneity by
+    its gap), that also prunes every word whose shift, the sum of its
+    supports, does not fit inside beta: the word's output indices are its
+    derived terms plus its shift, so such a word and all its extensions
+    never reach beta.  Each word reads the one term at beta - shift times
+    the word's coefficient, and the entry sums them in the order of the
+    column, so it equals the column's entry bit for bit.  The diagonal is
+    the empty word's int 1.
     """
     params = smap.params
-    limit = scaled_homogeneity(beta, params) + 1
+    column = basis(gamma)
+    room = scaled_homogeneity(beta, params) + 1 - scaled_homogeneity(gamma, params)
     out = SeriesVector()
-
-    def contribute(dser, rest, value, fact):
-        v = dser.coeffs.get(rest)
+    for word, dser in smap._words(column, room, beta):
+        v = dser.coeffs.get(beta.minus(word.shift))
         if v is not None:
-            term = value if v.__class__ is int and v == 1 else value * v
-            out.add_term(beta, term if fact == 1 else term * Fraction(1, fact))
-
-    _walk(basis(gamma), smap, limit, beta, Multiindex.minus, contribute)
+            out.add_term(beta, word.coef if v.__class__ is int and v == 1 else word.coef * v)
     return out.get(beta, 0)
 
 
@@ -346,80 +443,35 @@ def gamma_apply(series, smap, cutoff):
     letter gaps (gap = |support| - |n|): every D^(n) shifts homogeneity by
     alpha - |n| and every pi-multiplication by |support| - alpha, so only
     the gaps accumulate.  Gaps are strictly positive by admissibility, so
-    the recursion terminates.  Every comparison is on ints q|.| for
-    alpha = p/q.  The result is exact below the cutoff for series supported
-    on indices of homogeneity >= alpha (populated or purely polynomial
-    supports qualify), and below the series' own cutoff, if it has one; it
-    records the smaller of the two.
+    the walk terminates.  Every comparison is on ints q|.| for
+    alpha = p/q.  Each word the walk reaches on the map's trie adds its
+    coefficient times each derived term, at the term's index plus the
+    word's shift.  The result is exact below the cutoff for series
+    supported on indices of homogeneity >= alpha (populated or purely
+    polynomial supports qualify), and below the series' own cutoff, if it
+    has one; it records the smaller of the two.  A series of one term
+    z^gamma with the int coefficient 1, a basis column, reads and fills the
+    process-wide memo of derived series at gamma.
     """
     params = smap.params
     p, q = params.alpha_ratio
     limit = scaled_cutoff(cutoff, params)
     out = SeriesVector()
     out.cutoff = _smaller_cutoff(series.cutoff, (params, limit))
-
-    def contribute(dser, shift, value, fact):
-        inv = Fraction(1, fact) if fact > 1 else 1
-        # q|m + shift| = q|m| + p[shift] + q|shift|_p, so q|m| (inlined) must
-        # stay below m_limit
-        m_limit = limit - p * bracket(shift) - q * poly_weight(shift)
-        for m, v in dser.items():
+    if not series.coeffs:
+        return out
+    room = limit - min(scaled_homogeneity(m, params) for m in series.coeffs)
+    for word, dser in smap._words(series, room):
+        coef, shift = word.coef, word.shift
+        # q|m + shift| = q|m| + weight, so q|m| (inlined) must stay below
+        # m_limit
+        m_limit = limit - word.weight
+        for m, v in dser.coeffs.items():
             if p * (1 + m._a_weight + m._b_weight - m._p_count) + q * m._poly_weight < m_limit:
-                # an int coefficient 1 keeps value as it is (a float 1.0 must
-                # still turn a Fraction value into a float); no factor 1/1, so
-                # the diagonal of a basis column stays the int 1
-                term = value if v.__class__ is int and v == 1 else value * v
-                out.add_term(m + shift, term if fact == 1 else term * inv)
-
-    if len(series):
-        _walk(series, smap, limit, ZERO, Multiindex.__add__, contribute)
+                # an int coefficient 1 keeps the word's coefficient as it is
+                # (a float 1.0 must still turn a Fraction one into a float)
+                out.add_term(m + shift, coef if v.__class__ is int and v == 1 else coef * v)
     return out
-
-
-def _walk(series, smap, limit, start, step, contribute):
-    """Depth-first walk over the letter multisets of Gamma*.
-
-    Calls contribute(dser, pos, value, fact) once per word whose gap sum
-    stays below limit - min q|input index|: dser is the series with the
-    word's derivations applied, value the product of its pi values and
-    fact the product of its multiplicities' factorials.  pos starts at
-    ``start`` and takes ``step(pos, support)`` at each letter; a step that
-    returns None prunes the letter.
-
-    The letters go by the map's runs: a run is skipped whole when its
-    smallest gap does not fit the room left or its derived series, kept
-    per n-word for the walk, is empty.
-    """
-    letters, gaps = smap._letters, smap._gaps
-    params = smap.params
-    derived = {}  # n-word -> its derived series
-
-    def rec(i, word, dser, pos, value, fact, room, reps):
-        # room: what the letters still taken may add to the gaps; reps: how
-        # often the last letter taken, letters[i], occurs so far
-        contribute(dser, pos, value, fact)
-        for n, first, end, min_gap in smap._runs:
-            if end <= i or min_gap >= room:
-                continue
-            nword = word + (n,)
-            nser = derived.get(nword)
-            if nser is None:
-                nser = derived[nword] = dn_apply(dser, n)
-            if not len(nser):
-                continue
-            for idx in range(max(first, i), end):
-                gap = gaps[idx]
-                if gap >= room:
-                    continue
-                _n, m, v = letters[idx]
-                npos = step(pos, m)
-                if npos is None:
-                    continue
-                mult = reps + 1 if idx == i else 1
-                rec(idx, nword, nser, npos, value * v, fact * mult, room - gap, mult)
-
-    min_hom0 = min(scaled_homogeneity(m, params) for m, _ in series.items())
-    rec(0, (), series, start, 1, 1, limit - min_hom0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ exp(-t m0^2 |2 pi k|^8) and on the torus psi_t(x0, x) = a_t(x0) b_t(x), with
 spatial derivatives acting on b_t alone; this holds in any d.  psi_hat
 forms the two factors on their own axes; _kernel_factors transforms them,
 one transform over time and one over space per derivative order.  Only
-kernel_field forms psi_t on the grid, as a_t b_t, and the moment and
-scaling checks read the factors alone.
+kernel_field and semigroup_defect form psi_t on the grid, as a_t b_t, and
+the moment and scaling checks read the factors alone.
 kernel_checks runs three full-grid transforms as one chain on psi_hat_s, in
 one buffer: the evenness, realness and semigroup checks read it, and are
 the checks of the transforms; semigroup sets them against kernel_field's
@@ -35,7 +35,8 @@ arithmetic needs, and no public function but semigroup_defect (into the
 forward transform handed to it) writes into an array its caller passed.
 Every grid array the transforms make is time-contiguous (Fortran order):
 each time-axis line is contiguous, and so is each block of the last spatial
-axis (_blocks, 128 KiB of half spectrum).  The transforms are staged.
+axis (_blocks: 128 KiB of half spectrum, at most an eighth of the axis).
+The transforms are staged.
 Forward (_forward): rfft along time block by block, then fft in place over
 each space axis (the last first, as rfftn orders them), then the cell
 scaling in place.  Inverse (_inverse): ifft over the space axes (1, ..., d)
@@ -49,13 +50,13 @@ of values packed so can go back into that buffer, blocks last to first: in
 either order no column is written before it is read, and numpy copies out a
 block that its output overlaps (the ufunc overlap rule).  A function that
 owns a time-contiguous half spectrum it made (convolve, derivative and
-solve_L_div on physical input) hands it to the inverse as its working copy,
-to be overwritten; other input, such as the C-ordered half spectrum that
-mc._NoiseSource.inverse scatters, gets a fresh working copy from the first
-space pass.  The checks reduce block by block, one function call per
-block, so that one block's temporaries are live at a time and none has the
-grid's size.  The in-place passes use the out= of numpy.fft, new in numpy
-2.0.
+solve_L_div on physical input, and mc._NoiseSource.inverse, which scatters
+into time-contiguous zeros) hands it to the inverse as its working copy, to
+be overwritten; other input, such as a caller's C-ordered half spectrum,
+gets a fresh working copy from the first space pass.  The checks reduce
+block by block, one function call per block, so that one block's
+temporaries are live at a time and none has the grid's size.  The in-place
+passes use the out= of numpy.fft, new in numpy 2.0.
 
 Conventions: a frequency is an integer wavenumber divided by the box
 period, Fourier transforms follow the Riemann-sum normalisation
@@ -242,17 +243,20 @@ class SpectralField:
 
 
 # bytes of half spectrum per block of the time passes and the full-grid
-# reductions: a reduction holds about two blocks of temporaries
+# reductions: a reduction holds about two blocks of temporaries, and an
+# in-place time pass a copy of the block its output overlaps
 _BLOCK_BYTES = 1 << 17
 
 
 def _blocks(grid):
     """Index tuples of the blocks the time passes and the full-grid reductions
     run over, first to last: slices of the last spatial axis, each about
-    _BLOCK_BYTES of half spectrum, the last one partial.  In a time-contiguous
-    array a block is one contiguous run of memory."""
+    _BLOCK_BYTES of half spectrum but at most an eighth of the axis, so that
+    a block's temporaries stay small on a small grid too; the last one may be
+    partial.  In a time-contiguous array a block is one contiguous run of
+    memory."""
     n = grid.sizes[-1]
-    width = max(1, _BLOCK_BYTES // (16 * math.prod(grid.spectrum_shape[:-1])))
+    width = max(1, min(_BLOCK_BYTES // (16 * math.prod(grid.spectrum_shape[:-1])), n // 8))
     return [(Ellipsis, slice(j, min(j + width, n))) for j in range(0, n, width)]
 
 
@@ -592,10 +596,15 @@ def semigroup_defect(grid, s, t, m0=1.0, forward=None):
     against psi_{s+t} from kernel_field's factors, which run through neither
     transform.  That data is forward, if given: the forward transform of
     psi_s that realness read in kernel_checks, handed over to be
-    overwritten.  Otherwise it is the forward transform of kernel_field(s).
+    overwritten.  Otherwise it is the forward transform of kernel_field(s)'s
+    values a_s b_s, written at the front of one time-contiguous buffer and
+    transformed in place, so one half spectrum is live.
     """
     if forward is None:
-        forward = kernel_field(grid, s, m0).to_fourier().values
+        forward = np.empty(grid.spectrum_shape, complex, order="F")
+        a, (b,) = _kernel_factors(grid, s, m0, [(0,) * grid.d])
+        physical = np.ndarray(grid.sizes, np.float64, buffer=forward, order="F")
+        _forward(grid, np.multiply(a, b, out=physical), out=forward)
     two_step = _inverse(grid, _times_psi_hat(grid, forward, t, m0, out=forward), owned=True)
     a, (b,) = _kernel_factors(grid, s + t, m0, [(0,) * grid.d])
 

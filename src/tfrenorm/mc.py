@@ -220,6 +220,9 @@ class _NoiseSource:
         mirror = np.searchsorted(cols, negated[cols])
         self.grid, self.seed = grid, sampler.seed
         self.cols, self.mirror, self.density = cols, mirror, density[:, cols]
+        # the same columns as flat indices in Fortran order, the order of
+        # the spatial columns of a time-contiguous half spectrum
+        self._fcols = np.ravel_multi_index(np.unravel_index(cols, space), space, order="F")
         self._amplitude = np.sqrt(grid.volume * self.density / grid.c2r_weights())
         self._planes = slice(None, None, rows - 1)
         self._shape = (rows, cols.size, 2)
@@ -243,9 +246,10 @@ class _NoiseSource:
         return self.project(z.view(np.complex128)[..., 0]) * self._amplitude
 
     def scatter(self, block):
-        """The half spectrum of the grid that is block on S and zero off it."""
-        hat = np.zeros(self.grid.spectrum_shape, dtype=np.complex128)
-        hat.reshape(self._shape[0], -1)[:, self.cols] = block
+        """The half spectrum of the grid that is block on S and zero off it,
+        time-contiguous, so that kernel._inverse can work in it."""
+        hat = np.zeros(self.grid.spectrum_shape, dtype=np.complex128, order="F")
+        hat.reshape(self._shape[0], -1, order="F")[:, self._fcols] = block
         return hat
 
     def __call__(self, index, comp):

@@ -26,7 +26,6 @@ from tfrenorm.group import (
     structure_map_to_json,
 )
 from tfrenorm.indices import (
-    ZERO,
     ModelParams,
     Multiindex,
     aniso_degree,
@@ -470,33 +469,65 @@ def test_gamma_battery_of_random_maps():
 
 
 def test_the_walk_applies_each_n_word_once(monkeypatch):
-    """In one gamma_apply, D^(n) runs at most once per n-word (the n of the
-    letters taken, in walk order), however many supports lead to it."""
+    """D^(n) runs at most once per (index, n-word) in the process, however
+    many supports, walks, maps and cutoffs lead to it: a basis column's
+    derived series are kept for the process.  Any other series gets D^(n)
+    at most once per n-word in its walk."""
+    monkeypatch.setattr(group, "_BASIS_DERIVED", {})
     rng = random.Random(48)
-    smap = random_structure_map(PARAMS, rng, density=0.6, value=lambda rng: Fraction(
-        rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)))
-    column = basis(P("e1+2f0+g(0,1)"))
-    words = {id(column): ()}
-    seen = []  # (n-word, derived series), which also keeps every id alive
+    maps = [random_structure_map(PARAMS, rng, density=0.6, value=lambda rng: Fraction(
+        rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))) for _ in range(3)]
+    names = {}  # id of a series -> (its index or None, its n-word)
+    seen = []  # (index, n-word, derived series), which also keeps every id alive
     apply = group.dn_apply
 
     def counted(series, n):
-        word = words[id(series)] + (tuple(n),)
+        gamma, word = names[id(series)]
         out = apply(series, n)
-        words[id(out)] = word
-        seen.append((word, out))
+        names[id(out)] = gamma, word + (tuple(n),)
+        seen.append((gamma, word + (tuple(n),), out))
         return out
 
     monkeypatch.setattr(group, "dn_apply", counted)
-    gamma_apply(column, smap, 4.0)
-    assert len(seen) > 20 and max(len(word) for word, _ in seen) >= 3
-    assert len({word for word, _ in seen}) == len(seen)
+    columns = [P("e1+2f0+g(0,1)"), P("f0+f1"), P("e0")]
+    for smap in maps:
+        for cut in (3.0, 4.0):
+            for gamma in columns:
+                column = basis(gamma)
+                names[id(column)] = gamma, ()
+                gamma_apply(column, smap, cut)
+        for gamma in columns:
+            for beta in POP_30[::7]:
+                gamma_entry(beta, gamma, smap)
+    keys = [(gamma, word) for gamma, word, _ in seen]
+    assert len(keys) > 20 and max(len(word) for _, word in keys) >= 3
+    assert len(set(keys)) == len(keys)
+    # a series of two terms keeps its derived series for its walk alone
+    for smap in maps[:2]:
+        series = SeriesVector({P("f0"): Fraction(1, 2), P("g(0,1)"): 3})
+        names[id(series)] = None, ()
+        del seen[:]
+        gamma_apply(series, smap, 4.0)
+        words = [word for _, word, _ in seen]
+        assert len(words) > 5 and len(set(words)) == len(words)
+
+
+def _trie(smap):
+    """Every node of the map's word trie, with the letter index of each
+    step from the empty word."""
+    nodes, todo = [], [((), smap._root)]
+    while todo:
+        path, word = todo.pop()
+        nodes.append((path, word))
+        todo.extend((path + (idx,), kid) for idx, kid in word.kids.items())
+    return nodes
 
 
 def test_the_walk_steps_on_no_letter_of_a_dead_run():
     """A run of letters whose D^(n) leaves nothing is skipped before any
     step: here no index of the walk carries the decoration (0, 2), so the
-    supports of that run, which no other run shares, never reach step."""
+    supports of that run, which no other run shares, never enter the
+    map's word trie."""
     pop = enumerate_populated(PARAMS, 3.0)
     low = [m for m in pop if homogeneity(m, PARAMS) < 2]
     high = [m for m in pop if homogeneity(m, PARAMS) > 2]
@@ -505,19 +536,60 @@ def test_the_walk_steps_on_no_letter_of_a_dead_run():
         (0, 1): {m: Fraction(-1, 3) for m in low[4:8]},
         (0, 2): {m: Fraction(2) for m in high[:6]},
     })
-    dead = set(smap.pi[(0, 2)])
+    dead = {idx for idx, (n, _m, _v) in enumerate(smap.letters()) if n == (0, 2)}
+    assert len(dead) == 6
     column = P("e1+2f0+g(0,1)")
-    stepped = []
-
-    def step(pos, m):
-        stepped.append(m)
-        return pos + m
-
-    limit = scaled_cutoff(6.0, PARAMS)
-    group._walk(basis(column), smap, limit, ZERO, step, lambda dser, pos, value, fact: None)
-    assert len(stepped) > 10 and not dead & set(stepped)
+    assert len(gamma_apply(basis(column), smap, 6.0)) > 10
+    nodes = _trie(smap)
+    assert len(nodes) > 10 and not dead & {idx for path, _ in nodes for idx in path}
     # the gaps alone would let every letter of the dead run in
+    limit = scaled_cutoff(6.0, PARAMS)
     assert all(gap < limit - scaled_homogeneity(column, PARAMS) for gap in smap._gaps[-6:])
+
+
+@pytest.mark.parametrize("scalar", ["float", "fraction"])
+def test_a_map_reused_in_any_order_matches_a_fresh_map(scalar):
+    """A map's trie holds only what a word is: columns and entries read
+    from one map in any order, after any other cutoff, equal those of a
+    fresh map item for item, float bits and types included, and a deep
+    copy starts with the empty word alone."""
+    rng = random.Random(50)
+    pi = {n: dict(es) for n, es in random_structure_map(
+        PARAMS, rng, density=0.6, value=SCALARS[scalar]).pi.items()}
+
+    def fresh():
+        return StructureMap(PARAMS, pi)
+
+    def same(a, b):
+        return [(m, v, type(v)) for m, v in a.items()] == [(m, v, type(v)) for m, v in b.items()]
+
+    columns = [P("e1+2f0+g(0,1)"), P("f0"), P("e1+f0"), P("f0+f1")]
+    for cuts in ((2.6, 4.0), (4.0, 2.6)):
+        smap = fresh()
+        for cut in cuts:
+            for gamma in columns:
+                assert same(gamma_apply(basis(gamma), smap, cut),
+                            gamma_apply(basis(gamma), fresh(), cut))
+    for order in (columns, columns[::-1]):
+        smap = fresh()
+        for gamma in order:
+            assert same(gamma_apply(basis(gamma), smap, 3.4),
+                        gamma_apply(basis(gamma), fresh(), 3.4))
+    smap = fresh()
+    want = {gamma: gamma_apply(basis(gamma), fresh(), 4.0) for gamma in columns}
+    for gamma in columns:  # entries first, then columns, on the one map
+        for beta, v in want[gamma].items():
+            entry = gamma_entry(beta, gamma, smap)
+            assert entry == v and type(entry) is type(v)
+    assert len(_trie(smap)) > 10
+    for gamma in columns:
+        assert same(gamma_apply(basis(gamma), smap, 4.0), want[gamma])
+    twin = copy.deepcopy(smap)
+    assert len(_trie(twin)) == 1
+    for gamma in columns[::-1]:
+        assert same(gamma_apply(basis(gamma), twin, 4.0), want[gamma])
+        x = SeriesVector({gamma: SCALARS[scalar](rng), P("f0"): SCALARS[scalar](rng)})
+        assert same(gamma_apply(x, twin, 3.4), gamma_apply(x, fresh(), 3.4))
 
 
 def test_gamma_exact_with_fractions():

@@ -95,7 +95,7 @@ def test_field_round_trip_and_validation():
 
 # d = 1 and d = 2, with time the shortest and the longest axis, and last
 # axes that span more than two blocks of the time passes, the last partial
-BLOCK_EDGE_SIZES = [(8, 4000), (4, 6, 1000)]
+BLOCK_EDGE_SIZES = [(8, 4002), (4, 6, 1002)]
 STAGED_SIZES = [(8, 32), (64, 6), (6, 300), (4, 6, 10), (16, 4, 34)] + BLOCK_EDGE_SIZES
 
 
@@ -568,10 +568,10 @@ def kernel_checks_peak(grid):
 
 
 def test_kernel_checks_peak_memory():
-    # measured: 1.89 half spectra (2.27 with two half spectra live): the
-    # chain's one buffer plus a block's temporaries and numpy's cast buffers,
-    # which on this small grid are a quarter of a half spectrum each; the
-    # margin is 0.11
+    # measured: 1.46 half spectra (2.27 with two half spectra live, 1.89 with
+    # blocks of 126 of the 512 columns): the chain's one buffer plus a
+    # block's temporaries and numpy's cast buffers, which on this small grid
+    # are an eighth of a half spectrum each
     assert kernel_checks_peak(small_checks_grid()) <= 2.0
 
 
@@ -591,6 +591,15 @@ def test_transform_and_convolve_peak_memory_on_checks_grid():
     hat = SpectralField(grid, np.ascontiguousarray(phys.to_fourier().values), "fourier")
     assert peak_of(hat.to_physical, grid) <= 1.1
     assert peak_of(lambda: convolve(phys, 1e-12), grid) <= 1.1
+
+
+def test_semigroup_defect_peak_memory_on_checks_grid():
+    # measured: 1.03 half spectra (2.00 when kernel_field's physical values
+    # and their forward transform were two arrays): a_s b_s is written at
+    # the front of one time-contiguous buffer and transformed in place
+    grid = checks_grid()
+    semigroup_defect(small_checks_grid(), 1e-12, 9e-12)
+    assert peak_of(lambda: semigroup_defect(grid, 1e-12, 9e-12), grid) <= 1.1
 
 
 def test_inversion_residual_peak_memory():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,42 @@ def test_support_inverse_against_the_explicit_sum(sizes, tau):
         want = (time.T @ block @ space).real.reshape(lattice.sizes) / grid.volume
         got = source.inverse(block)
         assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+
+
+def test_sample_noise_at_d2_is_the_inverse_of_the_c_ordered_scatter():
+    # scatter writes the draw into time-contiguous zeros at the Fortran-order
+    # flat columns of S; the physical values are, bit for bit, those of the
+    # draw at the C-order flat columns of a C-ordered zero half spectrum
+    grid = SpectralGrid(d=2, sizes=(8, 24, 40), boxes=(1.0, 1.0, 1.0))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.55),
+                              moll=mollifier_spec("semigroup", 1e-11), seed=3)
+    source = mc._NoiseSource(sampler)
+    assert 0 < source.cols.size < 24 * 40
+    for index in range(2):
+        for comp, field in enumerate(mc.sample_noise(sampler, index)):
+            hat = np.zeros(grid.spectrum_shape, dtype=complex)
+            hat.reshape(hat.shape[0], -1)[:, source.cols] = source.block(index, comp)
+            assert np.array_equal(field.values, _inverse(grid, hat))
+
+
+def test_support_inverse_peak_memory():
+    # measured: 1.14 half spectra at 64 x 256 (2.01 when scatter's C-ordered
+    # half spectrum needed a time-contiguous working copy beside it): the
+    # scattered half spectrum is the inverse's working copy, and the time
+    # pass copies one block, an eighth of the columns
+    grid = SpectralGrid(d=1, sizes=(64, 256), boxes=(1.0, 1.0))
+    sampler = mc.NoiseSampler(grid=grid, spec=covariance_spec(0.75),
+                              moll=mollifier_spec("semigroup", 1e-14), seed=1)
+    source = mc._NoiseSource(sampler)
+    block = source.block(1, 0)
+    source.inverse(block)
+    tracemalloc.start()
+    try:
+        source.inverse(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * math.prod(grid.spectrum_shape) * 16
 
 
 def test_moment_check_reads_the_same_with_and_without_a_dump(tmp_path):
