@@ -36,3 +36,15 @@ from .indices import (  # noqa: F401
     renormalisation_candidates,
     choose_kappa,
 )
+
+
+def clear_memos():
+    """Empty the process-wide memos: the enumeration layers, the hierarchy
+    expansions and counter rows, and the derived series of Gamma* columns.
+    Each is a pure function of its key, so clearing one costs time alone."""
+    from . import group, hierarchy, indices
+
+    indices._LAYERS.clear()
+    hierarchy._right_hand_side.cache_clear()
+    hierarchy._counter_row.cache_clear()
+    group._BASIS_DERIVED.clear()

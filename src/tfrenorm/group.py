@@ -18,30 +18,22 @@ strictly above |n| (the admissibility contract).  The n = 0 letter pairs
 pi^(0) with D0.  All the D's commute, so the word sum collapses onto
 multisets of letters with coefficient 1/prod(multiplicities!).
 
-There is one Gamma* walk, ``StructureMap._words``, which ``gamma_apply``
-and ``gamma_entry`` read.  It goes depth first over these multisets, in
-the letters (n, support) of ``StructureMap.letters()``, sorted by n and
-then by support, with a letter index that never decreases: only the last
-letter taken can repeat, and its repeat count gives the multiplicities.
-The words are data of the map: each map keeps a trie of the words its
-walks have reached, one node per word with its coefficient
-pi^w / prod(multiplicities!), formed once, the sum of its supports (the
-shift of its output indices) and that shift's part of a homogeneity.  A
-node is made the first time a walk steps on its word and lives as long
-as the map.  What a walk carries is the series with the word's
-derivations applied.  D^(n) depends on n alone, not on the support, so
-the letters of one n form a run, and the derived series depends only on
-the n-word, the n of the letters taken: the walk applies D^(n) once per
-run and n-word and skips a run whose derived series is empty before it
-steps on any of its letters.  The derived series of a basis column
-z^gamma depend on neither alpha nor the map, so they are kept for the
-whole process, keyed by (gamma, n-word); those of any other series are
-kept for one walk.  Every letter raises the homogeneity by its gap
-|support| - |n| > 0, and the walk prunes on the exact int gaps that a
-``StructureMap`` works out once, when it is made, with each run's
-smallest gap, below which no letter of the run fits.  For one row beta,
-``gamma_entry`` also prunes every word whose shift does not fit inside
-beta, since no later letter removes it.
+Gamma* is linear, so one walk over the words of a basis column z^gamma,
+``StructureMap._words``, serves both readers: ``gamma_apply`` adds c times
+the column of gamma for each term c z^gamma, and ``gamma_entry`` reads one
+column cut just above its row.  The walk goes depth first over the
+multisets in the sorted letters (n, support) of ``StructureMap.letters()``,
+with a letter index that never decreases: only the last letter taken
+repeats, and its repeat count gives the multiplicities.  Each map keeps a
+trie of the words its walks have reached, one node per word with its
+coefficient pi^w / prod(multiplicities!) and its shift, the sum of its
+supports, which moves every output of the word.  The walk carries
+D^w z^gamma, which depends on gamma and the n-word alone, on neither alpha
+nor the map, so it is kept for the process, keyed by (gamma, n-word):
+D^(n) runs once per index and n-word.  The letters of one n form a run.
+The walk skips a run whose derived series is empty, or whose smallest gap
+|support| - |n| > 0 does not fit the room left, before it steps on any of
+its letters, and prunes every other letter on its exact int gap.
 
 The derivations multiply by their int slot counts, and not at all by a
 count of 1, so a basis column keeps int coefficients until the first
@@ -256,22 +248,20 @@ def d0_power_row(beta, m):
 class _Word:
     """One word of Gamma*, a letter multiset, as a node of its map's trie.
 
-    ``coef`` is pi^w / w!, ``shift`` the sum of the supports and ``weight``
-    the shift's part of a q-scaled homogeneity, p[shift] + q|shift|_p
-    (q|m + shift| = q|m| + weight); ``nword`` is the n of each letter in
-    walk order.  ``last`` is the index of the last letter and ``reps`` its
-    multiplicity; ``value`` and ``fact`` are pi^w and w!, kept to form the
-    children, which ``kids`` holds by letter index.
+    ``coef`` is pi^w / w!, ``shift`` the sum of the supports, ``nword`` the
+    n of each letter in walk order, ``last`` the index of the last letter
+    and ``reps`` its multiplicity; ``value`` and ``fact`` are pi^w and w!,
+    kept to form the children, which ``kids`` holds by letter index.
     """
 
-    __slots__ = ("coef", "shift", "weight", "nword", "last", "reps", "value", "fact", "kids")
+    __slots__ = ("coef", "shift", "nword", "last", "reps", "value", "fact", "kids")
 
-    def __init__(self, value, fact, shift, weight, nword, last, reps):
+    def __init__(self, value, fact, shift, nword, last, reps):
         # an int factor 1 is not applied: the empty word's coefficient
         # stays the int 1, the diagonal of an exact column
         self.coef = value if fact == 1 else value * Fraction(1, fact)
         self.value, self.fact = value, fact
-        self.shift, self.weight, self.nword = shift, weight, nword
+        self.shift, self.nword = shift, nword
         self.last, self.reps = last, reps
         self.kids = {}
 
@@ -293,7 +283,7 @@ class StructureMap:
 
     def __init__(self, params, pi):
         self.params = params
-        p, q = params.alpha_ratio
+        q = params.alpha_ratio[1]
         clean = {}
         for n, entries in pi.items():
             n = tuple(n)
@@ -323,10 +313,8 @@ class StructureMap:
             for n in sorted(clean)
             for m, v in sorted(clean[n].items(), key=lambda t: t[0].sort_key())
         )
-        homs = [scaled_homogeneity(m, params) for _n, m, _v in self._letters]
-        self._gaps = tuple(h - q * aniso_degree(n) for h, (n, _m, _v) in zip(homs, self._letters))
-        # a support's part of a shifted homogeneity, q|m + support| - q|m|
-        self._weights = tuple(h - p for h in homs)
+        self._gaps = tuple(scaled_homogeneity(m, params) - q * aniso_degree(n)
+                           for n, m, _v in self._letters)
         # the letters of each n as one run: (n, start, end, min gap)
         runs, start = [], 0
         for n in sorted(clean):
@@ -338,7 +326,7 @@ class StructureMap:
             tuple((n, max(first, i), end, min_gap) for n, first, end, min_gap in runs if end > i)
             for i in range(len(self._letters) or 1)
         )
-        self._root = _Word(1, 1, ZERO, 0, (), 0, 0)
+        self._root = _Word(1, 1, ZERO, (), 0, 0)
 
     def __reduce__(self):
         # copies and pickles are rebuilt, letters, gaps and runs included,
@@ -354,26 +342,21 @@ class StructureMap:
         """The node of word + letters[idx], made on first use."""
         _n, m, v = self._letters[idx]
         mult = word.reps + 1 if idx == word.last else 1
-        kid = word.kids[idx] = _Word(
-            word.value * v, word.fact * mult, word.shift + m, word.weight + self._weights[idx],
-            nword, idx, mult,
-        )
+        kid = word.kids[idx] = _Word(word.value * v, word.fact * mult, word.shift + m, nword,
+                                     idx, mult)
         return kid
 
-    def _words(self, series, room, beta=None):
-        """Pre-order walk of the words of Gamma* on a series: yields (word,
-        derived series) for each word whose gap sum stays below room.
-
-        The letters go by the map's runs: a run is skipped whole when its
-        smallest gap does not fit the room left or its derived series is
-        empty.  A derived series depends on the n-word alone; a basis
-        column's come from the process-wide memo, any other series' from
-        one kept for the walk.  With ``beta`` a word whose shift does not
-        fit inside beta is pruned, since no later letter removes it.
-        """
+    def _words(self, gamma, room):
+        """Pre-order walk of the column z^gamma: yields (word, derived
+        series) for each word whose gap sum stays below room, the empty word
+        first.  A run of letters is skipped whole when its smallest gap does
+        not fit the room left or its derived series, read from or added to
+        the memo at gamma, is empty."""
         gaps, runs_from = self._gaps, self._runs_from
-        derived = _derivatives(series)
-        stack = [(self._root, series, room)]
+        derived = _BASIS_DERIVED.get(gamma)
+        if derived is None:
+            derived = _BASIS_DERIVED[gamma] = {(): basis(gamma)}
+        stack = [(self._root, derived[()], room)]
         while stack:
             word, dser, room = stack.pop()
             yield word, dser
@@ -389,47 +372,32 @@ class StructureMap:
                     continue
                 for idx in range(first, end):
                     gap = gaps[idx]
-                    if gap >= room:
-                        continue
-                    kid = kids.get(idx) or self._child(word, idx, nword)
-                    if beta is None or beta.minus(kid.shift) is not None:
-                        steps.append((kid, nser, room - gap))
+                    if gap < room:
+                        steps.append((kids.get(idx) or self._child(word, idx, nword), nser,
+                                      room - gap))
             stack.extend(reversed(steps))
 
 
-# D^w z^gamma for the n-words w the walks of basis columns have reached:
-# gamma -> n-word -> derived series.  The derivations depend on neither
-# alpha nor the map, so the entries hold for every walk in the process.
+# gamma -> n-word w -> D^w z^gamma, for the n-words the column walks have
+# reached, () included.  The derivations depend on neither alpha nor the
+# map, so the entries hold for every walk in the process.
 _BASIS_DERIVED = {}
-
-
-def _derivatives(series):
-    """The n-word -> derived series memo a walk on ``series`` reads."""
-    if len(series.coeffs) == 1:
-        ((gamma, v),) = series.coeffs.items()
-        if v.__class__ is int and v == 1:
-            return _BASIS_DERIVED.setdefault(gamma, {})
-    return {}
 
 
 def gamma_entry(beta, gamma, smap):
     """Matrix entry (Gamma*)_beta^gamma of the recentering map.
 
-    The walk of ``gamma_apply`` on the column of gamma, over the same
-    trie, cut just above |beta| (every letter raises the homogeneity by
-    its gap), that also prunes every word whose shift, the sum of its
-    supports, does not fit inside beta: the word's output indices are its
-    derived terms plus its shift, so such a word and all its extensions
-    never reach beta.  Each word reads the one term at beta - shift times
-    the word's coefficient, and the entry sums them in the order of the
-    column, so it equals the column's entry bit for bit.  The diagonal is
-    the empty word's int 1.
+    The column of gamma cut just above |beta|, read at beta: the walk of
+    ``gamma_apply`` with room q|beta| + 1 - q|gamma|, so every word whose
+    outputs lie at or below |beta|.  A shorter column walks a prefix of the
+    same words in the same order, so the entry sums the same terms as the
+    column's entry, in its order, and equals it bit for bit.  The diagonal
+    is the empty word's int 1.
     """
     params = smap.params
-    column = basis(gamma)
     room = scaled_homogeneity(beta, params) + 1 - scaled_homogeneity(gamma, params)
     out = SeriesVector()
-    for word, dser in smap._words(column, room, beta):
+    for word, dser in smap._words(gamma, room):
         v = dser.coeffs.get(beta.minus(word.shift))
         if v is not None:
             out.add_term(beta, word.coef if v.__class__ is int and v == 1 else word.coef * v)
@@ -437,40 +405,32 @@ def gamma_entry(beta, gamma, smap):
 
 
 def gamma_apply(series, smap, cutoff):
-    """Apply the recentering map to a finitely supported series.
-
-    Pruning uses the exact identity hom(output) = hom(input index) + sum of
-    letter gaps (gap = |support| - |n|): every D^(n) shifts homogeneity by
-    alpha - |n| and every pi-multiplication by |support| - alpha, so only
-    the gaps accumulate.  Gaps are strictly positive by admissibility, so
-    the walk terminates.  Every comparison is on ints q|.| for
-    alpha = p/q.  Each word the walk reaches on the map's trie adds its
-    coefficient times each derived term, at the term's index plus the
-    word's shift.  The result is exact below the cutoff for series
-    supported on indices of homogeneity >= alpha (populated or purely
-    polynomial supports qualify), and below the series' own cutoff, if it
-    has one; it records the smaller of the two.  A series of one term
-    z^gamma with the int coefficient 1, a basis column, reads and fills the
-    process-wide memo of derived series at gamma.
+    """Apply the recentering map to a finitely supported series: c times
+    the column of gamma for each term c z^gamma.  A column's word puts its
+    outputs at |gamma| + its gap sum (each D^(n) adds alpha - |n| and each
+    pi value |support| - alpha), so the room limit - q|gamma| keeps exactly
+    the outputs below the cutoff, and a term at or above it adds nothing.
+    The result is exact below the cutoff for series supported on indices of
+    homogeneity >= alpha (populated or purely polynomial supports qualify),
+    and below the series' own cutoff, if it has one; it records the smaller
+    of the two.
     """
     params = smap.params
-    p, q = params.alpha_ratio
     limit = scaled_cutoff(cutoff, params)
     out = SeriesVector()
     out.cutoff = _smaller_cutoff(series.cutoff, (params, limit))
-    if not series.coeffs:
-        return out
-    room = limit - min(scaled_homogeneity(m, params) for m in series.coeffs)
-    for word, dser in smap._words(series, room):
-        coef, shift = word.coef, word.shift
-        # q|m + shift| = q|m| + weight, so q|m| (inlined) must stay below
-        # m_limit
-        m_limit = limit - word.weight
-        for m, v in dser.coeffs.items():
-            if p * (1 + m._a_weight + m._b_weight - m._p_count) + q * m._poly_weight < m_limit:
-                # an int coefficient 1 keeps the word's coefficient as it is
-                # (a float 1.0 must still turn a Fraction one into a float)
-                out.add_term(m + shift, coef if v.__class__ is int and v == 1 else coef * v)
+    for gamma, c in series.items():
+        room = limit - scaled_homogeneity(gamma, params)
+        if room <= 0:
+            continue
+        # an int coefficient 1 keeps a value as it is (a float 1.0 must
+        # still turn a Fraction one into a float)
+        unit = c.__class__ is int and c == 1
+        for word, dser in smap._words(gamma, room):
+            coef, shift = word.coef, word.shift
+            for m, v in dser.coeffs.items():
+                value = coef if v.__class__ is int and v == 1 else coef * v
+                out.add_term(m + shift, value if unit else c * value)
     return out
 
 

@@ -543,8 +543,10 @@ def pi_f0_second_moment_check(sampler, x=None, n_samples=256, dump_path=None):
                                   source.cols, base=zero))
     if dump_path is not None:
         covariance = source.inverse(total / (grid.volume * n_samples))
-        dump_field(SpectralField(grid, 2.0 * (covariance[zero] - covariance), "physical"),
-                   dump_path)
+        # 2 (C(0) - C) in place, the same bits as formed in new arrays
+        np.subtract(covariance[zero], covariance, out=covariance)
+        covariance *= 2.0
+        dump_field(SpectralField(grid, covariance, "physical"), dump_path)
     return report
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfrenorm import group
+from tfrenorm import clear_memos, group
 from tfrenorm.errors import ConfigError
 from tfrenorm.group import (
     SeriesVector,
@@ -470,19 +470,25 @@ def test_gamma_battery_of_random_maps():
 
 def test_the_walk_applies_each_n_word_once(monkeypatch):
     """D^(n) runs at most once per (index, n-word) in the process, however
-    many supports, walks, maps and cutoffs lead to it: a basis column's
-    derived series are kept for the process.  Any other series gets D^(n)
-    at most once per n-word in its walk."""
-    monkeypatch.setattr(group, "_BASIS_DERIVED", {})
+    many supports, walks, maps, cutoffs and series lead to it: every walk
+    is a basis column's, and its derived series are kept for the process.
+    Each series D^(n) meets is a column's z^gamma, with the int coefficient
+    1, or one D^(n) made, named by its (index, n-word)."""
+    clear_memos()
     rng = random.Random(48)
     maps = [random_structure_map(PARAMS, rng, density=0.6, value=lambda rng: Fraction(
         rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))) for _ in range(3)]
-    names = {}  # id of a series -> (its index or None, its n-word)
+    names = {}  # id of a derived series -> (its index, its n-word)
     seen = []  # (index, n-word, derived series), which also keeps every id alive
     apply = group.dn_apply
 
     def counted(series, n):
-        gamma, word = names[id(series)]
+        if id(series) in names:
+            gamma, word = names[id(series)]
+        else:
+            ((gamma, one),) = series.items()
+            assert one == 1 and type(one) is int
+            word = ()
         out = apply(series, n)
         names[id(out)] = gamma, word + (tuple(n),)
         seen.append((gamma, word + (tuple(n),), out))
@@ -493,23 +499,22 @@ def test_the_walk_applies_each_n_word_once(monkeypatch):
     for smap in maps:
         for cut in (3.0, 4.0):
             for gamma in columns:
-                column = basis(gamma)
-                names[id(column)] = gamma, ()
-                gamma_apply(column, smap, cut)
+                gamma_apply(basis(gamma), smap, cut)
         for gamma in columns:
             for beta in POP_30[::7]:
                 gamma_entry(beta, gamma, smap)
     keys = [(gamma, word) for gamma, word, _ in seen]
     assert len(keys) > 20 and max(len(word) for _, word in keys) >= 3
     assert len(set(keys)) == len(keys)
-    # a series of two terms keeps its derived series for its walk alone
-    for smap in maps[:2]:
-        series = SeriesVector({P("f0"): Fraction(1, 2), P("g(0,1)"): 3})
-        names[id(series)] = None, ()
-        del seen[:]
-        gamma_apply(series, smap, 4.0)
-        words = [word for _, word, _ in seen]
-        assert len(words) > 5 and len(set(words)) == len(words)
+    # a series of several terms walks the columns of its terms, so it
+    # applies D^(n) only where no walk before it has
+    for smap in maps:
+        for series in (SeriesVector({P("f0"): Fraction(1, 2), P("g(0,1)"): 3}),
+                       SeriesVector({P("f0+f1"): 2, P("e0"): Fraction(-1, 3), P("f1"): 1})):
+            gamma_apply(series, smap, 4.0)
+    keys = [(gamma, word) for gamma, word, _ in seen]
+    assert len(set(keys)) == len(keys)
+    assert {gamma for gamma, _ in keys} >= {P("f0"), P("g(0,1)"), P("f1")}
 
 
 def _trie(smap):
@@ -797,6 +802,92 @@ def test_gamma_keeps_the_value_types_of_its_map_and_column(unit):
                 for m, v in col.items():
                     entry = gamma_entry(m, column, smap)
                     assert type(entry) is type(v) and entry == v
+
+
+# ---------------------------------------------------------------------------
+# Gamma* of a series against one walk over the whole series
+# ---------------------------------------------------------------------------
+
+
+def gamma_apply_by_series_walk(series, smap, cutoff):
+    """Gamma* of a series by one walk of the letter multisets that carries
+    the whole series with the word's derivations applied, each output term
+    kept when it lies below the cutoff: the walk cut at the room of the
+    series' lowest term, D^(n) applied once per word and n, and a word
+    whose derived series is empty not extended."""
+    params = smap.params
+    q = params.alpha_ratio[1]
+    limit = scaled_cutoff(cutoff, params)
+    letters = smap.letters()
+    gaps = [scaled_homogeneity(m, params) - q * aniso_degree(n) for n, m, _v in letters]
+    out = SeriesVector()
+
+    def walk(last, reps, derived, value, fact, shift, room):
+        coef = value * Fraction(1, fact)
+        for m, v in derived.items():
+            if scaled_homogeneity(m + shift, params) < limit:
+                out.add_term(m + shift, coef * v)
+        nsers = {}
+        for idx in range(last, len(letters)):
+            n, m, v = letters[idx]
+            if gaps[idx] < room:
+                if n not in nsers:
+                    nsers[n] = dn_apply(derived, n)
+                nser = nsers[n]
+                if not nser.coeffs:
+                    continue
+                mult = reps + 1 if idx == last else 1
+                walk(idx, mult, nser, value * v, fact * mult, shift + m, room - gaps[idx])
+
+    if series.coeffs:
+        room = limit - min(scaled_homogeneity(m, params) for m in series.coeffs)
+        walk(0, 0, series, 1, 1, Multiindex(), room)
+    return out
+
+
+def test_a_term_at_or_above_the_cutoff_adds_nothing():
+    """A product's terms can reach the cutoff: the term exactly at it and
+    one above it add nothing, not even themselves, and the rest of the
+    series maps as the walk over the whole series maps it."""
+    smap, _rng = _seeded_map(PARAMS, 5, "fraction")
+    low, at, above = P("f0"), P("e1+2f0+4f1"), P("e1+2f0+5f1")
+    cutoff = Fraction(PARAMS.alpha) * (1 + bracket(at)) + poly_weight(at)
+    limit = scaled_cutoff(cutoff, PARAMS)
+    assert scaled_homogeneity(at, PARAMS) == limit < scaled_homogeneity(above, PARAMS)
+    series = SeriesVector({low: Fraction(2, 3), at: Fraction(-1, 2), above: 5})
+    got = gamma_apply(series, smap, cutoff)
+    assert len(got) > 5
+    assert dict(got.items()) == dict(gamma_apply_by_series_walk(series, smap, cutoff).items())
+    assert dict(got.items()) == dict(gamma_apply(SeriesVector({low: Fraction(2, 3)}), smap,
+                                                 cutoff).items())
+    assert all(scaled_homogeneity(m, PARAMS) < limit for m in got.coeffs)
+    for term in (at, above):
+        assert len(gamma_apply(basis(term), smap, cutoff)) == 0
+
+
+@pytest.mark.parametrize("cutoff", [3.0, 4.0])
+@pytest.mark.parametrize("alpha, d", [(0.55, 1), (0.6, 1), (0.55, 2), (0.6, 2)])
+def test_gamma_apply_by_columns_equals_the_series_walk(alpha, d, cutoff):
+    """Exact maps: every populated column and two- and four-term series
+    give the same values per index as the walk over the whole series, and
+    entries of each column equal the row-wise containment oracle."""
+    params = ModelParams(alpha=alpha, d=d)
+    letters = MAP_LETTERS[PARAMS if d == 1 else PARAMS_D2]
+    rng = random.Random(int(100 * alpha) + 10 * d + int(cutoff))
+    smap = random_structure_map(params, rng, letters=letters, value=SCALARS["fraction"])
+    pop = enumerate_populated(params, cutoff)
+    for column in pop:
+        col = gamma_apply(basis(column), smap, cutoff)
+        assert dict(col.items()) == dict(
+            gamma_apply_by_series_walk(basis(column), smap, cutoff).items())
+        for beta in list(col.coeffs)[:8] + rng.sample(pop, 2):
+            assert gamma_entry(beta, column, smap) == gamma_entry_by_containment(
+                group, beta, column, smap) == col.get(beta, 0)
+    for size in (2, 2, 2, 4, 4, 4):
+        series = SeriesVector({m: SCALARS["fraction"](rng) or 1 for m in rng.sample(pop, size)})
+        got = gamma_apply(series, smap, cutoff)
+        assert dict(got.items()) == dict(
+            gamma_apply_by_series_walk(series, smap, cutoff).items())
 
 
 # ---------------------------------------------------------------------------

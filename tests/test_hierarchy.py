@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_force_expansion, hierarchy_term_sort_key
-from tfrenorm import hierarchy, indices
+from tfrenorm import clear_memos, hierarchy
 from tfrenorm.errors import ConfigError, ConsistencyError
 from tfrenorm.group import d0_power_row
 from tfrenorm.hierarchy import (
@@ -42,12 +42,6 @@ from tfrenorm.indices import (
 
 PARAMS = ModelParams(alpha=0.55, d=1)
 P = parse_multiindex
-
-
-def clear_memos():
-    hierarchy._right_hand_side.cache_clear()
-    hierarchy._counter_row.cache_clear()
-    indices._LAYERS.clear()
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfrenorm import indices
+from tfrenorm import clear_memos
 from tfrenorm.errors import ConfigError, ResourceError
 from tfrenorm.indices import (
     FIELD_BITS,
@@ -724,7 +724,7 @@ def test_enumeration_from_the_layer_memo_equals_a_cold_search():
     warm = [enumerate_populated(params, cutoff) for params, cutoff in calls]
     for (params, cutoff), got in zip(calls, warm):
         assert got == sorted(got, key=lambda m: (scaled_homogeneity(m, params), m.sort_key()))
-        indices._LAYERS.clear()
+        clear_memos()
         assert enumerate_populated(params, cutoff) == got
     half = ModelParams(alpha=Fraction(1, 2))
     layers = Counter((scaled_homogeneity(m, half), m.b_count()) for m in
@@ -740,7 +740,7 @@ def test_enumeration_returns_a_fresh_list():
 
 def test_max_count_holds_with_a_warm_or_a_cut_memo():
     count = FROZEN_COUNTS[(1, 0.55)][4.0]
-    indices._LAYERS.clear()
+    clear_memos()
     with pytest.raises(ResourceError, match="max_count=50"):
         enumerate_populated(P055, 4.0, max_count=50)  # a cold search, cut short
     assert len(enumerate_populated(P055, 4.0, max_count=count)) == count

@@ -281,6 +281,56 @@ def test_support_inverse_peak_memory():
     assert peak <= 1.2 * math.prod(grid.spectrum_shape) * 16
 
 
+def moment_dump_sampler():
+    grid = SpectralGrid(d=1, sizes=(64, 256), boxes=(1.0, 1.0))
+    return mc.NoiseSampler(grid=grid, spec=covariance_spec(0.75),
+                           moll=mollifier_spec("semigroup", 1e-14), seed=1)
+
+
+def test_moment_dump_bytes_equal_the_formula_in_new_arrays(tmp_path, monkeypatch):
+    # the dump forms 2 (C(0) - C) in place in the inverse's output; the
+    # bytes equal those of the expression formed in new arrays
+    covariances = []
+    inverse = mc._NoiseSource.inverse
+
+    def kept(source, block):
+        out = inverse(source, block)
+        covariances.append(out.copy())
+        return out
+
+    monkeypatch.setattr(mc._NoiseSource, "inverse", kept)
+    path = tmp_path / "moment.field"
+    mc.pi_f0_second_moment_check(moment_dump_sampler(), n_samples=8, dump_path=path)
+    (covariance,) = covariances
+    want = 2.0 * (covariance[0, 0] - covariance)
+    assert path.read_bytes() == np.ascontiguousarray(want, dtype="<f8").tobytes()
+
+
+def test_moment_dump_peak_memory(tmp_path, monkeypatch):
+    # measured from the support inverse to the end of the write: 2.01 half
+    # spectra at 64 x 256, the inverse's output and dump_field's C-order
+    # copy (2.98 with 2 (C(0) - C) formed in two new arrays)
+    sampler = moment_dump_sampler()
+    inverse, dump = mc._NoiseSource.inverse, mc.dump_field
+    peaks = []
+
+    def traced_inverse(source, block):
+        tracemalloc.start()
+        return inverse(source, block)
+
+    def traced_dump(field, path):
+        try:
+            dump(field, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(mc._NoiseSource, "inverse", traced_inverse)
+    monkeypatch.setattr(mc, "dump_field", traced_dump)
+    mc.pi_f0_second_moment_check(sampler, n_samples=8, dump_path=tmp_path / "moment.field")
+    assert peaks[0] <= 2.1 * math.prod(sampler.grid.spectrum_shape) * 16
+
+
 def test_moment_check_reads_the_same_with_and_without_a_dump(tmp_path):
     # the dump is the mean over draws and base points y of
     # (pi_f0(y + r) - pi_f0(y))^2 at every cell r, which is

@@ -7,13 +7,26 @@ benchmark runs it: on its 64 x 256 grid, at its three corners, with its
 sample counts and times.  The benchmark does not run bphz f0; it runs here
 with the samples and times of bphz f0+f1.  A check that misses a defect
 some other check catches names what only the catching check can see.
+
+ALGEBRA_MUTANTS does the same for the structure group, with three checks:
+the multiplicativity identity of the Gamma* battery, gamma_entry against
+the row-wise containment oracle (which applies the unmutated derivations),
+and the benchmark's spot check of gamma_entry against the gamma_apply
+column.  gamma_entry reads the column's own walk, so the spot check sets no
+two paths against each other and misses every defect of the walk.
 """
+
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import gamma_entry_by_containment
+from test_group import PARAMS as GROUP_PARAMS, random_structure_map
 from test_mc_pipeline import CORNERS, T_LIST, make_sampler
-from tfrenorm import mc
+from tfrenorm import clear_memos, group, mc
+from tfrenorm.indices import e, enumerate_populated, f, parse_multiindex
 
 Z_CAUGHT = 3.5
 SEEDS = range(4)
@@ -98,3 +111,115 @@ def test_each_mutant_is_caught_by_its_checks(monkeypatch, plant, caught, missed,
             assert CHECKS[name](sampler).worst_z() > Z_CAUGHT, (name, seed)
         for name in missed:
             assert CHECKS[name](sampler).worst_z() <= Z_CAUGHT, (name, seed)
+
+
+# ---------------------------------------------------------------------------
+# the structure group
+# ---------------------------------------------------------------------------
+
+# the derivations as the oracle reads them, with D0 taken before any plant
+UNMUTATED_D0 = group.d0_apply
+UNMUTATED = SimpleNamespace(basis=group.basis, dn_apply=lambda series, n: (
+    group.dn_apply(series, n) if any(n) else UNMUTATED_D0(series)))
+
+
+def multiplicativity():
+    """Worst |Gamma*(x y) - Gamma*(x) Gamma*(y)| over the battery's 30 float
+    maps and pairs of two-term series, at cutoff 3.0."""
+    rng = random.Random(20240817)
+    pop = enumerate_populated(GROUP_PARAMS, 2.2)
+    worst = 0.0
+    for _ in range(30):
+        smap = random_structure_map(GROUP_PARAMS, rng, density=0.4)
+        x, y = (group.SeriesVector({rng.choice(pop): rng.uniform(-1, 1) for _ in range(2)})
+                for _ in range(2))
+        lhs = group.gamma_apply(group.series_mul(x, y), smap, 3.0)
+        rhs = group.series_mul(group.gamma_apply(x, smap, 3.0),
+                               group.gamma_apply(y, smap, 3.0)).truncate(GROUP_PARAMS, 3.0)
+        worst = max([worst] + [abs(lhs.get(k, 0.0) - rhs.get(k, 0.0))
+                               for k in set(lhs.coeffs) | set(rhs.coeffs)])
+    return worst
+
+
+def entry_deviations(want):
+    """Worst |gamma_entry - want(beta, gamma, smap)| over four columns of a
+    float map and every populated row below 3.4."""
+    smap = random_structure_map(GROUP_PARAMS, random.Random(13))
+    return max(abs(group.gamma_entry(beta, gamma, smap) - want(beta, gamma, smap))
+               for gamma in map(parse_multiindex, ("f0", "f0+f1", "g(0,1)", "e1+2f0"))
+               for beta in enumerate_populated(GROUP_PARAMS, 3.4))
+
+
+ALGEBRA_CHECKS = {
+    "multiplicativity": multiplicativity,
+    "containment": lambda: entry_deviations(
+        lambda beta, gamma, smap: gamma_entry_by_containment(UNMUTATED, beta, gamma, smap)),
+    "spot": lambda: entry_deviations(
+        lambda beta, gamma, smap: group.gamma_apply(group.basis(gamma), smap, 3.4).get(beta, 0)),
+}
+DEVIATION_CAUGHT = 1e-9
+
+
+def d0_count_weight(monkeypatch):
+    """D0 weighted by the slot count c alone, not by (k + 1) c."""
+
+    def planted(series):
+        out = group.SeriesVector()
+        for gamma, v in series.items():
+            for k, c in gamma.a:
+                out.add_term(gamma.minus(e(k)) + e(k + 1), v * c)
+            for l, c in gamma.b:
+                out.add_term(gamma.minus(f(l)) + f(l + 1), v * c)
+        return out
+
+    monkeypatch.setattr(group, "d0_apply", planted)
+
+
+def repeat_factorial_dropped(monkeypatch):
+    """A word's coefficient without the 1/j! of a letter repeated j times."""
+
+    def planted(smap, word, idx, nword):
+        _n, m, v = smap._letters[idx]
+        mult = word.reps + 1 if idx == word.last else 1
+        kid = word.kids[idx] = group._Word(word.value * v, word.fact, word.shift + m, nword,
+                                           idx, mult)
+        return kid
+
+    monkeypatch.setattr(group.StructureMap, "_child", planted)
+
+
+# (name, plant, caught by, missed by); unmutated, every check reads at most
+# 5e-16.  D0 weighted by c is still a derivation that commutes with every
+# D^(n), so Gamma* stays an algebra map and multiplicativity reads 2e-16 on
+# it; the containment oracle reads 1.02.  Without 1/j! the word sum is no
+# exponential: multiplicativity reads 0.81 and containment 3.47
+ALGEBRA_MUTANTS = [
+    ("d0_count_weight", d0_count_weight, ["containment"], ["multiplicativity", "spot"]),
+    ("repeat_factorial_dropped", repeat_factorial_dropped, ["multiplicativity", "containment"],
+     ["spot"]),
+]
+
+
+@pytest.fixture
+def cleared_memos():
+    """The derived series of the columns hold the derivations they were
+    made with, so a planted D0 starts and leaves an empty memo."""
+    clear_memos()
+    yield
+    clear_memos()
+
+
+def test_the_algebra_checks_read_no_deviation_unmutated(cleared_memos):
+    for name, check in ALGEBRA_CHECKS.items():
+        assert check() <= 1e-15, name
+
+
+@pytest.mark.parametrize("plant, caught, missed", [m[1:] for m in ALGEBRA_MUTANTS],
+                         ids=[m[0] for m in ALGEBRA_MUTANTS])
+def test_each_algebra_mutant_is_caught_by_its_checks(monkeypatch, cleared_memos, plant,
+                                                      caught, missed):
+    plant(monkeypatch)
+    for name in caught:
+        assert ALGEBRA_CHECKS[name]() > DEVIATION_CAUGHT, name
+    for name in missed:
+        assert ALGEBRA_CHECKS[name]() <= DEVIATION_CAUGHT, name
