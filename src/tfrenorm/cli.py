@@ -177,7 +177,7 @@ _FORMAT = [_Opt("format", _choice("json", "csv"), default="json",
 _PARAMS = [
     _Opt("alpha", _fraction, required=True,
          help="regularity exponent in (max(0, 3/2 - D/4), 1) with D = 4 + d, so "
-              "(1/4, 1) at d = 1; a decimal or p/q, taken exactly"),
+              "(1/4, 1) at d = 1; a decimal or p/q, exact as in ModelParams: 0.6 is 3/5"),
     _Opt("d", int, default="1", help="spatial dimension (default 1)"),
     _Opt("lam", _float, default="0.4", help="ordering weight in (0, 1/2)"),
 ]
@@ -210,7 +210,7 @@ def run_enumerate(cfg):
         return "\n".join(lines)
     return _to_json(
         {
-            "alpha": params.alpha,
+            "alpha": float(params.alpha),
             "d": params.d,
             "cutoff": float(cfg["cutoff"]),
             "count": len(indices),
@@ -284,7 +284,7 @@ def run_gamma_entry(cfg):
 def run_kappa(cfg):
     params = _model_params(cfg)
     kappa = choose_kappa(params, cutoff=cfg["cutoff"])
-    return _to_json({"alpha": params.alpha, "d": params.d, "kappa": kappa})
+    return _to_json({"alpha": float(params.alpha), "d": params.d, "kappa": kappa})
 
 
 def run_kernel_check(cfg):

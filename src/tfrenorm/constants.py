@@ -415,10 +415,11 @@ def scaling_exponents(beta_c, params, mollifier_kind="semigroup"):
     m0 exponent is known only for those three (other constants vanish):
     the (4 b - a - sigma)/4 of their column (module docstring).
     """
-    sigma = _sigma(params.alpha, mollifier_kind)
+    alpha = float(params.alpha)
+    sigma = _sigma(alpha, mollifier_kind)
     if not is_c_populated(beta_c, params):
         raise ConfigError("scaling exponents need a constant-carrying index")
-    tau_exp = (homogeneity(beta_c, params) - params.alpha - 2.0) / 8.0
+    tau_exp = (homogeneity(beta_c, params) - alpha - 2.0) / 8.0
     column = dict(zip((C1_INDEX, C2_INDEX, C3_INDEX), COLUMNS)).get(beta_c)
     return tau_exp, None if column is None else _m0_power(column, sigma)
 

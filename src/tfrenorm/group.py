@@ -448,10 +448,8 @@ def structure_map_to_json(smap):
         ]
         families.append({"n": list(n), "entries": entries})
     params = smap.params
-    p, q = params.alpha_ratio
     return {
-        # an exact alpha that is not the float's own ratio is written as "p/q"
-        "alpha": params.alpha if params.alpha.as_integer_ratio() == (p, q) else f"{p}/{q}",
+        "alpha": str(params.alpha),
         "d": params.d,
         "lam": params.lam,
         "families": families,
@@ -484,12 +482,8 @@ def structure_map_from_json(doc, params=None):
 
     try:
         if params is None:
-            alpha = doc["alpha"]
-            params = ModelParams(
-                alpha=Fraction(alpha) if isinstance(alpha, str) and "/" in alpha
-                else float(alpha),
-                d=doc["d"], lam=float(doc.get("lam", 0.4)),
-            )
+            params = ModelParams(alpha=Fraction(str(doc["alpha"])), d=doc["d"],
+                                 lam=float(doc.get("lam", 0.4)))
         pi = {
             tuple(int(i) for i in fam["n"]): {
                 parse_multiindex(ent["beta"], expected_arity=params.arity):

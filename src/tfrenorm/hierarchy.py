@@ -367,15 +367,6 @@ class HierarchyDag:
     edges: dict
     topo_order: tuple
 
-    def __iter__(self):
-        return iter(self.expansions)
-
-    def __getitem__(self, beta):
-        return self.expansions[beta]
-
-    def items(self):
-        return self.expansions.items()
-
 
 def build_dag(params, cutoff, mode="raw", max_count=200_000):
     """Expand every populated non-polynomial index below the cutoff.
@@ -479,7 +470,7 @@ def term_to_json(term):
 def expansion_to_json(params, entries, mode="raw"):
     """Serialise a mapping beta -> term list (document order = input order)."""
     return {
-        "alpha": params.alpha,
+        "alpha": float(params.alpha),
         "d": params.d,
         "lam": params.lam,
         "mode": mode,

@@ -59,12 +59,13 @@ depth-first search, and reads every later call at any alpha from it.
 Like the table, the memo never shrinks: a benchmark ``algebra`` run of
 120 jobs leaves about 45 layers holding about 1,000 indices.
 
-Decisions are exact.  ``ModelParams`` holds alpha = p/q exactly, and every
-decision on homogeneities, here and in the group and hierarchy modules,
-compares the int q|beta| = p(1 + [beta]) + q|beta|_p of ``scaled_homogeneity``
-with the int ceil(q * cutoff) of ``scaled_cutoff``: a tie such as
-7 * (1/3) = 2 + 1/3 falls as in exact arithmetic.  ``homogeneity`` stays a
-float, for output and for the numeric layers.
+Decisions are exact.  ``ModelParams`` holds alpha = p/q as a Fraction (a
+float alpha is the decimal it prints as), and every decision on
+homogeneities, here and in the group and hierarchy modules, compares the
+int q|beta| = p(1 + [beta]) + q|beta|_p of ``scaled_homogeneity`` with the
+int ceil(q * cutoff) of ``scaled_cutoff``: a tie such as 7 * (1/3) =
+2 + 1/3 falls as in exact arithmetic.  ``homogeneity`` is a float, for
+output and for the numeric layers.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
@@ -451,42 +453,35 @@ def format_multiindex(beta):
 class ModelParams:
     """Analytic parameters of the model.
 
-    alpha   -- spatial regularity exponent, in (max(0, 3/2 - D/4), 1); a
-               float or a Fraction, stored as a float
+    alpha   -- spatial regularity exponent in (max(0, 3/2 - D/4), 1), an
+               exact Fraction; a float means the decimal it prints as, so
+               0.6 is 3/5, as for the CLI's ``--alpha 0.6``
     d       -- number of space dimensions (time is separate)
     lam     -- weight of the decoration degree in the ordering length,
                in (0, 1/2)
-    allow_rational_alpha -- no effect: decisions are exact at every alpha.
-               Kept for the benchmark, which still passes it (ROADMAP item 1).
-    alpha_ratio -- (p, q) with alpha = p/q exactly as given, so the float
-               1/3 lies below Fraction(1, 3); part of equality and hash.
-               Worked out from alpha when not given.  A given ratio is
-               kept if the float alpha is its rounding, so that
-               ``dataclasses.replace``, which passes it on, keeps an exact
-               alpha; otherwise alpha's own ratio replaces it.  So a float
-               alpha and the exact one can decide differently near a
-               rational with a small denominator: ModelParams(0.6) has 63
-               populated indices at cutoff 3, while ``--alpha 0.6``, which
-               the CLI takes as Fraction(3, 5), has 43.
+    allow_rational_alpha -- no effect: alpha is exact whatever its type.
+               Kept until the benchmark stops passing it (ROADMAP item 1a).
+    alpha_ratio -- (p, q) with alpha = p/q in lowest terms, worked out from
+               alpha; not an argument.
     """
 
-    alpha: float
+    alpha: Fraction
     d: int = 1
     lam: float = 0.4
     allow_rational_alpha: bool = field(default=False, compare=False, repr=False)
-    alpha_ratio: tuple = None
+    alpha_ratio: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ConfigError(f"spatial dimension must be a positive int, got {self.d!r}")
-        ratio = self.alpha_ratio
+        alpha = self.alpha
         try:
-            if ratio is not None and isinstance(self.alpha, float) and (
-                    ratio[0] / ratio[1] == self.alpha):
-                p, q = Fraction(*ratio).as_integer_ratio()
-            else:
-                p, q = self.alpha.as_integer_ratio()
-        except (AttributeError, ValueError, OverflowError, TypeError, ZeroDivisionError):
+            if isinstance(alpha, float):
+                # the decimal it prints as; float() first, since numpy 2 prints
+                # np.float64(0.6), a float too, with its type name
+                alpha = Decimal(repr(float(alpha)))
+            p, q = alpha.as_integer_ratio()
+        except (AttributeError, ValueError, OverflowError):
             raise ConfigError(f"alpha={self.alpha!r} is not a finite number") from None
         # the lower edge 3/2 - D/4 is (2 - d)/4
         if not (0 < p < q and 4 * p > (2 - self.d) * q):
@@ -497,7 +492,7 @@ class ModelParams:
             )
         if not 0.0 < self.lam < 0.5:
             raise ConfigError(f"lam={self.lam} outside (0, 1/2)")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", Fraction(p, q))
         object.__setattr__(self, "alpha_ratio", (p, q))
 
     @property
@@ -536,7 +531,8 @@ def homogeneity(beta, params):
     (|beta| - alpha) + (|gamma| - alpha).  Decisions compare
     ``scaled_homogeneity`` instead.
     """
-    return params.alpha * (1 + bracket(beta)) + poly_weight(beta)
+    p, q = params.alpha_ratio
+    return p / q * (1 + bracket(beta)) + poly_weight(beta)  # p / q is float(alpha)
 
 
 def scaled_homogeneity(beta, params):
@@ -803,10 +799,10 @@ def choose_kappa(params, cutoff=None):
     above 3 + alpha so that m is final; a smaller cutoff or an empty window
     raises ConfigError.
     """
-    alpha = params.alpha
+    alpha = float(params.alpha)
     p, q = params.alpha_ratio
     if cutoff is None:
-        cutoff = 3 + alpha + 0.5
+        cutoff = 3 + params.alpha + Fraction(1, 2)
     if scaled_cutoff(cutoff, params) <= 3 * q + p:
         raise ConfigError(
             f"homogeneity cutoff {float(cutoff)} too small to determine the window "

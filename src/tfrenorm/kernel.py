@@ -829,7 +829,9 @@ def dump_field(field, path):
         "space": field.space,
     }
     try:
-        np.ascontiguousarray(field.values, dtype="<f8").tofile(path)
+        with open(path, "wb") as out:
+            for row in field.values:  # C order a time row at a time, no whole copy
+                out.write(np.ascontiguousarray(row, dtype="<f8"))
         Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=1) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write the field dump {str(path)!r}: {exc}") from None

@@ -62,6 +62,9 @@ def test_enumerate_documented_invocation(capsys):
     doc = run_json(capsys, "enumerate", "--alpha", "0.55", "--d", "1", "--cutoff", "3")
     assert "e1+f0+f1+g(0,1)" in doc["indices"]
     assert doc["count"] == len(doc["indices"]) == 63
+    # the library's ModelParams(0.6) decides the same: 0.6 is 3/5
+    doc = run_json(capsys, "enumerate", "--alpha", "0.6", "--cutoff", "3")
+    assert doc["alpha"] == 0.6 and doc["count"] == 43
 
 
 def test_enumerate_csv_lists_homogeneity(capsys):

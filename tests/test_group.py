@@ -930,10 +930,12 @@ def test_structure_map_json_keeps_an_exact_alpha():
     doc = structure_map_to_json(smap)
     assert doc["alpha"] == "1/3"
     assert structure_map_from_json(doc).params.alpha_ratio == (1, 3)
-    # a float alpha is written as the float, as before
+    # a float alpha is the decimal it prints as, written the same one way
     doc = structure_map_to_json(StructureMap(PARAMS, {(0, 0): {P("f0"): 1}}))
-    assert doc["alpha"] == 0.55 and type(doc["alpha"]) is float
+    assert doc["alpha"] == "11/20"
     assert structure_map_from_json(doc).params == PARAMS
+    # a document holding a number reads it as the decimal it prints as
+    assert structure_map_from_json(dict(doc, alpha=0.55)).params.alpha == Fraction(11, 20)
     for bad in ("1/0", "a/3", "1/3/4"):
         with pytest.raises(ConfigError):
             structure_map_from_json(dict(doc, alpha=bad))

@@ -458,13 +458,13 @@ def test_dag_is_closed_below_the_cutoff():
     cutoff = 3.0
     dag = build_dag(PARAMS, cutoff)
     pop = set(enumerate_populated(PARAMS, cutoff))
-    for beta, terms in dag.items():
+    for beta, terms in dag.expansions.items():
         for m in dependencies(beta, PARAMS):
             assert m in pop
             if not is_purely_polynomial(m):
-                assert m in dag
+                assert m in dag.expansions
     # every non-polynomial populated index has an expansion entry
-    assert set(dag) == {m for m in pop if not is_purely_polynomial(m)}
+    assert set(dag.expansions) == {m for m in pop if not is_purely_polynomial(m)}
     # nodes cover all of the population; polynomial nodes are leaves
     assert set(dag.nodes) == pop
     assert all(dag.edges[m] == [] for m in pop if is_purely_polynomial(m))
@@ -486,7 +486,7 @@ def test_dag_just_above_alpha_is_a_single_noise_node():
     dag = build_dag(PARAMS, PARAMS.alpha + 0.01)
     assert list(dag.nodes) == [P("f0")]
     assert dag.edges[P("f0")] == []
-    assert len(dag[P("f0")]) == 1
+    assert len(dag.expansions[P("f0")]) == 1
 
 
 def test_dag_expands_each_node_once(monkeypatch):
@@ -524,7 +524,7 @@ def test_dag_asks_each_counter_row_once(monkeypatch, cleared_memos):
     dag = build_dag(PARAMS, 3.4)
     assert calls and len(set(calls)) == len(calls)
     fresh = len(calls)
-    for beta, terms in dag.items():
+    for beta, terms in dag.expansions.items():
         assert expand(beta, PARAMS) == terms
     assert len(calls) == fresh
 
@@ -556,7 +556,7 @@ def test_expansion_json_round_trip():
     entries = {m: expand(m, PARAMS) for m in all_expandable(PARAMS, 2.5)}
     doc = expansion_to_json(PARAMS, entries)
     meta, back = expansion_from_json(doc)
-    assert meta["alpha"] == PARAMS.alpha and meta["mode"] == "raw"
+    assert meta["alpha"] == float(PARAMS.alpha) and meta["mode"] == "raw"
     assert set(back) == set(entries)
     for m in entries:
         assert same_terms(back[m], entries[m])

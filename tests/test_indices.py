@@ -12,6 +12,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -544,18 +545,23 @@ def test_params_window_validation():
 
 def test_params_hold_alpha_exactly():
     third = ModelParams(alpha=Fraction(1, 3))
-    assert third.alpha == 1 / 3 and type(third.alpha) is float
+    assert third.alpha == Fraction(1, 3) and type(third.alpha) is Fraction
     assert third.alpha_ratio == (1, 3)
-    # a float is exact on its own value, which lies below 1/3
-    assert ModelParams(alpha=1 / 3).alpha_ratio == (1 / 3).as_integer_ratio()
+    # a float is the decimal it prints as, which for 1 / 3 lies below 1/3
+    assert ModelParams(alpha=1 / 3).alpha == Fraction("0.3333333333333333")
     assert third != ModelParams(alpha=1 / 3)
+    # so 0.6, numpy's 0.6 and 3/5 are one alpha, deciding as ``--alpha 0.6``
+    three_fifths = [ModelParams(alpha=a) for a in (0.6, np.float64(0.6), Fraction(3, 5))]
+    assert all(p == three_fifths[0] and hash(p) == hash(three_fifths[0]) for p in three_fifths)
+    assert [len(enumerate_populated(p, 3)) for p in three_fifths] == [43, 43, 43]
     for twin in (copy.copy(third), pickle.loads(pickle.dumps(third))):
-        assert twin == third and hash(twin) == hash(third)
-    # dataclasses.replace passes the ratio on; a new alpha brings its own
+        assert twin == third and hash(twin) == hash(third) and twin.alpha_ratio == (1, 3)
+    # dataclasses.replace passes alpha on; a new alpha brings its own ratio
     assert dataclasses.replace(third, lam=0.3).alpha_ratio == (1, 3)
-    assert dataclasses.replace(third, alpha=0.4).alpha_ratio == (0.4).as_integer_ratio()
+    assert dataclasses.replace(third, alpha=0.4).alpha_ratio == (2, 5)
     assert dataclasses.replace(third, alpha=Fraction(2, 5)).alpha_ratio == (2, 5)
-    assert ModelParams(alpha=1 / 3, alpha_ratio=(2, 6)) == third
+    with pytest.raises(TypeError):
+        ModelParams(alpha=1 / 3, alpha_ratio=(1, 3))
     # the window is exact too: 1/4 + 1e-20 rounds to the float 0.25
     with pytest.raises(ConfigError):
         ModelParams(alpha=Fraction(1, 4))

@@ -8,12 +8,14 @@ sample counts and times.  The benchmark does not run bphz f0; it runs here
 with the samples and times of bphz f0+f1.  A check that misses a defect
 some other check catches names what only the catching check can see.
 
-ALGEBRA_MUTANTS does the same for the structure group, with three checks:
-the multiplicativity identity of the Gamma* battery, gamma_entry against
-the row-wise containment oracle (which applies the unmutated derivations),
-and the benchmark's spot check of gamma_entry against the gamma_apply
-column.  gamma_entry reads the column's own walk, so the spot check sets no
-two paths against each other and misses every defect of the walk.
+ALGEBRA_MUTANTS does the same for the structure group and the hierarchy,
+with five checks: the multiplicativity identity of the Gamma* battery,
+gamma_entry against the row-wise containment oracle (which applies the
+unmutated derivations), the benchmark's spot check of gamma_entry against
+the gamma_apply column, and the replays of the packaged hierarchy.json and
+d0_rows.json, each read as its count of defect lines.  gamma_entry reads
+the column's own walk, so the spot check sets no two paths against each
+other and misses every defect of the walk.
 """
 
 import random
@@ -25,7 +27,7 @@ import pytest
 from oracles import gamma_entry_by_containment
 from test_group import PARAMS as GROUP_PARAMS, random_structure_map
 from test_mc_pipeline import CORNERS, T_LIST, make_sampler
-from tfrenorm import clear_memos, group, mc
+from tfrenorm import clear_memos, group, hierarchy, mc, verify
 from tfrenorm.indices import e, enumerate_populated, f, parse_multiindex
 
 Z_CAUGHT = 3.5
@@ -150,12 +152,19 @@ def entry_deviations(want):
                for beta in enumerate_populated(GROUP_PARAMS, 3.4))
 
 
+def fixture_defects(replay, name):
+    """The number of defect lines replay finds in the packaged fixture."""
+    return len(replay(verify.load_fixture(name))[1])
+
+
 ALGEBRA_CHECKS = {
     "multiplicativity": multiplicativity,
     "containment": lambda: entry_deviations(
         lambda beta, gamma, smap: gamma_entry_by_containment(UNMUTATED, beta, gamma, smap)),
     "spot": lambda: entry_deviations(
         lambda beta, gamma, smap: group.gamma_apply(group.basis(gamma), smap, 3.4).get(beta, 0)),
+    "hierarchy_fixture": lambda: fixture_defects(verify.verify_hierarchy, "hierarchy.json"),
+    "d0_rows_fixture": lambda: fixture_defects(verify.verify_d0_rows, "d0_rows.json"),
 }
 DEVIATION_CAUGHT = 1e-9
 
@@ -188,22 +197,36 @@ def repeat_factorial_dropped(monkeypatch):
     monkeypatch.setattr(group.StructureMap, "_child", planted)
 
 
+def counter_weights_doubled(monkeypatch):
+    """Every weight of the (D0)^m rows that hierarchy expands with doubled;
+    group.d0_power_row, which verify_d0_rows binds, stays as it is."""
+    row = hierarchy.d0_power_row
+    monkeypatch.setattr(hierarchy, "d0_power_row",
+                        lambda sigma, m: {gamma: 2 * w for gamma, w in row(sigma, m).items()})
+
+
 # (name, plant, caught by, missed by); unmutated, every check reads at most
 # 5e-16.  D0 weighted by c is still a derivation that commutes with every
 # D^(n), so Gamma* stays an algebra map and multiplicativity reads 2e-16 on
 # it; the containment oracle reads 1.02.  Without 1/j! the word sum is no
-# exponential: multiplicativity reads 0.81 and containment 3.47
+# exponential: multiplicativity reads 0.81 and containment 3.47.  Doubled
+# counter weights change the 21 counter terms of hierarchy.json (weights 1
+# and 2), so its replay reads 9 defect lines, one per entry that has any;
+# the d0_rows replay reads the rows through group, and reads none
 ALGEBRA_MUTANTS = [
     ("d0_count_weight", d0_count_weight, ["containment"], ["multiplicativity", "spot"]),
     ("repeat_factorial_dropped", repeat_factorial_dropped, ["multiplicativity", "containment"],
      ["spot"]),
+    ("counter_weights_doubled", counter_weights_doubled, ["hierarchy_fixture"],
+     ["d0_rows_fixture"]),
 ]
 
 
 @pytest.fixture
 def cleared_memos():
-    """The derived series of the columns hold the derivations they were
-    made with, so a planted D0 starts and leaves an empty memo."""
+    """The derived series of the columns and the counter rows of the
+    hierarchy hold the code they were made with, so a plant starts and
+    leaves empty memos."""
     clear_memos()
     yield
     clear_memos()
