@@ -21,10 +21,18 @@ Output is JSON unless a subcommand offers ``--format csv``; either way the
 content is deterministic for a fixed config and seed, its lines end in a
 bare newline, and it ends in exactly one.  JSON output is
 strict: a non-finite result is a numerical failure, never ``NaN`` or
-``Infinity`` on stdout.
+``Infinity`` on stdout.  Every CSV output goes through one ``csv.writer``
+(``_csv``), so a field that holds a comma, such as the index ``g(0,1)`` or
+the lattice point ``(0, 1)``, is quoted.  No other module formats what a
+subcommand prints: the layers return values and dicts.  ``--alpha``, one
+exact option shared by every subcommand, reaches the numeric layers as its
+float.
 """
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -149,10 +157,7 @@ def _merge(args, opts):
 
 
 def _emit(text, path):
-    """Write text so that it ends in exactly one newline: JSON and some CSV
-    text come without one, ``csv_text`` and ``sweep_csv`` with one."""
-    if not text.endswith("\n"):
-        text += "\n"
+    """Write text, which ``_to_json`` and ``_csv`` end in one newline."""
     if path in (None, "-"):
         print(text, end="", flush=True)  # a closed pipe fails here, inside main
         return
@@ -164,9 +169,17 @@ def _emit(text, path):
 
 def _to_json(doc):
     try:
-        return json.dumps(doc, indent=1, allow_nan=False)
+        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
     except ValueError:
         raise NumericError("the result is not finite") from None
+
+
+def _csv(rows):
+    """The rows as ``csv.writer`` writes them, each line ending in a bare
+    newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 # shared option groups -------------------------------------------------------
@@ -174,10 +187,13 @@ def _to_json(doc):
 _OUTPUT = [_Opt("output", str, help="write to this path instead of stdout")]
 _FORMAT = [_Opt("format", _choice("json", "csv"), default="json",
                 help="output format (default json)")]
+_ALPHA = _Opt("alpha", _fraction, required=True,
+              help="regularity exponent, a decimal or p/q, exact as in ModelParams: 0.6 "
+                   "is 3/5; in (max(0, 3/2 - D/4), 1) with D = 4 + d for the index "
+                   "algebra, so (1/4, 1) at d = 1, and in [1/2, 1) for constants, (1/2, 1) "
+                   "for counterterm, h-eval and simulate")
 _PARAMS = [
-    _Opt("alpha", _fraction, required=True,
-         help="regularity exponent in (max(0, 3/2 - D/4), 1) with D = 4 + d, so "
-              "(1/4, 1) at d = 1; a decimal or p/q, exact as in ModelParams: 0.6 is 3/5"),
+    _ALPHA,
     _Opt("d", int, default="1", help="spatial dimension (default 1)"),
     _Opt("lam", _float, default="0.4", help="ordering weight in (0, 1/2)"),
 ]
@@ -203,11 +219,8 @@ def run_enumerate(cfg):
     params = _model_params(cfg)
     indices = enumerate_populated(params, cfg["cutoff"], max_count=cfg["max_count"])
     if cfg["format"] == "csv":
-        lines = ["index,homogeneity"]
-        lines += [
-            f"{format_multiindex(b)},{homogeneity(b, params)!r}" for b in indices
-        ]
-        return "\n".join(lines)
+        return _csv([("index", "homogeneity"),
+                     *((format_multiindex(b), homogeneity(b, params)) for b in indices)])
     return _to_json(
         {
             "alpha": float(params.alpha),
@@ -310,22 +323,20 @@ def run_kernel_check(cfg):
 def run_constants(cfg):
     from .constants import C_constants_with_errors, tfe_leading_form
 
-    pairs = C_constants_with_errors(cfg["alpha"], cfg["mollifier"])
-    (c1, e1), (c2, e2), (c3, e3) = pairs
-    if cfg["format"] == "csv":
-        header = "alpha,mollifier,C1,err1,C2,err2,C3,err3"
-        row = f"{cfg['alpha']!r},{cfg['mollifier']},{c1!r},{e1!r},{c2!r},{e2!r},{c3!r},{e3!r}"
-        return header + "\n" + row
+    alpha = float(cfg["alpha"])
+    (c1, e1), (c2, e2), (c3, e3) = C_constants_with_errors(alpha, cfg["mollifier"])
     doc = {
-        "alpha": cfg["alpha"],
+        "alpha": alpha,
         "mollifier": cfg["mollifier"],
         "C1": c1, "err1": e1,
         "C2": c2, "err2": e2,
         "C3": c3, "err3": e3,
     }
+    if cfg["format"] == "csv":
+        return _csv([doc.keys(), doc.values()])
     if cfg["mollifier"] == "anisotropic":
         # the mobility power m enters neither the coefficient nor the exponent
-        lead = tfe_leading_form(1, cfg["alpha"])
+        lead = tfe_leading_form(1, alpha)
         doc["leading_form"] = {
             "coefficient": lead.coefficient,
             "density_exponent": lead.density_exponent,
@@ -335,20 +346,23 @@ def run_constants(cfg):
 
 
 def run_counterterm(cfg):
-    from .constants import (
-        counterterm_table, covariance_spec, mollifier_spec, sweep_csv, table_to_json,
-    )
+    from .constants import counterterm_table, covariance_spec, mollifier_spec, table_to_json
 
     tables = [
         counterterm_table(
-            covariance_spec(cfg["alpha"], m0),
+            covariance_spec(float(cfg["alpha"]), m0),
             mollifier_spec(cfg["mollifier"], tau, eta=cfg["eta"], m0=m0),
         )
         for tau in cfg["tau"]
         for m0 in cfg["m0"]
     ]
     if cfg["format"] == "csv":
-        return sweep_csv(tables)
+        return _csv([
+            ("alpha", "tau", "m0", "mollifier", "c1", "err1", "c2", "err2", "c3", "err3"),
+            *((t.alpha, t.tau, t.m0, t.mollifier, f"{t.c1:.12e}", f"{t.err1:.3e}",
+               f"{t.c2:.12e}", f"{t.err2:.3e}", f"{t.c3:.12e}", f"{t.err3:.3e}")
+              for t in tables),
+        ])
     return _to_json({"tables": [table_to_json(t) for t in tables]})
 
 
@@ -357,7 +371,7 @@ def run_h_eval(cfg):
         counterterm_h, counterterm_table, covariance_spec, mollifier_spec, table_to_json,
     )
 
-    cov = covariance_spec(cfg["alpha"], cfg["m0"])
+    cov = covariance_spec(float(cfg["alpha"]), cfg["m0"])
     moll = mollifier_spec(cfg["mollifier"], cfg["tau"], eta=cfg["eta"], m0=cfg["m0"])
     table = counterterm_table(cov, moll)
     value = counterterm_h(cfg["a"], cfg["a_prime"], cfg["b"], cfg["b_prime"], table)
@@ -380,7 +394,6 @@ def run_simulate(cfg):
         NoiseSampler,
         bphz_triviality_check,
         covariance_check,
-        csv_text,
         pi_f0_second_moment_check,
         scaling_fit,
     )
@@ -404,7 +417,7 @@ def run_simulate(cfg):
     if len(sizes) != len(boxes):
         raise ConfigError(f"sizes {sizes} and boxes {boxes} differ in length")
     grid = make_grid(d=len(sizes) - 1, sizes=sizes, boxes=boxes)
-    cov = covariance_spec(cfg["alpha"], cfg["m0"])
+    cov = covariance_spec(float(cfg["alpha"]), cfg["m0"])
     moll = mollifier_spec(cfg["mollifier"], cfg["tau"], eta=cfg["eta"], m0=cfg["m0"])
     sampler = NoiseSampler(grid, cov, moll, cfg["seed"])
     x = cfg["x"]
@@ -421,12 +434,16 @@ def run_simulate(cfg):
         )
     elif task == "scaling":
         doc = {"task": "scaling", "deterministic_slope": scaling_fit(sampler, cfg["window"])}
-        if cfg["format"] == "csv":
-            return csv_text([doc.keys(), doc.values()])
-        return _to_json(doc)
+        return _csv([doc.keys(), doc.values()]) if cfg["format"] == "csv" else _to_json(doc)
     else:  # unreachable: the option converter restricts the choices
         raise ConfigError(f"unknown simulate task {task!r}")
-    return report.to_csv() if cfg["format"] == "csv" else _to_json(report.to_dict())
+    if cfg["format"] == "csv":
+        return _csv([
+            ("point", "estimate", "standard_error", "oracle", "z"),
+            *zip(report.points, report.estimates, report.standard_errors, report.oracles,
+                 report.z_scores),
+        ])
+    return _to_json(dataclasses.asdict(report))
 
 
 def run_fixtures_verify(cfg):
@@ -502,16 +519,14 @@ _SUBCOMMANDS = {
     ),
     "constants": (
         run_constants,
-        _FORMAT + _OUTPUT + _FAMILY + [
-            _Opt("alpha", _float, required=True, help="exponent in [1/2, 1)"),
-        ],
+        _FORMAT + _OUTPUT + _FAMILY + [_ALPHA],
         "universal small-tau constants (C1, C2, C3) in closed form, with rounding bounds;"
         " the anisotropic family adds the leading thin-film form C2/4 + C3 - C1/2",
     ),
     "counterterm": (
         run_counterterm,
         _FORMAT + _OUTPUT + _FAMILY + _ETA + [
-            _Opt("alpha", _float, required=True, help="exponent in (1/2, 1)"),
+            _ALPHA,
             _Opt("tau", _floats, required=True,
                  help="mollification scales, comma-separated for a sweep"),
             _Opt("m0", _floats, default="1.0",
@@ -522,7 +537,7 @@ _SUBCOMMANDS = {
     "h-eval": (
         run_h_eval,
         _MOLLIFIER + _OUTPUT + [
-            _Opt("alpha", _float, required=True, help="exponent in (1/2, 1)"),
+            _ALPHA,
             _Opt("a", _float, required=True, help="quasilinear coefficient a(u)"),
             _Opt("a_prime", _float, required=True, help="derivative a'(u)"),
             _Opt("b", _float, required=True, help="noise coefficient b(u)"),
@@ -535,7 +550,7 @@ _SUBCOMMANDS = {
         _MOLLIFIER + _FORMAT + _OUTPUT + [
             _Opt("task", _choice("covariance", "moment", "bphz", "scaling"),
                  required=True, help="which estimator to run"),
-            _Opt("alpha", _float, required=True, help="exponent in (1/2, 1)"),
+            _ALPHA,
             _Opt("sizes", _ints, default="64,256",
                  help="grid sizes, time first (default 64,256)"),
             _Opt("boxes", _floats, default="1.0,1.0",

@@ -366,18 +366,6 @@ def table_to_json(table):
     return {key: getattr(table, key) for key in keys}
 
 
-def sweep_csv(tables):
-    """CSV text with one row per (alpha, tau, m0) table."""
-    lines = ["alpha,tau,m0,mollifier,c1,err1,c2,err2,c3,err3"]
-    for t in tables:
-        lines.append(
-            f"{t.alpha},{t.tau},{t.m0},{t.mollifier},"
-            f"{t.c1:.12e},{t.err1:.3e},{t.c2:.12e},{t.err2:.3e},"
-            f"{t.c3:.12e},{t.err3:.3e}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # universal limit constants and scaling laws
 # ---------------------------------------------------------------------------

@@ -476,14 +476,13 @@ def _value_from_json(v):
     raise ConfigError(f"structure-map value {v!r} is not a number or a fraction string")
 
 
-def structure_map_from_json(doc, params=None):
+def structure_map_from_json(doc):
     """Inverse of structure_map_to_json; a malformed document is a ConfigError."""
     from .indices import ModelParams
 
     try:
-        if params is None:
-            params = ModelParams(alpha=Fraction(str(doc["alpha"])), d=doc["d"],
-                                 lam=float(doc.get("lam", 0.4)))
+        params = ModelParams(alpha=Fraction(str(doc["alpha"])), d=doc["d"],
+                             lam=float(doc.get("lam", 0.4)))
         pi = {
             tuple(int(i) for i in fam["n"]): {
                 parse_multiindex(ent["beta"], expected_arity=params.arity):

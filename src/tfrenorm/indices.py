@@ -76,6 +76,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, groupby
+from numbers import Rational, Real
 from operator import itemgetter
 
 from .errors import ConfigError, ResourceError
@@ -454,8 +455,9 @@ class ModelParams:
     """Analytic parameters of the model.
 
     alpha   -- spatial regularity exponent in (max(0, 3/2 - D/4), 1), an
-               exact Fraction; a float means the decimal it prints as, so
-               0.6 is 3/5, as for the CLI's ``--alpha 0.6``
+               exact Fraction; a float of any width (a Real that is not
+               Rational, numpy's float32 included) means the decimal it
+               prints as, so 0.6 is 3/5, as for the CLI's ``--alpha 0.6``
     d       -- number of space dimensions (time is separate)
     lam     -- weight of the decoration degree in the ordering length,
                in (0, 1/2)
@@ -476,10 +478,10 @@ class ModelParams:
             raise ConfigError(f"spatial dimension must be a positive int, got {self.d!r}")
         alpha = self.alpha
         try:
-            if isinstance(alpha, float):
-                # the decimal it prints as; float() first, since numpy 2 prints
-                # np.float64(0.6), a float too, with its type name
-                alpha = Decimal(repr(float(alpha)))
+            if isinstance(alpha, Real) and not isinstance(alpha, Rational):
+                # the decimal it prints as, for numpy's floats too: str of
+                # np.float32(0.6) is 0.6, where its binary value is not 3/5
+                alpha = Decimal(str(alpha))
             p, q = alpha.as_integer_ratio()
         except (AttributeError, ValueError, OverflowError):
             raise ConfigError(f"alpha={self.alpha!r} is not a finite number") from None
@@ -525,14 +527,15 @@ def poly_weight(beta):
 
 
 def homogeneity(beta, params):
-    """|beta| = alpha * (1 + [beta]) + |beta|_p, as a float.
+    """|beta| = alpha * (1 + [beta]) + |beta|_p, as the float nearest the
+    exact value: one int division of ``scaled_homogeneity`` by q, so 9/5
+    prints as 1.8.
 
     Additive up to the alpha offset: |beta + gamma| - alpha =
     (|beta| - alpha) + (|gamma| - alpha).  Decisions compare
     ``scaled_homogeneity`` instead.
     """
-    p, q = params.alpha_ratio
-    return p / q * (1 + bracket(beta)) + poly_weight(beta)  # p / q is float(alpha)
+    return scaled_homogeneity(beta, params) / params.alpha_ratio[1]
 
 
 def scaled_homogeneity(beta, params):

@@ -60,8 +60,6 @@ per sample rather than building a fresh one (_keyed_normals).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -335,34 +333,6 @@ class McReport:
 
     def worst_z(self):
         return max(abs(z) for z in self.z_scores)
-
-    def to_dict(self):
-        return {
-            "estimator": self.estimator,
-            "samples": self.samples,
-            "points": [
-                list(p) if hasattr(p, "__len__") else p for p in self.points
-            ],
-            "estimates": list(self.estimates),
-            "standard_errors": list(self.standard_errors),
-            "oracles": list(self.oracles),
-            "z_scores": list(self.z_scores),
-        }
-
-    def to_csv(self):
-        return csv_text([
-            ("point", "estimate", "standard_error", "oracle", "z"),
-            *zip(self.points, self.estimates, self.standard_errors, self.oracles,
-                 self.z_scores),
-        ])
-
-
-def csv_text(rows):
-    """The rows as ``csv.writer`` writes them, in one string, each row
-    ending in a newline."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
 
 
 def _check_samples(n):

@@ -34,14 +34,6 @@ from .indices import (
     renormalisation_candidates,
 )
 
-FIXTURE_NAMES = (
-    "hierarchy.json",
-    "d0_rows.json",
-    "candidates.json",
-    "enumeration.json",
-    "constants.json",
-)
-
 # Replayed error bounds are added to the stored ones, plus this floor,
 # to form the comparison tolerance for each constant.
 _ABS_FLOOR = 1e-12
@@ -195,6 +187,7 @@ _VERIFIERS = {
     "enumeration.json": verify_enumeration,
     "constants.json": verify_constants,
 }
+FIXTURE_NAMES = tuple(_VERIFIERS)
 
 
 # ---------------------------------------------------------------------------

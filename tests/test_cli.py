@@ -103,6 +103,14 @@ def test_alpha_and_cutoff_are_taken_exactly(capsys):
     # |e6+7f0| = 7 alpha
     assert "e6+7f0" in float_third["indices"] and "e6+7f0" not in third["indices"]
     assert (third["count"], float_third["count"]) == (93, 184)
+    # every subcommand shares the one exact --alpha; the numeric ones read its float
+    for argv in (["constants"], ["counterterm", "--tau", "1e-3,1e-4"],
+                 ["h-eval", "--tau", "1e-4", "--a", "0.5", "--a-prime", "0.1", "--b", "2.0",
+                  "--b-prime", "0.25"],
+                 ["simulate", "--task", "covariance", "--tau", "1e-14", "--sizes", "8,16",
+                  "--samples", "4"]):
+        exact = run(capsys, *argv, "--alpha", "11/20")
+        assert exact[0] == 0 and exact == run(capsys, *argv, "--alpha", "0.55"), argv
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1/0", "1e400", "1" + "0" * 400 + "/3"])
@@ -244,7 +252,9 @@ def test_simulate_scaling_reports_deterministic_slope(capsys):
 ], ids=["enumerate", "constants", "counterterm", "simulate-covariance", "simulate-scaling"])
 def test_every_csv_output_ends_in_one_newline(capsys, tmp_path, argv):
     """Every CSV line ends in a bare newline, and the output ends in exactly
-    one, on stdout and in an --output file alike."""
+    one, on stdout and in an --output file alike.  A CSV reader finds every
+    row as wide as the header: a field holding a comma, such as g(0,1) in
+    the enumerate case, is quoted."""
     argv = [*argv, "--format", "csv"]
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -252,7 +262,8 @@ def test_every_csv_output_ends_in_one_newline(capsys, tmp_path, argv):
     assert main([*argv, "--output", str(path)]) == 0
     for text in (out, path.read_bytes().decode()):
         assert "\r" not in text and text.endswith("\n") and not text.endswith("\n\n")
-        assert len(text.splitlines()) >= 2
+        header, *rows = csv.reader(io.StringIO(text))
+        assert rows and all(len(row) == len(header) for row in rows), rows
 
 
 def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):

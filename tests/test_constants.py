@@ -22,6 +22,7 @@ from oracles import (
     quad_universal,
     ray_rate,
 )
+from tfrenorm.cli import main
 from tfrenorm.constants import (
     C1_INDEX,
     C2_INDEX,
@@ -34,7 +35,6 @@ from tfrenorm.constants import (
     covariance_spec,
     mollifier_spec,
     scaling_exponents,
-    sweep_csv,
     table_to_json,
     tfe_leading_form,
 )
@@ -518,14 +518,20 @@ def test_table_json_has_the_contract_keys():
     assert doc["c2"] == 2.0
 
 
-def test_sweep_csv_round_trips():
-    tables = [_dummy_table(1.0, 2.0, 3.0), _dummy_table(4.0, 5.0, 6.0)]
-    text = sweep_csv(tables)
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == 2
-    assert rows[0]["mollifier"] == "semigroup"
-    assert float(rows[1]["c1"]) == 4.0
-    assert set(rows[0]) == {
-        "alpha", "tau", "m0", "mollifier",
-        "c1", "err1", "c2", "err2", "c3", "err3",
-    }
+def test_sweep_csv_round_trips(capsys):
+    # the sweep CSV holds the JSON tables: values to 13 digits, errors to 4
+    argv = ["counterterm", "--alpha", "0.6", "--tau", "1e-3,1e-4", "--m0", "1,2"]
+    assert main(argv) == 0
+    tables = json.loads(capsys.readouterr().out)["tables"]
+    assert main([*argv, "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == len(tables) == 4
+    assert list(rows[0]) == ["alpha", "tau", "m0", "mollifier",
+                             "c1", "err1", "c2", "err2", "c3", "err3"]
+    for row, table in zip(rows, tables):
+        assert row["mollifier"] == table["mollifier"] == "semigroup"
+        for key in ("alpha", "tau", "m0"):
+            assert float(row[key]) == table[key]
+        for key, digits in (("c1", 12), ("c2", 12), ("c3", 12),
+                            ("err1", 3), ("err2", 3), ("err3", 3)):
+            assert row[key] == f"{table[key]:.{digits}e}"

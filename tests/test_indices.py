@@ -495,6 +495,17 @@ def test_bracket_and_homogeneity_hand_values():
     assert homogeneity(m, P055) == pytest.approx(0.55 * 2 + 1)
 
 
+def test_homogeneity_is_the_float_of_the_exact_value():
+    # p/q * (1 + [beta]) + |beta|_p would round twice: 1.7999999999999998 here
+    assert homogeneity(parse_multiindex("f0+2f1"), ModelParams(alpha=0.6)) == 1.8
+    for alpha in (0.3, 0.55, 0.6, Fraction(1, 3), Fraction(2, 3), Fraction(5, 7), 0.999):
+        for d in (1, 2):
+            params = ModelParams(alpha=alpha, d=d)
+            for m in enumerate_populated(params, 3.5):
+                exact = params.alpha * (1 + bracket(m)) + poly_weight(m)
+                assert homogeneity(m, params) == float(exact), (alpha, d, m)
+
+
 def test_homogeneity_matches_oracle_on_random_indices():
     rng = random.Random(99)
     for _ in range(300):
@@ -550,10 +561,14 @@ def test_params_hold_alpha_exactly():
     # a float is the decimal it prints as, which for 1 / 3 lies below 1/3
     assert ModelParams(alpha=1 / 3).alpha == Fraction("0.3333333333333333")
     assert third != ModelParams(alpha=1 / 3)
-    # so 0.6, numpy's 0.6 and 3/5 are one alpha, deciding as ``--alpha 0.6``
-    three_fifths = [ModelParams(alpha=a) for a in (0.6, np.float64(0.6), Fraction(3, 5))]
+    # so 0.6, numpy's 0.6 of every width and 3/5 are one alpha, deciding as
+    # ``--alpha 0.6``; float32's binary value is 5033165/8388608
+    inputs = (0.6, np.float64(0.6), np.float32(0.6), np.float16(0.6), np.longdouble("0.6"),
+              Fraction(3, 5))
+    three_fifths = [ModelParams(alpha=a) for a in inputs]
     assert all(p == three_fifths[0] and hash(p) == hash(three_fifths[0]) for p in three_fifths)
-    assert [len(enumerate_populated(p, 3)) for p in three_fifths] == [43, 43, 43]
+    assert all(p.alpha_ratio == (3, 5) for p in three_fifths)
+    assert [len(enumerate_populated(p, 3)) for p in three_fifths] == [43] * len(inputs)
     for twin in (copy.copy(third), pickle.loads(pickle.dumps(third))):
         assert twin == third and hash(twin) == hash(third) and twin.alpha_ratio == (1, 3)
     # dataclasses.replace passes alpha on; a new alpha brings its own ratio
@@ -566,7 +581,7 @@ def test_params_hold_alpha_exactly():
     with pytest.raises(ConfigError):
         ModelParams(alpha=Fraction(1, 4))
     ModelParams(alpha=Fraction(1, 4) + Fraction(1, 10**20))
-    for bad in (float("nan"), float("inf"), "0.5"):
+    for bad in (float("nan"), float("inf"), np.float32("nan"), np.float16("inf"), "0.5"):
         with pytest.raises(ConfigError):
             ModelParams(alpha=bad)
 

@@ -1,5 +1,7 @@
 """Sampler, model components, pairing-sum oracles, and scaling fits."""
 
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -507,16 +509,23 @@ def test_bphz_f0f1_oracle_vanishes_for_even_density():
         mc.bphz_triviality_check(small_sampler(), [1e-6], component="f2")
 
 
-def test_report_serialisation():
-    rep = mc.covariance_check(small_sampler(seed=3), lags=[(0, 1), (1, 0)],
-                              n_samples=64)
-    blob = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
-    assert blob["estimator"] == "covariance"
-    assert blob["samples"] == 64
-    assert len(blob["z_scores"]) == 2
-    lines = rep.to_csv().strip().splitlines()
-    assert lines[0] == "point,estimate,standard_error,oracle,z"
-    assert len(lines) == 3
+def test_report_serialisation(capsys):
+    argv = ["simulate", "--task", "covariance", "--alpha", "0.55", "--tau", "1e-14",
+            "--sizes", "32,128", "--seed", "3", "--samples", "64"]
+    assert main(argv) == 0
+    blob = json.loads(capsys.readouterr().out)
+    rep = mc.covariance_check(small_sampler(seed=3), n_samples=64)
+    assert list(blob) == ["estimator", "samples", "points", "estimates",
+                          "standard_errors", "oracles", "z_scores"]
+    assert blob["estimator"] == "covariance" and blob["samples"] == 64
+    assert blob["points"] == [list(p) for p in rep.points]
+    assert blob["estimates"] == list(rep.estimates)
+    assert main([*argv, "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["point", "estimate", "standard_error", "oracle", "z"]
+    assert len(rows) == len(rep.points)
+    for row, point, z in zip(rows, rep.points, rep.z_scores):
+        assert row[0] == str(point) and float(row[4]) == z
 
 
 def test_equal_time_density_matches_extended_lattice_sum():
